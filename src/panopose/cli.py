@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import __version__
-from .dataio import Dataset, dataset_from_json, save_dataset
+from .dataio import Dataset, _dataset_from_doc, save_dataset
 from .decode import HeatmapStack, decode_heatmaps
 from .errors import ValidationError
 from .geometry import (
@@ -57,8 +57,7 @@ def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
     schema_id = doc.get("schema") if isinstance(doc, dict) else None
     if not isinstance(schema_id, str):
         raise ValidationError(f"{path}: missing or malformed 'schema' field")
-    schema = builtin_schema(schema_id)
-    return dataset_from_json(text, schema, require_scores=require_scores)
+    return _dataset_from_doc(doc, builtin_schema(schema_id), require_scores)
 
 
 def _override_pano(ds: Dataset, args: argparse.Namespace) -> Dataset:

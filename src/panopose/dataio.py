@@ -14,8 +14,12 @@ Every person carries at least a box or a pose. Visibility flags are 0 (not
 labeled), 1 (labeled but invisible), 2 (labeled and visible). The canonical
 form sorts frames by id, keeps a fixed field order, and prints every number
 with 17 significant digits, so value-identical datasets serialize to
-identical bytes. Pose-level scores are in-memory only and are not written;
-the person-level score is the persisted confidence.
+identical bytes. The person-level score is the only confidence.
+
+Each value rule (finiteness, visibility range, score range, box-or-pose,
+non-empty and unique frame ids) lives in the constructor of the type it
+constrains; the parser checks only the JSON shape and reports a
+constructor's ``ValueError`` as a ``ValidationError`` at its location.
 """
 
 from __future__ import annotations
@@ -73,16 +77,11 @@ class Keypoint:
 @dataclass(frozen=True)
 class Pose:
     keypoints: tuple[Keypoint, ...]
-    score: float | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "keypoints", tuple(self.keypoints))
         if not self.keypoints:
             raise ValueError("pose must have at least one keypoint")
-        if self.score is not None:
-            object.__setattr__(self, "score", float(self.score))
-            if not 0.0 <= self.score <= 1.0:
-                raise ValueError(f"pose score {self.score} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -94,7 +93,7 @@ class Person:
 
     def __post_init__(self) -> None:
         if self.box is None and self.pose is None:
-            raise ValueError("person must have at least a box or a pose")
+            raise ValueError("person has neither box nor pose")
         if self.score is not None:
             object.__setattr__(self, "score", float(self.score))
             if not 0.0 <= self.score <= 1.0:
@@ -143,13 +142,10 @@ def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
         raise ValidationError(f"{where}: unexpected field(s) {extra}")
 
 
-def _finite_number(value: Any, where: str) -> float:
+def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
-    out = float(value)
-    if not math.isfinite(out):
-        raise ValidationError(f"{where}: non-finite coordinate {value!r}")
-    return out
+    return float(value)
 
 
 def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where: str) -> Person:
@@ -166,7 +162,7 @@ def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where
         vals = raw["box"]
         if not isinstance(vals, list) or len(vals) != 4:
             raise ValidationError(f"{where}: box must be [x1, y1, x2, y2]")
-        x1, y1, x2, y2 = (_finite_number(v, f"{where}: box") for v in vals)
+        x1, y1, x2, y2 = (_number(v, f"{where}: box") for v in vals)
         try:
             box = BoundingBox(x1, y1, x2, y2)
         except ValueError as exc:
@@ -174,9 +170,7 @@ def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where
 
     score = None
     if "score" in raw:
-        score = _finite_number(raw["score"], f"{where}: score")
-        if not 0.0 <= score <= 1.0:
-            raise ValidationError(f"{where}: score {score} outside [0, 1]")
+        score = _number(raw["score"], f"{where}: score")
     elif require_score:
         raise ValidationError(f"prediction without score ({where})")
 
@@ -194,19 +188,23 @@ def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where
         for k, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 3:
                 raise ValidationError(f"{where}: pose keypoint {k} must be [x, y, v]")
-            x = _finite_number(row[0], f"{where}: keypoint {k}")
-            y = _finite_number(row[1], f"{where}: keypoint {k}")
+            x = _number(row[0], f"{where}: keypoint {k}")
+            y = _number(row[1], f"{where}: keypoint {k}")
             v = row[2]
-            if isinstance(v, bool) or not isinstance(v, int) or v not in _VISIBILITIES:
+            if isinstance(v, bool) or not isinstance(v, int):
                 raise ValidationError(
-                    f"{where}: keypoint {k} visibility must be 0, 1 or 2, got {v!r}"
+                    f"{where}: keypoint {k} visibility must be an integer, got {v!r}"
                 )
-            kps.append(Keypoint(x, y, v))
+            try:
+                kps.append(Keypoint(x, y, v))
+            except ValueError as exc:
+                raise ValidationError(f"{where}: keypoint {k}: {exc}") from exc
         pose = Pose(tuple(kps))
 
-    if box is None and pose is None:
-        raise ValidationError(f"{where}: person has neither box nor pose")
-    return Person(id=person_id, box=box, pose=pose, score=score)
+    try:
+        return Person(id=person_id, box=box, pose=pose, score=score)
+    except ValueError as exc:
+        raise ValidationError(f"{where}: {exc}") from exc
 
 
 def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bool = False) -> Dataset:
@@ -214,6 +212,11 @@ def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bo
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"parse error: {exc}") from exc
+    return _dataset_from_doc(doc, schema, require_scores)
+
+
+def _dataset_from_doc(doc: Any, schema: "KeypointSchema", require_scores: bool) -> Dataset:
+    """Build a dataset from an already parsed JSON document."""
     if not isinstance(doc, dict):
         raise ValidationError("parse error: top level must be an object")
     _require_keys(doc, ("schema", "pano", "frames"), (), "document")
@@ -229,8 +232,8 @@ def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bo
     _require_keys(pano_raw, ("width", "height"), (), "pano")
     try:
         pano = PanoramaSpec(
-            _finite_number(pano_raw["width"], "pano width"),
-            _finite_number(pano_raw["height"], "pano height"),
+            _number(pano_raw["width"], "pano width"),
+            _number(pano_raw["height"], "pano height"),
         )
     except ValueError as exc:
         raise ValidationError(str(exc)) from exc
@@ -239,17 +242,11 @@ def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bo
     if not isinstance(frames_raw, list):
         raise ValidationError("frames must be a list")
     frames = []
-    seen: set[str] = set()
     for raw in frames_raw:
         if not isinstance(raw, dict):
             raise ValidationError("frame must be an object")
         _require_keys(raw, ("frame_id", "persons"), (), "frame")
         fid = raw["frame_id"]
-        if not isinstance(fid, str) or not fid:
-            raise ValidationError(f"frame id must be a non-empty string, got {fid!r}")
-        if fid in seen:
-            raise ValidationError(f"duplicate frame id {fid!r}")
-        seen.add(fid)
         persons_raw = raw["persons"]
         if not isinstance(persons_raw, list):
             raise ValidationError(f"frame {fid!r}: persons must be a list")
@@ -257,7 +254,10 @@ def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bo
             _parse_person(p, schema, require_scores, f"frame {fid!r}, person {i}")
             for i, p in enumerate(persons_raw)
         )
-        frames.append(FrameAnnotations(fid, persons))
+        try:
+            frames.append(FrameAnnotations(fid, persons))
+        except ValueError as exc:
+            raise ValidationError(f"frame {fid!r}: {exc}") from exc
     return Dataset(schema.id, pano, tuple(frames))
 
 

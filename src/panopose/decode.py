@@ -28,7 +28,7 @@ class HeatmapStack:
     stride: float
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=np.float64)
+        values = np.array(self.values, dtype=np.float64)
         if values.ndim != 3:
             raise ValueError(f"heatmaps must be K x h x w, got shape {values.shape}")
         k, h, w = values.shape
@@ -36,7 +36,6 @@ class HeatmapStack:
             raise ValueError(f"empty grid: shape {values.shape}")
         if not (math.isfinite(self.stride) and self.stride > 0):
             raise ValueError(f"stride must be positive, got {self.stride!r}")
-        values = values.copy()
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "stride", float(self.stride))

@@ -7,8 +7,8 @@ the dataset-level report that aggregates them.
 
 OKS between a predicted and a labeled pose is the mean over labeled
 keypoints i of exp(-d_i^2 / (2 * s^2 * k_i^2)), with d_i the Euclidean pixel
-distance, k_i the per-keypoint falloff constant, and s^2 the ground-truth
-box area.
+distance, k_i the per-keypoint falloff constant, and s^2 the area of the
+ground-truth matching box (:func:`~panopose.geometry.person_box`).
 
 The set metric between prediction and ground-truth sets of sizes m <= n
 (swap otherwise) with cutoff c and order p is
@@ -29,10 +29,10 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .dataio import Dataset, FrameAnnotations, Pose
+from .dataio import Dataset, FrameAnnotations, Person, Pose
 from .errors import ValidationError
 from .geometry import BoundingBox, iou, person_box
-from .schema import SchemaMapping, default_mapping
+from .schema import SchemaMapping, check_entries, default_mapping
 
 __all__ = [
     "COCO_SIGMAS",
@@ -70,10 +70,10 @@ _ORACLE_MAX_ASSIGNMENTS = 2_000_000
 
 @dataclass(frozen=True)
 class OksParams:
-    """Per-keypoint falloff constants and the object-scale rule."""
+    """Per-keypoint falloff constants; the object scale is always the
+    ground-truth box area."""
 
     sigmas: tuple[float, ...]
-    scale_source: str = "gt_box_area"
 
     def __post_init__(self) -> None:
         sigmas = tuple(float(s) for s in self.sigmas)
@@ -81,10 +81,6 @@ class OksParams:
             raise ValueError("sigmas must be non-empty")
         if any(not (math.isfinite(s) and s > 0) for s in sigmas):
             raise ValueError("all sigmas must be positive and finite")
-        if self.scale_source != "gt_box_area":
-            raise ValueError(
-                f"unsupported scale source {self.scale_source!r}; only 'gt_box_area'"
-            )
         object.__setattr__(self, "sigmas", sigmas)
 
 
@@ -97,17 +93,10 @@ def transferred_oks_params(
 ) -> OksParams:
     """Move falloff constants into a target schema; merged targets take the
     mean of their counterpart constants."""
-    sigmas = []
-    for t, entry in enumerate(mapping.entries):
-        if not entry:
-            raise ValidationError(f"empty counterpart list for target index {t}")
-        for s in entry:
-            if s < 0 or s >= len(source_sigmas):
-                raise ValidationError(
-                    f"counterpart index {s} out of range for {len(source_sigmas)} sigmas"
-                )
-        sigmas.append(sum(source_sigmas[s] for s in entry) / len(entry))
-    return OksParams(tuple(sigmas))
+    check_entries(mapping, len(source_sigmas))
+    return OksParams(
+        tuple(sum(source_sigmas[s] for s in entry) / len(entry) for entry in mapping.entries)
+    )
 
 
 def default_oks_params(schema_id: str) -> OksParams:
@@ -274,15 +263,18 @@ def ospa_iou_frame(
 
     Persons without a stored box use the tight enclosing box of their pose.
     """
-    pred_boxes = [person_box(p) for p in pred_frame.persons]
-    gt_boxes = [person_box(g) for g in gt_frame.persons]
-    return ospa(
-        pred_boxes,
-        gt_boxes,
-        lambda a, b: 1.0 - iou(a, b),
-        cutoff=cutoff,
-        order=order,
+    return _ospa_iou(
+        [person_box(p) for p in pred_frame.persons],
+        [person_box(g) for g in gt_frame.persons],
+        cutoff,
+        order,
     )
+
+
+def _ospa_iou(
+    pred_boxes: list[BoundingBox], gt_boxes: list[BoundingBox], cutoff: float, order: float
+) -> float:
+    return ospa(pred_boxes, gt_boxes, lambda a, b: 1.0 - iou(a, b), cutoff=cutoff, order=order)
 
 
 # -- ranked matching and AP --------------------------------------------------------
@@ -298,16 +290,6 @@ class MatchResult:
     unmatched_ground_truths: tuple[int, ...]
 
 
-def _frame_oks(pred, gt, params) -> float | None:
-    """OKS between two persons, or None when undefined (missing pose or no
-    labeled ground-truth keypoint)."""
-    if pred.pose is None or gt.pose is None:
-        return None
-    if all(kp.visibility <= 0 for kp in gt.pose.keypoints):
-        return None
-    return oks(pred.pose, gt.pose, params, person_box(gt))
-
-
 def match_frame_oks(
     pred_frame: FrameAnnotations,
     gt_frame: FrameAnnotations,
@@ -315,9 +297,25 @@ def match_frame_oks(
     threshold: float,
 ) -> MatchResult:
     """Match predictions (score-descending) to the unmatched ground truth with
-    the highest OKS, accepting the pair when that OKS >= threshold."""
-    preds = pred_frame.persons
+    the highest OKS, accepting the pair when that OKS >= threshold. OKS is
+    undefined, so never matches, for a person without a pose and for a ground
+    truth with no labeled keypoint."""
     gts = gt_frame.persons
+    return _match(pred_frame.persons, gts, [person_box(g) for g in gts], params, threshold)
+
+
+def _match(
+    preds: Sequence[Person],
+    gts: Sequence[Person],
+    gt_boxes: Sequence[BoundingBox],
+    params: OksParams,
+    threshold: float,
+) -> MatchResult:
+    """:func:`match_frame_oks` over the frame's persons and ground-truth boxes."""
+    labeled = [
+        g.pose is not None and any(kp.visibility > 0 for kp in g.pose.keypoints)
+        for g in gts
+    ]
     order = sorted(
         range(len(preds)),
         key=lambda i: (-(preds[i].score if preds[i].score is not None else 0.0), i),
@@ -325,13 +323,16 @@ def match_frame_oks(
     taken: set[int] = set()
     pairs = []
     for pi in order:
+        pose = preds[pi].pose
+        if pose is None:
+            continue
         best_oks = -1.0
         best_gi = -1
-        for gi in range(len(gts)):
-            if gi in taken:
+        for gi, gt in enumerate(gts):
+            if gi in taken or not labeled[gi]:
                 continue
-            value = _frame_oks(preds[pi], gts[gi], params)
-            if value is not None and value > best_oks:
+            value = oks(pose, gt.pose, params, gt_boxes[gi])
+            if value > best_oks:
                 best_oks = value
                 best_gi = gi
         if best_gi >= 0 and best_oks >= threshold:
@@ -365,25 +366,6 @@ def _check_pair(preds: Dataset, gts: Dataset) -> None:
                 )
 
 
-def _ranked_matches(
-    preds: Dataset, gts: Dataset, params: OksParams, threshold: float
-) -> tuple[list[tuple[float, str, int, bool]], dict[str, MatchResult]]:
-    pred_frames = {f.frame_id: f for f in preds.frames}
-    ranked = []
-    matches: dict[str, MatchResult] = {}
-    for gt_frame in gts.frames:
-        pred_frame = pred_frames.get(gt_frame.frame_id) or FrameAnnotations(
-            gt_frame.frame_id, ()
-        )
-        result = match_frame_oks(pred_frame, gt_frame, params, threshold)
-        matches[gt_frame.frame_id] = result
-        matched = {pi for pi, _, _ in result.pairs}
-        for i, person in enumerate(pred_frame.persons):
-            ranked.append((float(person.score), gt_frame.frame_id, i, i in matched))
-    ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
-    return ranked, matches
-
-
 def _ap_101(tp_flags: Sequence[bool], num_gt: int) -> float:
     if num_gt == 0:
         return 1.0 if not tp_flags else 0.0
@@ -408,10 +390,7 @@ def ap_at_oks(
     """Average precision over the dataset-global score ranking, 101-point
     interpolated, with a prediction counting as true positive when it greedily
     matches a same-frame ground truth at OKS >= threshold."""
-    _check_pair(preds, gts)
-    ranked, _ = _ranked_matches(preds, gts, params, threshold)
-    num_gt = sum(len(f.persons) for f in gts.frames)
-    return _ap_101([tp for _, _, _, tp in ranked], num_gt)
+    return evaluate(preds, gts, EvalConfig(oks_threshold=threshold, oks_params=params)).ap_05
 
 
 # -- dataset evaluation -------------------------------------------------------------
@@ -475,37 +454,41 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     _check_pair(preds, gts)
     params = config.oks_params or default_oks_params(gts.schema_id)
 
-    pred_frames = {f.frame_id: f for f in preds.frames}
-    ranked, matches = _ranked_matches(preds, gts, params, config.oks_threshold)
-
+    pred_persons = {f.frame_id: f.persons for f in preds.frames}
+    ranked = []
+    num_gt = 0
     per_frame: dict[str, FrameStats] = {}
     for gt_frame in gts.frames:  # Dataset keeps frames in sorted-id order
         fid = gt_frame.frame_id
-        pred_frame = pred_frames.get(fid) or FrameAnnotations(fid, ())
-        frame_ospa = ospa_iou_frame(
-            pred_frame, gt_frame, cutoff=config.ospa_cutoff, order=config.ospa_order
-        )
+        frame_preds = pred_persons.get(fid, ())
+        frame_gts = gt_frame.persons
+        pred_boxes = [person_box(p) for p in frame_preds]
+        gt_boxes = [person_box(g) for g in frame_gts]
+        result = _match(frame_preds, frame_gts, gt_boxes, params, config.oks_threshold)
+        matched = {pi for pi, _, _ in result.pairs}
+        for i, person in enumerate(frame_preds):
+            ranked.append((float(person.score), fid, i, i in matched))
+        num_gt += len(frame_gts)
         per_frame[fid] = FrameStats(
-            ospa_iou=frame_ospa,
-            num_predictions=len(pred_frame.persons),
-            num_ground_truths=len(gt_frame.persons),
-            num_matched=len(matches[fid].pairs),
+            ospa_iou=_ospa_iou(pred_boxes, gt_boxes, config.ospa_cutoff, config.ospa_order),
+            num_predictions=len(frame_preds),
+            num_ground_truths=len(frame_gts),
+            num_matched=len(result.pairs),
         )
 
-    num_frames = len(per_frame)
     mean_ospa = (
-        sum(per_frame[fid].ospa_iou for fid in sorted(per_frame)) / num_frames
-        if num_frames
+        sum(stats.ospa_iou for stats in per_frame.values()) / len(per_frame)
+        if per_frame
         else 0.0
     )
-    num_gt = sum(len(f.persons) for f in gts.frames)
+    ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
     ap = _ap_101([tp for _, _, _, tp in ranked], num_gt)
 
     echo = {
         "schema": gts.schema_id,
         "oks_threshold": config.oks_threshold,
         "oks_sigmas": list(params.sigmas),
-        "scale_source": params.scale_source,
+        "scale_source": "gt_box_area",
         "ospa_cutoff": config.ospa_cutoff,
         "ospa_order": config.ospa_order,
     }

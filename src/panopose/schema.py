@@ -27,6 +27,7 @@ __all__ = [
     "default_mapping",
     "identity_mapping",
     "validate_mapping",
+    "check_entries",
     "remap_pose",
     "load_mapping",
     "save_mapping",
@@ -213,6 +214,19 @@ def validate_mapping(
     return violations
 
 
+def check_entries(mapping: SchemaMapping, num_source: int) -> None:
+    """Raise unless every target has counterparts, all in ``range(num_source)``."""
+    for t, entry in enumerate(mapping.entries):
+        if not entry:
+            raise ValidationError(f"empty counterpart list for target index {t}")
+        for s in entry:
+            if s < 0 or s >= num_source:
+                raise ValidationError(
+                    f"counterpart index {s} out of range for {num_source} "
+                    f"source keypoints (target index {t})"
+                )
+
+
 def remap_pose(pose: Pose, mapping: SchemaMapping) -> Pose:
     """Transfer a pose into the target schema.
 
@@ -221,16 +235,9 @@ def remap_pose(pose: Pose, mapping: SchemaMapping) -> Pose:
     visibilities (a synthesized point is at most as reliable as its least
     reliable source).
     """
-    k_src = len(pose.keypoints)
+    check_entries(mapping, len(pose.keypoints))
     kps = []
-    for t, entry in enumerate(mapping.entries):
-        if not entry:
-            raise ValidationError(f"empty counterpart list for target index {t}")
-        for s in entry:
-            if s < 0 or s >= k_src:
-                raise ValidationError(
-                    f"counterpart index {s} out of range for pose of length {k_src}"
-                )
+    for entry in mapping.entries:
         sources = [pose.keypoints[s] for s in entry]
         kps.append(
             Keypoint(
@@ -239,7 +246,7 @@ def remap_pose(pose: Pose, mapping: SchemaMapping) -> Pose:
                 min(kp.visibility for kp in sources),
             )
         )
-    return Pose(tuple(kps), score=pose.score)
+    return Pose(tuple(kps))
 
 
 # -- mapping config files ------------------------------------------------------

@@ -20,14 +20,12 @@ import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, TYPE_CHECKING
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import ValidationError
-
-if TYPE_CHECKING:
-    from .schema import SchemaMapping
+from .schema import SchemaMapping, check_entries
 
 __all__ = [
     "TensorRecord",
@@ -165,7 +163,7 @@ def load_tensor_map(path: str | Path) -> TensorMap:
     if not isinstance(header, dict):
         raise ValidationError("malformed header: top level must be an object")
 
-    payload = raw[8 + header_len :]
+    payload = memoryview(raw)[8 + header_len :]
     records = []
     spans = []
     for name, entry in header.items():
@@ -196,7 +194,7 @@ def load_tensor_map(path: str | Path) -> TensorMap:
             )
         spans.append((begin, end, name))
         data = np.frombuffer(payload, dtype=_DTYPES[dtype], count=count, offset=begin)
-        records.append(TensorRecord(name, dtype, tuple(shape), data.reshape(shape).copy()))
+        records.append(TensorRecord(name, dtype, tuple(shape), data))
 
     spans.sort()
     for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):
@@ -210,24 +208,21 @@ def load_tensor_map(path: str | Path) -> TensorMap:
 def save_tensor_map(tmap: TensorMap, path: str | Path) -> None:
     """Write the container; byte output is deterministic for a given map."""
     header: dict[str, dict] = {}
-    chunks = []
     offset = 0
     for record in tmap.records():  # already name-sorted
-        blob = record.data.tobytes()
         header[record.name] = {
             "dtype": record.dtype,
             "shape": list(record.shape),
             "begin": offset,
-            "end": offset + len(blob),
+            "end": offset + record.data.nbytes,
         }
-        chunks.append(blob)
-        offset += len(blob)
+        offset += record.data.nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for blob in chunks:
-            fh.write(blob)
+        for record in tmap.records():
+            fh.write(record.data)  # contiguous little-endian: the record's raw bytes
 
 
 def _mean_of_slices(data: np.ndarray, entry: tuple[int, ...]) -> np.ndarray:
@@ -238,7 +233,7 @@ def _mean_of_slices(data: np.ndarray, entry: tuple[int, ...]) -> np.ndarray:
 def remap_head_weights(
     tmap: TensorMap,
     weight_name: str,
-    mapping: "SchemaMapping",
+    mapping: SchemaMapping,
     bias_name: str | None = None,
 ) -> TensorMap:
     """Rebuild the head weight (and optional bias) for a new keypoint schema.
@@ -258,14 +253,7 @@ def remap_head_weights(
             f"expected rank-4 weight [K, C, kh, kw], got shape {weight.shape}"
         )
     k_source = weight.shape[0]
-    for t, entry in enumerate(mapping.entries):
-        if not entry:
-            raise ValidationError(f"empty counterpart list for target index {t}")
-        for s in entry:
-            if s < 0 or s >= k_source:
-                raise ValidationError(
-                    f"counterpart index {s} out of range (K_source={k_source})"
-                )
+    check_entries(mapping, k_source)
 
     new_weight = np.stack(
         [_mean_of_slices(weight.data, entry) for entry in mapping.entries]

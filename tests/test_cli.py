@@ -76,6 +76,20 @@ class TestEval:
         assert lines[0].startswith("frame_id,ospa_iou")
         assert len(lines) == 2
 
+    def test_each_input_file_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        gt = tmp_path / "g.json"
+        save_dataset(_gt_dataset(), gt)
+        parsed = []
+        loads = json.loads
+
+        def counting_loads(text, *args, **kwargs):
+            parsed.append(text)
+            return loads(text, *args, **kwargs)
+
+        monkeypatch.setattr(json, "loads", counting_loads)
+        assert run(["eval", "--gt", str(gt), "--pred", str(gt)]) == 0
+        assert len(parsed) == 2
+
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         gt = tmp_path / "g.json"
         pred = tmp_path / "p.json"

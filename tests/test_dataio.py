@@ -52,10 +52,6 @@ class TestTypes:
         with pytest.raises(ValueError):
             Person(id="p", score=0.5)
 
-    def test_pose_score_range(self):
-        with pytest.raises(ValueError):
-            Pose((Keypoint(0, 0),), score=2.0)
-
     def test_dataset_sorts_frames(self):
         f1 = FrameAnnotations("b", (Person(box=BoundingBox(0, 0, 1, 1)),))
         f2 = FrameAnnotations("a", ())
@@ -115,6 +111,21 @@ class TestLoading:
     def test_person_needs_box_or_pose(self):
         with pytest.raises(ValidationError, match="neither box nor pose"):
             dataset_from_json(_doc([{"score": 0.5}]), JRDB17)
+
+    def test_score_out_of_range_names_the_person(self):
+        text = _doc([{"box": [1, 2, 3, 4], "score": 1.5}])
+        with pytest.raises(ValidationError, match=r"frame 'f1', person 0: .*outside \[0, 1\]"):
+            dataset_from_json(text, JRDB17)
+
+    def test_degenerate_box_names_the_person(self):
+        text = _doc([{"box": [1, 2, 3, 4]}, {"box": [5, 2, 5, 4]}])
+        with pytest.raises(ValidationError, match=r"frame 'f1', person 1: degenerate box"):
+            dataset_from_json(text, JRDB17)
+
+    def test_empty_frame_id_names_the_frame(self):
+        text = _doc([{"box": [1, 2, 3, 4]}], frame_id="")
+        with pytest.raises(ValidationError, match=r"frame '': frame id must be a non-empty"):
+            dataset_from_json(text, JRDB17)
 
     def test_parse_error(self):
         with pytest.raises(ValidationError, match="parse error"):

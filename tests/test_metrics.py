@@ -48,10 +48,6 @@ class TestOksParams:
         with pytest.raises(ValueError):
             OksParams((0.1, 0.0))
 
-    def test_unsupported_scale_source(self):
-        with pytest.raises(ValueError):
-            OksParams((0.1,), scale_source="pose_extent")
-
     def test_coco_defaults(self):
         assert coco_oks_params().sigmas == COCO_SIGMAS
         assert default_oks_params("coco17") == coco_oks_params()
@@ -419,6 +415,24 @@ class TestEvaluate:
         assert stats.num_ground_truths == 1
         assert stats.num_matched == 1
         assert stats.ospa_iou == 0.0
+
+    def test_one_matching_box_per_person(self, monkeypatch):
+        import panopose.metrics as metrics
+
+        rng = np.random.default_rng(73)
+        gt = make_ground_truth(rng, num_frames=8, people=(1, 5))
+        preds = perturb_predictions(gt, rng, 5.0)
+        built = []
+        person_box = metrics.person_box
+
+        def counting_person_box(person, *args):
+            built.append(person)
+            return person_box(person, *args)
+
+        monkeypatch.setattr(metrics, "person_box", counting_person_box)
+        evaluate(preds, gt)
+        num_persons = sum(len(f.persons) for ds in (gt, preds) for f in ds.frames)
+        assert len(built) <= num_persons
 
     def test_both_empty(self):
         report = evaluate(Dataset("jrdb17", PANO, ()), Dataset("jrdb17", PANO, ()))

@@ -149,11 +149,6 @@ class TestRemapPose:
         with pytest.raises(ValidationError, match="out of range"):
             remap_pose(_mini_pose((0, 0), (1, 1)), mapping)
 
-    def test_pose_score_is_preserved(self):
-        mapping = SchemaMapping("src1", "dst1", ((0,),))
-        pose = Pose((Keypoint(1, 2),), score=0.75)
-        assert remap_pose(pose, mapping).score == 0.75
-
 
 class TestMappingFiles:
     def test_round_trip(self, tmp_path):
