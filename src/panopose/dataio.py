@@ -145,7 +145,10 @@ def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...
 def _number(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError(f"{where}: integer too large for a float") from None
 
 
 def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where: str) -> Person:

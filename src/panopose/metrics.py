@@ -27,7 +27,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .dataio import Dataset, FrameAnnotations, Person, Pose
 from .errors import ValidationError
@@ -147,6 +146,10 @@ def _as_cost_matrix(cost) -> np.ndarray:
 def _optimal_cost(matrix: np.ndarray) -> float:
     if matrix.size == 0:
         return 0.0
+    # Imported here, not at module top: scipy.optimize took ~0.58 s of the
+    # ~0.8 s start-up of every panopose process, and only assignments need it.
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(matrix)
     return float(matrix[rows, cols].sum())
 

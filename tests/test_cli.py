@@ -103,6 +103,19 @@ class TestEval:
         assert code == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_integer_beyond_float_range_exit_code(self, tmp_path, capsys):
+        gt = tmp_path / "g.json"
+        save_dataset(_gt_dataset(), gt)
+        doc = json.loads(gt.read_text())
+        doc["frames"][0]["persons"][0]["box"] = [1, 2, 3, 10**400]
+        pred = tmp_path / "p.json"
+        pred.write_text(json.dumps(doc))
+        code = run(["eval", "--gt", str(gt), "--pred", str(pred)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "integer too large" in err
+        assert "Traceback" not in err
+
 
 class TestShift:
     def test_shift_zero_is_canonical_identity(self, tmp_path, capsys):
@@ -311,3 +324,34 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "panopose" in proc.stdout
+
+    def test_scipy_is_imported_only_to_solve_an_assignment(self, tmp_path):
+        ds = Dataset(
+            "jrdb17", PANO,
+            (FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 10, 10), score=0.9),)),),
+        )
+        data, result = tmp_path / "d.json", tmp_path / "scipy.json"
+        save_dataset(ds, data)
+        probe = (
+            "import json, sys\n"
+            "from pathlib import Path\n"
+            "import panopose\n"
+            "from panopose.cli import run\n"
+            "data, out, result = sys.argv[1:]\n"
+            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert run(['--version']) == 0\n"
+            "assert run(['nms', '--pred', data, '--out', out]) == 0\n"
+            "before_eval = loaded()\n"
+            "assert run(['eval', '--gt', data, '--pred', data]) == 0\n"
+            "Path(result).write_text(json.dumps([before_eval, loaded()]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", probe, str(data), str(tmp_path / "o.json"), str(result)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        before_eval, after_eval = json.loads(result.read_text())
+        assert before_eval == []
+        assert "scipy.optimize" in after_eval

@@ -29,11 +29,11 @@ def _dataset(*frames):
     return Dataset("jrdb17", PANO, frames)
 
 
-def _doc(persons, frame_id="f1"):
+def _doc(persons, frame_id="f1", width=2000):
     return json.dumps(
         {
             "schema": "jrdb17",
-            "pano": {"width": 2000, "height": 600},
+            "pano": {"width": width, "height": 600},
             "frames": [{"frame_id": frame_id, "persons": persons}],
         }
     )
@@ -125,6 +125,25 @@ class TestLoading:
     def test_empty_frame_id_names_the_frame(self):
         text = _doc([{"box": [1, 2, 3, 4]}], frame_id="")
         with pytest.raises(ValidationError, match=r"frame '': frame id must be a non-empty"):
+            dataset_from_json(text, JRDB17)
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            (
+                _doc([{"box": [1, 2, 3, 10**400]}]),
+                r"frame 'f1', person 0: box: integer too large",
+            ),
+            (
+                _doc([{"pose": [[0, 0, 2]] * 3 + [[10**400, 0, 2]] + [[0, 0, 2]] * 13}]),
+                r"frame 'f1', person 0: keypoint 3: integer too large",
+            ),
+            (_doc([{"box": [1, 2, 3, 4]}], width=10**400), r"pano width: integer too large"),
+        ],
+        ids=["box", "keypoint", "pano-width"],
+    )
+    def test_integer_beyond_float_range_is_located(self, text, match):
+        with pytest.raises(ValidationError, match=match):
             dataset_from_json(text, JRDB17)
 
     def test_parse_error(self):
