@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 from .dataio import (
     Dataset,
     FrameAnnotations,
-    Keypoint,
     LABELED_INVISIBLE,
     LABELED_VISIBLE,
     NOT_LABELED,

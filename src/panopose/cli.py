@@ -52,7 +52,7 @@ def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
     text = Path(path).read_text(encoding="utf-8")
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: parse error: {exc}") from exc
     schema_id = doc.get("schema") if isinstance(doc, dict) else None
     if not isinstance(schema_id, str):

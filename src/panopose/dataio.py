@@ -13,22 +13,25 @@ On-disk layout::
 Every person carries at least a box or a pose. Visibility flags are 0 (not
 labeled), 1 (labeled but invisible), 2 (labeled and visible). The canonical
 form sorts frames by id, keeps a fixed field order, and prints every number
-with 17 significant digits, so value-identical datasets serialize to
-identical bytes. The person-level score is the only confidence.
+with 17 significant digits (negative zero as 0), so value-identical datasets
+serialize to identical bytes. The person-level score is the only confidence.
 
-Each value rule (finiteness, visibility range, score range, box-or-pose,
-non-empty and unique frame ids) lives in the constructor of the type it
-constrains; the parser checks only the JSON shape and reports a
-constructor's ``ValueError`` as a ``ValidationError`` at its location.
+A pose is one read-only ``float64`` array of ``[K, 3]`` ``(x, y, v)`` rows;
+the keypoint value rules (at least one keypoint, finite x and y, v in
+{0, 1, 2}) live in :class:`Pose`. Every other value rule (score range,
+box-or-pose, non-empty and unique frame ids) also lives in the constructor
+of the type it constrains; the parser checks only the JSON shape and reports
+a constructor's ``ValueError`` as a ``ValidationError`` at its location.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
+
+import numpy as np
 
 from .errors import ValidationError
 from .geometry import BoundingBox, PanoramaSpec
@@ -40,7 +43,6 @@ __all__ = [
     "NOT_LABELED",
     "LABELED_INVISIBLE",
     "LABELED_VISIBLE",
-    "Keypoint",
     "Pose",
     "Person",
     "FrameAnnotations",
@@ -56,32 +58,33 @@ NOT_LABELED = 0
 LABELED_INVISIBLE = 1
 LABELED_VISIBLE = 2
 
-_VISIBILITIES = (NOT_LABELED, LABELED_INVISIBLE, LABELED_VISIBLE)
 
-
-@dataclass(frozen=True)
-class Keypoint:
-    x: float
-    y: float
-    visibility: int = LABELED_VISIBLE
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"non-finite keypoint coordinate ({self.x!r}, {self.y!r})")
-        if self.visibility not in _VISIBILITIES:
-            raise ValueError(f"visibility must be 0, 1 or 2, got {self.visibility!r}")
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pose:
-    keypoints: tuple[Keypoint, ...]
+    """One person's keypoints: a read-only ``float64`` ``[K, 3]`` array of
+    ``(x, y, v)`` rows with K >= 1, finite x and y, and v in {0, 1, 2}."""
+
+    keypoints: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "keypoints", tuple(self.keypoints))
-        if not self.keypoints:
-            raise ValueError("pose must have at least one keypoint")
+        kps = np.array(self.keypoints, dtype=np.float64)
+        if kps.ndim != 2 or kps.shape[1] != 3 or not len(kps):
+            raise ValueError(f"pose must be K >= 1 rows of (x, y, v), got shape {kps.shape}")
+        v = kps[:, 2]
+        valid = np.isfinite(kps[:, :2]).all(axis=1) & ((v == 0) | (v == 1) | (v == 2))
+        if not valid.all():
+            k = int(np.argmin(valid))
+            x, y, flag = kps[k].tolist()
+            if not (np.isfinite(x) and np.isfinite(y)):
+                raise ValueError(f"keypoint {k}: non-finite keypoint coordinate ({x!r}, {y!r})")
+            raise ValueError(f"keypoint {k}: visibility must be 0, 1 or 2, got {flag:g}")
+        kps.flags.writeable = False
+        object.__setattr__(self, "keypoints", kps)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Pose):
+            return NotImplemented
+        return np.array_equal(self.keypoints, other.keypoints)
 
 
 @dataclass(frozen=True)
@@ -191,18 +194,17 @@ def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where
         for k, row in enumerate(rows):
             if not isinstance(row, list) or len(row) != 3:
                 raise ValidationError(f"{where}: pose keypoint {k} must be [x, y, v]")
-            x = _number(row[0], f"{where}: keypoint {k}")
-            y = _number(row[1], f"{where}: keypoint {k}")
+            loc = f"{where}: keypoint {k}"
+            x = _number(row[0], loc)
+            y = _number(row[1], loc)
             v = row[2]
             if isinstance(v, bool) or not isinstance(v, int):
-                raise ValidationError(
-                    f"{where}: keypoint {k} visibility must be an integer, got {v!r}"
-                )
-            try:
-                kps.append(Keypoint(x, y, v))
-            except ValueError as exc:
-                raise ValidationError(f"{where}: keypoint {k}: {exc}") from exc
-        pose = Pose(tuple(kps))
+                raise ValidationError(f"{loc} visibility must be an integer, got {v!r}")
+            kps.append((x, y, _number(v, loc)))
+        try:
+            pose = Pose(kps)
+        except ValueError as exc:
+            raise ValidationError(f"{where}: {exc}") from exc
 
     try:
         return Person(id=person_id, box=box, pose=pose, score=score)
@@ -213,7 +215,7 @@ def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where
 def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bool = False) -> Dataset:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"parse error: {exc}") from exc
     return _dataset_from_doc(doc, schema, require_scores)
 
@@ -278,7 +280,8 @@ def load_predictions(path: str | Path, schema: "KeypointSchema") -> Dataset:
 
 
 def _num(value: float) -> str:
-    return "%.17g" % float(value)
+    # + 0.0 makes -0.0 print as 0: "-0" would read back as the integer 0.
+    return "%.17g" % (float(value) + 0.0)
 
 
 def _person_json(person: Person) -> str:
@@ -292,8 +295,7 @@ def _person_json(person: Person) -> str:
         parts.append(f'"score":{_num(person.score)}')
     if person.pose is not None:
         rows = ",".join(
-            f"[{_num(kp.x)},{_num(kp.y)},{kp.visibility:d}]"
-            for kp in person.pose.keypoints
+            "[%s,%s,%d]" % (_num(x), _num(y), v) for x, y, v in person.pose.keypoints.tolist()
         )
         parts.append(f'"pose":[{rows}]')
     return "{" + ",".join(parts) + "}"

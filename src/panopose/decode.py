@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataio import Keypoint, LABELED_VISIBLE, Pose
+from .dataio import LABELED_VISIBLE, Pose
 from .geometry import AffineTransform, apply_transform, invert_transform
 
 __all__ = ["HeatmapStack", "decode_heatmaps"]
@@ -59,7 +59,7 @@ def decode_heatmaps(
     """
     inv = invert_transform(crop)
     k, h, w = stack.values.shape
-    keypoints = []
+    keypoints = np.empty((k, 3), dtype=np.float64)
     confidences = np.empty(k, dtype=np.float64)
     for idx in range(k):
         grid = stack.values[idx]
@@ -70,6 +70,6 @@ def decode_heatmaps(
         x, y = apply_transform(
             inv, ((j + 0.5 + dx) * stack.stride, (i + 0.5 + dy) * stack.stride)
         )
-        keypoints.append(Keypoint(x, y, LABELED_VISIBLE))
+        keypoints[idx] = (x, y, LABELED_VISIBLE)
         confidences[idx] = grid[i, j]
-    return Pose(tuple(keypoints)), confidences
+    return Pose(keypoints), confidences

@@ -16,6 +16,8 @@ import math
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
+import numpy as np
+
 if TYPE_CHECKING:
     from .dataio import Dataset, FrameAnnotations, Person, Pose
 
@@ -213,7 +215,8 @@ def _clamped_span(lo: float, hi: float, bound: float) -> tuple[float, float]:
 
 
 def bbox_from_pose(pose: "Pose", margin: float, pano: PanoramaSpec) -> BoundingBox:
-    """Tight box over the visible keypoints, padded and clamped to the panorama.
+    """Tight box over the labeled (v > 0) keypoints, padded and clamped to the
+    panorama.
 
     The tight box is grown by ``margin`` times the corresponding side length
     on each of the four sides, then clamped to [0, W] x [0, H]. The returned
@@ -221,13 +224,12 @@ def bbox_from_pose(pose: "Pose", margin: float, pano: PanoramaSpec) -> BoundingB
     """
     if margin < 0:
         raise ValueError(f"margin must be non-negative, got {margin}")
-    pts = [(kp.x, kp.y) for kp in pose.keypoints if kp.visibility > 0]
-    if not pts:
+    kps = pose.keypoints
+    pts = kps[kps[:, 2] > 0]
+    if not len(pts):
         raise ValueError("pose has no visible keypoints")
-    x1 = min(p[0] for p in pts)
-    x2 = max(p[0] for p in pts)
-    y1 = min(p[1] for p in pts)
-    y2 = max(p[1] for p in pts)
+    x1, y1, _ = np.minimum.reduce(pts).tolist()
+    x2, y2, _ = np.maximum.reduce(pts).tolist()
     w = x2 - x1
     h = y2 - y1
     x1, x2 = _clamped_span(x1 - margin * w, x2 + margin * w, pano.width)
@@ -235,26 +237,23 @@ def bbox_from_pose(pose: "Pose", margin: float, pano: PanoramaSpec) -> BoundingB
     return BoundingBox(x1, y1, x2, y2, score=1.0)
 
 
-def person_box(person: "Person", pano: PanoramaSpec | None = None) -> BoundingBox:
+def person_box(person: "Person") -> BoundingBox:
     """Box used to match a person: the stored box when present, otherwise the
-    tight enclosing box of the pose keypoints (visible ones when any are
-    visible, all of them otherwise, with a hair of extent so the box is
-    always valid)."""
+    tight enclosing box of the pose keypoints (the labeled (v > 0) ones when
+    any are labeled, all of them otherwise, with a hair of extent so the box
+    is always valid)."""
     if person.box is not None:
         return person.box
     if person.pose is None:
         raise ValueError("person has neither box nor pose")
-    kps = [kp for kp in person.pose.keypoints if kp.visibility > 0]
-    if not kps:
-        kps = list(person.pose.keypoints)
-    xs = [kp.x for kp in kps]
-    ys = [kp.y for kp in kps]
-    if pano is None:
-        x1, x2 = _floored_span(min(xs), max(xs))
-        y1, y2 = _floored_span(min(ys), max(ys))
-    else:
-        x1, x2 = _clamped_span(min(xs), max(xs), pano.width)
-        y1, y2 = _clamped_span(min(ys), max(ys), pano.height)
+    kps = person.pose.keypoints
+    pts = kps[kps[:, 2] > 0]
+    if not len(pts):
+        pts = kps
+    x1, y1, _ = np.minimum.reduce(pts).tolist()
+    x2, y2, _ = np.maximum.reduce(pts).tolist()
+    x1, x2 = _floored_span(x1, x2)
+    y1, y2 = _floored_span(y1, y2)
     return BoundingBox(x1, y1, x2, y2, score=1.0)
 
 
@@ -282,7 +281,8 @@ def shift_frame(frame: "FrameAnnotations", shift: float, pano: PanoramaSpec) -> 
             box = replace(box, x1=bx1, x2=bx1 + (box.x2 - box.x1))
         pose = person.pose
         if pose is not None:
-            kps = tuple(replace(kp, x=(kp.x + s) % w) for kp in pose.keypoints)
+            kps = pose.keypoints.copy()
+            kps[:, 0] = np.remainder(kps[:, 0] + s, w)
             pose = replace(pose, keypoints=kps)
         persons.append(replace(person, box=box, pose=pose))
     return replace(frame, persons=tuple(persons))

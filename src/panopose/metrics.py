@@ -111,24 +111,35 @@ def default_oks_params(schema_id: str) -> OksParams:
 def oks(pred: Pose, gt: Pose, params: OksParams, gt_box: BoundingBox) -> float:
     """Object keypoint similarity in [0, 1]; labeled keypoints are those with
     ground-truth visibility > 0."""
-    if len(pred.keypoints) != len(gt.keypoints):
-        raise ValidationError(
-            f"pose length mismatch: {len(pred.keypoints)} vs {len(gt.keypoints)}"
-        )
-    if len(params.sigmas) != len(gt.keypoints):
-        raise ValidationError(
-            f"{len(params.sigmas)} sigmas for a pose of {len(gt.keypoints)} keypoints"
-        )
-    s2 = gt_box.area
-    terms = []
-    for kp_p, kp_g, k in zip(pred.keypoints, gt.keypoints, params.sigmas):
-        if kp_g.visibility <= 0:
-            continue
-        d2 = (kp_p.x - kp_g.x) ** 2 + (kp_p.y - kp_g.y) ** 2
-        terms.append(math.exp(-d2 / (2.0 * s2 * k * k)))
-    if not terms:
+    return float(_oks_matrix([pred], [gt], params, [gt_box])[0, 0])
+
+
+def _oks_matrix(
+    preds: Sequence[Pose], gts: Sequence[Pose], params: OksParams, gt_boxes: Sequence[BoundingBox]
+) -> np.ndarray:
+    """[P, G] :func:`oks` of every prediction against every ground truth. The
+    K terms are summed in order by ``cumsum``, as a Python ``sum`` adds them;
+    ``np.sum`` adds pairwise and can differ in the last bit."""
+    if not preds or not gts:
+        return np.zeros((len(preds), len(gts)))
+    num_kps = len(gts[0].keypoints)
+    for pose in (*preds, *gts):
+        if len(pose.keypoints) != num_kps:
+            raise ValidationError(f"pose length mismatch: {len(pose.keypoints)} vs {num_kps}")
+    if len(params.sigmas) != num_kps:
+        raise ValidationError(f"{len(params.sigmas)} sigmas for a pose of {num_kps} keypoints")
+    pred = np.stack([p.keypoints for p in preds])[:, None]  # [P, 1, K, 3]
+    gt = np.stack([g.keypoints for g in gts])  # [G, K, 3]
+    labeled = gt[:, :, 2] > 0
+    num_labeled = labeled.sum(axis=1)
+    if not num_labeled.all():
         raise ValidationError("ground-truth pose has no labeled keypoints")
-    return sum(terms) / len(terms)
+    d2 = (pred[..., 0] - gt[..., 0]) ** 2 + (pred[..., 1] - gt[..., 1]) ** 2
+    sigmas = np.asarray(params.sigmas)
+    areas = np.array([b.area for b in gt_boxes])
+    scale = 2.0 * areas[:, None] * sigmas * sigmas  # [G, K], in the order 2 * s^2 * k * k
+    terms = np.where(labeled, np.exp(-d2 / scale), 0.0)
+    return np.cumsum(terms, axis=-1)[..., -1] / num_labeled
 
 
 # -- assignment ----------------------------------------------------------------
@@ -315,37 +326,31 @@ def _match(
     threshold: float,
 ) -> MatchResult:
     """:func:`match_frame_oks` over the frame's persons and ground-truth boxes."""
-    labeled = [
-        g.pose is not None and any(kp.visibility > 0 for kp in g.pose.keypoints)
-        for g in gts
-    ]
+    rows = [i for i, p in enumerate(preds) if p.pose is not None]
+    cols = [j for j, g in enumerate(gts) if g.pose is not None and (g.pose.keypoints[:, 2] > 0).any()]
+    # -inf where OKS is undefined or the ground truth is taken, so argmax
+    # finds the first highest OKS among the unmatched ground truths.
+    sim = np.full((len(preds), len(gts)), -np.inf)
+    sim[np.ix_(rows, cols)] = _oks_matrix(
+        [preds[i].pose for i in rows], [gts[j].pose for j in cols], params, [gt_boxes[j] for j in cols]
+    )
     order = sorted(
         range(len(preds)),
         key=lambda i: (-(preds[i].score if preds[i].score is not None else 0.0), i),
     )
-    taken: set[int] = set()
     pairs = []
-    for pi in order:
-        pose = preds[pi].pose
-        if pose is None:
-            continue
-        best_oks = -1.0
-        best_gi = -1
-        for gi, gt in enumerate(gts):
-            if gi in taken or not labeled[gi]:
-                continue
-            value = oks(pose, gt.pose, params, gt_boxes[gi])
-            if value > best_oks:
-                best_oks = value
-                best_gi = gi
-        if best_gi >= 0 and best_oks >= threshold:
-            taken.add(best_gi)
-            pairs.append((pi, best_gi, best_oks))
+    for pi in order if cols else ():  # without a labeled ground truth nothing matches
+        gi = int(np.argmax(sim[pi]))
+        value = float(sim[pi, gi])
+        if value >= threshold:
+            sim[:, gi] = -np.inf
+            pairs.append((pi, gi, value))
     matched_preds = {pi for pi, _, _ in pairs}
+    matched_gts = {gi for _, gi, _ in pairs}
     return MatchResult(
         pairs=tuple(sorted(pairs)),
         unmatched_predictions=tuple(i for i in range(len(preds)) if i not in matched_preds),
-        unmatched_ground_truths=tuple(i for i in range(len(gts)) if i not in taken),
+        unmatched_ground_truths=tuple(i for i in range(len(gts)) if i not in matched_gts),
     )
 
 

@@ -1,4 +1,4 @@
-"""Keypoint vocabularies and cross-schema counterpart mappings.
+"""Schemas of keypoint names and cross-schema counterpart mappings.
 
 A mapping lists, for every keypoint of a target schema, the source-schema
 keypoints it is synthesized from. Averaging those entries transfers poses
@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataio import Keypoint, Pose
+from .dataio import Pose
 from .errors import ValidationError
 
 __all__ = [
@@ -236,17 +236,8 @@ def remap_pose(pose: Pose, mapping: SchemaMapping) -> Pose:
     reliable source).
     """
     check_entries(mapping, len(pose.keypoints))
-    kps = []
-    for entry in mapping.entries:
-        sources = [pose.keypoints[s] for s in entry]
-        kps.append(
-            Keypoint(
-                sum(kp.x for kp in sources) / len(sources),
-                sum(kp.y for kp in sources) / len(sources),
-                min(kp.visibility for kp in sources),
-            )
-        )
-    return Pose(tuple(kps))
+    sources = [pose.keypoints[list(entry)] for entry in mapping.entries]
+    return Pose([(*src[:, :2].mean(axis=0), src[:, 2].min()) for src in sources])
 
 
 # -- mapping config files ------------------------------------------------------
@@ -286,7 +277,7 @@ def load_mapping(
     """Read a mapping config file, resolving names to indices and validating."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"parse error: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("parse error: top level must be an object")

@@ -158,7 +158,7 @@ def load_tensor_map(path: str | Path) -> TensorMap:
     try:
         header = json.loads(raw[8 : 8 + header_len].decode("utf-8"),
                             object_pairs_hook=_reject_duplicate_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise ValidationError("malformed header: top level must be an object")

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from panopose.dataio import Dataset, FrameAnnotations, Keypoint, Person, Pose
+from panopose.dataio import Dataset, FrameAnnotations, Person, Pose
 from panopose.geometry import PanoramaSpec
 
 NUM_KEYPOINTS = 17
@@ -23,9 +23,7 @@ def random_pose(rng: np.random.Generator, cx: float, cy: float, spread: float,
         xs, ys = np.round(xs), np.round(ys)
     vis = rng.choice([0, 1, 2], size=NUM_KEYPOINTS, p=[0.1, 0.2, 0.7])
     vis[0] = vis[1] = 2
-    return Pose(tuple(
-        Keypoint(float(x), float(y), int(v)) for x, y, v in zip(xs, ys, vis)
-    ))
+    return Pose(np.column_stack([xs, ys, vis]))
 
 
 def make_ground_truth(
@@ -56,17 +54,12 @@ def perturb_predictions(
     for frame in gt.frames:
         persons = []
         for person in frame.persons:
-            kps = []
-            for kp in person.pose.keypoints:
-                x, y = kp.x, kp.y
-                if sigma > 0:
-                    dx, dy = rng.normal(0.0, sigma, 2)
-                    x, y = x + dx, y + dy
-                if integer:
-                    x, y = round(x), round(y)
-                kps.append(Keypoint(float(x), float(y), kp.visibility))
-            persons.append(
-                Person(pose=Pose(tuple(kps)), score=float(rng.uniform(0.5, 1.0)))
-            )
+            kps = person.pose.keypoints.copy()
+            if sigma > 0:
+                # One (dx, dy) pair per keypoint, drawn in keypoint order.
+                kps[:, :2] += rng.normal(0.0, sigma, (len(kps), 2))
+            if integer:
+                kps[:, :2] = np.round(kps[:, :2])
+            persons.append(Person(pose=Pose(kps), score=float(rng.uniform(0.5, 1.0))))
         frames.append(FrameAnnotations(frame.frame_id, tuple(persons)))
     return Dataset(gt.schema_id, gt.pano, tuple(frames))

@@ -11,7 +11,6 @@ from panopose.cli import run
 from panopose.dataio import (
     Dataset,
     FrameAnnotations,
-    Keypoint,
     Person,
     Pose,
     load_predictions,
@@ -26,7 +25,7 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _pose17(x0=100.0, y0=200.0):
-    return Pose(tuple(Keypoint(x0 + 6 * i, y0 + 5 * i, 2) for i in range(17)))
+    return Pose([(x0 + 6 * i, y0 + 5 * i, 2) for i in range(17)])
 
 
 def _gt_dataset():
@@ -114,6 +113,20 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 1
         assert "integer too large" in err
+        assert "Traceback" not in err
+
+    def test_deeply_nested_json_exit_code(self, tmp_path, capsys):
+        gt = tmp_path / "g.json"
+        save_dataset(_gt_dataset(), gt)
+        deep = tmp_path / "deep.json"
+        deep.write_text(
+            '{"schema":"jrdb17","pano":{"width":10,"height":10},"frames":'
+            + "[" * 100_000 + "]" * 100_000 + "}"
+        )
+        code = run(["eval", "--gt", str(gt), "--pred", str(deep)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ")
         assert "Traceback" not in err
 
 
@@ -285,8 +298,8 @@ class TestDecodeCommand:
         assert person.score == 0.9
         assert len(person.pose.keypoints) == 17
         # identity-scale crop: cell (10, 20) -> crop (82, 42) -> pano (182, 92)
-        assert person.pose.keypoints[0].x == pytest.approx(182.0, abs=1e-9)
-        assert person.pose.keypoints[0].y == pytest.approx(92.0, abs=1e-9)
+        assert person.pose.keypoints[0, 0] == pytest.approx(182.0, abs=1e-9)
+        assert person.pose.keypoints[0, 1] == pytest.approx(92.0, abs=1e-9)
 
     def test_missing_heatmap_tensor(self, tmp_path, capsys):
         dets = Dataset(

@@ -5,7 +5,6 @@ import pytest
 from panopose.dataio import (
     Dataset,
     FrameAnnotations,
-    Keypoint,
     Person,
     Pose,
     dataset_from_json,
@@ -22,7 +21,7 @@ PANO = PanoramaSpec(2000.0, 600.0)
 
 
 def _pose17(x0=100.0, y0=200.0):
-    return Pose(tuple(Keypoint(x0 + 3 * i, y0 + 2 * i, 2) for i in range(17)))
+    return Pose([(x0 + 3 * i, y0 + 2 * i, 2) for i in range(17)])
 
 
 def _dataset(*frames):
@@ -42,11 +41,11 @@ def _doc(persons, frame_id="f1", width=2000):
 class TestTypes:
     def test_keypoint_visibility_range(self):
         with pytest.raises(ValueError):
-            Keypoint(0, 0, 3)
+            Pose([(0, 0, 3)])
 
     def test_keypoint_rejects_non_finite(self):
         with pytest.raises(ValueError):
-            Keypoint(float("nan"), 0.0)
+            Pose([(float("nan"), 0.0, 2)])
 
     def test_person_needs_box_or_pose(self):
         with pytest.raises(ValueError):
@@ -74,7 +73,7 @@ class TestLoading:
         pose = [[float(i), float(2 * i), i % 3] for i in range(17)]
         ds = dataset_from_json(_doc([{"pose": pose}]), JRDB17)
         kps = ds.frames[0].persons[0].pose.keypoints
-        assert [(kp.x, kp.y, kp.visibility) for kp in kps] == [tuple(r) for r in pose]
+        assert kps.tolist() == pose
 
     def test_wrong_pose_length_names_the_person(self):
         text = _doc([{"pose": [[0, 0, 2]] * 16}])
@@ -146,9 +145,32 @@ class TestLoading:
         with pytest.raises(ValidationError, match=match):
             dataset_from_json(text, JRDB17)
 
+    @pytest.mark.parametrize(
+        "row, match",
+        [
+            (
+                [float("nan"), 0.0, 2],  # json emits NaN
+                r"^frame 'f1', person 0: keypoint 4: non-finite keypoint coordinate",
+            ),
+            (
+                [0.0, 0.0, 3],
+                r"^frame 'f1', person 0: keypoint 4: visibility must be 0, 1 or 2, got 3$",
+            ),
+        ],
+        ids=["nan", "visibility-3"],
+    )
+    def test_keypoint_value_error_is_located(self, row, match):
+        pose = [[0.0, 0.0, 2]] * 4 + [row] + [[0.0, 0.0, 2]] * 12
+        with pytest.raises(ValidationError, match=match):
+            dataset_from_json(_doc([{"pose": pose}]), JRDB17)
+
     def test_parse_error(self):
         with pytest.raises(ValidationError, match="parse error"):
             dataset_from_json("not json", JRDB17)
+
+    def test_deep_nesting_is_a_parse_error(self):
+        with pytest.raises(ValidationError, match="parse error"):
+            dataset_from_json("[" * 100_000 + "]" * 100_000, JRDB17)
 
 
 class TestPredictions:
@@ -210,9 +232,7 @@ class TestCanonicalForm:
 
     def test_awkward_floats_survive(self):
         values = (0.1, 1 / 3, 1e-17, 123456.789012345, 2.0 ** -40)
-        kps = tuple(Keypoint(v, -v) for v in values) + tuple(
-            Keypoint(0, 0) for _ in range(12)
-        )
+        kps = [(v, -v, 2) for v in values] + [(0, 0, 2)] * 12
         ds = _dataset(FrameAnnotations("f1", (Person(pose=Pose(kps)),)))
         back = dataset_from_json(dataset_to_canonical_json(ds), JRDB17)
         assert back == ds

@@ -39,37 +39,37 @@ class TestDecode:
         # Cell (5,5) at stride 4 sits at crop coordinate (5.5*4, 5.5*4).
         stack = HeatmapStack(_one_hot(5, 5), 4.0)
         pose, conf = decode_heatmaps(stack, IDENTITY)
-        kp = pose.keypoints[0]
-        assert (kp.x, kp.y) == (22.0, 22.0)
+        x, y, v = pose.keypoints[0]
+        assert (x, y) == (22.0, 22.0)
         assert conf[0] == 1.0
-        assert kp.visibility == 2
+        assert v == 2
 
     def test_quarter_offset_toward_larger_neighbor(self):
         grid = _one_hot(5, 5)
         grid[0, 5, 6] = 0.5  # right neighbor larger than left (0)
         pose, _ = decode_heatmaps(HeatmapStack(grid, 4.0), IDENTITY)
-        assert pose.keypoints[0].x == (5 + 0.5 + 0.25) * 4.0
-        assert pose.keypoints[0].y == 22.0
+        assert pose.keypoints[0, 0] == (5 + 0.5 + 0.25) * 4.0
+        assert pose.keypoints[0, 1] == 22.0
 
     def test_quarter_offset_toward_smaller_index(self):
         grid = _one_hot(5, 5)
         grid[0, 4, 5] = 0.5  # upper neighbor larger than lower
         pose, _ = decode_heatmaps(HeatmapStack(grid, 4.0), IDENTITY)
-        assert pose.keypoints[0].y == (5 + 0.5 - 0.25) * 4.0
+        assert pose.keypoints[0, 1] == (5 + 0.5 - 0.25) * 4.0
 
     def test_uniform_grid_tie_breaks_to_first_cell(self):
         stack = HeatmapStack(np.full((1, 6, 8), 0.25), 4.0)
         pose, conf = decode_heatmaps(stack, IDENTITY)
         # argmax at (0,0); border cell, so no refinement
-        assert (pose.keypoints[0].x, pose.keypoints[0].y) == (2.0, 2.0)
+        assert tuple(pose.keypoints[0, :2]) == (2.0, 2.0)
         assert conf[0] == 0.25
 
     def test_no_refinement_at_borders(self):
         grid = _one_hot(0, 11)
         grid[0, 0, 10] = 0.9
         pose, _ = decode_heatmaps(HeatmapStack(grid, 4.0), IDENTITY)
-        assert pose.keypoints[0].x == (11 + 0.5) * 4.0
-        assert pose.keypoints[0].y == 2.0
+        assert pose.keypoints[0, 0] == (11 + 0.5) * 4.0
+        assert pose.keypoints[0, 1] == 2.0
 
     def test_confidence_equals_grid_maximum(self):
         rng = np.random.default_rng(31)
@@ -83,11 +83,11 @@ class TestDecode:
             values = rng.uniform(0, 1, size=(5, 16, 12))
             stack = HeatmapStack(values, 4.0)
             pose, _ = decode_heatmaps(stack, IDENTITY)
-            for k, kp in enumerate(pose.keypoints):
+            for k, (x, y, _) in enumerate(pose.keypoints):
                 flat = int(np.argmax(values[k]))
                 i, j = divmod(flat, 12)
-                assert abs(kp.x / 4.0 - 0.5 - j) <= 0.25 + 1e-12
-                assert abs(kp.y / 4.0 - 0.5 - i) <= 0.25 + 1e-12
+                assert abs(x / 4.0 - 0.5 - j) <= 0.25 + 1e-12
+                assert abs(y / 4.0 - 0.5 - i) <= 0.25 + 1e-12
 
     def test_translation_equivariance(self):
         rng = np.random.default_rng(41)
@@ -101,9 +101,9 @@ class TestDecode:
             moved = compose_transforms(crop, AffineTransform.translation(dx, dy))
             base, _ = decode_heatmaps(stack, crop)
             shifted, _ = decode_heatmaps(stack, moved)
-            for kp_a, kp_b in zip(base.keypoints, shifted.keypoints):
-                assert abs((kp_a.x - kp_b.x) - dx) < 1e-9
-                assert abs((kp_a.y - kp_b.y) - dy) < 1e-9
+            for (xa, ya, _), (xb, yb, _) in zip(base.keypoints, shifted.keypoints):
+                assert abs((xa - xb) - dx) < 1e-9
+                assert abs((ya - yb) - dy) < 1e-9
 
     def test_projection_through_crop(self):
         # Exact-fit box: the crop is a pure translation, so cell (h//2, w//2)
@@ -115,5 +115,5 @@ class TestDecode:
         grid[0, h // 2, w // 2] = 1.0
         pose, _ = decode_heatmaps(HeatmapStack(grid, 4.0), crop)
         cx, cy = box.center
-        assert math.isclose(pose.keypoints[0].x, cx + 2.0, abs_tol=1e-9)
-        assert math.isclose(pose.keypoints[0].y, cy + 2.0, abs_tol=1e-9)
+        assert math.isclose(pose.keypoints[0, 0], cx + 2.0, abs_tol=1e-9)
+        assert math.isclose(pose.keypoints[0, 1], cy + 2.0, abs_tol=1e-9)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from panopose.dataio import FrameAnnotations, Keypoint, Person, Pose
+from panopose.dataio import FrameAnnotations, Person, Pose
 from panopose.geometry import (
     AffineTransform,
     BoundingBox,
@@ -23,7 +23,7 @@ PANO = PanoramaSpec(2000.0, 600.0)
 
 
 def _pose(*xyv):
-    return Pose(tuple(Keypoint(x, y, v) for x, y, v in xyv))
+    return Pose(xyv)
 
 
 def _random_box(rng, lo=0.0, hi=100.0):
@@ -171,7 +171,7 @@ class TestShiftFrame:
         frame = FrameAnnotations("f0", (person,))
         shifted = shift_frame(frame, 20.0, PANO)
         kps = shifted.persons[0].pose.keypoints
-        assert [(kp.x, kp.y) for kp in kps] == [(10, 40), (14, 50)]
+        assert kps[:, :2].tolist() == [[10, 40], [14, 50]]
 
     def test_pose_spanning_the_seam_is_removed(self):
         person = Person(pose=_pose((1990, 40, 2), (1999, 50, 2)))

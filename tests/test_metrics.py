@@ -5,7 +5,7 @@ import pytest
 
 from synth import make_ground_truth, perturb_predictions
 
-from panopose.dataio import Dataset, FrameAnnotations, Keypoint, Person, Pose
+from panopose.dataio import Dataset, FrameAnnotations, Person, Pose
 from panopose.errors import ValidationError
 from panopose.geometry import BoundingBox, PanoramaSpec
 from panopose.metrics import (
@@ -32,7 +32,7 @@ UNIFORM3 = OksParams((0.1, 0.1, 0.1))
 
 def _pose(*coords, vis=None):
     vis = vis or [2] * len(coords)
-    return Pose(tuple(Keypoint(x, y, v) for (x, y), v in zip(coords, vis)))
+    return Pose([(x, y, v) for (x, y), v in zip(coords, vis)])
 
 
 def _capped_euclid(a, b):
@@ -259,7 +259,7 @@ def _pose17(rng=None, x0=100.0, y0=200.0, jitter=0.0):
     if jitter and rng is not None:
         xs = [x + rng.normal(0, jitter) for x in xs]
         ys = [y + rng.normal(0, jitter) for y in ys]
-    return Pose(tuple(Keypoint(x, y, 2) for x, y in zip(xs, ys)))
+    return Pose([(x, y, 2) for x, y in zip(xs, ys)])
 
 
 class TestMatchFrame:
@@ -314,9 +314,7 @@ class TestApAtOks:
     def test_sub_threshold_match_scores_zero(self):
         gt_box = BoundingBox(90.0, 190.0, 300.0, 330.0)
         gt = Person(pose=_pose17(), box=gt_box)
-        displaced = Pose(
-            tuple(Keypoint(kp.x + 150.0, kp.y, 2) for kp in gt.pose.keypoints)
-        )
+        displaced = Pose([(x + 150.0, y, 2) for x, y, _ in gt.pose.keypoints])
         pred = Person(pose=displaced, score=0.9)
         value = oks(displaced, gt.pose, self.PARAMS, gt_box)
         assert value < 0.5  # sanity: the only possible match is sub-threshold

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from panopose.dataio import Keypoint, Pose
+from panopose.dataio import Pose
 from panopose.errors import ValidationError
 from panopose.schema import (
     COCO17,
@@ -104,7 +104,7 @@ class TestValidateMapping:
 
 def _mini_pose(*coords, vis=None):
     vis = vis or [2] * len(coords)
-    return Pose(tuple(Keypoint(x, y, v) for (x, y), v in zip(coords, vis)))
+    return Pose([(x, y, v) for (x, y), v in zip(coords, vis)])
 
 
 class TestRemapPose:
@@ -117,12 +117,12 @@ class TestRemapPose:
         mapping = SchemaMapping("src2", "dst1", ((0, 1),))
         pose = _mini_pose((0.0, 0.0), (2.0, 4.0))
         out = remap_pose(pose, mapping)
-        assert (out.keypoints[0].x, out.keypoints[0].y) == (1.0, 2.0)
+        assert tuple(out.keypoints[0, :2]) == (1.0, 2.0)
 
     def test_merged_visibility_is_the_minimum(self):
         mapping = SchemaMapping("src2", "dst1", ((0, 1),))
         pose = _mini_pose((0.0, 0.0), (2.0, 4.0), vis=[2, 1])
-        assert remap_pose(pose, mapping).keypoints[0].visibility == 1
+        assert remap_pose(pose, mapping).keypoints[0, 2] == 1
 
     def test_commutes_with_translation(self):
         # Integer coordinates make the mean arithmetic exact.
@@ -132,16 +132,9 @@ class TestRemapPose:
             coords = rng.integers(-500, 500, size=(17, 2)).astype(float)
             pose = _mini_pose(*[tuple(c) for c in coords])
             dx, dy = (float(v) for v in rng.integers(-100, 100, 2))
-            moved = Pose(
-                tuple(Keypoint(kp.x + dx, kp.y + dy, kp.visibility) for kp in pose.keypoints)
-            )
+            moved = Pose([(x + dx, y + dy, v) for x, y, v in pose.keypoints])
             lhs = remap_pose(moved, mapping)
-            rhs = Pose(
-                tuple(
-                    Keypoint(kp.x + dx, kp.y + dy, kp.visibility)
-                    for kp in remap_pose(pose, mapping).keypoints
-                )
-            )
+            rhs = Pose([(x + dx, y + dy, v) for x, y, v in remap_pose(pose, mapping).keypoints])
             assert lhs == rhs
 
     def test_counterpart_index_beyond_pose_length(self):
@@ -155,6 +148,12 @@ class TestMappingFiles:
         path = tmp_path / "mapping.json"
         save_mapping(default_mapping(), path)
         assert load_mapping(path) == default_mapping()
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "mapping.json"
+        path.write_text("[" * 100_000 + "]" * 100_000)
+        with pytest.raises(ValidationError, match="parse error"):
+            load_mapping(path)
 
     def test_names_on_disk(self, tmp_path):
         import json

@@ -115,6 +115,13 @@ class TestContainer:
         with pytest.raises(ValidationError, match="malformed header"):
             load_tensor_map(path)
 
+    def test_deeply_nested_header(self, tmp_path):
+        path = tmp_path / "bad.bin"
+        blob = b"[" * 100_000 + b"]" * 100_000
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob)
+        with pytest.raises(ValidationError, match="malformed header"):
+            load_tensor_map(path)
+
     def test_header_length_beyond_file(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack("<Q", 1000) + b"{}")
