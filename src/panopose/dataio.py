@@ -22,12 +22,23 @@ the keypoint value rules (at least one keypoint, finite x and y, v in
 box-or-pose, non-empty and unique frame ids) also lives in the constructor
 of the type it constrains; the parser checks only the JSON shape and reports
 a constructor's ``ValueError`` as a ``ValidationError`` at its location.
+
+The parser walks a file's JSON shape once, then converts the keypoint rows
+of all its poses with one ``np.array`` call into an ``[N, K, 3]`` array whose
+rows the poses view; a row that is not three JSON numbers, or a visibility
+that is not a JSON integer, is found by the types of all values at once and
+only then located value by value. So in a file with several faults, the
+walk's first fault is reported before the first keypoint value fault, and
+that before the first constructor fault.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
@@ -62,23 +73,28 @@ LABELED_VISIBLE = 2
 @dataclass(frozen=True, eq=False)
 class Pose:
     """One person's keypoints: a read-only ``float64`` ``[K, 3]`` array of
-    ``(x, y, v)`` rows with K >= 1, finite x and y, and v in {0, 1, 2}."""
+    ``(x, y, v)`` rows with K >= 1, finite x and y, and v in {0, 1, 2}.
+
+    A read-only ``float64`` array is held as given, so its owner must not
+    write to it through another view; anything else is copied."""
 
     keypoints: np.ndarray
 
     def __post_init__(self) -> None:
-        kps = np.array(self.keypoints, dtype=np.float64)
+        kps = self.keypoints
+        # The parser hands over row views of one read-only array per file.
+        if not isinstance(kps, np.ndarray) or kps.dtype != np.float64 or kps.flags.writeable:
+            kps = np.array(kps, dtype=np.float64)
+            kps.flags.writeable = False
         if kps.ndim != 2 or kps.shape[1] != 3 or not len(kps):
             raise ValueError(f"pose must be K >= 1 rows of (x, y, v), got shape {kps.shape}")
-        v = kps[:, 2]
-        valid = np.isfinite(kps[:, :2]).all(axis=1) & ((v == 0) | (v == 1) | (v == 2))
-        if not valid.all():
-            k = int(np.argmin(valid))
-            x, y, flag = kps[k].tolist()
-            if not (np.isfinite(x) and np.isfinite(y)):
+        # Checked per row in Python: for K = 17 this is about twice as fast
+        # as the same checks in numpy calls.
+        for k, (x, y, v) in enumerate(kps.tolist()):
+            if not (math.isfinite(x) and math.isfinite(y)):
                 raise ValueError(f"keypoint {k}: non-finite keypoint coordinate ({x!r}, {y!r})")
-            raise ValueError(f"keypoint {k}: visibility must be 0, 1 or 2, got {flag:g}")
-        kps.flags.writeable = False
+            if v not in (0.0, 1.0, 2.0):
+                raise ValueError(f"keypoint {k}: visibility must be 0, 1 or 2, got {v:g}")
         object.__setattr__(self, "keypoints", kps)
 
     def __eq__(self, other: object) -> bool:
@@ -154,7 +170,11 @@ def _number(value: Any, where: str) -> float:
         raise ValidationError(f"{where}: integer too large for a float") from None
 
 
-def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where: str) -> Person:
+def _parse_person(
+    raw: Any, schema: "KeypointSchema", require_score: bool, where: str, poses: list
+) -> tuple[str | None, BoundingBox | None, float | None, bool]:
+    """Walk one person's JSON: returns its id, box, score and whether it has a
+    pose, whose rows it appends to ``poses``."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: person must be an object")
     _require_keys(raw, (), ("id", "box", "score", "pose"), where)
@@ -180,8 +200,8 @@ def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where
     elif require_score:
         raise ValidationError(f"prediction without score ({where})")
 
-    pose = None
-    if "pose" in raw:
+    has_pose = "pose" in raw
+    if has_pose:
         rows = raw["pose"]
         if not isinstance(rows, list):
             raise ValidationError(f"{where}: pose must be a list of [x, y, v] rows")
@@ -190,26 +210,41 @@ def _parse_person(raw: Any, schema: "KeypointSchema", require_score: bool, where
                 f"{where}: pose has {len(rows)} keypoints, schema {schema.id!r} "
                 f"expects {len(schema.names)}"
             )
-        kps = []
-        for k, row in enumerate(rows):
-            if not isinstance(row, list) or len(row) != 3:
+        poses.append(rows)
+    return person_id, box, score, has_pose
+
+
+def _keypoint_array(poses: list[list], wheres: list[str], num_kps: int) -> np.ndarray:
+    """Read-only ``[N, K, 3]`` ``float64`` array of the N poses' JSON rows,
+    converted by one ``np.array`` call. That call would also take a boolean,
+    a numeric string, null or a float visibility, so the types of all values
+    are checked first; a file that fails that check, or holds an integer
+    beyond float range, is walked value by value to locate the fault."""
+    rows = list(chain.from_iterable(poses))
+    if (
+        set(map(type, rows)) <= {list}
+        and set(map(len, rows)) <= {3}
+        and set(map(type, chain.from_iterable(rows))) <= {int, float}
+        and set(map(type, map(itemgetter(2), rows))) <= {int}
+    ):
+        try:
+            keypoints = np.array(poses, dtype=np.float64)
+        except OverflowError:
+            pass
+        else:
+            keypoints.flags.writeable = False
+            return keypoints.reshape(len(poses), num_kps, 3)
+    for pose, where in zip(poses, wheres):
+        for k, row in enumerate(pose):
+            if type(row) is not list or len(row) != 3:
                 raise ValidationError(f"{where}: pose keypoint {k} must be [x, y, v]")
             loc = f"{where}: keypoint {k}"
-            x = _number(row[0], loc)
-            y = _number(row[1], loc)
-            v = row[2]
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise ValidationError(f"{loc} visibility must be an integer, got {v!r}")
-            kps.append((x, y, _number(v, loc)))
-        try:
-            pose = Pose(kps)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-
-    try:
-        return Person(id=person_id, box=box, pose=pose, score=score)
-    except ValueError as exc:
-        raise ValidationError(f"{where}: {exc}") from exc
+            _number(row[0], loc)
+            _number(row[1], loc)
+            if type(row[2]) is not int:
+                raise ValidationError(f"{loc} visibility must be an integer, got {row[2]!r}")
+            _number(row[2], loc)
+    raise ValidationError("pose keypoints must be [x, y, v] rows of JSON numbers")
 
 
 def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bool = False) -> Dataset:
@@ -246,7 +281,8 @@ def _dataset_from_doc(doc: Any, schema: "KeypointSchema", require_scores: bool) 
     frames_raw = doc["frames"]
     if not isinstance(frames_raw, list):
         raise ValidationError("frames must be a list")
-    frames = []
+    walked = []  # (frame id, [(where, id, box, score, has pose)])
+    poses: list[list] = []
     for raw in frames_raw:
         if not isinstance(raw, dict):
             raise ValidationError("frame must be an object")
@@ -255,12 +291,25 @@ def _dataset_from_doc(doc: Any, schema: "KeypointSchema", require_scores: bool) 
         persons_raw = raw["persons"]
         if not isinstance(persons_raw, list):
             raise ValidationError(f"frame {fid!r}: persons must be a list")
-        persons = tuple(
-            _parse_person(p, schema, require_scores, f"frame {fid!r}, person {i}")
-            for i, p in enumerate(persons_raw)
-        )
+        persons = []
+        for i, p in enumerate(persons_raw):
+            where = f"frame {fid!r}, person {i}"
+            persons.append((where, *_parse_person(p, schema, require_scores, where, poses)))
+        walked.append((fid, persons))
+    wheres = [where for _, persons in walked for where, *_, has_pose in persons if has_pose]
+    keypoints = iter(_keypoint_array(poses, wheres, len(schema.names)))
+
+    frames = []
+    for fid, persons in walked:
+        built = []
+        for where, person_id, box, score, has_pose in persons:
+            try:
+                pose = Pose(next(keypoints)) if has_pose else None
+                built.append(Person(id=person_id, box=box, pose=pose, score=score))
+            except ValueError as exc:
+                raise ValidationError(f"{where}: {exc}") from exc
         try:
-            frames.append(FrameAnnotations(fid, persons))
+            frames.append(FrameAnnotations(fid, tuple(built)))
         except ValueError as exc:
             raise ValidationError(f"frame {fid!r}: {exc}") from exc
     return Dataset(schema.id, pano, tuple(frames))

@@ -4,10 +4,15 @@ Pose-derived boxes, horizontal wrap shifts with seam-crossing removal,
 continuous IoU, greedy NMS, and the affine crop onto a fixed network input.
 
 Coordinates are continuous pixels. Boxes are half-open real-valued
-rectangles, so areas and IoU are continuous quantities rather than pixel
-counts. The panorama wraps horizontally with period ``PanoramaSpec.width``;
-stored boxes never wrap (persons whose shifted box would cross the seam are
-dropped by :func:`shift_frame`).
+rectangles with a positive, finite area, so areas and IoU are continuous
+quantities rather than pixel counts. The panorama wraps horizontally with
+period ``PanoramaSpec.width``; stored boxes never wrap (persons whose shifted
+box would cross the seam are dropped by :func:`shift_frame`).
+
+The matching box and IoU each have one vectorised kernel over ``[N, 4]``
+``(x1, y1, x2, y2)`` rows: :func:`person_box` is its one-person case,
+:func:`iou` its 1x1 case, and :func:`nms_indices` takes it for blocks of
+candidates against all boxes.
 """
 
 from __future__ import annotations
@@ -49,6 +54,10 @@ DEFAULT_NMS_IOU = 0.5
 DEFAULT_BOX_MARGIN = 0.1
 DEFAULT_CROP_PADDING = 1.25
 
+# nms_indices takes the IoU rows of this many candidates per call, so its
+# memory stays linear in the box count: 64 rows of 2000 boxes are 1 MB.
+_NMS_BLOCK = 64
+
 # Extent floor for boxes synthesized from degenerate keypoint sets (a single
 # point, or collinear points); keeps the x1 < x2, y1 < y2 invariant intact.
 _MIN_EXTENT = 1e-9
@@ -68,9 +77,10 @@ class BoundingBox:
         for v in (self.x1, self.y1, self.x2, self.y2, self.score):
             if not math.isfinite(v):
                 raise ValueError(f"non-finite box field {v!r}")
-        if not (self.x1 < self.x2 and self.y1 < self.y2):
+        if not (self.x1 < self.x2 and self.y1 < self.y2 and 0.0 < self.area < math.inf):
             raise ValueError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2})"
+                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
+                f"area {self.area!r} must be positive and finite"
             )
         if not 0.0 <= self.score <= 1.0:
             raise ValueError(f"box score {self.score} outside [0, 1]")
@@ -166,14 +176,33 @@ def compose_transforms(after: AffineTransform, before: AffineTransform) -> Affin
     )
 
 
+def _rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
+    """``[N, 4]`` ``(x1, y1, x2, y2)`` rows of ``boxes``."""
+    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+
+
+def _areas(rows: np.ndarray) -> np.ndarray:
+    """:attr:`BoundingBox.area` of every row."""
+    return (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
+
+
+def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``[P, G]`` continuous IoU of every row of ``a`` against every row of
+    ``b``; 0 for disjoint boxes. Each entry is the scalar formula's IEEE
+    operations in its order, so :func:`iou` is the 1x1 case bit for bit."""
+    # Overflow gives inf as in Python floats: a far-apart pair's negative
+    # overlap product, or an area sum, which makes that IoU 0.
+    with np.errstate(over="ignore"):
+        iw = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
+        ih = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+        inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
+        # Positive finite areas keep every union positive.
+        return inter / (_areas(a)[:, None] + _areas(b) - inter)
+
+
 def iou(a: BoundingBox, b: BoundingBox) -> float:
     """Continuous intersection-over-union; 0 for disjoint boxes."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return float(_iou_matrix(_rows([a]), _rows([b]))[0, 0])
 
 
 def nms_indices(dets: Sequence[BoundingBox], iou_threshold: float) -> list[int]:
@@ -186,22 +215,19 @@ def nms_indices(dets: Sequence[BoundingBox], iou_threshold: float) -> list[int]:
     if not 0.0 <= iou_threshold <= 1.0:
         raise ValueError(f"iou threshold {iou_threshold} outside [0, 1]")
     order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
+    rows = _rows(dets)
     kept: list[int] = []
-    for i in order:
-        if all(iou(dets[i], dets[j]) < iou_threshold for j in kept):
-            kept.append(i)
+    for start in range(0, len(order), _NMS_BLOCK):
+        block = order[start : start + _NMS_BLOCK]
+        overlaps = (_iou_matrix(rows[block], rows) >= iou_threshold).tolist()
+        for i, overlap in zip(block, overlaps):
+            if not any(overlap[j] for j in kept):
+                kept.append(i)
     return kept
 
 
 def nms(dets: Sequence[BoundingBox], iou_threshold: float) -> list[BoundingBox]:
     return [dets[i] for i in nms_indices(dets, iou_threshold)]
-
-
-def _floored_span(lo: float, hi: float) -> tuple[float, float]:
-    if hi - lo >= _MIN_EXTENT:
-        return lo, hi
-    mid = 0.5 * (lo + hi)
-    return mid - 0.5 * _MIN_EXTENT, mid + 0.5 * _MIN_EXTENT
 
 
 def _clamped_span(lo: float, hi: float, bound: float) -> tuple[float, float]:
@@ -237,6 +263,54 @@ def bbox_from_pose(pose: "Pose", margin: float, pano: PanoramaSpec) -> BoundingB
     return BoundingBox(x1, y1, x2, y2, score=1.0)
 
 
+def _pose_boxes(keypoints: np.ndarray) -> np.ndarray:
+    """``[N, 4]`` tight boxes of ``[N, K, 3]`` poses by the :func:`person_box`
+    rule, unchecked: a row may break the :class:`BoundingBox` rule."""
+    labeled = keypoints[:, :, 2] > 0
+    used = labeled | ~labeled.any(axis=1, keepdims=True)
+    x, y = keypoints[:, :, 0], keypoints[:, :, 1]
+    # lo + hi may overflow to inf; a floored box built from it then fails
+    # the BoundingBox rule, as the scalar rule's did.
+    with np.errstate(over="ignore"):
+        x1, x2 = _floored_spans(
+            np.where(used, x, np.inf).min(axis=1), np.where(used, x, -np.inf).max(axis=1)
+        )
+        y1, y2 = _floored_spans(
+            np.where(used, y, np.inf).min(axis=1), np.where(used, y, -np.inf).max(axis=1)
+        )
+    return np.stack([x1, y1, x2, y2], axis=1)
+
+
+def _floored_spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    wide = hi - lo >= _MIN_EXTENT
+    mid = 0.5 * (lo + hi)
+    return (
+        np.where(wide, lo, mid - 0.5 * _MIN_EXTENT),
+        np.where(wide, hi, mid + 0.5 * _MIN_EXTENT),
+    )
+
+
+def _person_boxes(persons: Sequence["Person"], keypoints: np.ndarray) -> np.ndarray:
+    """``[N, 4]`` :func:`person_box` rows of ``persons`` in one pass;
+    ``keypoints`` holds their ``[N, K, 3]`` poses, any values for a person
+    without one. Raises :func:`person_box`'s ``ValueError`` for the first
+    person it would reject."""
+    rows = _pose_boxes(keypoints)
+    stored = [i for i, p in enumerate(persons) if p.box is not None]
+    # A tight box of finite keypoints has x1 <= x2 and y1 <= y2, so the
+    # BoundingBox rule reduces to a positive finite area (NaN from inf - inf
+    # fails it too).
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = _areas(rows)
+    bad = ~((area > 0.0) & (area < np.inf))
+    bad[stored] = False
+    if bad.any():
+        person_box(persons[int(np.argmax(bad))])  # its BoundingBox words the error
+    if stored:
+        rows[stored] = _rows([persons[i].box for i in stored])
+    return rows
+
+
 def person_box(person: "Person") -> BoundingBox:
     """Box used to match a person: the stored box when present, otherwise the
     tight enclosing box of the pose keypoints (the labeled (v > 0) ones when
@@ -246,14 +320,7 @@ def person_box(person: "Person") -> BoundingBox:
         return person.box
     if person.pose is None:
         raise ValueError("person has neither box nor pose")
-    kps = person.pose.keypoints
-    pts = kps[kps[:, 2] > 0]
-    if not len(pts):
-        pts = kps
-    x1, y1, _ = np.minimum.reduce(pts).tolist()
-    x2, y2, _ = np.maximum.reduce(pts).tolist()
-    x1, x2 = _floored_span(x1, x2)
-    y1, y2 = _floored_span(y1, y2)
+    x1, y1, x2, y2 = _pose_boxes(person.pose.keypoints[None])[0].tolist()
     return BoundingBox(x1, y1, x2, y2, score=1.0)
 
 

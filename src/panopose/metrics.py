@@ -14,6 +14,15 @@ The set metric between prediction and ground-truth sets of sizes m <= n
 (swap otherwise) with cutoff c and order p is
 ((c^p * (n - m) + min-cost assignment of capped distances^p) / n)^(1/p);
 both sets empty gives 0, exactly one empty set gives c.
+
+:func:`evaluate` stacks each dataset's keypoints and matching boxes once and
+works on array slices per frame: one ``[P, G]`` OKS matrix
+(:func:`_oks_matrix`) for the greedy matching and one ``[P, G]`` IoU matrix
+(:func:`~panopose.geometry._iou_matrix`) for the set metric. The
+single-item functions are cases of the same kernels: :func:`oks` is the 1x1
+OKS matrix, :func:`match_frame_oks` and :func:`ospa_iou_frame` are one frame
+of that loop, and :func:`ospa` with a callable fills the distance matrix it
+then scores like every frame.
 """
 
 from __future__ import annotations
@@ -24,13 +33,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .dataio import Dataset, FrameAnnotations, Person, Pose
 from .errors import ValidationError
-from .geometry import BoundingBox, iou, person_box
+from .geometry import BoundingBox, _areas, _iou_matrix, _person_boxes, _rows, person_box
 from .schema import SchemaMapping, check_entries, default_mapping
 
 __all__ = [
@@ -111,34 +120,43 @@ def default_oks_params(schema_id: str) -> OksParams:
 def oks(pred: Pose, gt: Pose, params: OksParams, gt_box: BoundingBox) -> float:
     """Object keypoint similarity in [0, 1]; labeled keypoints are those with
     ground-truth visibility > 0."""
-    return float(_oks_matrix([pred], [gt], params, [gt_box])[0, 0])
+    return float(
+        _oks_matrix(pred.keypoints[None], gt.keypoints[None], params, np.array([gt_box.area]))[0, 0]
+    )
 
 
 def _oks_matrix(
-    preds: Sequence[Pose], gts: Sequence[Pose], params: OksParams, gt_boxes: Sequence[BoundingBox]
+    pred_kps: np.ndarray, gt_kps: np.ndarray, params: OksParams, gt_areas: np.ndarray
 ) -> np.ndarray:
-    """[P, G] :func:`oks` of every prediction against every ground truth. The
-    K terms are summed in order by ``cumsum``, as a Python ``sum`` adds them;
+    """[P, G] :func:`oks` of ``[P, K, 3]`` predicted against ``[G, K, 3]``
+    ground-truth keypoints, with the ``[G]`` ground-truth box areas. The K
+    terms are summed in order by ``cumsum``, as a Python ``sum`` adds them;
     ``np.sum`` adds pairwise and can differ in the last bit."""
-    if not preds or not gts:
-        return np.zeros((len(preds), len(gts)))
-    num_kps = len(gts[0].keypoints)
-    for pose in (*preds, *gts):
-        if len(pose.keypoints) != num_kps:
-            raise ValidationError(f"pose length mismatch: {len(pose.keypoints)} vs {num_kps}")
+    if not len(pred_kps) or not len(gt_kps):
+        return np.zeros((len(pred_kps), len(gt_kps)))
+    num_kps = gt_kps.shape[1]
+    if pred_kps.shape[1] != num_kps:
+        raise ValidationError(f"pose length mismatch: {pred_kps.shape[1]} vs {num_kps}")
     if len(params.sigmas) != num_kps:
         raise ValidationError(f"{len(params.sigmas)} sigmas for a pose of {num_kps} keypoints")
-    pred = np.stack([p.keypoints for p in preds])[:, None]  # [P, 1, K, 3]
-    gt = np.stack([g.keypoints for g in gts])  # [G, K, 3]
-    labeled = gt[:, :, 2] > 0
+    labeled = gt_kps[:, :, 2] > 0
     num_labeled = labeled.sum(axis=1)
     if not num_labeled.all():
         raise ValidationError("ground-truth pose has no labeled keypoints")
-    d2 = (pred[..., 0] - gt[..., 0]) ** 2 + (pred[..., 1] - gt[..., 1]) ** 2
     sigmas = np.asarray(params.sigmas)
-    areas = np.array([b.area for b in gt_boxes])
-    scale = 2.0 * areas[:, None] * sigmas * sigmas  # [G, K], in the order 2 * s^2 * k * k
-    terms = np.where(labeled, np.exp(-d2 / scale), 0.0)
+    # Overflow is inf, as in Python floats: a term of a far-off keypoint is 0.
+    with np.errstate(over="ignore"):
+        scale = 2.0 * gt_areas[:, None] * sigmas * sigmas  # [G, K], in the order 2 * s^2 * k * k
+        usable = (scale > 0.0) & (scale < np.inf)
+        if not usable.all():
+            g = int(np.argmin(usable.all(axis=1)))
+            raise ValidationError(
+                f"ground-truth box area {float(gt_areas[g])!r} gives an OKS scale "
+                "2 * s^2 * k^2 that is 0 or infinite"
+            )
+        pred = pred_kps[:, None]  # [P, 1, K, 3]
+        d2 = (pred[..., 0] - gt_kps[..., 0]) ** 2 + (pred[..., 1] - gt_kps[..., 1]) ** 2
+        terms = np.where(labeled, np.exp(-d2 / scale), 0.0)
     return np.cumsum(terms, axis=-1)[..., -1] / num_labeled
 
 
@@ -240,25 +258,29 @@ def ospa(
     at ``cutoff``. With cutoff 1 and order 1 (the defaults) the value is
     (min-cost assignment + (n - m)) / n, bounded in [0, 1].
     """
+    preds = list(preds)
+    gts = list(gts)
+    dist = np.array(
+        [[float(base_distance(p, g)) for g in gts] for p in preds], dtype=np.float64
+    ).reshape(len(preds), len(gts))
+    return _ospa(dist, cutoff, order)
+
+
+def _ospa(dist: np.ndarray, cutoff: float, order: float) -> float:
+    """:func:`ospa` of an ``[m, n]`` matrix of base distances."""
     if not cutoff > 0:
         raise ValueError(f"cutoff must be positive, got {cutoff}")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    preds = list(preds)
-    gts = list(gts)
-    m, n = len(preds), len(gts)
+    m, n = dist.shape
     if m == 0 and n == 0:
         return 0.0
     if m == 0 or n == 0:
         return float(cutoff)
-    dist = np.empty((m, n), dtype=np.float64)
-    for i, p in enumerate(preds):
-        for j, g in enumerate(gts):
-            d = float(base_distance(p, g))
-            if not (math.isfinite(d) and d >= 0):
-                raise ValueError(f"base distance must be finite and >= 0, got {d}")
-            dist[i, j] = min(d, cutoff)
-    powed = dist ** order
+    valid = (dist >= 0.0) & (dist < np.inf)
+    if not valid.all():
+        raise ValueError(f"base distance must be finite and >= 0, got {float(dist[~valid][0])}")
+    powed = np.minimum(dist, cutoff) ** order
     if m > n:
         powed = powed.T
         m, n = n, m
@@ -277,18 +299,9 @@ def ospa_iou_frame(
 
     Persons without a stored box use the tight enclosing box of their pose.
     """
-    return _ospa_iou(
-        [person_box(p) for p in pred_frame.persons],
-        [person_box(g) for g in gt_frame.persons],
-        cutoff,
-        order,
-    )
-
-
-def _ospa_iou(
-    pred_boxes: list[BoundingBox], gt_boxes: list[BoundingBox], cutoff: float, order: float
-) -> float:
-    return ospa(pred_boxes, gt_boxes, lambda a, b: 1.0 - iou(a, b), cutoff=cutoff, order=order)
+    pred_boxes = _rows([person_box(p) for p in pred_frame.persons])
+    gt_boxes = _rows([person_box(g) for g in gt_frame.persons])
+    return _ospa(1.0 - _iou_matrix(pred_boxes, gt_boxes), cutoff, order)
 
 
 # -- ranked matching and AP --------------------------------------------------------
@@ -304,6 +317,32 @@ class MatchResult:
     unmatched_ground_truths: tuple[int, ...]
 
 
+class _Persons(NamedTuple):
+    """Persons in order as arrays."""
+
+    keypoints: np.ndarray  # [N, K, 3]; zeros for a person without a pose
+    has_pose: np.ndarray  # [N] bool
+    labeled: np.ndarray  # [N] bool: has a pose with a labeled (v > 0) keypoint
+    scores: np.ndarray  # [N]; 0 for a person without a score
+
+    def rows(self, span: slice) -> "_Persons":
+        return _Persons(*(column[span] for column in self))
+
+
+def _as_arrays(persons: Sequence[Person]) -> _Persons:
+    sizes = {len(p.pose.keypoints) for p in persons if p.pose is not None}
+    if len(sizes) > 1:
+        raise ValidationError("pose length mismatch: " + " vs ".join(map(str, sorted(sizes))))
+    num_kps = sizes.pop() if sizes else 1
+    blank = np.zeros((num_kps, 3))
+    keypoints = np.array(
+        [blank if p.pose is None else p.pose.keypoints for p in persons], dtype=np.float64
+    ).reshape(len(persons), num_kps, 3)
+    has_pose = np.array([p.pose is not None for p in persons], dtype=bool)
+    scores = np.array([0.0 if p.score is None else p.score for p in persons], dtype=np.float64)
+    return _Persons(keypoints, has_pose, has_pose & (keypoints[:, :, 2] > 0).any(axis=1), scores)
+
+
 def match_frame_oks(
     pred_frame: FrameAnnotations,
     gt_frame: FrameAnnotations,
@@ -315,43 +354,40 @@ def match_frame_oks(
     undefined, so never matches, for a person without a pose and for a ground
     truth with no labeled keypoint."""
     gts = gt_frame.persons
-    return _match(pred_frame.persons, gts, [person_box(g) for g in gts], params, threshold)
-
-
-def _match(
-    preds: Sequence[Person],
-    gts: Sequence[Person],
-    gt_boxes: Sequence[BoundingBox],
-    params: OksParams,
-    threshold: float,
-) -> MatchResult:
-    """:func:`match_frame_oks` over the frame's persons and ground-truth boxes."""
-    rows = [i for i, p in enumerate(preds) if p.pose is not None]
-    cols = [j for j, g in enumerate(gts) if g.pose is not None and (g.pose.keypoints[:, 2] > 0).any()]
-    # -inf where OKS is undefined or the ground truth is taken, so argmax
-    # finds the first highest OKS among the unmatched ground truths.
-    sim = np.full((len(preds), len(gts)), -np.inf)
-    sim[np.ix_(rows, cols)] = _oks_matrix(
-        [preds[i].pose for i in rows], [gts[j].pose for j in cols], params, [gt_boxes[j] for j in cols]
-    )
-    order = sorted(
-        range(len(preds)),
-        key=lambda i: (-(preds[i].score if preds[i].score is not None else 0.0), i),
-    )
-    pairs = []
-    for pi in order if cols else ():  # without a labeled ground truth nothing matches
-        gi = int(np.argmax(sim[pi]))
-        value = float(sim[pi, gi])
-        if value >= threshold:
-            sim[:, gi] = -np.inf
-            pairs.append((pi, gi, value))
+    gt_areas = _areas(_rows([person_box(g) for g in gts]))
+    pairs = _match(_as_arrays(pred_frame.persons), _as_arrays(gts), gt_areas, params, threshold)
     matched_preds = {pi for pi, _, _ in pairs}
     matched_gts = {gi for _, gi, _ in pairs}
     return MatchResult(
         pairs=tuple(sorted(pairs)),
-        unmatched_predictions=tuple(i for i in range(len(preds)) if i not in matched_preds),
+        unmatched_predictions=tuple(
+            i for i in range(len(pred_frame.persons)) if i not in matched_preds
+        ),
         unmatched_ground_truths=tuple(i for i in range(len(gts)) if i not in matched_gts),
     )
+
+
+def _match(
+    preds: _Persons, gts: _Persons, gt_areas: np.ndarray, params: OksParams, threshold: float
+) -> list[tuple[int, int, float]]:
+    """The (pred index, gt index, oks) pairs of :func:`match_frame_oks` for
+    one frame's persons as arrays, in matching order."""
+    rows = preds.has_pose.nonzero()[0]
+    cols = gts.labeled.nonzero()[0]
+    if not len(rows) or not len(cols):
+        return []
+    sim = _oks_matrix(preds.keypoints[rows], gts.keypoints[cols], params, gt_areas[cols])
+    # A person without a pose never matches, so only ``rows`` take part, in
+    # descending score with ties by index. A taken ground truth's column is
+    # -inf, so argmax finds the first highest OKS among the unmatched ones.
+    pairs = []
+    for r in (-preds.scores[rows]).argsort(kind="stable").tolist():
+        c = int(sim[r].argmax())
+        value = float(sim[r, c])
+        if value >= threshold:
+            sim[:, c] = -np.inf
+            pairs.append((int(rows[r]), int(cols[c]), value))
+    return pairs
 
 
 def _check_pair(preds: Dataset, gts: Dataset) -> None:
@@ -376,8 +412,8 @@ def _check_pair(preds: Dataset, gts: Dataset) -> None:
 
 def _ap_101(tp_flags: Sequence[bool], num_gt: int) -> float:
     if num_gt == 0:
-        return 1.0 if not tp_flags else 0.0
-    if not tp_flags:
+        return 1.0 if not len(tp_flags) else 0.0
+    if not len(tp_flags):
         return 0.0
     tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
     ranks = np.arange(1, len(tp_flags) + 1, dtype=np.float64)
@@ -451,6 +487,16 @@ class EvalReport:
         }
 
 
+def _flatten(ds: Dataset) -> tuple[dict[str, slice], list[Person]]:
+    """Every person of ``ds`` in frame order, and each frame's span of them."""
+    spans: dict[str, slice] = {}
+    persons: list[Person] = []
+    for frame in ds.frames:
+        spans[frame.frame_id] = slice(len(persons), len(persons) + len(frame.persons))
+        persons.extend(frame.persons)
+    return spans, persons
+
+
 def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> EvalReport:
     """Dataset-mean set distance and AP at the configured OKS threshold.
 
@@ -462,26 +508,35 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     _check_pair(preds, gts)
     params = config.oks_params or default_oks_params(gts.schema_id)
 
-    pred_persons = {f.frame_id: f.persons for f in preds.frames}
-    ranked = []
-    num_gt = 0
+    pred_spans, pred_persons = _flatten(preds)
+    gt_spans, gt_persons = _flatten(gts)
+    pred_arrays = _as_arrays(pred_persons)
+    gt_arrays = _as_arrays(gt_persons)
+    pred_boxes = _person_boxes(pred_persons, pred_arrays.keypoints)
+    gt_boxes = _person_boxes(gt_persons, gt_arrays.keypoints)
+    gt_areas = _areas(gt_boxes)
+    matched = np.zeros(len(pred_persons), dtype=bool)
     per_frame: dict[str, FrameStats] = {}
-    for gt_frame in gts.frames:  # Dataset keeps frames in sorted-id order
-        fid = gt_frame.frame_id
-        frame_preds = pred_persons.get(fid, ())
-        frame_gts = gt_frame.persons
-        pred_boxes = [person_box(p) for p in frame_preds]
-        gt_boxes = [person_box(g) for g in frame_gts]
-        result = _match(frame_preds, frame_gts, gt_boxes, params, config.oks_threshold)
-        matched = {pi for pi, _, _ in result.pairs}
-        for i, person in enumerate(frame_preds):
-            ranked.append((float(person.score), fid, i, i in matched))
-        num_gt += len(frame_gts)
+    for fid, gt_span in gt_spans.items():  # Dataset keeps frames in sorted-id order
+        pred_span = pred_spans.get(fid, slice(0, 0))
+        frame_preds = pred_arrays.rows(pred_span)
+        try:
+            pairs = _match(
+                frame_preds, gt_arrays.rows(gt_span), gt_areas[gt_span], params,
+                config.oks_threshold,
+            )
+        except ValidationError as exc:
+            raise ValidationError(f"frame {fid!r}: {exc}") from exc
+        matched[[pred_span.start + pi for pi, _, _ in pairs]] = True
         per_frame[fid] = FrameStats(
-            ospa_iou=_ospa_iou(pred_boxes, gt_boxes, config.ospa_cutoff, config.ospa_order),
-            num_predictions=len(frame_preds),
-            num_ground_truths=len(frame_gts),
-            num_matched=len(result.pairs),
+            ospa_iou=_ospa(
+                1.0 - _iou_matrix(pred_boxes[pred_span], gt_boxes[gt_span]),
+                config.ospa_cutoff,
+                config.ospa_order,
+            ),
+            num_predictions=len(frame_preds.scores),
+            num_ground_truths=gt_span.stop - gt_span.start,
+            num_matched=len(pairs),
         )
 
     mean_ospa = (
@@ -489,8 +544,9 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
         if per_frame
         else 0.0
     )
-    ranked.sort(key=lambda r: (-r[0], r[1], r[2]))
-    ap = _ap_101([tp for _, _, _, tp in ranked], num_gt)
+    # Persons are in (frame id, index) order, so a stable sort by descending
+    # score ranks as (-score, frame id, index).
+    ap = _ap_101(matched[np.argsort(-pred_arrays.scores, kind="stable")], len(gt_persons))
 
     echo = {
         "schema": gts.schema_id,

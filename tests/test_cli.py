@@ -1,11 +1,14 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from synth import make_ground_truth, perturb_predictions
 
 from panopose.cli import run
 from panopose.dataio import (
@@ -115,6 +118,18 @@ class TestEval:
         assert "integer too large" in err
         assert "Traceback" not in err
 
+    def test_report_and_table_bytes_are_pinned(self, tmp_path, capsys):
+        gt, pred = _edge_case_eval_files(tmp_path)
+        report, table = tmp_path / "report.json", tmp_path / "frames.csv"
+        argv = ["eval", "--gt", str(gt), "--pred", str(pred),
+                "--report", str(report), "--table", str(table)]
+        assert run(argv) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (report, table)}
+        assert digests == {
+            "report.json": "ba8201b1516083f0250264fff8c103b0677ac8fc6e4cb2a60dec1f05194a08fb",
+            "frames.csv": "6955d6156038920f65020a6ddceec71810df722aa5066f7768606ce6fd69254c",
+        }
+
     def test_deeply_nested_json_exit_code(self, tmp_path, capsys):
         gt = tmp_path / "g.json"
         save_dataset(_gt_dataset(), gt)
@@ -128,6 +143,85 @@ class TestEval:
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+
+def _edge_case_eval_files(tmp_path):
+    """A seeded set with box-only ground truths, a ground truth with no
+    labeled keypoint, an empty frame and a ground-truth frame that has no
+    prediction frame."""
+    rng = np.random.default_rng(2024)
+    gt = make_ground_truth(rng, num_frames=10, people=(1, 5))
+    pred = perturb_predictions(gt, rng, 4.0)
+    gt_frames = list(gt.frames)
+    unlabeled = gt_frames[2].persons[0].pose.keypoints.copy()
+    unlabeled[:, 2] = 0
+    gt_frames[1] = replace(
+        gt_frames[1],
+        persons=gt_frames[1].persons
+        + (Person(box=BoundingBox(300.0, 200.0, 380.0, 330.0)),
+           Person(box=BoundingBox(1500.5, 180.25, 1590.0, 340.75))),
+    )
+    gt_frames[2] = replace(
+        gt_frames[2], persons=gt_frames[2].persons + (Person(pose=Pose(unlabeled)),)
+    )
+    gt_frames.append(FrameAnnotations("frame_empty", ()))
+    pred_frames = [f for f in pred.frames if f.frame_id != "frame0003"]
+    pred_frames[0] = replace(
+        pred_frames[0],
+        persons=pred_frames[0].persons
+        + (Person(box=BoundingBox(310.0, 205.0, 385.0, 320.0), score=0.45),),
+    )
+    pred_frames.append(FrameAnnotations("frame_empty", ()))
+    gt_path, pred_path = tmp_path / "g.json", tmp_path / "p.json"
+    save_dataset(replace(gt, frames=tuple(gt_frames)), gt_path)
+    save_dataset(replace(pred, frames=tuple(pred_frames)), pred_path)
+    return gt_path, pred_path
+
+
+def _doc(*persons):
+    return json.dumps(
+        {"schema": "jrdb17", "pano": {"width": 2000, "height": 600},
+         "frames": [{"frame_id": "f1", "persons": list(persons)}]}
+    )
+
+
+class TestDegenerateBoxes:
+    POSE = [[100.0 + 6 * i, 200.0 + 5 * i, 2] for i in range(17)]
+
+    def _run(self, tmp_path, capsys, argv, **files):
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        code = run([a.format(d=tmp_path) for a in argv])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "Traceback" not in err and "Warning" not in err
+        return err
+
+    def test_eval_rejects_a_box_whose_area_underflows(self, tmp_path, capsys):
+        err = self._run(
+            tmp_path, capsys, ["eval", "--gt", "{d}/g.json", "--pred", "{d}/p.json"],
+            **{"g.json": _doc({"box": [0, 0, 5e-324, 5e-324], "pose": self.POSE}),
+               "p.json": _doc({"score": 0.9, "pose": self.POSE})},
+        )
+        assert err.startswith(
+            "error: frame 'f1', person 0: degenerate box (0.0, 0.0, 5e-324, 5e-324)"
+        )
+
+    def test_eval_rejects_a_box_too_small_for_oks(self, tmp_path, capsys):
+        err = self._run(
+            tmp_path, capsys, ["eval", "--gt", "{d}/g.json", "--pred", "{d}/p.json"],
+            **{"g.json": _doc({"box": [0, 0, 1, 5e-324], "pose": self.POSE}),
+               "p.json": _doc({"score": 0.9, "pose": self.POSE})},
+        )
+        assert err.startswith("error: frame 'f1': ground-truth box area 5e-324 gives an OKS scale")
+
+    def test_nms_rejects_a_box_whose_area_underflows(self, tmp_path, capsys):
+        tiny = {"box": [0, 0, 5e-324, 5e-324], "score": 0.9}
+        err = self._run(
+            tmp_path, capsys, ["nms", "--pred", "{d}/p.json", "--out", "{d}/o.json"],
+            **{"p.json": _doc(tiny, tiny)},
+        )
+        assert err.startswith("error: frame 'f1', person 0: degenerate box")
 
 
 class TestShift:

@@ -164,6 +164,30 @@ class TestLoading:
         with pytest.raises(ValidationError, match=match):
             dataset_from_json(_doc([{"pose": pose}]), JRDB17)
 
+    @pytest.mark.parametrize(
+        "person, match",
+        [
+            ({"pose": [[True, 0, 2]]}, r"keypoint 4: expected a number, got True$"),
+            ({"pose": [["1.5", 0, 2]]}, r"keypoint 4: expected a number, got '1\.5'$"),
+            ({"pose": [[None, 0, 2]]}, r"keypoint 4: expected a number, got None$"),
+            ({"pose": [[0, 0, 2.0]]}, r"keypoint 4 visibility must be an integer, got 2\.0$"),
+            ({"pose": [[0, 0, True]]}, r"keypoint 4 visibility must be an integer, got True$"),
+            ({"pose": ["abc"]}, r"pose keypoint 4 must be \[x, y, v\]$"),
+            ({"pose": [[1, 2]]}, r"pose keypoint 4 must be \[x, y, v\]$"),
+            ({"pose": [[1, 2, 3, 4]]}, r"pose keypoint 4 must be \[x, y, v\]$"),
+            ({"box": [1, 2, True, 4]}, r"box: expected a number, got True$"),
+        ],
+        ids=["x-true", "x-string", "x-null", "v-float", "v-true", "row-string", "row-short",
+             "row-long", "box-true"],
+    )
+    def test_value_of_wrong_json_type_is_located(self, person, match):
+        # One np.array call over all rows would take each of these silently.
+        if "pose" in person:
+            person = {"pose": [[0.0, 0.0, 2]] * 4 + person["pose"] + [[0.0, 0.0, 2]] * 12}
+        text = _doc([{"pose": [[1.0, 1.0, 2]] * 17}, person])
+        with pytest.raises(ValidationError, match=r"^frame 'f1', person 1: " + match):
+            dataset_from_json(text, JRDB17)
+
     def test_parse_error(self):
         with pytest.raises(ValidationError, match="parse error"):
             dataset_from_json("not json", JRDB17)

@@ -38,6 +38,10 @@ class TestBoundingBox:
             BoundingBox(5, 0, 5, 10)
         with pytest.raises(ValueError):
             BoundingBox(0, 10, 10, 10)
+        with pytest.raises(ValueError, match="area 0.0 must be positive and finite"):
+            BoundingBox(0, 0, 5e-324, 5e-324)
+        with pytest.raises(ValueError, match="area inf must be positive and finite"):
+            BoundingBox(-1e308, -1e308, 1e308, 1e308)
 
     def test_rejects_bad_score(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,11 @@ class TestOks:
         with pytest.raises(ValidationError, match="no labeled keypoints"):
             oks(gt, gt, UNIFORM3, self.BOX)
 
+    def test_scale_underflow_is_an_error(self):
+        gt = _pose((0, 0), (1, 1), (2, 2))
+        with pytest.raises(ValidationError, match="OKS scale"):
+            oks(gt, gt, UNIFORM3, BoundingBox(0.0, 0.0, 1.0, 5e-324))
+
     def test_translation_invariance(self):
         rng = np.random.default_rng(43)
         for _ in range(20):
@@ -279,6 +284,20 @@ class TestMatchFrame:
         assert result.unmatched_predictions == ()
         assert result.unmatched_ground_truths == ()
 
+    def test_higher_score_claims_the_contested_ground_truth(self):
+        gt = [Person(pose=_pose17()), Person(pose=_pose17(x0=106.0))]
+        preds = [
+            Person(pose=_pose17(), score=0.6),  # exactly on gt 0
+            Person(pose=_pose17(x0=102.0), score=0.9),  # nearer gt 0 than gt 1
+        ]
+        result = match_frame_oks(
+            FrameAnnotations("f", tuple(preds)),
+            FrameAnnotations("f", tuple(gt)),
+            default_oks_params("jrdb17"),
+            0.5,
+        )
+        assert [(p, g) for p, g, _ in result.pairs] == [(0, 1), (1, 0)]
+
     def test_each_ground_truth_matched_once(self):
         gt = [Person(pose=_pose17())]
         preds = [
@@ -330,6 +349,24 @@ class TestApAtOks:
                 ap_at_oks(preds, gt, self.PARAMS, t) for t in (0.3, 0.5, 0.75)
             ]
             assert values[0] + 1e-12 >= values[1] >= values[2] - 1e-12
+
+    def test_score_ties_rank_by_frame_then_index(self):
+        # 40 equal scores: the true positives of frames f00-f19 rank before
+        # the false positives of f20-f39, so precision is 1 up to recall 0.5.
+        gts = Dataset(
+            "jrdb17", PANO,
+            tuple(FrameAnnotations(f"f{i:02d}", (Person(pose=_pose17()),)) for i in range(40)),
+        )
+        preds = Dataset(
+            "jrdb17", PANO,
+            tuple(
+                FrameAnnotations(
+                    f"f{i:02d}", (Person(pose=_pose17(x0=100.0 if i < 20 else 1500.0), score=0.5),)
+                )
+                for i in range(40)
+            ),
+        )
+        assert ap_at_oks(preds, gts, self.PARAMS, 0.5) == 51 / 101
 
     def test_missing_prediction_frames_count_as_empty(self):
         gts = Dataset(

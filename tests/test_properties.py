@@ -1,7 +1,11 @@
-"""Property tests: canonical dataset round trips and the per-frame OKS matrix."""
+"""Property tests: canonical dataset round trips and the vectorised kernels
+(OKS, IoU, matching boxes and OSPA) against scalar loop references."""
 
 import math
+import re
 
+import numpy as np
+import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
@@ -13,8 +17,24 @@ from panopose.dataio import (
     dataset_from_json,
     dataset_to_canonical_json,
 )
-from panopose.geometry import BoundingBox, PanoramaSpec, person_box
-from panopose.metrics import _oks_matrix, default_oks_params, match_frame_oks
+from panopose.geometry import (
+    BoundingBox,
+    PanoramaSpec,
+    _iou_matrix,
+    _person_boxes,
+    _rows,
+    iou,
+    nms_indices,
+    person_box,
+)
+from panopose.metrics import (
+    _optimal_cost,
+    _oks_matrix,
+    _ospa,
+    default_oks_params,
+    match_frame_oks,
+    ospa,
+)
 from panopose.schema import JRDB17
 
 # Derived examples and no example database, so every run checks the same
@@ -93,6 +113,10 @@ ground_truths = st.lists(
 )
 
 
+def _stack(poses: list[Pose]) -> np.ndarray:
+    return np.array([p.keypoints for p in poses]).reshape(-1, NUM_KEYPOINTS, 3)
+
+
 def _labeled(person: Person) -> bool:
     return person.pose is not None and bool((person.pose.keypoints[:, 2] > 0).any())
 
@@ -104,7 +128,10 @@ def test_oks_matrix_agrees_with_scalar_reference(preds, gts):
     rows = [p for p in preds if p.pose is not None]
     cols = [j for j, g in enumerate(gts) if _labeled(g)]
     sim = _oks_matrix(
-        [p.pose for p in rows], [gts[j].pose for j in cols], PARAMS, [boxes[j] for j in cols]
+        _stack([p.pose for p in rows]),
+        _stack([gts[j].pose for j in cols]),
+        PARAMS,
+        np.array([boxes[j].area for j in cols]),
     )
     assert sim.shape == (len(rows), len(cols))
     for i, p in enumerate(rows):
@@ -120,3 +147,202 @@ def test_oks_matrix_agrees_with_scalar_reference(preds, gts):
         assert value >= 0.5
         expected = _reference_oks(preds[pi].pose, gts[gi].pose, boxes[gi].area)
         assert math.isclose(value, expected, rel_tol=1e-12)
+
+
+def _bits(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def _reference_iou(a: BoundingBox, b: BoundingBox) -> float:
+    """The IoU formula on Python floats."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0.0 or ih <= 0.0:
+        return 0.0
+    inter = iw * ih
+    return inter / (a.area + b.area - inter)
+
+
+fraction = st.floats(0.0, 0.4)
+edge = st.floats(-1000.0, 1000.0)
+side = st.floats(1e-3, 500.0)
+any_box = st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h), edge, edge, side, side)
+
+
+def _related(a: BoundingBox, how: str, f: tuple, w: float, h: float) -> BoundingBox:
+    if how == "identical":
+        return a
+    if how == "nested":
+        return BoundingBox(
+            a.x1 + f[0] * a.width, a.y1 + f[1] * a.height,
+            a.x2 - f[2] * a.width, a.y2 - f[3] * a.height,
+        )
+    if how == "touching":  # shares the right edge of ``a``
+        return BoundingBox(a.x2, a.y1 + f[0] * a.height, a.x2 + w, a.y2 + h)
+    return BoundingBox(a.x2 + w, a.y2 + h, a.x2 + 2 * w, a.y2 + 2 * h)  # disjoint
+
+
+box_pairs = st.builds(
+    lambda a, how, f, w, h: [a, _related(a, how, f, w, h)],
+    any_box,
+    st.sampled_from(["identical", "nested", "touching", "disjoint"]),
+    st.tuples(fraction, fraction, fraction, fraction),
+    side,
+    side,
+)
+
+
+@PROPERTY
+@given(st.lists(box_pairs, min_size=1, max_size=4))
+def test_iou_matrix_is_the_scalar_formula_bit_for_bit(pairs):
+    boxes = [b for pair in pairs for b in pair]
+    matrix = _iou_matrix(_rows(boxes), _rows(boxes))
+    for i, a in enumerate(boxes):
+        expected = [_reference_iou(a, b) for b in boxes]
+        assert _bits(matrix[i]) == _bits(expected)
+        assert _bits(iou(a, b) for b in boxes) == _bits(expected)
+
+
+def _reference_nms(dets: list[BoundingBox], threshold: float) -> list[int]:
+    """Greedy NMS with the scalar IoU, one candidate at a time."""
+    kept: list[int] = []
+    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
+        if all(_reference_iou(dets[i], dets[j]) < threshold for j in kept):
+            kept.append(i)
+    return kept
+
+
+def test_nms_over_several_blocks_is_the_greedy_loop():
+    # 700 boxes span eleven 64-candidate blocks; scores in tenths tie often.
+    rng = np.random.default_rng(83)
+    xy = rng.uniform(0.0, 1500.0, (700, 2))
+    wh = rng.uniform(20.0, 300.0, (700, 2))
+    scores = np.round(rng.uniform(0.0, 1.0, 700), 1)
+    dets = [
+        BoundingBox(x, y, x + w, y + h, score=s)
+        for (x, y), (w, h), s in zip(xy.tolist(), wh.tolist(), scores.tolist())
+    ]
+    for threshold in (0.0, 0.3, 0.5, 1.0):
+        assert nms_indices(dets, threshold) == _reference_nms(dets, threshold)
+
+
+def _floored_span(lo: float, hi: float) -> tuple[float, float]:
+    if hi - lo >= 1e-9:
+        return lo, hi
+    mid = 0.5 * (lo + hi)
+    return mid - 0.5 * 1e-9, mid + 0.5 * 1e-9
+
+
+def _reference_person_box(person: Person) -> BoundingBox:
+    """The matching-box rule, one person at a time."""
+    if person.box is not None:
+        return person.box
+    kps = person.pose.keypoints
+    pts = kps[kps[:, 2] > 0]
+    if not len(pts):
+        pts = kps
+    x1, y1, _ = np.minimum.reduce(pts).tolist()
+    x2, y2, _ = np.maximum.reduce(pts).tolist()
+    x1, x2 = _floored_span(x1, x2)
+    y1, y2 = _floored_span(y1, y2)
+    return BoundingBox(x1, y1, x2, y2)
+
+
+def _people(num_kps: int):
+    centre = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([3e6, -1e300, 1e308]))
+    # Offsets below 1e-9 give extents the 1e-9 floor widens.
+    offset = st.one_of(st.floats(-1e-9, 1e-9), st.floats(-100.0, 100.0), finite)
+    row = st.tuples(offset, offset, visibility)
+    pose = (
+        st.builds(
+            lambda c, rows: [(c + dx, c + dy, v) for dx, dy, v in rows],
+            centre,
+            st.lists(row, min_size=num_kps, max_size=num_kps),
+        )
+        .filter(lambda rows: np.isfinite(rows).all())
+        .map(Pose)
+    )
+    unlabeled = pose.map(lambda p: Pose(p.keypoints * [1.0, 1.0, 0.0]))
+    person = st.one_of(
+        st.builds(lambda p: Person(pose=p), pose),
+        st.builds(lambda p: Person(pose=p), unlabeled),
+        st.builds(lambda p, b: Person(pose=p, box=b), pose, any_box),
+        st.builds(lambda b: Person(box=b), any_box),
+    )
+    return st.lists(person, max_size=6)
+
+
+@PROPERTY
+@given(st.integers(1, 5).flatmap(_people))
+def test_matching_boxes_are_the_person_box_loop_bit_for_bit(persons):
+    num_kps = next((len(p.pose.keypoints) for p in persons if p.pose is not None), 1)
+    keypoints = np.array(
+        [np.zeros((num_kps, 3)) if p.pose is None else p.pose.keypoints for p in persons]
+    ).reshape(len(persons), num_kps, 3)
+    try:
+        expected = [_reference_person_box(p) for p in persons]
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            _person_boxes(persons, keypoints)
+        return
+    rows = _person_boxes(persons, keypoints)
+    for row, person, box in zip(rows, persons, expected):
+        corners = (box.x1, box.y1, box.x2, box.y2)
+        assert _bits(row) == _bits(corners)
+        b = person_box(person)
+        assert _bits((b.x1, b.y1, b.x2, b.y2)) == _bits(corners)
+
+
+def _reference_ospa(dist: list[list[float]], cutoff: float, order: float) -> float:
+    """The set metric with its distance matrix filled one pair at a time."""
+    m = len(dist)
+    n = len(dist[0]) if dist else 0
+    if m == 0 or n == 0:
+        return 0.0 if m == n else float(cutoff)
+    capped = np.empty((m, n))
+    for i in range(m):
+        for j in range(n):
+            d = dist[i][j]
+            if not (math.isfinite(d) and d >= 0):
+                raise ValueError(f"base distance must be finite and >= 0, got {d}")
+            capped[i, j] = min(d, cutoff)
+    powed = capped ** order
+    if m > n:
+        powed = powed.T
+        m, n = n, m
+    return float(((cutoff ** order) * (n - m) + _optimal_cost(powed)) / n) ** (1.0 / order)
+
+
+distance = st.one_of(
+    st.floats(0.0, 2.0), st.just(0.0), st.just(1.0), st.sampled_from([-0.5, math.inf, math.nan])
+)
+matrices = st.tuples(st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda mn: st.lists(
+        st.lists(distance, min_size=mn[1], max_size=mn[1]), min_size=mn[0], max_size=mn[0]
+    )
+)
+
+
+@PROPERTY
+@given(matrices, st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([1.0, 2.0]))
+def test_ospa_with_a_callable_is_the_matrix_path(dist, cutoff, order):
+    m, n = len(dist), len(dist[0]) if dist else 0
+    matrix = np.array(dist, dtype=np.float64).reshape(m, n)
+
+    def by_index(i, j):
+        return dist[i][j]
+
+    try:
+        expected = _reference_ospa(dist, cutoff, order)
+    except ValueError as exc:
+        for compute in (
+            lambda: ospa(range(m), range(n), by_index, cutoff=cutoff, order=order),
+            lambda: _ospa(matrix, cutoff, order),
+        ):
+            with pytest.raises(ValueError, match="base distance must be finite and >= 0"):
+                compute()
+        assert "base distance" in str(exc)
+        return
+    by_callable = ospa(range(m), range(n), by_index, cutoff=cutoff, order=order)
+    assert _bits([by_callable]) == _bits([expected])
+    assert _bits([_ospa(matrix, cutoff, order)]) == _bits([expected])
