@@ -16,14 +16,15 @@ import argparse
 import json
 import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from . import __version__
-from .dataio import Dataset, _dataset_from_doc, save_dataset
-from .decode import HeatmapStack, decode_heatmaps
-from .errors import ValidationError
+from .dataio import Dataset, _dataset_from_doc, _where, save_dataset
+from .decode import HeatmapStack, _check_stride, decode_heatmaps
+from .errors import RowError, ValidationError
 from .geometry import (
     BoundingBox,
     DEFAULT_BOX_MARGIN,
@@ -32,9 +33,10 @@ from .geometry import (
     CROP_HEIGHT,
     CROP_WIDTH,
     PanoramaSpec,
-    bbox_from_pose,
+    _check_crop,
+    _nms_rows,
+    _pose_bboxes,
     crop_transform,
-    nms_indices,
     shift_dataset,
 )
 from .metrics import EvalConfig, evaluate, save_frame_table, save_report
@@ -65,7 +67,7 @@ def _override_pano(ds: Dataset, args: argparse.Namespace) -> Dataset:
     height = args.pano_height if args.pano_height is not None else ds.pano.height
     if (width, height) == (ds.pano.width, ds.pano.height):
         return ds
-    return replace(ds, pano=PanoramaSpec(width, height))
+    return ds._with(pano=PanoramaSpec(width, height))
 
 
 def _cmd_remap_weights(args: argparse.Namespace) -> int:
@@ -93,22 +95,15 @@ def _cmd_remap_weights(args: argparse.Namespace) -> int:
 
 def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
     ds = _override_pano(_load_dataset(args.input, require_scores=False), args)
-    frames = []
-    for frame in ds.frames:
-        persons = []
-        for i, person in enumerate(frame.persons):
-            if person.pose is None:
-                persons.append(person)
-                continue
-            try:
-                box = bbox_from_pose(person.pose, args.margin, ds.pano)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"frame {frame.frame_id!r}, person {i}: {exc}"
-                ) from exc
-            persons.append(replace(person, box=box))
-        frames.append(replace(frame, persons=tuple(persons)))
-    save_dataset(replace(ds, frames=tuple(frames)), args.out)
+    rows = ds.has_pose.nonzero()[0]
+    try:
+        derived = _pose_bboxes(ds.keypoints[rows], args.margin, ds.pano)
+    except RowError as exc:
+        where = _where(ds.frame_ids, ds.offsets, int(rows[exc.row]))
+        raise ValidationError(f"{where}: {exc}") from exc
+    boxes = ds.boxes.copy()
+    boxes[rows] = derived
+    save_dataset(ds._with(boxes=boxes, has_box=ds.has_box | ds.has_pose), args.out)
     _echo(
         {
             "command": "boxes-from-poses",
@@ -145,36 +140,30 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 def _cmd_nms(args: argparse.Namespace) -> int:
     ds = _load_dataset(args.pred, require_scores=True)
-    frames = []
-    for frame in ds.frames:
-        boxes = []
-        for i, person in enumerate(frame.persons):
-            if person.box is None:
-                raise ValidationError(
-                    f"frame {frame.frame_id!r}, person {i}: nms requires a box"
-                )
-            b = person.box
-            boxes.append(BoundingBox(b.x1, b.y1, b.x2, b.y2, score=person.score))
-        kept = nms_indices(boxes, args.nms_iou)
-        frames.append(replace(frame, persons=tuple(frame.persons[i] for i in sorted(kept))))
-    save_dataset(replace(ds, frames=tuple(frames)), args.out)
+    if not ds.has_box.all():
+        where = _where(ds.frame_ids, ds.offsets, int(ds.has_box.argmin()))
+        raise ValidationError(f"{where}: nms requires a box")
+    kept = _nms_rows(ds.boxes, ds.scores, ds.offsets.tolist(), args.nms_iou)
+    save_dataset(ds._with(sorted(kept)), args.out)
     _echo({"command": "nms", "pred": args.pred, "out": args.out, "nms_iou": args.nms_iou})
     return 0
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    _check_stride(args.stride)
+    _check_crop(args.crop_width, args.crop_height, args.padding)
     dets = _load_dataset(args.dets, require_scores=True)
     schema = builtin_schema(dets.schema_id)
     tmap = load_tensor_map(args.heatmaps)
     num_keypoints = len(schema.names)
-    frames = []
-    for frame in dets.frames:
-        persons = []
-        for i, person in enumerate(frame.persons):
-            where = f"frame {frame.frame_id!r}, person {i}"
-            if person.box is None:
+    keypoints = np.zeros((len(dets.ids), num_keypoints, 3))
+    bounds = dets.offsets.tolist()
+    for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
+        for i, row in enumerate(range(start, stop)):
+            where = f"frame {fid!r}, person {i}"
+            if not dets.has_box[row]:
                 raise ValidationError(f"{where}: decode requires a box")
-            name = f"{frame.frame_id}/{i}"
+            name = f"{fid}/{i}"
             if name not in tmap:
                 raise ValidationError(f"{where}: missing heatmap tensor {name!r}")
             record = tmap[name]
@@ -184,12 +173,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                     f"[{num_keypoints}, h, w], got shape {record.shape}"
                 )
             crop = crop_transform(
-                person.box, args.crop_width, args.crop_height, args.padding
+                BoundingBox(*dets.boxes[row].tolist()),
+                args.crop_width, args.crop_height, args.padding,
             )
             pose, _ = decode_heatmaps(HeatmapStack(record.data, args.stride), crop)
-            persons.append(replace(person, pose=pose))
-        frames.append(replace(frame, persons=tuple(persons)))
-    save_dataset(replace(dets, frames=tuple(frames)), args.out)
+            keypoints[row] = pose.keypoints
+    save_dataset(dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool)), args.out)
     _echo(
         {
             "command": "decode",

@@ -16,36 +16,44 @@ form sorts frames by id, keeps a fixed field order, and prints every number
 with 17 significant digits (negative zero as 0), so value-identical datasets
 serialize to identical bytes. The person-level score is the only confidence.
 
-A pose is one read-only ``float64`` array of ``[K, 3]`` ``(x, y, v)`` rows;
-the keypoint value rules (at least one keypoint, finite x and y, v in
-{0, 1, 2}) live in :class:`Pose`. Every other value rule (score range,
-box-or-pose, non-empty and unique frame ids) also lives in the constructor
-of the type it constrains; the parser checks only the JSON shape and reports
-a constructor's ``ValueError`` as a ``ValidationError`` at its location.
+A :class:`Dataset` holds one read-only array per field: the sorted
+``frame_ids`` with ``[F + 1]`` row ``offsets``, and per person ``ids``,
+``boxes`` ``[N, 4]`` with ``has_box``, ``scores`` ``[N]`` with ``has_score``
+and ``keypoints`` ``[N, K, 3]`` with ``has_pose``. A missing value's row
+holds zeros, and K is 0 when no person has a pose. ``frames`` builds
+read-only :class:`FrameAnnotations`, :class:`Person` and :class:`Pose` views
+on each access.
 
-The parser walks a file's JSON shape once, then converts the keypoint rows
-of all its poses with one ``np.array`` call into an ``[N, K, 3]`` array whose
-rows the poses view; a row that is not three JSON numbers, or a visibility
-that is not a JSON integer, is found by the types of all values at once and
-only then located value by value. So in a file with several faults, the
-walk's first fault is reported before the first keypoint value fault, and
-that before the first constructor fault.
+``Dataset._build`` is the one builder; the parser's walk and
+``Dataset(schema_id, pano, frames)`` feed it. It checks each value rule once
+over a whole column with the function that :class:`Pose`, :class:`Person`
+and :class:`~panopose.geometry.BoundingBox` run on their one row: box or
+pose (:func:`_presence_rule`), finite box fields with a positive finite
+area (``geometry._box_rule``), finite keypoints with v in {0, 1, 2}
+(:func:`_keypoint_rule`) and a score in [0, 1] (``geometry._score_rule``).
+Frame ids are non-empty strings (:func:`_frame_id_rule`) and unique.
+
+Of several faults in a file, the first JSON shape or type fault the walk
+meets is reported (a missing or extra field, a wrong type, a pose of the
+wrong length, an empty frame id, an integer beyond float range; the header
+comes first, then frames and persons in order); otherwise the value fault
+of the earliest person, with the rules in the order above and a pose's
+first bad keypoint; then a repeated frame id.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from itertools import chain
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
-from .geometry import BoundingBox, PanoramaSpec
+from .errors import RowError, ValidationError
+from .geometry import BoundingBox, PanoramaSpec, _box_rule, _score_rule
 
 if TYPE_CHECKING:
     from .schema import KeypointSchema
@@ -69,6 +77,38 @@ NOT_LABELED = 0
 LABELED_INVISIBLE = 1
 LABELED_VISIBLE = 2
 
+_PERSON_COLUMNS = ("ids", "boxes", "has_box", "scores", "has_score", "keypoints", "has_pose")
+_FIELDS = ("schema_id", "pano", "frame_ids", "offsets") + _PERSON_COLUMNS
+
+
+def _keypoint_rule(keypoints: np.ndarray) -> None:
+    """Raise :class:`RowError` for the first of ``[N, K, 3]`` poses with a
+    keypoint whose x or y is not finite or whose v is not 0, 1 or 2, naming
+    the pose's first such keypoint."""
+    xy_finite = np.isfinite(keypoints[:, :, :2]).all(axis=2)
+    v = keypoints[:, :, 2]
+    valid = xy_finite & ((v == 0.0) | (v == 1.0) | (v == 2.0))
+    if valid.all():
+        return
+    n = int(valid.all(axis=1).argmin())
+    k = int(valid[n].argmin())
+    x, y, v = keypoints[n, k].tolist()
+    if not xy_finite[n, k]:
+        raise RowError(n, f"keypoint {k}: non-finite keypoint coordinate ({x!r}, {y!r})")
+    raise RowError(n, f"keypoint {k}: visibility must be 0, 1 or 2, got {v:g}")
+
+
+def _presence_rule(has_box: np.ndarray, has_pose: np.ndarray) -> None:
+    """Raise :class:`RowError` for the first person with neither box nor pose."""
+    valid = has_box | has_pose
+    if not valid.all():
+        raise RowError(int(valid.argmin()), "person has neither box nor pose")
+
+
+def _frame_id_rule(frame_id: Any) -> None:
+    if not isinstance(frame_id, str) or not frame_id:
+        raise ValueError(f"frame id must be a non-empty string, got {frame_id!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class Pose:
@@ -82,19 +122,13 @@ class Pose:
 
     def __post_init__(self) -> None:
         kps = self.keypoints
-        # The parser hands over row views of one read-only array per file.
+        # A dataset's views hand over rows of its read-only keypoint column.
         if not isinstance(kps, np.ndarray) or kps.dtype != np.float64 or kps.flags.writeable:
             kps = np.array(kps, dtype=np.float64)
             kps.flags.writeable = False
         if kps.ndim != 2 or kps.shape[1] != 3 or not len(kps):
             raise ValueError(f"pose must be K >= 1 rows of (x, y, v), got shape {kps.shape}")
-        # Checked per row in Python: for K = 17 this is about twice as fast
-        # as the same checks in numpy calls.
-        for k, (x, y, v) in enumerate(kps.tolist()):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                raise ValueError(f"keypoint {k}: non-finite keypoint coordinate ({x!r}, {y!r})")
-            if v not in (0.0, 1.0, 2.0):
-                raise ValueError(f"keypoint {k}: visibility must be 0, 1 or 2, got {v:g}")
+        _keypoint_rule(kps[None])
         object.__setattr__(self, "keypoints", kps)
 
     def __eq__(self, other: object) -> bool:
@@ -111,12 +145,10 @@ class Person:
     score: float | None = None
 
     def __post_init__(self) -> None:
-        if self.box is None and self.pose is None:
-            raise ValueError("person has neither box nor pose")
+        _presence_rule(np.array([self.box is not None]), np.array([self.pose is not None]))
         if self.score is not None:
             object.__setattr__(self, "score", float(self.score))
-            if not 0.0 <= self.score <= 1.0:
-                raise ValueError(f"person score {self.score} outside [0, 1]")
+            _score_rule(np.array([self.score]), "person")
 
 
 @dataclass(frozen=True)
@@ -125,27 +157,127 @@ class FrameAnnotations:
     persons: tuple[Person, ...] = ()
 
     def __post_init__(self) -> None:
-        if not isinstance(self.frame_id, str) or not self.frame_id:
-            raise ValueError(f"frame id must be a non-empty string, got {self.frame_id!r}")
+        _frame_id_rule(self.frame_id)
         object.__setattr__(self, "persons", tuple(self.persons))
 
 
-@dataclass(frozen=True)
+def _where(frame_ids: Sequence[str], offsets: Sequence[int], row: int) -> str:
+    """Location of person row ``row``: its frame id and index in the frame."""
+    f = int(np.searchsorted(offsets, row, side="right")) - 1
+    return f"frame {frame_ids[f]!r}, person {row - int(offsets[f])}"
+
+
+def _person_columns(persons: Sequence[Person]) -> dict[str, Any]:
+    """The person columns of ``persons``, in order, with zeros for a missing value."""
+    sizes = {len(p.pose.keypoints) for p in persons if p.pose is not None}
+    if len(sizes) > 1:
+        raise ValidationError("pose length mismatch: " + " vs ".join(map(str, sorted(sizes))))
+    blank = np.zeros((sizes.pop() if sizes else 0, 3))
+    return {
+        "ids": [p.id for p in persons],
+        "boxes": np.array([(0.0,) * 4 if p.box is None else (p.box.x1, p.box.y1, p.box.x2, p.box.y2)
+                           for p in persons]).reshape(-1, 4),
+        "has_box": np.array([p.box is not None for p in persons], dtype=bool),
+        "scores": np.array([p.score or 0.0 for p in persons], dtype=np.float64),
+        "has_score": np.array([p.score is not None for p in persons], dtype=bool),
+        "keypoints": np.array([blank if p.pose is None else p.pose.keypoints for p in persons])
+        .reshape(len(persons), len(blank), 3),
+        "has_pose": np.array([p.pose is not None for p in persons], dtype=bool),
+    }
+
+
+@dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """Frames are normalized to canonical (frame-id sorted) order."""
+    """A dataset's columns (see the module docstring), frames in sorted id
+    order; ``frames`` is a read-only view."""
 
     schema_id: str
     pano: PanoramaSpec
-    frames: tuple[FrameAnnotations, ...] = ()
+    # Read through the property below; as a field it keeps
+    # dataclasses.replace(ds, frames=...) working.
+    frames: tuple[FrameAnnotations, ...]
 
-    def __post_init__(self) -> None:
-        frames = tuple(sorted(self.frames, key=lambda f: f.frame_id))
-        seen: set[str] = set()
-        for f in frames:
-            if f.frame_id in seen:
-                raise ValidationError(f"duplicate frame id {f.frame_id!r}")
-            seen.add(f.frame_id)
-        object.__setattr__(self, "frames", frames)
+    def __init__(self, schema_id: str, pano: PanoramaSpec, frames: Sequence[FrameAnnotations] = ()) -> None:
+        frames = tuple(frames)
+        offsets = np.cumsum([0] + [len(f.persons) for f in frames])
+        persons = [p for f in frames for p in f.persons]
+        self._build(schema_id, pano, [f.frame_id for f in frames], offsets, **_person_columns(persons))
+
+    def _build(self, schema_id: str, pano: PanoramaSpec, frame_ids: Sequence[str], offsets: Any,
+               ids: Any, boxes: Any, has_box: Any, scores: Any, has_score: Any, keypoints: Any,
+               has_pose: Any) -> "Dataset":
+        """The one builder: checks every value rule once per column, with the
+        rows in the given frame order, then sorts the frames by id."""
+        offsets = np.asarray(offsets, dtype=np.intp)
+        ids = np.array(ids, dtype=object).reshape(-1)
+        has_box, has_score, has_pose = (np.asarray(m, dtype=bool) for m in (has_box, has_score, has_pose))
+        boxes = np.where(has_box[:, None], np.asarray(boxes, dtype=np.float64).reshape(-1, 4), 0.0)
+        scores = np.where(has_score, np.asarray(scores, dtype=np.float64), 0.0)
+        if has_pose.all() and len(has_pose):
+            keypoints = np.asarray(keypoints, dtype=np.float64)
+        elif has_pose.any():
+            keypoints = np.where(has_pose[:, None, None], keypoints, 0.0)
+        else:
+            keypoints = np.zeros((len(has_pose), 0, 3))
+        faults = []
+        for rule, *columns in (
+            (_presence_rule, has_box, has_pose),
+            (_box_rule, np.where(has_box[:, None], boxes, (0.0, 0.0, 1.0, 1.0))),
+            (_keypoint_rule, keypoints),
+            (_score_rule, scores, "person"),
+        ):
+            try:
+                rule(*columns)
+            except RowError as exc:
+                faults.append(exc)
+        if faults:
+            first = min(faults, key=attrgetter("row"))  # the earlier rule on a tie
+            raise ValidationError(f"{_where(frame_ids, offsets, first.row)}: {first}") from first
+
+        columns = [ids, boxes, has_box, scores, has_score, keypoints, has_pose]
+        order = sorted(range(len(frame_ids)), key=frame_ids.__getitem__)
+        frame_ids = tuple(frame_ids[f] for f in order)
+        for a, b in zip(frame_ids, frame_ids[1:]):
+            if a == b:
+                raise ValidationError(f"duplicate frame id {a!r}")
+        if order != list(range(len(order))):
+            rows = np.concatenate([np.arange(offsets[f], offsets[f + 1]) for f in order])
+            offsets = np.concatenate(([0], np.cumsum(np.diff(offsets)[order])))
+            columns = [c[rows] for c in columns]
+        for name, value in zip(_FIELDS, [schema_id, pano, frame_ids, offsets, *columns]):
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        return self
+
+    def _with(self, rows: Any = None, **changes: Any) -> "Dataset":
+        """This dataset with ``changes`` to its fields, keeping only the sorted
+        person ``rows``; checked by the builder."""
+        fields = {name: getattr(self, name) for name in _FIELDS} | changes
+        if rows is not None:
+            fields |= {name: np.asarray(fields[name])[rows] for name in _PERSON_COLUMNS}
+            fields["offsets"] = np.searchsorted(rows, self.offsets)
+        return Dataset.__new__(Dataset)._build(**fields)
+
+    @property
+    def frames(self) -> tuple[FrameAnnotations, ...]:
+        persons = [
+            Person(pid, BoundingBox(*box) if has_box else None, Pose(kps) if has_pose else None,
+                   score if has_score else None)
+            for pid, box, has_box, score, has_score, kps, has_pose in zip(
+                self.ids.tolist(), self.boxes.tolist(), self.has_box.tolist(), self.scores.tolist(),
+                self.has_score.tolist(), self.keypoints, self.has_pose.tolist(),
+            )
+        ]
+        bounds = self.offsets.tolist()
+        return tuple(FrameAnnotations(fid, tuple(persons[a:b]))
+                     for fid, a, b in zip(self.frame_ids, bounds, bounds[1:]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Dataset):
+            return NotImplemented
+        # np.array_equal also compares the fields that are not arrays.
+        return all(np.array_equal(getattr(self, name), getattr(other, name)) for name in _FIELDS)
 
 
 # -- loading -----------------------------------------------------------------
@@ -170,56 +302,49 @@ def _number(value: Any, where: str) -> float:
         raise ValidationError(f"{where}: integer too large for a float") from None
 
 
-def _parse_person(
-    raw: Any, schema: "KeypointSchema", require_score: bool, where: str, poses: list
-) -> tuple[str | None, BoundingBox | None, float | None, bool]:
-    """Walk one person's JSON: returns its id, box, score and whether it has a
-    pose, whose rows it appends to ``poses``."""
+def _walk_person(raw: Any, where: str, schema: "KeypointSchema", require_score: bool, columns: dict) -> None:
+    """Check one person's JSON shape, then append its values to ``columns``
+    (zeros for a missing box or score, None for a missing pose); its pose rows
+    are converted later."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: person must be an object")
     _require_keys(raw, (), ("id", "box", "score", "pose"), where)
-
     person_id = raw.get("id")
     if person_id is not None and not isinstance(person_id, str):
         raise ValidationError(f"{where}: id must be a string")
-
-    box = None
+    num_kps = len(schema.names)
+    box, score, pose = (0.0, 0.0, 0.0, 0.0), 0.0, None
     if "box" in raw:
         vals = raw["box"]
         if not isinstance(vals, list) or len(vals) != 4:
             raise ValidationError(f"{where}: box must be [x1, y1, x2, y2]")
-        x1, y1, x2, y2 = (_number(v, f"{where}: box") for v in vals)
-        try:
-            box = BoundingBox(x1, y1, x2, y2)
-        except ValueError as exc:
-            raise ValidationError(f"{where}: {exc}") from exc
-
-    score = None
+        box = [_number(v, f"{where}: box") for v in vals]
     if "score" in raw:
         score = _number(raw["score"], f"{where}: score")
     elif require_score:
         raise ValidationError(f"prediction without score ({where})")
-
-    has_pose = "pose" in raw
-    if has_pose:
-        rows = raw["pose"]
-        if not isinstance(rows, list):
+    if "pose" in raw:
+        pose = raw["pose"]
+        if not isinstance(pose, list):
             raise ValidationError(f"{where}: pose must be a list of [x, y, v] rows")
-        if len(rows) != len(schema.names):
+        if len(pose) != num_kps:
             raise ValidationError(
-                f"{where}: pose has {len(rows)} keypoints, schema {schema.id!r} "
-                f"expects {len(schema.names)}"
+                f"{where}: pose has {len(pose)} keypoints, schema {schema.id!r} expects {num_kps}"
             )
-        poses.append(rows)
-    return person_id, box, score, has_pose
+    values = (person_id, box, "box" in raw, score, "score" in raw, pose, "pose" in raw)
+    for name, value in zip(_PERSON_COLUMNS, values):
+        columns[name].append(value)
 
 
-def _keypoint_array(poses: list[list], wheres: list[str], num_kps: int) -> np.ndarray:
-    """Read-only ``[N, K, 3]`` ``float64`` array of the N poses' JSON rows,
-    converted by one ``np.array`` call. That call would also take a boolean,
-    a numeric string, null or a float visibility, so the types of all values
-    are checked first; a file that fails that check, or holds an integer
-    beyond float range, is walked value by value to locate the fault."""
+def _keypoint_array(poses: list[list], num_kps: int, where: Callable[[int], str]) -> np.ndarray:
+    """``[N, K, 3]`` ``float64`` array of the N poses' JSON rows, converted
+    by one ``np.array`` call. That call would also take a boolean, a numeric
+    string, null or a float visibility, so the types of all values are
+    checked first; a file that fails that check, or holds an integer beyond
+    float range, is walked value by value to locate the fault, with
+    ``where(n)`` naming pose n. A missing (None) pose converts to zeros."""
+    blank = [[0, 0, 0]] * num_kps
+    poses = [blank if pose is None else pose for pose in poses]
     rows = list(chain.from_iterable(poses))
     if (
         set(map(type, rows)) <= {list}
@@ -228,17 +353,14 @@ def _keypoint_array(poses: list[list], wheres: list[str], num_kps: int) -> np.nd
         and set(map(type, map(itemgetter(2), rows))) <= {int}
     ):
         try:
-            keypoints = np.array(poses, dtype=np.float64)
+            return np.array(poses, dtype=np.float64).reshape(len(poses), num_kps, 3)
         except OverflowError:
             pass
-        else:
-            keypoints.flags.writeable = False
-            return keypoints.reshape(len(poses), num_kps, 3)
-    for pose, where in zip(poses, wheres):
+    for n, pose in enumerate(poses):
         for k, row in enumerate(pose):
             if type(row) is not list or len(row) != 3:
-                raise ValidationError(f"{where}: pose keypoint {k} must be [x, y, v]")
-            loc = f"{where}: keypoint {k}"
+                raise ValidationError(f"{where(n)}: pose keypoint {k} must be [x, y, v]")
+            loc = f"{where(n)}: keypoint {k}"
             _number(row[0], loc)
             _number(row[1], loc)
             if type(row[2]) is not int:
@@ -281,38 +403,39 @@ def _dataset_from_doc(doc: Any, schema: "KeypointSchema", require_scores: bool) 
     frames_raw = doc["frames"]
     if not isinstance(frames_raw, list):
         raise ValidationError("frames must be a list")
-    walked = []  # (frame id, [(where, id, box, score, has pose)])
-    poses: list[list] = []
-    for raw in frames_raw:
-        if not isinstance(raw, dict):
-            raise ValidationError("frame must be an object")
-        _require_keys(raw, ("frame_id", "persons"), (), "frame")
-        fid = raw["frame_id"]
-        persons_raw = raw["persons"]
-        if not isinstance(persons_raw, list):
-            raise ValidationError(f"frame {fid!r}: persons must be a list")
-        persons = []
-        for i, p in enumerate(persons_raw):
-            where = f"frame {fid!r}, person {i}"
-            persons.append((where, *_parse_person(p, schema, require_scores, where, poses)))
-        walked.append((fid, persons))
-    wheres = [where for _, persons in walked for where, *_, has_pose in persons if has_pose]
-    keypoints = iter(_keypoint_array(poses, wheres, len(schema.names)))
+    num_kps = len(schema.names)
+    frame_ids: list[str] = []
+    offsets: list[int] = []  # each frame's first row, until the walk ends
+    columns: dict[str, list] = {name: [] for name in _PERSON_COLUMNS}
 
-    frames = []
-    for fid, persons in walked:
-        built = []
-        for where, person_id, box, score, has_pose in persons:
+    def where(row: int) -> str:
+        return _where(frame_ids, offsets, row)
+
+    try:
+        for raw in frames_raw:
+            if not isinstance(raw, dict):
+                raise ValidationError("frame must be an object")
+            _require_keys(raw, ("frame_id", "persons"), (), "frame")
+            fid = raw["frame_id"]
             try:
-                pose = Pose(next(keypoints)) if has_pose else None
-                built.append(Person(id=person_id, box=box, pose=pose, score=score))
+                _frame_id_rule(fid)
             except ValueError as exc:
-                raise ValidationError(f"{where}: {exc}") from exc
-        try:
-            frames.append(FrameAnnotations(fid, tuple(built)))
-        except ValueError as exc:
-            raise ValidationError(f"frame {fid!r}: {exc}") from exc
-    return Dataset(schema.id, pano, tuple(frames))
+                raise ValidationError(f"frame {fid!r}: {exc}") from exc
+            persons_raw = raw["persons"]
+            if not isinstance(persons_raw, list):
+                raise ValidationError(f"frame {fid!r}: persons must be a list")
+            frame_ids.append(fid)
+            offsets.append(len(columns["ids"]))
+            for i, p in enumerate(persons_raw):
+                _walk_person(p, f"frame {fid!r}, person {i}", schema, require_scores, columns)
+    except ValidationError:
+        # A keypoint type fault of a person walked before it comes first.
+        _keypoint_array(columns["keypoints"], num_kps, where)
+        raise
+    if any(columns["has_pose"]):
+        columns["keypoints"] = _keypoint_array(columns["keypoints"], num_kps, where)
+    offsets.append(len(columns["ids"]))
+    return Dataset.__new__(Dataset)._build(schema.id, pano, frame_ids, offsets, **columns)
 
 
 def load_ground_truth(path: str | Path, schema: "KeypointSchema") -> Dataset:
@@ -333,28 +456,36 @@ def _num(value: float) -> str:
     return "%.17g" % (float(value) + 0.0)
 
 
-def _person_json(person: Person) -> str:
+def _person_json(person_id: str | None, box: list | None, score: float | None, pose: list | None) -> str:
     parts = []
-    if person.id is not None:
-        parts.append(f'"id":{json.dumps(person.id)}')
-    if person.box is not None:
-        b = person.box
-        parts.append(f'"box":[{_num(b.x1)},{_num(b.y1)},{_num(b.x2)},{_num(b.y2)}]')
-    if person.score is not None:
-        parts.append(f'"score":{_num(person.score)}')
-    if person.pose is not None:
-        rows = ",".join(
-            "[%s,%s,%d]" % (_num(x), _num(y), v) for x, y, v in person.pose.keypoints.tolist()
-        )
+    if person_id is not None:
+        parts.append(f'"id":{json.dumps(person_id)}')
+    if box is not None:
+        parts.append('"box":[%s]' % ",".join(map(_num, box)))
+    if score is not None:
+        parts.append(f'"score":{_num(score)}')
+    if pose is not None:
+        rows = ",".join("[%s,%s,%d]" % (_num(x), _num(y), v) for x, y, v in pose)
         parts.append(f'"pose":[{rows}]')
     return "{" + ",".join(parts) + "}"
 
 
+def _persons_json(ds: Dataset, start: int, stop: int) -> str:
+    """Rows ``start:stop`` as JSON; the writer goes one frame at a time, so a
+    dataset is never all Python objects at once."""
+    rows = zip(*(getattr(ds, name)[start:stop].tolist() for name in _PERSON_COLUMNS))
+    return ",".join(
+        _person_json(pid, box if has_box else None, score if has_score else None,
+                     pose if has_pose else None)
+        for pid, box, has_box, score, has_score, pose, has_pose in rows
+    )
+
+
 def dataset_to_canonical_json(ds: Dataset) -> str:
+    bounds = ds.offsets.tolist()
     frames = ",".join(
-        '{"frame_id":%s,"persons":[%s]}'
-        % (json.dumps(f.frame_id), ",".join(_person_json(p) for p in f.persons))
-        for f in ds.frames
+        '{"frame_id":%s,"persons":[%s]}' % (json.dumps(fid), _persons_json(ds, a, b))
+        for fid, a, b in zip(ds.frame_ids, bounds, bounds[1:])
     )
     return (
         '{"schema":%s,"pano":{"width":%s,"height":%s},"frames":[%s]}\n'

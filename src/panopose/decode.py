@@ -34,11 +34,15 @@ class HeatmapStack:
         k, h, w = values.shape
         if k < 1 or h < 1 or w < 1:
             raise ValueError(f"empty grid: shape {values.shape}")
-        if not (math.isfinite(self.stride) and self.stride > 0):
-            raise ValueError(f"stride must be positive, got {self.stride!r}")
+        _check_stride(self.stride)
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "stride", float(self.stride))
+
+
+def _check_stride(stride: float) -> None:
+    if not (math.isfinite(stride) and stride > 0):
+        raise ValueError(f"stride must be positive, got {stride!r}")
 
 
 def _quarter_offset(before: float, after: float) -> float:

@@ -7,12 +7,17 @@ Coordinates are continuous pixels. Boxes are half-open real-valued
 rectangles with a positive, finite area, so areas and IoU are continuous
 quantities rather than pixel counts. The panorama wraps horizontally with
 period ``PanoramaSpec.width``; stored boxes never wrap (persons whose shifted
-box would cross the seam are dropped by :func:`shift_frame`).
+box would cross the seam are dropped by :func:`shift_dataset`).
 
-The matching box and IoU each have one vectorised kernel over ``[N, 4]``
-``(x1, y1, x2, y2)`` rows: :func:`person_box` is its one-person case,
-:func:`iou` its 1x1 case, and :func:`nms_indices` takes it for blocks of
-candidates against all boxes.
+Each box rule and kernel has one home here, over ``[N, 4]``
+``(x1, y1, x2, y2)`` rows, and a single-item function is its one-row case:
+:func:`_box_rule` and :func:`_score_rule` check a whole column (a
+:class:`BoundingBox`, or a dataset's boxes and scores), :func:`_iou_matrix`
+serves :func:`iou`, :func:`_nms_rows` :func:`nms_indices`,
+:func:`_matching_boxes` :func:`person_box`, :func:`_pose_bboxes`
+:func:`bbox_from_pose`, and :func:`_shift_rows` :func:`shift_dataset` and
+:func:`shift_frame`. A kernel checks its parameter (threshold, margin,
+shift) on entry, so a bad value is refused even with no rows.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
+
+from .errors import RowError
 
 if TYPE_CHECKING:
     from .dataio import Dataset, FrameAnnotations, Person, Pose
@@ -54,7 +61,7 @@ DEFAULT_NMS_IOU = 0.5
 DEFAULT_BOX_MARGIN = 0.1
 DEFAULT_CROP_PADDING = 1.25
 
-# nms_indices takes the IoU rows of this many candidates per call, so its
+# _nms_rows takes the IoU rows of this many candidates per call, so its
 # memory stays linear in the box count: 64 rows of 2000 boxes are 1 MB.
 _NMS_BLOCK = 64
 
@@ -74,16 +81,9 @@ class BoundingBox:
     score: float = 1.0
 
     def __post_init__(self) -> None:
-        for v in (self.x1, self.y1, self.x2, self.y2, self.score):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite box field {v!r}")
-        if not (self.x1 < self.x2 and self.y1 < self.y2 and 0.0 < self.area < math.inf):
-            raise ValueError(
-                f"degenerate box ({self.x1}, {self.y1}, {self.x2}, {self.y2}): "
-                f"area {self.area!r} must be positive and finite"
-            )
-        if not 0.0 <= self.score <= 1.0:
-            raise ValueError(f"box score {self.score} outside [0, 1]")
+        fields = np.array([[self.x1, self.y1, self.x2, self.y2, self.score]], dtype=np.float64)
+        _box_rule(fields)
+        _score_rule(fields[:, 4], "box")
 
     @property
     def width(self) -> float:
@@ -114,6 +114,35 @@ class PanoramaSpec:
             raise ValueError(f"panorama width must be positive, got {self.width!r}")
         if not (math.isfinite(self.height) and self.height > 0):
             raise ValueError(f"panorama height must be positive, got {self.height!r}")
+
+
+def _box_rule(rows: np.ndarray) -> None:
+    """Raise :class:`RowError` for the first of ``[N, M >= 4]`` rows that has
+    a non-finite field, or whose first four fields lack ``x1 < x2``,
+    ``y1 < y2`` and a positive, finite area."""
+    finite = np.isfinite(rows)
+    # inf - inf and an overflowing side give NaN or inf, as in Python floats.
+    with np.errstate(over="ignore", invalid="ignore"):
+        area = _areas(rows)
+        valid = finite.all(axis=1) & (rows[:, 0] < rows[:, 2]) & (rows[:, 1] < rows[:, 3])
+        valid &= (area > 0.0) & (area < np.inf)
+    if valid.all():
+        return
+    i = int(valid.argmin())
+    row = rows[i].tolist()
+    if not finite[i].all():
+        raise RowError(i, f"non-finite box field {row[int(finite[i].argmin())]!r}")
+    x1, y1, x2, y2 = row[:4]
+    message = f"area {float(area[i])!r} must be positive and finite"
+    raise RowError(i, f"degenerate box ({x1}, {y1}, {x2}, {y2}): {message}")
+
+
+def _score_rule(scores: np.ndarray, owner: str) -> None:
+    """Raise :class:`RowError` for the first of ``[N]`` scores outside [0, 1]."""
+    valid = (scores >= 0.0) & (scores <= 1.0)
+    if not valid.all():
+        i = int(valid.argmin())
+        raise RowError(i, f"{owner} score {float(scores[i])} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -205,6 +234,27 @@ def iou(a: BoundingBox, b: BoundingBox) -> float:
     return float(_iou_matrix(_rows([a]), _rows([b]))[0, 0])
 
 
+def _nms_rows(rows: np.ndarray, scores: np.ndarray, offsets: Sequence[int], iou_threshold: float) -> list[int]:
+    """Greedy NMS within each frame ``offsets[f]:offsets[f + 1]`` of ``[N, 4]``
+    box rows with ``[N]`` scores: the kept row indices, each frame's in
+    score-descending order."""
+    if not 0.0 <= iou_threshold <= 1.0:
+        raise ValueError(f"iou threshold {iou_threshold} outside [0, 1]")
+    kept: list[int] = []
+    for start, stop in zip(offsets, offsets[1:]):
+        boxes = rows[start:stop]
+        order = np.argsort(-scores[start:stop], kind="stable").tolist()
+        frame_kept: list[int] = []
+        for first in range(0, len(order), _NMS_BLOCK):
+            block = order[first : first + _NMS_BLOCK]
+            overlaps = (_iou_matrix(boxes[block], boxes) >= iou_threshold).tolist()
+            for i, overlap in zip(block, overlaps):
+                if not any(overlap[j] for j in frame_kept):
+                    frame_kept.append(i)
+        kept.extend(start + i for i in frame_kept)
+    return kept
+
+
 def nms_indices(dets: Sequence[BoundingBox], iou_threshold: float) -> list[int]:
     """Greedy NMS returning the kept indices, sorted by score descending.
 
@@ -212,32 +262,37 @@ def nms_indices(dets: Sequence[BoundingBox], iou_threshold: float) -> list[int]:
     remaining box whose IoU with it is >= ``iou_threshold``. Score ties are
     broken by original position, so the result is deterministic.
     """
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou threshold {iou_threshold} outside [0, 1]")
-    order = sorted(range(len(dets)), key=lambda i: (-dets[i].score, i))
-    rows = _rows(dets)
-    kept: list[int] = []
-    for start in range(0, len(order), _NMS_BLOCK):
-        block = order[start : start + _NMS_BLOCK]
-        overlaps = (_iou_matrix(rows[block], rows) >= iou_threshold).tolist()
-        for i, overlap in zip(block, overlaps):
-            if not any(overlap[j] for j in kept):
-                kept.append(i)
-    return kept
+    scores = np.array([d.score for d in dets], dtype=np.float64)
+    return _nms_rows(_rows(dets), scores, [0, len(dets)], iou_threshold)
 
 
 def nms(dets: Sequence[BoundingBox], iou_threshold: float) -> list[BoundingBox]:
     return [dets[i] for i in nms_indices(dets, iou_threshold)]
 
 
-def _clamped_span(lo: float, hi: float, bound: float) -> tuple[float, float]:
-    lo = min(max(lo, 0.0), bound)
-    hi = min(max(hi, 0.0), bound)
-    if hi - lo >= _MIN_EXTENT:
-        return lo, hi
-    mid = 0.5 * (lo + hi)
-    lo = min(max(mid - 0.5 * _MIN_EXTENT, 0.0), bound - _MIN_EXTENT)
-    return lo, lo + _MIN_EXTENT
+def _clamped_spans(lo: np.ndarray, hi: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
+    lo = np.minimum(np.maximum(lo, 0.0), bound)
+    hi = np.minimum(np.maximum(hi, 0.0), bound)
+    wide = hi - lo >= _MIN_EXTENT
+    floor = np.minimum(np.maximum(0.5 * (lo + hi) - 0.5 * _MIN_EXTENT, 0.0), bound - _MIN_EXTENT)
+    return np.where(wide, lo, floor), np.where(wide, hi, floor + _MIN_EXTENT)
+
+
+def _pose_bboxes(keypoints: np.ndarray, margin: float, pano: PanoramaSpec) -> np.ndarray:
+    """``[N, 4]`` :func:`bbox_from_pose` rows of ``[N, K, 3]`` poses. Raises
+    :class:`RowError` for the first pose with no labeled keypoint."""
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and non-negative, got {margin}")
+    labeled = keypoints[:, :, 2] > 0
+    some = labeled.any(axis=1)
+    if not some.all():
+        raise RowError(int(some.argmin()), "pose has no visible keypoints")
+    x1, y1, x2, y2 = _extents(keypoints, labeled)
+    w = x2 - x1
+    h = y2 - y1
+    x1, x2 = _clamped_spans(x1 - margin * w, x2 + margin * w, pano.width)
+    y1, y2 = _clamped_spans(y1 - margin * h, y2 + margin * h, pano.height)
+    return np.stack([x1, y1, x2, y2], axis=1)
 
 
 def bbox_from_pose(pose: "Pose", margin: float, pano: PanoramaSpec) -> BoundingBox:
@@ -248,18 +303,7 @@ def bbox_from_pose(pose: "Pose", margin: float, pano: PanoramaSpec) -> BoundingB
     on each of the four sides, then clamped to [0, W] x [0, H]. The returned
     score is 1.
     """
-    if margin < 0:
-        raise ValueError(f"margin must be non-negative, got {margin}")
-    kps = pose.keypoints
-    pts = kps[kps[:, 2] > 0]
-    if not len(pts):
-        raise ValueError("pose has no visible keypoints")
-    x1, y1, _ = np.minimum.reduce(pts).tolist()
-    x2, y2, _ = np.maximum.reduce(pts).tolist()
-    w = x2 - x1
-    h = y2 - y1
-    x1, x2 = _clamped_span(x1 - margin * w, x2 + margin * w, pano.width)
-    y1, y2 = _clamped_span(y1 - margin * h, y2 + margin * h, pano.height)
+    x1, y1, x2, y2 = _pose_bboxes(pose.keypoints[None], margin, pano)[0].tolist()
     return BoundingBox(x1, y1, x2, y2, score=1.0)
 
 
@@ -267,18 +311,21 @@ def _pose_boxes(keypoints: np.ndarray) -> np.ndarray:
     """``[N, 4]`` tight boxes of ``[N, K, 3]`` poses by the :func:`person_box`
     rule, unchecked: a row may break the :class:`BoundingBox` rule."""
     labeled = keypoints[:, :, 2] > 0
-    used = labeled | ~labeled.any(axis=1, keepdims=True)
-    x, y = keypoints[:, :, 0], keypoints[:, :, 1]
+    x1, y1, x2, y2 = _extents(keypoints, labeled | ~labeled.any(axis=1, keepdims=True))
     # lo + hi may overflow to inf; a floored box built from it then fails
     # the BoundingBox rule, as the scalar rule's did.
     with np.errstate(over="ignore"):
-        x1, x2 = _floored_spans(
-            np.where(used, x, np.inf).min(axis=1), np.where(used, x, -np.inf).max(axis=1)
-        )
-        y1, y2 = _floored_spans(
-            np.where(used, y, np.inf).min(axis=1), np.where(used, y, -np.inf).max(axis=1)
-        )
+        x1, x2 = _floored_spans(x1, x2)
+        y1, y2 = _floored_spans(y1, y2)
     return np.stack([x1, y1, x2, y2], axis=1)
+
+
+def _extents(keypoints: np.ndarray, used: np.ndarray) -> list[np.ndarray]:
+    """Per-pose smallest x and y, then largest x and y, of the ``used`` keypoints."""
+    x, y = keypoints[:, :, 0], keypoints[:, :, 1]
+    return [np.min(np.where(used, c, np.inf), axis=1, initial=np.inf) for c in (x, y)] + [
+        np.max(np.where(used, c, -np.inf), axis=1, initial=-np.inf) for c in (x, y)
+    ]
 
 
 def _floored_spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -290,24 +337,14 @@ def _floored_spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
     )
 
 
-def _person_boxes(persons: Sequence["Person"], keypoints: np.ndarray) -> np.ndarray:
-    """``[N, 4]`` :func:`person_box` rows of ``persons`` in one pass;
-    ``keypoints`` holds their ``[N, K, 3]`` poses, any values for a person
-    without one. Raises :func:`person_box`'s ``ValueError`` for the first
-    person it would reject."""
-    rows = _pose_boxes(keypoints)
-    stored = [i for i, p in enumerate(persons) if p.box is not None]
-    # A tight box of finite keypoints has x1 <= x2 and y1 <= y2, so the
-    # BoundingBox rule reduces to a positive finite area (NaN from inf - inf
-    # fails it too).
-    with np.errstate(over="ignore", invalid="ignore"):
-        area = _areas(rows)
-    bad = ~((area > 0.0) & (area < np.inf))
-    bad[stored] = False
-    if bad.any():
-        person_box(persons[int(np.argmax(bad))])  # its BoundingBox words the error
-    if stored:
-        rows[stored] = _rows([persons[i].box for i in stored])
+def _matching_boxes(boxes: np.ndarray, has_box: np.ndarray, keypoints: np.ndarray) -> np.ndarray:
+    """``[N, 4]`` :func:`person_box` rows of a box column with its has-box
+    mask and the ``[N, K, 3]`` poses. Raises :class:`RowError` for the first
+    pose box that breaks the :class:`BoundingBox` rule."""
+    if has_box.all():
+        return boxes
+    rows = np.where(has_box[:, None], boxes, _pose_boxes(keypoints))
+    _box_rule(rows)  # stored boxes pass it, so a fault is a pose box's
     return rows
 
 
@@ -324,6 +361,26 @@ def person_box(person: "Person") -> BoundingBox:
     return BoundingBox(x1, y1, x2, y2, score=1.0)
 
 
+def _shift_rows(boxes: np.ndarray, has_box: np.ndarray, keypoints: np.ndarray, shift: float,
+                width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The :func:`shift_frame` rule over columns: the ``[N]`` mask of persons
+    whose matching box stays off the seam, and the shifted ``[N, 4]`` boxes and
+    ``[N, K, 3]`` keypoints of every row."""
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
+    w = float(width)
+    s = float(shift) % w
+    if s == 0.0:
+        return np.ones(len(boxes), dtype=bool), boxes, keypoints
+    ref = _matching_boxes(boxes, has_box, keypoints)
+    keep = ~(np.remainder(ref[:, 0] + s, w) + (ref[:, 2] - ref[:, 0]) > w)
+    x1 = np.remainder(boxes[:, 0] + s, w)
+    boxes = np.stack([x1, boxes[:, 1], x1 + (boxes[:, 2] - boxes[:, 0]), boxes[:, 3]], axis=1)
+    keypoints = keypoints.copy()
+    keypoints[:, :, 0] = np.remainder(keypoints[:, :, 0] + s, w)
+    return keep, boxes, keypoints
+
+
 def shift_frame(frame: "FrameAnnotations", shift: float, pano: PanoramaSpec) -> "FrameAnnotations":
     """Cyclically shift all x coordinates by ``shift`` pixels (mod width).
 
@@ -332,32 +389,29 @@ def shift_frame(frame: "FrameAnnotations", shift: float, pano: PanoramaSpec) -> 
     modulo the panorama width first, so 0 and any multiple of the width are
     exact identities.
     """
-    w = float(pano.width)
-    s = float(shift) % w
-    if s == 0.0:
-        return frame
-    persons = []
-    for person in frame.persons:
-        ref = person_box(person)
-        new_x1 = (ref.x1 + s) % w
-        if new_x1 + (ref.x2 - ref.x1) > w:
-            continue  # box would span the seam
-        box = person.box
-        if box is not None:
-            bx1 = (box.x1 + s) % w
-            box = replace(box, x1=bx1, x2=bx1 + (box.x2 - box.x1))
-        pose = person.pose
-        if pose is not None:
-            kps = pose.keypoints.copy()
-            kps[:, 0] = np.remainder(kps[:, 0] + s, w)
-            pose = replace(pose, keypoints=kps)
-        persons.append(replace(person, box=box, pose=pose))
+    from .dataio import _person_columns
+
+    c = _person_columns(frame.persons)
+    keep, boxes, keypoints = _shift_rows(c["boxes"], c["has_box"], c["keypoints"], shift, pano.width)
+    persons = [
+        replace(p, box=p.box and replace(p.box, x1=x1, x2=x2),
+                pose=p.pose and replace(p.pose, keypoints=kps))
+        for p, kept, (x1, _, x2, _), kps in zip(frame.persons, keep, boxes.tolist(), keypoints)
+        if kept
+    ]
     return replace(frame, persons=tuple(persons))
 
 
 def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
-    frames = tuple(shift_frame(f, shift, ds.pano) for f in ds.frames)
-    return replace(ds, frames=frames)
+    keep, boxes, keypoints = _shift_rows(ds.boxes, ds.has_box, ds.keypoints, shift, ds.pano.width)
+    return ds._with(keep.nonzero()[0], boxes=boxes, keypoints=keypoints)
+
+
+def _check_crop(out_w: int, out_h: int, padding: float) -> None:
+    if out_w <= 0 or out_h <= 0:
+        raise ValueError(f"crop width and height must be positive, got {out_w}x{out_h}")
+    if not (math.isfinite(padding) and padding > 0):
+        raise ValueError(f"padding must be finite and positive, got {padding}")
 
 
 def crop_transform(
@@ -373,10 +427,7 @@ def crop_transform(
     left untouched), then scaled by ``padding`` about the center, and the
     result is mapped onto the output rectangle. No rotation.
     """
-    if out_w <= 0 or out_h <= 0:
-        raise ValueError(f"output size must be positive, got {out_w}x{out_h}")
-    if not padding > 0:
-        raise ValueError(f"padding must be positive, got {padding}")
+    _check_crop(out_w, out_h, padding)
     w = box.width
     h = box.height
     if w <= 0 or h <= 0:

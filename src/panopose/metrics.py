@@ -15,14 +15,16 @@ The set metric between prediction and ground-truth sets of sizes m <= n
 ((c^p * (n - m) + min-cost assignment of capped distances^p) / n)^(1/p);
 both sets empty gives 0, exactly one empty set gives c.
 
-:func:`evaluate` stacks each dataset's keypoints and matching boxes once and
-works on array slices per frame: one ``[P, G]`` OKS matrix
-(:func:`_oks_matrix`) for the greedy matching and one ``[P, G]`` IoU matrix
-(:func:`~panopose.geometry._iou_matrix`) for the set metric. The
-single-item functions are cases of the same kernels: :func:`oks` is the 1x1
-OKS matrix, :func:`match_frame_oks` and :func:`ospa_iou_frame` are one frame
-of that loop, and :func:`ospa` with a callable fills the distance matrix it
-then scores like every frame.
+:func:`evaluate` reads the columns of both datasets and slices them per
+frame: the matching boxes of every person come from one call of
+:func:`~panopose.geometry._matching_boxes`, and each frame gets one
+``[P, G]`` OKS matrix (:func:`_oks_matrix`) for the greedy matching
+(:func:`_match`) and one ``[P, G]`` IoU matrix
+(:func:`~panopose.geometry._iou_matrix`) for the set metric (:func:`_ospa`).
+The single-item functions are cases of the same kernels: :func:`oks` is the
+1x1 OKS matrix, :func:`match_frame_oks` and :func:`ospa_iou_frame` are one
+frame of that loop, and :func:`ospa` with a callable fills the distance
+matrix it then scores like every frame.
 """
 
 from __future__ import annotations
@@ -33,13 +35,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, FrameAnnotations, Person, Pose
+from .dataio import Dataset, FrameAnnotations, Pose, _person_columns, _where
 from .errors import ValidationError
-from .geometry import BoundingBox, _areas, _iou_matrix, _person_boxes, _rows, person_box
+from .geometry import BoundingBox, _areas, _iou_matrix, _matching_boxes, _rows, person_box
 from .schema import SchemaMapping, check_entries, default_mapping
 
 __all__ = [
@@ -317,32 +319,6 @@ class MatchResult:
     unmatched_ground_truths: tuple[int, ...]
 
 
-class _Persons(NamedTuple):
-    """Persons in order as arrays."""
-
-    keypoints: np.ndarray  # [N, K, 3]; zeros for a person without a pose
-    has_pose: np.ndarray  # [N] bool
-    labeled: np.ndarray  # [N] bool: has a pose with a labeled (v > 0) keypoint
-    scores: np.ndarray  # [N]; 0 for a person without a score
-
-    def rows(self, span: slice) -> "_Persons":
-        return _Persons(*(column[span] for column in self))
-
-
-def _as_arrays(persons: Sequence[Person]) -> _Persons:
-    sizes = {len(p.pose.keypoints) for p in persons if p.pose is not None}
-    if len(sizes) > 1:
-        raise ValidationError("pose length mismatch: " + " vs ".join(map(str, sorted(sizes))))
-    num_kps = sizes.pop() if sizes else 1
-    blank = np.zeros((num_kps, 3))
-    keypoints = np.array(
-        [blank if p.pose is None else p.pose.keypoints for p in persons], dtype=np.float64
-    ).reshape(len(persons), num_kps, 3)
-    has_pose = np.array([p.pose is not None for p in persons], dtype=bool)
-    scores = np.array([0.0 if p.score is None else p.score for p in persons], dtype=np.float64)
-    return _Persons(keypoints, has_pose, has_pose & (keypoints[:, :, 2] > 0).any(axis=1), scores)
-
-
 def match_frame_oks(
     pred_frame: FrameAnnotations,
     gt_frame: FrameAnnotations,
@@ -354,8 +330,10 @@ def match_frame_oks(
     undefined, so never matches, for a person without a pose and for a ground
     truth with no labeled keypoint."""
     gts = gt_frame.persons
+    preds = _person_columns(pred_frame.persons)
     gt_areas = _areas(_rows([person_box(g) for g in gts]))
-    pairs = _match(_as_arrays(pred_frame.persons), _as_arrays(gts), gt_areas, params, threshold)
+    pairs = _match(preds["keypoints"], preds["has_pose"], preds["scores"],
+                   _person_columns(gts)["keypoints"], gt_areas, params, threshold)
     matched_preds = {pi for pi, _, _ in pairs}
     matched_gts = {gi for _, gi, _ in pairs}
     return MatchResult(
@@ -367,21 +345,22 @@ def match_frame_oks(
     )
 
 
-def _match(
-    preds: _Persons, gts: _Persons, gt_areas: np.ndarray, params: OksParams, threshold: float
-) -> list[tuple[int, int, float]]:
+def _match(pred_kps: np.ndarray, pred_has_pose: np.ndarray, pred_scores: np.ndarray,
+           gt_kps: np.ndarray, gt_areas: np.ndarray, params: OksParams,
+           threshold: float) -> list[tuple[int, int, float]]:
     """The (pred index, gt index, oks) pairs of :func:`match_frame_oks` for
-    one frame's persons as arrays, in matching order."""
-    rows = preds.has_pose.nonzero()[0]
-    cols = gts.labeled.nonzero()[0]
+    one frame's columns, in matching order. A ground truth without a pose
+    holds zeros, so it has no labeled keypoint."""
+    rows = pred_has_pose.nonzero()[0]
+    cols = (gt_kps[:, :, 2] > 0).any(axis=1).nonzero()[0]
     if not len(rows) or not len(cols):
         return []
-    sim = _oks_matrix(preds.keypoints[rows], gts.keypoints[cols], params, gt_areas[cols])
+    sim = _oks_matrix(pred_kps[rows], gt_kps[cols], params, gt_areas[cols])
     # A person without a pose never matches, so only ``rows`` take part, in
     # descending score with ties by index. A taken ground truth's column is
     # -inf, so argmax finds the first highest OKS among the unmatched ones.
     pairs = []
-    for r in (-preds.scores[rows]).argsort(kind="stable").tolist():
+    for r in (-pred_scores[rows]).argsort(kind="stable").tolist():
         c = int(sim[r].argmax())
         value = float(sim[r, c])
         if value >= threshold:
@@ -398,16 +377,14 @@ def _check_pair(preds: Dataset, gts: Dataset) -> None:
         )
     if preds.pano != gts.pano:
         raise ValidationError("panorama mismatch between predictions and ground truth")
-    gt_ids = {f.frame_id for f in gts.frames}
-    extra = sorted(f.frame_id for f in preds.frames if f.frame_id not in gt_ids)
+    extra = sorted(set(preds.frame_ids) - set(gts.frame_ids))
     if extra:
         raise ValidationError(f"prediction frames missing from ground truth: {extra}")
-    for frame in preds.frames:
-        for i, person in enumerate(frame.persons):
-            if person.score is None:
-                raise ValidationError(
-                    f"prediction without score (frame {frame.frame_id!r}, person {i})"
-                )
+    if not preds.has_score.all():
+        row = int(preds.has_score.argmin())
+        raise ValidationError(
+            f"prediction without score ({_where(preds.frame_ids, preds.offsets, row)})"
+        )
 
 
 def _ap_101(tp_flags: Sequence[bool], num_gt: int) -> float:
@@ -487,16 +464,6 @@ class EvalReport:
         }
 
 
-def _flatten(ds: Dataset) -> tuple[dict[str, slice], list[Person]]:
-    """Every person of ``ds`` in frame order, and each frame's span of them."""
-    spans: dict[str, slice] = {}
-    persons: list[Person] = []
-    for frame in ds.frames:
-        spans[frame.frame_id] = slice(len(persons), len(persons) + len(frame.persons))
-        persons.extend(frame.persons)
-    return spans, persons
-
-
 def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> EvalReport:
     """Dataset-mean set distance and AP at the configured OKS threshold.
 
@@ -508,34 +475,31 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     _check_pair(preds, gts)
     params = config.oks_params or default_oks_params(gts.schema_id)
 
-    pred_spans, pred_persons = _flatten(preds)
-    gt_spans, gt_persons = _flatten(gts)
-    pred_arrays = _as_arrays(pred_persons)
-    gt_arrays = _as_arrays(gt_persons)
-    pred_boxes = _person_boxes(pred_persons, pred_arrays.keypoints)
-    gt_boxes = _person_boxes(gt_persons, gt_arrays.keypoints)
+    pred_boxes = _matching_boxes(preds.boxes, preds.has_box, preds.keypoints)
+    gt_boxes = _matching_boxes(gts.boxes, gts.has_box, gts.keypoints)
     gt_areas = _areas(gt_boxes)
-    matched = np.zeros(len(pred_persons), dtype=bool)
+    pred_spans = dict(zip(preds.frame_ids, itertools.pairwise(preds.offsets.tolist())))
+    matched = np.zeros(len(preds.ids), dtype=bool)
     per_frame: dict[str, FrameStats] = {}
-    for fid, gt_span in gt_spans.items():  # Dataset keeps frames in sorted-id order
-        pred_span = pred_spans.get(fid, slice(0, 0))
-        frame_preds = pred_arrays.rows(pred_span)
+    # Dataset keeps frames in sorted-id order.
+    for fid, (g0, g1) in zip(gts.frame_ids, itertools.pairwise(gts.offsets.tolist())):
+        p0, p1 = pred_spans.get(fid, (0, 0))
         try:
             pairs = _match(
-                frame_preds, gt_arrays.rows(gt_span), gt_areas[gt_span], params,
-                config.oks_threshold,
+                preds.keypoints[p0:p1], preds.has_pose[p0:p1], preds.scores[p0:p1],
+                gts.keypoints[g0:g1], gt_areas[g0:g1], params, config.oks_threshold,
             )
         except ValidationError as exc:
             raise ValidationError(f"frame {fid!r}: {exc}") from exc
-        matched[[pred_span.start + pi for pi, _, _ in pairs]] = True
+        matched[[p0 + pi for pi, _, _ in pairs]] = True
         per_frame[fid] = FrameStats(
             ospa_iou=_ospa(
-                1.0 - _iou_matrix(pred_boxes[pred_span], gt_boxes[gt_span]),
+                1.0 - _iou_matrix(pred_boxes[p0:p1], gt_boxes[g0:g1]),
                 config.ospa_cutoff,
                 config.ospa_order,
             ),
-            num_predictions=len(frame_preds.scores),
-            num_ground_truths=gt_span.stop - gt_span.start,
+            num_predictions=p1 - p0,
+            num_ground_truths=g1 - g0,
             num_matched=len(pairs),
         )
 
@@ -546,7 +510,7 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     )
     # Persons are in (frame id, index) order, so a stable sort by descending
     # score ranks as (-score, frame id, index).
-    ap = _ap_101(matched[np.argsort(-pred_arrays.scores, kind="stable")], len(gt_persons))
+    ap = _ap_101(matched[np.argsort(-preds.scores, kind="stable")], len(gts.ids))
 
     echo = {
         "schema": gts.schema_id,

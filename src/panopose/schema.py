@@ -156,6 +156,8 @@ def builtin_schemas() -> tuple[KeypointSchema, KeypointSchema]:
 
 
 def builtin_schema(schema_id: str) -> KeypointSchema:
+    if not isinstance(schema_id, str):
+        raise ValidationError(f"schema id must be a string, got {schema_id!r}")
     try:
         return _BUILTINS[schema_id]
     except KeyError:

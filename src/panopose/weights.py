@@ -70,7 +70,10 @@ class TensorRecord:
                 f"tensor {self.name!r}: shape {shape} wants {math.prod(shape)} "
                 f"elements, data has {data.size}"
             )
-        data = data.reshape(shape)
+        try:
+            data = data.reshape(shape)
+        except ValueError as exc:  # more dimensions, or larger extents, than numpy holds
+            raise ValidationError(f"tensor {self.name!r}: unsupported shape {shape}: {exc}") from exc
         data.flags.writeable = False
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "data", data)
@@ -172,7 +175,7 @@ def load_tensor_map(path: str | Path) -> TensorMap:
                 f"malformed header: tensor {name!r} needs exactly dtype/shape/begin/end"
             )
         dtype, shape, begin, end = entry["dtype"], entry["shape"], entry["begin"], entry["end"]
-        if dtype not in _DTYPES:
+        if not isinstance(dtype, str) or dtype not in _DTYPES:
             raise ValidationError(f"tensor {name!r}: unsupported dtype {dtype!r}")
         if not isinstance(shape, list) or not all(
             isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape

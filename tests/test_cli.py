@@ -1,8 +1,10 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 from pathlib import Path
 
@@ -222,6 +224,73 @@ class TestDegenerateBoxes:
             **{"p.json": _doc(tiny, tiny)},
         )
         assert err.startswith("error: frame 'f1', person 0: degenerate box")
+
+
+# One command per bad parameter value: argv, and a pattern of the message
+# that names the parameter. {d} is the dataset, {h} a heatmap container and
+# {o} the output path.
+BAD_PARAMETERS = [
+    (["nms", "--pred", "{d}", "--out", "{o}", "--nms-iou", "nan"], r"iou threshold nan"),
+    (["nms", "--pred", "{d}", "--out", "{o}", "--nms-iou", "7"], r"iou threshold 7\.0"),
+    (["boxes-from-poses", "--in", "{d}", "--out", "{o}", "--margin", "-1"], r"margin .*-1\.0"),
+    (["boxes-from-poses", "--in", "{d}", "--out", "{o}", "--margin", "inf"], r"margin .*inf"),
+    (["shift", "--in", "{d}", "--out", "{o}", "--shift", "nan"], r"shift must be finite, got nan"),
+    (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--stride", "0"],
+     r"stride must be positive, got 0\.0"),
+    (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--stride", "nan"],
+     r"stride must be positive, got nan"),
+    (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--padding", "inf"],
+     r"padding .*inf"),
+    (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--crop-width", "0"],
+     r"crop width .*0x384"),
+]
+
+
+class TestBadParameters:
+    @pytest.mark.parametrize("persons", [0, 1], ids=["no-frames", "one-person"])
+    @pytest.mark.parametrize(
+        "argv, message", BAD_PARAMETERS,
+        ids=[f"{argv[0]}{argv[-2]}={argv[-1]}" for argv, _ in BAD_PARAMETERS],
+    )
+    def test_refused_before_any_output(self, tmp_path, capsys, argv, message, persons):
+        data, heat, out = tmp_path / "d.json", tmp_path / "heat.bin", tmp_path / "o.json"
+        frames = (
+            (FrameAnnotations("f1", (Person(box=BoundingBox(100, 50, 388, 434),
+                                            pose=_pose17(), score=0.9),)),)
+            if persons else ()
+        )
+        save_dataset(Dataset("jrdb17", PANO, frames), data)
+        grids = [TensorRecord.from_array("f1/0", np.ones((17, 96, 72), dtype=np.float32))]
+        save_tensor_map(TensorMap(grids[:persons]), heat)
+        code = run([a.format(d=data, h=heat, o=out) for a in argv])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert re.search(message, captured.err), captured.err
+        assert not out.exists()
+        assert captured.out == ""
+
+
+class TestColumns:
+    def test_commands_build_no_person_objects(self, tmp_path, monkeypatch, capsys):
+        gt, pred = _edge_case_eval_files(tmp_path)
+        built = Counter()
+        for cls in (Pose, Person, FrameAnnotations):
+            def counting(self, check=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counting)
+        d = tmp_path
+        for argv in (
+            ["eval", "--gt", gt, "--pred", pred, "--report", d / "r.json", "--table", d / "t.csv"],
+            ["boxes-from-poses", "--in", pred, "--out", d / "boxed.json"],
+            ["nms", "--pred", d / "boxed.json", "--out", d / "kept.json"],
+            ["shift", "--in", gt, "--out", d / "shifted.json", "--shift", "100"],
+        ):
+            assert run([str(a) for a in argv]) == 0
+        assert built == Counter()
+        Person(box=BoundingBox(0, 0, 1, 1))
+        assert built == Counter(Person=1)  # the counters do see a construction
 
 
 class TestShift:

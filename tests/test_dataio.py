@@ -121,6 +121,18 @@ class TestLoading:
         with pytest.raises(ValidationError, match=r"frame 'f1', person 1: degenerate box"):
             dataset_from_json(text, JRDB17)
 
+    def test_earliest_person_value_fault_is_reported(self):
+        text = _doc([
+            {"box": [1, 2, 3, 4]},
+            {"box": [1, 2, 3, 4], "score": 1.5},
+            {"box": [1, 2, 3, 4]},
+            {"box": [5, 2, 5, 4]},
+        ])
+        with pytest.raises(
+            ValidationError, match=r"^frame 'f1', person 1: person score 1\.5 outside \[0, 1\]$"
+        ):
+            dataset_from_json(text, JRDB17)
+
     def test_empty_frame_id_names_the_frame(self):
         text = _doc([{"box": [1, 2, 3, 4]}], frame_id="")
         with pytest.raises(ValidationError, match=r"frame '': frame id must be a non-empty"):

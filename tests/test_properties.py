@@ -1,12 +1,16 @@
-"""Property tests: canonical dataset round trips and the vectorised kernels
-(OKS, IoU, matching boxes and OSPA) against scalar loop references."""
+"""Property tests: canonical dataset round trips, the dataset columns from
+both builders, the vectorised kernels (OKS, IoU, matching boxes and OSPA)
+against scalar loop references, and malformed mapping and container files."""
 
+import json
 import math
 import re
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from panopose.dataio import (
@@ -17,11 +21,12 @@ from panopose.dataio import (
     dataset_from_json,
     dataset_to_canonical_json,
 )
+from panopose.errors import ValidationError
 from panopose.geometry import (
     BoundingBox,
     PanoramaSpec,
     _iou_matrix,
-    _person_boxes,
+    _matching_boxes,
     _rows,
     iou,
     nms_indices,
@@ -32,10 +37,12 @@ from panopose.metrics import (
     _oks_matrix,
     _ospa,
     default_oks_params,
+    evaluate,
     match_frame_oks,
     ospa,
 )
-from panopose.schema import JRDB17
+from panopose.schema import COCO17, JRDB17, load_mapping
+from panopose.weights import load_tensor_map
 
 # Derived examples and no example database, so every run checks the same
 # cases. No explain phase: on a failing OKS property it ran for minutes and
@@ -111,6 +118,52 @@ ground_truths = st.lists(
     ),
     max_size=6,
 )
+
+
+any_person = st.builds(
+    lambda pid, parts, s: Person(id=pid, box=parts[0], pose=parts[1], score=s),
+    st.none() | st.text(max_size=3),
+    st.one_of(
+        st.tuples(box, st.none()),  # box only
+        st.tuples(st.none(), poses(coord)),  # pose only
+        st.tuples(st.none(), poses(coord, st.just(0))),  # no labeled keypoint
+        st.tuples(box, poses(coord)),
+    ),
+    st.none() | score,
+)
+datasets = st.lists(
+    st.tuples(st.text(min_size=1, max_size=3), st.lists(any_person, max_size=3)),
+    max_size=4,
+    unique_by=lambda frame: frame[0],
+).map(lambda frames: Dataset("jrdb17", PANO, tuple(FrameAnnotations(*f) for f in frames)))
+
+
+def _report(preds: Dataset, gts: Dataset):
+    try:
+        return evaluate(preds, gts).to_json_dict()
+    except ValidationError as exc:
+        return str(exc)
+
+
+def _scored(ds: Dataset) -> Dataset:
+    """``ds`` with a score for every person, to serve as predictions."""
+    return Dataset(ds.schema_id, ds.pano, tuple(
+        replace(f, persons=tuple(replace(p, score=0.5 if p.score is None else p.score)
+                                 for p in f.persons))
+        for f in ds.frames
+    ))
+
+
+@PROPERTY
+@given(datasets)
+def test_parsed_and_frame_fed_datasets_agree(ds):
+    text = dataset_to_canonical_json(ds)
+    parsed = dataset_from_json(text, JRDB17)
+    fed = Dataset(parsed.schema_id, parsed.pano, parsed.frames)
+    assert parsed == fed == ds
+    assert dataset_to_canonical_json(parsed) == text
+    assert dataset_to_canonical_json(fed) == text
+    assert _report(_scored(parsed), parsed) == _report(_scored(fed), fed)
 
 
 def _stack(poses: list[Pose]) -> np.ndarray:
@@ -275,17 +328,14 @@ def _people(num_kps: int):
 @PROPERTY
 @given(st.integers(1, 5).flatmap(_people))
 def test_matching_boxes_are_the_person_box_loop_bit_for_bit(persons):
-    num_kps = next((len(p.pose.keypoints) for p in persons if p.pose is not None), 1)
-    keypoints = np.array(
-        [np.zeros((num_kps, 3)) if p.pose is None else p.pose.keypoints for p in persons]
-    ).reshape(len(persons), num_kps, 3)
+    ds = Dataset("jrdb17", PANO, (FrameAnnotations("f", tuple(persons)),))
     try:
         expected = [_reference_person_box(p) for p in persons]
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            _person_boxes(persons, keypoints)
+            _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
         return
-    rows = _person_boxes(persons, keypoints)
+    rows = _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
     for row, person, box in zip(rows, persons, expected):
         corners = (box.x1, box.y1, box.x2, box.y2)
         assert _bits(row) == _bits(corners)
@@ -346,3 +396,73 @@ def test_ospa_with_a_callable_is_the_matrix_path(dist, cutoff, order):
     by_callable = ospa(range(m), range(n), by_index, cutoff=cutoff, order=order)
     assert _bits([by_callable]) == _bits([expected])
     assert _bits([_ospa(matrix, cutoff, order)]) == _bits([expected])
+
+
+json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+json_values = st.recursive(
+    json_scalars,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+schema_ids = st.sampled_from(["coco17", "jrdb17"]) | json_values
+keypoint_names = st.sampled_from(COCO17.names + JRDB17.names)
+mapping_docs = json_values | st.fixed_dictionaries(
+    {},
+    optional={
+        "source_schema": schema_ids,
+        "target_schema": schema_ids,
+        "entries": json_values | st.dictionaries(
+            keypoint_names | st.text(max_size=6),
+            st.lists(keypoint_names | json_values, max_size=3) | json_values,
+            max_size=17,
+        ),
+    },
+)
+
+
+@PROPERTY
+@given(mapping_docs)
+@example({"source_schema": [], "target_schema": "jrdb17", "entries": {}})
+def test_malformed_mapping_files_raise_only_validation_errors(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "mapping.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        load_mapping(path)
+    except ValidationError:
+        pass
+
+
+shapes = (
+    st.lists(st.sampled_from([0, 1, 2, -1, 2**63, 10**30]), max_size=4)
+    | st.lists(st.integers(0, 1), min_size=65, max_size=70)  # beyond numpy's rank limit of 64
+    | json_values
+)
+tensor_entries = st.builds(
+    lambda dtype, shape, span: {"dtype": dtype, "shape": shape, "begin": span[0], "end": span[1]},
+    st.sampled_from(["f32", "f64", "i32", "i64", "u8"]),
+    shapes,
+    st.just((0, 0)) | st.tuples(st.integers(-1, 8), st.integers(-1, 8)),
+) | st.dictionaries(st.sampled_from(["dtype", "shape", "begin", "end"]), json_values)
+headers = st.dictionaries(st.text(min_size=1, max_size=2), tensor_entries, min_size=1, max_size=2) | json_values
+
+
+def _container(header: object, slack: int = 0, payload: bytes = b"") -> bytes:
+    text = json.dumps(header).encode()
+    return struct.pack("<Q", max(len(text) + slack, 0)) + text + payload
+
+
+container_files = st.builds(
+    _container, headers, st.just(0) | st.integers(-2, 2), st.binary(max_size=48)
+) | st.binary(max_size=64)
+
+
+@PROPERTY
+@given(container_files)
+@example(_container({"t": {"dtype": "f32", "shape": [0, 10**30], "begin": 0, "end": 0}}))
+def test_malformed_containers_raise_only_validation_errors(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "container.bin"
+    path.write_bytes(raw)
+    try:
+        load_tensor_map(path)
+    except ValidationError:
+        pass
