@@ -28,7 +28,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import RowError
+from .errors import RowError, ValidationError
 
 if TYPE_CHECKING:
     from .dataio import Dataset, FrameAnnotations, Person, Pose
@@ -403,7 +403,13 @@ def shift_frame(frame: "FrameAnnotations", shift: float, pano: PanoramaSpec) -> 
 
 
 def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
-    keep, boxes, keypoints = _shift_rows(ds.boxes, ds.has_box, ds.keypoints, shift, ds.pano.width)
+    from .dataio import _where
+
+    try:
+        keep, boxes, keypoints = _shift_rows(ds.boxes, ds.has_box, ds.keypoints, shift, ds.pano.width)
+    except RowError as exc:
+        where = _where(ds.frame_ids, ds.offsets, exc.row)
+        raise ValidationError(f"{where}: {exc}") from exc
     return ds._with(keep.nonzero()[0], boxes=boxes, keypoints=keypoints)
 
 

@@ -1,9 +1,10 @@
 """Set-based evaluation metrics.
 
-Object keypoint similarity (OKS), exact minimum-cost assignment with a
-brute-force enumeration oracle, the optimal-subpattern set metric over
-(1 - IoU) box distances, ranked average precision at an OKS threshold, and
-the dataset-level report that aggregates them.
+Object keypoint similarity (OKS), exact minimum-cost assignment (a
+shortest-augmenting-path solver in this module) with a brute-force
+enumeration oracle, the optimal-subpattern set metric over (1 - IoU) box
+distances, ranked average precision at an OKS threshold, and the
+dataset-level report that aggregates them.
 
 OKS between a predicted and a labeled pose is the mean over labeled
 keypoints i of exp(-d_i^2 / (2 * s^2 * k_i^2)), with d_i the Euclidean pixel
@@ -40,7 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .dataio import Dataset, FrameAnnotations, Pose, _person_columns, _where
-from .errors import ValidationError
+from .errors import RowError, ValidationError
 from .geometry import BoundingBox, _areas, _iou_matrix, _matching_boxes, _rows, person_box
 from .schema import SchemaMapping, check_entries, default_mapping
 
@@ -175,14 +176,57 @@ def _as_cost_matrix(cost) -> np.ndarray:
 
 
 def _optimal_cost(matrix: np.ndarray) -> float:
-    if matrix.size == 0:
+    """Minimum total cost of an ``[m, n]`` matrix, m <= n, with each row
+    assigned its own column: shortest augmenting paths with row and column
+    potentials (Jonker & Volgenant, *Computing* 1987), O(m^2 n). The chosen
+    entries are summed in row order."""
+    m, n = matrix.shape
+    if m == 0:
         return 0.0
-    # Imported here, not at module top: scipy.optimize took ~0.58 s of the
-    # ~0.8 s start-up of every panopose process, and only assignments need it.
-    from scipy.optimize import linear_sum_assignment
-
-    rows, cols = linear_sum_assignment(matrix)
-    return float(matrix[rows, cols].sum())
+    if not np.isfinite(matrix).all():
+        raise ValueError("cost entries must be finite")
+    cost = matrix.tolist()
+    # Columns are 1-based; column 0 is the root of the path being grown, and
+    # owner[j] is the 1-based row that holds column j (0: free).
+    u = [0.0] * (m + 1)
+    v = [0.0] * (n + 1)
+    owner = [0] * (n + 1)
+    way = [0] * (n + 1)
+    for i in range(1, m + 1):
+        owner[0] = i
+        j0 = 0
+        slack = [math.inf] * (n + 1)
+        used = [False] * (n + 1)
+        while owner[j0]:
+            used[j0] = True
+            i0 = owner[j0]
+            row, ui = cost[i0 - 1], u[i0]
+            delta, j1 = math.inf, 0
+            for j in range(1, n + 1):
+                if not used[j]:
+                    reduced = row[j - 1] - ui - v[j]
+                    if reduced < slack[j]:
+                        slack[j], way[j] = reduced, j0
+                    if slack[j] < delta:
+                        delta, j1 = slack[j], j
+            if not j1:  # only when the reduced costs overflow
+                raise ValueError("cost entries too large to assign")
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            j0 = j1
+        while j0:  # flip the path back to the root
+            j1 = way[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = [0] * m
+    for j in range(1, n + 1):
+        if owner[j]:
+            cols[owner[j] - 1] = j - 1
+    return float(matrix[np.arange(m), cols].sum())
 
 
 def min_cost_assignment(cost) -> tuple[dict[int, int], float]:
@@ -268,12 +312,22 @@ def ospa(
     return _ospa(dist, cutoff, order)
 
 
+def _check_ospa_params(cutoff: float, order: float) -> None:
+    """The set metric needs a finite ``cutoff > 0``, a finite ``order >= 1``
+    and a finite ``cutoff ** order``, so every capped entry is finite."""
+    if not (math.isfinite(cutoff) and cutoff > 0):
+        raise ValueError(f"ospa cutoff must be finite and positive, got {cutoff}")
+    if not (math.isfinite(order) and order >= 1):
+        raise ValueError(f"ospa order must be finite and >= 1, got {order}")
+    try:
+        float(cutoff) ** float(order)
+    except OverflowError:
+        raise ValueError(f"ospa cutoff ** order overflows: {cutoff} ** {order}") from None
+
+
 def _ospa(dist: np.ndarray, cutoff: float, order: float) -> float:
     """:func:`ospa` of an ``[m, n]`` matrix of base distances."""
-    if not cutoff > 0:
-        raise ValueError(f"cutoff must be positive, got {cutoff}")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    _check_ospa_params(cutoff, order)
     m, n = dist.shape
     if m == 0 and n == 0:
         return 0.0
@@ -427,6 +481,7 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.oks_threshold <= 1.0:
             raise ValueError(f"oks threshold {self.oks_threshold} outside [0, 1]")
+        _check_ospa_params(self.ospa_cutoff, self.ospa_order)
 
 
 @dataclass(frozen=True)
@@ -464,6 +519,14 @@ class EvalReport:
         }
 
 
+def _located_matching_boxes(side: str, ds: Dataset) -> np.ndarray:
+    try:
+        return _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
+    except RowError as exc:
+        where = _where(ds.frame_ids, ds.offsets, exc.row)
+        raise ValidationError(f"{side}: {where}: {exc}") from exc
+
+
 def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> EvalReport:
     """Dataset-mean set distance and AP at the configured OKS threshold.
 
@@ -475,8 +538,8 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     _check_pair(preds, gts)
     params = config.oks_params or default_oks_params(gts.schema_id)
 
-    pred_boxes = _matching_boxes(preds.boxes, preds.has_box, preds.keypoints)
-    gt_boxes = _matching_boxes(gts.boxes, gts.has_box, gts.keypoints)
+    pred_boxes = _located_matching_boxes("predictions", preds)
+    gt_boxes = _located_matching_boxes("ground truth", gts)
     gt_areas = _areas(gt_boxes)
     pred_spans = dict(zip(preds.frame_ids, itertools.pairwise(preds.offsets.tolist())))
     matched = np.zeros(len(preds.ids), dtype=bool)

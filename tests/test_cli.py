@@ -217,6 +217,30 @@ class TestDegenerateBoxes:
         )
         assert err.startswith("error: frame 'f1': ground-truth box area 5e-324 gives an OKS scale")
 
+    # A pose whose labeled keypoints span x = -1e308..1e308 has a matching box
+    # of infinite area.
+    WIDE_POSE = [[-1e308, 10.0, 2], [1e308, 20.0, 2]] + [[0.0, 15.0, 2]] * 15
+
+    def test_eval_locates_a_degenerate_pose_box(self, tmp_path, capsys):
+        err = self._run(
+            tmp_path, capsys, ["eval", "--gt", "{d}/g.json", "--pred", "{d}/p.json"],
+            **{"g.json": _doc({"pose": self.POSE}, {"pose": self.WIDE_POSE}),
+               "p.json": _doc({"score": 0.9, "pose": self.POSE})},
+        )
+        assert err.startswith(
+            "error: ground truth: frame 'f1', person 1: degenerate box (-1e+308, 10.0, 1e+308, 20.0)"
+        )
+
+    def test_shift_locates_a_degenerate_pose_box(self, tmp_path, capsys):
+        err = self._run(
+            tmp_path, capsys, ["shift", "--in", "{d}/g.json", "--out", "{d}/o.json", "--shift", "5"],
+            **{"g.json": _doc({"pose": self.POSE}, {"pose": self.WIDE_POSE})},
+        )
+        assert err.startswith(
+            "error: frame 'f1', person 1: degenerate box (-1e+308, 10.0, 1e+308, 20.0)"
+        )
+        assert not (tmp_path / "o.json").exists()
+
     def test_nms_rejects_a_box_whose_area_underflows(self, tmp_path, capsys):
         tiny = {"box": [0, 0, 5e-324, 5e-324], "score": 0.9}
         err = self._run(
@@ -501,25 +525,29 @@ class TestUsage:
         assert proc.returncode == 0
         assert "panopose" in proc.stdout
 
-    def test_scipy_is_imported_only_to_solve_an_assignment(self, tmp_path):
+    def test_no_command_loads_scipy(self, tmp_path):
+        # scipy is blocked in the child, so any import of it fails the command.
         ds = Dataset(
             "jrdb17", PANO,
-            (FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 10, 10), score=0.9),)),),
+            (FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 10, 10), score=0.9),
+                                     Person(box=BoundingBox(5, 0, 15, 10), score=0.8))),),
         )
         data, result = tmp_path / "d.json", tmp_path / "scipy.json"
         save_dataset(ds, data)
         probe = (
             "import json, sys\n"
             "from pathlib import Path\n"
-            "import panopose\n"
+            "sys.modules['scipy'] = None\n"
             "from panopose.cli import run\n"
+            "from panopose.metrics import min_cost_assignment, ospa\n"
             "data, out, result = sys.argv[1:]\n"
-            "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
             "assert run(['--version']) == 0\n"
             "assert run(['nms', '--pred', data, '--out', out]) == 0\n"
-            "before_eval = loaded()\n"
-            "assert run(['eval', '--gt', data, '--pred', data]) == 0\n"
-            "Path(result).write_text(json.dumps([before_eval, loaded()]))\n"
+            "assert run(['eval', '--gt', data, '--pred', out]) == 0\n"
+            "assert ospa([0, 1], [0.5], lambda a, b: abs(a - b)) == 0.75\n"
+            "assert min_cost_assignment([[1.0, 2.0], [2.0, 4.0]]) == ({0: 1, 1: 0}, 4.0)\n"
+            "loaded = [m for m, module in sys.modules.items() if module and m.split('.')[0] == 'scipy']\n"
+            "Path(result).write_text(json.dumps(loaded))\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
@@ -528,6 +556,4 @@ class TestUsage:
             capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0, proc.stderr
-        before_eval, after_eval = json.loads(result.read_text())
-        assert before_eval == []
-        assert "scipy.optimize" in after_eval
+        assert json.loads(result.read_text()) == []

@@ -1,4 +1,9 @@
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -225,6 +230,53 @@ class TestOspa:
         ys = _random_points(rng, 2)
         v = ospa(xs, ys, _capped_euclid, order=2.0)
         assert 0.0 <= v <= 1.0
+
+
+# A call that must raise ValueError, and a pattern of the message, which names
+# the parameter or the entries at fault.
+NO_SPIN_CASES = [
+    ("ospa([0], [1], lambda a, b: 0.5, order=math.nan)", r"ospa order must be finite"),
+    ("ospa([0], [1], lambda a, b: 1.5, cutoff=2.0, order=math.inf)", r"ospa order must be finite"),
+    ("ospa([0], [1], lambda a, b: 0.5, order=0.5)", r"ospa order must be finite and >= 1"),
+    ("ospa([0], [1], lambda a, b: 0.5, cutoff=math.nan)", r"ospa cutoff must be finite"),
+    ("ospa([0], [1], lambda a, b: 0.5, cutoff=math.inf)", r"ospa cutoff must be finite"),
+    ("ospa([0], [1], lambda a, b: 0.5, cutoff=10.0, order=400.0)",
+     r"ospa cutoff \*\* order overflows"),
+    ("EvalConfig(ospa_order=math.nan)", r"ospa order must be finite"),
+    ("EvalConfig(ospa_cutoff=0.0)", r"ospa cutoff must be finite and positive"),
+    ("EvalConfig(ospa_cutoff=1e200, ospa_order=2.0)", r"ospa cutoff \*\* order overflows"),
+    ("_optimal_cost(np.array([[math.nan, 1.0]]))", r"cost entries must be finite"),
+    ("_optimal_cost(np.array([[0.0, 1.0], [math.inf, math.inf]]))", r"cost entries must be finite"),
+    ("_optimal_cost(np.array([[-1e308, 1e308], [-1e308, 1e308]]))", r"cost entries too large"),
+]
+NO_SPIN_PROBE = """
+import math, sys
+import numpy as np
+from panopose.metrics import EvalConfig, _optimal_cost, ospa
+try:
+    eval(sys.argv[1])
+except ValueError as exc:
+    print(exc)
+else:
+    sys.exit("no ValueError")
+"""
+
+
+class TestNoSpin:
+    # Each call runs in a child process with a timeout, so a solver that
+    # loops fails here instead of hanging the suite.
+    @pytest.mark.parametrize("call, message", NO_SPIN_CASES, ids=[c for c, _ in NO_SPIN_CASES])
+    def test_raises_value_error(self, call, message):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run([sys.executable, "-c", NO_SPIN_PROBE, call],
+                                  capture_output=True, text=True, env=env, timeout=30)
+        except subprocess.TimeoutExpired:
+            pytest.fail(f"{call} still running after 30 s")
+        assert proc.returncode == 0, proc.stderr
+        assert re.search(message, proc.stdout), proc.stdout
 
 
 class TestOspaIouFrame:

@@ -1,6 +1,7 @@
 """Property tests: canonical dataset round trips, the dataset columns from
 both builders, the vectorised kernels (OKS, IoU, matching boxes and OSPA)
-against scalar loop references, and malformed mapping and container files."""
+against scalar loop references, the assignment solver against the
+enumeration oracle, and malformed mapping and container files."""
 
 import json
 import math
@@ -36,9 +37,11 @@ from panopose.metrics import (
     _optimal_cost,
     _oks_matrix,
     _ospa,
+    brute_force_assignment,
     default_oks_params,
     evaluate,
     match_frame_oks,
+    min_cost_assignment,
     ospa,
 )
 from panopose.schema import COCO17, JRDB17, load_mapping
@@ -396,6 +399,44 @@ def test_ospa_with_a_callable_is_the_matrix_path(dist, cutoff, order):
     by_callable = ospa(range(m), range(n), by_index, cutoff=cutoff, order=order)
     assert _bits([by_callable]) == _bits([expected])
     assert _bits([_ospa(matrix, cutoff, order)]) == _bits([expected])
+
+
+# Sums of these are exact, so equal optima compare equal; ties are frequent
+# and 1.0 is the capped distance of two disjoint boxes.
+dyadic = st.sampled_from([0.0, 0.25, 0.5, 1.0])
+
+
+def cost_matrices(entry, wide_only):
+    """``[m, n]`` matrices up to 7x7, with m <= n when ``wide_only``."""
+    dims = st.tuples(st.integers(0, 7), st.integers(0, 7))
+    if wide_only:
+        dims = dims.map(sorted)
+    return dims.flatmap(
+        lambda mn: st.lists(st.lists(entry, min_size=mn[1], max_size=mn[1]),
+                            min_size=mn[0], max_size=mn[0])
+        .map(lambda rows: np.array(rows, dtype=np.float64).reshape(mn))
+    )
+
+
+@PROPERTY
+@given(cost_matrices(dyadic, wide_only=True))
+@example(np.ones((7, 7)))
+def test_solver_cost_is_the_oracle_cost_on_dyadic_entries(cost):
+    assert _optimal_cost(cost) == brute_force_assignment(cost)[1]
+
+
+@PROPERTY
+@given(cost_matrices(st.floats(0.0, 1.0), wide_only=True))
+def test_solver_cost_is_the_oracle_cost_on_unit_floats(cost):
+    assert abs(_optimal_cost(cost) - brute_force_assignment(cost)[1]) <= 1e-12
+
+
+@PROPERTY
+@given(cost_matrices(dyadic, wide_only=False))
+@example(np.zeros((0, 3)))
+@example(np.zeros((3, 0)))
+def test_min_cost_assignment_is_the_oracle(cost):
+    assert min_cost_assignment(cost) == brute_force_assignment(cost)
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
