@@ -41,7 +41,7 @@ from .geometry import (
 )
 from .metrics import EvalConfig, evaluate, save_frame_table, save_report
 from .schema import builtin_schema, default_mapping, load_mapping
-from .weights import load_tensor_map, remap_head_weights, save_tensor_map
+from .weights import _open_container, load_tensor_map, remap_head_weights, save_tensor_map
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -154,30 +154,34 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     _check_crop(args.crop_width, args.crop_height, args.padding)
     dets = _load_dataset(args.dets, require_scores=True)
     schema = builtin_schema(dets.schema_id)
-    tmap = load_tensor_map(args.heatmaps)
     num_keypoints = len(schema.names)
     keypoints = np.zeros((len(dets.ids), num_keypoints, 3))
     bounds = dets.offsets.tolist()
-    for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
-        for i, row in enumerate(range(start, stop)):
-            where = f"frame {fid!r}, person {i}"
-            if not dets.has_box[row]:
-                raise ValidationError(f"{where}: decode requires a box")
-            name = f"{fid}/{i}"
-            if name not in tmap:
-                raise ValidationError(f"{where}: missing heatmap tensor {name!r}")
-            record = tmap[name]
-            if len(record.shape) != 3 or record.shape[0] != num_keypoints:
-                raise ValidationError(
-                    f"{where}: heatmap tensor {name!r} must be "
-                    f"[{num_keypoints}, h, w], got shape {record.shape}"
+    with _open_container(args.heatmaps) as heatmaps:
+        for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
+            for i, row in enumerate(range(start, stop)):
+                where = f"frame {fid!r}, person {i}"
+                if not dets.has_box[row]:
+                    raise ValidationError(f"{where}: decode requires a box")
+                name = f"{fid}/{i}"
+                if name not in heatmaps.entries:
+                    raise ValidationError(f"{where}: missing heatmap tensor {name!r}")
+                shape = heatmaps.entries[name][1]
+                if len(shape) != 3 or shape[0] != num_keypoints or 0 in shape:
+                    raise ValidationError(
+                        f"{where}: heatmap tensor {name!r} must be "
+                        f"[{num_keypoints}, h, w] with h, w >= 1, got shape {shape}"
+                    )
+                crop = crop_transform(
+                    BoundingBox(*dets.boxes[row].tolist()),
+                    args.crop_width, args.crop_height, args.padding,
                 )
-            crop = crop_transform(
-                BoundingBox(*dets.boxes[row].tolist()),
-                args.crop_width, args.crop_height, args.padding,
-            )
-            pose, _ = decode_heatmaps(HeatmapStack(record.data, args.stride), crop)
-            keypoints[row] = pose.keypoints
+                stack = HeatmapStack(heatmaps.read(name).data, args.stride)
+                try:
+                    pose, _ = decode_heatmaps(stack, crop)
+                except ValidationError as exc:
+                    raise ValidationError(f"{where}: heatmap tensor {name!r}: {exc}") from exc
+                keypoints[row] = pose.keypoints
     save_dataset(dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool)), args.out)
     _echo(
         {

@@ -4,7 +4,10 @@ Container layout: an 8-byte little-endian unsigned header length, then a
 UTF-8 JSON header mapping tensor name -> {"dtype", "shape", "begin", "end"}
 (byte offsets into the payload), then the raw little-endian payload. Saving
 is deterministic: names are serialized in sorted order with contiguous
-payload offsets, so equal maps produce identical bytes.
+payload offsets, so equal maps produce identical bytes. Reading checks the
+whole header before any payload byte, then reads each tensor's bytes only
+when it is asked for, so a caller that reads one tensor at a time holds one
+tensor at a time.
 
 The head-remapping operation averages the output channels of a rank-4
 [K, C, kh, kw] convolution weight (and optionally its [K] bias) according to
@@ -17,10 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import BinaryIO, Iterable, Iterator
 
 import numpy as np
 
@@ -149,63 +154,84 @@ def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
     return table
 
 
+class _Container:
+    """An open container. The whole header is checked on opening, before any
+    payload byte is read; :meth:`read` then reads one tensor's bytes."""
+
+    def __init__(self, fh: BinaryIO) -> None:
+        self._fh = fh
+        size = os.fstat(fh.fileno()).st_size
+        prefix = fh.read(8)
+        if len(prefix) < 8:
+            raise ValidationError("malformed header: file shorter than the length prefix")
+        (header_len,) = struct.unpack("<Q", prefix)
+        if 8 + header_len > size:
+            raise ValidationError(
+                f"malformed header: declared header length {header_len} exceeds file size"
+            )
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"),
+                                object_pairs_hook=_reject_duplicate_keys)
+        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+            raise ValidationError(f"malformed header: {exc}") from exc
+        if not isinstance(header, dict):
+            raise ValidationError("malformed header: top level must be an object")
+
+        self._payload_start = 8 + header_len
+        payload_size = size - self._payload_start
+        self.entries: dict[str, tuple[str, tuple[int, ...], int, int]] = {}
+        for name, entry in header.items():
+            if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "begin", "end"}:
+                raise ValidationError(
+                    f"malformed header: tensor {name!r} needs exactly dtype/shape/begin/end"
+                )
+            dtype, shape, begin, end = entry["dtype"], entry["shape"], entry["begin"], entry["end"]
+            if not isinstance(dtype, str) or dtype not in _DTYPES:
+                raise ValidationError(f"tensor {name!r}: unsupported dtype {dtype!r}")
+            if not isinstance(shape, list) or not all(
+                isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
+            ):
+                raise ValidationError(f"tensor {name!r}: malformed shape {shape!r}")
+            if not (isinstance(begin, int) and isinstance(end, int) and 0 <= begin <= end):
+                raise ValidationError(f"tensor {name!r}: malformed offsets {begin!r}..{end!r}")
+            if end > payload_size:
+                raise ValidationError(
+                    f"truncated payload: tensor {name!r} ends at byte {end}, "
+                    f"payload has {payload_size}"
+                )
+            needed = math.prod(shape) * _DTYPES[dtype].itemsize
+            if end - begin != needed:
+                raise ValidationError(
+                    f"tensor {name!r}: offsets span {end - begin} bytes, "
+                    f"shape {shape} needs {needed}"
+                )
+            self.entries[name] = (dtype, tuple(shape), begin, end)
+
+        spans = sorted((begin, end, name) for name, (_, _, begin, end) in self.entries.items())
+        for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):
+            if b1 < e0:
+                raise ValidationError(
+                    f"overlapping payload ranges for tensors {n0!r} and {n1!r}"
+                )
+
+    def read(self, name: str) -> TensorRecord:
+        dtype, shape, begin, end = self.entries[name]
+        data = np.empty(end - begin, dtype=np.uint8)
+        self._fh.seek(self._payload_start + begin)
+        if self._fh.readinto(data) != data.size:
+            raise ValidationError(f"truncated payload: tensor {name!r} could not be read whole")
+        return TensorRecord(name, dtype, shape, data.view(_DTYPES[dtype]))
+
+
+@contextmanager
+def _open_container(path: str | Path) -> Iterator[_Container]:
+    with open(path, "rb") as fh:
+        yield _Container(fh)
+
+
 def load_tensor_map(path: str | Path) -> TensorMap:
-    raw = Path(path).read_bytes()
-    if len(raw) < 8:
-        raise ValidationError("malformed header: file shorter than the length prefix")
-    (header_len,) = struct.unpack("<Q", raw[:8])
-    if 8 + header_len > len(raw):
-        raise ValidationError(
-            f"malformed header: declared header length {header_len} exceeds file size"
-        )
-    try:
-        header = json.loads(raw[8 : 8 + header_len].decode("utf-8"),
-                            object_pairs_hook=_reject_duplicate_keys)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise ValidationError("malformed header: top level must be an object")
-
-    payload = memoryview(raw)[8 + header_len :]
-    records = []
-    spans = []
-    for name, entry in header.items():
-        if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "begin", "end"}:
-            raise ValidationError(
-                f"malformed header: tensor {name!r} needs exactly dtype/shape/begin/end"
-            )
-        dtype, shape, begin, end = entry["dtype"], entry["shape"], entry["begin"], entry["end"]
-        if not isinstance(dtype, str) or dtype not in _DTYPES:
-            raise ValidationError(f"tensor {name!r}: unsupported dtype {dtype!r}")
-        if not isinstance(shape, list) or not all(
-            isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
-        ):
-            raise ValidationError(f"tensor {name!r}: malformed shape {shape!r}")
-        if not (isinstance(begin, int) and isinstance(end, int) and 0 <= begin <= end):
-            raise ValidationError(f"tensor {name!r}: malformed offsets {begin!r}..{end!r}")
-        if end > len(payload):
-            raise ValidationError(
-                f"truncated payload: tensor {name!r} ends at byte {end}, "
-                f"payload has {len(payload)}"
-            )
-        count = math.prod(shape)
-        itemsize = _DTYPES[dtype].itemsize
-        if end - begin != count * itemsize:
-            raise ValidationError(
-                f"tensor {name!r}: offsets span {end - begin} bytes, "
-                f"shape {shape} needs {count * itemsize}"
-            )
-        spans.append((begin, end, name))
-        data = np.frombuffer(payload, dtype=_DTYPES[dtype], count=count, offset=begin)
-        records.append(TensorRecord(name, dtype, tuple(shape), data))
-
-    spans.sort()
-    for (b0, e0, n0), (b1, e1, n1) in zip(spans, spans[1:]):
-        if b1 < e0:
-            raise ValidationError(
-                f"overlapping payload ranges for tensors {n0!r} and {n1!r}"
-            )
-    return TensorMap(records)
+    with _open_container(path) as container:
+        return TensorMap(container.read(name) for name in container.entries)
 
 
 def save_tensor_map(tmap: TensorMap, path: str | Path) -> None:

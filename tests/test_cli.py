@@ -504,6 +504,67 @@ class TestDecodeCommand:
         assert code == 1
         assert "missing heatmap tensor" in capsys.readouterr().err
 
+    def _decode_one(self, tmp_path, grids):
+        dets = Dataset(
+            "jrdb17", PANO,
+            (FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 10, 10), score=0.9),)),),
+        )
+        dets_path, heat_path = tmp_path / "dets.json", tmp_path / "heat.bin"
+        save_dataset(dets, dets_path)
+        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", grids)]), heat_path)
+        return run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
+                    "--out", str(tmp_path / "o.json")])
+
+    def test_empty_grid_is_located(self, tmp_path, capsys):
+        assert self._decode_one(tmp_path, np.zeros((17, 0, 5), dtype=np.float32)) == 1
+        err = capsys.readouterr().err
+        assert "frame 'f1', person 0: heatmap tensor 'f1/0'" in err
+        assert "(17, 0, 5)" in err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_peak_is_rejected(self, tmp_path, capsys, value):
+        grids = np.zeros((17, 96, 72), dtype=np.float32)
+        grids[3] = value
+        assert self._decode_one(tmp_path, grids) == 1
+        err = capsys.readouterr().err
+        assert f"frame 'f1', person 0: heatmap tensor 'f1/0': keypoint 3: heatmap peak is {value}" in err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_memory_does_not_grow_with_the_container(self, tmp_path):
+        # 144 detections of 17 x 96 x 72 f32 make a 64.6 MiB container. VmHWM
+        # is the child's own peak (it resets at exec); a --version child
+        # gives the peak of the interpreter and imports.
+        persons = tuple(Person(box=BoundingBox(10 * i, 0, 10 * i + 8, 20), score=0.5)
+                        for i in range(144))
+        save_dataset(Dataset("jrdb17", PANO, (FrameAnnotations("f1", persons),)), tmp_path / "d.json")
+        grids = np.zeros((17, 96, 72), dtype=np.float32)
+        grids[:, 40, 30] = 1.0
+        save_tensor_map(TensorMap(TensorRecord.from_array(f"f1/{i}", grids) for i in range(144)),
+                        tmp_path / "h.bin")
+        size_mb = (tmp_path / "h.bin").stat().st_size / 2**20
+        assert size_mb >= 64
+        probe = (
+            "import re, sys\n"
+            "from panopose.cli import run\n"
+            "assert run(sys.argv[1:]) == 0\n"
+            "status = open('/proc/self/status').read()\n"
+            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+
+        def peak_mb(*argv):
+            proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                                  capture_output=True, text=True, env=env, cwd=tmp_path)
+            assert proc.returncode == 0, proc.stderr
+            return int(proc.stdout.splitlines()[-1]) / 1024
+
+        baseline = peak_mb("--version")
+        growth = peak_mb("decode", "--heatmaps", "h.bin", "--dets", "d.json", "--out", "o.json") - baseline
+        assert growth < size_mb / 4, (growth, size_mb)
+
 
 class TestUsage:
     def test_unknown_subcommand(self, capsys):

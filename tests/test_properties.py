@@ -1,7 +1,7 @@
 """Property tests: canonical dataset round trips, the dataset columns from
-both builders, the vectorised kernels (OKS, IoU, matching boxes and OSPA)
-against scalar loop references, the assignment solver against the
-enumeration oracle, and malformed mapping and container files."""
+both builders, the vectorised kernels (OKS, IoU, matching boxes, OSPA and
+heatmap decode) against scalar loop references, the assignment solver
+against the enumeration oracle, and malformed mapping and container files."""
 
 import json
 import math
@@ -22,13 +22,17 @@ from panopose.dataio import (
     dataset_from_json,
     dataset_to_canonical_json,
 )
+from panopose.decode import HeatmapStack, decode_heatmaps
 from panopose.errors import ValidationError
 from panopose.geometry import (
+    AffineTransform,
     BoundingBox,
     PanoramaSpec,
     _iou_matrix,
     _matching_boxes,
     _rows,
+    apply_transform,
+    invert_transform,
     iou,
     nms_indices,
     person_box,
@@ -257,6 +261,73 @@ def test_iou_matrix_is_the_scalar_formula_bit_for_bit(pairs):
         expected = [_reference_iou(a, b) for b in boxes]
         assert _bits(matrix[i]) == _bits(expected)
         assert _bits(iou(a, b) for b in boxes) == _bits(expected)
+
+
+def _reference_decode(values: np.ndarray, stride: float, crop: AffineTransform):
+    """One keypoint at a time, on the grids converted to float64."""
+    grids = np.array(values, dtype=np.float64)
+    k, h, w = grids.shape
+    inv = invert_transform(crop)
+
+    def quarter(before: float, after: float) -> float:
+        return 0.25 if after > before else -0.25 if after < before else 0.0
+
+    keypoints, confidences = [], []
+    for grid in grids:
+        i, j = divmod(int(np.argmax(grid)), w)
+        dx = quarter(grid[i, j - 1], grid[i, j + 1]) if 0 < j < w - 1 else 0.0
+        dy = quarter(grid[i - 1, j], grid[i + 1, j]) if 0 < i < h - 1 else 0.0
+        x, y = apply_transform(inv, ((j + 0.5 + dx) * stride, (i + 0.5 + dy) * stride))
+        keypoints.append((x, y, 2.0))
+        confidences.append(grid[i, j])
+    return keypoints, confidences
+
+
+# Few distinct values, so ties and equal neighbours are common. The int64
+# pool holds neighbours above 2**53 that are equal once in float64.
+GRID_POOLS = {
+    np.float32: [0.0, 0.25, 1.0, -3.5, 3.0e38],
+    np.float64: [0.0, 0.25, 1.0, -3.5, 1e308, -np.inf],
+    np.int64: [0, 1, -7, 2**53, 2**53 + 1, 2**62, 2**62 + 1],
+}
+
+
+@st.composite
+def heatmap_grids(draw):
+    dtype = draw(st.sampled_from(list(GRID_POOLS)))
+    k, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    cells = draw(st.lists(st.sampled_from(GRID_POOLS[dtype]), min_size=k * h * w, max_size=k * h * w))
+    values = np.array(cells, dtype=dtype).reshape(k, h, w)
+    if dtype is not np.int64 and draw(st.booleans()):
+        cell = draw(st.integers(0, values.size - 1))
+        values.flat[cell] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return values
+
+
+coefficient = st.floats(-4.0, 4.0)
+offset = st.floats(-500.0, 500.0)
+transforms = st.tuples(coefficient, coefficient, offset, coefficient, coefficient, offset).filter(
+    lambda m: abs(m[0] * m[4] - m[1] * m[3]) > 1e-3
+).map(lambda m: AffineTransform(*m))
+
+
+@PROPERTY
+@given(heatmap_grids(), st.sampled_from([4.0, 1.0, 0.3]), transforms)
+@example(np.array([[[2**53, 2**53 + 1, 2**53]]], dtype=np.int64), 4.0, AffineTransform.identity())
+@example(np.array([[[0.0], [1.0], [1.0]]], dtype=np.float32), 4.0, AffineTransform.identity())
+@example(np.array([[[0.5, 1.0, 0.25]]], dtype=np.float64), 4.0, AffineTransform.identity())
+@example(np.array([[[-np.inf, 1.0, -np.inf]]], dtype=np.float64), 4.0, AffineTransform.identity())
+def test_decode_is_the_keypoint_loop_bit_for_bit(values, stride, crop):
+    keypoints, confidences = _reference_decode(values, stride, crop)
+    try:
+        pose, conf = decode_heatmaps(HeatmapStack(values, stride), crop)
+    except ValidationError:  # raised exactly when some grid's peak is not finite
+        assert not np.isfinite(confidences).all()
+        return
+    assert np.isfinite(confidences).all()
+    assert conf.dtype == np.float64
+    assert _bits(conf) == _bits(confidences)
+    assert _bits(pose.keypoints.ravel()) == _bits(np.ravel(keypoints))
 
 
 def _reference_nms(dets: list[BoundingBox], threshold: float) -> list[int]:

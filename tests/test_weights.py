@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from panopose.schema import SchemaMapping, default_mapping, identity_mapping, JR
 from panopose.weights import (
     TensorMap,
     TensorRecord,
+    _open_container,
     load_tensor_map,
     remap_head_weights,
     save_tensor_map,
@@ -134,6 +136,18 @@ class TestContainer:
         _write_container(path, header, b"\x00" * 8)
         with pytest.raises(ValidationError, match="offsets span"):
             load_tensor_map(path)
+
+    def test_file_cut_after_the_header_check(self, tmp_path):
+        # The header is checked on opening and a tensor is read later, so a
+        # file cut in between gives a short read. The tensor is larger than
+        # the file buffer, so it is not already in memory.
+        path = tmp_path / "t.bin"
+        weights = np.arange(2**16, dtype=np.float32)
+        save_tensor_map(TensorMap([TensorRecord.from_array("w", weights)]), path)
+        with _open_container(path) as container:
+            os.truncate(path, path.stat().st_size - 4)
+            with pytest.raises(ValidationError, match="truncated payload"):
+                container.read("w")
 
 
 class TestRemapHeadWeights:
