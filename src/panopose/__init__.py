@@ -27,41 +27,30 @@ from .geometry import (
     BoundingBox,
     PanoramaSpec,
     apply_transform,
-    bbox_from_pose,
-    compose_transforms,
     crop_transform,
     invert_transform,
     iou,
     nms,
     person_box,
     shift_dataset,
-    shift_frame,
 )
 from .metrics import (
     EvalConfig,
     EvalReport,
-    MatchResult,
     OksParams,
-    ap_at_oks,
     brute_force_assignment,
     default_oks_params,
     evaluate,
     min_cost_assignment,
     oks,
     ospa,
-    ospa_iou_frame,
 )
 from .schema import (
     KeypointSchema,
     SchemaMapping,
     builtin_schema,
-    builtin_schemas,
     default_mapping,
-    identity_mapping,
     load_mapping,
-    remap_pose,
-    save_mapping,
-    validate_mapping,
 )
 from .weights import (
     TensorMap,

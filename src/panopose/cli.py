@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .dataio import Dataset, _dataset_from_doc, _where, save_dataset
+from .dataio import Dataset, _dataset_from_doc, _json_object, _where, save_dataset
 from .decode import HeatmapStack, _check_stride, decode_heatmaps
 from .errors import RowError, ValidationError
 from .geometry import (
@@ -51,12 +51,11 @@ def _echo(payload: dict) -> None:
 
 
 def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
-    text = Path(path).read_text(encoding="utf-8")
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"{path}: parse error: {exc}") from exc
-    schema_id = doc.get("schema") if isinstance(doc, dict) else None
+        doc = _json_object(Path(path))
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    schema_id = doc.get("schema")
     if not isinstance(schema_id, str):
         raise ValidationError(f"{path}: missing or malformed 'schema' field")
     return _dataset_from_doc(doc, builtin_schema(schema_id), require_scores)

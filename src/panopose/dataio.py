@@ -369,18 +369,26 @@ def _keypoint_array(poses: list[list], num_kps: int, where: Callable[[int], str]
     raise ValidationError("pose keypoints must be [x, y, v] rows of JSON numbers")
 
 
-def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bool = False) -> Dataset:
+def _json_object(source: str | Path) -> dict:
+    """The top-level object of a JSON document: ``source`` itself, or the
+    UTF-8 text of the file at a :class:`~pathlib.Path`. Text that is not
+    UTF-8 or not JSON, nesting too deep to parse, and a top level that is not
+    an object raise :class:`ValidationError` ("parse error: ...")."""
     try:
-        doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+        doc = json.loads(source if isinstance(source, str) else source.read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"parse error: {exc}") from exc
-    return _dataset_from_doc(doc, schema, require_scores)
-
-
-def _dataset_from_doc(doc: Any, schema: "KeypointSchema", require_scores: bool) -> Dataset:
-    """Build a dataset from an already parsed JSON document."""
     if not isinstance(doc, dict):
         raise ValidationError("parse error: top level must be an object")
+    return doc
+
+
+def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bool = False) -> Dataset:
+    return _dataset_from_doc(_json_object(text), schema, require_scores)
+
+
+def _dataset_from_doc(doc: dict, schema: "KeypointSchema", require_scores: bool) -> Dataset:
+    """Build a dataset from the top-level object of a JSON document."""
     _require_keys(doc, ("schema", "pano", "frames"), (), "document")
 
     if doc["schema"] != schema.id:
@@ -439,13 +447,11 @@ def _dataset_from_doc(doc: Any, schema: "KeypointSchema", require_scores: bool) 
 
 
 def load_ground_truth(path: str | Path, schema: "KeypointSchema") -> Dataset:
-    return dataset_from_json(Path(path).read_text(encoding="utf-8"), schema)
+    return _dataset_from_doc(_json_object(Path(path)), schema, require_scores=False)
 
 
 def load_predictions(path: str | Path, schema: "KeypointSchema") -> Dataset:
-    return dataset_from_json(
-        Path(path).read_text(encoding="utf-8"), schema, require_scores=True
-    )
+    return _dataset_from_doc(_json_object(Path(path)), schema, require_scores=True)
 
 
 # -- canonical serialization --------------------------------------------------

@@ -13,17 +13,16 @@ Each box rule and kernel has one home here, over ``[N, 4]``
 ``(x1, y1, x2, y2)`` rows, and a single-item function is its one-row case:
 :func:`_box_rule` and :func:`_score_rule` check a whole column (a
 :class:`BoundingBox`, or a dataset's boxes and scores), :func:`_iou_matrix`
-serves :func:`iou`, :func:`_nms_rows` :func:`nms_indices`,
-:func:`_matching_boxes` :func:`person_box`, :func:`_pose_bboxes`
-:func:`bbox_from_pose`, and :func:`_shift_rows` :func:`shift_dataset` and
-:func:`shift_frame`. A kernel checks its parameter (threshold, margin,
+serves :func:`iou`, :func:`_nms_rows` :func:`nms`, :func:`_matching_boxes`
+:func:`person_box`; :func:`_pose_bboxes` is the box rule of
+``boxes-from-poses``. A kernel checks its parameter (threshold, margin,
 shift) on entry, so a bad value is refused even with no rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -31,7 +30,7 @@ import numpy as np
 from .errors import RowError, ValidationError
 
 if TYPE_CHECKING:
-    from .dataio import Dataset, FrameAnnotations, Person, Pose
+    from .dataio import Dataset, Person
 
 __all__ = [
     "CROP_WIDTH",
@@ -44,13 +43,9 @@ __all__ = [
     "AffineTransform",
     "apply_transform",
     "invert_transform",
-    "compose_transforms",
-    "bbox_from_pose",
     "person_box",
     "iou",
     "nms",
-    "nms_indices",
-    "shift_frame",
     "shift_dataset",
     "crop_transform",
 ]
@@ -193,18 +188,6 @@ def invert_transform(t: AffineTransform) -> AffineTransform:
     )
 
 
-def compose_transforms(after: AffineTransform, before: AffineTransform) -> AffineTransform:
-    """Transform equivalent to applying ``before`` first, then ``after``."""
-    return AffineTransform(
-        after.a * before.a + after.b * before.d,
-        after.a * before.b + after.b * before.e,
-        after.a * before.c + after.b * before.f + after.c,
-        after.d * before.a + after.e * before.d,
-        after.d * before.b + after.e * before.e,
-        after.d * before.c + after.e * before.f + after.f,
-    )
-
-
 def _rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
     """``[N, 4]`` ``(x1, y1, x2, y2)`` rows of ``boxes``."""
     return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
@@ -255,19 +238,15 @@ def _nms_rows(rows: np.ndarray, scores: np.ndarray, offsets: Sequence[int], iou_
     return kept
 
 
-def nms_indices(dets: Sequence[BoundingBox], iou_threshold: float) -> list[int]:
-    """Greedy NMS returning the kept indices, sorted by score descending.
+def nms(dets: Sequence[BoundingBox], iou_threshold: float) -> list[BoundingBox]:
+    """Greedy NMS: the kept boxes, sorted by score descending.
 
     Repeatedly keeps the highest-score remaining box and discards every
     remaining box whose IoU with it is >= ``iou_threshold``. Score ties are
     broken by original position, so the result is deterministic.
     """
     scores = np.array([d.score for d in dets], dtype=np.float64)
-    return _nms_rows(_rows(dets), scores, [0, len(dets)], iou_threshold)
-
-
-def nms(dets: Sequence[BoundingBox], iou_threshold: float) -> list[BoundingBox]:
-    return [dets[i] for i in nms_indices(dets, iou_threshold)]
+    return [dets[i] for i in _nms_rows(_rows(dets), scores, [0, len(dets)], iou_threshold)]
 
 
 def _clamped_spans(lo: np.ndarray, hi: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
@@ -279,7 +258,9 @@ def _clamped_spans(lo: np.ndarray, hi: np.ndarray, bound: float) -> tuple[np.nda
 
 
 def _pose_bboxes(keypoints: np.ndarray, margin: float, pano: PanoramaSpec) -> np.ndarray:
-    """``[N, 4]`` :func:`bbox_from_pose` rows of ``[N, K, 3]`` poses. Raises
+    """``[N, 4]`` boxes of ``[N, K, 3]`` poses: the tight box over the labeled
+    (v > 0) keypoints, grown by ``margin`` times its side length on each of
+    the four sides, then clamped to [0, W] x [0, H]. Raises
     :class:`RowError` for the first pose with no labeled keypoint."""
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be finite and non-negative, got {margin}")
@@ -293,18 +274,6 @@ def _pose_bboxes(keypoints: np.ndarray, margin: float, pano: PanoramaSpec) -> np
     x1, x2 = _clamped_spans(x1 - margin * w, x2 + margin * w, pano.width)
     y1, y2 = _clamped_spans(y1 - margin * h, y2 + margin * h, pano.height)
     return np.stack([x1, y1, x2, y2], axis=1)
-
-
-def bbox_from_pose(pose: "Pose", margin: float, pano: PanoramaSpec) -> BoundingBox:
-    """Tight box over the labeled (v > 0) keypoints, padded and clamped to the
-    panorama.
-
-    The tight box is grown by ``margin`` times the corresponding side length
-    on each of the four sides, then clamped to [0, W] x [0, H]. The returned
-    score is 1.
-    """
-    x1, y1, x2, y2 = _pose_bboxes(pose.keypoints[None], margin, pano)[0].tolist()
-    return BoundingBox(x1, y1, x2, y2, score=1.0)
 
 
 def _pose_boxes(keypoints: np.ndarray) -> np.ndarray:
@@ -361,55 +330,29 @@ def person_box(person: "Person") -> BoundingBox:
     return BoundingBox(x1, y1, x2, y2, score=1.0)
 
 
-def _shift_rows(boxes: np.ndarray, has_box: np.ndarray, keypoints: np.ndarray, shift: float,
-                width: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The :func:`shift_frame` rule over columns: the ``[N]`` mask of persons
-    whose matching box stays off the seam, and the shifted ``[N, 4]`` boxes and
-    ``[N, K, 3]`` keypoints of every row."""
-    if not math.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
-    w = float(width)
-    s = float(shift) % w
-    if s == 0.0:
-        return np.ones(len(boxes), dtype=bool), boxes, keypoints
-    ref = _matching_boxes(boxes, has_box, keypoints)
-    keep = ~(np.remainder(ref[:, 0] + s, w) + (ref[:, 2] - ref[:, 0]) > w)
-    x1 = np.remainder(boxes[:, 0] + s, w)
-    boxes = np.stack([x1, boxes[:, 1], x1 + (boxes[:, 2] - boxes[:, 0]), boxes[:, 3]], axis=1)
-    keypoints = keypoints.copy()
-    keypoints[:, :, 0] = np.remainder(keypoints[:, :, 0] + s, w)
-    return keep, boxes, keypoints
-
-
-def shift_frame(frame: "FrameAnnotations", shift: float, pano: PanoramaSpec) -> "FrameAnnotations":
-    """Cyclically shift all x coordinates by ``shift`` pixels (mod width).
-
-    Persons whose box would cross the panorama seam after the shift are
-    removed from the frame; y coordinates are unchanged. ``shift`` is reduced
-    modulo the panorama width first, so 0 and any multiple of the width are
-    exact identities.
-    """
-    from .dataio import _person_columns
-
-    c = _person_columns(frame.persons)
-    keep, boxes, keypoints = _shift_rows(c["boxes"], c["has_box"], c["keypoints"], shift, pano.width)
-    persons = [
-        replace(p, box=p.box and replace(p.box, x1=x1, x2=x2),
-                pose=p.pose and replace(p.pose, keypoints=kps))
-        for p, kept, (x1, _, x2, _), kps in zip(frame.persons, keep, boxes.tolist(), keypoints)
-        if kept
-    ]
-    return replace(frame, persons=tuple(persons))
-
-
 def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
+    """Cyclically shift all x coordinates by ``shift`` pixels, reduced modulo
+    the panorama width first, so 0 and any multiple of the width are exact
+    identities. Persons whose matching box would cross the seam are removed;
+    y coordinates are unchanged."""
     from .dataio import _where
 
+    if not math.isfinite(shift):
+        raise ValueError(f"shift must be finite, got {shift}")
+    w = float(ds.pano.width)
+    s = float(shift) % w
+    if s == 0.0:
+        return ds
     try:
-        keep, boxes, keypoints = _shift_rows(ds.boxes, ds.has_box, ds.keypoints, shift, ds.pano.width)
+        ref = _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
     except RowError as exc:
-        where = _where(ds.frame_ids, ds.offsets, exc.row)
-        raise ValidationError(f"{where}: {exc}") from exc
+        raise ValidationError(f"{_where(ds.frame_ids, ds.offsets, exc.row)}: {exc}") from exc
+    keep = ~(np.remainder(ref[:, 0] + s, w) + (ref[:, 2] - ref[:, 0]) > w)
+    b = ds.boxes
+    x1 = np.remainder(b[:, 0] + s, w)
+    boxes = np.stack([x1, b[:, 1], x1 + (b[:, 2] - b[:, 0]), b[:, 3]], axis=1)
+    keypoints = ds.keypoints.copy()
+    keypoints[:, :, 0] = np.remainder(keypoints[:, :, 0] + s, w)
     return ds._with(keep.nonzero()[0], boxes=boxes, keypoints=keypoints)
 
 

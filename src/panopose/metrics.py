@@ -22,10 +22,8 @@ frame: the matching boxes of every person come from one call of
 ``[P, G]`` OKS matrix (:func:`_oks_matrix`) for the greedy matching
 (:func:`_match`) and one ``[P, G]`` IoU matrix
 (:func:`~panopose.geometry._iou_matrix`) for the set metric (:func:`_ospa`).
-The single-item functions are cases of the same kernels: :func:`oks` is the
-1x1 OKS matrix, :func:`match_frame_oks` and :func:`ospa_iou_frame` are one
-frame of that loop, and :func:`ospa` with a callable fills the distance
-matrix it then scores like every frame.
+:func:`oks` is the 1x1 OKS matrix, and :func:`ospa` with a callable fills
+the distance matrix it then scores like every frame.
 """
 
 from __future__ import annotations
@@ -40,15 +38,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, FrameAnnotations, Pose, _person_columns, _where
+from .dataio import Dataset, Pose, _where
 from .errors import RowError, ValidationError
-from .geometry import BoundingBox, _areas, _iou_matrix, _matching_boxes, _rows, person_box
+from .geometry import BoundingBox, _areas, _iou_matrix, _matching_boxes
 from .schema import SchemaMapping, check_entries, default_mapping
 
 __all__ = [
     "COCO_SIGMAS",
     "OksParams",
-    "MatchResult",
     "EvalConfig",
     "FrameStats",
     "EvalReport",
@@ -59,9 +56,6 @@ __all__ = [
     "min_cost_assignment",
     "brute_force_assignment",
     "ospa",
-    "ospa_iou_frame",
-    "match_frame_oks",
-    "ap_at_oks",
     "evaluate",
     "save_report",
     "save_frame_table",
@@ -344,67 +338,17 @@ def _ospa(dist: np.ndarray, cutoff: float, order: float) -> float:
     return float(((cutoff ** order) * (n - m) + loc) / n) ** (1.0 / order)
 
 
-def ospa_iou_frame(
-    pred_frame: FrameAnnotations,
-    gt_frame: FrameAnnotations,
-    *,
-    cutoff: float = 1.0,
-    order: float = 1.0,
-) -> float:
-    """Set distance between two frames under the (1 - IoU) box base distance.
-
-    Persons without a stored box use the tight enclosing box of their pose.
-    """
-    pred_boxes = _rows([person_box(p) for p in pred_frame.persons])
-    gt_boxes = _rows([person_box(g) for g in gt_frame.persons])
-    return _ospa(1.0 - _iou_matrix(pred_boxes, gt_boxes), cutoff, order)
-
-
 # -- ranked matching and AP --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MatchResult:
-    """Greedy OKS matching of one frame: (pred index, gt index, oks) pairs
-    plus the leftover indices on both sides."""
-
-    pairs: tuple[tuple[int, int, float], ...]
-    unmatched_predictions: tuple[int, ...]
-    unmatched_ground_truths: tuple[int, ...]
-
-
-def match_frame_oks(
-    pred_frame: FrameAnnotations,
-    gt_frame: FrameAnnotations,
-    params: OksParams,
-    threshold: float,
-) -> MatchResult:
-    """Match predictions (score-descending) to the unmatched ground truth with
-    the highest OKS, accepting the pair when that OKS >= threshold. OKS is
-    undefined, so never matches, for a person without a pose and for a ground
-    truth with no labeled keypoint."""
-    gts = gt_frame.persons
-    preds = _person_columns(pred_frame.persons)
-    gt_areas = _areas(_rows([person_box(g) for g in gts]))
-    pairs = _match(preds["keypoints"], preds["has_pose"], preds["scores"],
-                   _person_columns(gts)["keypoints"], gt_areas, params, threshold)
-    matched_preds = {pi for pi, _, _ in pairs}
-    matched_gts = {gi for _, gi, _ in pairs}
-    return MatchResult(
-        pairs=tuple(sorted(pairs)),
-        unmatched_predictions=tuple(
-            i for i in range(len(pred_frame.persons)) if i not in matched_preds
-        ),
-        unmatched_ground_truths=tuple(i for i in range(len(gts)) if i not in matched_gts),
-    )
 
 
 def _match(pred_kps: np.ndarray, pred_has_pose: np.ndarray, pred_scores: np.ndarray,
            gt_kps: np.ndarray, gt_areas: np.ndarray, params: OksParams,
            threshold: float) -> list[tuple[int, int, float]]:
-    """The (pred index, gt index, oks) pairs of :func:`match_frame_oks` for
-    one frame's columns, in matching order. A ground truth without a pose
-    holds zeros, so it has no labeled keypoint."""
+    """Greedy OKS matching of one frame's columns: the (pred index, gt index,
+    oks) pairs, in matching order. Predictions in descending score take the
+    unmatched ground truth with the highest OKS when that OKS >= threshold.
+    OKS is undefined, so never matches, for a person without a pose and for
+    a ground truth with no labeled keypoint (one without a pose holds zeros)."""
     rows = pred_has_pose.nonzero()[0]
     cols = (gt_kps[:, :, 2] > 0).any(axis=1).nonzero()[0]
     if not len(rows) or not len(cols):
@@ -457,15 +401,6 @@ def _ap_101(tp_flags: Sequence[bool], num_gt: int) -> float:
         if idx < len(recall):
             total += float(envelope[idx])
     return total / 101.0
-
-
-def ap_at_oks(
-    preds: Dataset, gts: Dataset, params: OksParams, threshold: float = 0.5
-) -> float:
-    """Average precision over the dataset-global score ranking, 101-point
-    interpolated, with a prediction counting as true positive when it greedily
-    matches a same-frame ground truth at OKS >= threshold."""
-    return evaluate(preds, gts, EvalConfig(oks_threshold=threshold, oks_params=params)).ap_05
 
 
 # -- dataset evaluation -------------------------------------------------------------

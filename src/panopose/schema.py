@@ -1,20 +1,21 @@
 """Schemas of keypoint names and cross-schema counterpart mappings.
 
 A mapping lists, for every keypoint of a target schema, the source-schema
-keypoints it is synthesized from. Averaging those entries transfers poses
-(:func:`remap_pose`) and final-layer network weights (weights module) from
-one vocabulary to the other. The built-in table pairs the 17-keypoint COCO
-vocabulary with the 17-keypoint panoramic-dataset vocabulary; split targets
-(head, neck, center hip) average their two nearest source keypoints.
+keypoints it is synthesized from. Averaging those entries transfers
+final-layer network weights (weights module) and OKS falloff constants
+(metrics module) from one vocabulary to the other. The built-in table pairs
+the 17-keypoint COCO vocabulary with the 17-keypoint panoramic-dataset
+vocabulary; split targets (head, neck, center hip) average their two nearest
+source keypoints. Other mappings are read from hand-written config files
+(:func:`load_mapping`).
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataio import Pose
+from .dataio import _json_object
 from .errors import ValidationError
 
 __all__ = [
@@ -22,15 +23,10 @@ __all__ = [
     "SchemaMapping",
     "COCO17",
     "JRDB17",
-    "builtin_schemas",
     "builtin_schema",
     "default_mapping",
-    "identity_mapping",
-    "validate_mapping",
     "check_entries",
-    "remap_pose",
     "load_mapping",
-    "save_mapping",
 ]
 
 
@@ -64,8 +60,8 @@ class KeypointSchema:
 class SchemaMapping:
     """For each target index, the source indices it is averaged from.
 
-    Construction is permissive so that broken mappings can be inspected;
-    :func:`validate_mapping` reports violations as data.
+    Construction is permissive; :func:`check_entries` is the check that a
+    mapping's users run against their source keypoint count.
     """
 
     source_schema: str
@@ -150,11 +146,6 @@ _DEFAULT_COUNTERPARTS: tuple[tuple[str, tuple[str, ...]], ...] = (
 _VERBATIM_ROW = 9  # "right hand" slot; literal table sources it from the left wrist
 
 
-def builtin_schemas() -> tuple[KeypointSchema, KeypointSchema]:
-    """The two built-in 17-keypoint schemas (source, target)."""
-    return COCO17, JRDB17
-
-
 def builtin_schema(schema_id: str) -> KeypointSchema:
     if not isinstance(schema_id, str):
         raise ValidationError(f"schema id must be a string, got {schema_id!r}")
@@ -181,41 +172,6 @@ def default_mapping(verbatim_table1: bool = False) -> SchemaMapping:
     return SchemaMapping(COCO17.id, JRDB17.id, tuple(entries))
 
 
-def identity_mapping(schema: KeypointSchema) -> SchemaMapping:
-    return SchemaMapping(schema.id, schema.id, tuple((i,) for i in range(len(schema))))
-
-
-def validate_mapping(
-    mapping: SchemaMapping, src: KeypointSchema, dst: KeypointSchema
-) -> list[str]:
-    """Check a mapping against its schemas; an empty list means ok."""
-    violations = []
-    if mapping.source_schema != src.id:
-        violations.append(
-            f"source schema id {mapping.source_schema!r} does not match {src.id!r}"
-        )
-    if mapping.target_schema != dst.id:
-        violations.append(
-            f"target schema id {mapping.target_schema!r} does not match {dst.id!r}"
-        )
-    if len(mapping.entries) != len(dst.names):
-        violations.append(
-            f"mapping has {len(mapping.entries)} entries, target schema "
-            f"{dst.id!r} has {len(dst.names)} keypoints"
-        )
-    for t, entry in enumerate(mapping.entries):
-        label = dst.names[t] if t < len(dst.names) else str(t)
-        if not entry:
-            violations.append(f"empty counterpart list for target {label!r}")
-        for s in entry:
-            if s < 0 or s >= len(src.names):
-                violations.append(
-                    f"counterpart index {s} out of range for source schema "
-                    f"{src.id!r} (K={len(src.names)}) at target {label!r}"
-                )
-    return violations
-
-
 def check_entries(mapping: SchemaMapping, num_source: int) -> None:
     """Raise unless every target has counterparts, all in ``range(num_source)``."""
     for t, entry in enumerate(mapping.entries):
@@ -229,19 +185,6 @@ def check_entries(mapping: SchemaMapping, num_source: int) -> None:
                 )
 
 
-def remap_pose(pose: Pose, mapping: SchemaMapping) -> Pose:
-    """Transfer a pose into the target schema.
-
-    Each target keypoint is the arithmetic mean of its counterpart
-    coordinates; its visibility is the minimum of the counterpart
-    visibilities (a synthesized point is at most as reliable as its least
-    reliable source).
-    """
-    check_entries(mapping, len(pose.keypoints))
-    sources = [pose.keypoints[list(entry)] for entry in mapping.entries]
-    return Pose([(*src[:, :2].mean(axis=0), src[:, 2].min()) for src in sources])
-
-
 # -- mapping config files ------------------------------------------------------
 #
 # On disk a mapping is JSON with names, not indices:
@@ -249,45 +192,15 @@ def remap_pose(pose: Pose, mapping: SchemaMapping) -> Pose:
 #    "entries": {"head": ["left eye", "right eye"], ...}}
 
 
-def save_mapping(
-    mapping: SchemaMapping,
-    path: str | Path,
-    source: KeypointSchema | None = None,
-    target: KeypointSchema | None = None,
-) -> None:
-    source = source or builtin_schema(mapping.source_schema)
-    target = target or builtin_schema(mapping.target_schema)
-    violations = validate_mapping(mapping, source, target)
-    if violations:
-        raise ValidationError("cannot save invalid mapping: " + "; ".join(violations))
-    doc = {
-        "source_schema": mapping.source_schema,
-        "target_schema": mapping.target_schema,
-        "entries": {
-            target.names[t]: [source.names[s] for s in entry]
-            for t, entry in enumerate(mapping.entries)
-        },
-    }
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def load_mapping(
-    path: str | Path,
-    source: KeypointSchema | None = None,
-    target: KeypointSchema | None = None,
-) -> SchemaMapping:
-    """Read a mapping config file, resolving names to indices and validating."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"parse error: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("parse error: top level must be an object")
+def load_mapping(path: str | Path) -> SchemaMapping:
+    """Read a mapping config file: both schemas are the built-ins it names,
+    and every target keypoint lists a non-empty set of source names."""
+    doc = _json_object(Path(path))
     for key in ("source_schema", "target_schema", "entries"):
         if key not in doc:
             raise ValidationError(f"mapping file missing field {key!r}")
-    source = source or builtin_schema(doc["source_schema"])
-    target = target or builtin_schema(doc["target_schema"])
+    source = builtin_schema(doc["source_schema"])
+    target = builtin_schema(doc["target_schema"])
     raw_entries = doc["entries"]
     if not isinstance(raw_entries, dict):
         raise ValidationError("entries must be an object of target name -> source names")
@@ -306,8 +219,4 @@ def load_mapping(
             entries.append(tuple(source.index(n) for n in sources))
         except ValueError as exc:
             raise ValidationError(str(exc)) from exc
-    mapping = SchemaMapping(doc["source_schema"], doc["target_schema"], tuple(entries))
-    violations = validate_mapping(mapping, source, target)
-    if violations:
-        raise ValidationError("invalid mapping: " + "; ".join(violations))
-    return mapping
+    return SchemaMapping(source.id, target.id, tuple(entries))

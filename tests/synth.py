@@ -6,6 +6,7 @@ import numpy as np
 
 from panopose.dataio import Dataset, FrameAnnotations, Person, Pose
 from panopose.geometry import PanoramaSpec
+from panopose.schema import SchemaMapping, builtin_schema
 
 NUM_KEYPOINTS = 17
 DEFAULT_PANO = PanoramaSpec(2048.0, 512.0)
@@ -63,3 +64,18 @@ def perturb_predictions(
             persons.append(Person(pose=Pose(kps), score=float(rng.uniform(0.5, 1.0))))
         frames.append(FrameAnnotations(frame.frame_id, tuple(persons)))
     return Dataset(gt.schema_id, gt.pano, tuple(frames))
+
+
+def mapping_doc(mapping: SchemaMapping) -> dict:
+    """The mapping config file document of ``mapping``, as written by hand:
+    each target keypoint name lists its source keypoint names."""
+    source = builtin_schema(mapping.source_schema)
+    target = builtin_schema(mapping.target_schema)
+    return {
+        "source_schema": mapping.source_schema,
+        "target_schema": mapping.target_schema,
+        "entries": {
+            target.names[t]: [source.names[s] for s in entry]
+            for t, entry in enumerate(mapping.entries)
+        },
+    }

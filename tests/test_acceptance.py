@@ -24,10 +24,9 @@ from panopose.geometry import (
     nms,
     person_box,
     shift_dataset,
-    shift_frame,
 )
 from panopose.metrics import (
-    ap_at_oks,
+    EvalConfig,
     brute_force_assignment,
     default_oks_params,
     evaluate,
@@ -120,6 +119,10 @@ def test_ospa_property_suite():
         assert dxz <= dxy + dyz + 1e-12
 
 
+def _ap(preds, gts, params, threshold):
+    return evaluate(preds, gts, EvalConfig(oks_threshold=threshold, oks_params=params)).ap_05
+
+
 def test_ap_suite():
     """Perfect -> 1.0; empty -> 0.0; sub-threshold-only -> 0.0; threshold
     monotonicity on 50 random synthetic scenes."""
@@ -128,25 +131,23 @@ def test_ap_suite():
 
     gt = make_ground_truth(rng, num_frames=4, people=(1, 4))
     perfect = perturb_predictions(gt, rng, 0.0)
-    assert ap_at_oks(perfect, gt, params, 0.5) == 1.0
+    assert _ap(perfect, gt, params, 0.5) == 1.0
 
     empty = Dataset(gt.schema_id, gt.pano, ())
-    assert ap_at_oks(empty, gt, params, 0.5) == 0.0
+    assert _ap(empty, gt, params, 0.5) == 0.0
 
     # a single heavily displaced prediction whose only candidate is sub-threshold
     one_gt = make_ground_truth(rng, num_frames=1, people=(1, 1), x_range=(0.05, 0.5))
-    displaced = perturb_predictions(one_gt, rng, 0.0)
-    moved_frame = shift_frame(displaced.frames[0], 500.0, one_gt.pano)
-    displaced = Dataset(one_gt.schema_id, one_gt.pano, (moved_frame,))
+    displaced = shift_dataset(perturb_predictions(one_gt, rng, 0.0), 500.0)
     gt_person = one_gt.frames[0].persons[0]
     pred_person = displaced.frames[0].persons[0]
     assert oks(pred_person.pose, gt_person.pose, params, person_box(gt_person)) < 0.5
-    assert ap_at_oks(displaced, one_gt, params, 0.5) == 0.0
+    assert _ap(displaced, one_gt, params, 0.5) == 0.0
 
     for scene in range(50):
         scene_gt = make_ground_truth(rng, num_frames=2, people=(1, 4))
         preds = perturb_predictions(scene_gt, rng, float(rng.uniform(0.0, 40.0)))
-        values = [ap_at_oks(preds, scene_gt, params, t) for t in (0.3, 0.5, 0.75)]
+        values = [_ap(preds, scene_gt, params, t) for t in (0.3, 0.5, 0.75)]
         assert values[0] + 1e-12 >= values[1] >= values[2] - 1e-12
 
 
@@ -244,9 +245,9 @@ def test_geometry_suite():
         persons = tuple(
             Person(box=_random_box(rng, span=1500.0)) for _ in range(int(rng.integers(1, 6)))
         )
-        frame = FrameAnnotations("f", persons)
-        assert shift_frame(frame, 0.0, pano) == frame
-        assert shift_frame(frame, pano.width, pano) == frame
+        ds = Dataset("jrdb17", pano, (FrameAnnotations("f", persons),))
+        assert shift_dataset(ds, 0.0) == ds
+        assert shift_dataset(ds, pano.width) == ds
 
 
 def test_seam_shift_metric_invariance():

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from synth import make_ground_truth, perturb_predictions
+from synth import make_ground_truth, mapping_doc, perturb_predictions
 
 from panopose.cli import run
 from panopose.dataio import (
@@ -22,7 +22,7 @@ from panopose.dataio import (
     save_dataset,
 )
 from panopose.geometry import BoundingBox, PanoramaSpec
-from panopose.schema import JRDB17, default_mapping, save_mapping
+from panopose.schema import JRDB17, default_mapping
 from panopose.weights import TensorMap, TensorRecord, load_tensor_map, save_tensor_map
 
 PANO = PanoramaSpec(2000.0, 600.0)
@@ -145,6 +145,16 @@ class TestEval:
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_non_utf8_file_exit_code(self, tmp_path, capsys):
+        gt = tmp_path / "g.json"
+        save_dataset(_gt_dataset(), gt)
+        pred = tmp_path / "utf16.json"
+        pred.write_bytes(b"\xff\xfe" + gt.read_text().encode("utf-16-le"))
+        code = run(["eval", "--gt", str(gt), "--pred", str(pred)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: {pred}: parse error: 'utf-8' codec can't decode byte 0xff")
 
 
 def _edge_case_eval_files(tmp_path):
@@ -426,7 +436,7 @@ class TestRemapWeights:
         src = self._container(tmp_path)
         dst = tmp_path / "out.bin"
         mapping_file = tmp_path / "mapping.json"
-        save_mapping(default_mapping(verbatim_table1=True), mapping_file)
+        mapping_file.write_text(json.dumps(mapping_doc(default_mapping(verbatim_table1=True))))
         code = run(
             ["remap-weights", "--src", str(src), "--out", str(dst),
              "--mapping", str(mapping_file), "--weight-name", "head.weight"]
@@ -436,6 +446,20 @@ class TestRemapWeights:
         # verbatim counterpart table: both hands from the left wrist (index 9)
         assert float(out["head.weight"].data[9, 0, 0, 0]) == 9.0
         assert float(out["head.weight"].data[12, 0, 0, 0]) == 9.0
+
+    def test_non_utf8_mapping_file(self, tmp_path, capsys):
+        src = self._container(tmp_path)
+        mapping_file = tmp_path / "mapping.json"
+        text = json.dumps(mapping_doc(default_mapping()))
+        mapping_file.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+        code = run(
+            ["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
+             "--mapping", str(mapping_file), "--weight-name", "head.weight"]
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: parse error: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "o.bin").exists()
 
     def test_verbatim_flag(self, tmp_path):
         src = self._container(tmp_path)

@@ -208,6 +208,14 @@ class TestLoading:
         with pytest.raises(ValidationError, match="parse error"):
             dataset_from_json("[" * 100_000 + "]" * 100_000, JRDB17)
 
+    @pytest.mark.parametrize("load", [load_ground_truth, load_predictions])
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path, load):
+        # A UTF-16 file with its byte-order mark: files are read as UTF-8 only.
+        path = tmp_path / "d.json"
+        path.write_bytes(b"\xff\xfe" + _doc([{"box": [1, 2, 3, 4], "score": 0.5}]).encode("utf-16-le"))
+        with pytest.raises(ValidationError, match="^parse error: 'utf-8' codec can't decode byte 0xff"):
+            load(path, JRDB17)
+
 
 class TestPredictions:
     def test_missing_score_rejected(self):

@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from panopose.decode import HeatmapStack, decode_heatmaps
-from panopose.geometry import (
-    AffineTransform,
-    BoundingBox,
-    compose_transforms,
-    crop_transform,
-)
+from panopose.geometry import AffineTransform, BoundingBox, crop_transform
 
 IDENTITY = AffineTransform.identity()
 
@@ -98,7 +93,11 @@ class TestDecode:
             box = BoundingBox(x1, y1, x1 + rng.uniform(20, 200), y1 + rng.uniform(20, 200))
             crop = crop_transform(box, 288, 384, padding=1.25)
             dx, dy = rng.uniform(-40, 40, 2)
-            moved = compose_transforms(crop, AffineTransform.translation(dx, dy))
+            # The crop of the box moved by (-dx, -dy): x -> crop(x + dx, y + dy).
+            moved = crop_transform(
+                BoundingBox(box.x1 - dx, box.y1 - dy, box.x2 - dx, box.y2 - dy),
+                288, 384, padding=1.25,
+            )
             base, _ = decode_heatmaps(stack, crop)
             shifted, _ = decode_heatmaps(stack, moved)
             for (xa, ya, _), (xb, yb, _) in zip(base.keypoints, shifted.keypoints):

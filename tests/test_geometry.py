@@ -3,20 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from panopose.dataio import FrameAnnotations, Person, Pose
+from panopose.dataio import Dataset, FrameAnnotations, Person, Pose
 from panopose.geometry import (
     AffineTransform,
     BoundingBox,
     PanoramaSpec,
+    _pose_bboxes,
     apply_transform,
-    bbox_from_pose,
-    compose_transforms,
     crop_transform,
     invert_transform,
     iou,
     nms,
     person_box,
-    shift_frame,
+    shift_dataset,
 )
 
 PANO = PanoramaSpec(2000.0, 600.0)
@@ -92,36 +91,35 @@ class TestIou:
             assert v == iou(b, a)
 
 
+def _bbox(pose, margin):
+    """The boxes-from-poses box of one pose, as an (x1, y1, x2, y2) tuple."""
+    return tuple(_pose_bboxes(pose.keypoints[None], margin, PANO)[0].tolist())
+
+
 class TestBboxFromPose:
     def test_tight_box_margin_zero(self):
         pose = _pose((10, 10, 2), (20, 30, 2))
-        box = bbox_from_pose(pose, 0.0, PANO)
-        assert (box.x1, box.y1, box.x2, box.y2) == (10, 10, 20, 30)
-        assert box.score == 1.0
+        assert _bbox(pose, 0.0) == (10, 10, 20, 30)
 
     def test_margin_expands_each_side(self):
         pose = _pose((10, 10, 2), (20, 30, 2))
-        box = bbox_from_pose(pose, 0.1, PANO)
-        assert (box.x1, box.y1, box.x2, box.y2) == (9, 8, 21, 32)
+        assert _bbox(pose, 0.1) == (9, 8, 21, 32)
 
     def test_invisible_keypoints_ignored(self):
         pose = _pose((10, 10, 2), (20, 30, 2), (500, 500, 0))
-        box = bbox_from_pose(pose, 0.0, PANO)
-        assert (box.x2, box.y2) == (20, 30)
+        assert _bbox(pose, 0.0)[2:] == (20, 30)
 
     def test_all_invisible_is_an_error(self):
         with pytest.raises(ValueError, match="no visible keypoints"):
-            bbox_from_pose(_pose((10, 10, 0), (20, 30, 0)), 0.1, PANO)
+            _bbox(_pose((10, 10, 0), (20, 30, 0)), 0.1)
 
     def test_clamped_to_panorama(self):
         pose = _pose((5, 5, 2), (1995, 595, 2))
-        box = bbox_from_pose(pose, 0.1, PANO)
-        assert (box.x1, box.y1) == (0, 0)
-        assert (box.x2, box.y2) == (PANO.width, PANO.height)
+        assert _bbox(pose, 0.1) == (0, 0, PANO.width, PANO.height)
 
     def test_single_keypoint_yields_a_valid_box(self):
-        box = bbox_from_pose(_pose((50, 60, 2)), 0.0, PANO)
-        assert box.x1 < box.x2 and box.y1 < box.y2
+        x1, y1, x2, y2 = _bbox(_pose((50, 60, 2)), 0.0)
+        assert x1 < x2 and y1 < y2
 
 
 class TestPersonBox:
@@ -148,24 +146,29 @@ def _frame_with_boxes(*boxes, with_ids=True):
     return FrameAnnotations("f0", persons)
 
 
+def _shifted(frame, shift):
+    """``frame`` shifted through shift_dataset on a one-frame dataset."""
+    return shift_dataset(Dataset("jrdb17", PANO, (frame,)), shift).frames[0]
+
+
 class TestShiftFrame:
     def test_shift_zero_is_identity(self):
         frame = _frame_with_boxes(BoundingBox(10, 10, 50, 70))
-        assert shift_frame(frame, 0.0, PANO) == frame
+        assert _shifted(frame, 0.0) == frame
 
     def test_shift_full_period_is_identity(self):
         frame = _frame_with_boxes(BoundingBox(10.25, 10, 50.5, 70))
-        assert shift_frame(frame, PANO.width, PANO) == frame
+        assert _shifted(frame, PANO.width) == frame
 
     def test_box_crossing_the_seam_is_removed(self):
         w = PANO.width
         frame = _frame_with_boxes(BoundingBox(w - 10, 0, w - 2, 20))
-        shifted = shift_frame(frame, 6.0, PANO)
+        shifted = _shifted(frame, 6.0)
         assert shifted.persons == ()
 
     def test_surviving_box_is_translated(self):
         frame = _frame_with_boxes(BoundingBox(100, 10, 150, 90))
-        shifted = shift_frame(frame, 25.0, PANO)
+        shifted = _shifted(frame, 25.0)
         box = shifted.persons[0].box
         assert (box.x1, box.x2, box.y1, box.y2) == (125, 175, 10, 90)
 
@@ -173,14 +176,14 @@ class TestShiftFrame:
         # Whole person wraps around the seam: x coordinates reduce mod W.
         person = Person(pose=_pose((1990, 40, 2), (1994, 50, 2)))
         frame = FrameAnnotations("f0", (person,))
-        shifted = shift_frame(frame, 20.0, PANO)
+        shifted = _shifted(frame, 20.0)
         kps = shifted.persons[0].pose.keypoints
         assert kps[:, :2].tolist() == [[10, 40], [14, 50]]
 
     def test_pose_spanning_the_seam_is_removed(self):
         person = Person(pose=_pose((1990, 40, 2), (1999, 50, 2)))
         frame = FrameAnnotations("f0", (person,))
-        assert shift_frame(frame, 5.0, PANO).persons == ()
+        assert _shifted(frame, 5.0).persons == ()
 
     def test_round_trip_restores_survivors(self):
         # Integer coordinates keep the forward+backward shift exact.
@@ -195,8 +198,8 @@ class TestShiftFrame:
             ]
             frame = _frame_with_boxes(*boxes)
             s = float(rng.integers(0, 2000))
-            there = shift_frame(frame, s, PANO)
-            back = shift_frame(there, PANO.width - s, PANO)
+            there = _shifted(frame, s)
+            back = _shifted(there, PANO.width - s)
             survivors = {p.id for p in back.persons}
             expected = tuple(p for p in frame.persons if p.id in survivors)
             assert back.persons == expected
@@ -259,12 +262,6 @@ class TestAffine:
             p = tuple(rng.uniform(-100, 100, 2))
             q = apply_transform(invert_transform(t), apply_transform(t, p))
             assert math.hypot(q[0] - p[0], q[1] - p[1]) < 1e-6
-
-    def test_compose_applies_right_to_left(self):
-        scale = AffineTransform(2.0, 0.0, 0.0, 0.0, 2.0, 0.0)
-        shift = AffineTransform.translation(1.0, 1.0)
-        both = compose_transforms(scale, shift)  # shift first, then scale
-        assert apply_transform(both, (1.0, 1.0)) == (4.0, 4.0)
 
 
 class TestCropTransform:

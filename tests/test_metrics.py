@@ -12,21 +12,19 @@ from synth import make_ground_truth, perturb_predictions
 
 from panopose.dataio import Dataset, FrameAnnotations, Person, Pose
 from panopose.errors import ValidationError
-from panopose.geometry import BoundingBox, PanoramaSpec
+from panopose.geometry import BoundingBox, PanoramaSpec, _areas, _matching_boxes
 from panopose.metrics import (
     COCO_SIGMAS,
     EvalConfig,
     OksParams,
-    ap_at_oks,
+    _match,
     brute_force_assignment,
     coco_oks_params,
     default_oks_params,
     evaluate,
-    match_frame_oks,
     min_cost_assignment,
     oks,
     ospa,
-    ospa_iou_frame,
     transferred_oks_params,
 )
 from panopose.schema import COCO17, JRDB17, default_mapping
@@ -280,28 +278,32 @@ class TestNoSpin:
 
 
 class TestOspaIouFrame:
+    # The set distance of one frame, as evaluate reports it per frame.
     def _frame(self, *boxes):
-        return FrameAnnotations("f", tuple(Person(box=b) for b in boxes))
+        return tuple(Person(box=b, score=1.0) for b in boxes)
+
+    def _ospa(self, pred_persons, gt_persons, params=None):
+        preds, gts = _single_frame_datasets(gt_persons, pred_persons)
+        return evaluate(preds, gts, EvalConfig(oks_params=params)).per_frame["f1"].ospa_iou
 
     def test_identical_frames(self):
         frame = self._frame(BoundingBox(0, 0, 10, 10), BoundingBox(20, 20, 30, 40))
-        assert ospa_iou_frame(frame, frame) == 0.0
+        assert self._ospa(frame, frame) == 0.0
 
     def test_disjoint_equal_cardinality(self):
         a = self._frame(BoundingBox(0, 0, 10, 10), BoundingBox(20, 0, 30, 10))
         b = self._frame(BoundingBox(100, 0, 110, 10), BoundingBox(120, 0, 130, 10))
-        assert ospa_iou_frame(a, b) == 1.0
+        assert self._ospa(a, b) == 1.0
 
     def test_one_match_one_missed(self):
         shared = BoundingBox(0, 0, 10, 10)
         pred = self._frame(shared)
         gt = self._frame(shared, BoundingBox(100, 100, 110, 110))
-        assert ospa_iou_frame(pred, gt) == pytest.approx(0.5, abs=1e-15)
+        assert self._ospa(pred, gt) == pytest.approx(0.5, abs=1e-15)
 
     def test_pose_only_persons_use_tight_boxes(self):
-        person = Person(pose=_pose((0, 0), (10, 10), (5, 5)))
-        frame = FrameAnnotations("f", (person,))
-        assert ospa_iou_frame(frame, frame) == 0.0
+        frame = (Person(pose=_pose((0, 0), (10, 10), (5, 5)), score=1.0),)
+        assert self._ospa(frame, frame, UNIFORM3) == 0.0
 
 
 def _single_frame_datasets(gt_persons, pred_persons, schema_id="jrdb17"):
@@ -319,6 +321,14 @@ def _pose17(rng=None, x0=100.0, y0=200.0, jitter=0.0):
     return Pose([(x, y, 2) for x, y in zip(xs, ys)])
 
 
+def _match_frame(pred_persons, gt_persons, params, threshold):
+    """The (pred index, gt index, oks) pairs of one frame, in matching order."""
+    preds, gts = _single_frame_datasets(gt_persons, pred_persons)
+    gt_areas = _areas(_matching_boxes(gts.boxes, gts.has_box, gts.keypoints))
+    return _match(preds.keypoints, preds.has_pose, preds.scores,
+                  gts.keypoints, gt_areas, params, threshold)
+
+
 class TestMatchFrame:
     def test_greedy_matches_by_score_then_oks(self):
         gt = [Person(pose=_pose17()), Person(pose=_pose17(x0=900.0))]
@@ -326,15 +336,10 @@ class TestMatchFrame:
             Person(pose=_pose17(x0=900.0), score=0.9),
             Person(pose=_pose17(), score=0.8),
         ]
-        result = match_frame_oks(
-            FrameAnnotations("f", tuple(preds)),
-            FrameAnnotations("f", tuple(gt)),
-            default_oks_params("jrdb17"),
-            0.5,
-        )
-        assert {(p, g) for p, g, _ in result.pairs} == {(0, 1), (1, 0)}
-        assert result.unmatched_predictions == ()
-        assert result.unmatched_ground_truths == ()
+        pairs = _match_frame(preds, gt, default_oks_params("jrdb17"), 0.5)
+        assert {(p, g) for p, g, _ in pairs} == {(0, 1), (1, 0)}
+        assert {p for p, _, _ in pairs} == {0, 1}  # no unmatched prediction
+        assert {g for _, g, _ in pairs} == {0, 1}  # no unmatched ground truth
 
     def test_higher_score_claims_the_contested_ground_truth(self):
         gt = [Person(pose=_pose17()), Person(pose=_pose17(x0=106.0))]
@@ -342,13 +347,8 @@ class TestMatchFrame:
             Person(pose=_pose17(), score=0.6),  # exactly on gt 0
             Person(pose=_pose17(x0=102.0), score=0.9),  # nearer gt 0 than gt 1
         ]
-        result = match_frame_oks(
-            FrameAnnotations("f", tuple(preds)),
-            FrameAnnotations("f", tuple(gt)),
-            default_oks_params("jrdb17"),
-            0.5,
-        )
-        assert [(p, g) for p, g, _ in result.pairs] == [(0, 1), (1, 0)]
+        pairs = _match_frame(preds, gt, default_oks_params("jrdb17"), 0.5)
+        assert sorted((p, g) for p, g, _ in pairs) == [(0, 1), (1, 0)]
 
     def test_each_ground_truth_matched_once(self):
         gt = [Person(pose=_pose17())]
@@ -356,15 +356,13 @@ class TestMatchFrame:
             Person(pose=_pose17(), score=0.9),
             Person(pose=_pose17(), score=0.8),
         ]
-        result = match_frame_oks(
-            FrameAnnotations("f", tuple(preds)),
-            FrameAnnotations("f", tuple(gt)),
-            default_oks_params("jrdb17"),
-            0.5,
-        )
-        assert len(result.pairs) == 1
-        assert result.pairs[0][0] == 0
-        assert result.unmatched_predictions == (1,)
+        pairs = _match_frame(preds, gt, default_oks_params("jrdb17"), 0.5)
+        assert len(pairs) == 1
+        assert pairs[0][0] == 0  # prediction 1 is the unmatched one
+
+
+def _ap(preds, gts, params, threshold):
+    return evaluate(preds, gts, EvalConfig(oks_threshold=threshold, oks_params=params)).ap_05
 
 
 class TestApAtOks:
@@ -376,11 +374,11 @@ class TestApAtOks:
             Person(pose=p.pose, score=s) for p, s in zip(gt_persons, (0.3, 0.9))
         ]
         preds, gts = _single_frame_datasets(gt_persons, pred_persons)
-        assert ap_at_oks(preds, gts, self.PARAMS, 0.5) == 1.0
+        assert _ap(preds, gts, self.PARAMS, 0.5) == 1.0
 
     def test_no_predictions(self):
         preds, gts = _single_frame_datasets([Person(pose=_pose17())], [])
-        assert ap_at_oks(preds, gts, self.PARAMS, 0.5) == 0.0
+        assert _ap(preds, gts, self.PARAMS, 0.5) == 0.0
 
     def test_sub_threshold_match_scores_zero(self):
         gt_box = BoundingBox(90.0, 190.0, 300.0, 330.0)
@@ -390,7 +388,7 @@ class TestApAtOks:
         value = oks(displaced, gt.pose, self.PARAMS, gt_box)
         assert value < 0.5  # sanity: the only possible match is sub-threshold
         preds, gts = _single_frame_datasets([gt], [pred])
-        assert ap_at_oks(preds, gts, self.PARAMS, 0.5) == 0.0
+        assert _ap(preds, gts, self.PARAMS, 0.5) == 0.0
 
     def test_monotone_in_threshold(self):
         rng = np.random.default_rng(67)
@@ -398,7 +396,7 @@ class TestApAtOks:
             gt = make_ground_truth(rng, num_frames=3, people=(1, 4))
             preds = perturb_predictions(gt, rng, float(rng.uniform(0, 40)))
             values = [
-                ap_at_oks(preds, gt, self.PARAMS, t) for t in (0.3, 0.5, 0.75)
+                _ap(preds, gt, self.PARAMS, t) for t in (0.3, 0.5, 0.75)
             ]
             assert values[0] + 1e-12 >= values[1] >= values[2] - 1e-12
 
@@ -418,7 +416,7 @@ class TestApAtOks:
                 for i in range(40)
             ),
         )
-        assert ap_at_oks(preds, gts, self.PARAMS, 0.5) == 51 / 101
+        assert _ap(preds, gts, self.PARAMS, 0.5) == 51 / 101
 
     def test_missing_prediction_frames_count_as_empty(self):
         gts = Dataset(
@@ -434,7 +432,7 @@ class TestApAtOks:
             PANO,
             (FrameAnnotations("f1", (Person(pose=_pose17(), score=0.9),)),),
         )
-        assert ap_at_oks(preds, gts, self.PARAMS, 0.5) == pytest.approx(
+        assert _ap(preds, gts, self.PARAMS, 0.5) == pytest.approx(
             0.5, abs=0.01
         )
 
@@ -510,13 +508,13 @@ class TestEvaluate:
         gt = make_ground_truth(rng, num_frames=8, people=(1, 5))
         preds = perturb_predictions(gt, rng, 5.0)
         built = []
-        person_box = metrics.person_box
+        matching_boxes = metrics._matching_boxes
 
-        def counting_person_box(person, *args):
-            built.append(person)
-            return person_box(person, *args)
+        def counting_matching_boxes(boxes, *args):
+            built.extend(range(len(boxes)))
+            return matching_boxes(boxes, *args)
 
-        monkeypatch.setattr(metrics, "person_box", counting_person_box)
+        monkeypatch.setattr(metrics, "_matching_boxes", counting_matching_boxes)
         evaluate(preds, gt)
         num_persons = sum(len(f.persons) for ds in (gt, preds) for f in ds.frames)
         assert len(built) <= num_persons

@@ -30,21 +30,21 @@ from panopose.geometry import (
     PanoramaSpec,
     _iou_matrix,
     _matching_boxes,
+    _nms_rows,
     _rows,
     apply_transform,
     invert_transform,
     iou,
-    nms_indices,
     person_box,
 )
 from panopose.metrics import (
+    _match,
     _optimal_cost,
     _oks_matrix,
     _ospa,
     brute_force_assignment,
     default_oks_params,
     evaluate,
-    match_frame_oks,
     min_cost_assignment,
     ospa,
 )
@@ -199,10 +199,10 @@ def test_oks_matrix_agrees_with_scalar_reference(preds, gts):
             expected = _reference_oks(p.pose, gts[j].pose, boxes[j].area)
             assert math.isclose(sim[i, c], expected, rel_tol=1e-12)
 
-    result = match_frame_oks(
-        FrameAnnotations("f", tuple(preds)), FrameAnnotations("f", tuple(gts)), PARAMS, 0.5
-    )
-    for pi, gi, value in result.pairs:
+    p = Dataset("jrdb17", PANO, (FrameAnnotations("f", tuple(preds)),))
+    g = Dataset("jrdb17", PANO, (FrameAnnotations("f", tuple(gts)),))
+    areas = np.array([b.area for b in boxes])
+    for pi, gi, value in _match(p.keypoints, p.has_pose, p.scores, g.keypoints, areas, PARAMS, 0.5):
         assert preds[pi].pose is not None and _labeled(gts[gi])
         assert value >= 0.5
         expected = _reference_oks(preds[pi].pose, gts[gi].pose, boxes[gi].area)
@@ -350,7 +350,8 @@ def test_nms_over_several_blocks_is_the_greedy_loop():
         for (x, y), (w, h), s in zip(xy.tolist(), wh.tolist(), scores.tolist())
     ]
     for threshold in (0.0, 0.3, 0.5, 1.0):
-        assert nms_indices(dets, threshold) == _reference_nms(dets, threshold)
+        kept = _nms_rows(_rows(dets), np.array([d.score for d in dets]), [0, len(dets)], threshold)
+        assert kept == _reference_nms(dets, threshold)
 
 
 def _floored_span(lo: float, hi: float) -> tuple[float, float]:

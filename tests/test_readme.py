@@ -1,0 +1,55 @@
+"""README.md stays true to the package: its library example runs, and its
+"Library use" section names every public name of ``panopose``."""
+
+import inspect
+import re
+from pathlib import Path
+
+import numpy as np
+
+from synth import make_ground_truth, perturb_predictions
+
+import panopose
+from panopose.dataio import save_dataset
+from panopose.metrics import evaluate
+from panopose.weights import TensorMap, TensorRecord, save_tensor_map
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _library_use() -> str:
+    text = README.read_text(encoding="utf-8")
+    start = text.index("\n## Library use\n")
+    end = text.find("\n## ", start + 1)
+    return text[start:] if end < 0 else text[start:end]
+
+
+def test_library_example_runs(tmp_path, monkeypatch, capsys):
+    snippet = re.search(r"```python\n(.*?)```", _library_use(), re.DOTALL).group(1)
+    rng = np.random.default_rng(23)
+    gt = make_ground_truth(rng, num_frames=4, people=(1, 3))
+    preds = perturb_predictions(gt, rng, 4.0)
+    save_dataset(gt, tmp_path / "gt.json")
+    save_dataset(preds, tmp_path / "pred.json")
+    weight = rng.normal(size=(17, 8, 1, 1)).astype(np.float32)
+    bias = np.arange(17, dtype=np.float32)
+    save_tensor_map(
+        TensorMap([TensorRecord.from_array("final.weight", weight),
+                   TensorRecord.from_array("final.bias", bias)]),
+        tmp_path / "head.bin",
+    )
+    monkeypatch.chdir(tmp_path)  # the snippet's paths are relative
+    exec(compile(snippet, str(README), "exec"), {})
+    assert (tmp_path / "head_remapped.bin").is_file()
+    report = evaluate(preds, gt)
+    assert capsys.readouterr().out == f"{report.ospa_iou} {report.ap_05}\n"
+
+
+def test_every_public_name_is_in_readme():
+    section = _library_use()
+    names = [
+        name for name, value in vars(panopose).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    ]
+    assert "evaluate" in names
+    assert [name for name in names if f"`{name}`" not in section] == []

@@ -1,7 +1,9 @@
-import numpy as np
+import json
+
 import pytest
 
-from panopose.dataio import Pose
+from synth import mapping_doc
+
 from panopose.errors import ValidationError
 from panopose.schema import (
     COCO17,
@@ -9,24 +11,20 @@ from panopose.schema import (
     KeypointSchema,
     SchemaMapping,
     builtin_schema,
-    builtin_schemas,
+    check_entries,
     default_mapping,
-    identity_mapping,
     load_mapping,
-    remap_pose,
-    save_mapping,
-    validate_mapping,
 )
 
 
 class TestBuiltins:
     def test_both_schemas_have_17_keypoints(self):
-        coco, jrdb = builtin_schemas()
+        coco, jrdb = builtin_schema("coco17"), builtin_schema("jrdb17")
         assert len(coco) == 17
         assert len(jrdb) == 17
 
     def test_target_schema_rows(self):
-        _, jrdb = builtin_schemas()
+        jrdb = builtin_schema("jrdb17")
         assert jrdb.names[0] == "head"
         assert jrdb.names[4] == "neck"
 
@@ -76,77 +74,34 @@ class TestDefaultMapping:
         assert all(m.entries[t] == d.entries[t] for t in range(17) if t != 9)
 
     def test_default_mapping_validates(self):
-        assert validate_mapping(default_mapping(), COCO17, JRDB17) == []
-        assert validate_mapping(default_mapping(True), COCO17, JRDB17) == []
+        for m in (default_mapping(), default_mapping(True)):
+            assert (m.source_schema, m.target_schema) == (COCO17.id, JRDB17.id)
+            assert len(m.entries) == len(JRDB17)
+            check_entries(m, len(COCO17))
 
 
 class TestValidateMapping:
+    # check_entries is the one mapping check of remap_head_weights and
+    # transferred_oks_params.
     def test_empty_counterpart_list(self):
         m = SchemaMapping("coco17", "jrdb17", tuple([(0,)] * 16 + [()]))
-        violations = validate_mapping(m, COCO17, JRDB17)
-        assert any("empty counterpart list" in v for v in violations)
+        with pytest.raises(ValidationError, match="empty counterpart list"):
+            check_entries(m, len(COCO17))
 
     def test_index_out_of_range(self):
         m = SchemaMapping("coco17", "jrdb17", tuple([(0,)] * 16 + [(17,)]))
-        violations = validate_mapping(m, COCO17, JRDB17)
-        assert any("out of range" in v for v in violations)
-
-    def test_wrong_entry_count(self):
-        m = SchemaMapping("coco17", "jrdb17", ((0,),))
-        violations = validate_mapping(m, COCO17, JRDB17)
-        assert any("1 entries" in v for v in violations)
-
-    def test_schema_id_mismatch(self):
-        m = SchemaMapping("other", "jrdb17", tuple((0,) for _ in range(17)))
-        violations = validate_mapping(m, COCO17, JRDB17)
-        assert any("source schema id" in v for v in violations)
-
-
-def _mini_pose(*coords, vis=None):
-    vis = vis or [2] * len(coords)
-    return Pose([(x, y, v) for (x, y), v in zip(coords, vis)])
-
-
-class TestRemapPose:
-    def test_identity_mapping_is_identity(self):
-        schema = KeypointSchema("mini3", ("a", "b", "c"))
-        pose = _mini_pose((1.5, 2.5), (3.0, 4.0), (5.0, 6.0), vis=[2, 1, 0])
-        assert remap_pose(pose, identity_mapping(schema)) == pose
-
-    def test_mean_of_counterparts(self):
-        mapping = SchemaMapping("src2", "dst1", ((0, 1),))
-        pose = _mini_pose((0.0, 0.0), (2.0, 4.0))
-        out = remap_pose(pose, mapping)
-        assert tuple(out.keypoints[0, :2]) == (1.0, 2.0)
-
-    def test_merged_visibility_is_the_minimum(self):
-        mapping = SchemaMapping("src2", "dst1", ((0, 1),))
-        pose = _mini_pose((0.0, 0.0), (2.0, 4.0), vis=[2, 1])
-        assert remap_pose(pose, mapping).keypoints[0, 2] == 1
-
-    def test_commutes_with_translation(self):
-        # Integer coordinates make the mean arithmetic exact.
-        rng = np.random.default_rng(3)
-        mapping = default_mapping()
-        for _ in range(25):
-            coords = rng.integers(-500, 500, size=(17, 2)).astype(float)
-            pose = _mini_pose(*[tuple(c) for c in coords])
-            dx, dy = (float(v) for v in rng.integers(-100, 100, 2))
-            moved = Pose([(x + dx, y + dy, v) for x, y, v in pose.keypoints])
-            lhs = remap_pose(moved, mapping)
-            rhs = Pose([(x + dx, y + dy, v) for x, y, v in remap_pose(pose, mapping).keypoints])
-            assert lhs == rhs
-
-    def test_counterpart_index_beyond_pose_length(self):
-        mapping = SchemaMapping("src2", "dst1", ((0, 5),))
         with pytest.raises(ValidationError, match="out of range"):
-            remap_pose(_mini_pose((0, 0), (1, 1)), mapping)
+            check_entries(m, len(COCO17))
+
+
+def _write(path, doc):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
 
 
 class TestMappingFiles:
     def test_round_trip(self, tmp_path):
-        path = tmp_path / "mapping.json"
-        save_mapping(default_mapping(), path)
+        path = _write(tmp_path / "mapping.json", mapping_doc(default_mapping()))
         assert load_mapping(path) == default_mapping()
 
     def test_deep_nesting_is_a_parse_error(self, tmp_path):
@@ -155,32 +110,27 @@ class TestMappingFiles:
         with pytest.raises(ValidationError, match="parse error"):
             load_mapping(path)
 
-    def test_names_on_disk(self, tmp_path):
-        import json
-
+    def test_non_utf8_file_is_a_parse_error(self, tmp_path):
         path = tmp_path / "mapping.json"
-        save_mapping(default_mapping(), path)
-        doc = json.loads(path.read_text())
+        path.write_bytes(b"\xff\xfe" + json.dumps(mapping_doc(default_mapping())).encode("utf-16-le"))
+        with pytest.raises(ValidationError, match="parse error: 'utf-8' codec"):
+            load_mapping(path)
+
+    def test_names_on_disk(self, tmp_path):
+        doc = mapping_doc(default_mapping())
         assert doc["entries"]["neck"] == ["left shoulder", "right shoulder"]
+        mapping = load_mapping(_write(tmp_path / "mapping.json", doc))
+        neck = (COCO17.index("left shoulder"), COCO17.index("right shoulder"))
+        assert mapping.entries[JRDB17.index("neck")] == neck
 
     def test_missing_target_name(self, tmp_path):
-        import json
-
-        path = tmp_path / "mapping.json"
-        save_mapping(default_mapping(), path)
-        doc = json.loads(path.read_text())
+        doc = mapping_doc(default_mapping())
         del doc["entries"]["neck"]
-        path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="missing target keypoint"):
-            load_mapping(path)
+            load_mapping(_write(tmp_path / "mapping.json", doc))
 
     def test_unknown_source_name(self, tmp_path):
-        import json
-
-        path = tmp_path / "mapping.json"
-        save_mapping(default_mapping(), path)
-        doc = json.loads(path.read_text())
+        doc = mapping_doc(default_mapping())
         doc["entries"]["neck"] = ["left shoulderz"]
-        path.write_text(json.dumps(doc))
         with pytest.raises(ValidationError, match="no keypoint named"):
-            load_mapping(path)
+            load_mapping(_write(tmp_path / "mapping.json", doc))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from panopose.errors import ValidationError
-from panopose.schema import SchemaMapping, default_mapping, identity_mapping, JRDB17
+from panopose.schema import SchemaMapping, default_mapping, JRDB17
 from panopose.weights import (
     TensorMap,
     TensorRecord,
@@ -164,7 +164,8 @@ class TestRemapHeadWeights:
         rng = np.random.default_rng(17)
         data = rng.normal(size=(17, 8, 3, 3)).astype(np.float32)
         tm = TensorMap([TensorRecord.from_array("w", data)])
-        out = remap_head_weights(tm, "w", identity_mapping(JRDB17))
+        identity = SchemaMapping(JRDB17.id, JRDB17.id, tuple((i,) for i in range(len(JRDB17))))
+        out = remap_head_weights(tm, "w", identity)
         assert out["w"].data.tobytes() == data.tobytes()
 
     def test_two_constant_counterparts(self):
