@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 from .dataio import (
     Dataset,
-    FrameAnnotations,
     LABELED_INVISIBLE,
     LABELED_VISIBLE,
     NOT_LABELED,
-    Person,
     Pose,
     load_ground_truth,
     load_predictions,
@@ -31,7 +29,6 @@ from .geometry import (
     invert_transform,
     iou,
     nms,
-    person_box,
     shift_dataset,
 )
 from .metrics import (

@@ -17,14 +17,14 @@ import json
 import random
 import sys
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .dataio import Dataset, _dataset_from_doc, _json_object, _where, save_dataset
+from .dataio import Dataset, _dataset_from_doc, _json_object, save_dataset
 from .decode import HeatmapStack, _check_stride, decode_heatmaps
-from .errors import RowError, ValidationError
+from .errors import RowError, ValidationError, _where
 from .geometry import (
     BoundingBox,
     DEFAULT_BOX_MARGIN,
@@ -41,7 +41,7 @@ from .geometry import (
 )
 from .metrics import EvalConfig, evaluate, save_frame_table, save_report
 from .schema import builtin_schema, default_mapping, load_mapping
-from .weights import _open_container, load_tensor_map, remap_head_weights, save_tensor_map
+from .weights import _Container, load_tensor_map, remap_head_weights, save_tensor_map
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -50,11 +50,16 @@ def _echo(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
+def _in_file(path: str, read: Callable[..., Any], *args: Any) -> Any:
+    """``read(*args)``, naming ``path`` in a :class:`ValidationError` it raises."""
     try:
-        doc = _json_object(Path(path))
+        return read(*args)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+
+
+def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
+    doc = _in_file(path, _json_object, Path(path))
     schema_id = doc.get("schema")
     if not isinstance(schema_id, str):
         raise ValidationError(f"{path}: missing or malformed 'schema' field")
@@ -70,9 +75,9 @@ def _override_pano(ds: Dataset, args: argparse.Namespace) -> Dataset:
 
 
 def _cmd_remap_weights(args: argparse.Namespace) -> int:
-    tmap = load_tensor_map(args.src)
+    tmap = _in_file(args.src, load_tensor_map, args.src)
     if args.mapping is not None:
-        mapping = load_mapping(args.mapping)
+        mapping = _in_file(args.mapping, load_mapping, args.mapping)
     else:
         mapping = default_mapping(args.verbatim_table1)
     out = remap_head_weights(tmap, args.weight_name, mapping, bias_name=args.bias_name)
@@ -156,7 +161,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     num_keypoints = len(schema.names)
     keypoints = np.zeros((len(dets.ids), num_keypoints, 3))
     bounds = dets.offsets.tolist()
-    with _open_container(args.heatmaps) as heatmaps:
+    with open(args.heatmaps, "rb") as fh:
+        heatmaps = _in_file(args.heatmaps, _Container, fh)
         for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
             for i, row in enumerate(range(start, stop)):
                 where = f"frame {fid!r}, person {i}"
@@ -175,7 +181,7 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                     BoundingBox(*dets.boxes[row].tolist()),
                     args.crop_width, args.crop_height, args.padding,
                 )
-                stack = HeatmapStack(heatmaps.read(name).data, args.stride)
+                stack = HeatmapStack(_in_file(args.heatmaps, heatmaps.read, name).data, args.stride)
                 try:
                     pose, _ = decode_heatmaps(stack, crop)
                 except ValidationError as exc:

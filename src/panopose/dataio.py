@@ -20,16 +20,14 @@ A :class:`Dataset` holds one read-only array per field: the sorted
 ``frame_ids`` with ``[F + 1]`` row ``offsets``, and per person ``ids``,
 ``boxes`` ``[N, 4]`` with ``has_box``, ``scores`` ``[N]`` with ``has_score``
 and ``keypoints`` ``[N, K, 3]`` with ``has_pose``. A missing value's row
-holds zeros, and K is 0 when no person has a pose. ``frames`` builds
-read-only :class:`FrameAnnotations`, :class:`Person` and :class:`Pose` views
-on each access.
+holds zeros, and K is 0 when no person has a pose.
 
-``Dataset._build`` is the one builder; the parser's walk and
-``Dataset(schema_id, pano, frames)`` feed it. It checks each value rule once
-over a whole column with the function that :class:`Pose`, :class:`Person`
-and :class:`~panopose.geometry.BoundingBox` run on their one row: box or
-pose (:func:`_presence_rule`), finite box fields with a positive finite
-area (``geometry._box_rule``), finite keypoints with v in {0, 1, 2}
+``Dataset(...)`` takes these columns, with frames in any order; the parser
+and ``Dataset._with`` call it too. It checks each value rule once over a
+whole column with the function that :class:`Pose` and
+:class:`~panopose.geometry.BoundingBox` run on their one row: box or pose
+(:func:`_presence_rule`), finite box fields with a positive finite area
+(``geometry._box_rule``), finite keypoints with v in {0, 1, 2}
 (:func:`_keypoint_rule`) and a score in [0, 1] (``geometry._score_rule``).
 Frame ids are non-empty strings (:func:`_frame_id_rule`) and unique.
 
@@ -52,8 +50,8 @@ from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
-from .errors import RowError, ValidationError
-from .geometry import BoundingBox, PanoramaSpec, _box_rule, _score_rule
+from .errors import RowError, ValidationError, _where
+from .geometry import PanoramaSpec, _box_rule, _score_rule
 
 if TYPE_CHECKING:
     from .schema import KeypointSchema
@@ -63,8 +61,6 @@ __all__ = [
     "LABELED_INVISIBLE",
     "LABELED_VISIBLE",
     "Pose",
-    "Person",
-    "FrameAnnotations",
     "Dataset",
     "load_ground_truth",
     "load_predictions",
@@ -107,25 +103,19 @@ def _presence_rule(has_box: np.ndarray, has_pose: np.ndarray) -> None:
 
 def _frame_id_rule(frame_id: Any) -> None:
     if not isinstance(frame_id, str) or not frame_id:
-        raise ValueError(f"frame id must be a non-empty string, got {frame_id!r}")
+        raise ValidationError(f"frame {frame_id!r}: frame id must be a non-empty string, got {frame_id!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class Pose:
-    """One person's keypoints: a read-only ``float64`` ``[K, 3]`` array of
-    ``(x, y, v)`` rows with K >= 1, finite x and y, and v in {0, 1, 2}.
-
-    A read-only ``float64`` array is held as given, so its owner must not
-    write to it through another view; anything else is copied."""
+    """One person's keypoints: a read-only ``float64`` ``[K, 3]`` copy of
+    ``(x, y, v)`` rows with K >= 1, finite x and y, and v in {0, 1, 2}."""
 
     keypoints: np.ndarray
 
     def __post_init__(self) -> None:
-        kps = self.keypoints
-        # A dataset's views hand over rows of its read-only keypoint column.
-        if not isinstance(kps, np.ndarray) or kps.dtype != np.float64 or kps.flags.writeable:
-            kps = np.array(kps, dtype=np.float64)
-            kps.flags.writeable = False
+        kps = np.array(self.keypoints, dtype=np.float64)
+        kps.flags.writeable = False
         if kps.ndim != 2 or kps.shape[1] != 3 or not len(kps):
             raise ValueError(f"pose must be K >= 1 rows of (x, y, v), got shape {kps.shape}")
         _keypoint_rule(kps[None])
@@ -137,88 +127,41 @@ class Pose:
         return np.array_equal(self.keypoints, other.keypoints)
 
 
-@dataclass(frozen=True)
-class Person:
-    id: str | None = None
-    box: BoundingBox | None = None
-    pose: Pose | None = None
-    score: float | None = None
-
-    def __post_init__(self) -> None:
-        _presence_rule(np.array([self.box is not None]), np.array([self.pose is not None]))
-        if self.score is not None:
-            object.__setattr__(self, "score", float(self.score))
-            _score_rule(np.array([self.score]), "person")
-
-
-@dataclass(frozen=True)
-class FrameAnnotations:
-    frame_id: str
-    persons: tuple[Person, ...] = ()
-
-    def __post_init__(self) -> None:
-        _frame_id_rule(self.frame_id)
-        object.__setattr__(self, "persons", tuple(self.persons))
-
-
-def _where(frame_ids: Sequence[str], offsets: Sequence[int], row: int) -> str:
-    """Location of person row ``row``: its frame id and index in the frame."""
-    f = int(np.searchsorted(offsets, row, side="right")) - 1
-    return f"frame {frame_ids[f]!r}, person {row - int(offsets[f])}"
-
-
-def _person_columns(persons: Sequence[Person]) -> dict[str, Any]:
-    """The person columns of ``persons``, in order, with zeros for a missing value."""
-    sizes = {len(p.pose.keypoints) for p in persons if p.pose is not None}
-    if len(sizes) > 1:
-        raise ValidationError("pose length mismatch: " + " vs ".join(map(str, sorted(sizes))))
-    blank = np.zeros((sizes.pop() if sizes else 0, 3))
-    return {
-        "ids": [p.id for p in persons],
-        "boxes": np.array([(0.0,) * 4 if p.box is None else (p.box.x1, p.box.y1, p.box.x2, p.box.y2)
-                           for p in persons]).reshape(-1, 4),
-        "has_box": np.array([p.box is not None for p in persons], dtype=bool),
-        "scores": np.array([p.score or 0.0 for p in persons], dtype=np.float64),
-        "has_score": np.array([p.score is not None for p in persons], dtype=bool),
-        "keypoints": np.array([blank if p.pose is None else p.pose.keypoints for p in persons])
-        .reshape(len(persons), len(blank), 3),
-        "has_pose": np.array([p.pose is not None for p in persons], dtype=bool),
-    }
-
-
 @dataclass(frozen=True, init=False, eq=False)
 class Dataset:
-    """A dataset's columns (see the module docstring), frames in sorted id
-    order; ``frames`` is a read-only view."""
+    """A dataset's columns (see the module docstring), frames in sorted id order."""
 
     schema_id: str
     pano: PanoramaSpec
-    # Read through the property below; as a field it keeps
-    # dataclasses.replace(ds, frames=...) working.
-    frames: tuple[FrameAnnotations, ...]
 
-    def __init__(self, schema_id: str, pano: PanoramaSpec, frames: Sequence[FrameAnnotations] = ()) -> None:
-        frames = tuple(frames)
-        offsets = np.cumsum([0] + [len(f.persons) for f in frames])
-        persons = [p for f in frames for p in f.persons]
-        self._build(schema_id, pano, [f.frame_id for f in frames], offsets, **_person_columns(persons))
-
-    def _build(self, schema_id: str, pano: PanoramaSpec, frame_ids: Sequence[str], offsets: Any,
-               ids: Any, boxes: Any, has_box: Any, scores: Any, has_score: Any, keypoints: Any,
-               has_pose: Any) -> "Dataset":
-        """The one builder: checks every value rule once per column, with the
-        rows in the given frame order, then sorts the frames by id."""
+    def __init__(self, schema_id: str, pano: PanoramaSpec, frame_ids: Sequence[str], offsets: Any,
+                 ids: Any, boxes: Any, has_box: Any, scores: Any, has_score: Any, keypoints: Any,
+                 has_pose: Any) -> None:
+        """Check the column lengths and every value rule once per column, with
+        the rows in the given frame order (frame ``f`` holds rows
+        ``offsets[f]:offsets[f + 1]``), then sort the frames by id."""
+        n = len(ids)
+        lengths = [len(c) for c in (ids, boxes, has_box, scores, has_score, keypoints, has_pose)]
+        if lengths != [n] * len(lengths):
+            raise ValidationError(f"person columns of unequal lengths {lengths}")
         offsets = np.asarray(offsets, dtype=np.intp)
-        ids = np.array(ids, dtype=object).reshape(-1)
+        if (len(offsets) != len(frame_ids) + 1 or offsets[0] != 0 or offsets[-1] != n
+                or (np.diff(offsets) < 0).any()):
+            raise ValidationError(f"offsets must rise from 0 to {n} over {len(frame_ids)} frames")
+        for fid in frame_ids:
+            _frame_id_rule(fid)
+        ids = np.array(ids, dtype=object)
         has_box, has_score, has_pose = (np.asarray(m, dtype=bool) for m in (has_box, has_score, has_pose))
-        boxes = np.where(has_box[:, None], np.asarray(boxes, dtype=np.float64).reshape(-1, 4), 0.0)
+        boxes = np.where(has_box[:, None], np.asarray(boxes, dtype=np.float64).reshape(n, 4), 0.0)
         scores = np.where(has_score, np.asarray(scores, dtype=np.float64), 0.0)
-        if has_pose.all() and len(has_pose):
+        if has_pose.all() and n:
             keypoints = np.asarray(keypoints, dtype=np.float64)
         elif has_pose.any():
             keypoints = np.where(has_pose[:, None, None], keypoints, 0.0)
         else:
-            keypoints = np.zeros((len(has_pose), 0, 3))
+            keypoints = np.zeros((n, 0, 3))
+        if keypoints.ndim != 3 or keypoints.shape[2] != 3:
+            raise ValidationError(f"keypoints must be [N, K, 3], got shape {keypoints.shape}")
         faults = []
         for rule, *columns in (
             (_presence_rule, has_box, has_pose),
@@ -248,30 +191,15 @@ class Dataset:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
-        return self
 
     def _with(self, rows: Any = None, **changes: Any) -> "Dataset":
         """This dataset with ``changes`` to its fields, keeping only the sorted
-        person ``rows``; checked by the builder."""
+        person ``rows``; checked by the constructor."""
         fields = {name: getattr(self, name) for name in _FIELDS} | changes
         if rows is not None:
             fields |= {name: np.asarray(fields[name])[rows] for name in _PERSON_COLUMNS}
             fields["offsets"] = np.searchsorted(rows, self.offsets)
-        return Dataset.__new__(Dataset)._build(**fields)
-
-    @property
-    def frames(self) -> tuple[FrameAnnotations, ...]:
-        persons = [
-            Person(pid, BoundingBox(*box) if has_box else None, Pose(kps) if has_pose else None,
-                   score if has_score else None)
-            for pid, box, has_box, score, has_score, kps, has_pose in zip(
-                self.ids.tolist(), self.boxes.tolist(), self.has_box.tolist(), self.scores.tolist(),
-                self.has_score.tolist(), self.keypoints, self.has_pose.tolist(),
-            )
-        ]
-        bounds = self.offsets.tolist()
-        return tuple(FrameAnnotations(fid, tuple(persons[a:b]))
-                     for fid, a, b in zip(self.frame_ids, bounds, bounds[1:]))
+        return Dataset(**fields)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Dataset):
@@ -310,7 +238,7 @@ def _walk_person(raw: Any, where: str, schema: "KeypointSchema", require_score: 
         raise ValidationError(f"{where}: person must be an object")
     _require_keys(raw, (), ("id", "box", "score", "pose"), where)
     person_id = raw.get("id")
-    if person_id is not None and not isinstance(person_id, str):
+    if "id" in raw and not isinstance(person_id, str):
         raise ValidationError(f"{where}: id must be a string")
     num_kps = len(schema.names)
     box, score, pose = (0.0, 0.0, 0.0, 0.0), 0.0, None
@@ -425,10 +353,7 @@ def _dataset_from_doc(doc: dict, schema: "KeypointSchema", require_scores: bool)
                 raise ValidationError("frame must be an object")
             _require_keys(raw, ("frame_id", "persons"), (), "frame")
             fid = raw["frame_id"]
-            try:
-                _frame_id_rule(fid)
-            except ValueError as exc:
-                raise ValidationError(f"frame {fid!r}: {exc}") from exc
+            _frame_id_rule(fid)
             persons_raw = raw["persons"]
             if not isinstance(persons_raw, list):
                 raise ValidationError(f"frame {fid!r}: persons must be a list")
@@ -443,7 +368,7 @@ def _dataset_from_doc(doc: dict, schema: "KeypointSchema", require_scores: bool)
     if any(columns["has_pose"]):
         columns["keypoints"] = _keypoint_array(columns["keypoints"], num_kps, where)
     offsets.append(len(columns["ids"]))
-    return Dataset.__new__(Dataset)._build(schema.id, pano, frame_ids, offsets, **columns)
+    return Dataset(schema.id, pano, frame_ids, offsets, **columns)
 
 
 def load_ground_truth(path: str | Path, schema: "KeypointSchema") -> Dataset:

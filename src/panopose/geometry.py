@@ -13,10 +13,11 @@ Each box rule and kernel has one home here, over ``[N, 4]``
 ``(x1, y1, x2, y2)`` rows, and a single-item function is its one-row case:
 :func:`_box_rule` and :func:`_score_rule` check a whole column (a
 :class:`BoundingBox`, or a dataset's boxes and scores), :func:`_iou_matrix`
-serves :func:`iou`, :func:`_nms_rows` :func:`nms`, :func:`_matching_boxes`
-:func:`person_box`; :func:`_pose_bboxes` is the box rule of
-``boxes-from-poses``. A kernel checks its parameter (threshold, margin,
-shift) on entry, so a bad value is refused even with no rows.
+serves :func:`iou` and :func:`_nms_rows` :func:`nms`.
+:func:`_matching_boxes` is the box a person is matched by, and
+:func:`_pose_bboxes` the box rule of ``boxes-from-poses``. A kernel checks
+its parameter (threshold, margin, shift) on entry, so a bad value is refused
+even with no rows.
 """
 
 from __future__ import annotations
@@ -27,10 +28,10 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import RowError, ValidationError
+from .errors import RowError, ValidationError, _where
 
 if TYPE_CHECKING:
-    from .dataio import Dataset, Person
+    from .dataio import Dataset
 
 __all__ = [
     "CROP_WIDTH",
@@ -43,7 +44,6 @@ __all__ = [
     "AffineTransform",
     "apply_transform",
     "invert_transform",
-    "person_box",
     "iou",
     "nms",
     "shift_dataset",
@@ -277,8 +277,9 @@ def _pose_bboxes(keypoints: np.ndarray, margin: float, pano: PanoramaSpec) -> np
 
 
 def _pose_boxes(keypoints: np.ndarray) -> np.ndarray:
-    """``[N, 4]`` tight boxes of ``[N, K, 3]`` poses by the :func:`person_box`
-    rule, unchecked: a row may break the :class:`BoundingBox` rule."""
+    """``[N, 4]`` tight boxes of ``[N, K, 3]`` poses by the
+    :func:`_matching_boxes` rule, unchecked: a row may break the
+    :class:`BoundingBox` rule."""
     labeled = keypoints[:, :, 2] > 0
     x1, y1, x2, y2 = _extents(keypoints, labeled | ~labeled.any(axis=1, keepdims=True))
     # lo + hi may overflow to inf; a floored box built from it then fails
@@ -307,9 +308,12 @@ def _floored_spans(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _matching_boxes(boxes: np.ndarray, has_box: np.ndarray, keypoints: np.ndarray) -> np.ndarray:
-    """``[N, 4]`` :func:`person_box` rows of a box column with its has-box
-    mask and the ``[N, K, 3]`` poses. Raises :class:`RowError` for the first
-    pose box that breaks the :class:`BoundingBox` rule."""
+    """``[N, 4]`` boxes the persons are matched by, from a box column with its
+    has-box mask and the ``[N, K, 3]`` poses: the stored box when present,
+    otherwise the tight enclosing box of the pose keypoints (the labeled
+    (v > 0) ones when any are labeled, all of them otherwise, with a hair of
+    extent so the box is always valid). Raises :class:`RowError` for the
+    first pose box that breaks the :class:`BoundingBox` rule."""
     if has_box.all():
         return boxes
     rows = np.where(has_box[:, None], boxes, _pose_boxes(keypoints))
@@ -317,17 +321,13 @@ def _matching_boxes(boxes: np.ndarray, has_box: np.ndarray, keypoints: np.ndarra
     return rows
 
 
-def person_box(person: "Person") -> BoundingBox:
-    """Box used to match a person: the stored box when present, otherwise the
-    tight enclosing box of the pose keypoints (the labeled (v > 0) ones when
-    any are labeled, all of them otherwise, with a hair of extent so the box
-    is always valid)."""
-    if person.box is not None:
-        return person.box
-    if person.pose is None:
-        raise ValueError("person has neither box nor pose")
-    x1, y1, x2, y2 = _pose_boxes(person.pose.keypoints[None])[0].tolist()
-    return BoundingBox(x1, y1, x2, y2, score=1.0)
+def _located_matching_boxes(ds: "Dataset", prefix: str = "") -> np.ndarray:
+    """:func:`_matching_boxes` of a dataset; a fault raises
+    :class:`ValidationError` naming its frame and person after ``prefix``."""
+    try:
+        return _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
+    except RowError as exc:
+        raise ValidationError(f"{prefix}{_where(ds.frame_ids, ds.offsets, exc.row)}: {exc}") from exc
 
 
 def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
@@ -335,18 +335,13 @@ def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
     the panorama width first, so 0 and any multiple of the width are exact
     identities. Persons whose matching box would cross the seam are removed;
     y coordinates are unchanged."""
-    from .dataio import _where
-
     if not math.isfinite(shift):
         raise ValueError(f"shift must be finite, got {shift}")
     w = float(ds.pano.width)
     s = float(shift) % w
     if s == 0.0:
         return ds
-    try:
-        ref = _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
-    except RowError as exc:
-        raise ValidationError(f"{_where(ds.frame_ids, ds.offsets, exc.row)}: {exc}") from exc
+    ref = _located_matching_boxes(ds)
     keep = ~(np.remainder(ref[:, 0] + s, w) + (ref[:, 2] - ref[:, 0]) > w)
     b = ds.boxes
     x1 = np.remainder(b[:, 0] + s, w)

@@ -9,7 +9,7 @@ dataset-level report that aggregates them.
 OKS between a predicted and a labeled pose is the mean over labeled
 keypoints i of exp(-d_i^2 / (2 * s^2 * k_i^2)), with d_i the Euclidean pixel
 distance, k_i the per-keypoint falloff constant, and s^2 the area of the
-ground-truth matching box (:func:`~panopose.geometry.person_box`).
+ground-truth matching box (:func:`~panopose.geometry._matching_boxes`).
 
 The set metric between prediction and ground-truth sets of sizes m <= n
 (swap otherwise) with cutoff c and order p is
@@ -38,9 +38,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, Pose, _where
-from .errors import RowError, ValidationError
-from .geometry import BoundingBox, _areas, _iou_matrix, _matching_boxes
+from .dataio import Dataset, Pose
+from .errors import ValidationError, _where
+from .geometry import BoundingBox, _areas, _iou_matrix, _located_matching_boxes
 from .schema import SchemaMapping, check_entries, default_mapping
 
 __all__ = [
@@ -454,14 +454,6 @@ class EvalReport:
         }
 
 
-def _located_matching_boxes(side: str, ds: Dataset) -> np.ndarray:
-    try:
-        return _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
-    except RowError as exc:
-        where = _where(ds.frame_ids, ds.offsets, exc.row)
-        raise ValidationError(f"{side}: {where}: {exc}") from exc
-
-
 def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> EvalReport:
     """Dataset-mean set distance and AP at the configured OKS threshold.
 
@@ -473,8 +465,8 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     _check_pair(preds, gts)
     params = config.oks_params or default_oks_params(gts.schema_id)
 
-    pred_boxes = _located_matching_boxes("predictions", preds)
-    gt_boxes = _located_matching_boxes("ground truth", gts)
+    pred_boxes = _located_matching_boxes(preds, "predictions: ")
+    gt_boxes = _located_matching_boxes(gts, "ground truth: ")
     gt_areas = _areas(gt_boxes)
     pred_spans = dict(zip(preds.frame_ids, itertools.pairwise(preds.offsets.tolist())))
     matched = np.zeros(len(preds.ids), dtype=bool)

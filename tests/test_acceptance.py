@@ -10,19 +10,19 @@ import time
 
 import numpy as np
 
-from synth import make_ground_truth, perturb_predictions
+from synth import dataset, make_ground_truth, perturb_predictions, person
 
 from panopose.cli import run
-from panopose.dataio import Dataset, FrameAnnotations, Person, save_dataset
+from panopose.dataio import Pose, save_dataset
 from panopose.geometry import (
     BoundingBox,
     PanoramaSpec,
+    _matching_boxes,
     apply_transform,
     crop_transform,
     invert_transform,
     iou,
     nms,
-    person_box,
     shift_dataset,
 )
 from panopose.metrics import (
@@ -133,15 +133,14 @@ def test_ap_suite():
     perfect = perturb_predictions(gt, rng, 0.0)
     assert _ap(perfect, gt, params, 0.5) == 1.0
 
-    empty = Dataset(gt.schema_id, gt.pano, ())
+    empty = dataset(gt.schema_id, gt.pano, [])
     assert _ap(empty, gt, params, 0.5) == 0.0
 
     # a single heavily displaced prediction whose only candidate is sub-threshold
     one_gt = make_ground_truth(rng, num_frames=1, people=(1, 1), x_range=(0.05, 0.5))
     displaced = shift_dataset(perturb_predictions(one_gt, rng, 0.0), 500.0)
-    gt_person = one_gt.frames[0].persons[0]
-    pred_person = displaced.frames[0].persons[0]
-    assert oks(pred_person.pose, gt_person.pose, params, person_box(gt_person)) < 0.5
+    gt_box = BoundingBox(*_matching_boxes(one_gt.boxes, one_gt.has_box, one_gt.keypoints)[0])
+    assert oks(Pose(displaced.keypoints[0]), Pose(one_gt.keypoints[0]), params, gt_box) < 0.5
     assert _ap(displaced, one_gt, params, 0.5) == 0.0
 
     for scene in range(50):
@@ -242,10 +241,8 @@ def test_geometry_suite():
 
     pano = PanoramaSpec(2048.0, 512.0)
     for _ in range(20):
-        persons = tuple(
-            Person(box=_random_box(rng, span=1500.0)) for _ in range(int(rng.integers(1, 6)))
-        )
-        ds = Dataset("jrdb17", pano, (FrameAnnotations("f", persons),))
+        boxes = [_random_box(rng, span=1500.0) for _ in range(int(rng.integers(1, 6)))]
+        ds = dataset("jrdb17", pano, [("f", [person(box=(b.x1, b.y1, b.x2, b.y2)) for b in boxes])])
         assert shift_dataset(ds, 0.0) == ds
         assert shift_dataset(ds, pano.width) == ds
 
@@ -266,9 +263,7 @@ def test_seam_shift_metric_invariance():
         gt_shifted = shift_dataset(gt, shift)
         preds_shifted = shift_dataset(preds, shift)
         for before, after in ((gt, gt_shifted), (preds, preds_shifted)):
-            assert sum(len(f.persons) for f in before.frames) == sum(
-                len(f.persons) for f in after.frames
-            ), "seam rule removed a person; shift range too large"
+            assert len(before.ids) == len(after.ids), "seam rule removed a person; shift range too large"
 
         base = evaluate(preds, gt)
         moved = evaluate(preds_shifted, gt_shifted)

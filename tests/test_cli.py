@@ -5,19 +5,17 @@ import re
 import subprocess
 import sys
 from collections import Counter
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from synth import make_ground_truth, mapping_doc, perturb_predictions
+from synth import dataset, make_ground_truth, mapping_doc, perturb_predictions, person
 
 from panopose.cli import run
 from panopose.dataio import (
-    Dataset,
-    FrameAnnotations,
-    Person,
     Pose,
+    dataset_from_json,
+    dataset_to_canonical_json,
     load_predictions,
     save_dataset,
 )
@@ -30,23 +28,17 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _pose17(x0=100.0, y0=200.0):
-    return Pose([(x0 + 6 * i, y0 + 5 * i, 2) for i in range(17)])
+    return [(x0 + 6 * i, y0 + 5 * i, 2) for i in range(17)]
 
 
 def _gt_dataset():
-    return Dataset(
-        "jrdb17",
-        PANO,
-        (
-            FrameAnnotations(
-                "f1",
-                (
-                    Person(id="a", pose=_pose17(), score=0.8),
-                    Person(id="b", pose=_pose17(x0=700.0), score=0.6),
-                ),
-            ),
-        ),
-    )
+    return dataset("jrdb17", PANO, [("f1", [person(id="a", pose=_pose17(), score=0.8),
+                                            person(id="b", pose=_pose17(x0=700.0), score=0.6)])])
+
+
+def _one_box(box=(0, 0, 10, 10)):
+    """A one-frame dataset of one detection: ``box`` with score 0.9."""
+    return dataset("jrdb17", PANO, [("f1", [person(box=box, score=0.9)])])
 
 
 class TestEval:
@@ -98,10 +90,7 @@ class TestEval:
         gt = tmp_path / "g.json"
         pred = tmp_path / "p.json"
         save_dataset(_gt_dataset(), gt)
-        other = Dataset(
-            "jrdb17", PANO,
-            (FrameAnnotations("zz", (Person(pose=_pose17(), score=0.5),)),),
-        )
+        other = dataset("jrdb17", PANO, [("zz", [person(pose=_pose17(), score=0.5)])])
         save_dataset(other, pred)
         code = run(["eval", "--gt", str(gt), "--pred", str(pred)])
         assert code == 1
@@ -164,29 +153,21 @@ def _edge_case_eval_files(tmp_path):
     rng = np.random.default_rng(2024)
     gt = make_ground_truth(rng, num_frames=10, people=(1, 5))
     pred = perturb_predictions(gt, rng, 4.0)
-    gt_frames = list(gt.frames)
-    unlabeled = gt_frames[2].persons[0].pose.keypoints.copy()
-    unlabeled[:, 2] = 0
-    gt_frames[1] = replace(
-        gt_frames[1],
-        persons=gt_frames[1].persons
-        + (Person(box=BoundingBox(300.0, 200.0, 380.0, 330.0)),
-           Person(box=BoundingBox(1500.5, 180.25, 1590.0, 340.75))),
-    )
-    gt_frames[2] = replace(
-        gt_frames[2], persons=gt_frames[2].persons + (Person(pose=Pose(unlabeled)),)
-    )
-    gt_frames.append(FrameAnnotations("frame_empty", ()))
-    pred_frames = [f for f in pred.frames if f.frame_id != "frame0003"]
-    pred_frames[0] = replace(
-        pred_frames[0],
-        persons=pred_frames[0].persons
-        + (Person(box=BoundingBox(310.0, 205.0, 385.0, 320.0), score=0.45),),
-    )
-    pred_frames.append(FrameAnnotations("frame_empty", ()))
+    gt_frames = json.loads(dataset_to_canonical_json(gt))["frames"]
+    unlabeled = [[x, y, 0] for x, y, _ in gt_frames[2]["persons"][0]["pose"]]
+    gt_frames[1]["persons"] += [person(box=(300.0, 200.0, 380.0, 330.0)),
+                                person(box=(1500.5, 180.25, 1590.0, 340.75))]
+    gt_frames[2]["persons"].append(person(pose=unlabeled))
+    gt_frames.append({"frame_id": "frame_empty", "persons": []})
+    pred_frames = [f for f in json.loads(dataset_to_canonical_json(pred))["frames"]
+                   if f["frame_id"] != "frame0003"]
+    pred_frames[0]["persons"].append(person(box=(310.0, 205.0, 385.0, 320.0), score=0.45))
+    pred_frames.append({"frame_id": "frame_empty", "persons": []})
     gt_path, pred_path = tmp_path / "g.json", tmp_path / "p.json"
-    save_dataset(replace(gt, frames=tuple(gt_frames)), gt_path)
-    save_dataset(replace(pred, frames=tuple(pred_frames)), pred_path)
+    for frames, path in ((gt_frames, gt_path), (pred_frames, pred_path)):
+        doc = {"schema": "jrdb17", "pano": {"width": gt.pano.width, "height": gt.pano.height},
+               "frames": frames}
+        save_dataset(dataset_from_json(json.dumps(doc), JRDB17), path)
     return gt_path, pred_path
 
 
@@ -288,12 +269,8 @@ class TestBadParameters:
     )
     def test_refused_before_any_output(self, tmp_path, capsys, argv, message, persons):
         data, heat, out = tmp_path / "d.json", tmp_path / "heat.bin", tmp_path / "o.json"
-        frames = (
-            (FrameAnnotations("f1", (Person(box=BoundingBox(100, 50, 388, 434),
-                                            pose=_pose17(), score=0.9),)),)
-            if persons else ()
-        )
-        save_dataset(Dataset("jrdb17", PANO, frames), data)
+        frames = [("f1", [person(box=(100, 50, 388, 434), pose=_pose17(), score=0.9)])]
+        save_dataset(dataset("jrdb17", PANO, frames[:persons]), data)
         grids = [TensorRecord.from_array("f1/0", np.ones((17, 96, 72), dtype=np.float32))]
         save_tensor_map(TensorMap(grids[:persons]), heat)
         code = run([a.format(d=data, h=heat, o=out) for a in argv])
@@ -308,7 +285,7 @@ class TestColumns:
     def test_commands_build_no_person_objects(self, tmp_path, monkeypatch, capsys):
         gt, pred = _edge_case_eval_files(tmp_path)
         built = Counter()
-        for cls in (Pose, Person, FrameAnnotations):
+        for cls in (Pose, BoundingBox):
             def counting(self, check=cls.__post_init__, name=cls.__name__):
                 built[name] += 1
                 check(self)
@@ -323,8 +300,8 @@ class TestColumns:
         ):
             assert run([str(a) for a in argv]) == 0
         assert built == Counter()
-        Person(box=BoundingBox(0, 0, 1, 1))
-        assert built == Counter(Person=1)  # the counters do see a construction
+        BoundingBox(0, 0, 1, 1)
+        assert built == Counter(BoundingBox=1)  # the counters do see a construction
 
 
 class TestShift:
@@ -358,41 +335,28 @@ class TestShift:
 
 class TestNms:
     def test_single_box_passthrough(self, tmp_path):
-        ds = Dataset(
-            "jrdb17", PANO,
-            (FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 10, 10), score=0.9),)),),
-        )
+        ds = _one_box()
         src, dst = tmp_path / "d.json", tmp_path / "o.json"
         save_dataset(ds, src)
         assert run(["nms", "--pred", str(src), "--out", str(dst), "--nms-iou", "0.5"]) == 0
         assert src.read_bytes() == dst.read_bytes()
 
     def test_overlapping_boxes_filtered(self, tmp_path):
-        ds = Dataset(
-            "jrdb17", PANO,
-            (
-                FrameAnnotations(
-                    "f1",
-                    (
-                        Person(id="lo", box=BoundingBox(0, 0, 10, 10), score=0.5),
-                        Person(id="hi", box=BoundingBox(0, 0, 10, 10), score=0.9),
-                        Person(id="far", box=BoundingBox(500, 0, 520, 30), score=0.4),
-                    ),
-                ),
-            ),
-        )
+        ds = dataset("jrdb17", PANO, [("f1", [
+            person(id="lo", box=(0, 0, 10, 10), score=0.5),
+            person(id="hi", box=(0, 0, 10, 10), score=0.9),
+            person(id="far", box=(500, 0, 520, 30), score=0.4),
+        ])])
         src, dst = tmp_path / "d.json", tmp_path / "o.json"
         save_dataset(ds, src)
         assert run(["nms", "--pred", str(src), "--out", str(dst)]) == 0
         out = load_predictions(dst, JRDB17)
-        assert [p.id for p in out.frames[0].persons] == ["hi", "far"]
+        assert out.ids.tolist() == ["hi", "far"]
 
 
 class TestBoxesFromPoses:
     def test_boxes_added_with_margin(self, tmp_path):
-        ds = Dataset(
-            "jrdb17", PANO, (FrameAnnotations("f1", (Person(pose=_pose17()),)),)
-        )
+        ds = dataset("jrdb17", PANO, [("f1", [person(pose=_pose17())])])
         src, dst = tmp_path / "g.json", tmp_path / "b.json"
         save_dataset(ds, src)
         assert run(
@@ -458,7 +422,17 @@ class TestRemapWeights:
         )
         assert code == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: parse error: 'utf-8' codec can't decode byte 0xff")
+        assert err.startswith(f"error: {mapping_file}: parse error: 'utf-8' codec can't decode byte 0xff")
+        assert not (tmp_path / "o.bin").exists()
+
+    def test_truncated_source_container_is_named(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        src.write_bytes(b"\x10\x00")
+        code = run(["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
+                    "--weight-name", "head.weight"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: malformed header: file shorter than the length prefix\n"
         assert not (tmp_path / "o.bin").exists()
 
     def test_verbatim_flag(self, tmp_path):
@@ -484,11 +458,7 @@ class TestRemapWeights:
 
 class TestDecodeCommand:
     def test_end_to_end(self, tmp_path):
-        box = BoundingBox(100.0, 50.0, 388.0, 434.0)
-        dets = Dataset(
-            "jrdb17", PANO,
-            (FrameAnnotations("f1", (Person(id="d0", box=box, score=0.9),)),),
-        )
+        dets = dataset("jrdb17", PANO, [("f1", [person(id="d0", box=(100.0, 50.0, 388.0, 434.0), score=0.9)])])
         dets_path = tmp_path / "dets.json"
         save_dataset(dets, dets_path)
 
@@ -505,18 +475,14 @@ class TestDecodeCommand:
         )
         assert code == 0
         preds = load_predictions(out_path, JRDB17)
-        person = preds.frames[0].persons[0]
-        assert person.score == 0.9
-        assert len(person.pose.keypoints) == 17
+        assert preds.scores.tolist() == [0.9]
+        assert preds.keypoints.shape == (1, 17, 3)
         # identity-scale crop: cell (10, 20) -> crop (82, 42) -> pano (182, 92)
-        assert person.pose.keypoints[0, 0] == pytest.approx(182.0, abs=1e-9)
-        assert person.pose.keypoints[0, 1] == pytest.approx(92.0, abs=1e-9)
+        assert preds.keypoints[0, 0, 0] == pytest.approx(182.0, abs=1e-9)
+        assert preds.keypoints[0, 0, 1] == pytest.approx(92.0, abs=1e-9)
 
     def test_missing_heatmap_tensor(self, tmp_path, capsys):
-        dets = Dataset(
-            "jrdb17", PANO,
-            (FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 10, 10), score=0.9),)),),
-        )
+        dets = _one_box()
         dets_path = tmp_path / "dets.json"
         save_dataset(dets, dets_path)
         heat_path = tmp_path / "heat.bin"
@@ -529,15 +495,25 @@ class TestDecodeCommand:
         assert "missing heatmap tensor" in capsys.readouterr().err
 
     def _decode_one(self, tmp_path, grids):
-        dets = Dataset(
-            "jrdb17", PANO,
-            (FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 10, 10), score=0.9),)),),
-        )
+        dets = _one_box()
         dets_path, heat_path = tmp_path / "dets.json", tmp_path / "heat.bin"
         save_dataset(dets, dets_path)
         save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", grids)]), heat_path)
         return run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
                     "--out", str(tmp_path / "o.json")])
+
+    def test_truncated_heatmap_container_is_named(self, tmp_path, capsys):
+        dets_path, heat_path = tmp_path / "dets.json", tmp_path / "heat.bin"
+        save_dataset(_one_box(), dets_path)
+        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", np.ones((17, 4, 4), np.float32))]),
+                        heat_path)
+        heat_path.write_bytes(heat_path.read_bytes()[:-4])
+        code = run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
+                    "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {heat_path}: truncated payload: tensor 'f1/0' ends at byte 1088")
+        assert not (tmp_path / "o.json").exists()
 
     def test_empty_grid_is_located(self, tmp_path, capsys):
         assert self._decode_one(tmp_path, np.zeros((17, 0, 5), dtype=np.float32)) == 1
@@ -560,9 +536,8 @@ class TestDecodeCommand:
         # 144 detections of 17 x 96 x 72 f32 make a 64.6 MiB container. VmHWM
         # is the child's own peak (it resets at exec); a --version child
         # gives the peak of the interpreter and imports.
-        persons = tuple(Person(box=BoundingBox(10 * i, 0, 10 * i + 8, 20), score=0.5)
-                        for i in range(144))
-        save_dataset(Dataset("jrdb17", PANO, (FrameAnnotations("f1", persons),)), tmp_path / "d.json")
+        persons = [person(box=(10 * i, 0, 10 * i + 8, 20), score=0.5) for i in range(144)]
+        save_dataset(dataset("jrdb17", PANO, [("f1", persons)]), tmp_path / "d.json")
         grids = np.zeros((17, 96, 72), dtype=np.float32)
         grids[:, 40, 30] = 1.0
         save_tensor_map(TensorMap(TensorRecord.from_array(f"f1/{i}", grids) for i in range(144)),
@@ -612,11 +587,8 @@ class TestUsage:
 
     def test_no_command_loads_scipy(self, tmp_path):
         # scipy is blocked in the child, so any import of it fails the command.
-        ds = Dataset(
-            "jrdb17", PANO,
-            (FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 10, 10), score=0.9),
-                                     Person(box=BoundingBox(5, 0, 15, 10), score=0.8))),),
-        )
+        ds = dataset("jrdb17", PANO, [("f1", [person(box=(0, 0, 10, 10), score=0.9),
+                                              person(box=(5, 0, 15, 10), score=0.8)])])
         data, result = tmp_path / "d.json", tmp_path / "scipy.json"
         save_dataset(ds, data)
         probe = (

@@ -1,11 +1,11 @@
 import json
 
+import numpy as np
 import pytest
+from synth import dataset, person
 
 from panopose.dataio import (
     Dataset,
-    FrameAnnotations,
-    Person,
     Pose,
     dataset_from_json,
     dataset_to_canonical_json,
@@ -14,18 +14,28 @@ from panopose.dataio import (
     save_dataset,
 )
 from panopose.errors import ValidationError
-from panopose.geometry import BoundingBox, PanoramaSpec
+from panopose.geometry import PanoramaSpec
 from panopose.schema import JRDB17
 
 PANO = PanoramaSpec(2000.0, 600.0)
 
 
 def _pose17(x0=100.0, y0=200.0):
-    return Pose([(x0 + 3 * i, y0 + 2 * i, 2) for i in range(17)])
+    return [(x0 + 3 * i, y0 + 2 * i, 2) for i in range(17)]
 
 
 def _dataset(*frames):
-    return Dataset("jrdb17", PANO, frames)
+    return dataset("jrdb17", PANO, frames)
+
+
+def _columns(frame_ids=("f1",), offsets=(0, 1), **changes):
+    """Constructor arguments of one person with a box and no pose, with ``changes``."""
+    columns = dict(
+        schema_id="jrdb17", pano=PANO, frame_ids=frame_ids, offsets=offsets, ids=[None],
+        boxes=[[0.0, 0.0, 1.0, 1.0]], has_box=[True], scores=[0.0], has_score=[False],
+        keypoints=[None], has_pose=[False],
+    )
+    return columns | changes
 
 
 def _doc(persons, frame_id="f1", width=2000):
@@ -48,32 +58,62 @@ class TestTypes:
             Pose([(float("nan"), 0.0, 2)])
 
     def test_person_needs_box_or_pose(self):
-        with pytest.raises(ValueError):
-            Person(id="p", score=0.5)
+        with pytest.raises(ValidationError, match="^frame 'f1', person 0: person has neither box nor pose$"):
+            Dataset(**_columns(has_box=[False], scores=[0.5], has_score=[True]))
 
     def test_dataset_sorts_frames(self):
-        f1 = FrameAnnotations("b", (Person(box=BoundingBox(0, 0, 1, 1)),))
-        f2 = FrameAnnotations("a", ())
-        assert _dataset(f1, f2).frames == (f2, f1)
+        ds = Dataset(**_columns(frame_ids=["b", "a"], offsets=[0, 1, 1], ids=["p"]))
+        assert ds.frame_ids == ("a", "b")
+        assert ds.offsets.tolist() == [0, 0, 1]
+        assert ds.ids.tolist() == ["p"]
 
     def test_dataset_rejects_duplicate_frame_ids(self):
-        f = FrameAnnotations("a", ())
         with pytest.raises(ValidationError, match="duplicate frame id"):
-            _dataset(f, f)
+            Dataset(**_columns(frame_ids=["a", "a"], offsets=[0, 1, 1]))
+
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"scores": [0.0, 0.0]}, r"^person columns of unequal lengths \[1, 1, 1, 2, 1, 1, 1\]$"),
+            ({"ids": []}, r"^person columns of unequal lengths \[0, 1, 1, 1, 1, 1, 1\]$"),
+            ({"offsets": [0]}, r"^offsets must rise from 0 to 1 over 1 frames$"),
+            ({"offsets": [1, 1]}, r"^offsets must rise from 0 to 1 over 1 frames$"),
+            ({"offsets": [0, 2]}, r"^offsets must rise from 0 to 1 over 1 frames$"),
+            ({"frame_ids": ["a", "b"], "offsets": [0, 2, 1]}, r"^offsets must rise from 0 to 1 over 2 frames$"),
+            ({"keypoints": [[0.0, 0.0]], "has_pose": [True]}, r"^keypoints must be \[N, K, 3\], got shape \(1, 2\)$"),
+            ({"frame_ids": [""]}, r"^frame '': frame id must be a non-empty string"),
+        ],
+        ids=["long-column", "short-column", "short-offsets", "offsets-from-1", "offsets-past-n",
+             "offsets-fall", "keypoints-shape", "empty-frame-id"],
+    )
+    def test_constructor_rejects_inconsistent_columns(self, changes, match):
+        with pytest.raises(ValidationError, match=match):
+            Dataset(**_columns(**changes))
+
+    def test_constructor_zeroes_missing_values(self):
+        kps = np.ones((2, 17, 3))
+        ds = Dataset(**_columns(offsets=[0, 2], ids=["a", None], boxes=[[0, 0, 1, 1], [7, 7, 7, 7]],
+                                has_box=[True, False], scores=[3.0, 0.5], has_score=[False, True],
+                                keypoints=kps, has_pose=[False, True]))
+        assert ds.boxes.tolist() == [[0, 0, 1, 1], [0, 0, 0, 0]]
+        assert ds.scores.tolist() == [0.0, 0.5]
+        assert ds.keypoints[0].tolist() == [[0.0] * 3] * 17
+        assert ds.keypoints[1].tolist() == kps[1].tolist()
+        assert not any(c.flags.writeable for c in (ds.offsets, ds.ids, ds.boxes, ds.keypoints))
 
 
 class TestLoading:
     def test_minimal_valid_file(self):
         text = _doc([{"box": [1, 2, 3, 4]}])
         ds = dataset_from_json(text, JRDB17)
-        assert len(ds.frames) == 1
-        assert ds.frames[0].persons[0].box == BoundingBox(1, 2, 3, 4)
+        assert ds.frame_ids == ("f1",)
+        assert ds.boxes.tolist() == [[1, 2, 3, 4]]
+        assert ds.has_box.tolist() == [True]
 
     def test_pose_round_trips(self):
         pose = [[float(i), float(2 * i), i % 3] for i in range(17)]
         ds = dataset_from_json(_doc([{"pose": pose}]), JRDB17)
-        kps = ds.frames[0].persons[0].pose.keypoints
-        assert kps.tolist() == pose
+        assert ds.keypoints[0].tolist() == pose
 
     def test_wrong_pose_length_names_the_person(self):
         text = _doc([{"pose": [[0, 0, 2]] * 16}])
@@ -188,9 +228,10 @@ class TestLoading:
             ({"pose": [[1, 2]]}, r"pose keypoint 4 must be \[x, y, v\]$"),
             ({"pose": [[1, 2, 3, 4]]}, r"pose keypoint 4 must be \[x, y, v\]$"),
             ({"box": [1, 2, True, 4]}, r"box: expected a number, got True$"),
+            ({"id": None, "box": [10, 10, 50, 90], "score": 0.9}, r"id must be a string$"),
         ],
         ids=["x-true", "x-string", "x-null", "v-float", "v-true", "row-string", "row-short",
-             "row-long", "box-true"],
+             "row-long", "box-true", "id-null"],
     )
     def test_value_of_wrong_json_type_is_located(self, person, match):
         # One np.array call over all rows would take each of these silently.
@@ -228,12 +269,11 @@ class TestPredictions:
             {"schema": "jrdb17", "pano": {"width": 10, "height": 10}, "frames": []}
         )
         ds = dataset_from_json(text, JRDB17, require_scores=True)
-        assert ds.frames == ()
+        assert ds.frame_ids == ()
+        assert len(ds.ids) == 0
 
     def test_loaders_from_disk(self, tmp_path):
-        ds = _dataset(
-            FrameAnnotations("f1", (Person(pose=_pose17(), score=0.5),))
-        )
+        ds = _dataset(("f1", [person(pose=_pose17(), score=0.5)]))
         path = tmp_path / "d.json"
         save_dataset(ds, path)
         assert load_ground_truth(path, JRDB17) == ds
@@ -243,27 +283,22 @@ class TestPredictions:
 class TestCanonicalForm:
     def test_save_load_identity(self):
         ds = _dataset(
-            FrameAnnotations(
-                "f2",
-                (
-                    Person(id="a", box=BoundingBox(0.1, 0.2, 10.3, 20.4), score=0.25),
-                    Person(pose=_pose17(1 / 3, 2 / 7)),
-                ),
-            ),
-            FrameAnnotations("f1", ()),
+            ("f2", [person(id="a", box=(0.1, 0.2, 10.3, 20.4), score=0.25),
+                    person(pose=_pose17(1 / 3, 2 / 7))]),
+            ("f1", []),
         )
         text = dataset_to_canonical_json(ds)
         assert dataset_from_json(text, JRDB17) == ds
 
     def test_frame_permutations_serialize_identically(self):
-        f1 = FrameAnnotations("f1", (Person(box=BoundingBox(0, 0, 1, 1)),))
-        f2 = FrameAnnotations("f2", (Person(pose=_pose17()),))
+        f1 = ("f1", [person(box=(0, 0, 1, 1))])
+        f2 = ("f2", [person(pose=_pose17())])
         assert dataset_to_canonical_json(_dataset(f1, f2)) == dataset_to_canonical_json(
             _dataset(f2, f1)
         )
 
     def test_canonicalization_is_stable(self):
-        ds = _dataset(FrameAnnotations("f1", (Person(pose=_pose17(0.1, 1e-17)),)))
+        ds = _dataset(("f1", [person(pose=_pose17(0.1, 1e-17))]))
         once = dataset_to_canonical_json(ds)
         again = dataset_to_canonical_json(dataset_from_json(once, JRDB17))
         assert once == again
@@ -277,6 +312,6 @@ class TestCanonicalForm:
     def test_awkward_floats_survive(self):
         values = (0.1, 1 / 3, 1e-17, 123456.789012345, 2.0 ** -40)
         kps = [(v, -v, 2) for v in values] + [(0, 0, 2)] * 12
-        ds = _dataset(FrameAnnotations("f1", (Person(pose=Pose(kps)),)))
+        ds = _dataset(("f1", [person(pose=kps)]))
         back = dataset_from_json(dataset_to_canonical_json(ds), JRDB17)
         assert back == ds

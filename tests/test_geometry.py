@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from synth import dataset, person
 
-from panopose.dataio import Dataset, FrameAnnotations, Person, Pose
+from panopose.dataio import Pose
 from panopose.geometry import (
     AffineTransform,
     BoundingBox,
     PanoramaSpec,
+    _matching_boxes,
     _pose_bboxes,
     apply_transform,
     crop_transform,
     invert_transform,
     iou,
     nms,
-    person_box,
     shift_dataset,
 )
 
@@ -23,6 +24,11 @@ PANO = PanoramaSpec(2000.0, 600.0)
 
 def _pose(*xyv):
     return Pose(xyv)
+
+
+def _pose17(*xyv):
+    """The keypoints ``xyv``, then unlabeled copies of the first up to 17."""
+    return list(xyv) + [(*xyv[0][:2], 0)] * (17 - len(xyv))
 
 
 def _random_box(rng, lo=0.0, hi=100.0):
@@ -122,87 +128,78 @@ class TestBboxFromPose:
         assert x1 < x2 and y1 < y2
 
 
+def _matching_box(box, pose):
+    """The matching box of one person with an optional box and pose."""
+    has_box = np.array([box is not None])
+    row = np.array([box if box is not None else (0.0,) * 4], dtype=np.float64)
+    return tuple(_matching_boxes(row, has_box, pose.keypoints[None])[0].tolist())
+
+
 class TestPersonBox:
     def test_prefers_stored_box(self):
-        stored = BoundingBox(1, 2, 3, 4)
-        person = Person(box=stored, pose=_pose((100, 100, 2), (200, 200, 2)))
-        assert person_box(person) is stored
+        assert _matching_box((1, 2, 3, 4), _pose((100, 100, 2), (200, 200, 2))) == (1, 2, 3, 4)
 
     def test_tight_box_over_visible_keypoints(self):
-        person = Person(pose=_pose((10, 10, 2), (20, 30, 2), (999, 999, 0)))
-        box = person_box(person)
-        assert (box.x1, box.y1, box.x2, box.y2) == (10, 10, 20, 30)
+        box = _matching_box(None, _pose((10, 10, 2), (20, 30, 2), (999, 999, 0)))
+        assert box == (10, 10, 20, 30)
 
     def test_falls_back_to_all_keypoints(self):
-        person = Person(pose=_pose((10, 10, 0), (20, 30, 0)))
-        box = person_box(person)
-        assert (box.x1, box.x2) == (10, 20)
+        x1, _, x2, _ = _matching_box(None, _pose((10, 10, 0), (20, 30, 0)))
+        assert (x1, x2) == (10, 20)
 
 
-def _frame_with_boxes(*boxes, with_ids=True):
-    persons = tuple(
-        Person(id=f"p{i}" if with_ids else None, box=b) for i, b in enumerate(boxes)
-    )
-    return FrameAnnotations("f0", persons)
-
-
-def _shifted(frame, shift):
-    """``frame`` shifted through shift_dataset on a one-frame dataset."""
-    return shift_dataset(Dataset("jrdb17", PANO, (frame,)), shift).frames[0]
+def _boxes_dataset(*boxes):
+    """One frame of box-only persons with ids p0, p1, ..."""
+    return dataset("jrdb17", PANO, [("f0", [person(id=f"p{i}", box=b) for i, b in enumerate(boxes)])])
 
 
 class TestShiftFrame:
     def test_shift_zero_is_identity(self):
-        frame = _frame_with_boxes(BoundingBox(10, 10, 50, 70))
-        assert _shifted(frame, 0.0) == frame
+        ds = _boxes_dataset((10, 10, 50, 70))
+        assert shift_dataset(ds, 0.0) == ds
 
     def test_shift_full_period_is_identity(self):
-        frame = _frame_with_boxes(BoundingBox(10.25, 10, 50.5, 70))
-        assert _shifted(frame, PANO.width) == frame
+        ds = _boxes_dataset((10.25, 10, 50.5, 70))
+        assert shift_dataset(ds, PANO.width) == ds
 
     def test_box_crossing_the_seam_is_removed(self):
         w = PANO.width
-        frame = _frame_with_boxes(BoundingBox(w - 10, 0, w - 2, 20))
-        shifted = _shifted(frame, 6.0)
-        assert shifted.persons == ()
+        shifted = shift_dataset(_boxes_dataset((w - 10, 0, w - 2, 20)), 6.0)
+        assert len(shifted.ids) == 0
+        assert shifted.offsets.tolist() == [0, 0]
 
     def test_surviving_box_is_translated(self):
-        frame = _frame_with_boxes(BoundingBox(100, 10, 150, 90))
-        shifted = _shifted(frame, 25.0)
-        box = shifted.persons[0].box
-        assert (box.x1, box.x2, box.y1, box.y2) == (125, 175, 10, 90)
+        shifted = shift_dataset(_boxes_dataset((100, 10, 150, 90)), 25.0)
+        assert shifted.boxes.tolist() == [[125, 10, 175, 90]]
 
     def test_pose_x_wraps_and_y_unchanged(self):
         # Whole person wraps around the seam: x coordinates reduce mod W.
-        person = Person(pose=_pose((1990, 40, 2), (1994, 50, 2)))
-        frame = FrameAnnotations("f0", (person,))
-        shifted = _shifted(frame, 20.0)
-        kps = shifted.persons[0].pose.keypoints
-        assert kps[:, :2].tolist() == [[10, 40], [14, 50]]
+        ds = dataset("jrdb17", PANO, [("f0", [person(pose=_pose17((1990, 40, 2), (1994, 50, 2)))])])
+        kps = shift_dataset(ds, 20.0).keypoints[0]
+        assert kps[:2, :2].tolist() == [[10, 40], [14, 50]]
+        assert kps[2:, :2].tolist() == [[10, 40]] * 15
 
     def test_pose_spanning_the_seam_is_removed(self):
-        person = Person(pose=_pose((1990, 40, 2), (1999, 50, 2)))
-        frame = FrameAnnotations("f0", (person,))
-        assert _shifted(frame, 5.0).persons == ()
+        ds = dataset("jrdb17", PANO, [("f0", [person(pose=_pose17((1990, 40, 2), (1999, 50, 2)))])])
+        assert len(shift_dataset(ds, 5.0).ids) == 0
 
     def test_round_trip_restores_survivors(self):
         # Integer coordinates keep the forward+backward shift exact.
         rng = np.random.default_rng(13)
         for _ in range(50):
             boxes = [
-                BoundingBox(float(x), 0.0, float(x + w), 50.0)
+                (float(x), 0.0, float(x + w), 50.0)
                 for x, w in zip(
                     rng.integers(0, 1900, 6), rng.integers(5, 100, 6)
                 )
                 if x + w <= 2000
             ]
-            frame = _frame_with_boxes(*boxes)
+            ds = _boxes_dataset(*boxes)
             s = float(rng.integers(0, 2000))
-            there = _shifted(frame, s)
-            back = _shifted(there, PANO.width - s)
-            survivors = {p.id for p in back.persons}
-            expected = tuple(p for p in frame.persons if p.id in survivors)
-            assert back.persons == expected
+            back = shift_dataset(shift_dataset(ds, s), PANO.width - s)
+            survivors = set(back.ids.tolist())
+            expected = [(f"p{i}", list(b)) for i, b in enumerate(boxes) if f"p{i}" in survivors]
+            assert list(zip(back.ids.tolist(), back.boxes.tolist())) == expected
 
 
 class TestNms:

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -8,9 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from synth import make_ground_truth, perturb_predictions
+from synth import dataset, make_ground_truth, perturb_predictions, person
 
-from panopose.dataio import Dataset, FrameAnnotations, Person, Pose
+from panopose.dataio import Pose, dataset_from_json, dataset_to_canonical_json
 from panopose.errors import ValidationError
 from panopose.geometry import BoundingBox, PanoramaSpec, _areas, _matching_boxes
 from panopose.metrics import (
@@ -280,45 +281,38 @@ class TestNoSpin:
 class TestOspaIouFrame:
     # The set distance of one frame, as evaluate reports it per frame.
     def _frame(self, *boxes):
-        return tuple(Person(box=b, score=1.0) for b in boxes)
+        return [person(box=b, score=1.0) for b in boxes]
 
-    def _ospa(self, pred_persons, gt_persons, params=None):
+    def _ospa(self, pred_persons, gt_persons):
         preds, gts = _single_frame_datasets(gt_persons, pred_persons)
-        return evaluate(preds, gts, EvalConfig(oks_params=params)).per_frame["f1"].ospa_iou
+        return evaluate(preds, gts).per_frame["f1"].ospa_iou
 
     def test_identical_frames(self):
-        frame = self._frame(BoundingBox(0, 0, 10, 10), BoundingBox(20, 20, 30, 40))
+        frame = self._frame((0, 0, 10, 10), (20, 20, 30, 40))
         assert self._ospa(frame, frame) == 0.0
 
     def test_disjoint_equal_cardinality(self):
-        a = self._frame(BoundingBox(0, 0, 10, 10), BoundingBox(20, 0, 30, 10))
-        b = self._frame(BoundingBox(100, 0, 110, 10), BoundingBox(120, 0, 130, 10))
+        a = self._frame((0, 0, 10, 10), (20, 0, 30, 10))
+        b = self._frame((100, 0, 110, 10), (120, 0, 130, 10))
         assert self._ospa(a, b) == 1.0
 
     def test_one_match_one_missed(self):
-        shared = BoundingBox(0, 0, 10, 10)
+        shared = (0, 0, 10, 10)
         pred = self._frame(shared)
-        gt = self._frame(shared, BoundingBox(100, 100, 110, 110))
+        gt = self._frame(shared, (100, 100, 110, 110))
         assert self._ospa(pred, gt) == pytest.approx(0.5, abs=1e-15)
 
     def test_pose_only_persons_use_tight_boxes(self):
-        frame = (Person(pose=_pose((0, 0), (10, 10), (5, 5)), score=1.0),)
-        assert self._ospa(frame, frame, UNIFORM3) == 0.0
+        frame = [person(pose=_pose17(), score=1.0)]
+        assert self._ospa(frame, frame) == 0.0
 
 
-def _single_frame_datasets(gt_persons, pred_persons, schema_id="jrdb17"):
-    gts = Dataset(schema_id, PANO, (FrameAnnotations("f1", tuple(gt_persons)),))
-    preds = Dataset(schema_id, PANO, (FrameAnnotations("f1", tuple(pred_persons)),))
-    return preds, gts
+def _single_frame_datasets(gt_persons, pred_persons):
+    return dataset("jrdb17", PANO, [("f1", pred_persons)]), dataset("jrdb17", PANO, [("f1", gt_persons)])
 
 
-def _pose17(rng=None, x0=100.0, y0=200.0, jitter=0.0):
-    xs = [x0 + 11.0 * i for i in range(17)]
-    ys = [y0 + 7.0 * i for i in range(17)]
-    if jitter and rng is not None:
-        xs = [x + rng.normal(0, jitter) for x in xs]
-        ys = [y + rng.normal(0, jitter) for y in ys]
-    return Pose([(x, y, 2) for x, y in zip(xs, ys)])
+def _pose17(x0=100.0, y0=200.0):
+    return [(x0 + 11.0 * i, y0 + 7.0 * i, 2) for i in range(17)]
 
 
 def _match_frame(pred_persons, gt_persons, params, threshold):
@@ -331,10 +325,10 @@ def _match_frame(pred_persons, gt_persons, params, threshold):
 
 class TestMatchFrame:
     def test_greedy_matches_by_score_then_oks(self):
-        gt = [Person(pose=_pose17()), Person(pose=_pose17(x0=900.0))]
+        gt = [person(pose=_pose17()), person(pose=_pose17(x0=900.0))]
         preds = [
-            Person(pose=_pose17(x0=900.0), score=0.9),
-            Person(pose=_pose17(), score=0.8),
+            person(pose=_pose17(x0=900.0), score=0.9),
+            person(pose=_pose17(), score=0.8),
         ]
         pairs = _match_frame(preds, gt, default_oks_params("jrdb17"), 0.5)
         assert {(p, g) for p, g, _ in pairs} == {(0, 1), (1, 0)}
@@ -342,19 +336,19 @@ class TestMatchFrame:
         assert {g for _, g, _ in pairs} == {0, 1}  # no unmatched ground truth
 
     def test_higher_score_claims_the_contested_ground_truth(self):
-        gt = [Person(pose=_pose17()), Person(pose=_pose17(x0=106.0))]
+        gt = [person(pose=_pose17()), person(pose=_pose17(x0=106.0))]
         preds = [
-            Person(pose=_pose17(), score=0.6),  # exactly on gt 0
-            Person(pose=_pose17(x0=102.0), score=0.9),  # nearer gt 0 than gt 1
+            person(pose=_pose17(), score=0.6),  # exactly on gt 0
+            person(pose=_pose17(x0=102.0), score=0.9),  # nearer gt 0 than gt 1
         ]
         pairs = _match_frame(preds, gt, default_oks_params("jrdb17"), 0.5)
         assert sorted((p, g) for p, g, _ in pairs) == [(0, 1), (1, 0)]
 
     def test_each_ground_truth_matched_once(self):
-        gt = [Person(pose=_pose17())]
+        gt = [person(pose=_pose17())]
         preds = [
-            Person(pose=_pose17(), score=0.9),
-            Person(pose=_pose17(), score=0.8),
+            person(pose=_pose17(), score=0.9),
+            person(pose=_pose17(), score=0.8),
         ]
         pairs = _match_frame(preds, gt, default_oks_params("jrdb17"), 0.5)
         assert len(pairs) == 1
@@ -369,25 +363,24 @@ class TestApAtOks:
     PARAMS = default_oks_params("jrdb17")
 
     def test_perfect_predictions(self):
-        gt_persons = [Person(pose=_pose17()), Person(pose=_pose17(x0=900.0))]
-        pred_persons = [
-            Person(pose=p.pose, score=s) for p, s in zip(gt_persons, (0.3, 0.9))
-        ]
+        gt_persons = [person(pose=_pose17()), person(pose=_pose17(x0=900.0))]
+        pred_persons = [p | {"score": s} for p, s in zip(gt_persons, (0.3, 0.9))]
         preds, gts = _single_frame_datasets(gt_persons, pred_persons)
         assert _ap(preds, gts, self.PARAMS, 0.5) == 1.0
 
     def test_no_predictions(self):
-        preds, gts = _single_frame_datasets([Person(pose=_pose17())], [])
+        preds, gts = _single_frame_datasets([person(pose=_pose17())], [])
         assert _ap(preds, gts, self.PARAMS, 0.5) == 0.0
 
     def test_sub_threshold_match_scores_zero(self):
         gt_box = BoundingBox(90.0, 190.0, 300.0, 330.0)
-        gt = Person(pose=_pose17(), box=gt_box)
-        displaced = Pose([(x + 150.0, y, 2) for x, y, _ in gt.pose.keypoints])
-        pred = Person(pose=displaced, score=0.9)
-        value = oks(displaced, gt.pose, self.PARAMS, gt_box)
+        displaced = [(x + 150.0, y, 2) for x, y, _ in _pose17()]
+        value = oks(Pose(displaced), Pose(_pose17()), self.PARAMS, gt_box)
         assert value < 0.5  # sanity: the only possible match is sub-threshold
-        preds, gts = _single_frame_datasets([gt], [pred])
+        preds, gts = _single_frame_datasets(
+            [person(pose=_pose17(), box=(gt_box.x1, gt_box.y1, gt_box.x2, gt_box.y2))],
+            [person(pose=displaced, score=0.9)],
+        )
         assert _ap(preds, gts, self.PARAMS, 0.5) == 0.0
 
     def test_monotone_in_threshold(self):
@@ -403,60 +396,46 @@ class TestApAtOks:
     def test_score_ties_rank_by_frame_then_index(self):
         # 40 equal scores: the true positives of frames f00-f19 rank before
         # the false positives of f20-f39, so precision is 1 up to recall 0.5.
-        gts = Dataset(
-            "jrdb17", PANO,
-            tuple(FrameAnnotations(f"f{i:02d}", (Person(pose=_pose17()),)) for i in range(40)),
-        )
-        preds = Dataset(
-            "jrdb17", PANO,
-            tuple(
-                FrameAnnotations(
-                    f"f{i:02d}", (Person(pose=_pose17(x0=100.0 if i < 20 else 1500.0), score=0.5),)
-                )
-                for i in range(40)
-            ),
-        )
+        gts = dataset("jrdb17", PANO, [(f"f{i:02d}", [person(pose=_pose17())]) for i in range(40)])
+        preds = dataset("jrdb17", PANO, [
+            (f"f{i:02d}", [person(pose=_pose17(x0=100.0 if i < 20 else 1500.0), score=0.5)])
+            for i in range(40)
+        ])
         assert _ap(preds, gts, self.PARAMS, 0.5) == 51 / 101
 
     def test_missing_prediction_frames_count_as_empty(self):
-        gts = Dataset(
-            "jrdb17",
-            PANO,
-            (
-                FrameAnnotations("f1", (Person(pose=_pose17()),)),
-                FrameAnnotations("f2", (Person(pose=_pose17()),)),
-            ),
-        )
-        preds = Dataset(
-            "jrdb17",
-            PANO,
-            (FrameAnnotations("f1", (Person(pose=_pose17(), score=0.9),)),),
-        )
+        gts = dataset("jrdb17", PANO, [("f1", [person(pose=_pose17())]),
+                                       ("f2", [person(pose=_pose17())])])
+        preds = dataset("jrdb17", PANO, [("f1", [person(pose=_pose17(), score=0.9)])])
         assert _ap(preds, gts, self.PARAMS, 0.5) == pytest.approx(
             0.5, abs=0.01
         )
 
 
+def _reversed_frames(ds):
+    """``ds`` parsed from its JSON form with the frames listed in reverse order."""
+    doc = json.loads(dataset_to_canonical_json(ds))
+    doc["frames"].reverse()
+    return dataset_from_json(json.dumps(doc), JRDB17)
+
+
 class TestEvaluate:
     def test_self_evaluation_is_perfect(self):
-        persons = [Person(pose=_pose17(), score=0.7), Person(pose=_pose17(x0=900), score=0.6)]
+        persons = [person(pose=_pose17(), score=0.7), person(pose=_pose17(x0=900), score=0.6)]
         preds, gts = _single_frame_datasets(persons, persons)
         report = evaluate(preds, gts)
         assert report.ospa_iou == 0.0
         assert report.ap_05 == 1.0
 
     def test_empty_predictions_over_ten_frames(self):
-        frames = tuple(
-            FrameAnnotations(f"f{i}", (Person(pose=_pose17()),)) for i in range(10)
-        )
-        gts = Dataset("jrdb17", PANO, frames)
-        preds = Dataset("jrdb17", PANO, ())
+        gts = dataset("jrdb17", PANO, [(f"f{i}", [person(pose=_pose17())]) for i in range(10)])
+        preds = dataset("jrdb17", PANO, [])
         report = evaluate(preds, gts)
         assert report.ospa_iou == 1.0
         assert report.ap_05 == 0.0
 
     def test_report_echoes_config(self):
-        persons = [Person(pose=_pose17(), score=0.7)]
+        persons = [person(pose=_pose17(), score=0.7)]
         preds, gts = _single_frame_datasets(persons, persons)
         report = evaluate(preds, gts, EvalConfig(oks_threshold=0.5))
         assert report.config["oks_threshold"] == 0.5
@@ -464,21 +443,19 @@ class TestEvaluate:
         assert report.config["ospa_cutoff"] == 1.0
 
     def test_schema_mismatch_rejected(self):
-        preds = Dataset("coco17", PANO, ())
-        gts = Dataset("jrdb17", PANO, ())
+        preds = dataset("coco17", PANO, [])
+        gts = dataset("jrdb17", PANO, [])
         with pytest.raises(ValidationError, match="schema mismatch"):
             evaluate(preds, gts)
 
     def test_extra_prediction_frame_rejected(self):
-        preds = Dataset(
-            "jrdb17", PANO, (FrameAnnotations("zz", (Person(pose=_pose17(), score=1.0),)),)
-        )
-        gts = Dataset("jrdb17", PANO, ())
+        preds = dataset("jrdb17", PANO, [("zz", [person(pose=_pose17(), score=1.0)])])
+        gts = dataset("jrdb17", PANO, [])
         with pytest.raises(ValidationError, match="missing from ground truth"):
             evaluate(preds, gts)
 
     def test_prediction_without_score_rejected(self):
-        persons = [Person(pose=_pose17())]
+        persons = [person(pose=_pose17())]
         preds, gts = _single_frame_datasets(persons, persons)
         with pytest.raises(ValidationError, match="without score"):
             evaluate(preds, gts)
@@ -487,12 +464,10 @@ class TestEvaluate:
         rng = np.random.default_rng(71)
         gt = make_ground_truth(rng, num_frames=6, people=(1, 3))
         preds = perturb_predictions(gt, rng, 5.0)
-        shuffled_gt = Dataset(gt.schema_id, gt.pano, tuple(reversed(gt.frames)))
-        shuffled_preds = Dataset(preds.schema_id, preds.pano, tuple(reversed(preds.frames)))
-        assert evaluate(preds, gt) == evaluate(shuffled_preds, shuffled_gt)
+        assert evaluate(preds, gt) == evaluate(_reversed_frames(preds), _reversed_frames(gt))
 
     def test_per_frame_stats(self):
-        persons = [Person(pose=_pose17(), score=0.7)]
+        persons = [person(pose=_pose17(), score=0.7)]
         preds, gts = _single_frame_datasets(persons, persons)
         report = evaluate(preds, gts)
         stats = report.per_frame["f1"]
@@ -502,24 +477,24 @@ class TestEvaluate:
         assert stats.ospa_iou == 0.0
 
     def test_one_matching_box_per_person(self, monkeypatch):
-        import panopose.metrics as metrics
+        import panopose.geometry as geometry
 
         rng = np.random.default_rng(73)
         gt = make_ground_truth(rng, num_frames=8, people=(1, 5))
         preds = perturb_predictions(gt, rng, 5.0)
         built = []
-        matching_boxes = metrics._matching_boxes
+        matching_boxes = geometry._matching_boxes
 
         def counting_matching_boxes(boxes, *args):
             built.extend(range(len(boxes)))
             return matching_boxes(boxes, *args)
 
-        monkeypatch.setattr(metrics, "_matching_boxes", counting_matching_boxes)
+        monkeypatch.setattr(geometry, "_matching_boxes", counting_matching_boxes)
         evaluate(preds, gt)
-        num_persons = sum(len(f.persons) for ds in (gt, preds) for f in ds.frames)
-        assert len(built) <= num_persons
+        num_persons = len(gt.ids) + len(preds.ids)
+        assert 0 < len(built) <= num_persons
 
     def test_both_empty(self):
-        report = evaluate(Dataset("jrdb17", PANO, ()), Dataset("jrdb17", PANO, ()))
+        report = evaluate(dataset("jrdb17", PANO, []), dataset("jrdb17", PANO, []))
         assert report.ospa_iou == 0.0
         assert report.ap_05 == 1.0

@@ -1,27 +1,20 @@
-"""Property tests: canonical dataset round trips, the dataset columns from
-both builders, the vectorised kernels (OKS, IoU, matching boxes, OSPA and
-heatmap decode) against scalar loop references, the assignment solver
-against the enumeration oracle, and malformed mapping and container files."""
+"""Property tests: canonical dataset round trips, the vectorised kernels
+(OKS, IoU, matching boxes, OSPA and heatmap decode) against scalar loop
+references, the assignment solver against the enumeration oracle, and
+malformed mapping and container files."""
 
 import json
 import math
 import re
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
+from synth import dataset, person
 
-from panopose.dataio import (
-    Dataset,
-    FrameAnnotations,
-    Person,
-    Pose,
-    dataset_from_json,
-    dataset_to_canonical_json,
-)
+from panopose.dataio import dataset_from_json, dataset_to_canonical_json
 from panopose.decode import HeatmapStack, decode_heatmaps
 from panopose.errors import ValidationError
 from panopose.geometry import (
@@ -35,7 +28,6 @@ from panopose.geometry import (
     apply_transform,
     invert_transform,
     iou,
-    person_box,
 )
 from panopose.metrics import (
     _match,
@@ -44,7 +36,6 @@ from panopose.metrics import (
     _ospa,
     brute_force_assignment,
     default_oks_params,
-    evaluate,
     min_cost_assignment,
     ospa,
 )
@@ -71,32 +62,13 @@ visibility = st.sampled_from([0, 1, 2])
 
 def poses(coord=finite, vis=visibility):
     row = st.tuples(coord, coord, vis)
-    return st.lists(row, min_size=NUM_KEYPOINTS, max_size=NUM_KEYPOINTS).map(Pose)
+    return st.lists(row, min_size=NUM_KEYPOINTS, max_size=NUM_KEYPOINTS)
 
 
-@PROPERTY
-@given(st.lists(st.lists(poses(), max_size=3), max_size=3))
-def test_canonical_json_parse_canonical_is_byte_stable(frame_poses):
-    ds = Dataset(
-        "jrdb17",
-        PANO,
-        tuple(
-            FrameAnnotations(f"f{i}", tuple(Person(pose=p) for p in ps))
-            for i, ps in enumerate(frame_poses)
-        ),
-    )
-    text = dataset_to_canonical_json(ds)
-    back = dataset_from_json(text, JRDB17)
-    assert back == ds
-    assert dataset_to_canonical_json(back) == text
-
-
-def _reference_oks(pred: Pose, gt: Pose, area: float) -> float:
+def _reference_oks(pred: list, gt: list, area: float) -> float:
     """The OKS formula as a scalar loop: math.exp and a sequential sum."""
     terms = []
-    for (xp, yp, _), (xg, yg, vg), k in zip(
-        pred.keypoints.tolist(), gt.keypoints.tolist(), PARAMS.sigmas
-    ):
+    for (xp, yp, _), (xg, yg, vg), k in zip(pred, gt, PARAMS.sigmas):
         if vg > 0:
             d2 = (xp - xg) ** 2 + (yp - yg) ** 2
             terms.append(math.exp(-d2 / (2.0 * area * k * k)))
@@ -105,107 +77,87 @@ def _reference_oks(pred: Pose, gt: Pose, area: float) -> float:
 
 coord = st.floats(0.0, 100.0)
 box = st.builds(
-    lambda x, y, w, h: BoundingBox(x, y, x + w, y + h),
+    lambda x, y, w, h: (x, y, x + w, y + h),
     coord, coord, st.floats(1.0, 100.0), st.floats(1.0, 100.0),
 )
 score = st.floats(0.0, 1.0)
 predictions = st.lists(
     st.one_of(
-        st.builds(lambda p, s: Person(pose=p, score=s), poses(coord), score),
-        st.builds(lambda b, s: Person(box=b, score=s), box, score),  # no pose
+        st.builds(lambda p, s: person(pose=p, score=s), poses(coord), score),
+        st.builds(lambda b, s: person(box=b, score=s), box, score),  # no pose
     ),
     max_size=6,
 )
 ground_truths = st.lists(
     st.one_of(
-        st.builds(lambda p: Person(pose=p), poses(coord)),
-        st.builds(lambda p, b: Person(pose=p, box=b), poses(coord), box),
-        st.builds(lambda p: Person(pose=p), poses(coord, st.just(0))),  # no labeled keypoint
-        st.builds(lambda b: Person(box=b), box),
+        st.builds(lambda p: person(pose=p), poses(coord)),
+        st.builds(lambda p, b: person(pose=p, box=b), poses(coord), box),
+        st.builds(lambda p: person(pose=p), poses(coord, st.just(0))),  # no labeled keypoint
+        st.builds(lambda b: person(box=b), box),
     ),
     max_size=6,
 )
 
-
 any_person = st.builds(
-    lambda pid, parts, s: Person(id=pid, box=parts[0], pose=parts[1], score=s),
+    lambda pid, parts, s: person(id=pid, box=parts[0], pose=parts[1], score=s),
     st.none() | st.text(max_size=3),
     st.one_of(
         st.tuples(box, st.none()),  # box only
-        st.tuples(st.none(), poses(coord)),  # pose only
+        st.tuples(st.none(), poses()),  # pose only, any finite coordinates
         st.tuples(st.none(), poses(coord, st.just(0))),  # no labeled keypoint
         st.tuples(box, poses(coord)),
     ),
     st.none() | score,
 )
-datasets = st.lists(
-    st.tuples(st.text(min_size=1, max_size=3), st.lists(any_person, max_size=3)),
-    max_size=4,
-    unique_by=lambda frame: frame[0],
-).map(lambda frames: Dataset("jrdb17", PANO, tuple(FrameAnnotations(*f) for f in frames)))
-
-
-def _report(preds: Dataset, gts: Dataset):
-    try:
-        return evaluate(preds, gts).to_json_dict()
-    except ValidationError as exc:
-        return str(exc)
-
-
-def _scored(ds: Dataset) -> Dataset:
-    """``ds`` with a score for every person, to serve as predictions."""
-    return Dataset(ds.schema_id, ds.pano, tuple(
-        replace(f, persons=tuple(replace(p, score=0.5 if p.score is None else p.score)
-                                 for p in f.persons))
-        for f in ds.frames
-    ))
 
 
 @PROPERTY
-@given(datasets)
-def test_parsed_and_frame_fed_datasets_agree(ds):
+@given(st.lists(
+    st.tuples(st.text(min_size=1, max_size=3), st.lists(any_person, max_size=3)),
+    max_size=4,
+    unique_by=lambda frame: frame[0],
+))
+def test_canonical_json_parse_canonical_is_byte_stable(frames):
+    ds = dataset("jrdb17", PANO, frames)
     text = dataset_to_canonical_json(ds)
-    parsed = dataset_from_json(text, JRDB17)
-    fed = Dataset(parsed.schema_id, parsed.pano, parsed.frames)
-    assert parsed == fed == ds
-    assert dataset_to_canonical_json(parsed) == text
-    assert dataset_to_canonical_json(fed) == text
-    assert _report(_scored(parsed), parsed) == _report(_scored(fed), fed)
+    back = dataset_from_json(text, JRDB17)
+    assert back == ds
+    assert dataset_to_canonical_json(back) == text
 
 
-def _stack(poses: list[Pose]) -> np.ndarray:
-    return np.array([p.keypoints for p in poses]).reshape(-1, NUM_KEYPOINTS, 3)
+def _stack(poses: list[list]) -> np.ndarray:
+    return np.array(poses, dtype=np.float64).reshape(-1, NUM_KEYPOINTS, 3)
 
 
-def _labeled(person: Person) -> bool:
-    return person.pose is not None and bool((person.pose.keypoints[:, 2] > 0).any())
+def _labeled(person: dict) -> bool:
+    return "pose" in person and any(v > 0 for _, _, v in person["pose"])
 
 
 @PROPERTY
 @given(predictions, ground_truths)
 def test_oks_matrix_agrees_with_scalar_reference(preds, gts):
-    boxes = [person_box(g) for g in gts]
-    rows = [p for p in preds if p.pose is not None]
+    boxes = [_reference_person_box(g.get("box"), g.get("pose")) for g in gts]
+    rows = [p for p in preds if "pose" in p]
     cols = [j for j, g in enumerate(gts) if _labeled(g)]
     sim = _oks_matrix(
-        _stack([p.pose for p in rows]),
-        _stack([gts[j].pose for j in cols]),
+        _stack([p["pose"] for p in rows]),
+        _stack([gts[j]["pose"] for j in cols]),
         PARAMS,
         np.array([boxes[j].area for j in cols]),
     )
     assert sim.shape == (len(rows), len(cols))
     for i, p in enumerate(rows):
         for c, j in enumerate(cols):
-            expected = _reference_oks(p.pose, gts[j].pose, boxes[j].area)
+            expected = _reference_oks(p["pose"], gts[j]["pose"], boxes[j].area)
             assert math.isclose(sim[i, c], expected, rel_tol=1e-12)
 
-    p = Dataset("jrdb17", PANO, (FrameAnnotations("f", tuple(preds)),))
-    g = Dataset("jrdb17", PANO, (FrameAnnotations("f", tuple(gts)),))
+    p = dataset("jrdb17", PANO, [("f", preds)])
+    g = dataset("jrdb17", PANO, [("f", gts)])
     areas = np.array([b.area for b in boxes])
     for pi, gi, value in _match(p.keypoints, p.has_pose, p.scores, g.keypoints, areas, PARAMS, 0.5):
-        assert preds[pi].pose is not None and _labeled(gts[gi])
+        assert "pose" in preds[pi] and _labeled(gts[gi])
         assert value >= 0.5
-        expected = _reference_oks(preds[pi].pose, gts[gi].pose, boxes[gi].area)
+        expected = _reference_oks(preds[pi]["pose"], gts[gi]["pose"], boxes[gi].area)
         assert math.isclose(value, expected, rel_tol=1e-12)
 
 
@@ -361,11 +313,12 @@ def _floored_span(lo: float, hi: float) -> tuple[float, float]:
     return mid - 0.5 * 1e-9, mid + 0.5 * 1e-9
 
 
-def _reference_person_box(person: Person) -> BoundingBox:
-    """The matching-box rule, one person at a time."""
-    if person.box is not None:
-        return person.box
-    kps = person.pose.keypoints
+def _reference_person_box(box, pose) -> BoundingBox:
+    """The matching-box rule, one person at a time: its ``box`` when given,
+    else a box of its ``pose`` rows."""
+    if box is not None:
+        return BoundingBox(*box)
+    kps = np.array(pose, dtype=np.float64)
     pts = kps[kps[:, 2] > 0]
     if not len(pts):
         pts = kps
@@ -383,19 +336,21 @@ def _people(num_kps: int):
     row = st.tuples(offset, offset, visibility)
     pose = (
         st.builds(
-            lambda c, rows: [(c + dx, c + dy, v) for dx, dy, v in rows],
+            lambda c, rows: np.array([(c + dx, c + dy, v) for dx, dy, v in rows]),
             centre,
             st.lists(row, min_size=num_kps, max_size=num_kps),
         )
-        .filter(lambda rows: np.isfinite(rows).all())
-        .map(Pose)
+        .filter(lambda kps: np.isfinite(kps).all())
     )
-    unlabeled = pose.map(lambda p: Pose(p.keypoints * [1.0, 1.0, 0.0]))
+    unlabeled = pose.map(lambda kps: kps * [1.0, 1.0, 0.0])
+    corners = any_box.map(lambda b: (b.x1, b.y1, b.x2, b.y2))
+    no_pose = np.zeros((num_kps, 3))
+    # (box or None, [K, 3] keypoints), zeros for a person without a pose
     person = st.one_of(
-        st.builds(lambda p: Person(pose=p), pose),
-        st.builds(lambda p: Person(pose=p), unlabeled),
-        st.builds(lambda p, b: Person(pose=p, box=b), pose, any_box),
-        st.builds(lambda b: Person(box=b), any_box),
+        st.tuples(st.none(), pose),
+        st.tuples(st.none(), unlabeled),
+        st.tuples(corners, pose),
+        st.tuples(corners, st.just(no_pose)),
     )
     return st.lists(person, max_size=6)
 
@@ -403,19 +358,18 @@ def _people(num_kps: int):
 @PROPERTY
 @given(st.integers(1, 5).flatmap(_people))
 def test_matching_boxes_are_the_person_box_loop_bit_for_bit(persons):
-    ds = Dataset("jrdb17", PANO, (FrameAnnotations("f", tuple(persons)),))
+    boxes = np.array([box or (0.0,) * 4 for box, _ in persons]).reshape(-1, 4)
+    has_box = np.array([box is not None for box, _ in persons], dtype=bool)
+    keypoints = np.array([kps for _, kps in persons] or np.zeros((0, 1, 3)))
     try:
-        expected = [_reference_person_box(p) for p in persons]
+        expected = [_reference_person_box(box, kps) for box, kps in persons]
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
-            _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
+            _matching_boxes(boxes, has_box, keypoints)
         return
-    rows = _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
-    for row, person, box in zip(rows, persons, expected):
-        corners = (box.x1, box.y1, box.x2, box.y2)
-        assert _bits(row) == _bits(corners)
-        b = person_box(person)
-        assert _bits((b.x1, b.y1, b.x2, b.y2)) == _bits(corners)
+    rows = _matching_boxes(boxes, has_box, keypoints)
+    for row, box in zip(rows, expected):
+        assert _bits(row) == _bits((box.x1, box.y1, box.x2, box.y2))
 
 
 def _reference_ospa(dist: list[list[float]], cutoff: float, order: float) -> float:

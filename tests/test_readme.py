@@ -1,5 +1,6 @@
 """README.md stays true to the package: its library example runs, and its
-"Library use" section names every public name of ``panopose``."""
+"Library use" section names every public name of ``panopose`` and, in its
+table of names, no other."""
 
 import inspect
 import re
@@ -45,11 +46,24 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out == f"{report.ospa_iou} {report.ap_05}\n"
 
 
-def test_every_public_name_is_in_readme():
-    section = _library_use()
-    names = [
+def _public_names() -> list[str]:
+    return [
         name for name, value in vars(panopose).items()
         if not name.startswith("_") and not inspect.ismodule(value)
     ]
+
+
+def test_every_public_name_is_in_readme():
+    section = _library_use()
+    names = _public_names()
     assert "evaluate" in names
     assert [name for name in names if f"`{name}`" not in section] == []
+
+
+def test_every_name_in_the_readme_table_is_public():
+    section = _library_use()
+    table = section[section.index("| Name | Use |"):].split("\n\n")[0]
+    cells = [line.split("|")[1] for line in table.splitlines()[2:]]
+    documented = [name for cell in cells for name in re.findall(r"`([^`]+)`", cell)]
+    assert "evaluate" in documented
+    assert sorted(set(documented) - set(_public_names())) == []
