@@ -13,16 +13,13 @@ from .dataio import (
     LABELED_INVISIBLE,
     LABELED_VISIBLE,
     NOT_LABELED,
-    Pose,
     load_ground_truth,
     load_predictions,
     save_dataset,
 )
-from .decode import HeatmapStack, decode_heatmaps
+from .decode import decode_heatmaps
 from .errors import ValidationError
 from .geometry import (
-    AffineTransform,
-    BoundingBox,
     PanoramaSpec,
     apply_transform,
     crop_transform,

@@ -23,10 +23,9 @@ import numpy as np
 
 from . import __version__
 from .dataio import Dataset, _dataset_from_doc, _json_object, save_dataset
-from .decode import HeatmapStack, _check_stride, decode_heatmaps
+from .decode import _check_stride, decode_heatmaps
 from .errors import RowError, ValidationError, _where
 from .geometry import (
-    BoundingBox,
     DEFAULT_BOX_MARGIN,
     DEFAULT_CROP_PADDING,
     DEFAULT_NMS_IOU,
@@ -59,11 +58,23 @@ def _in_file(path: str, read: Callable[..., Any], *args: Any) -> Any:
 
 
 def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
-    doc = _in_file(path, _json_object, Path(path))
+    """The dataset file at ``path`` in the schema it names; any
+    :class:`ValidationError` names ``path``."""
+    return _in_file(path, _dataset_file, Path(path), require_scores)
+
+
+def _dataset_file(path: Path, require_scores: bool) -> Dataset:
+    doc = _json_object(path)
     schema_id = doc.get("schema")
     if not isinstance(schema_id, str):
-        raise ValidationError(f"{path}: missing or malformed 'schema' field")
+        raise ValidationError("missing or malformed 'schema' field")
     return _dataset_from_doc(doc, builtin_schema(schema_id), require_scores)
+
+
+def _require_boxes(ds: Dataset, command: str) -> None:
+    if not ds.has_box.all():
+        where = _where(ds.frame_ids, ds.offsets, int(ds.has_box.argmin()))
+        raise ValidationError(f"{where}: {command} requires a box")
 
 
 def _override_pano(ds: Dataset, args: argparse.Namespace) -> Dataset:
@@ -144,9 +155,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 def _cmd_nms(args: argparse.Namespace) -> int:
     ds = _load_dataset(args.pred, require_scores=True)
-    if not ds.has_box.all():
-        where = _where(ds.frame_ids, ds.offsets, int(ds.has_box.argmin()))
-        raise ValidationError(f"{where}: nms requires a box")
+    _require_boxes(ds, "nms")
     kept = _nms_rows(ds.boxes, ds.scores, ds.offsets.tolist(), args.nms_iou)
     save_dataset(ds._with(sorted(kept)), args.out)
     _echo({"command": "nms", "pred": args.pred, "out": args.out, "nms_iou": args.nms_iou})
@@ -157,8 +166,12 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     _check_stride(args.stride)
     _check_crop(args.crop_width, args.crop_height, args.padding)
     dets = _load_dataset(args.dets, require_scores=True)
-    schema = builtin_schema(dets.schema_id)
-    num_keypoints = len(schema.names)
+    _require_boxes(dets, "decode")
+    try:
+        crops = crop_transform(dets.boxes, args.crop_width, args.crop_height, args.padding)
+    except RowError as exc:
+        raise ValidationError(f"{_where(dets.frame_ids, dets.offsets, exc.row)}: {exc}") from exc
+    num_keypoints = len(builtin_schema(dets.schema_id).names)
     keypoints = np.zeros((len(dets.ids), num_keypoints, 3))
     bounds = dets.offsets.tolist()
     with open(args.heatmaps, "rb") as fh:
@@ -166,8 +179,6 @@ def _cmd_decode(args: argparse.Namespace) -> int:
         for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
             for i, row in enumerate(range(start, stop)):
                 where = f"frame {fid!r}, person {i}"
-                if not dets.has_box[row]:
-                    raise ValidationError(f"{where}: decode requires a box")
                 name = f"{fid}/{i}"
                 if name not in heatmaps.entries:
                     raise ValidationError(f"{where}: missing heatmap tensor {name!r}")
@@ -177,16 +188,11 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                         f"{where}: heatmap tensor {name!r} must be "
                         f"[{num_keypoints}, h, w] with h, w >= 1, got shape {shape}"
                     )
-                crop = crop_transform(
-                    BoundingBox(*dets.boxes[row].tolist()),
-                    args.crop_width, args.crop_height, args.padding,
-                )
-                stack = HeatmapStack(_in_file(args.heatmaps, heatmaps.read, name).data, args.stride)
+                values = _in_file(args.heatmaps, heatmaps.read, name).data
                 try:
-                    pose, _ = decode_heatmaps(stack, crop)
+                    keypoints[row], _ = decode_heatmaps(values, args.stride, crops[row])
                 except ValidationError as exc:
                     raise ValidationError(f"{where}: heatmap tensor {name!r}: {exc}") from exc
-                keypoints[row] = pose.keypoints
     save_dataset(dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool)), args.out)
     _echo(
         {

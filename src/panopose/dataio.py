@@ -24,12 +24,13 @@ holds zeros, and K is 0 when no person has a pose.
 
 ``Dataset(...)`` takes these columns, with frames in any order; the parser
 and ``Dataset._with`` call it too. It checks each value rule once over a
-whole column with the function that :class:`Pose` and
-:class:`~panopose.geometry.BoundingBox` run on their one row: box or pose
+whole column, with the function that the library functions taking boxes,
+keypoints or scores run on their input: box or pose
 (:func:`_presence_rule`), finite box fields with a positive finite area
 (``geometry._box_rule``), finite keypoints with v in {0, 1, 2}
-(:func:`_keypoint_rule`) and a score in [0, 1] (``geometry._score_rule``).
-Frame ids are non-empty strings (:func:`_frame_id_rule`) and unique.
+(:func:`_keypoint_rule`, also run by ``metrics.oks``) and a score in [0, 1]
+(``geometry._score_rule``). Frame ids are non-empty strings
+(:func:`_frame_id_rule`) and unique.
 
 Of several faults in a file, the first JSON shape or type fault the walk
 meets is reported (a missing or extra field, a wrong type, a pose of the
@@ -60,7 +61,6 @@ __all__ = [
     "NOT_LABELED",
     "LABELED_INVISIBLE",
     "LABELED_VISIBLE",
-    "Pose",
     "Dataset",
     "load_ground_truth",
     "load_predictions",
@@ -104,27 +104,6 @@ def _presence_rule(has_box: np.ndarray, has_pose: np.ndarray) -> None:
 def _frame_id_rule(frame_id: Any) -> None:
     if not isinstance(frame_id, str) or not frame_id:
         raise ValidationError(f"frame {frame_id!r}: frame id must be a non-empty string, got {frame_id!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class Pose:
-    """One person's keypoints: a read-only ``float64`` ``[K, 3]`` copy of
-    ``(x, y, v)`` rows with K >= 1, finite x and y, and v in {0, 1, 2}."""
-
-    keypoints: np.ndarray
-
-    def __post_init__(self) -> None:
-        kps = np.array(self.keypoints, dtype=np.float64)
-        kps.flags.writeable = False
-        if kps.ndim != 2 or kps.shape[1] != 3 or not len(kps):
-            raise ValueError(f"pose must be K >= 1 rows of (x, y, v), got shape {kps.shape}")
-        _keypoint_rule(kps[None])
-        object.__setattr__(self, "keypoints", kps)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Pose):
-            return NotImplemented
-        return np.array_equal(self.keypoints, other.keypoints)
 
 
 @dataclass(frozen=True, init=False, eq=False)

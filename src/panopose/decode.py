@@ -4,48 +4,24 @@ Per keypoint: argmax cell (row-major first occurrence on ties), quarter-cell
 refinement toward the larger axis neighbor (only when both neighbors exist),
 then back-projection through the inverse crop transform. Grid cell
 (row i, col j) is centered at crop coordinate ((j + 0.5) * stride,
-(i + 0.5) * stride). One detection's K keypoints are decoded together in
-array operations; a NaN or infinite grid maximum is rejected.
+(i + 0.5) * stride). :func:`decode_heatmaps` takes one detection's
+``[K, h, w]`` grid with its ``[2, 3]`` crop (a row of
+:func:`~panopose.geometry.crop_transform`) and decodes its K keypoints
+together in array operations; a NaN or infinite grid maximum is rejected.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
-from .dataio import LABELED_VISIBLE, Pose
+from .dataio import LABELED_VISIBLE
 from .errors import ValidationError
-from .geometry import AffineTransform, apply_transform, invert_transform
+from .geometry import _apply, invert_transform
 
-__all__ = ["HeatmapStack", "decode_heatmaps"]
-
-
-@dataclass(frozen=True, eq=False)
-class HeatmapStack:
-    """K per-keypoint score grids plus the crop-pixels-per-cell stride."""
-
-    values: np.ndarray  # (K, h, w)
-    stride: float
-
-    def __post_init__(self) -> None:
-        values = np.asarray(self.values)
-        # f32 and f64 grids are kept as a read-only view: float64 holds every
-        # float32 exactly, so peaks, comparisons and confidences are the same.
-        # Anything else converts, so int64 values above 2**53 tie as in float64.
-        if values.dtype not in (np.float32, np.float64):
-            values = values.astype(np.float64)
-        values = values.view()
-        if values.ndim != 3:
-            raise ValueError(f"heatmaps must be K x h x w, got shape {values.shape}")
-        k, h, w = values.shape
-        if k < 1 or h < 1 or w < 1:
-            raise ValueError(f"empty grid: shape {values.shape}")
-        _check_stride(self.stride)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "stride", float(self.stride))
+__all__ = ["decode_heatmaps"]
 
 
 def _check_stride(stride: float) -> None:
@@ -53,17 +29,33 @@ def _check_stride(stride: float) -> None:
         raise ValueError(f"stride must be positive, got {stride!r}")
 
 
-def decode_heatmaps(
-    stack: HeatmapStack, crop: AffineTransform
-) -> tuple[Pose, np.ndarray]:
-    """Decode one detection's heatmaps into panorama coordinates.
+def decode_heatmaps(values: Any, stride: float, crop: Any) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one detection's ``[K, h, w]`` heatmaps, ``stride`` crop pixels
+    per cell, into panorama coordinates through the inverse of its
+    ``[2, 3]`` crop.
 
-    Returns the pose (all keypoints marked visible) and the per-keypoint
-    confidence vector, which is the grid maximum for each keypoint. A grid
-    whose maximum is NaN or infinite raises :class:`ValidationError`.
+    Returns the ``[K, 3]`` keypoints (all marked visible) and the ``[K]``
+    per-keypoint confidences, each the grid maximum. A grid that is not
+    K x h x w with K, h, w >= 1, a bad stride, and a crop or inverse with a
+    non-finite coefficient or a zero determinant raise :class:`ValueError`;
+    a grid whose maximum is NaN or infinite raises :class:`ValidationError`.
     """
-    k, h, w = stack.values.shape
-    flat = stack.values.reshape(k, h * w)
+    values = np.asarray(values)
+    # f32 and f64 grids are read as they are: float64 holds every float32
+    # exactly, so peaks, comparisons and confidences are the same. Anything
+    # else converts, so int64 values above 2**53 tie as in float64.
+    if values.dtype not in (np.float32, np.float64):
+        values = values.astype(np.float64)
+    if values.ndim != 3:
+        raise ValueError(f"heatmaps must be K x h x w, got shape {values.shape}")
+    k, h, w = values.shape
+    if k < 1 or h < 1 or w < 1:
+        raise ValueError(f"empty grid: shape {values.shape}")
+    _check_stride(stride)
+    if np.shape(crop) != (2, 3):
+        raise ValueError(f"crop must be [2, 3], got shape {np.shape(crop)}")
+    inverse = invert_transform(crop)
+    flat = values.reshape(k, h * w)
     rows = np.arange(k)
     cell = flat.argmax(axis=1)  # first maximum = smallest row-major index
     peaks = flat[rows, cell]
@@ -78,8 +70,9 @@ def decode_heatmaps(
                      np.where((0 < i) & (i < h - 1), w, 0)])
     before, after = flat[rows, cell - step], flat[rows, cell + step]
     dx, dy = np.where(after > before, 0.25, np.where(after < before, -0.25, 0.0))
-    x, y = apply_transform(
-        invert_transform(crop), ((j + 0.5 + dx) * stack.stride, (i + 0.5 + dy) * stack.stride)
-    )
+    # A huge stride or crop scale overflows to inf or NaN. Such keypoints
+    # are returned as they are; a dataset built from them rejects them.
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, y = _apply(inverse, (j + 0.5 + dx) * stride, (i + 0.5 + dy) * stride)
     keypoints = np.stack([x, y, np.full(k, float(LABELED_VISIBLE))], axis=1)
-    return Pose(keypoints), peaks.astype(np.float64)
+    return keypoints, peaks.astype(np.float64)

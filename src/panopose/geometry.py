@@ -9,22 +9,24 @@ quantities rather than pixel counts. The panorama wraps horizontally with
 period ``PanoramaSpec.width``; stored boxes never wrap (persons whose shifted
 box would cross the seam are dropped by :func:`shift_dataset`).
 
-Each box rule and kernel has one home here, over ``[N, 4]``
-``(x1, y1, x2, y2)`` rows, and a single-item function is its one-row case:
-:func:`_box_rule` and :func:`_score_rule` check a whole column (a
-:class:`BoundingBox`, or a dataset's boxes and scores), :func:`_iou_matrix`
-serves :func:`iou` and :func:`_nms_rows` :func:`nms`.
-:func:`_matching_boxes` is the box a person is matched by, and
-:func:`_pose_bboxes` the box rule of ``boxes-from-poses``. A kernel checks
-its parameter (threshold, margin, shift) on entry, so a bad value is refused
-even with no rows.
+Every function takes a :class:`~panopose.dataio.Dataset` or arrays as it
+holds them: boxes are ``[N, 4]`` ``(x1, y1, x2, y2)`` rows and affine transforms are
+``[..., 2, 3]`` arrays, row-major ``(x, y) -> (a*x + b*y + c, d*x + e*y + f)``.
+Each rule has one home here. :func:`_box_rule` and :func:`_score_rule` check a
+column of boxes or scores, and :func:`_transform_rule` a stack of
+transforms; a public function runs them once on the input it takes, and its
+private kernel (:func:`_iou_matrix`, :func:`_nms_rows`, :func:`_inverse`,
+:func:`_apply`) does not. :func:`_matching_boxes` is the box a person is
+matched by, and :func:`_pose_bboxes` the box rule of ``boxes-from-poses``.
+A function checks its parameters (threshold, margin, shift, crop size,
+padding) on entry, so a bad value is refused even with no rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
@@ -39,9 +41,7 @@ __all__ = [
     "DEFAULT_NMS_IOU",
     "DEFAULT_BOX_MARGIN",
     "DEFAULT_CROP_PADDING",
-    "BoundingBox",
     "PanoramaSpec",
-    "AffineTransform",
     "apply_transform",
     "invert_transform",
     "iou",
@@ -63,38 +63,6 @@ _NMS_BLOCK = 64
 # Extent floor for boxes synthesized from degenerate keypoint sets (a single
 # point, or collinear points); keeps the x1 < x2, y1 < y2 invariant intact.
 _MIN_EXTENT = 1e-9
-
-
-@dataclass(frozen=True)
-class BoundingBox:
-    """Axis-aligned box in panorama pixels with a confidence score in [0, 1]."""
-
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-    score: float = 1.0
-
-    def __post_init__(self) -> None:
-        fields = np.array([[self.x1, self.y1, self.x2, self.y2, self.score]], dtype=np.float64)
-        _box_rule(fields)
-        _score_rule(fields[:, 4], "box")
-
-    @property
-    def width(self) -> float:
-        return self.x2 - self.x1
-
-    @property
-    def height(self) -> float:
-        return self.y2 - self.y1
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return (0.5 * (self.x1 + self.x2), 0.5 * (self.y1 + self.y2))
 
 
 @dataclass(frozen=True)
@@ -140,68 +108,83 @@ def _score_rule(scores: np.ndarray, owner: str) -> None:
         raise RowError(i, f"{owner} score {float(scores[i])} outside [0, 1]")
 
 
-@dataclass(frozen=True)
-class AffineTransform:
-    """Row-major 2x3 matrix: (x, y) -> (a*x + b*y + c, d*x + e*y + f)."""
-
-    a: float
-    b: float
-    c: float
-    d: float
-    e: float
-    f: float
-
-    def __post_init__(self) -> None:
-        for v in (self.a, self.b, self.c, self.d, self.e, self.f):
-            if not math.isfinite(v):
-                raise ValueError(f"non-finite transform coefficient {v!r}")
-        if self.determinant == 0.0:
-            raise ValueError("singular transform")
-
-    @property
-    def determinant(self) -> float:
-        return self.a * self.e - self.b * self.d
-
-    @classmethod
-    def identity(cls) -> "AffineTransform":
-        return cls(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
-
-    @classmethod
-    def translation(cls, dx: float, dy: float) -> "AffineTransform":
-        return cls(1.0, 0.0, float(dx), 0.0, 1.0, float(dy))
+def _box_rows(boxes: Any) -> np.ndarray:
+    """``boxes`` as ``[N, 4]`` ``float64`` rows, checked by :func:`_box_rule`."""
+    rows = np.asarray(boxes, dtype=np.float64)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"boxes must be [N, 4] rows of (x1, y1, x2, y2), got shape {rows.shape}")
+    _box_rule(rows)
+    return rows
 
 
-def apply_transform(t: AffineTransform, point: Sequence[float]) -> tuple[float, float]:
-    x, y = point
-    return (t.a * x + t.b * y + t.c, t.d * x + t.e * y + t.f)
+def _transform_rule(transforms: np.ndarray) -> None:
+    """Raise :class:`RowError` for the first of ``[..., 2, 3]`` transforms
+    (counted over the leading axes) with a non-finite coefficient or a zero
+    determinant ``a*e - b*d``."""
+    flat = transforms.reshape(-1, 6)
+    finite = np.isfinite(flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        valid = finite.all(axis=1) & (flat[:, 0] * flat[:, 4] - flat[:, 1] * flat[:, 3] != 0.0)
+    if valid.all():
+        return
+    i = int(valid.argmin())
+    if not finite[i].all():
+        raise RowError(i, f"non-finite transform coefficient {flat[i].tolist()[int(finite[i].argmin())]!r}")
+    raise RowError(i, "singular transform")
 
 
-def invert_transform(t: AffineTransform) -> AffineTransform:
-    det = t.determinant
-    return AffineTransform(
-        t.e / det,
-        -t.b / det,
-        (t.b * t.f - t.e * t.c) / det,
-        -t.d / det,
-        t.a / det,
-        (t.d * t.c - t.a * t.f) / det,
-    )
+def _transforms(transforms: Any) -> np.ndarray:
+    """``transforms`` as a ``[..., 2, 3]`` ``float64`` array, checked by
+    :func:`_transform_rule`."""
+    t = np.asarray(transforms, dtype=np.float64)
+    if t.shape[-2:] != (2, 3):
+        raise ValueError(f"transforms must be [..., 2, 3], got shape {t.shape}")
+    _transform_rule(t)
+    return t
 
 
-def _rows(boxes: Sequence[BoundingBox]) -> np.ndarray:
-    """``[N, 4]`` ``(x1, y1, x2, y2)`` rows of ``boxes``."""
-    return np.array([(b.x1, b.y1, b.x2, b.y2) for b in boxes], dtype=np.float64).reshape(-1, 4)
+def _apply(t: np.ndarray, x: Any, y: Any) -> tuple[np.ndarray, np.ndarray]:
+    """The images of points ``(x, y)`` under ``[..., 2, 3]`` transforms ``t``."""
+    return (t[..., 0, 0] * x + t[..., 0, 1] * y + t[..., 0, 2],
+            t[..., 1, 0] * x + t[..., 1, 1] * y + t[..., 1, 2])
+
+
+def _inverse(t: np.ndarray) -> np.ndarray:
+    """The inverses of ``[..., 2, 3]`` transforms, unchecked: overflow gives
+    inf and a zero determinant inf or NaN, so call it under ``np.errstate``."""
+    (a, b, c), (d, e, f) = np.moveaxis(t, (-2, -1), (0, 1))
+    det = a * e - b * d
+    return np.stack([np.stack([e / det, -b / det, (b * f - e * c) / det], axis=-1),
+                     np.stack([-d / det, a / det, (d * c - a * f) / det], axis=-1)], axis=-2)
+
+
+def apply_transform(transforms: Any, points: Any) -> np.ndarray:
+    """``[..., 2]`` images of ``[..., 2]`` ``(x, y)`` points under ``[..., 2, 3]``
+    transforms; the leading axes broadcast."""
+    p = np.asarray(points, dtype=np.float64)
+    return np.stack(_apply(_transforms(transforms), p[..., 0], p[..., 1]), axis=-1)
+
+
+def invert_transform(transforms: Any) -> np.ndarray:
+    """The ``[..., 2, 3]`` inverses of ``[..., 2, 3]`` transforms. An input
+    or inverse with a non-finite coefficient or a zero determinant raises
+    :class:`ValueError`."""
+    t = _transforms(transforms)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inverse = _inverse(t)
+    _transform_rule(inverse)
+    return inverse
 
 
 def _areas(rows: np.ndarray) -> np.ndarray:
-    """:attr:`BoundingBox.area` of every row."""
+    """Width times height of every ``[N, 4]`` box row."""
     return (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``[P, G]`` continuous IoU of every row of ``a`` against every row of
     ``b``; 0 for disjoint boxes. Each entry is the scalar formula's IEEE
-    operations in its order, so :func:`iou` is the 1x1 case bit for bit."""
+    operations in its order."""
     # Overflow gives inf as in Python floats: a far-apart pair's negative
     # overlap product, or an area sum, which makes that IoU 0.
     with np.errstate(over="ignore"):
@@ -212,9 +195,10 @@ def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return inter / (_areas(a)[:, None] + _areas(b) - inter)
 
 
-def iou(a: BoundingBox, b: BoundingBox) -> float:
-    """Continuous intersection-over-union; 0 for disjoint boxes."""
-    return float(_iou_matrix(_rows([a]), _rows([b]))[0, 0])
+def iou(a: Any, b: Any) -> np.ndarray:
+    """``[P, G]`` continuous intersection-over-union of ``[P, 4]`` box rows
+    against ``[G, 4]`` box rows; 0 for disjoint boxes."""
+    return _iou_matrix(_box_rows(a), _box_rows(b))
 
 
 def _nms_rows(rows: np.ndarray, scores: np.ndarray, offsets: Sequence[int], iou_threshold: float) -> list[int]:
@@ -238,15 +222,20 @@ def _nms_rows(rows: np.ndarray, scores: np.ndarray, offsets: Sequence[int], iou_
     return kept
 
 
-def nms(dets: Sequence[BoundingBox], iou_threshold: float) -> list[BoundingBox]:
-    """Greedy NMS: the kept boxes, sorted by score descending.
+def nms(boxes: Any, scores: Any, iou_threshold: float) -> np.ndarray:
+    """Greedy NMS over ``[N, 4]`` box rows with ``[N]`` scores in [0, 1]: the
+    kept row indices, sorted by score descending.
 
     Repeatedly keeps the highest-score remaining box and discards every
     remaining box whose IoU with it is >= ``iou_threshold``. Score ties are
     broken by original position, so the result is deterministic.
     """
-    scores = np.array([d.score for d in dets], dtype=np.float64)
-    return [dets[i] for i in _nms_rows(_rows(dets), scores, [0, len(dets)], iou_threshold)]
+    rows = _box_rows(boxes)
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.shape != (len(rows),):
+        raise ValueError(f"scores must be [{len(rows)}], got shape {scores.shape}")
+    _score_rule(scores, "box")
+    return np.array(_nms_rows(rows, scores, [0, len(rows)], iou_threshold), dtype=np.intp)
 
 
 def _clamped_spans(lo: np.ndarray, hi: np.ndarray, bound: float) -> tuple[np.ndarray, np.ndarray]:
@@ -278,12 +267,12 @@ def _pose_bboxes(keypoints: np.ndarray, margin: float, pano: PanoramaSpec) -> np
 
 def _pose_boxes(keypoints: np.ndarray) -> np.ndarray:
     """``[N, 4]`` tight boxes of ``[N, K, 3]`` poses by the
-    :func:`_matching_boxes` rule, unchecked: a row may break the
-    :class:`BoundingBox` rule."""
+    :func:`_matching_boxes` rule, unchecked: a row may break
+    :func:`_box_rule`."""
     labeled = keypoints[:, :, 2] > 0
     x1, y1, x2, y2 = _extents(keypoints, labeled | ~labeled.any(axis=1, keepdims=True))
     # lo + hi may overflow to inf; a floored box built from it then fails
-    # the BoundingBox rule, as the scalar rule's did.
+    # _box_rule, as the scalar rule's did.
     with np.errstate(over="ignore"):
         x1, x2 = _floored_spans(x1, x2)
         y1, y2 = _floored_spans(y1, y2)
@@ -313,7 +302,7 @@ def _matching_boxes(boxes: np.ndarray, has_box: np.ndarray, keypoints: np.ndarra
     otherwise the tight enclosing box of the pose keypoints (the labeled
     (v > 0) ones when any are labeled, all of them otherwise, with a hair of
     extent so the box is always valid). Raises :class:`RowError` for the
-    first pose box that breaks the :class:`BoundingBox` rule."""
+    first pose box that breaks :func:`_box_rule`."""
     if has_box.all():
         return boxes
     rows = np.where(has_box[:, None], boxes, _pose_boxes(keypoints))
@@ -359,31 +348,40 @@ def _check_crop(out_w: int, out_h: int, padding: float) -> None:
 
 
 def crop_transform(
-    box: BoundingBox,
+    boxes: Any,
     out_w: int = CROP_WIDTH,
     out_h: int = CROP_HEIGHT,
     padding: float = DEFAULT_CROP_PADDING,
-) -> AffineTransform:
-    """Axis-aligned transform mapping a padded box onto [0, out_w) x [0, out_h).
+) -> np.ndarray:
+    """``[N, 2, 3]`` axis-aligned transforms, each mapping a padded row of
+    ``[N, 4]`` boxes onto [0, out_w) x [0, out_h).
 
-    The box is first expanded about its center until its aspect ratio equals
+    A box is first expanded about its center until its aspect ratio equals
     out_w:out_h (only the deficient dimension grows; an exact aspect match is
     left untouched), then scaled by ``padding`` about the center, and the
-    result is mapped onto the output rectangle. No rotation.
+    result is mapped onto the output rectangle. No rotation. Raises
+    :class:`RowError` for the first box whose transform or its inverse has a
+    non-finite coefficient or is singular.
     """
     _check_crop(out_w, out_h, padding)
-    w = box.width
-    h = box.height
-    if w <= 0 or h <= 0:
-        raise ValueError("degenerate box")
-    # Cross-multiplied comparison keeps the exact-aspect tie exact.
-    if w * out_h < h * out_w:
-        w = h * (out_w / out_h)
-    elif w * out_h > h * out_w:
-        h = w * (out_h / out_w)
-    w *= padding
-    h *= padding
-    cx, cy = box.center
-    sx = out_w / w
-    sy = out_h / h
-    return AffineTransform(sx, 0.0, -(cx - 0.5 * w) * sx, 0.0, sy, -(cy - 0.5 * h) * sy)
+    rows = _box_rows(boxes)
+    x1, y1, x2, y2 = rows.T
+    # A huge box or padding overflows to inf and then NaN, which the
+    # transform rule below reports.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        w = x2 - x1
+        h = y2 - y1
+        # Cross-multiplied comparison keeps the exact-aspect tie exact.
+        w, h = (np.where(w * out_h < h * out_w, h * (out_w / out_h), w) * padding,
+                np.where(w * out_h > h * out_w, w * (out_h / out_w), h) * padding)
+        sx = out_w / w
+        sy = out_h / h
+        zero = np.zeros(len(rows))
+        crops = np.stack([sx, zero, -(0.5 * (x1 + x2) - 0.5 * w) * sx,
+                          zero, sy, -(0.5 * (y1 + y2) - 0.5 * h) * sy], axis=1).reshape(-1, 2, 3)
+        both = np.stack([crops, _inverse(crops)], axis=1)
+    try:
+        _transform_rule(both)
+    except RowError as exc:
+        raise RowError(exc.row // 2, f"padding {float(padding)!r} gives a {exc}") from exc
+    return crops

@@ -34,13 +34,13 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from .dataio import Dataset, Pose
+from .dataio import Dataset, _keypoint_rule
 from .errors import ValidationError, _where
-from .geometry import BoundingBox, _areas, _iou_matrix, _located_matching_boxes
+from .geometry import _areas, _box_rows, _iou_matrix, _located_matching_boxes
 from .schema import SchemaMapping, check_entries, default_mapping
 
 __all__ = [
@@ -114,12 +114,18 @@ def default_oks_params(schema_id: str) -> OksParams:
     )
 
 
-def oks(pred: Pose, gt: Pose, params: OksParams, gt_box: BoundingBox) -> float:
-    """Object keypoint similarity in [0, 1]; labeled keypoints are those with
-    ground-truth visibility > 0."""
-    return float(
-        _oks_matrix(pred.keypoints[None], gt.keypoints[None], params, np.array([gt_box.area]))[0, 0]
-    )
+def oks(pred: Any, gt: Any, params: OksParams, gt_box: Any) -> float:
+    """Object keypoint similarity in [0, 1] of ``[K, 3]`` predicted against
+    ``[K, 3]`` ground-truth ``(x, y, v)`` keypoints, scaled by the area of
+    the ``(x1, y1, x2, y2)`` ground-truth box; labeled keypoints are those
+    with ground-truth visibility > 0."""
+    poses = [np.asarray(kps, dtype=np.float64) for kps in (pred, gt)]
+    for kps in poses:
+        if kps.ndim != 2 or kps.shape[1] != 3 or not len(kps):
+            raise ValueError(f"pose must be K >= 1 rows of (x, y, v), got shape {kps.shape}")
+        _keypoint_rule(kps[None])
+    area = _areas(_box_rows([gt_box]))
+    return float(_oks_matrix(poses[0][None], poses[1][None], params, area)[0, 0])
 
 
 def _oks_matrix(

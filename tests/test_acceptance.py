@@ -13,9 +13,8 @@ import numpy as np
 from synth import dataset, make_ground_truth, perturb_predictions, person
 
 from panopose.cli import run
-from panopose.dataio import Pose, save_dataset
+from panopose.dataio import save_dataset
 from panopose.geometry import (
-    BoundingBox,
     PanoramaSpec,
     _matching_boxes,
     apply_transform,
@@ -52,13 +51,14 @@ def _random_points(rng, n):
     return [tuple(p) for p in rng.uniform(0, 2, size=(n, 2))]
 
 
-def _random_box(rng, span=200.0):
-    x1, y1 = rng.uniform(0, span, 2)
-    return BoundingBox(
-        float(x1), float(y1),
-        float(x1 + rng.uniform(1, 60)), float(y1 + rng.uniform(1, 60)),
-        score=float(rng.uniform(0, 1)),
-    )
+def _random_boxes(rng, n, span=200.0):
+    """``[n, 4]`` random box rows and their ``[n]`` scores, drawn box by box."""
+    boxes, scores = [], []
+    for _ in range(n):
+        x1, y1 = rng.uniform(0, span, 2)
+        boxes.append((x1, y1, x1 + rng.uniform(1, 60), y1 + rng.uniform(1, 60)))
+        scores.append(rng.uniform(0, 1))
+    return np.array(boxes).reshape(n, 4), np.array(scores)
 
 
 def test_assignment_oracle_equivalence():
@@ -139,8 +139,8 @@ def test_ap_suite():
     # a single heavily displaced prediction whose only candidate is sub-threshold
     one_gt = make_ground_truth(rng, num_frames=1, people=(1, 1), x_range=(0.05, 0.5))
     displaced = shift_dataset(perturb_predictions(one_gt, rng, 0.0), 500.0)
-    gt_box = BoundingBox(*_matching_boxes(one_gt.boxes, one_gt.has_box, one_gt.keypoints)[0])
-    assert oks(Pose(displaced.keypoints[0]), Pose(one_gt.keypoints[0]), params, gt_box) < 0.5
+    gt_box = _matching_boxes(one_gt.boxes, one_gt.has_box, one_gt.keypoints)[0]
+    assert oks(displaced.keypoints[0], one_gt.keypoints[0], params, gt_box) < 0.5
     assert _ap(displaced, one_gt, params, 0.5) == 0.0
 
     for scene in range(50):
@@ -221,18 +221,17 @@ def test_geometry_suite():
     rng = np.random.default_rng(20250814)
 
     for _ in range(500):
-        dets = [_random_box(rng) for _ in range(int(rng.integers(0, 25)))]
+        boxes, scores = _random_boxes(rng, int(rng.integers(0, 25)))
         tau = float(rng.uniform(0.05, 0.95))
-        kept = nms(dets, tau)
-        assert nms(kept, tau) == kept
-        assert all(k in dets for k in kept)
-        for i in range(len(kept)):
-            for j in range(i + 1, len(kept)):
-                assert iou(kept[i], kept[j]) < tau
+        kept = nms(boxes, scores, tau)
+        assert nms(boxes[kept], scores[kept], tau).tolist() == list(range(len(kept)))
+        assert len(set(kept.tolist())) == len(kept)
+        overlap = iou(boxes[kept], boxes[kept])
+        assert (overlap[np.triu_indices(len(kept), 1)] < tau).all()
 
     for _ in range(1000):
-        box = _random_box(rng, span=600.0)
-        transform = crop_transform(box, 288, 384, padding=float(rng.uniform(0.5, 2.0)))
+        box, _ = _random_boxes(rng, 1, span=600.0)
+        (transform,) = crop_transform(box, 288, 384, padding=float(rng.uniform(0.5, 2.0)))
         inverse = invert_transform(transform)
         point = tuple(rng.uniform(-100, 800, 2))
         image = apply_transform(transform, point)
@@ -241,8 +240,8 @@ def test_geometry_suite():
 
     pano = PanoramaSpec(2048.0, 512.0)
     for _ in range(20):
-        boxes = [_random_box(rng, span=1500.0) for _ in range(int(rng.integers(1, 6)))]
-        ds = dataset("jrdb17", pano, [("f", [person(box=(b.x1, b.y1, b.x2, b.y2)) for b in boxes])])
+        boxes, _ = _random_boxes(rng, int(rng.integers(1, 6)), span=1500.0)
+        ds = dataset("jrdb17", pano, [("f", [person(box=b) for b in boxes])])
         assert shift_dataset(ds, 0.0) == ds
         assert shift_dataset(ds, pano.width) == ds
 

@@ -4,7 +4,6 @@ import os
 import re
 import subprocess
 import sys
-from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,13 +12,12 @@ from synth import dataset, make_ground_truth, mapping_doc, perturb_predictions, 
 
 from panopose.cli import run
 from panopose.dataio import (
-    Pose,
     dataset_from_json,
     dataset_to_canonical_json,
     load_predictions,
     save_dataset,
 )
-from panopose.geometry import BoundingBox, PanoramaSpec
+from panopose.geometry import PanoramaSpec
 from panopose.schema import JRDB17, default_mapping
 from panopose.weights import TensorMap, TensorRecord, load_tensor_map, save_tensor_map
 
@@ -197,8 +195,18 @@ class TestDegenerateBoxes:
                "p.json": _doc({"score": 0.9, "pose": self.POSE})},
         )
         assert err.startswith(
-            "error: frame 'f1', person 0: degenerate box (0.0, 0.0, 5e-324, 5e-324)"
+            f"error: {tmp_path}/g.json: frame 'f1', person 0: degenerate box (0.0, 0.0, 5e-324, 5e-324)"
         )
+
+    def test_eval_names_the_file_with_the_bad_box(self, tmp_path, capsys):
+        files = {"good.json": _doc({"score": 0.9, "pose": self.POSE}),
+                 "bad.json": _doc({"box": [5, 2, 5, 4], "score": 0.9})}
+        for gt, pred in (("good.json", "bad.json"), ("bad.json", "good.json")):
+            err = self._run(tmp_path, capsys, ["eval", "--gt", "{d}/" + gt, "--pred", "{d}/" + pred],
+                            **files)
+            assert err.startswith(
+                f"error: {tmp_path}/bad.json: frame 'f1', person 0: degenerate box (5.0, 2.0, 5.0, 4.0)"
+            )
 
     def test_eval_rejects_a_box_too_small_for_oks(self, tmp_path, capsys):
         err = self._run(
@@ -238,7 +246,7 @@ class TestDegenerateBoxes:
             tmp_path, capsys, ["nms", "--pred", "{d}/p.json", "--out", "{d}/o.json"],
             **{"p.json": _doc(tiny, tiny)},
         )
-        assert err.startswith("error: frame 'f1', person 0: degenerate box")
+        assert err.startswith(f"error: {tmp_path}/p.json: frame 'f1', person 0: degenerate box")
 
 
 # One command per bad parameter value: argv, and a pattern of the message
@@ -279,29 +287,6 @@ class TestBadParameters:
         assert re.search(message, captured.err), captured.err
         assert not out.exists()
         assert captured.out == ""
-
-
-class TestColumns:
-    def test_commands_build_no_person_objects(self, tmp_path, monkeypatch, capsys):
-        gt, pred = _edge_case_eval_files(tmp_path)
-        built = Counter()
-        for cls in (Pose, BoundingBox):
-            def counting(self, check=cls.__post_init__, name=cls.__name__):
-                built[name] += 1
-                check(self)
-
-            monkeypatch.setattr(cls, "__post_init__", counting)
-        d = tmp_path
-        for argv in (
-            ["eval", "--gt", gt, "--pred", pred, "--report", d / "r.json", "--table", d / "t.csv"],
-            ["boxes-from-poses", "--in", pred, "--out", d / "boxed.json"],
-            ["nms", "--pred", d / "boxed.json", "--out", d / "kept.json"],
-            ["shift", "--in", gt, "--out", d / "shifted.json", "--shift", "100"],
-        ):
-            assert run([str(a) for a in argv]) == 0
-        assert built == Counter()
-        BoundingBox(0, 0, 1, 1)
-        assert built == Counter(BoundingBox=1)  # the counters do see a construction
 
 
 class TestShift:
@@ -530,6 +515,67 @@ class TestDecodeCommand:
         err = capsys.readouterr().err
         assert f"frame 'f1', person 0: heatmap tensor 'f1/0': keypoint 3: heatmap peak is {value}" in err
         assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("good, bad, padding", [
+        ((0, 0, 10, 10), (0, 0, 1e308, 1e-300), "2"),
+        ((0, 0, 1e-150, 1e-150), (100, 50, 388, 434), "1e308"),
+    ])
+    def test_crop_fault_is_located(self, tmp_path, capsys, good, bad, padding):
+        # Either crop overflows to inf and then NaN.
+        dets_path, heat_path, out = tmp_path / "dets.json", tmp_path / "heat.bin", tmp_path / "o.json"
+        save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=good, score=0.9),
+                                                      person(box=bad, score=0.8)])]), dets_path)
+        grids = np.ones((17, 4, 4), np.float32)
+        save_tensor_map(TensorMap(TensorRecord.from_array(f"f1/{i}", grids) for i in range(2)), heat_path)
+        code = run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
+                    "--out", str(out), "--padding", padding])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == (f"error: frame 'f1', person 1: padding {float(padding)!r} "
+                                "gives a non-finite transform coefficient nan\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_non_finite_projection_is_located(self, tmp_path, capsys):
+        # Cell (3, 3)'s centre times a stride of 1e308 overflows to inf.
+        save_dataset(_one_box((100, 50, 388, 434)), tmp_path / "dets.json")
+        grids = np.zeros((17, 4, 4), np.float32)
+        grids[:, 3, 3] = 1.0
+        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", grids)]), tmp_path / "heat.bin")
+        code = run(["decode", "--heatmaps", str(tmp_path / "heat.bin"), "--dets", str(tmp_path / "dets.json"),
+                    "--out", str(tmp_path / "o.json"), "--stride", "1e308"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: frame 'f1', person 0: keypoint 0: non-finite keypoint coordinate (nan, nan)\n")
+        assert not (tmp_path / "o.json").exists()
+
+    def test_pred_json_bytes_are_pinned(self, tmp_path):
+        # Seeded persons with wide, tall and exact-aspect (3:4) boxes in turn,
+        # and f32 and f64 grids in turn, decoded at padding 1.25.
+        rng = np.random.default_rng(1125)
+        gt = make_ground_truth(rng, num_frames=6, people=(1, 4))
+        sizes = [(210.0, 90.0), (60.0, 230.0), (150.0, 200.0)]
+        centers = np.round(gt.keypoints[:, :2, :2].mean(axis=1))
+        persons, grids = [], []
+        bounds = gt.offsets.tolist()
+        for fid, start, stop in zip(gt.frame_ids, bounds, bounds[1:]):
+            frame = []
+            for i, row in enumerate(range(start, stop)):
+                (cx, cy), (w, h) = centers[row].tolist(), sizes[row % 3]
+                frame.append(person(box=(cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2),
+                                    score=rng.uniform(0.3, 1.0)))
+                values = rng.uniform(0.0, 1.0, (17, 12, 9))
+                dtype = np.float32 if row % 2 else np.float64
+                grids.append(TensorRecord.from_array(f"{fid}/{i}", values.astype(dtype)))
+            persons.append((fid, frame))
+        dets_path, heat_path, out = tmp_path / "dets.json", tmp_path / "heat.bin", tmp_path / "pred.json"
+        save_dataset(dataset("jrdb17", gt.pano, persons), dets_path)
+        save_tensor_map(TensorMap(grids), heat_path)
+        assert run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
+                    "--out", str(out), "--stride", "32", "--padding", "1.25"]) == 0
+        assert len(grids) == 20
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == (
+            "9af788714981ebb1efddf709b7665d269d24728c76732dba04086374e1941dc3")
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_memory_does_not_grow_with_the_container(self, tmp_path):

@@ -6,7 +6,6 @@ from synth import dataset, person
 
 from panopose.dataio import (
     Dataset,
-    Pose,
     dataset_from_json,
     dataset_to_canonical_json,
     load_ground_truth,
@@ -50,12 +49,12 @@ def _doc(persons, frame_id="f1", width=2000):
 
 class TestTypes:
     def test_keypoint_visibility_range(self):
-        with pytest.raises(ValueError):
-            Pose([(0, 0, 3)])
+        with pytest.raises(ValidationError, match="keypoint 0: visibility must be 0, 1 or 2, got 3"):
+            Dataset(**_columns(keypoints=[[(0, 0, 3)]], has_pose=[True]))
 
     def test_keypoint_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            Pose([(float("nan"), 0.0, 2)])
+        with pytest.raises(ValidationError, match=r"keypoint 0: non-finite keypoint coordinate \(nan, 0.0\)"):
+            Dataset(**_columns(keypoints=[[(float("nan"), 0.0, 2)]], has_pose=[True]))
 
     def test_person_needs_box_or_pose(self):
         with pytest.raises(ValidationError, match="^frame 'f1', person 0: person has neither box nor pose$"):

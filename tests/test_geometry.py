@@ -4,10 +4,7 @@ import numpy as np
 import pytest
 from synth import dataset, person
 
-from panopose.dataio import Pose
 from panopose.geometry import (
-    AffineTransform,
-    BoundingBox,
     PanoramaSpec,
     _matching_boxes,
     _pose_bboxes,
@@ -23,7 +20,7 @@ PANO = PanoramaSpec(2000.0, 600.0)
 
 
 def _pose(*xyv):
-    return Pose(xyv)
+    return np.array(xyv, dtype=np.float64)
 
 
 def _pose17(*xyv):
@@ -31,75 +28,85 @@ def _pose17(*xyv):
     return list(xyv) + [(*xyv[0][:2], 0)] * (17 - len(xyv))
 
 
-def _random_box(rng, lo=0.0, hi=100.0):
-    x1, x2 = sorted(rng.uniform(lo, hi, 2))
-    y1, y2 = sorted(rng.uniform(lo, hi, 2))
-    return BoundingBox(x1, y1, x2 + 1.0, y2 + 1.0, score=float(rng.uniform(0, 1)))
+def _random_boxes(rng, n, lo=0.0, hi=100.0):
+    """``n`` random box rows, then their ``n`` scores."""
+    boxes, scores = [], []
+    for _ in range(n):
+        x1, x2 = sorted(rng.uniform(lo, hi, 2))
+        y1, y2 = sorted(rng.uniform(lo, hi, 2))
+        boxes.append((x1, y1, x2 + 1.0, y2 + 1.0))
+        scores.append(float(rng.uniform(0, 1)))
+    return np.array(boxes).reshape(n, 4), np.array(scores)
+
+
+def _iou(a, b):
+    """The IoU of two boxes."""
+    return float(iou([a], [b])[0, 0])
 
 
 class TestBoundingBox:
+    """The box and score rules, at the entry of the functions that take box rows."""
+
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
-            BoundingBox(5, 0, 5, 10)
+            iou([(5, 0, 5, 10)], [(0, 0, 1, 1)])
         with pytest.raises(ValueError):
-            BoundingBox(0, 10, 10, 10)
+            iou([(0, 0, 1, 1)], [(0, 10, 10, 10)])
         with pytest.raises(ValueError, match="area 0.0 must be positive and finite"):
-            BoundingBox(0, 0, 5e-324, 5e-324)
+            nms([(0, 0, 5e-324, 5e-324)], [0.5], 0.5)
         with pytest.raises(ValueError, match="area inf must be positive and finite"):
-            BoundingBox(-1e308, -1e308, 1e308, 1e308)
+            crop_transform([(-1e308, -1e308, 1e308, 1e308)])
+        with pytest.raises(ValueError, match=r"boxes must be \[N, 4\]"):
+            iou([0, 0, 1, 1], [(0, 0, 1, 1)])
 
     def test_rejects_bad_score(self):
-        with pytest.raises(ValueError):
-            BoundingBox(0, 0, 1, 1, score=1.5)
-
-    def test_derived_quantities(self):
-        b = BoundingBox(1, 2, 5, 10)
-        assert (b.width, b.height, b.area) == (4, 8, 32)
-        assert b.center == (3, 6)
+        with pytest.raises(ValueError, match="box score 1.5 outside"):
+            nms([(0, 0, 1, 1)], [1.5], 0.5)
+        with pytest.raises(ValueError, match=r"scores must be \[1\]"):
+            nms([(0, 0, 1, 1)], [0.5, 0.5], 0.5)
 
 
 class TestIou:
     def test_identical_boxes(self):
-        b = BoundingBox(3, 4, 10, 20)
-        assert iou(b, b) == 1.0
+        b = (3, 4, 10, 20)
+        assert _iou(b, b) == 1.0
 
     def test_disjoint_boxes(self):
-        assert iou(BoundingBox(0, 0, 1, 1), BoundingBox(5, 5, 6, 6)) == 0.0
+        assert _iou((0, 0, 1, 1), (5, 5, 6, 6)) == 0.0
 
     def test_third_overlap(self):
         # inter = 1x2 = 2, union = 4 + 4 - 2 = 6
-        a = BoundingBox(0, 0, 2, 2)
-        b = BoundingBox(1, 0, 3, 2)
-        assert iou(a, b) == 2.0 / 6.0
+        assert _iou((0, 0, 2, 2), (1, 0, 3, 2)) == 2.0 / 6.0
 
     def test_third_overlap_matches_grid_oracle(self):
         # Rasterize both boxes on a fine grid and count cell centers.
-        a = BoundingBox(0, 0, 2, 2)
-        b = BoundingBox(1, 0, 3, 2)
+        a = (0, 0, 2, 2)
+        b = (1, 0, 3, 2)
         n = 1500
         xs = (np.arange(n) + 0.5) * (3.0 / n)
         ys = (np.arange(n) + 0.5) * (2.0 / n)
         gx, gy = np.meshgrid(xs, ys)
 
         def inside(box):
-            return (gx >= box.x1) & (gx < box.x2) & (gy >= box.y1) & (gy < box.y2)
+            x1, y1, x2, y2 = box
+            return (gx >= x1) & (gx < x2) & (gy >= y1) & (gy < y2)
 
         in_a, in_b = inside(a), inside(b)
         oracle = np.count_nonzero(in_a & in_b) / np.count_nonzero(in_a | in_b)
-        assert abs(oracle - iou(a, b)) < 2e-3
+        assert abs(oracle - _iou(a, b)) < 2e-3
 
     def test_symmetry_and_bounds(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
-            a, b = _random_box(rng), _random_box(rng)
-            v = iou(a, b)
+            (a, b), _ = _random_boxes(rng, 2)
+            v = _iou(a, b)
             assert 0.0 <= v <= 1.0
-            assert v == iou(b, a)
+            assert v == _iou(b, a)
 
 
 def _bbox(pose, margin):
     """The boxes-from-poses box of one pose, as an (x1, y1, x2, y2) tuple."""
-    return tuple(_pose_bboxes(pose.keypoints[None], margin, PANO)[0].tolist())
+    return tuple(_pose_bboxes(pose[None], margin, PANO)[0].tolist())
 
 
 class TestBboxFromPose:
@@ -132,7 +139,7 @@ def _matching_box(box, pose):
     """The matching box of one person with an optional box and pose."""
     has_box = np.array([box is not None])
     row = np.array([box if box is not None else (0.0,) * 4], dtype=np.float64)
-    return tuple(_matching_boxes(row, has_box, pose.keypoints[None])[0].tolist())
+    return tuple(_matching_boxes(row, has_box, pose[None])[0].tolist())
 
 
 class TestPersonBox:
@@ -204,50 +211,50 @@ class TestShiftFrame:
 
 class TestNms:
     def test_single_box_unchanged(self):
-        dets = [BoundingBox(0, 0, 10, 10, score=0.7)]
-        assert nms(dets, 0.5) == dets
+        assert nms([(0, 0, 10, 10)], [0.7], 0.5).tolist() == [0]
 
     def test_duplicate_box_suppressed(self):
-        hi = BoundingBox(0, 0, 10, 10, score=0.9)
-        lo = BoundingBox(0, 0, 10, 10, score=0.8)
-        assert nms([lo, hi], 0.5) == [hi]
+        assert nms([(0, 0, 10, 10), (0, 0, 10, 10)], [0.8, 0.9], 0.5).tolist() == [1]
 
     def test_disjoint_boxes_kept(self):
-        a = BoundingBox(0, 0, 10, 10, score=0.9)
-        b = BoundingBox(50, 50, 60, 60, score=0.1)
-        assert nms([b, a], 0.5) == [a, b]
+        assert nms([(50, 50, 60, 60), (0, 0, 10, 10)], [0.1, 0.9], 0.5).tolist() == [1, 0]
 
     def test_threshold_out_of_range(self):
         with pytest.raises(ValueError):
-            nms([], 1.5)
+            nms(np.zeros((0, 4)), [], 1.5)
 
     def test_idempotent_and_bounded_overlap(self):
         rng = np.random.default_rng(29)
         for _ in range(100):
-            dets = [_random_box(rng) for _ in range(int(rng.integers(0, 20)))]
+            boxes, scores = _random_boxes(rng, int(rng.integers(0, 20)))
             tau = float(rng.uniform(0.05, 0.95))
-            kept = nms(dets, tau)
-            assert nms(kept, tau) == kept
-            assert all(k in dets for k in kept)
-            for i in range(len(kept)):
-                for j in range(i + 1, len(kept)):
-                    assert iou(kept[i], kept[j]) < tau
-            scores = [k.score for k in kept]
-            assert scores == sorted(scores, reverse=True)
+            kept = nms(boxes, scores, tau)
+            assert nms(boxes[kept], scores[kept], tau).tolist() == list(range(len(kept)))
+            assert len(set(kept.tolist())) == len(kept)
+            overlap = iou(boxes[kept], boxes[kept])
+            assert (overlap[np.triu_indices(len(kept), 1)] < tau).all()
+            assert scores[kept].tolist() == sorted(scores[kept].tolist(), reverse=True)
+
+
+def _affine(a, b, c, d, e, f):
+    return np.array([[a, b, c], [d, e, f]], dtype=np.float64)
 
 
 class TestAffine:
     def test_identity(self):
-        t = AffineTransform.identity()
-        assert apply_transform(t, (3.5, -2.0)) == (3.5, -2.0)
+        t = _affine(1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        assert apply_transform(t, (3.5, -2.0)).tolist() == [3.5, -2.0]
 
     def test_translation(self):
-        t = AffineTransform.translation(5.0, -3.0)
-        assert apply_transform(t, (1.0, 2.0)) == (6.0, -1.0)
+        t = _affine(1.0, 0.0, 5.0, 0.0, 1.0, -3.0)
+        assert apply_transform(t, (1.0, 2.0)).tolist() == [6.0, -1.0]
 
     def test_singular_rejected(self):
-        with pytest.raises(ValueError, match="singular"):
-            AffineTransform(1.0, 0.0, 0.0, 2.0, 0.0, 0.0)
+        for use in (invert_transform, lambda t: apply_transform(t, (0.0, 0.0))):
+            with pytest.raises(ValueError, match="singular"):
+                use(_affine(1.0, 0.0, 0.0, 2.0, 0.0, 0.0))
+        with pytest.raises(ValueError, match="non-finite transform coefficient inf"):
+            invert_transform(_affine(1e-309, 0.0, 0.0, 0.0, 1e10, 0.0))  # 1 / 1e-309 overflows
 
     def test_invert_round_trip(self):
         rng = np.random.default_rng(41)
@@ -255,7 +262,7 @@ class TestAffine:
             a, b, d, e = rng.uniform(-2, 2, 4)
             if abs(a * e - b * d) < 1e-3:
                 continue
-            t = AffineTransform(a, b, rng.uniform(-50, 50), d, e, rng.uniform(-50, 50))
+            t = _affine(a, b, rng.uniform(-50, 50), d, e, rng.uniform(-50, 50))
             p = tuple(rng.uniform(-100, 100, 2))
             q = apply_transform(invert_transform(t), apply_transform(t, p))
             assert math.hypot(q[0] - p[0], q[1] - p[1]) < 1e-6
@@ -263,46 +270,42 @@ class TestAffine:
 
 class TestCropTransform:
     def test_exact_fit_is_identity(self):
-        t = crop_transform(BoundingBox(0, 0, 288, 384), 288, 384, padding=1.0)
-        assert t == AffineTransform.identity()
+        t = crop_transform([(0, 0, 288, 384)], 288, 384, padding=1.0)
+        assert t.tolist() == [[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]]
 
     def test_double_size_box_halves(self):
-        t = crop_transform(BoundingBox(0, 0, 576, 768), 288, 384, padding=1.0)
-        assert (t.a, t.e) == (0.5, 0.5)
-        assert apply_transform(t, (576.0, 768.0)) == (288.0, 384.0)
+        (t,) = crop_transform([(0, 0, 576, 768)], 288, 384, padding=1.0)
+        assert (t[0, 0], t[1, 1]) == (0.5, 0.5)
+        assert apply_transform(t, (576.0, 768.0)).tolist() == [288.0, 384.0]
 
     def test_square_box_padded_to_output_aspect(self):
-        t = crop_transform(BoundingBox(10, 20, 110, 120), 288, 384, padding=1.0)
-        inv = invert_transform(t)
-        x1, y1 = apply_transform(inv, (0.0, 0.0))
-        x2, y2 = apply_transform(inv, (288.0, 384.0))
+        inv = invert_transform(crop_transform([(10, 20, 110, 120)], 288, 384, padding=1.0)[0])
+        (x1, y1), (x2, y2) = apply_transform(inv, [(0.0, 0.0), (288.0, 384.0)])
         assert (x2 - x1) / (y2 - y1) == pytest.approx(288 / 384, abs=1e-12)
         assert x2 - x1 == pytest.approx(100.0, abs=1e-9)  # width untouched
 
     def test_padding_scales_the_source_window(self):
-        t = crop_transform(BoundingBox(0, 0, 288, 384), 288, 384, padding=1.25)
-        inv = invert_transform(t)
-        x1, y1 = apply_transform(inv, (0.0, 0.0))
-        x2, y2 = apply_transform(inv, (288.0, 384.0))
+        inv = invert_transform(crop_transform([(0, 0, 288, 384)], 288, 384, padding=1.25)[0])
+        (x1, y1), (x2, y2) = apply_transform(inv, [(0.0, 0.0), (288.0, 384.0)])
         assert x2 - x1 == pytest.approx(288 * 1.25, abs=1e-9)
         assert y2 - y1 == pytest.approx(384 * 1.25, abs=1e-9)
         # expansion is about the box center
         assert 0.5 * (x1 + x2) == pytest.approx(144.0, abs=1e-9)
 
     def test_bad_parameters_rejected(self):
-        box = BoundingBox(0, 0, 10, 10)
+        box = [(0, 0, 10, 10)]
         with pytest.raises(ValueError):
             crop_transform(box, 288, 384, padding=0.0)
         with pytest.raises(ValueError):
             crop_transform(box, 0, 384, padding=1.0)
+        with pytest.raises(ValueError, match="padding 1e[+]308 gives a non-finite transform coefficient nan"):
+            crop_transform(box, 288, 384, padding=1e308)
 
     def test_expanded_corners_round_trip(self):
         rng = np.random.default_rng(53)
+        corners = np.array([(0.0, 0.0), (288.0, 0.0), (0.0, 384.0), (288.0, 384.0)])
         for _ in range(200):
-            box = _random_box(rng, 0, 500)
-            t = crop_transform(box, 288, 384, padding=float(rng.uniform(0.5, 2.0)))
-            inv = invert_transform(t)
-            for corner in ((0.0, 0.0), (288.0, 0.0), (0.0, 384.0), (288.0, 384.0)):
-                src = apply_transform(inv, corner)
-                back = apply_transform(t, src)
-                assert math.hypot(back[0] - corner[0], back[1] - corner[1]) < 1e-6
+            box, _ = _random_boxes(rng, 1, 0, 500)
+            (t,) = crop_transform(box, 288, 384, padding=float(rng.uniform(0.5, 2.0)))
+            back = apply_transform(t, apply_transform(invert_transform(t), corners))
+            assert np.hypot(*(back - corners).T).max() < 1e-6

@@ -11,9 +11,9 @@ import pytest
 
 from synth import dataset, make_ground_truth, perturb_predictions, person
 
-from panopose.dataio import Pose, dataset_from_json, dataset_to_canonical_json
+from panopose.dataio import dataset_from_json, dataset_to_canonical_json
 from panopose.errors import ValidationError
-from panopose.geometry import BoundingBox, PanoramaSpec, _areas, _matching_boxes
+from panopose.geometry import PanoramaSpec, _areas, _matching_boxes
 from panopose.metrics import (
     COCO_SIGMAS,
     EvalConfig,
@@ -36,7 +36,7 @@ UNIFORM3 = OksParams((0.1, 0.1, 0.1))
 
 def _pose(*coords, vis=None):
     vis = vis or [2] * len(coords)
-    return Pose([(x, y, v) for (x, y), v in zip(coords, vis)])
+    return np.array([(x, y, v) for (x, y), v in zip(coords, vis)], dtype=np.float64)
 
 
 def _capped_euclid(a, b):
@@ -72,21 +72,22 @@ class TestOksParams:
 
 
 class TestOks:
-    BOX = BoundingBox(0.0, 0.0, 10.0, 10.0)  # area 100
+    BOX = (0.0, 0.0, 10.0, 10.0)  # area 100
+    AREA = 100.0
 
     def test_identical_poses_score_one(self):
         gt = _pose((1, 2), (3, 4), (5, 6))
         assert oks(gt, gt, UNIFORM3, self.BOX) == 1.0
 
     def test_distant_prediction_scores_near_zero(self):
-        s = math.sqrt(self.BOX.area)
+        s = math.sqrt(self.AREA)
         gt = _pose((0, 0), (1, 1), (2, 2))
         pred = _pose((1000 * s, 0), (1000 * s, 1), (1000 * s, 2))
         assert oks(pred, gt, UNIFORM3, self.BOX) < 1e-9
 
     def test_single_term_formula(self):
         k = 0.1
-        s2 = self.BOX.area
+        s2 = self.AREA
         d = math.sqrt(2.0 * s2 * k * k)
         gt = _pose((0, 0), (0, 0), (0, 0), vis=[2, 0, 0])
         pred = _pose((d, 0), (9, 9), (9, 9))
@@ -102,10 +103,19 @@ class TestOks:
         with pytest.raises(ValidationError, match="no labeled keypoints"):
             oks(gt, gt, UNIFORM3, self.BOX)
 
+    def test_inputs_are_checked(self):
+        gt = _pose((0, 0), (1, 1), (2, 2))
+        with pytest.raises(ValueError, match="keypoint 1: visibility must be 0, 1 or 2, got 3"):
+            oks(gt, _pose((0, 0), (1, 1), (2, 2), vis=[2, 3, 2]), UNIFORM3, self.BOX)
+        with pytest.raises(ValueError, match=r"pose must be K >= 1 rows of \(x, y, v\), got shape \(3,\)"):
+            oks([0.0, 0.0, 2.0], gt, UNIFORM3, self.BOX)
+        with pytest.raises(ValueError, match=r"degenerate box \(0.0, 0.0, 0.0, 1.0\)"):
+            oks(gt, gt, UNIFORM3, (0.0, 0.0, 0.0, 1.0))
+
     def test_scale_underflow_is_an_error(self):
         gt = _pose((0, 0), (1, 1), (2, 2))
         with pytest.raises(ValidationError, match="OKS scale"):
-            oks(gt, gt, UNIFORM3, BoundingBox(0.0, 0.0, 1.0, 5e-324))
+            oks(gt, gt, UNIFORM3, (0.0, 0.0, 1.0, 5e-324))
 
     def test_translation_invariance(self):
         rng = np.random.default_rng(43)
@@ -117,9 +127,7 @@ class TestOks:
             pred = _pose(*map(tuple, noise))
             gt2 = _pose(*[(x + dx, y + dy) for x, y in pts])
             pred2 = _pose(*[(x + dx, y + dy) for x, y in noise])
-            box2 = BoundingBox(
-                self.BOX.x1 + dx, self.BOX.y1 + dy, self.BOX.x2 + dx, self.BOX.y2 + dy
-            )
+            box2 = np.add(self.BOX, (dx, dy, dx, dy))
             a = oks(pred, gt, UNIFORM3, self.BOX)
             b = oks(pred2, gt2, UNIFORM3, box2)
             assert a == pytest.approx(b, abs=1e-12)
@@ -373,12 +381,12 @@ class TestApAtOks:
         assert _ap(preds, gts, self.PARAMS, 0.5) == 0.0
 
     def test_sub_threshold_match_scores_zero(self):
-        gt_box = BoundingBox(90.0, 190.0, 300.0, 330.0)
+        gt_box = (90.0, 190.0, 300.0, 330.0)
         displaced = [(x + 150.0, y, 2) for x, y, _ in _pose17()]
-        value = oks(Pose(displaced), Pose(_pose17()), self.PARAMS, gt_box)
+        value = oks(displaced, _pose17(), self.PARAMS, gt_box)
         assert value < 0.5  # sanity: the only possible match is sub-threshold
         preds, gts = _single_frame_datasets(
-            [person(pose=_pose17(), box=(gt_box.x1, gt_box.y1, gt_box.x2, gt_box.y2))],
+            [person(pose=_pose17(), box=gt_box)],
             [person(pose=displaced, score=0.9)],
         )
         assert _ap(preds, gts, self.PARAMS, 0.5) == 0.0

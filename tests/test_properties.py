@@ -1,6 +1,6 @@
 """Property tests: canonical dataset round trips, the vectorised kernels
-(OKS, IoU, matching boxes, OSPA and heatmap decode) against scalar loop
-references, the assignment solver against the enumeration oracle, and
+(OKS, IoU, matching boxes, OSPA, the crop and heatmap decode) against scalar
+loop references, the assignment solver against the enumeration oracle, and
 malformed mapping and container files."""
 
 import json
@@ -15,19 +15,18 @@ from hypothesis import strategies as st
 from synth import dataset, person
 
 from panopose.dataio import dataset_from_json, dataset_to_canonical_json
-from panopose.decode import HeatmapStack, decode_heatmaps
-from panopose.errors import ValidationError
+from panopose.decode import decode_heatmaps
+from panopose.errors import RowError, ValidationError
 from panopose.geometry import (
-    AffineTransform,
-    BoundingBox,
+    CROP_HEIGHT,
+    CROP_WIDTH,
     PanoramaSpec,
     _iou_matrix,
     _matching_boxes,
     _nms_rows,
-    _rows,
-    apply_transform,
-    invert_transform,
+    crop_transform,
     iou,
+    nms,
 )
 from panopose.metrics import (
     _match,
@@ -143,21 +142,21 @@ def test_oks_matrix_agrees_with_scalar_reference(preds, gts):
         _stack([p["pose"] for p in rows]),
         _stack([gts[j]["pose"] for j in cols]),
         PARAMS,
-        np.array([boxes[j].area for j in cols]),
+        np.array([_area(boxes[j]) for j in cols]),
     )
     assert sim.shape == (len(rows), len(cols))
     for i, p in enumerate(rows):
         for c, j in enumerate(cols):
-            expected = _reference_oks(p["pose"], gts[j]["pose"], boxes[j].area)
+            expected = _reference_oks(p["pose"], gts[j]["pose"], _area(boxes[j]))
             assert math.isclose(sim[i, c], expected, rel_tol=1e-12)
 
     p = dataset("jrdb17", PANO, [("f", preds)])
     g = dataset("jrdb17", PANO, [("f", gts)])
-    areas = np.array([b.area for b in boxes])
+    areas = np.array([_area(b) for b in boxes])
     for pi, gi, value in _match(p.keypoints, p.has_pose, p.scores, g.keypoints, areas, PARAMS, 0.5):
         assert "pose" in preds[pi] and _labeled(gts[gi])
         assert value >= 0.5
-        expected = _reference_oks(preds[pi]["pose"], gts[gi]["pose"], boxes[gi].area)
+        expected = _reference_oks(preds[pi]["pose"], gts[gi]["pose"], _area(boxes[gi]))
         assert math.isclose(value, expected, rel_tol=1e-12)
 
 
@@ -165,33 +164,37 @@ def _bits(values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-def _reference_iou(a: BoundingBox, b: BoundingBox) -> float:
+def _area(box: tuple) -> float:
+    x1, y1, x2, y2 = box
+    return (x2 - x1) * (y2 - y1)
+
+
+def _reference_iou(a: tuple, b: tuple) -> float:
     """The IoU formula on Python floats."""
-    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
-    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    iw = min(a[2], b[2]) - max(a[0], b[0])
+    ih = min(a[3], b[3]) - max(a[1], b[1])
     if iw <= 0.0 or ih <= 0.0:
         return 0.0
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    return inter / (_area(a) + _area(b) - inter)
 
 
 fraction = st.floats(0.0, 0.4)
 edge = st.floats(-1000.0, 1000.0)
 side = st.floats(1e-3, 500.0)
-any_box = st.builds(lambda x, y, w, h: BoundingBox(x, y, x + w, y + h), edge, edge, side, side)
+any_box = st.builds(lambda x, y, w, h: (x, y, x + w, y + h), edge, edge, side, side)
 
 
-def _related(a: BoundingBox, how: str, f: tuple, w: float, h: float) -> BoundingBox:
+def _related(a: tuple, how: str, f: tuple, w: float, h: float) -> tuple:
+    x1, y1, x2, y2 = a
     if how == "identical":
         return a
     if how == "nested":
-        return BoundingBox(
-            a.x1 + f[0] * a.width, a.y1 + f[1] * a.height,
-            a.x2 - f[2] * a.width, a.y2 - f[3] * a.height,
-        )
+        return (x1 + f[0] * (x2 - x1), y1 + f[1] * (y2 - y1),
+                x2 - f[2] * (x2 - x1), y2 - f[3] * (y2 - y1))
     if how == "touching":  # shares the right edge of ``a``
-        return BoundingBox(a.x2, a.y1 + f[0] * a.height, a.x2 + w, a.y2 + h)
-    return BoundingBox(a.x2 + w, a.y2 + h, a.x2 + 2 * w, a.y2 + 2 * h)  # disjoint
+        return (x2, y1 + f[0] * (y2 - y1), x2 + w, y2 + h)
+    return (x2 + w, y2 + h, x2 + 2 * w, y2 + 2 * h)  # disjoint
 
 
 box_pairs = st.builds(
@@ -208,18 +211,85 @@ box_pairs = st.builds(
 @given(st.lists(box_pairs, min_size=1, max_size=4))
 def test_iou_matrix_is_the_scalar_formula_bit_for_bit(pairs):
     boxes = [b for pair in pairs for b in pair]
-    matrix = _iou_matrix(_rows(boxes), _rows(boxes))
-    for i, a in enumerate(boxes):
-        expected = [_reference_iou(a, b) for b in boxes]
-        assert _bits(matrix[i]) == _bits(expected)
-        assert _bits(iou(a, b) for b in boxes) == _bits(expected)
+    rows = np.array(boxes)
+    for matrix in (_iou_matrix(rows, rows), iou(rows, rows)):
+        for i, a in enumerate(boxes):
+            assert _bits(matrix[i]) == _bits(_reference_iou(a, b) for b in boxes)
 
 
-def _reference_decode(values: np.ndarray, stride: float, crop: AffineTransform):
+def _reference_crop(box: tuple, out_w: int, out_h: int, padding: float) -> tuple:
+    """The crop of one box as a scalar ``(a, b, c, d, e, f)`` transform: the
+    box grown to the out_w:out_h aspect, scaled by ``padding`` about its
+    center and mapped onto [0, out_w) x [0, out_h)."""
+    x1, y1, x2, y2 = map(float, box)
+    w = x2 - x1
+    h = y2 - y1
+    if w * out_h < h * out_w:
+        w = h * (out_w / out_h)
+    elif w * out_h > h * out_w:
+        h = w * (out_h / out_w)
+    w *= padding
+    h *= padding
+    cx, cy = 0.5 * (x1 + x2), 0.5 * (y1 + y2)
+    sx = out_w / w
+    sy = out_h / h
+    return (sx, 0.0, -(cx - 0.5 * w) * sx, 0.0, sy, -(cy - 0.5 * h) * sy)
+
+
+def _reference_inverse(t: tuple) -> tuple:
+    """The inverse of a scalar ``(a, b, c, d, e, f)`` transform."""
+    a, b, c, d, e, f = t
+    det = a * e - b * d
+    return (e / det, -b / det, (b * f - e * c) / det, -d / det, a / det, (d * c - a * f) / det)
+
+
+def _reference_apply(t: tuple, x: float, y: float) -> tuple[float, float]:
+    a, b, c, d, e, f = t
+    return (a * x + b * y + c, d * x + e * y + f)
+
+
+def _usable(t: tuple) -> bool:
+    """Finite coefficients and a non-zero determinant."""
+    a, b, _, d, e, _ = t
+    return all(map(math.isfinite, t)) and a * e - b * d != 0.0
+
+
+# Integer corners and 3:4 sides make the aspect tie exact; offsets of a
+# pixel fraction fall on either side of it.
+corner = st.integers(-1000, 1000)
+tied_box = st.builds(lambda x, y, k, dw: (x, y, x + 3 * k + dw, y + 4 * k),
+                     corner, corner, st.integers(1, 300), st.sampled_from([0, 0, -1e-9, 1e-9, -0.5, 0.5]))
+
+
+@PROPERTY
+@given(st.lists(st.one_of(any_box, tied_box), max_size=6),
+       st.one_of(st.floats(0.0, 4.0, exclude_min=True), st.sampled_from([1.0, 1.25, 4.0, 5e-324, 1e-310])))
+def test_crop_transform_is_the_scalar_crop_bit_for_bit(boxes, padding):
+    expected = []
+    for box in boxes:
+        try:
+            crop = _reference_crop(box, CROP_WIDTH, CROP_HEIGHT, padding)
+            usable = _usable(crop) and _usable(_reference_inverse(crop))
+        except ZeroDivisionError:
+            usable = False
+        expected.append(crop if usable else None)
+    rows = np.array(boxes, dtype=np.float64).reshape(-1, 4)
+    if None in expected:
+        with pytest.raises(RowError, match=f"^padding {padding!r} gives a ") as fault:
+            crop_transform(rows, CROP_WIDTH, CROP_HEIGHT, padding)
+        assert fault.value.row == expected.index(None)
+        return
+    crops = crop_transform(rows, CROP_WIDTH, CROP_HEIGHT, padding)
+    assert crops.shape == (len(boxes), 2, 3)
+    for crop, reference in zip(crops, expected):
+        assert _bits(crop.ravel()) == _bits(reference)
+
+
+def _reference_decode(values: np.ndarray, stride: float, crop: np.ndarray):
     """One keypoint at a time, on the grids converted to float64."""
     grids = np.array(values, dtype=np.float64)
     k, h, w = grids.shape
-    inv = invert_transform(crop)
+    inv = _reference_inverse(crop.ravel().tolist())
 
     def quarter(before: float, after: float) -> float:
         return 0.25 if after > before else -0.25 if after < before else 0.0
@@ -229,7 +299,7 @@ def _reference_decode(values: np.ndarray, stride: float, crop: AffineTransform):
         i, j = divmod(int(np.argmax(grid)), w)
         dx = quarter(grid[i, j - 1], grid[i, j + 1]) if 0 < j < w - 1 else 0.0
         dy = quarter(grid[i - 1, j], grid[i + 1, j]) if 0 < i < h - 1 else 0.0
-        x, y = apply_transform(inv, ((j + 0.5 + dx) * stride, (i + 0.5 + dy) * stride))
+        x, y = _reference_apply(inv, (j + 0.5 + dx) * stride, (i + 0.5 + dy) * stride)
         keypoints.append((x, y, 2.0))
         confidences.append(grid[i, j])
     return keypoints, confidences
@@ -260,33 +330,34 @@ coefficient = st.floats(-4.0, 4.0)
 offset = st.floats(-500.0, 500.0)
 transforms = st.tuples(coefficient, coefficient, offset, coefficient, coefficient, offset).filter(
     lambda m: abs(m[0] * m[4] - m[1] * m[3]) > 1e-3
-).map(lambda m: AffineTransform(*m))
+).map(lambda m: np.reshape(m, (2, 3)))
+IDENTITY = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
 @PROPERTY
 @given(heatmap_grids(), st.sampled_from([4.0, 1.0, 0.3]), transforms)
-@example(np.array([[[2**53, 2**53 + 1, 2**53]]], dtype=np.int64), 4.0, AffineTransform.identity())
-@example(np.array([[[0.0], [1.0], [1.0]]], dtype=np.float32), 4.0, AffineTransform.identity())
-@example(np.array([[[0.5, 1.0, 0.25]]], dtype=np.float64), 4.0, AffineTransform.identity())
-@example(np.array([[[-np.inf, 1.0, -np.inf]]], dtype=np.float64), 4.0, AffineTransform.identity())
+@example(np.array([[[2**53, 2**53 + 1, 2**53]]], dtype=np.int64), 4.0, IDENTITY)
+@example(np.array([[[0.0], [1.0], [1.0]]], dtype=np.float32), 4.0, IDENTITY)
+@example(np.array([[[0.5, 1.0, 0.25]]], dtype=np.float64), 4.0, IDENTITY)
+@example(np.array([[[-np.inf, 1.0, -np.inf]]], dtype=np.float64), 4.0, IDENTITY)
 def test_decode_is_the_keypoint_loop_bit_for_bit(values, stride, crop):
     keypoints, confidences = _reference_decode(values, stride, crop)
     try:
-        pose, conf = decode_heatmaps(HeatmapStack(values, stride), crop)
+        kps, conf = decode_heatmaps(values, stride, crop)
     except ValidationError:  # raised exactly when some grid's peak is not finite
         assert not np.isfinite(confidences).all()
         return
     assert np.isfinite(confidences).all()
     assert conf.dtype == np.float64
     assert _bits(conf) == _bits(confidences)
-    assert _bits(pose.keypoints.ravel()) == _bits(np.ravel(keypoints))
+    assert _bits(kps.ravel()) == _bits(np.ravel(keypoints))
 
 
-def _reference_nms(dets: list[BoundingBox], threshold: float) -> list[int]:
+def _reference_nms(boxes: list[tuple], scores: list[float], threshold: float) -> list[int]:
     """Greedy NMS with the scalar IoU, one candidate at a time."""
     kept: list[int] = []
-    for i in sorted(range(len(dets)), key=lambda i: (-dets[i].score, i)):
-        if all(_reference_iou(dets[i], dets[j]) < threshold for j in kept):
+    for i in sorted(range(len(boxes)), key=lambda i: (-scores[i], i)):
+        if all(_reference_iou(boxes[i], boxes[j]) < threshold for j in kept):
             kept.append(i)
     return kept
 
@@ -297,13 +368,11 @@ def test_nms_over_several_blocks_is_the_greedy_loop():
     xy = rng.uniform(0.0, 1500.0, (700, 2))
     wh = rng.uniform(20.0, 300.0, (700, 2))
     scores = np.round(rng.uniform(0.0, 1.0, 700), 1)
-    dets = [
-        BoundingBox(x, y, x + w, y + h, score=s)
-        for (x, y), (w, h), s in zip(xy.tolist(), wh.tolist(), scores.tolist())
-    ]
+    boxes = [(x, y, x + w, y + h) for (x, y), (w, h) in zip(xy.tolist(), wh.tolist())]
     for threshold in (0.0, 0.3, 0.5, 1.0):
-        kept = _nms_rows(_rows(dets), np.array([d.score for d in dets]), [0, len(dets)], threshold)
-        assert kept == _reference_nms(dets, threshold)
+        expected = _reference_nms(boxes, scores.tolist(), threshold)
+        assert _nms_rows(np.array(boxes), scores, [0, len(boxes)], threshold) == expected
+        assert nms(boxes, scores, threshold).tolist() == expected
 
 
 def _floored_span(lo: float, hi: float) -> tuple[float, float]:
@@ -313,11 +382,23 @@ def _floored_span(lo: float, hi: float) -> tuple[float, float]:
     return mid - 0.5 * 1e-9, mid + 0.5 * 1e-9
 
 
-def _reference_person_box(box, pose) -> BoundingBox:
+def _checked_box(x1: float, y1: float, x2: float, y2: float) -> tuple:
+    """The box, if it passes the box rule on Python floats; else ValueError
+    with the rule's message."""
+    for v in (x1, y1, x2, y2):
+        if not math.isfinite(v):
+            raise ValueError(f"non-finite box field {v!r}")
+    area = (x2 - x1) * (y2 - y1)
+    if not (x1 < x2 and y1 < y2 and 0.0 < area < math.inf):
+        raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2}): area {area!r} must be positive and finite")
+    return (x1, y1, x2, y2)
+
+
+def _reference_person_box(box, pose) -> tuple:
     """The matching-box rule, one person at a time: its ``box`` when given,
     else a box of its ``pose`` rows."""
     if box is not None:
-        return BoundingBox(*box)
+        return _checked_box(*box)
     kps = np.array(pose, dtype=np.float64)
     pts = kps[kps[:, 2] > 0]
     if not len(pts):
@@ -326,7 +407,7 @@ def _reference_person_box(box, pose) -> BoundingBox:
     x2, y2, _ = np.maximum.reduce(pts).tolist()
     x1, x2 = _floored_span(x1, x2)
     y1, y2 = _floored_span(y1, y2)
-    return BoundingBox(x1, y1, x2, y2)
+    return _checked_box(x1, y1, x2, y2)
 
 
 def _people(num_kps: int):
@@ -343,14 +424,13 @@ def _people(num_kps: int):
         .filter(lambda kps: np.isfinite(kps).all())
     )
     unlabeled = pose.map(lambda kps: kps * [1.0, 1.0, 0.0])
-    corners = any_box.map(lambda b: (b.x1, b.y1, b.x2, b.y2))
     no_pose = np.zeros((num_kps, 3))
     # (box or None, [K, 3] keypoints), zeros for a person without a pose
     person = st.one_of(
         st.tuples(st.none(), pose),
         st.tuples(st.none(), unlabeled),
-        st.tuples(corners, pose),
-        st.tuples(corners, st.just(no_pose)),
+        st.tuples(any_box, pose),
+        st.tuples(any_box, st.just(no_pose)),
     )
     return st.lists(person, max_size=6)
 
@@ -369,7 +449,7 @@ def test_matching_boxes_are_the_person_box_loop_bit_for_bit(persons):
         return
     rows = _matching_boxes(boxes, has_box, keypoints)
     for row, box in zip(rows, expected):
-        assert _bits(row) == _bits((box.x1, box.y1, box.x2, box.y2))
+        assert _bits(row) == _bits(box)
 
 
 def _reference_ospa(dist: list[list[float]], cutoff: float, order: float) -> float:
