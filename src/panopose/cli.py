@@ -22,7 +22,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from . import __version__
-from .dataio import Dataset, _dataset_from_doc, _json_object, save_dataset
+from .dataio import Dataset, _load, save_dataset
 from .decode import _check_stride, decode_heatmaps
 from .errors import RowError, ValidationError, _where
 from .geometry import (
@@ -60,15 +60,7 @@ def _in_file(path: str, read: Callable[..., Any], *args: Any) -> Any:
 def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
     """The dataset file at ``path`` in the schema it names; any
     :class:`ValidationError` names ``path``."""
-    return _in_file(path, _dataset_file, Path(path), require_scores)
-
-
-def _dataset_file(path: Path, require_scores: bool) -> Dataset:
-    doc = _json_object(path)
-    schema_id = doc.get("schema")
-    if not isinstance(schema_id, str):
-        raise ValidationError("missing or malformed 'schema' field")
-    return _dataset_from_doc(doc, builtin_schema(schema_id), require_scores)
+    return _in_file(path, _load, Path(path), None, require_scores)
 
 
 def _require_boxes(ds: Dataset, command: str) -> None:

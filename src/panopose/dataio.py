@@ -32,22 +32,30 @@ keypoints or scores run on their input: box or pose
 (``geometry._score_rule``). Frame ids are non-empty strings
 (:func:`_frame_id_rule`) and unique.
 
-Of several faults in a file, the first JSON shape or type fault the walk
-meets is reported (a missing or extra field, a wrong type, a pose of the
-wrong length, an empty frame id, an integer beyond float range; the header
-comes first, then frames and persons in order); otherwise the value fault
-of the earliest person, with the rules in the order above and a pose's
-first bad keypoint; then a repeated frame id.
+The parser checks a file's JSON shapes and types in bulk (:func:`_columns`):
+each person field is gathered over all persons by one comprehension, its
+types are checked in one pass, and its numbers are converted in one pass.
+Only a file that fails that check is walked value by value
+(:func:`_walk`), and the walk finds and words the fault. Of several faults
+in a file, the first JSON shape or type fault in file order is reported (a
+missing or extra field, a wrong type, a pose of the wrong length, an empty
+frame id, an integer beyond float range; the header comes first, then
+frames and persons in order, and a person's pose rows after its other
+fields); otherwise the value fault of the earliest person, with the rules
+in the order above and a pose's first bad keypoint; then a repeated frame
+id.
 """
 
 from __future__ import annotations
 
+import gc
 import json
+import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 import numpy as np
 
@@ -209,71 +217,131 @@ def _number(value: Any, where: str) -> float:
         raise ValidationError(f"{where}: integer too large for a float") from None
 
 
-def _walk_person(raw: Any, where: str, schema: "KeypointSchema", require_score: bool, columns: dict) -> None:
-    """Check one person's JSON shape, then append its values to ``columns``
-    (zeros for a missing box or score, None for a missing pose); its pose rows
-    are converted later."""
+def _walk_person(raw: Any, where: str, schema: "KeypointSchema", require_score: bool) -> None:
+    """Check one person's JSON shape and types, its pose rows last."""
     if not isinstance(raw, dict):
         raise ValidationError(f"{where}: person must be an object")
     _require_keys(raw, (), ("id", "box", "score", "pose"), where)
-    person_id = raw.get("id")
-    if "id" in raw and not isinstance(person_id, str):
+    if "id" in raw and not isinstance(raw["id"], str):
         raise ValidationError(f"{where}: id must be a string")
-    num_kps = len(schema.names)
-    box, score, pose = (0.0, 0.0, 0.0, 0.0), 0.0, None
     if "box" in raw:
         vals = raw["box"]
         if not isinstance(vals, list) or len(vals) != 4:
             raise ValidationError(f"{where}: box must be [x1, y1, x2, y2]")
-        box = [_number(v, f"{where}: box") for v in vals]
+        for v in vals:
+            _number(v, f"{where}: box")
     if "score" in raw:
-        score = _number(raw["score"], f"{where}: score")
+        _number(raw["score"], f"{where}: score")
     elif require_score:
         raise ValidationError(f"prediction without score ({where})")
-    if "pose" in raw:
-        pose = raw["pose"]
-        if not isinstance(pose, list):
-            raise ValidationError(f"{where}: pose must be a list of [x, y, v] rows")
-        if len(pose) != num_kps:
-            raise ValidationError(
-                f"{where}: pose has {len(pose)} keypoints, schema {schema.id!r} expects {num_kps}"
-            )
-    values = (person_id, box, "box" in raw, score, "score" in raw, pose, "pose" in raw)
-    for name, value in zip(_PERSON_COLUMNS, values):
-        columns[name].append(value)
+    if "pose" not in raw:
+        return
+    pose = raw["pose"]
+    if not isinstance(pose, list):
+        raise ValidationError(f"{where}: pose must be a list of [x, y, v] rows")
+    num_kps = len(schema.names)
+    if len(pose) != num_kps:
+        raise ValidationError(
+            f"{where}: pose has {len(pose)} keypoints, schema {schema.id!r} expects {num_kps}"
+        )
+    for k, row in enumerate(pose):
+        if type(row) is not list or len(row) != 3:
+            raise ValidationError(f"{where}: pose keypoint {k} must be [x, y, v]")
+        loc = f"{where}: keypoint {k}"
+        _number(row[0], loc)
+        _number(row[1], loc)
+        if type(row[2]) is not int:
+            raise ValidationError(f"{loc} visibility must be an integer, got {row[2]!r}")
+        _number(row[2], loc)
 
 
-def _keypoint_array(poses: list[list], num_kps: int, where: Callable[[int], str]) -> np.ndarray:
-    """``[N, K, 3]`` ``float64`` array of the N poses' JSON rows, converted
-    by one ``np.array`` call. That call would also take a boolean, a numeric
-    string, null or a float visibility, so the types of all values are
-    checked first; a file that fails that check, or holds an integer beyond
-    float range, is walked value by value to locate the fault, with
-    ``where(n)`` naming pose n. A missing (None) pose converts to zeros."""
-    blank = [[0, 0, 0]] * num_kps
-    poses = [blank if pose is None else pose for pose in poses]
+def _walk(frames_raw: list, schema: "KeypointSchema", require_scores: bool) -> None:
+    """Check every frame and person value by value, in file order, and raise
+    the first JSON shape or type fault."""
+    for raw in frames_raw:
+        if not isinstance(raw, dict):
+            raise ValidationError("frame must be an object")
+        _require_keys(raw, ("frame_id", "persons"), (), "frame")
+        fid = raw["frame_id"]
+        _frame_id_rule(fid)
+        persons_raw = raw["persons"]
+        if not isinstance(persons_raw, list):
+            raise ValidationError(f"frame {fid!r}: persons must be a list")
+        for i, p in enumerate(persons_raw):
+            _walk_person(p, f"frame {fid!r}, person {i}", schema, require_scores)
+
+
+_NUMBER = {int, float}
+
+
+def _gather(persons: list[dict], key: str) -> tuple[np.ndarray, list]:
+    """Which persons hold ``key``, and their values in order."""
+    return np.array([key in p for p in persons], dtype=bool), [p[key] for p in persons if key in p]
+
+
+def _scatter(has: np.ndarray, values: Iterable, shape: tuple[int, ...]) -> np.ndarray:
+    """``[N, *shape]`` column of the JSON numbers ``values`` of the rows in
+    ``has``, converted in one ``np.fromiter`` pass; other rows hold zeros."""
+    count = int(has.sum())
+    values = np.fromiter(values, dtype=np.float64, count=count * math.prod(shape))
+    if count == len(has):
+        return values.reshape(count, *shape)
+    column = np.zeros((len(has), *shape))
+    column[has] = values.reshape(count, *shape)
+    return column
+
+
+def _columns(frames_raw: list, num_kps: int, require_scores: bool) -> tuple | None:
+    """Frame ids, row offsets and person columns of a document's frames, or
+    None when any JSON shape or type check fails. Each field is gathered over
+    all persons by one comprehension, its types are checked by one
+    ``set(map(type, ...))`` pass (``np.fromiter`` would take a boolean, a
+    numeric string or a float visibility), and its numbers are converted in
+    one pass, which raises ``OverflowError`` for an integer beyond float
+    range."""
+    if not set(map(type, frames_raw)) <= {dict} or any(f.keys() != {"frame_id", "persons"}
+                                                       for f in frames_raw):
+        return None
+    frame_ids = [f["frame_id"] for f in frames_raw]
+    per_frame = [f["persons"] for f in frames_raw]
+    if not (set(map(type, frame_ids)) <= {str} and all(frame_ids)
+            and set(map(type, per_frame)) <= {list}):
+        return None
+    persons = list(chain.from_iterable(per_frame))
+    if not (set(map(type, persons)) <= {dict}
+            and set(chain.from_iterable(persons)) <= {"id", "box", "score", "pose"}):
+        return None
+    ids = _gather(persons, "id")[1]
+    has_box, boxes = _gather(persons, "box")
+    has_score, scores = _gather(persons, "score")
+    has_pose, poses = _gather(persons, "pose")
+    if not (
+        set(map(type, ids)) <= {str}
+        and set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}
+        and set(map(type, chain.from_iterable(boxes))) <= _NUMBER
+        and set(map(type, scores)) <= _NUMBER
+        and (len(scores) == len(persons) or not require_scores)
+        and set(map(type, poses)) <= {list} and set(map(len, poses)) <= {num_kps}
+    ):
+        return None
     rows = list(chain.from_iterable(poses))
-    if (
-        set(map(type, rows)) <= {list}
-        and set(map(len, rows)) <= {3}
-        and set(map(type, chain.from_iterable(rows))) <= {int, float}
+    if not (
+        set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
+        and set(map(type, chain.from_iterable(rows))) <= _NUMBER
         and set(map(type, map(itemgetter(2), rows))) <= {int}
     ):
-        try:
-            return np.array(poses, dtype=np.float64).reshape(len(poses), num_kps, 3)
-        except OverflowError:
-            pass
-    for n, pose in enumerate(poses):
-        for k, row in enumerate(pose):
-            if type(row) is not list or len(row) != 3:
-                raise ValidationError(f"{where(n)}: pose keypoint {k} must be [x, y, v]")
-            loc = f"{where(n)}: keypoint {k}"
-            _number(row[0], loc)
-            _number(row[1], loc)
-            if type(row[2]) is not int:
-                raise ValidationError(f"{loc} visibility must be an integer, got {row[2]!r}")
-            _number(row[2], loc)
-    raise ValidationError("pose keypoints must be [x, y, v] rows of JSON numbers")
+        return None
+    columns = {
+        "ids": [p.get("id") for p in persons],
+        "boxes": _scatter(has_box, chain.from_iterable(boxes), (4,)),
+        "has_box": has_box,
+        "scores": _scatter(has_score, scores, ()),
+        "has_score": has_score,
+        "keypoints": _scatter(has_pose, chain.from_iterable(rows), (num_kps, 3)),
+        "has_pose": has_pose,
+    }
+    offsets = [0, *accumulate(map(len, per_frame))]
+    return frame_ids, offsets, columns
 
 
 def _json_object(source: str | Path) -> dict:
@@ -291,11 +359,43 @@ def _json_object(source: str | Path) -> dict:
 
 
 def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bool = False) -> Dataset:
-    return _dataset_from_doc(_json_object(text), schema, require_scores)
+    return _load(text, schema, require_scores)
 
 
-def _dataset_from_doc(doc: dict, schema: "KeypointSchema", require_scores: bool) -> Dataset:
-    """Build a dataset from the top-level object of a JSON document."""
+def load_ground_truth(path: str | Path, schema: "KeypointSchema") -> Dataset:
+    return _load(Path(path), schema, require_scores=False)
+
+
+def load_predictions(path: str | Path, schema: "KeypointSchema") -> Dataset:
+    return _load(Path(path), schema, require_scores=True)
+
+
+def _load(source: str | Path, schema: "KeypointSchema | None", require_scores: bool) -> Dataset:
+    """The dataset of a JSON document (see :func:`_json_object`), parsed and
+    built with the cyclic garbage collector paused. A document holds a
+    container per JSON list and object and no reference cycle, and the
+    collector's passes over it grow with it: two 9 MB files took 1.1 s to
+    parse with the collector running and 0.6 s with it paused. The document
+    is freed on return, before the collector resumes."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _dataset_from_doc(_json_object(source), schema, require_scores)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _dataset_from_doc(doc: dict, schema: "KeypointSchema | None", require_scores: bool) -> Dataset:
+    """Build a dataset from the top-level object of a JSON document, in
+    ``schema`` or, when None, in the built-in schema that the document names."""
+    if schema is None:
+        from .schema import builtin_schema  # schema imports this module
+
+        schema_id = doc.get("schema")
+        if not isinstance(schema_id, str):
+            raise ValidationError("missing or malformed 'schema' field")
+        schema = builtin_schema(schema_id)
     _require_keys(doc, ("schema", "pano", "frames"), (), "document")
 
     if doc["schema"] != schema.id:
@@ -318,44 +418,16 @@ def _dataset_from_doc(doc: dict, schema: "KeypointSchema", require_scores: bool)
     frames_raw = doc["frames"]
     if not isinstance(frames_raw, list):
         raise ValidationError("frames must be a list")
-    num_kps = len(schema.names)
-    frame_ids: list[str] = []
-    offsets: list[int] = []  # each frame's first row, until the walk ends
-    columns: dict[str, list] = {name: [] for name in _PERSON_COLUMNS}
-
-    def where(row: int) -> str:
-        return _where(frame_ids, offsets, row)
-
     try:
-        for raw in frames_raw:
-            if not isinstance(raw, dict):
-                raise ValidationError("frame must be an object")
-            _require_keys(raw, ("frame_id", "persons"), (), "frame")
-            fid = raw["frame_id"]
-            _frame_id_rule(fid)
-            persons_raw = raw["persons"]
-            if not isinstance(persons_raw, list):
-                raise ValidationError(f"frame {fid!r}: persons must be a list")
-            frame_ids.append(fid)
-            offsets.append(len(columns["ids"]))
-            for i, p in enumerate(persons_raw):
-                _walk_person(p, f"frame {fid!r}, person {i}", schema, require_scores, columns)
-    except ValidationError:
-        # A keypoint type fault of a person walked before it comes first.
-        _keypoint_array(columns["keypoints"], num_kps, where)
-        raise
-    if any(columns["has_pose"]):
-        columns["keypoints"] = _keypoint_array(columns["keypoints"], num_kps, where)
-    offsets.append(len(columns["ids"]))
+        built = _columns(frames_raw, len(schema.names), require_scores)
+    except OverflowError:
+        built = None
+    if built is None:
+        _walk(frames_raw, schema, require_scores)
+        # The walk and the bulk checks reject the same documents.
+        raise ValidationError("frames must hold persons of JSON numbers, strings and lists")
+    frame_ids, offsets, columns = built
     return Dataset(schema.id, pano, frame_ids, offsets, **columns)
-
-
-def load_ground_truth(path: str | Path, schema: "KeypointSchema") -> Dataset:
-    return _dataset_from_doc(_json_object(Path(path)), schema, require_scores=False)
-
-
-def load_predictions(path: str | Path, schema: "KeypointSchema") -> Dataset:
-    return _dataset_from_doc(_json_object(Path(path)), schema, require_scores=True)
 
 
 # -- canonical serialization --------------------------------------------------

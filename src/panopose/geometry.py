@@ -15,7 +15,7 @@ holds them: boxes are ``[N, 4]`` ``(x1, y1, x2, y2)`` rows and affine transforms
 Each rule has one home here. :func:`_box_rule` and :func:`_score_rule` check a
 column of boxes or scores, and :func:`_transform_rule` a stack of
 transforms; a public function runs them once on the input it takes, and its
-private kernel (:func:`_iou_matrix`, :func:`_nms_rows`, :func:`_inverse`,
+private kernel (:func:`_iou`, :func:`_nms_rows`, :func:`_inverse`,
 :func:`_apply`) does not. :func:`_matching_boxes` is the box a person is
 matched by, and :func:`_pose_bboxes` the box rule of ``boxes-from-poses``.
 A function checks its parameters (threshold, margin, shift, crop size,
@@ -177,22 +177,27 @@ def invert_transform(transforms: Any) -> np.ndarray:
 
 
 def _areas(rows: np.ndarray) -> np.ndarray:
-    """Width times height of every ``[N, 4]`` box row."""
-    return (rows[:, 2] - rows[:, 0]) * (rows[:, 3] - rows[:, 1])
+    """Width times height of every ``[..., 4]`` box row."""
+    return (rows[..., 2] - rows[..., 0]) * (rows[..., 3] - rows[..., 1])
 
 
 def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[P, G]`` continuous IoU of every row of ``a`` against every row of
-    ``b``; 0 for disjoint boxes. Each entry is the scalar formula's IEEE
-    operations in its order."""
+    """``[P, G]`` :func:`_iou` of every row of ``a`` against every row of ``b``."""
+    return _iou(a[:, None], b)
+
+
+def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Continuous IoU of broadcast ``[..., 4]`` box rows ``a`` and ``b``; 0
+    for disjoint boxes. Each entry is the scalar formula's IEEE operations
+    in its order."""
     # Overflow gives inf as in Python floats: a far-apart pair's negative
     # overlap product, or an area sum, which makes that IoU 0.
     with np.errstate(over="ignore"):
-        iw = np.minimum(a[:, None, 2], b[:, 2]) - np.maximum(a[:, None, 0], b[:, 0])
-        ih = np.minimum(a[:, None, 3], b[:, 3]) - np.maximum(a[:, None, 1], b[:, 1])
+        iw = np.minimum(a[..., 2], b[..., 2]) - np.maximum(a[..., 0], b[..., 0])
+        ih = np.minimum(a[..., 3], b[..., 3]) - np.maximum(a[..., 1], b[..., 1])
         inter = np.where((iw > 0.0) & (ih > 0.0), iw * ih, 0.0)
         # Positive finite areas keep every union positive.
-        return inter / (_areas(a)[:, None] + _areas(b) - inter)
+        return inter / (_areas(a) + _areas(b) - inter)
 
 
 def iou(a: Any, b: Any) -> np.ndarray:
@@ -341,8 +346,12 @@ def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
 
 
 def _check_crop(out_w: int, out_h: int, padding: float) -> None:
-    if out_w <= 0 or out_h <= 0:
-        raise ValueError(f"crop width and height must be positive, got {out_w}x{out_h}")
+    try:
+        usable = all(math.isfinite(size) and size > 0 for size in (out_w, out_h))
+    except OverflowError:  # an integer beyond float range
+        usable = False
+    if not usable:
+        raise ValueError(f"crop width and height must be positive and finite, got {out_w}x{out_h}")
     if not (math.isfinite(padding) and padding > 0):
         raise ValueError(f"padding must be finite and positive, got {padding}")
 

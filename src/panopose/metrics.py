@@ -16,14 +16,16 @@ The set metric between prediction and ground-truth sets of sizes m <= n
 ((c^p * (n - m) + min-cost assignment of capped distances^p) / n)^(1/p);
 both sets empty gives 0, exactly one empty set gives c.
 
-:func:`evaluate` reads the columns of both datasets and slices them per
-frame: the matching boxes of every person come from one call of
-:func:`~panopose.geometry._matching_boxes`, and each frame gets one
-``[P, G]`` OKS matrix (:func:`_oks_matrix`) for the greedy matching
-(:func:`_match`) and one ``[P, G]`` IoU matrix
-(:func:`~panopose.geometry._iou_matrix`) for the set metric (:func:`_ospa`).
-:func:`oks` is the 1x1 OKS matrix, and :func:`ospa` with a callable fills
-the distance matrix it then scores like every frame.
+:func:`evaluate` reads the columns of both datasets: the matching boxes of
+every person come from one call of
+:func:`~panopose.geometry._matching_boxes`, and the OKS (:func:`_oks`) and
+IoU (:func:`~panopose.geometry._iou`) of every same-frame pair
+(:func:`_frame_pairs`) are computed a bounded chunk of pairs at a time. The
+greedy matching (:func:`_match`) then runs frame by frame on lists, and the
+set metric (:func:`_ospa_capped`) on each frame's block of capped
+distances. :func:`oks` is the 1x1 OKS matrix (:func:`_oks_matrix`), and
+:func:`ospa` with a callable fills the distance matrix it then scores like
+every frame.
 """
 
 from __future__ import annotations
@@ -39,8 +41,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .dataio import Dataset, _keypoint_rule
-from .errors import ValidationError, _where
-from .geometry import _areas, _box_rows, _iou_matrix, _located_matching_boxes
+from .errors import RowError, ValidationError, _where
+from .geometry import _areas, _box_rows, _iou, _located_matching_boxes
 from .schema import SchemaMapping, check_entries, default_mapping
 
 __all__ = [
@@ -132,33 +134,55 @@ def _oks_matrix(
     pred_kps: np.ndarray, gt_kps: np.ndarray, params: OksParams, gt_areas: np.ndarray
 ) -> np.ndarray:
     """[P, G] :func:`oks` of ``[P, K, 3]`` predicted against ``[G, K, 3]``
-    ground-truth keypoints, with the ``[G]`` ground-truth box areas. The K
-    terms are summed in order by ``cumsum``, as a Python ``sum`` adds them;
-    ``np.sum`` adds pairwise and can differ in the last bit."""
+    ground-truth keypoints, with the ``[G]`` ground-truth box areas."""
     if not len(pred_kps) or not len(gt_kps):
         return np.zeros((len(pred_kps), len(gt_kps)))
+    _check_oks_shapes(pred_kps, gt_kps, params)
+    labeled = gt_kps[:, :, 2] > 0
+    num_labeled = labeled.sum(axis=1)
+    if not num_labeled.all():
+        raise ValidationError("ground-truth pose has no labeled keypoints")
+    try:
+        scale = _oks_scale(gt_areas, params)
+    except RowError as exc:
+        raise ValidationError(str(exc)) from None
+    return _oks(pred_kps[:, None], gt_kps, scale, labeled, num_labeled)
+
+
+def _check_oks_shapes(pred_kps: np.ndarray, gt_kps: np.ndarray, params: OksParams) -> None:
     num_kps = gt_kps.shape[1]
     if pred_kps.shape[1] != num_kps:
         raise ValidationError(f"pose length mismatch: {pred_kps.shape[1]} vs {num_kps}")
     if len(params.sigmas) != num_kps:
         raise ValidationError(f"{len(params.sigmas)} sigmas for a pose of {num_kps} keypoints")
-    labeled = gt_kps[:, :, 2] > 0
-    num_labeled = labeled.sum(axis=1)
-    if not num_labeled.all():
-        raise ValidationError("ground-truth pose has no labeled keypoints")
+
+
+def _oks_scale(gt_areas: np.ndarray, params: OksParams) -> np.ndarray:
+    """``[G, K]`` OKS scales 2 * s^2 * k^2 of the ``[G]`` ground-truth box
+    areas; :class:`RowError` for the first ground truth with a scale of 0 or
+    infinity."""
     sigmas = np.asarray(params.sigmas)
+    # Overflow is inf, as in Python floats.
+    with np.errstate(over="ignore"):
+        scale = 2.0 * gt_areas[:, None] * sigmas * sigmas  # in the order 2 * s^2 * k * k
+    usable = (scale > 0.0) & (scale < np.inf)
+    if not usable.all():
+        g = int(np.argmin(usable.all(axis=1)))
+        raise RowError(g, f"ground-truth box area {float(gt_areas[g])!r} gives an OKS scale "
+                          "2 * s^2 * k^2 that is 0 or infinite")
+    return scale
+
+
+def _oks(pred: np.ndarray, gt: np.ndarray, scale: np.ndarray, labeled: np.ndarray,
+         num_labeled: np.ndarray) -> np.ndarray:
+    """OKS of broadcast ``[..., K, 3]`` predicted and ground-truth keypoints,
+    with the ground truth's ``[..., K]`` scales and labels and ``[...]``
+    label counts. The K terms are summed in order by ``cumsum``, as a Python
+    ``sum`` adds them; ``np.sum`` adds pairwise and can differ in the last
+    bit."""
     # Overflow is inf, as in Python floats: a term of a far-off keypoint is 0.
     with np.errstate(over="ignore"):
-        scale = 2.0 * gt_areas[:, None] * sigmas * sigmas  # [G, K], in the order 2 * s^2 * k * k
-        usable = (scale > 0.0) & (scale < np.inf)
-        if not usable.all():
-            g = int(np.argmin(usable.all(axis=1)))
-            raise ValidationError(
-                f"ground-truth box area {float(gt_areas[g])!r} gives an OKS scale "
-                "2 * s^2 * k^2 that is 0 or infinite"
-            )
-        pred = pred_kps[:, None]  # [P, 1, K, 3]
-        d2 = (pred[..., 0] - gt_kps[..., 0]) ** 2 + (pred[..., 1] - gt_kps[..., 1]) ** 2
+        d2 = (pred[..., 0] - gt[..., 0]) ** 2 + (pred[..., 1] - gt[..., 1]) ** 2
         terms = np.where(labeled, np.exp(-d2 / scale), 0.0)
     return np.cumsum(terms, axis=-1)[..., -1] / num_labeled
 
@@ -328,49 +352,131 @@ def _check_ospa_params(cutoff: float, order: float) -> None:
 def _ospa(dist: np.ndarray, cutoff: float, order: float) -> float:
     """:func:`ospa` of an ``[m, n]`` matrix of base distances."""
     _check_ospa_params(cutoff, order)
-    m, n = dist.shape
+    return _ospa_capped(_capped(dist, cutoff, order), cutoff, order)
+
+
+def _capped(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:
+    """``min(dist, cutoff) ** order`` of base distances, which must be
+    finite and >= 0."""
+    valid = (dist >= 0.0) & (dist < np.inf)
+    if not valid.all():
+        raise ValueError(f"base distance must be finite and >= 0, got {float(dist[~valid][0])}")
+    return np.minimum(dist, cutoff) ** order
+
+
+def _ospa_capped(powed: np.ndarray, cutoff: float, order: float) -> float:
+    """:func:`ospa` of an ``[m, n]`` matrix of :func:`_capped` distances."""
+    m, n = powed.shape
     if m == 0 and n == 0:
         return 0.0
     if m == 0 or n == 0:
         return float(cutoff)
-    valid = (dist >= 0.0) & (dist < np.inf)
-    if not valid.all():
-        raise ValueError(f"base distance must be finite and >= 0, got {float(dist[~valid][0])}")
-    powed = np.minimum(dist, cutoff) ** order
     if m > n:
         powed = powed.T
         m, n = n, m
-    loc = _optimal_cost(powed)
+    # One row needs no solve: its cheapest entry is the assignment.
+    loc = float(powed.min()) if m == 1 else _optimal_cost(powed)
     return float(((cutoff ** order) * (n - m) + loc) / n) ** (1.0 / order)
 
 
 # -- ranked matching and AP --------------------------------------------------------
 
+# Same-frame pairs per vectorised OKS or IoU pass: at K = 17 one pass's
+# temporaries take a few MB, where all 105,271 pairs of a 2000-frame file
+# at once would take about 15 MB per [pairs, K] array.
+_CHUNK_PAIRS = 4096
 
-def _match(pred_kps: np.ndarray, pred_has_pose: np.ndarray, pred_scores: np.ndarray,
-           gt_kps: np.ndarray, gt_areas: np.ndarray, params: OksParams,
-           threshold: float) -> list[tuple[int, int, float]]:
-    """Greedy OKS matching of one frame's columns: the (pred index, gt index,
-    oks) pairs, in matching order. Predictions in descending score take the
-    unmatched ground truth with the highest OKS when that OKS >= threshold.
-    OKS is undefined, so never matches, for a person without a pose and for
-    a ground truth with no labeled keypoint (one without a pose holds zeros)."""
-    rows = pred_has_pose.nonzero()[0]
-    cols = (gt_kps[:, :, 2] > 0).any(axis=1).nonzero()[0]
-    if not len(rows) or not len(cols):
-        return []
-    sim = _oks_matrix(pred_kps[rows], gt_kps[cols], params, gt_areas[cols])
-    # A person without a pose never matches, so only ``rows`` take part, in
-    # descending score with ties by index. A taken ground truth's column is
-    # -inf, so argmax finds the first highest OKS among the unmatched ones.
-    pairs = []
-    for r in (-pred_scores[rows]).argsort(kind="stable").tolist():
-        c = int(sim[r].argmax())
-        value = float(sim[r, c])
-        if value >= threshold:
-            sim[:, c] = -np.inf
-            pairs.append((int(rows[r]), int(cols[c]), value))
-    return pairs
+
+def _frame_pairs(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every same-frame pair of two row sets held in frame order, with
+    ``na[f]`` and ``nb[f]`` rows in frame f: the (a position, b position)
+    arrays, frame by frame and row-major within a frame, and the ``[F + 1]``
+    bounds of each frame's ``[na[f], nb[f]]`` block."""
+    sizes = na * nb
+    bounds = np.concatenate(([0], np.cumsum(sizes)))
+    frame = np.repeat(np.arange(len(sizes)), sizes)
+    offset = np.arange(bounds[-1]) - bounds[frame]
+    a = (np.cumsum(na) - na)[frame] + offset // nb[frame]
+    b = (np.cumsum(nb) - nb)[frame] + offset % nb[frame]
+    return a, b, bounds
+
+
+def _in_chunks(kernel: Callable[[slice], np.ndarray], size: int) -> np.ndarray:
+    """The ``[size]`` values of ``kernel(positions)``, computed a bounded
+    slice of positions at a time."""
+    out = np.empty(size)
+    for start in range(0, size, _CHUNK_PAIRS):
+        chunk = slice(start, start + _CHUNK_PAIRS)
+        out[chunk] = kernel(chunk)
+    return out
+
+
+def _pred_frames(preds: Dataset, gts: Dataset) -> np.ndarray:
+    """The ground-truth frame index of every prediction row, in row order."""
+    index = {fid: f for f, fid in enumerate(gts.frame_ids)}
+    frames = np.array([index[fid] for fid in preds.frame_ids], dtype=np.intp)
+    return np.repeat(frames, np.diff(preds.offsets))
+
+
+def _match(preds: Dataset, gts: Dataset, gt_areas: np.ndarray, params: OksParams,
+           threshold: float) -> list[list[tuple[int, int, float]]]:
+    """Greedy OKS matching: for each ground-truth frame, the (pred row, gt
+    row, oks) pairs in matching order. In a frame, predictions in descending
+    score, ties by index, take the unmatched ground truth with the highest
+    OKS when that OKS >= threshold. OKS is undefined, so never matches, for
+    a person without a pose and for a ground truth with no labeled keypoint
+    (one without a pose holds zeros). The OKS of every same-frame pair is
+    computed in bounded chunks and the greedy pass runs on lists."""
+    num_frames = len(gts.frame_ids)
+    gt_frame = np.repeat(np.arange(num_frames), np.diff(gts.offsets))
+    pred_frame = _pred_frames(preds, gts)
+    labeled = gts.keypoints[:, :, 2] > 0
+    rows = preds.has_pose.nonzero()[0]
+    cols = labeled.any(axis=1).nonzero()[0]
+    na = np.bincount(pred_frame[rows], minlength=num_frames)
+    nb = np.bincount(gt_frame[cols], minlength=num_frames)
+    a, b, bounds = _frame_pairs(na, nb)
+    sim: list[float] = []
+    if len(a):
+        paired = cols[na[gt_frame[cols]] > 0]  # the ground truths with a pair
+        try:
+            _check_oks_shapes(preds.keypoints, gts.keypoints, params)
+            scale = np.ones(labeled.shape)
+            scale[paired] = _oks_scale(gt_areas[paired], params)
+        except RowError as exc:
+            fid = gts.frame_ids[gt_frame[paired[exc.row]]]
+            raise ValidationError(f"frame {fid!r}: {exc}") from exc
+        except ValidationError as exc:
+            fid = gts.frame_ids[int(np.argmax(na * nb > 0))]
+            raise ValidationError(f"frame {fid!r}: {exc}") from exc
+        num_labeled = labeled.sum(axis=1)
+
+        def oks_of(chunk: slice) -> np.ndarray:
+            p, g = rows[a[chunk]], cols[b[chunk]]
+            return _oks(preds.keypoints[p], gts.keypoints[g], scale[g], labeled[g], num_labeled[g])
+
+        sim = _in_chunks(oks_of, len(a)).tolist()
+    # Positions in ``rows`` by frame, then descending score with ties by index.
+    ranked = np.lexsort((-preds.scores[rows], pred_frame[rows])).tolist()
+    rows, cols = rows.tolist(), cols.tolist()
+    matches = []
+    r0 = c0 = 0
+    for nr, nc, start in zip(na.tolist(), nb.tolist(), bounds.tolist()):
+        # ``max`` takes the first highest OKS among the unmatched ground
+        # truths, which stay in index order.
+        free = list(range(nc))
+        pairs = []
+        for pos in ranked[r0:r0 + nr]:
+            if not free:
+                break
+            row = sim[start + (pos - r0) * nc:start + (pos - r0 + 1) * nc]
+            c = max(free, key=row.__getitem__)
+            if row[c] >= threshold:
+                free.remove(c)
+                pairs.append((rows[pos], cols[c0 + c], row[c]))
+        matches.append(pairs)
+        r0, c0 = r0 + nr, c0 + nc
+    return matches
 
 
 def _check_pair(preds: Dataset, gts: Dataset) -> None:
@@ -473,29 +579,23 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
 
     pred_boxes = _located_matching_boxes(preds, "predictions: ")
     gt_boxes = _located_matching_boxes(gts, "ground truth: ")
-    gt_areas = _areas(gt_boxes)
-    pred_spans = dict(zip(preds.frame_ids, itertools.pairwise(preds.offsets.tolist())))
+    matches = _match(preds, gts, _areas(gt_boxes), params, config.oks_threshold)
     matched = np.zeros(len(preds.ids), dtype=bool)
+    matched[[p for pairs in matches for p, _, _ in pairs]] = True
+    num_preds = np.bincount(_pred_frames(preds, gts), minlength=len(gts.frame_ids))
+    num_gts = np.diff(gts.offsets)
+    a, b, bounds = _frame_pairs(num_preds, num_gts)
+    iou = _in_chunks(lambda chunk: _iou(pred_boxes[a[chunk]], gt_boxes[b[chunk]]), len(a))
+    capped = _capped(1.0 - iou, config.ospa_cutoff, config.ospa_order)
     per_frame: dict[str, FrameStats] = {}
     # Dataset keeps frames in sorted-id order.
-    for fid, (g0, g1) in zip(gts.frame_ids, itertools.pairwise(gts.offsets.tolist())):
-        p0, p1 = pred_spans.get(fid, (0, 0))
-        try:
-            pairs = _match(
-                preds.keypoints[p0:p1], preds.has_pose[p0:p1], preds.scores[p0:p1],
-                gts.keypoints[g0:g1], gt_areas[g0:g1], params, config.oks_threshold,
-            )
-        except ValidationError as exc:
-            raise ValidationError(f"frame {fid!r}: {exc}") from exc
-        matched[[p0 + pi for pi, _, _ in pairs]] = True
+    for fid, m, n, start, pairs in zip(gts.frame_ids, num_preds.tolist(), num_gts.tolist(),
+                                        bounds.tolist(), matches):
         per_frame[fid] = FrameStats(
-            ospa_iou=_ospa(
-                1.0 - _iou_matrix(pred_boxes[p0:p1], gt_boxes[g0:g1]),
-                config.ospa_cutoff,
-                config.ospa_order,
-            ),
-            num_predictions=p1 - p0,
-            num_ground_truths=g1 - g0,
+            ospa_iou=_ospa_capped(capped[start:start + m * n].reshape(m, n),
+                                  config.ospa_cutoff, config.ospa_order),
+            num_predictions=m,
+            num_ground_truths=n,
             num_matched=len(pairs),
         )
 

@@ -288,6 +288,22 @@ class TestBadParameters:
         assert not out.exists()
         assert captured.out == ""
 
+    @pytest.mark.parametrize("flag, size", [("--crop-width", r"10{400}x384"),
+                                            ("--crop-height", r"288x10{400}")])
+    def test_crop_size_beyond_float_range(self, tmp_path, capsys, flag, size):
+        data, heat, out = tmp_path / "d.json", tmp_path / "heat.bin", tmp_path / "o.json"
+        frames = [("f1", [person(box=(100, 50, 388, 434), score=0.9)])]
+        save_dataset(dataset("jrdb17", PANO, frames), data)
+        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", np.ones((17, 96, 72)))]), heat)
+        argv = ["decode", "--heatmaps", str(heat), "--dets", str(data), "--out", str(out),
+                flag, str(10**400)]
+        code = run(argv)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert re.fullmatch(f"error: crop width and height must be positive and finite, got {size}\n",
+                            captured.err), captured.err
+        assert not out.exists()
+
 
 class TestShift:
     def test_shift_zero_is_canonical_identity(self, tmp_path, capsys):

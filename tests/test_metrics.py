@@ -327,8 +327,8 @@ def _match_frame(pred_persons, gt_persons, params, threshold):
     """The (pred index, gt index, oks) pairs of one frame, in matching order."""
     preds, gts = _single_frame_datasets(gt_persons, pred_persons)
     gt_areas = _areas(_matching_boxes(gts.boxes, gts.has_box, gts.keypoints))
-    return _match(preds.keypoints, preds.has_pose, preds.scores,
-                  gts.keypoints, gt_areas, params, threshold)
+    [pairs] = _match(preds, gts, gt_areas, params, threshold)
+    return pairs
 
 
 class TestMatchFrame:
@@ -467,6 +467,18 @@ class TestEvaluate:
         preds, gts = _single_frame_datasets(persons, persons)
         with pytest.raises(ValidationError, match="without score"):
             evaluate(preds, gts)
+
+    def test_oks_faults_name_the_first_frame_with_a_pair(self):
+        # f1 has no prediction and f2 no pose to predict, so neither has a
+        # pair; f3's ground truth has a box too small for an OKS scale.
+        tiny = person(pose=_pose17(), box=(0.0, 0.0, 1.0, 5e-324))
+        gts = dataset("jrdb17", PANO, [("f1", [tiny]), ("f2", [person(box=(0, 0, 9, 9))]),
+                                       ("f3", [tiny, person(pose=_pose17())])])
+        preds = dataset("jrdb17", PANO, [(f, [person(pose=_pose17(), score=0.5)]) for f in ("f2", "f3")])
+        with pytest.raises(ValidationError, match=r"^frame 'f3': ground-truth box area 5e-324 "):
+            evaluate(preds, gts)
+        with pytest.raises(ValidationError, match=r"^frame 'f3': 3 sigmas for a pose of 17 keypoints$"):
+            evaluate(preds, gts, EvalConfig(oks_params=UNIFORM3))
 
     def test_independent_of_frame_order(self):
         rng = np.random.default_rng(71)

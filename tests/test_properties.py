@@ -1,12 +1,17 @@
 """Property tests: canonical dataset round trips, the vectorised kernels
 (OKS, IoU, matching boxes, OSPA, the crop and heatmap decode) against scalar
-loop references, the assignment solver against the enumeration oracle, and
-malformed mapping and container files."""
+loop references, the batched matching and set metric against a loop over
+frames, the assignment solver against the enumeration oracle, and malformed
+dataset, mapping and container files."""
 
+import copy
+import itertools
 import json
 import math
+import pickle
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,13 +19,21 @@ from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 from synth import dataset, person
 
-from panopose.dataio import dataset_from_json, dataset_to_canonical_json
+from panopose import metrics
+from panopose.dataio import (
+    _columns,
+    _dataset_from_doc,
+    _walk,
+    dataset_from_json,
+    dataset_to_canonical_json,
+)
 from panopose.decode import decode_heatmaps
 from panopose.errors import RowError, ValidationError
 from panopose.geometry import (
     CROP_HEIGHT,
     CROP_WIDTH,
     PanoramaSpec,
+    _areas,
     _iou_matrix,
     _matching_boxes,
     _nms_rows,
@@ -35,6 +48,7 @@ from panopose.metrics import (
     _ospa,
     brute_force_assignment,
     default_oks_params,
+    evaluate,
     min_cost_assignment,
     ospa,
 )
@@ -153,7 +167,8 @@ def test_oks_matrix_agrees_with_scalar_reference(preds, gts):
     p = dataset("jrdb17", PANO, [("f", preds)])
     g = dataset("jrdb17", PANO, [("f", gts)])
     areas = np.array([_area(b) for b in boxes])
-    for pi, gi, value in _match(p.keypoints, p.has_pose, p.scores, g.keypoints, areas, PARAMS, 0.5):
+    [pairs] = _match(p, g, areas, PARAMS, 0.5)
+    for pi, gi, value in pairs:
         assert "pose" in preds[pi] and _labeled(gts[gi])
         assert value >= 0.5
         expected = _reference_oks(preds[pi]["pose"], gts[gi]["pose"], _area(boxes[gi]))
@@ -507,6 +522,86 @@ def test_ospa_with_a_callable_is_the_matrix_path(dist, cutoff, order):
     assert _bits([_ospa(matrix, cutoff, order)]) == _bits([expected])
 
 
+single_person_frames = st.tuples(st.integers(1, 12), st.booleans()).flatmap(
+    lambda nt: st.lists(st.floats(0.0, 2.0) | st.sampled_from([0.0, -0.0, 1.0]),
+                        min_size=nt[0], max_size=nt[0])
+    .map(lambda row: [row] if nt[1] else [[d] for d in row])
+)
+
+
+@PROPERTY
+@given(single_person_frames, st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([1.0, 2.0]))
+def test_single_person_ospa_is_the_solver_value_bit_for_bit(dist, cutoff, order):
+    # [1, n] and [m, 1]: _ospa takes the row minimum; the reference solves.
+    matrix = np.array(dist, dtype=np.float64)
+    assert _bits([_ospa(matrix, cutoff, order)]) == _bits([_reference_ospa(dist, cutoff, order)])
+
+
+def _reference_frames(preds, gts):
+    """Each ground-truth frame's id with its prediction and ground-truth row
+    ranges."""
+    spans = dict(zip(preds.frame_ids, itertools.pairwise(preds.offsets.tolist())))
+    for fid, (g0, g1) in zip(gts.frame_ids, itertools.pairwise(gts.offsets.tolist())):
+        yield fid, range(*spans.get(fid, (0, 0))), range(g0, g1)
+
+
+def _reference_match(preds, gts, areas):
+    """Greedy matching one frame at a time, on the frame's OKS matrix: argmax
+    over the columns, with a taken ground truth's column set to -inf."""
+    matches = []
+    for _, p, g in _reference_frames(preds, gts):
+        rows = np.array(p)[preds.has_pose[p]]
+        cols = np.array(g)[(gts.keypoints[g, :, 2] > 0).any(axis=1)]
+        pairs = []
+        if len(rows) and len(cols):
+            sim = _oks_matrix(preds.keypoints[rows], gts.keypoints[cols], PARAMS, areas[cols])
+            for r in (-preds.scores[rows]).argsort(kind="stable"):
+                c = int(sim[r].argmax())
+                if sim[r, c] >= 0.5:
+                    pairs.append((int(rows[r]), int(cols[c]), float(sim[r, c])))
+                    sim[:, c] = -np.inf
+        matches.append(pairs)
+    return matches
+
+
+def _frame(preds, copies, kept, gts):
+    """A frame's (predictions, kept, ground truths). The first ground truth
+    is repeated, and every ground-truth pose may also be predicted, with
+    equal or with distinct scores, so that matches, OKS ties and score ties
+    occur."""
+    gts = gts + gts[:1]
+    posed = [g for g in gts if "pose" in g]
+    if copies == "equal":
+        preds = preds + [g | {"score": 0.5} for g in posed]
+    elif copies == "distinct":
+        preds = preds + [g | {"score": 1.0 / (k + 1)} for k, g in enumerate(posed)]
+    return preds, kept, gts
+
+
+frame_pairs = st.builds(_frame, predictions, st.sampled_from([None, "equal", "distinct"]),
+                        st.booleans(), ground_truths)
+
+
+@PROPERTY
+@given(st.lists(frame_pairs, min_size=1, max_size=3), st.sampled_from([1, 3, 4096]))
+def test_batched_matching_and_set_metric_are_the_frame_loop(frames, chunk):
+    """evaluate computes OKS and IoU over all same-frame pairs a chunk at a
+    time; a frame without predictions may be missing from the predictions."""
+    preds = dataset("jrdb17", PANO, [(f"f{i}", p) for i, (p, kept, _) in enumerate(frames) if kept])
+    gts = dataset("jrdb17", PANO, [(f"f{i}", g) for i, (_, _, g) in enumerate(frames)])
+    pred_boxes = _matching_boxes(preds.boxes, preds.has_box, preds.keypoints)
+    gt_boxes = _matching_boxes(gts.boxes, gts.has_box, gts.keypoints)
+    with mock.patch.object(metrics, "_CHUNK_PAIRS", chunk):
+        matches = _match(preds, gts, _areas(gt_boxes), PARAMS, 0.5)
+        report = evaluate(preds, gts)
+    expected = _reference_match(preds, gts, _areas(gt_boxes))
+    assert [[(p, g, v.hex()) for p, g, v in pairs] for pairs in matches] == \
+        [[(p, g, v.hex()) for p, g, v in pairs] for pairs in expected]
+    for fid, p, g in _reference_frames(preds, gts):
+        ospa_iou = _ospa(1.0 - _iou_matrix(pred_boxes[p], gt_boxes[g]), 1.0, 1.0)
+        assert _bits([report.per_frame[fid].ospa_iou]) == _bits([ospa_iou])
+
+
 # Sums of these are exact, so equal optima compare equal; ties are frequent
 # and 1.0 is the capped distance of two disjoint boxes.
 dyadic = st.sampled_from([0.0, 0.25, 0.5, 1.0])
@@ -577,6 +672,102 @@ def test_malformed_mapping_files_raise_only_validation_errors(tmp_path_factory, 
         load_mapping(path)
     except ValidationError:
         pass
+
+
+_MISSING, _EXTRA = object(), object()
+TYPE_FAULTS = [True, False, None, 2.0, "", "1.5", [[0.0]], 10**400, _MISSING, _EXTRA]
+
+
+def _sites(frames: list) -> dict[tuple, list[tuple]]:
+    """The path of every value in a document's frames, by kind: the path
+    with list indices as "#", except "v" for a visibility."""
+    sites: dict[tuple, list[tuple]] = {}
+
+    def visit(value, path):
+        kind = tuple("#" if isinstance(k, int) else k for k in path)
+        if kind[-3:] == ("pose", "#", "#") and path[-1] == 2:
+            kind = kind[:-1] + ("v",)
+        sites.setdefault(kind, []).append(path)
+        for k in (value if isinstance(value, dict) else range(len(value)) if isinstance(value, list) else ()):
+            visit(value[k], path + (k,))
+
+    for i, frame in enumerate(frames):
+        visit(frame, (i,))
+    return sites
+
+
+@st.composite
+def dataset_documents(draw):
+    """A dataset document of valid persons, each with a score when scores
+    are required, and whether they are."""
+    require_scores = draw(st.booleans())
+    frames = draw(st.lists(st.tuples(st.sampled_from(["a", "b"]), st.lists(any_person, max_size=3)),
+                           min_size=1, max_size=2))
+    doc = {"schema": "jrdb17", "pano": {"width": PANO.width, "height": PANO.height},
+           "frames": [{"frame_id": fid, "persons": [{"score": 0.5} | p if require_scores else p
+                                                    for p in persons]}
+                      for fid, persons in frames]}
+    return json.loads(json.dumps(doc)), require_scores
+
+
+def _mutate(frames: list, path: tuple, fault) -> None:
+    """Replace the value at ``path`` by ``fault``, remove it, or give it an
+    extra key or element beside it."""
+    container = frames
+    for k in path[:-1]:
+        container = container[k]
+    key = path[-1]
+    if fault is _MISSING:
+        del container[key]
+    elif fault is _EXTRA and isinstance(container, dict):
+        container["extra"] = 0
+    elif fault is _EXTRA:
+        container.append(copy.deepcopy(container[key]))
+    else:
+        container[key] = copy.deepcopy(fault)
+
+
+def _check_loader(doc: dict, require_scores: bool) -> None:
+    """The bulk checks and the value-by-value walk reject the same
+    documents; the loader's build raises only ValidationError, and the
+    walk's fault when the walk finds one."""
+    try:
+        _walk(doc["frames"], JRDB17, require_scores)
+        walk_fault = None
+    except ValidationError as exc:
+        walk_fault = str(exc)
+    try:
+        bulk = _columns(doc["frames"], NUM_KEYPOINTS, require_scores)
+    except OverflowError:
+        bulk = None
+    assert (bulk is None) == (walk_fault is not None)
+    try:
+        _dataset_from_doc(doc, JRDB17, require_scores)
+    except ValidationError as exc:
+        assert walk_fault is None or str(exc) == walk_fault
+        return
+    assert walk_fault is None
+
+
+@PROPERTY
+@given(dataset_documents(), st.integers(0, 2**16), st.data())
+def test_mutated_datasets_raise_only_validation_errors(case, pick, data):
+    # Every fault at one value of every kind, the pick-th of its kind; then
+    # two faults at drawn values together, so that their order matters.
+    doc, require_scores = case
+    frozen = pickle.dumps(doc)
+    for kind, paths in sorted(_sites(doc["frames"]).items()):
+        for fault in TYPE_FAULTS:
+            mutated = pickle.loads(frozen)
+            _mutate(mutated["frames"], paths[pick % len(paths)], fault)
+            _check_loader(mutated, require_scores)
+    mutated = pickle.loads(frozen)
+    for fault in data.draw(st.lists(st.sampled_from(TYPE_FAULTS), min_size=2, max_size=2)):
+        sites = _sites(mutated["frames"])
+        if sites:
+            kind = data.draw(st.sampled_from(sorted(sites)))
+            _mutate(mutated["frames"], data.draw(st.sampled_from(sites[kind])), fault)
+    _check_loader(mutated, require_scores)
 
 
 shapes = (
