@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -40,7 +41,7 @@ from .geometry import (
 )
 from .metrics import EvalConfig, evaluate, save_frame_table, save_report
 from .schema import builtin_schema, default_mapping, load_mapping
-from .weights import _Container, load_tensor_map, remap_head_weights, save_tensor_map
+from .weights import _Container, _remap_head, _save_remapped
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -78,13 +79,17 @@ def _override_pano(ds: Dataset, args: argparse.Namespace) -> Dataset:
 
 
 def _cmd_remap_weights(args: argparse.Namespace) -> int:
-    tmap = _in_file(args.src, load_tensor_map, args.src)
-    if args.mapping is not None:
-        mapping = _in_file(args.mapping, load_mapping, args.mapping)
-    else:
-        mapping = default_mapping(args.verbatim_table1)
-    out = remap_head_weights(tmap, args.weight_name, mapping, bias_name=args.bias_name)
-    save_tensor_map(out, args.out)
+    with open(args.src, "rb") as fh:
+        src = _in_file(args.src, _Container, fh)
+        if args.mapping is not None:
+            mapping = _in_file(args.mapping, load_mapping, args.mapping)
+        else:
+            mapping = default_mapping(args.verbatim_table1)
+        head = _in_file(args.src, _remap_head, src, args.weight_name, mapping, args.bias_name)
+        # --out is written while --src is read, so it must be another file.
+        if os.path.exists(args.out) and os.path.samestat(os.fstat(fh.fileno()), os.stat(args.out)):
+            raise ValidationError(f"{args.src}: --out {args.out} is the same file as --src")
+        _in_file(args.src, _save_remapped, src, head, args.out)
     _echo(
         {
             "command": "remap-weights",

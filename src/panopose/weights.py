@@ -7,7 +7,10 @@ is deterministic: names are serialized in sorted order with contiguous
 payload offsets, so equal maps produce identical bytes. Reading checks the
 whole header before any payload byte, then reads each tensor's bytes only
 when it is asked for, so a caller that reads one tensor at a time holds one
-tensor at a time.
+tensor at a time. Since the output layout follows from names, dtypes and
+shapes alone, a remapped container is written from an open source by
+reading only the head and copying every other tensor's bytes through one
+bounded buffer.
 
 The head-remapping operation averages the output channels of a rank-4
 [K, C, kh, kw] convolution weight (and optionally its [K] bias) according to
@@ -25,7 +28,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator
+from typing import BinaryIO, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -48,6 +51,7 @@ _DTYPES = {
     "u8": np.dtype("u1"),
 }
 _TAG_BY_KIND = {np.dtype(d): tag for tag, d in _DTYPES.items()}
+_COPY_BUFFER_BYTES = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,15 +134,6 @@ class TensorMap:
             return NotImplemented
         return self._records == other._records
 
-    def __repr__(self) -> str:
-        return f"TensorMap({list(self._records)})"
-
-    def names(self) -> tuple[str, ...]:
-        return tuple(self._records)
-
-    def records(self) -> tuple[TensorRecord, ...]:
-        return tuple(self._records.values())
-
     def with_records(self, *new: TensorRecord) -> "TensorMap":
         """Copy of this map with the given records replaced or added."""
         table = dict(self._records)
@@ -214,13 +209,31 @@ class _Container:
                     f"overlapping payload ranges for tensors {n0!r} and {n1!r}"
                 )
 
+    def __contains__(self, name: str) -> bool:
+        return name in self.entries
+
     def read(self, name: str) -> TensorRecord:
         dtype, shape, begin, end = self.entries[name]
         data = np.empty(end - begin, dtype=np.uint8)
         self._fh.seek(self._payload_start + begin)
-        if self._fh.readinto(data) != data.size:
-            raise ValidationError(f"truncated payload: tensor {name!r} could not be read whole")
+        self._fill(name, data)
         return TensorRecord(name, dtype, shape, data.view(_DTYPES[dtype]))
+
+    __getitem__ = read
+
+    def chunks(self, name: str, buffer: memoryview) -> Iterator[memoryview]:
+        """Tensor ``name``'s payload bytes in parts read into ``buffer``; each
+        part is overwritten by the next, so use it before asking for that."""
+        _, _, begin, end = self.entries[name]
+        self._fh.seek(self._payload_start + begin)
+        for at in range(begin, end, len(buffer)):
+            part = buffer[: min(len(buffer), end - at)]
+            self._fill(name, part)
+            yield part
+
+    def _fill(self, name: str, view: np.ndarray | memoryview) -> None:
+        if self._fh.readinto(view) != len(view):
+            raise ValidationError(f"truncated payload: tensor {name!r} could not be read whole")
 
 
 @contextmanager
@@ -234,24 +247,41 @@ def load_tensor_map(path: str | Path) -> TensorMap:
         return TensorMap(container.read(name) for name in container.entries)
 
 
-def save_tensor_map(tmap: TensorMap, path: str | Path) -> None:
-    """Write the container; byte output is deterministic for a given map."""
+def _write_container(
+    path: str | Path,
+    layout: dict[str, tuple[str, tuple[int, ...]]],
+    payload: Callable[[str], Iterable[np.ndarray | memoryview]],
+) -> None:
+    """Write a container of the tensors in ``layout`` (name -> dtype, shape):
+    names in sorted order with contiguous payload offsets, each tensor's bytes
+    being the parts that ``payload(name)`` yields. A failed write removes the
+    partial file."""
     header: dict[str, dict] = {}
     offset = 0
-    for record in tmap.records():  # already name-sorted
-        header[record.name] = {
-            "dtype": record.dtype,
-            "shape": list(record.shape),
-            "begin": offset,
-            "end": offset + record.data.nbytes,
-        }
-        offset += record.data.nbytes
+    for name in sorted(layout):
+        dtype, shape = layout[name]
+        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
+        header[name] = {"dtype": dtype, "shape": list(shape), "begin": offset, "end": offset + nbytes}
+        offset += nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for record in tmap.records():
-            fh.write(record.data)  # contiguous little-endian: the record's raw bytes
+    fh = open(path, "wb")
+    try:
+        with fh:  # closed, flush failure or not, before the file is removed
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for name in header:
+                for part in payload(name):
+                    fh.write(part)
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def save_tensor_map(tmap: TensorMap, path: str | Path) -> None:
+    """Write the container; byte output is deterministic for a given map."""
+    # A record's data is contiguous little-endian: its raw bytes are the payload.
+    _write_container(path, {name: (tmap[name].dtype, tmap[name].shape) for name in tmap},
+                     lambda name: (tmap[name].data,))
 
 
 def _mean_of_slices(data: np.ndarray, entry: tuple[int, ...]) -> np.ndarray:
@@ -272,9 +302,21 @@ def remap_head_weights(
     The bias, when named, must be float32 [K_source] and is averaged the same
     way. Every other tensor is carried over unchanged.
     """
-    if weight_name not in tmap:
+    return tmap.with_records(*_remap_head(tmap, weight_name, mapping, bias_name))
+
+
+def _remap_head(
+    tensors: TensorMap | _Container,
+    weight_name: str,
+    mapping: SchemaMapping,
+    bias_name: str | None,
+) -> list[TensorRecord]:
+    """The new head records of :func:`remap_head_weights`, from anything that
+    answers ``in`` and ``[]`` with tensor names: a map, or an open container,
+    which then reads only the head."""
+    if weight_name not in tensors:
         raise ValidationError(f"missing tensor {weight_name!r}")
-    weight = tmap[weight_name]
+    weight = tensors[weight_name]
     if weight.dtype != "f32":
         raise ValidationError(f"tensor {weight_name!r} must be f32, got {weight.dtype}")
     if len(weight.shape) != 4:
@@ -290,9 +332,9 @@ def remap_head_weights(
     replaced = [TensorRecord(weight_name, "f32", new_weight.shape, new_weight)]
 
     if bias_name is not None:
-        if bias_name not in tmap:
+        if bias_name not in tensors:
             raise ValidationError(f"missing tensor {bias_name!r}")
-        bias = tmap[bias_name]
+        bias = tensors[bias_name]
         if bias.dtype != "f32":
             raise ValidationError(f"tensor {bias_name!r} must be f32, got {bias.dtype}")
         if bias.shape != (k_source,):
@@ -304,4 +346,18 @@ def remap_head_weights(
         )
         replaced.append(TensorRecord(bias_name, "f32", new_bias.shape, new_bias))
 
-    return tmap.with_records(*replaced)
+    return replaced
+
+
+def _save_remapped(src: _Container, head: list[TensorRecord], path: str | Path) -> None:
+    """Write the container ``src`` with the ``head`` records in place of its
+    own: the same bytes as :func:`save_tensor_map` of the remapped map, but
+    every other tensor is copied from ``src`` through one bounded buffer, so
+    memory does not grow with the container."""
+    new = {record.name: record for record in head}
+    layout = {name: (dtype, shape) for name, (dtype, shape, _, _) in src.entries.items()}
+    layout.update((name, (record.dtype, record.shape)) for name, record in new.items())
+    buffer = memoryview(bytearray(_COPY_BUFFER_BYTES))
+    _write_container(
+        path, layout, lambda name: (new[name].data,) if name in new else src.chunks(name, buffer)
+    )

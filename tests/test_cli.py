@@ -34,6 +34,24 @@ def _gt_dataset():
                                             person(id="b", pose=_pose17(x0=700.0), score=0.6)])])
 
 
+def _peak_mb(cwd, *argv):
+    """The peak RSS in MB of a child that runs ``panopose argv`` in ``cwd``:
+    its VmHWM, which resets at exec, so it is the child's own."""
+    probe = (
+        "import re, sys\n"
+        "from panopose.cli import run\n"
+        "assert run(sys.argv[1:]) == 0\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd)
+    assert proc.returncode == 0, proc.stderr
+    return int(proc.stdout.splitlines()[-1]) / 1024
+
+
 def _one_box(box=(0, 0, 10, 10)):
     """A one-frame dataset of one detection: ``box`` with score 0.9."""
     return dataset("jrdb17", PANO, [("f1", [person(box=box, score=0.9)])])
@@ -455,6 +473,76 @@ class TestRemapWeights:
         )
         assert code == 1
         assert "missing tensor" in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--weight-name", "stem"], "expected rank-4 weight [K, C, kh, kw], got shape (4, 4)"),
+        (["--weight-name", "head.weight", "--mapping", "bad.json"], "mapping file missing field 'entries'"),
+    ])
+    def test_faults_found_before_the_output_leave_no_out(self, tmp_path, capsys, monkeypatch,
+                                                         flags, message):
+        monkeypatch.chdir(tmp_path)
+        src = self._container(tmp_path)
+        Path("bad.json").write_text(json.dumps({"source_schema": "coco17", "target_schema": "jrdb17"}))
+        code = run(["remap-weights", "--src", str(src), "--out", "o.bin", *flags])
+        assert code == 1
+        assert message in capsys.readouterr().err
+        assert not Path("o.bin").exists()
+
+    @pytest.mark.parametrize("link", ["same path", "hard link", "symbolic link"])
+    def test_out_that_is_the_src_file_is_refused(self, tmp_path, capsys, link):
+        src = self._container(tmp_path)
+        before = src.read_bytes()
+        out = tmp_path / "out.bin"
+        if link == "same path":
+            out = src
+        elif link == "hard link":
+            os.link(src, out)
+        else:
+            out.symlink_to(src)
+        code = run(["remap-weights", "--src", str(src), "--out", str(out), "--weight-name", "head.weight"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {src}: --out {out} is the same file as --src\n"
+        assert src.read_bytes() == before
+
+    def test_source_cut_during_the_copy_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+        # The header is checked on opening and the other tensors are copied
+        # after the head checks, so a file cut in between gives a short read.
+        # The last tensor is larger than the file buffer, so it is not
+        # already in memory.
+        src = tmp_path / "in.bin"
+        save_tensor_map(TensorMap([
+            TensorRecord.from_array("head.weight", np.ones((17, 2, 1, 1), dtype=np.float32)),
+            TensorRecord.from_array("stem", np.arange(2**16, dtype=np.float32)),
+        ]), src)
+
+        def cut_then_default(verbatim_table1):
+            os.truncate(src, src.stat().st_size - 4)
+            return default_mapping(verbatim_table1)
+
+        monkeypatch.setattr("panopose.cli.default_mapping", cut_then_default)
+        code = run(["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
+                    "--weight-name", "head.weight"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: truncated payload: tensor 'stem' could not be read whole\n"
+        assert not (tmp_path / "o.bin").exists()
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
+    def test_memory_does_not_grow_with_the_container(self, tmp_path):
+        # 64 backbone tensors of 2**18 f32 make a 64 MiB container beside a
+        # small head; a --version child gives the peak of the interpreter and
+        # imports.
+        backbone = np.zeros(2**18, dtype=np.float32)
+        save_tensor_map(TensorMap([
+            TensorRecord.from_array("head.weight", np.ones((17, 2, 1, 1), dtype=np.float32)),
+            *(TensorRecord.from_array(f"backbone.{i:02d}", backbone) for i in range(64)),
+        ]), tmp_path / "in.bin")
+        size_mb = (tmp_path / "in.bin").stat().st_size / 2**20
+        assert size_mb >= 64
+        growth = _peak_mb(tmp_path, "remap-weights", "--src", "in.bin", "--out", "o.bin",
+                          "--weight-name", "head.weight") - _peak_mb(tmp_path, "--version")
+        assert growth < size_mb / 4, (growth, size_mb)
 
 
 class TestDecodeCommand:
@@ -595,9 +683,8 @@ class TestDecodeCommand:
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_memory_does_not_grow_with_the_container(self, tmp_path):
-        # 144 detections of 17 x 96 x 72 f32 make a 64.6 MiB container. VmHWM
-        # is the child's own peak (it resets at exec); a --version child
-        # gives the peak of the interpreter and imports.
+        # 144 detections of 17 x 96 x 72 f32 make a 64.6 MiB container; a
+        # --version child gives the peak of the interpreter and imports.
         persons = [person(box=(10 * i, 0, 10 * i + 8, 20), score=0.5) for i in range(144)]
         save_dataset(dataset("jrdb17", PANO, [("f1", persons)]), tmp_path / "d.json")
         grids = np.zeros((17, 96, 72), dtype=np.float32)
@@ -606,24 +693,8 @@ class TestDecodeCommand:
                         tmp_path / "h.bin")
         size_mb = (tmp_path / "h.bin").stat().st_size / 2**20
         assert size_mb >= 64
-        probe = (
-            "import re, sys\n"
-            "from panopose.cli import run\n"
-            "assert run(sys.argv[1:]) == 0\n"
-            "status = open('/proc/self/status').read()\n"
-            "print(int(re.search(r'VmHWM:\\s+(\\d+) kB', status).group(1)))\n"
-        )
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
-
-        def peak_mb(*argv):
-            proc = subprocess.run([sys.executable, "-c", probe, *argv],
-                                  capture_output=True, text=True, env=env, cwd=tmp_path)
-            assert proc.returncode == 0, proc.stderr
-            return int(proc.stdout.splitlines()[-1]) / 1024
-
-        baseline = peak_mb("--version")
-        growth = peak_mb("decode", "--heatmaps", "h.bin", "--dets", "d.json", "--out", "o.json") - baseline
+        growth = _peak_mb(tmp_path, "decode", "--heatmaps", "h.bin", "--dets", "d.json",
+                          "--out", "o.json") - _peak_mb(tmp_path, "--version")
         assert growth < size_mb / 4, (growth, size_mb)
 
 

@@ -1,10 +1,13 @@
 """Property tests: canonical dataset round trips, the vectorised kernels
 (OKS, IoU, matching boxes, OSPA, the crop and heatmap decode) against scalar
 loop references, the batched matching and set metric against a loop over
-frames, the assignment solver against the enumeration oracle, and malformed
-dataset, mapping and container files."""
+frames, the assignment solver against the enumeration oracle, the streamed
+``remap-weights`` against the in-memory library path, and malformed dataset,
+mapping and container files."""
 
+import contextlib
 import copy
+import io
 import itertools
 import json
 import math
@@ -17,9 +20,9 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
-from synth import dataset, person
+from synth import dataset, mapping_doc, person
 
-from panopose import metrics
+from panopose import cli, metrics
 from panopose.dataio import (
     _columns,
     _dataset_from_doc,
@@ -52,8 +55,8 @@ from panopose.metrics import (
     min_cost_assignment,
     ospa,
 )
-from panopose.schema import COCO17, JRDB17, load_mapping
-from panopose.weights import load_tensor_map
+from panopose.schema import COCO17, JRDB17, SchemaMapping, load_mapping
+from panopose.weights import _open_container, load_tensor_map, remap_head_weights, save_tensor_map
 
 # Derived examples and no example database, so every run checks the same
 # cases. No explain phase: on a failing OKS property it ran for minutes and
@@ -804,3 +807,82 @@ def test_malformed_containers_raise_only_validation_errors(tmp_path_factory, raw
         load_tensor_map(path)
     except ValidationError:
         pass
+    # remap-weights streams the same file: it exits 0 or 1, never with a
+    # traceback, names the file and leaves no output on a fault. The head is
+    # the file's first tensor and the bias its second, when it has them.
+    try:
+        with _open_container(path) as container:
+            names = list(container.entries)
+    except ValidationError:
+        names = []
+    out = path.with_name("remapped.bin")
+    out.unlink(missing_ok=True)
+    argv = ["remap-weights", "--src", str(path), "--out", str(out),
+            f"--weight-name={names[0] if names else 'w'}"]
+    if len(names) > 1:
+        argv.append(f"--bias-name={names[1]}")
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert code in (0, 1)
+    if code == 1:
+        assert err.getvalue().startswith(f"error: {path}: ")
+        assert not out.exists()
+
+
+DTYPE_SIZES = {"f32": 4, "f64": 8, "i32": 4, "i64": 8, "u8": 1}
+
+
+@PROPERTY
+@given(
+    st.dictionaries(
+        st.text(min_size=1, max_size=3),
+        st.tuples(st.sampled_from(sorted(DTYPE_SIZES)), st.lists(st.integers(0, 3), max_size=3)),
+        max_size=6,
+    ),
+    st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2)),
+    st.booleans(),
+    st.lists(st.lists(st.integers(0, 16), min_size=1, max_size=3, unique=True),
+             min_size=17, max_size=17),
+    st.data(),
+)
+def test_streamed_remap_writes_the_library_bytes(tmp_path_factory, others, head_dims, with_bias,
+                                                 entries, data):
+    # Valid containers with the header in any order and the payload ranges
+    # in another, with gaps between them and junk after them.
+    tensors = dict(others)
+    tensors["head.weight"] = ("f32", [17, *head_dims])
+    if with_bias:
+        tensors["head.bias"] = ("f32", [17])
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    payload, spans = bytearray(), {}
+    for name in data.draw(st.permutations(sorted(tensors))):
+        payload += rng.bytes(data.draw(st.integers(0, 5)))
+        dtype, shape = tensors[name]
+        begin = len(payload)
+        if name.startswith("head."):  # finite, so the means are plain arithmetic
+            payload += rng.standard_normal(math.prod(shape)).astype("<f4").tobytes()
+        else:
+            payload += rng.bytes(math.prod(shape) * DTYPE_SIZES[dtype])
+        spans[name] = (begin, len(payload))
+    payload += rng.bytes(data.draw(st.integers(0, 5)))
+    header = {name: {"dtype": tensors[name][0], "shape": tensors[name][1],
+                     "begin": spans[name][0], "end": spans[name][1]}
+              for name in data.draw(st.permutations(sorted(tensors)))}
+    base = tmp_path_factory.getbasetemp()
+    src, out, expected = base / "src.bin", base / "streamed.bin", base / "library.bin"
+    src.write_bytes(_container(header, payload=bytes(payload)))
+    mapping = SchemaMapping("coco17", "jrdb17", tuple(tuple(e) for e in entries))
+    (base / "mapping.json").write_text(json.dumps(mapping_doc(mapping)))
+    bias_name = "head.bias" if with_bias else None
+
+    argv = ["remap-weights", "--src", str(src), "--out", str(out), "--weight-name", "head.weight",
+            "--mapping", str(base / "mapping.json")]
+    # Copy buffers of a few bytes split the tensors into parts and a remainder.
+    buffer_bytes = data.draw(st.integers(1, 9) | st.just(1 << 20))
+    with mock.patch("panopose.weights._COPY_BUFFER_BYTES", buffer_bytes), \
+            contextlib.redirect_stdout(io.StringIO()):
+        assert cli.run(argv + (["--bias-name", bias_name] if with_bias else [])) == 0
+    save_tensor_map(remap_head_weights(load_tensor_map(src), "head.weight", mapping, bias_name),
+                    expected)
+    assert out.read_bytes() == expected.read_bytes()

@@ -35,7 +35,7 @@ class TestContainer:
         record = TensorRecord("w", "f32", (2, 3), np.arange(6, dtype=np.float32))
         save_tensor_map(TensorMap([record]), path)
         loaded = load_tensor_map(path)
-        assert loaded.names() == ("w",)
+        assert tuple(loaded) == ("w",)
         assert loaded["w"].data.size == 6
         assert loaded["w"] == record
 
