@@ -7,7 +7,9 @@ into poses, and ``eval`` scores predictions against ground truth.
 
 Every subcommand prints a one-line JSON echo of its effective configuration
 (including any seed) to stdout, so runs are reproducible from their output.
-Exit codes: 0 success, 1 validation error, 2 usage error.
+Exit codes: 0 success, 1 validation error, 2 usage error. Each command
+imports the modules it uses when it runs, so a process loads no others:
+``nms`` never loads ``metrics``, ``weights`` or ``decode``.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ import os
 import random
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
 from . import __version__
-from .dataio import Dataset, _load, save_dataset
-from .decode import _check_stride, decode_heatmaps
 from .errors import RowError, ValidationError, _where
 from .geometry import (
     DEFAULT_BOX_MARGIN,
@@ -34,14 +34,15 @@ from .geometry import (
     CROP_WIDTH,
     PanoramaSpec,
     _check_crop,
+    _inverse,
     _nms_rows,
     _pose_bboxes,
     crop_transform,
     shift_dataset,
 )
-from .metrics import EvalConfig, evaluate, save_frame_table, save_report
-from .schema import builtin_schema, default_mapping, load_mapping
-from .weights import _Container, _remap_head, _save_remapped
+
+if TYPE_CHECKING:
+    from .dataio import Dataset
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -61,6 +62,8 @@ def _in_file(path: str, read: Callable[..., Any], *args: Any) -> Any:
 def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
     """The dataset file at ``path`` in the schema it names; any
     :class:`ValidationError` names ``path``."""
+    from .dataio import _load
+
     return _in_file(path, _load, Path(path), None, require_scores)
 
 
@@ -79,6 +82,9 @@ def _override_pano(ds: Dataset, args: argparse.Namespace) -> Dataset:
 
 
 def _cmd_remap_weights(args: argparse.Namespace) -> int:
+    from .schema import default_mapping, load_mapping
+    from .weights import _Container, _remap_head, _save_remapped
+
     with open(args.src, "rb") as fh:
         src = _in_file(args.src, _Container, fh)
         if args.mapping is not None:
@@ -106,6 +112,8 @@ def _cmd_remap_weights(args: argparse.Namespace) -> int:
 
 
 def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
+    from .dataio import save_dataset
+
     ds = _override_pano(_load_dataset(args.input, require_scores=False), args)
     rows = ds.has_pose.nonzero()[0]
     try:
@@ -130,6 +138,8 @@ def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
 
 
 def _cmd_shift(args: argparse.Namespace) -> int:
+    from .dataio import save_dataset
+
     ds = _override_pano(_load_dataset(args.input, require_scores=False), args)
     if args.random:
         shift = random.Random(args.seed).random() * ds.pano.width
@@ -151,6 +161,8 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 
 def _cmd_nms(args: argparse.Namespace) -> int:
+    from .dataio import save_dataset
+
     ds = _load_dataset(args.pred, require_scores=True)
     _require_boxes(ds, "nms")
     kept = _nms_rows(ds.boxes, ds.scores, ds.offsets.tolist(), args.nms_iou)
@@ -159,20 +171,21 @@ def _cmd_nms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
-    _check_stride(args.stride)
-    _check_crop(args.crop_width, args.crop_height, args.padding)
-    dets = _load_dataset(args.dets, require_scores=True)
-    _require_boxes(dets, "decode")
-    try:
-        crops = crop_transform(dets.boxes, args.crop_width, args.crop_height, args.padding)
-    except RowError as exc:
-        raise ValidationError(f"{_where(dets.frame_ids, dets.offsets, exc.row)}: {exc}") from exc
-    num_keypoints = len(builtin_schema(dets.schema_id).names)
-    keypoints = np.zeros((len(dets.ids), num_keypoints, 3))
+def _heatmap_peaks(path: str, dets: Dataset, num_keypoints: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ``[N, 2, K]`` peak cells and ``[N, 2, 2, K]`` neighbours
+    (:func:`~panopose.decode._peaks`) of every detection's tensor in the
+    container at ``path``, each tensor read in turn into one buffer and
+    checked in full before the next."""
+    from .decode import _peaks
+    from .weights import _Container
+
+    cells = np.zeros((len(dets.ids), 2, num_keypoints))
+    neighbours = np.zeros((len(dets.ids), 2, 2, num_keypoints))
     bounds = dets.offsets.tolist()
-    with open(args.heatmaps, "rb") as fh:
-        heatmaps = _in_file(args.heatmaps, _Container, fh)
+    with open(path, "rb") as fh:
+        heatmaps = _in_file(path, _Container, fh)
+        sizes = [end - begin for _, _, begin, end in heatmaps.entries.values()]
+        buffer = np.empty(max(sizes, default=0), dtype=np.uint8)
         for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
             for i, row in enumerate(range(start, stop)):
                 where = f"frame {fid!r}, person {i}"
@@ -185,11 +198,32 @@ def _cmd_decode(args: argparse.Namespace) -> int:
                         f"{where}: heatmap tensor {name!r} must be "
                         f"[{num_keypoints}, h, w] with h, w >= 1, got shape {shape}"
                     )
-                values = _in_file(args.heatmaps, heatmaps.read, name).data
+                values = _in_file(path, heatmaps.read_into, name, buffer).reshape(shape)
                 try:
-                    keypoints[row], _ = decode_heatmaps(values, args.stride, crops[row])
+                    cells[row], neighbours[row], _ = _peaks(values)
                 except ValidationError as exc:
                     raise ValidationError(f"{where}: heatmap tensor {name!r}: {exc}") from exc
+    return cells, neighbours
+
+
+def _cmd_decode(args: argparse.Namespace) -> int:
+    from .dataio import save_dataset
+    from .decode import _check_stride, _project
+    from .schema import builtin_schema
+
+    _check_stride(args.stride)
+    _check_crop(args.crop_width, args.crop_height, args.padding)
+    dets = _load_dataset(args.dets, require_scores=True)
+    _require_boxes(dets, "decode")
+    try:
+        crops = crop_transform(dets.boxes, args.crop_width, args.crop_height, args.padding)
+    except RowError as exc:
+        raise ValidationError(f"{_where(dets.frame_ids, dets.offsets, exc.row)}: {exc}") from exc
+    num_keypoints = len(builtin_schema(dets.schema_id).names)
+    # crop_transform has checked these crops and their inverses. The read
+    # buffer and the peaks are freed before the output, where memory peaks.
+    keypoints = _project(*_heatmap_peaks(args.heatmaps, dets, num_keypoints), args.stride,
+                         _inverse(crops))
     save_dataset(dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool)), args.out)
     _echo(
         {
@@ -207,6 +241,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
+    from .metrics import EvalConfig, evaluate, save_frame_table, save_report
+
     gts = _load_dataset(args.gt, require_scores=False)
     preds = _load_dataset(args.pred, require_scores=True)
     report = evaluate(preds, gts, EvalConfig(oks_threshold=args.oks_threshold))

@@ -433,34 +433,34 @@ def _dataset_from_doc(doc: dict, schema: "KeypointSchema | None", require_scores
 # -- canonical serialization --------------------------------------------------
 
 
-def _num(value: float) -> str:
-    # + 0.0 makes -0.0 print as 0: "-0" would read back as the integer 0.
-    return "%.17g" % (float(value) + 0.0)
-
-
-def _person_json(person_id: str | None, box: list | None, score: float | None, pose: list | None) -> str:
-    parts = []
-    if person_id is not None:
-        parts.append(f'"id":{json.dumps(person_id)}')
-    if box is not None:
-        parts.append('"box":[%s]' % ",".join(map(_num, box)))
-    if score is not None:
-        parts.append(f'"score":{_num(score)}')
-    if pose is not None:
-        rows = ",".join("[%s,%s,%d]" % (_num(x), _num(y), v) for x, y, v in pose)
-        parts.append(f'"pose":[{rows}]')
-    return "{" + ",".join(parts) + "}"
+_BOX = '"box":[%.17g,%.17g,%.17g,%.17g]'
+_SCORE = '"score":%.17g'
 
 
 def _persons_json(ds: Dataset, start: int, stop: int) -> str:
-    """Rows ``start:stop`` as JSON; the writer goes one frame at a time, so a
-    dataset is never all Python objects at once."""
-    rows = zip(*(getattr(ds, name)[start:stop].tolist() for name in _PERSON_COLUMNS))
-    return ",".join(
-        _person_json(pid, box if has_box else None, score if has_score else None,
-                     pose if has_pose else None)
-        for pid, box, has_box, score, has_score, pose, has_pose in rows
-    )
+    """Rows ``start:stop`` as JSON, each field filled into one template; the
+    writer goes one frame at a time, so a dataset is never all Python
+    objects at once."""
+    k = ds.keypoints.shape[1]
+    pose = '"pose":[%s]' % ",".join(["[%.17g,%.17g,%d]"] * k)
+    # + 0.0 makes -0.0 print as 0: "-0" would read back as the integer 0.
+    boxes = (ds.boxes[start:stop] + 0.0).tolist()
+    scores = (ds.scores[start:stop] + 0.0).tolist()
+    poses = (ds.keypoints[start:stop] + 0.0).reshape(stop - start, 3 * k).tolist()
+    persons = []
+    for pid, box, has_box, score, has_score, kps, has_pose in zip(
+        ds.ids[start:stop].tolist(), boxes, ds.has_box[start:stop].tolist(), scores,
+        ds.has_score[start:stop].tolist(), poses, ds.has_pose[start:stop].tolist(),
+    ):
+        parts = [] if pid is None else ['"id":' + json.dumps(pid)]
+        if has_box:
+            parts.append(_BOX % tuple(box))
+        if has_score:
+            parts.append(_SCORE % score)
+        if has_pose:
+            parts.append(pose % tuple(kps))
+        persons.append("{" + ",".join(parts) + "}")
+    return ",".join(persons)
 
 
 def dataset_to_canonical_json(ds: Dataset) -> str:
@@ -470,8 +470,8 @@ def dataset_to_canonical_json(ds: Dataset) -> str:
         for fid, a, b in zip(ds.frame_ids, bounds, bounds[1:])
     )
     return (
-        '{"schema":%s,"pano":{"width":%s,"height":%s},"frames":[%s]}\n'
-        % (json.dumps(ds.schema_id), _num(ds.pano.width), _num(ds.pano.height), frames)
+        '{"schema":%s,"pano":{"width":%.17g,"height":%.17g},"frames":[%s]}\n'
+        % (json.dumps(ds.schema_id), float(ds.pano.width), float(ds.pano.height), frames)
     )
 
 

@@ -6,8 +6,9 @@ UTF-8 JSON header mapping tensor name -> {"dtype", "shape", "begin", "end"}
 is deterministic: names are serialized in sorted order with contiguous
 payload offsets, so equal maps produce identical bytes. Reading checks the
 whole header before any payload byte, then reads each tensor's bytes only
-when it is asked for, so a caller that reads one tensor at a time holds one
-tensor at a time. Since the output layout follows from names, dtypes and
+when it is asked for, either into a new array or into a buffer the caller
+reuses, so a caller that reads one tensor at a time holds one tensor at a
+time. Since the output layout follows from names, dtypes and
 shapes alone, a remapped container is written from an open source by
 reading only the head and copying every other tensor's bytes through one
 bounded buffer.
@@ -214,10 +215,17 @@ class _Container:
 
     def read(self, name: str) -> TensorRecord:
         dtype, shape, begin, end = self.entries[name]
-        data = np.empty(end - begin, dtype=np.uint8)
+        return TensorRecord(name, dtype, shape, self.read_into(name, np.empty(end - begin, np.uint8)))
+
+    def read_into(self, name: str, buffer: np.ndarray) -> np.ndarray:
+        """Tensor ``name``'s values, flat, read into the front of the uint8
+        ``buffer``, which must hold them: a view that the next read into
+        ``buffer`` overwrites."""
+        dtype, _, begin, end = self.entries[name]
+        view = buffer[: end - begin]
         self._fh.seek(self._payload_start + begin)
-        self._fill(name, data)
-        return TensorRecord(name, dtype, shape, data.view(_DTYPES[dtype]))
+        self._fill(name, view)
+        return view.view(_DTYPES[dtype])
 
     __getitem__ = read
 
@@ -285,6 +293,8 @@ def save_tensor_map(tmap: TensorMap, path: str | Path) -> None:
 
 
 def _mean_of_slices(data: np.ndarray, entry: tuple[int, ...]) -> np.ndarray:
+    if len(entry) == 1:  # as it is: a float64 round trip would quiet a signaling NaN
+        return data[entry[0]]
     acc = data[list(entry)].astype(np.float64).mean(axis=0)
     return acc.astype(_DTYPES["f32"])
 

@@ -520,7 +520,7 @@ class TestRemapWeights:
             os.truncate(src, src.stat().st_size - 4)
             return default_mapping(verbatim_table1)
 
-        monkeypatch.setattr("panopose.cli.default_mapping", cut_then_default)
+        monkeypatch.setattr("panopose.schema.default_mapping", cut_then_default)
         code = run(["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
                     "--weight-name", "head.weight"])
         assert code == 1
@@ -618,6 +618,33 @@ class TestDecodeCommand:
         assert self._decode_one(tmp_path, grids) == 1
         err = capsys.readouterr().err
         assert f"frame 'f1', person 0: heatmap tensor 'f1/0': keypoint 3: heatmap peak is {value}" in err
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("grids, message", [
+        (["ok", "ok", "nan"], "heatmap tensor 'f1/2': keypoint 3: heatmap peak is nan"),
+        (["ok", "missing", "nan"], "missing heatmap tensor 'f1/1'"),
+        (["ok", "nan", "missing"], "heatmap tensor 'f1/1': keypoint 3: heatmap peak is nan"),
+        (["ok", "shape", "nan"], "heatmap tensor 'f1/1' must be [17, h, w] with h, w >= 1, "
+                                 "got shape (17, 0, 4)"),
+    ])
+    def test_first_faulty_detection_is_reported(self, tmp_path, capsys, grids, message):
+        # Each detection is checked in turn, all the way to its peaks, before
+        # the next one is read.
+        ok = np.ones((17, 4, 4), np.float32)
+        nan = ok.copy()
+        nan[3] = np.nan
+        kinds = {"ok": ok, "nan": nan, "shape": np.ones((17, 0, 4), np.float32)}
+        save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=(10 * i, 0, 10 * i + 8, 20), score=0.5)
+                                                      for i in range(len(grids))])]),
+                     tmp_path / "dets.json")
+        save_tensor_map(TensorMap(TensorRecord.from_array(f"f1/{i}", kinds[kind])
+                                  for i, kind in enumerate(grids) if kind != "missing"),
+                        tmp_path / "heat.bin")
+        code = run(["decode", "--heatmaps", str(tmp_path / "heat.bin"), "--dets", str(tmp_path / "dets.json"),
+                    "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        person_index = re.search(r"'f1/(\d)'", message).group(1)
+        assert capsys.readouterr().err == f"error: frame 'f1', person {person_index}: {message}\n"
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("good, bad, padding", [
@@ -747,3 +774,33 @@ class TestUsage:
         )
         assert proc.returncode == 0, proc.stderr
         assert json.loads(result.read_text()) == []
+
+    @pytest.mark.parametrize("argv, unused", [
+        (["--version"], ["metrics", "weights", "decode"]),
+        (["boxes-from-poses", "--in", "d.json", "--out", "o.json"], ["metrics", "weights", "decode"]),
+        (["shift", "--in", "d.json", "--out", "o.json", "--shift", "5"], ["metrics", "weights", "decode"]),
+        (["nms", "--pred", "d.json", "--out", "o.json"], ["metrics", "weights", "decode"]),
+        (["eval", "--gt", "d.json", "--pred", "d.json"], ["weights", "decode"]),
+        (["remap-weights", "--src", "w.bin", "--out", "o.bin", "--weight-name", "head.weight"],
+         ["metrics", "decode"]),
+    ])
+    def test_a_command_loads_only_the_modules_it_uses(self, tmp_path, argv, unused):
+        # A fresh child per command, so no other command's imports count.
+        save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=(90, 190, 210, 290), pose=_pose17(),
+                                                            score=0.8)])]), tmp_path / "d.json")
+        save_tensor_map(TensorMap([TensorRecord.from_array("head.weight", np.ones((17, 2, 1, 1), np.float32))]),
+                        tmp_path / "w.bin")
+        probe = (
+            "import sys\n"
+            "from panopose.cli import run\n"
+            "assert run(sys.argv[1:]) == 0\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('panopose.')))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", probe, *argv],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        loaded = proc.stdout.splitlines()[-1].split()
+        assert "panopose.cli" in loaded
+        assert [m for m in loaded if m.split(".")[1] in unused] == []

@@ -24,11 +24,13 @@ from synth import dataset, mapping_doc, person
 
 from panopose import cli, metrics
 from panopose.dataio import (
+    Dataset,
     _columns,
     _dataset_from_doc,
     _walk,
     dataset_from_json,
     dataset_to_canonical_json,
+    save_dataset,
 )
 from panopose.decode import decode_heatmaps
 from panopose.errors import RowError, ValidationError
@@ -56,7 +58,14 @@ from panopose.metrics import (
     ospa,
 )
 from panopose.schema import COCO17, JRDB17, SchemaMapping, load_mapping
-from panopose.weights import _open_container, load_tensor_map, remap_head_weights, save_tensor_map
+from panopose.weights import (
+    TensorMap,
+    TensorRecord,
+    _open_container,
+    load_tensor_map,
+    remap_head_weights,
+    save_tensor_map,
+)
 
 # Derived examples and no example database, so every run checks the same
 # cases. No explain phase: on a failing OKS property it ran for minutes and
@@ -139,6 +148,87 @@ def test_canonical_json_parse_canonical_is_byte_stable(frames):
     back = dataset_from_json(text, JRDB17)
     assert back == ds
     assert dataset_to_canonical_json(back) == text
+
+
+def _num(value: float) -> str:
+    # + 0.0 makes -0.0 print as 0: "-0" would read back as the integer 0.
+    return "%.17g" % (float(value) + 0.0)
+
+
+def _reference_person_json(person_id, box, score, pose) -> str:
+    parts = []
+    if person_id is not None:
+        parts.append(f'"id":{json.dumps(person_id)}')
+    if box is not None:
+        parts.append('"box":[%s]' % ",".join(map(_num, box)))
+    if score is not None:
+        parts.append(f'"score":{_num(score)}')
+    if pose is not None:
+        rows = ",".join("[%s,%s,%d]" % (_num(x), _num(y), v) for x, y, v in pose)
+        parts.append(f'"pose":[{rows}]')
+    return "{" + ",".join(parts) + "}"
+
+
+def _reference_canonical_json(ds: Dataset) -> str:
+    """The canonical form written one number at a time."""
+    frames = []
+    bounds = ds.offsets.tolist()
+    for fid, start, stop in zip(ds.frame_ids, bounds, bounds[1:]):
+        rows = zip(*(getattr(ds, name)[start:stop].tolist() for name in
+                     ("ids", "boxes", "has_box", "scores", "has_score", "keypoints", "has_pose")))
+        persons = ",".join(
+            _reference_person_json(pid, box if has_box else None, score if has_score else None,
+                                   pose if has_pose else None)
+            for pid, box, has_box, score, has_score, pose, has_pose in rows
+        )
+        frames.append('{"frame_id":%s,"persons":[%s]}' % (json.dumps(fid), persons))
+    return '{"schema":%s,"pano":{"width":%s,"height":%s},"frames":[%s]}\n' % (
+        json.dumps(ds.schema_id), _num(ds.pano.width), _num(ds.pano.height), ",".join(frames))
+
+
+EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, 1.0, -7.0, 2.0**53, 1e16, 0.1, 1 / 3]
+edge_float = st.sampled_from(EDGE_FLOATS) | finite
+edge_box = st.tuples(edge_float, edge_float, edge_float, edge_float).filter(
+    lambda b: b[0] < b[2] and b[1] < b[3] and 0.0 < (b[2] - b[0]) * (b[3] - b[1]) < math.inf
+)
+edge_score = st.sampled_from([0.0, -0.0, 5e-324, 1.0, 0.5, 1 / 3]) | st.floats(0.0, 1.0)
+person_ids = st.none() | st.sampled_from(['"', '\\', 'a"b', "ü", " ", "名前", ""]) | st.text(max_size=4)
+
+
+@st.composite
+def column_datasets(draw):
+    """Datasets built from their columns: any mix of id, box, score and pose
+    (box or pose present), K of 0, 1 or 17, and numbers at the edges of the
+    float range."""
+    k = draw(st.sampled_from([0, 1, 17]))
+    pose = st.lists(st.tuples(edge_float, edge_float, visibility), min_size=k, max_size=k)
+    frame_ids = draw(st.lists(st.text(min_size=1, max_size=3), max_size=4, unique=True))
+    sizes = [draw(st.integers(0, 3)) for _ in frame_ids]
+    n = sum(sizes)
+    has_box, has_pose = zip(*draw(st.lists(
+        st.sampled_from([(True, False), (False, True), (True, True)]), min_size=n, max_size=n,
+    ))) if n else ((), ())
+    scores = draw(st.lists(st.none() | edge_score, min_size=n, max_size=n))
+    return Dataset(
+        "jrdb17",
+        PanoramaSpec(draw(edge_float.filter(lambda v: v > 0)), draw(st.sampled_from([600.0, 5e-324]))),
+        frame_ids, np.cumsum([0, *sizes]),
+        ids=draw(st.lists(person_ids, min_size=n, max_size=n)),
+        boxes=[draw(edge_box) if has else (0.0, 0.0, 0.0, 0.0) for has in has_box],
+        has_box=list(has_box),
+        scores=[0.0 if s is None else s for s in scores],
+        has_score=[s is not None for s in scores],
+        keypoints=np.array([draw(pose) if has else [(0.0, 0.0, 0)] * k for has in has_pose],
+                           dtype=np.float64).reshape(n, k, 3),
+        has_pose=list(has_pose),
+    )
+
+
+@PROPERTY
+@given(column_datasets())
+def test_canonical_json_is_the_per_number_writer(ds):
+    assert dataset_to_canonical_json(ds) == _reference_canonical_json(ds)
 
 
 def _stack(poses: list[list]) -> np.ndarray:
@@ -369,6 +459,65 @@ def test_decode_is_the_keypoint_loop_bit_for_bit(values, stride, crop):
     assert conf.dtype == np.float64
     assert _bits(conf) == _bits(confidences)
     assert _bits(kps.ravel()) == _bits(np.ravel(keypoints))
+
+
+# Few distinct values per container dtype, so ties and equal neighbours are
+# common; the grids are at most 3 x 3, so most peaks lie on an edge.
+CONTAINER_POOLS = {
+    np.float32: [0.0, 0.25, 1.0, -3.5, 3.0e38, np.nan],
+    np.float64: [0.0, 0.25, 1.0, -3.5, 1e308, -np.inf],
+    np.int32: [-2**31, 0, 7, 2**31 - 1],
+    np.uint8: [0, 1, 255],
+}
+
+
+@st.composite
+def detection_grids(draw):
+    dtype = draw(st.sampled_from(list(CONTAINER_POOLS)))
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    size = NUM_KEYPOINTS * h * w
+    cells = draw(st.lists(st.sampled_from(CONTAINER_POOLS[dtype]), min_size=size, max_size=size))
+    return np.array(cells, dtype=dtype).reshape(NUM_KEYPOINTS, h, w)
+
+
+@PROPERTY
+@given(
+    st.lists(st.lists(st.tuples(box, score, detection_grids()), max_size=3), min_size=1, max_size=3),
+    st.sampled_from([4.0, 1.0, 0.3]),
+    st.sampled_from([1.0, 1.25]),
+)
+def test_decode_command_is_decode_heatmaps_per_detection(tmp_path_factory, frames, stride, padding):
+    # Frames are named so that file order differs from the sorted order in
+    # which the command visits them.
+    base = tmp_path_factory.getbasetemp()
+    named = [(f"f{len(frames) - f}", dets) for f, dets in enumerate(frames)]
+    dets = dataset("jrdb17", PANO, [(fid, [person(box=b, score=s) for b, s, _ in d]) for fid, d in named])
+    save_dataset(dets, base / "dets.json")
+    grids = {f"{fid}/{i}": grid for fid, d in named for i, (_, _, grid) in enumerate(d)}
+    save_tensor_map(TensorMap(TensorRecord.from_array(n, g) for n, g in grids.items()), base / "heat.bin")
+    (base / "pred.json").unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["decode", "--heatmaps", str(base / "heat.bin"), "--dets", str(base / "dets.json"),
+                        "--out", str(base / "pred.json"), "--stride", str(stride),
+                        "--padding", str(padding)])
+
+    crops = crop_transform(dets.boxes, CROP_WIDTH, CROP_HEIGHT, padding)
+    keypoints = []
+    bounds = dets.offsets.tolist()
+    for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
+        for i, row in enumerate(range(start, stop)):
+            try:
+                keypoints.append(decode_heatmaps(grids[f"{fid}/{i}"], stride, crops[row])[0])
+            except ValidationError as exc:
+                assert code == 1
+                assert err.getvalue() == f"error: frame {fid!r}, person {i}: heatmap tensor '{fid}/{i}': {exc}\n"
+                assert not (base / "pred.json").exists()
+                return
+    assert code == 0, err.getvalue()
+    expected = dets._with(keypoints=np.reshape(keypoints, (len(dets.ids), NUM_KEYPOINTS, 3)),
+                          has_pose=np.ones(len(dets.ids), dtype=bool))
+    assert (base / "pred.json").read_text(encoding="utf-8") == dataset_to_canonical_json(expected)
 
 
 def _reference_nms(boxes: list[tuple], scores: list[float], threshold: float) -> list[int]:

@@ -47,10 +47,14 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
 
 
 def _public_names() -> list[str]:
-    return [
-        name for name, value in vars(panopose).items()
-        if not name.startswith("_") and not inspect.ismodule(value)
-    ]
+    """``panopose.__all__``, whose names load on first use: each must
+    resolve, and no other public name may be bound."""
+    for name in panopose.__all__:
+        assert not inspect.ismodule(getattr(panopose, name)), name
+    bound = [name for name, value in vars(panopose).items()
+             if not name.startswith("_") and not inspect.ismodule(value)]
+    assert sorted(bound) == sorted(panopose.__all__)
+    return list(panopose.__all__)
 
 
 def test_every_public_name_is_in_readme():

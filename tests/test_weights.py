@@ -184,6 +184,18 @@ class TestRemapHeadWeights:
             if len(entry) == 1:
                 assert out["w"].data[t].tobytes() == data[entry[0]].tobytes()
 
+    def test_single_counterpart_channel_keeps_a_signaling_nan(self):
+        # 0x7F800001 is a signaling NaN: widened to float64 and back it would
+        # come out quiet, as 0x7FC00001, with a RuntimeWarning.
+        weight = np.zeros((2, 3, 1, 1), dtype=np.float32)
+        bias = np.zeros(2, dtype=np.float32)
+        weight.view(np.uint32)[1, 1] = 0x7F800001
+        bias.view(np.uint32)[1] = 0x7F800001
+        tm = TensorMap([TensorRecord.from_array("w", weight), TensorRecord.from_array("b", bias)])
+        out = remap_head_weights(tm, "w", SchemaMapping("s", "t", ((1,), (0,))), bias_name="b")
+        assert out["w"].data.view(np.uint32)[0, :, 0, 0].tolist() == [0, 0x7F800001, 0]
+        assert out["b"].data.view(np.uint32).tolist() == [0x7F800001, 0]
+
     def test_bias_averaged_when_named(self):
         bias = np.arange(17, dtype=np.float32)
         tm = TensorMap(
