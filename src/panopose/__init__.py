@@ -21,8 +21,8 @@ _MODULES = {
     "errors": ("ValidationError",),
     "geometry": ("PanoramaSpec", "apply_transform", "crop_transform", "invert_transform", "iou",
                  "nms", "shift_dataset"),
-    "metrics": ("EvalConfig", "EvalReport", "OksParams", "brute_force_assignment",
-                "default_oks_params", "evaluate", "min_cost_assignment", "oks", "ospa"),
+    "metrics": ("EvalConfig", "EvalReport", "OksParams", "default_oks_params", "evaluate", "oks",
+                "ospa"),
     "schema": ("KeypointSchema", "SchemaMapping", "builtin_schema", "default_mapping",
                "load_mapping"),
     "weights": ("TensorMap", "TensorRecord", "load_tensor_map", "remap_head_weights",

@@ -10,6 +10,12 @@ Every subcommand prints a one-line JSON echo of its effective configuration
 Exit codes: 0 success, 1 validation error, 2 usage error. Each command
 imports the modules it uses when it runs, so a process loads no others:
 ``nms`` never loads ``metrics``, ``weights`` or ``decode``.
+
+``eval`` reads ``--gt`` in a child made by ``os.fork`` while it reads
+``--pred`` (:func:`_started`); the child sends back the dataset, or the
+error it raised, over a pipe. Each process holds one parsed document, and a
+``--gt`` fault is still the one reported when both files are faulty. Where
+there is no ``os.fork``, or the child fails, ``--gt`` is read in process.
 """
 
 from __future__ import annotations
@@ -240,11 +246,68 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     return 0
 
 
+def _started(call: Callable[[], Any]) -> Callable[[], Any]:
+    """Start ``call()`` in a child process made by ``os.fork``, and return a
+    function that closes the pipe, reaps the child and returns ``call()``'s
+    result or raises the ValidationError, ValueError or OSError it raised;
+    it must be called on every path. Where there is no ``os.fork``, where it
+    fails, or where the child ends without a whole result, that function
+    runs ``call()`` in this process instead."""
+    import pickle
+
+    if not hasattr(os, "fork"):
+        return call
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return call
+    if pid == 0:  # the child never returns into the caller, nor flushes the stdio it inherited
+        code = 1
+        try:
+            os.close(read_end)
+            try:
+                result = call()
+            except (ValidationError, ValueError, OSError) as exc:
+                result = exc
+            with open(write_end, "wb") as pipe:
+                pickle.dump(result, pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        except BaseException:  # the parent sees no result and runs call() itself
+            pass
+        finally:
+            os._exit(code)
+    os.close(write_end)
+
+    def result() -> Any:
+        try:
+            with open(read_end, "rb") as pipe:
+                received = pickle.load(pipe)
+        except Exception:  # EOFError or UnpicklingError: no whole result came
+            received = None
+        finally:
+            os.waitpid(pid, 0)
+        if received is None:
+            return call()
+        if isinstance(received, BaseException):
+            raise received
+        return received
+
+    return result
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     from .metrics import EvalConfig, evaluate, save_frame_table, save_report
 
-    gts = _load_dataset(args.gt, require_scores=False)
-    preds = _load_dataset(args.pred, require_scores=True)
+    # Each process holds one parsed document. A --gt fault is raised first,
+    # as when --gt was read before --pred.
+    gt_result = _started(lambda: _load_dataset(args.gt, require_scores=False))
+    try:
+        preds = _load_dataset(args.pred, require_scores=True)
+    finally:
+        gts = gt_result()
     report = evaluate(preds, gts, EvalConfig(oks_threshold=args.oks_threshold))
     print(f"ospa_iou {report.ospa_iou:.3f}")
     print(f"ap_05 {report.ap_05:.3f}")

@@ -174,7 +174,12 @@ class Dataset:
             rows = np.concatenate([np.arange(offsets[f], offsets[f + 1]) for f in order])
             offsets = np.concatenate(([0], np.cumsum(np.diff(offsets)[order])))
             columns = [c[rows] for c in columns]
-        for name, value in zip(_FIELDS, [schema_id, pano, frame_ids, offsets, *columns]):
+        self.__setstate__(dict(zip(_FIELDS, [schema_id, pano, frame_ids, offsets, *columns])))
+
+    def __setstate__(self, fields: dict) -> None:
+        """Set the checked ``fields``, each array read-only; pickle calls this
+        too, as its arrays come back writeable."""
+        for name, value in fields.items():
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             object.__setattr__(self, name, value)
@@ -376,7 +381,9 @@ def _load(source: str | Path, schema: "KeypointSchema | None", require_scores: b
     container per JSON list and object and no reference cycle, and the
     collector's passes over it grow with it: two 9 MB files took 1.1 s to
     parse with the collector running and 0.6 s with it paused. The document
-    is freed on return, before the collector resumes."""
+    is freed on return, before the collector resumes. ``eval`` runs this for
+    ``--gt`` in a forked child, which pickles the dataset back to it
+    (:meth:`Dataset.__setstate__` keeps its arrays read-only)."""
     enabled = gc.isenabled()
     gc.disable()
     try:

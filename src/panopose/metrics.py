@@ -1,10 +1,9 @@
 """Set-based evaluation metrics.
 
-Object keypoint similarity (OKS), exact minimum-cost assignment (a
-shortest-augmenting-path solver in this module) with a brute-force
-enumeration oracle, the optimal-subpattern set metric over (1 - IoU) box
-distances, ranked average precision at an OKS threshold, and the
-dataset-level report that aggregates them.
+Object keypoint similarity (OKS), the exact minimum-cost assignment cost (a
+shortest-augmenting-path solver in this module), the optimal-subpattern set
+metric over (1 - IoU) box distances, ranked average precision at an OKS
+threshold, and the dataset-level report that aggregates them.
 
 OKS between a predicted and a labeled pose is the mean over labeled
 keypoints i of exp(-d_i^2 / (2 * s^2 * k_i^2)), with d_i the Euclidean pixel
@@ -31,7 +30,6 @@ every frame.
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -55,8 +53,6 @@ __all__ = [
     "transferred_oks_params",
     "default_oks_params",
     "oks",
-    "min_cost_assignment",
-    "brute_force_assignment",
     "ospa",
     "evaluate",
     "save_report",
@@ -70,10 +66,6 @@ COCO_SIGMAS = (
     0.062, 0.107, 0.107, 0.087, 0.087,
     0.089, 0.089,
 )
-
-_ORACLE_MAX_DIM = 8
-_ORACLE_MAX_ASSIGNMENTS = 2_000_000
-
 
 @dataclass(frozen=True)
 class OksParams:
@@ -190,15 +182,6 @@ def _oks(pred: np.ndarray, gt: np.ndarray, scale: np.ndarray, labeled: np.ndarra
 # -- assignment ----------------------------------------------------------------
 
 
-def _as_cost_matrix(cost) -> np.ndarray:
-    arr = np.asarray(cost, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError(f"cost must be a 2-D matrix, got ndim={arr.ndim}")
-    if arr.size and not np.all(np.isfinite(arr)):
-        raise ValueError("cost entries must be finite")
-    return arr
-
-
 def _optimal_cost(matrix: np.ndarray) -> float:
     """Minimum total cost of an ``[m, n]`` matrix, m <= n, with each row
     assigned its own column: shortest augmenting paths with row and column
@@ -251,64 +234,6 @@ def _optimal_cost(matrix: np.ndarray) -> float:
         if owner[j]:
             cols[owner[j] - 1] = j - 1
     return float(matrix[np.arange(m), cols].sum())
-
-
-def min_cost_assignment(cost) -> tuple[dict[int, int], float]:
-    """Exact minimum-cost injective assignment of the smaller dimension.
-
-    Returns ``(assignment, total_cost)``; the assignment maps row indices to
-    column indices when rows <= cols, and column indices to row indices
-    otherwise. Among all optimal assignments the lexicographically smallest
-    one (the vector of assigned indices for the smaller dimension, in order)
-    is returned, found by fixing, for each index in turn, the smallest
-    partner that still admits an optimal completion.
-    """
-    arr = _as_cost_matrix(cost)
-    if arr.size == 0:
-        return {}, 0.0
-    mat = arr.T if arr.shape[0] > arr.shape[1] else arr
-    m, n = mat.shape
-    remaining = list(range(n))
-    chosen: list[int] = []
-    for i in range(m):
-        best_j = remaining[0]
-        best_total = math.inf
-        for pos, j in enumerate(remaining):
-            rest = remaining[:pos] + remaining[pos + 1 :]
-            total = float(mat[i, j]) + _optimal_cost(mat[i + 1 :, rest])
-            if total < best_total:
-                best_total = total
-                best_j = j
-        chosen.append(best_j)
-        remaining.remove(best_j)
-    total_cost = float(sum(float(mat[i, chosen[i]]) for i in range(m)))
-    return {i: chosen[i] for i in range(m)}, total_cost
-
-
-def brute_force_assignment(cost) -> tuple[dict[int, int], float]:
-    """Enumeration oracle with the same contract as :func:`min_cost_assignment`.
-
-    Candidate assignments are enumerated in lexicographic order with strict
-    improvement, so ties resolve to the lexicographically smallest optimum.
-    """
-    arr = _as_cost_matrix(cost)
-    if arr.size == 0:
-        return {}, 0.0
-    mat = arr.T if arr.shape[0] > arr.shape[1] else arr
-    m, n = mat.shape
-    if m > _ORACLE_MAX_DIM or math.perm(n, m) > _ORACLE_MAX_ASSIGNMENTS:
-        raise ValueError(
-            f"dimension above oracle limit: {m}x{n} "
-            f"(smaller dim <= {_ORACLE_MAX_DIM} and enumerable assignments required)"
-        )
-    perms = np.fromiter(
-        itertools.chain.from_iterable(itertools.permutations(range(n), m)),
-        dtype=np.intp,
-    ).reshape(-1, m)
-    totals = mat[np.arange(m), perms].sum(axis=1)
-    best = perms[int(np.argmin(totals))]  # first minimum = lexicographically smallest
-    total_cost = float(sum(float(mat[i, best[i]]) for i in range(m)))
-    return {i: int(best[i]) for i in range(m)}, total_cost
 
 
 # -- set metric ------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import errno
 import hashlib
 import json
 import os
+import pickle
 import re
 import subprocess
 import sys
@@ -10,8 +12,10 @@ import numpy as np
 import pytest
 from synth import dataset, make_ground_truth, mapping_doc, perturb_predictions, person
 
+from panopose import cli, metrics
 from panopose.cli import run
 from panopose.dataio import (
+    _load,
     dataset_from_json,
     dataset_to_canonical_json,
     load_predictions,
@@ -89,18 +93,20 @@ class TestEval:
         assert len(lines) == 2
 
     def test_each_input_file_is_parsed_once(self, tmp_path, monkeypatch, capsys):
+        # --gt is parsed in a forked child, so each parse appends to a file.
         gt = tmp_path / "g.json"
         save_dataset(_gt_dataset(), gt)
-        parsed = []
+        parsed = tmp_path / "parsed.log"
         loads = json.loads
 
         def counting_loads(text, *args, **kwargs):
-            parsed.append(text)
+            with open(parsed, "a") as log:
+                log.write(f"{len(text)}\n")
             return loads(text, *args, **kwargs)
 
         monkeypatch.setattr(json, "loads", counting_loads)
         assert run(["eval", "--gt", str(gt), "--pred", str(gt)]) == 0
-        assert len(parsed) == 2
+        assert len(parsed.read_text().splitlines()) == 2
 
     def test_validation_failure_exit_code(self, tmp_path, capsys):
         gt = tmp_path / "g.json"
@@ -160,6 +166,112 @@ class TestEval:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith(f"error: {pred}: parse error: 'utf-8' codec can't decode byte 0xff")
+
+
+_NO_SCORE = {"schema": "jrdb17", "pano": {"width": 2000, "height": 600},
+             "frames": [{"frame_id": "f1", "persons": [{"box": [0, 0, 10, 10]}]}]}
+_BAD_BOX = {**_NO_SCORE, "frames": [{"frame_id": "f1", "persons": [{"box": [0, 0, -1, 10]}]}]}
+
+# (--gt, --pred, exit code, stderr) as printed when --gt was read before
+# --pred: a --gt fault is reported even when --pred is faulty too.
+EVAL_LOAD_CASES = {
+    "both valid": ("g", "g", 0, ""),
+    "both faulty": ("bad_box", "no_score", 1,
+                    "error: {bad_box}: frame 'f1', person 0: degenerate box "
+                    "(0.0, 0.0, -1.0, 10.0): area -10.0 must be positive and finite\n"),
+    "pred faulty": ("g", "no_score", 1,
+                    "error: {no_score}: prediction without score (frame 'f1', person 0)\n"),
+    "gt missing": ("missing", "no_score", 1,
+                   "error: [Errno 2] No such file or directory: '{missing}'\n"),
+    "gt not utf-8": ("utf16", "no_score", 1,
+                     "error: {utf16}: parse error: 'utf-8' codec can't decode byte 0xff "
+                     "in position 0: invalid start byte\n"),
+}
+
+
+def _fail_fork():
+    raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+
+
+def _load_in(mode, monkeypatch):
+    """Make ``eval`` read --gt where ``mode`` says: in a forked child, or in
+    this process because there is no ``os.fork``, because it fails, or
+    because the child exits before it sends a result."""
+    if mode == "no fork":
+        monkeypatch.delattr(os, "fork")
+    elif mode == "fork fails":
+        monkeypatch.setattr(os, "fork", _fail_fork)
+    elif mode == "child exits":
+        monkeypatch.setattr(pickle, "dump", lambda *args, **kwargs: os._exit(1))
+
+
+LOAD_MODES = ["fork", "no fork", "fork fails", "child exits"]
+
+
+class TestParallelLoad:
+    """``eval`` reads --gt in a forked child while it reads --pred; what it
+    prints and returns is what reading them in turn gives."""
+
+    @staticmethod
+    def _files(tmp_path):
+        """Each case's file path by its name; ``missing`` is not written."""
+        paths = {name: tmp_path / f"{name}.json"
+                 for name in ("g", "no_score", "bad_box", "utf16", "missing")}
+        save_dataset(_gt_dataset(), paths["g"])
+        paths["no_score"].write_text(json.dumps(_NO_SCORE))
+        paths["bad_box"].write_text(json.dumps(_BAD_BOX))
+        paths["utf16"].write_bytes(b"\xff\xfe" + paths["g"].read_text().encode("utf-16-le"))
+        return {name: str(path) for name, path in paths.items()}
+
+    @pytest.mark.parametrize("mode", LOAD_MODES)
+    @pytest.mark.parametrize("case", EVAL_LOAD_CASES)
+    def test_exit_code_and_stderr_are_as_read_in_turn(self, tmp_path, capsys, monkeypatch, case, mode):
+        paths = self._files(tmp_path)
+        gt, pred, code, err = EVAL_LOAD_CASES[case]
+        _load_in(mode, monkeypatch)
+        assert run(["eval", "--gt", paths[gt], "--pred", paths[pred]]) == code
+        out = capsys.readouterr()
+        assert out.err == err.format_map(paths)
+        if code == 0:
+            assert out.out.splitlines()[:2] == ["ospa_iou 0.000", "ap_05 1.000"]
+        with pytest.raises(ChildProcessError):  # no child is left unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("mode", LOAD_MODES)
+    def test_gt_is_read_in_a_child_only_where_one_is_forked(self, tmp_path, capsys, monkeypatch, mode):
+        paths = self._files(tmp_path)
+        log = tmp_path / "readers.log"
+        load = cli._load_dataset
+
+        def logged(path, *, require_scores):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {path}\n")
+            return load(path, require_scores=require_scores)
+
+        monkeypatch.setattr(cli, "_load_dataset", logged)
+        _load_in(mode, monkeypatch)
+        assert run(["eval", "--gt", paths["g"], "--pred", paths["no_score"]]) == 1
+        readers = dict(line.split()[::-1] for line in log.read_text().splitlines())
+        assert readers[paths["no_score"]] == str(os.getpid())
+        assert (readers[paths["g"]] != str(os.getpid())) == (mode == "fork")
+
+    def test_received_gt_is_the_loaded_dataset_and_read_only(self, tmp_path, capsys, monkeypatch):
+        paths = self._files(tmp_path)
+        received = []
+        evaluate = metrics.evaluate
+
+        def capturing(preds, gts, config):
+            received.append(gts)
+            return evaluate(preds, gts, config)
+
+        monkeypatch.setattr(metrics, "evaluate", capturing)
+        assert run(["eval", "--gt", paths["g"], "--pred", paths["g"]]) == 0
+        (gts,) = received
+        assert gts == _load(Path(paths["g"]), None, False)
+        arrays = [getattr(gts, name) for name in vars(gts)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == 8
+        assert not any(a.flags.writeable for a in arrays)
 
 
 def _edge_case_eval_files(tmp_path):
@@ -756,13 +868,14 @@ class TestUsage:
             "from pathlib import Path\n"
             "sys.modules['scipy'] = None\n"
             "from panopose.cli import run\n"
-            "from panopose.metrics import min_cost_assignment, ospa\n"
+            "import numpy as np\n"
+            "from panopose.metrics import _optimal_cost, ospa\n"
             "data, out, result = sys.argv[1:]\n"
             "assert run(['--version']) == 0\n"
             "assert run(['nms', '--pred', data, '--out', out]) == 0\n"
             "assert run(['eval', '--gt', data, '--pred', out]) == 0\n"
             "assert ospa([0, 1], [0.5], lambda a, b: abs(a - b)) == 0.75\n"
-            "assert min_cost_assignment([[1.0, 2.0], [2.0, 4.0]]) == ({0: 1, 1: 0}, 4.0)\n"
+            "assert _optimal_cost(np.array([[1.0, 2.0], [2.0, 4.0]])) == 4.0\n"
             "loaded = [m for m, module in sys.modules.items() if module and m.split('.')[0] == 'scipy']\n"
             "Path(result).write_text(json.dumps(loaded))\n"
         )

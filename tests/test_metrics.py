@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from synth import dataset, make_ground_truth, perturb_predictions, person
+from test_properties import brute_force_assignment
 
 from panopose.dataio import dataset_from_json, dataset_to_canonical_json
 from panopose.errors import ValidationError
@@ -19,11 +20,10 @@ from panopose.metrics import (
     EvalConfig,
     OksParams,
     _match,
-    brute_force_assignment,
+    _optimal_cost,
     coco_oks_params,
     default_oks_params,
     evaluate,
-    min_cost_assignment,
     oks,
     ospa,
     transferred_oks_params,
@@ -134,11 +134,14 @@ class TestOks:
 
 
 class TestAssignment:
+    # The solver gives the cost; the enumeration oracle also gives the assignment.
     def test_one_by_one(self):
-        assert min_cost_assignment([[0.0]]) == ({0: 0}, 0.0)
+        assert _optimal_cost(np.array([[0.0]])) == 0.0
+        assert brute_force_assignment([[0.0]]) == ({0: 0}, 0.0)
 
     def test_two_by_two_prefers_global_optimum(self):
-        assignment, cost = min_cost_assignment([[1.0, 2.0], [2.0, 4.0]])
+        assert _optimal_cost(np.array([[1.0, 2.0], [2.0, 4.0]])) == 4.0
+        assignment, cost = brute_force_assignment([[1.0, 2.0], [2.0, 4.0]])
         assert assignment == {0: 1, 1: 0}
         assert cost == 4.0
 
@@ -146,29 +149,30 @@ class TestAssignment:
         n = 5
         cost = np.full((n, n), 100.0)
         np.fill_diagonal(cost, 0.0)
-        assignment, total = min_cost_assignment(cost)
+        assert _optimal_cost(cost) == 0.0
+        assignment, total = brute_force_assignment(cost)
         assert assignment == {i: i for i in range(n)}
         assert total == 0.0
 
     def test_empty_matrix(self):
-        assert min_cost_assignment(np.zeros((0, 3))) == ({}, 0.0)
+        assert _optimal_cost(np.zeros((0, 3))) == 0.0
         assert brute_force_assignment(np.zeros((0, 0))) == ({}, 0.0)
 
     def test_rectangular_wide(self):
+        assert _optimal_cost(np.array([[5.0, 1.0, 3.0]])) == 1.0
         assignment, cost = brute_force_assignment([[5.0, 1.0, 3.0]])
         assert assignment == {0: 1}
         assert cost == 1.0
 
     def test_rectangular_tall_maps_columns(self):
-        assignment, cost = min_cost_assignment([[5.0], [1.0], [3.0]])
+        assert _optimal_cost(np.array([[5.0], [1.0], [3.0]]).T) == 1.0
+        assignment, cost = brute_force_assignment([[5.0], [1.0], [3.0]])
         assert assignment == {0: 1}
         assert cost == 1.0
 
     def test_lexicographic_tie_break(self):
-        assignment, cost = min_cost_assignment([[1.0, 1.0], [1.0, 1.0]])
-        assert assignment == {0: 0, 1: 1}
-        assert cost == 2.0
-        assert brute_force_assignment([[1.0, 1.0], [1.0, 1.0]])[0] == {0: 0, 1: 1}
+        assert _optimal_cost(np.array([[1.0, 1.0], [1.0, 1.0]])) == 2.0
+        assert brute_force_assignment([[1.0, 1.0], [1.0, 1.0]]) == ({0: 0, 1: 1}, 2.0)
 
     def test_oracle_limit(self):
         with pytest.raises(ValueError, match="oracle limit"):
@@ -176,7 +180,9 @@ class TestAssignment:
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="finite"):
-            min_cost_assignment([[math.inf]])
+            _optimal_cost(np.array([[math.inf]]))
+        with pytest.raises(ValueError, match="finite"):
+            brute_force_assignment([[math.inf]])
 
     def test_agrees_with_oracle_on_random_matrices(self):
         rng = np.random.default_rng(47)
@@ -185,9 +191,8 @@ class TestAssignment:
             cost = rng.uniform(0, 1, size=(m, n))
             if rng.random() < 0.3:
                 cost = np.round(cost * 4)  # force ties
-            fast = min_cost_assignment(cost)
-            slow = brute_force_assignment(cost)
-            assert fast == slow
+            wide = cost.T if m > n else cost
+            assert _optimal_cost(wide) == brute_force_assignment(cost)[1]
 
 
 class TestOspa:

@@ -2,8 +2,9 @@
 (OKS, IoU, matching boxes, OSPA, the crop and heatmap decode) against scalar
 loop references, the batched matching and set metric against a loop over
 frames, the assignment solver against the enumeration oracle, the streamed
-``remap-weights`` against the in-memory library path, and malformed dataset,
-mapping and container files."""
+``remap-weights`` against the in-memory library path, malformed dataset,
+mapping and container files, and ``eval`` with its forked ``--gt`` read
+against reading the two files in turn."""
 
 import contextlib
 import copy
@@ -51,11 +52,10 @@ from panopose.metrics import (
     _optimal_cost,
     _oks_matrix,
     _ospa,
-    brute_force_assignment,
     default_oks_params,
     evaluate,
-    min_cost_assignment,
     ospa,
+    save_report,
 )
 from panopose.schema import COCO17, JRDB17, SchemaMapping, load_mapping
 from panopose.weights import (
@@ -639,6 +639,43 @@ def _reference_ospa(dist: list[list[float]], cutoff: float, order: float) -> flo
     return float(((cutoff ** order) * (n - m) + _optimal_cost(powed)) / n) ** (1.0 / order)
 
 
+# The enumeration oracle's size limit: the smaller side and the number of
+# assignments it enumerates.
+_ORACLE_MAX_DIM = 8
+_ORACLE_MAX_ASSIGNMENTS = 2_000_000
+
+
+def brute_force_assignment(cost) -> tuple[dict[int, int], float]:
+    """Exact minimum-cost injective assignment of the smaller dimension, by
+    enumeration: ``(assignment, total_cost)``, the assignment mapping row
+    indices to column indices when rows <= cols and column indices to row
+    indices otherwise, and the cost summed in that order. Candidates are
+    enumerated in lexicographic order with strict improvement, so ties
+    resolve to the lexicographically smallest optimum."""
+    arr = np.asarray(cost, dtype=np.float64)
+    if arr.ndim != 2:
+        raise ValueError(f"cost must be a 2-D matrix, got ndim={arr.ndim}")
+    if arr.size and not np.all(np.isfinite(arr)):
+        raise ValueError("cost entries must be finite")
+    if arr.size == 0:
+        return {}, 0.0
+    mat = arr.T if arr.shape[0] > arr.shape[1] else arr
+    m, n = mat.shape
+    if m > _ORACLE_MAX_DIM or math.perm(n, m) > _ORACLE_MAX_ASSIGNMENTS:
+        raise ValueError(
+            f"dimension above oracle limit: {m}x{n} "
+            f"(smaller dim <= {_ORACLE_MAX_DIM} and enumerable assignments required)"
+        )
+    perms = np.fromiter(
+        itertools.chain.from_iterable(itertools.permutations(range(n), m)),
+        dtype=np.intp,
+    ).reshape(-1, m)
+    totals = mat[np.arange(m), perms].sum(axis=1)
+    best = perms[int(np.argmin(totals))]  # first minimum = lexicographically smallest
+    total_cost = float(sum(float(mat[i, best[i]]) for i in range(m)))
+    return {i: int(best[i]) for i in range(m)}, total_cost
+
+
 distance = st.one_of(
     st.floats(0.0, 2.0), st.just(0.0), st.just(1.0), st.sampled_from([-0.5, math.inf, math.nan])
 )
@@ -788,8 +825,10 @@ def test_solver_cost_is_the_oracle_cost_on_unit_floats(cost):
 @given(cost_matrices(dyadic, wide_only=False))
 @example(np.zeros((0, 3)))
 @example(np.zeros((3, 0)))
-def test_min_cost_assignment_is_the_oracle(cost):
-    assert min_cost_assignment(cost) == brute_force_assignment(cost)
+def test_solver_cost_is_the_oracle_cost_on_tall_matrices(cost):
+    # The set metric solves a tall matrix as its transpose.
+    wide = cost.T if cost.shape[0] > cost.shape[1] else cost
+    assert _optimal_cost(wide) == brute_force_assignment(cost)[1]
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
@@ -920,6 +959,58 @@ def test_mutated_datasets_raise_only_validation_errors(case, pick, data):
             kind = data.draw(st.sampled_from(sorted(sites)))
             _mutate(mutated["frames"], data.draw(st.sampled_from(sites[kind])), fault)
     _check_loader(mutated, require_scores)
+
+
+@st.composite
+def eval_documents(draw, scored):
+    """A document of :func:`dataset_documents`, with a score per person when
+    ``scored``, and in one case of three with a fault at one drawn value."""
+    doc, _ = draw(dataset_documents())
+    if scored:
+        for frame in doc["frames"]:
+            for raw in frame["persons"]:
+                raw.setdefault("score", 0.5)
+    sites = _sites(doc["frames"])
+    if sites and draw(st.integers(0, 2)) == 0:
+        kind = draw(st.sampled_from(sorted(sites)))
+        _mutate(doc["frames"], draw(st.sampled_from(sites[kind])), draw(st.sampled_from(TYPE_FAULTS)))
+    return doc
+
+
+_SCORED_DOC = json.loads(dataset_to_canonical_json(dataset("jrdb17", PANO, [("a", [
+    person(box=(10, 10, 60, 90), pose=[(12 + i, 15 + 4 * i, 2) for i in range(NUM_KEYPOINTS)],
+           score=0.9),
+    person(box=(300, 10, 360, 90), score=0.4),
+])])))
+
+
+@PROPERTY
+@given(eval_documents(scored=False), eval_documents(scored=True))
+@example(_SCORED_DOC, _SCORED_DOC)
+def test_eval_reports_what_reading_gt_then_pred_gives(tmp_path_factory, gt_doc, pred_doc):
+    # eval reads --gt in a forked child while it reads --pred. The reference
+    # reads --gt, then --pred, then scores them, all in this process.
+    base = tmp_path_factory.getbasetemp()
+    gt, pred, report = base / "gt.json", base / "pred.json", base / "report.json"
+    gt.write_text(json.dumps(gt_doc))
+    pred.write_text(json.dumps(pred_doc))
+    try:
+        gts = cli._load_dataset(str(gt), require_scores=False)
+        preds = cli._load_dataset(str(pred), require_scores=True)
+        expected = evaluate(preds, gts)
+    except (ValidationError, ValueError, OSError) as exc:
+        expected = exc
+    report.unlink(missing_ok=True)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.run(["eval", "--gt", str(gt), "--pred", str(pred), "--report", str(report)])
+    if isinstance(expected, Exception):
+        assert (code, err.getvalue()) == (1, f"error: {expected}\n")
+        assert not report.exists()
+        return
+    assert (code, err.getvalue()) == (0, "")
+    save_report(expected, base / "expected.json")
+    assert report.read_bytes() == (base / "expected.json").read_bytes()
 
 
 shapes = (
