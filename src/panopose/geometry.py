@@ -17,7 +17,8 @@ column of boxes or scores, and :func:`_transform_rule` a stack of
 transforms; a public function runs them once on the input it takes, and its
 private kernel (:func:`_iou`, :func:`_nms_rows`, :func:`_inverse`,
 :func:`_apply`) does not. :func:`_matching_boxes` is the box a person is
-matched by, and :func:`_pose_bboxes` the box rule of ``boxes-from-poses``.
+matched by, :func:`_pose_bboxes` the box rule of ``boxes-from-poses``, and
+:func:`_ranking` the score ranking of NMS, matching and AP.
 A function checks its parameters (threshold, margin, shift, crop size,
 padding) on entry, so a bad value is refused even with no rows.
 """
@@ -206,6 +207,13 @@ def iou(a: Any, b: Any) -> np.ndarray:
     return _iou_matrix(_box_rows(a), _box_rows(b))
 
 
+def _ranking(scores: np.ndarray) -> np.ndarray:
+    """Row indices of ``[N]`` scores in descending score, ties by row: the
+    one ranking of NMS (per frame), greedy matching and AP. Dataset rows are
+    in (frame id, index) order, so dataset ties go by frame id, then index."""
+    return np.argsort(-scores, kind="stable")
+
+
 def _nms_rows(rows: np.ndarray, scores: np.ndarray, offsets: Sequence[int], iou_threshold: float) -> list[int]:
     """Greedy NMS within each frame ``offsets[f]:offsets[f + 1]`` of ``[N, 4]``
     box rows with ``[N]`` scores: the kept row indices, each frame's in
@@ -215,7 +223,7 @@ def _nms_rows(rows: np.ndarray, scores: np.ndarray, offsets: Sequence[int], iou_
     kept: list[int] = []
     for start, stop in zip(offsets, offsets[1:]):
         boxes = rows[start:stop]
-        order = np.argsort(-scores[start:stop], kind="stable").tolist()
+        order = _ranking(scores[start:stop]).tolist()
         frame_kept: list[int] = []
         for first in range(0, len(order), _NMS_BLOCK):
             block = order[first : first + _NMS_BLOCK]

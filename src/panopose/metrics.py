@@ -17,14 +17,16 @@ both sets empty gives 0, exactly one empty set gives c.
 
 :func:`evaluate` reads the columns of both datasets: the matching boxes of
 every person come from one call of
-:func:`~panopose.geometry._matching_boxes`, and the OKS (:func:`_oks`) and
-IoU (:func:`~panopose.geometry._iou`) of every same-frame pair
-(:func:`_frame_pairs`) are computed a bounded chunk of pairs at a time. The
-greedy matching (:func:`_match`) then runs frame by frame on lists, and the
-set metric (:func:`_ospa_capped`) on each frame's block of capped
-distances. :func:`oks` is the 1x1 OKS matrix (:func:`_oks_matrix`), and
-:func:`ospa` with a callable fills the distance matrix it then scores like
-every frame.
+:func:`~panopose.geometry._matching_boxes`, and one table of every same-frame
+(prediction, ground truth) pair (:func:`_pair_table`) serves both the IoU
+(:func:`~panopose.geometry._iou`) of every pair and the OKS (:func:`_oks`)
+of the pairs that have one, each computed a bounded chunk of pairs at a
+time. One ranking (:func:`~panopose.geometry._ranking`) orders the greedy
+matching (:func:`_match`) across all frames and the AP (:func:`_ap_101`).
+The set metric (:func:`_ospa_capped`) scores each frame's block of capped
+distances. :func:`oks` of one pair and :func:`_match` share the OKS setup
+(:func:`_oks_setup`), and :func:`ospa` with a callable fills the distance
+matrix it then scores like every frame.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import numpy as np
 
 from .dataio import Dataset, _keypoint_rule
 from .errors import RowError, ValidationError, _where
-from .geometry import _areas, _box_rows, _iou, _located_matching_boxes
+from .geometry import _areas, _box_rows, _iou, _located_matching_boxes, _ranking
 from .schema import SchemaMapping, check_entries, default_mapping
 
 __all__ = [
@@ -118,51 +120,49 @@ def oks(pred: Any, gt: Any, params: OksParams, gt_box: Any) -> float:
         if kps.ndim != 2 or kps.shape[1] != 3 or not len(kps):
             raise ValueError(f"pose must be K >= 1 rows of (x, y, v), got shape {kps.shape}")
         _keypoint_rule(kps[None])
+    labeled = poses[1][None, :, 2] > 0
     area = _areas(_box_rows([gt_box]))
-    return float(_oks_matrix(poses[0][None], poses[1][None], params, area)[0, 0])
-
-
-def _oks_matrix(
-    pred_kps: np.ndarray, gt_kps: np.ndarray, params: OksParams, gt_areas: np.ndarray
-) -> np.ndarray:
-    """[P, G] :func:`oks` of ``[P, K, 3]`` predicted against ``[G, K, 3]``
-    ground-truth keypoints, with the ``[G]`` ground-truth box areas."""
-    if not len(pred_kps) or not len(gt_kps):
-        return np.zeros((len(pred_kps), len(gt_kps)))
-    _check_oks_shapes(pred_kps, gt_kps, params)
-    labeled = gt_kps[:, :, 2] > 0
-    num_labeled = labeled.sum(axis=1)
-    if not num_labeled.all():
-        raise ValidationError("ground-truth pose has no labeled keypoints")
     try:
-        scale = _oks_scale(gt_areas, params)
+        scale, num_labeled = _oks_setup(poses[0][None], poses[1][None], labeled, params, area, [0])
     except RowError as exc:
         raise ValidationError(str(exc)) from None
-    return _oks(pred_kps[:, None], gt_kps, scale, labeled, num_labeled)
+    return float(_oks(poses[0], poses[1], scale[0], labeled[0], num_labeled[0]))
 
 
-def _check_oks_shapes(pred_kps: np.ndarray, gt_kps: np.ndarray, params: OksParams) -> None:
-    num_kps = gt_kps.shape[1]
-    if pred_kps.shape[1] != num_kps:
-        raise ValidationError(f"pose length mismatch: {pred_kps.shape[1]} vs {num_kps}")
-    if len(params.sigmas) != num_kps:
-        raise ValidationError(f"{len(params.sigmas)} sigmas for a pose of {num_kps} keypoints")
-
-
-def _oks_scale(gt_areas: np.ndarray, params: OksParams) -> np.ndarray:
-    """``[G, K]`` OKS scales 2 * s^2 * k^2 of the ``[G]`` ground-truth box
-    areas; :class:`RowError` for the first ground truth with a scale of 0 or
-    infinity."""
-    sigmas = np.asarray(params.sigmas)
-    # Overflow is inf, as in Python floats.
-    with np.errstate(over="ignore"):
-        scale = 2.0 * gt_areas[:, None] * sigmas * sigmas  # in the order 2 * s^2 * k * k
-    usable = (scale > 0.0) & (scale < np.inf)
-    if not usable.all():
-        g = int(np.argmin(usable.all(axis=1)))
-        raise RowError(g, f"ground-truth box area {float(gt_areas[g])!r} gives an OKS scale "
-                          "2 * s^2 * k^2 that is 0 or infinite")
-    return scale
+def _oks_setup(pred_kps: np.ndarray, gt_kps: np.ndarray, labeled: np.ndarray, params: OksParams,
+               gt_areas: np.ndarray, scaled: Any) -> tuple[np.ndarray, np.ndarray]:
+    """The ``[G, K]`` scales 2 * s^2 * k^2 and ``[G]`` label counts that
+    :func:`_oks` takes for ``[G, K, 3]`` ground-truth keypoints with their
+    ``[G, K]`` labels and ``[G]`` box areas. Only the ground-truth rows
+    ``scaled``, in increasing order, are scaled (1 elsewhere). When there
+    are any, the ``[P, K', 3]`` predictions and the sigmas must have K
+    entries (else :class:`RowError` names the first of those rows), and each
+    of those ground truths needs a labeled keypoint and a scale that is
+    neither 0 nor infinite (else :class:`RowError` names the first that
+    does not)."""
+    num_labeled = labeled.sum(axis=1)
+    scale = np.ones(labeled.shape)
+    scaled = np.asarray(scaled, dtype=np.intp)
+    if len(scaled):
+        num_kps, first = gt_kps.shape[1], int(scaled[0])
+        if pred_kps.shape[1] != num_kps:
+            raise RowError(first, f"pose length mismatch: {pred_kps.shape[1]} vs {num_kps}")
+        if len(params.sigmas) != num_kps:
+            raise RowError(first,
+                           f"{len(params.sigmas)} sigmas for a pose of {num_kps} keypoints")
+        if not num_labeled[scaled].all():
+            raise RowError(int(scaled[num_labeled[scaled].argmin()]),
+                           "ground-truth pose has no labeled keypoints")
+        sigmas = np.asarray(params.sigmas)
+        # Overflow is inf, as in Python floats.
+        with np.errstate(over="ignore"):  # in the order 2 * s^2 * k * k
+            scale[scaled] = 2.0 * gt_areas[scaled, None] * sigmas * sigmas
+        usable = (scale > 0.0) & (scale < np.inf)
+        if not usable.all():
+            g = int(np.argmin(usable.all(axis=1)))
+            raise RowError(g, f"ground-truth box area {float(gt_areas[g])!r} gives an OKS scale "
+                              "2 * s^2 * k^2 that is 0 or infinite")
+    return scale, num_labeled
 
 
 def _oks(pred: np.ndarray, gt: np.ndarray, scale: np.ndarray, labeled: np.ndarray,
@@ -258,7 +258,8 @@ def ospa(
     dist = np.array(
         [[float(base_distance(p, g)) for g in gts] for p in preds], dtype=np.float64
     ).reshape(len(preds), len(gts))
-    return _ospa(dist, cutoff, order)
+    _check_ospa_params(cutoff, order)
+    return _ospa_capped(_capped(dist, cutoff, order), cutoff, order)
 
 
 def _check_ospa_params(cutoff: float, order: float) -> None:
@@ -272,12 +273,6 @@ def _check_ospa_params(cutoff: float, order: float) -> None:
         float(cutoff) ** float(order)
     except OverflowError:
         raise ValueError(f"ospa cutoff ** order overflows: {cutoff} ** {order}") from None
-
-
-def _ospa(dist: np.ndarray, cutoff: float, order: float) -> float:
-    """:func:`ospa` of an ``[m, n]`` matrix of base distances."""
-    _check_ospa_params(cutoff, order)
-    return _ospa_capped(_capped(dist, cutoff, order), cutoff, order)
 
 
 def _capped(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:
@@ -312,18 +307,20 @@ def _ospa_capped(powed: np.ndarray, cutoff: float, order: float) -> float:
 _CHUNK_PAIRS = 4096
 
 
-def _frame_pairs(na: np.ndarray, nb: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every same-frame pair of two row sets held in frame order, with
-    ``na[f]`` and ``nb[f]`` rows in frame f: the (a position, b position)
-    arrays, frame by frame and row-major within a frame, and the ``[F + 1]``
-    bounds of each frame's ``[na[f], nb[f]]`` block."""
-    sizes = na * nb
-    bounds = np.concatenate(([0], np.cumsum(sizes)))
-    frame = np.repeat(np.arange(len(sizes)), sizes)
-    offset = np.arange(bounds[-1]) - bounds[frame]
-    a = (np.cumsum(na) - na)[frame] + offset // nb[frame]
-    b = (np.cumsum(nb) - nb)[frame] + offset % nb[frame]
-    return a, b, bounds
+def _pair_table(preds: Dataset, gts: Dataset) -> tuple[np.ndarray, ...]:
+    """Every same-frame (prediction, ground truth) pair, frame by frame and
+    row-major within a frame: the pairs' prediction rows and ground-truth
+    rows, then each prediction's ground-truth frame and the position of its
+    first pair. Both datasets hold their frames in sorted-id order, so the
+    predictions of a frame form one run of rows."""
+    index = {fid: f for f, fid in enumerate(gts.frame_ids)}
+    frame = np.repeat(np.array([index[fid] for fid in preds.frame_ids], dtype=np.intp),
+                      np.diff(preds.offsets))
+    width = np.diff(gts.offsets)[frame]
+    start = np.cumsum(width) - width
+    pred = np.repeat(np.arange(len(frame)), width)
+    gt = np.arange(len(pred)) + (gts.offsets[frame] - start)[pred]
+    return pred, gt, frame, start
 
 
 def _in_chunks(kernel: Callable[[slice], np.ndarray], size: int) -> np.ndarray:
@@ -336,71 +333,53 @@ def _in_chunks(kernel: Callable[[slice], np.ndarray], size: int) -> np.ndarray:
     return out
 
 
-def _pred_frames(preds: Dataset, gts: Dataset) -> np.ndarray:
-    """The ground-truth frame index of every prediction row, in row order."""
-    index = {fid: f for f, fid in enumerate(gts.frame_ids)}
-    frames = np.array([index[fid] for fid in preds.frame_ids], dtype=np.intp)
-    return np.repeat(frames, np.diff(preds.offsets))
-
-
-def _match(preds: Dataset, gts: Dataset, gt_areas: np.ndarray, params: OksParams,
-           threshold: float) -> list[list[tuple[int, int, float]]]:
-    """Greedy OKS matching: for each ground-truth frame, the (pred row, gt
-    row, oks) pairs in matching order. In a frame, predictions in descending
-    score, ties by index, take the unmatched ground truth with the highest
-    OKS when that OKS >= threshold. OKS is undefined, so never matches, for
-    a person without a pose and for a ground truth with no labeled keypoint
-    (one without a pose holds zeros). The OKS of every same-frame pair is
-    computed in bounded chunks and the greedy pass runs on lists."""
-    num_frames = len(gts.frame_ids)
-    gt_frame = np.repeat(np.arange(num_frames), np.diff(gts.offsets))
-    pred_frame = _pred_frames(preds, gts)
+def _match(preds: Dataset, gts: Dataset, pairs: tuple[np.ndarray, ...], ranked: np.ndarray,
+           gt_areas: np.ndarray, params: OksParams,
+           threshold: float) -> list[tuple[int, int, float]]:
+    """Greedy OKS matching over the :func:`_pair_table` ``pairs``: the (pred
+    row, gt row, oks) matches in matching order. Each prediction, in the
+    ``ranked`` order (:func:`~panopose.geometry._ranking`), takes the
+    unmatched ground truth of its frame with the highest OKS, the first of
+    equals, when that OKS >= threshold. OKS is undefined, so never matches,
+    for a person without a pose and for a ground truth with no labeled
+    keypoint (one without a pose holds zeros); it is computed in bounded
+    chunks for the other pairs only, and the greedy pass runs on lists."""
+    pred, gt, frame, start = pairs
     labeled = gts.keypoints[:, :, 2] > 0
-    rows = preds.has_pose.nonzero()[0]
-    cols = labeled.any(axis=1).nonzero()[0]
-    na = np.bincount(pred_frame[rows], minlength=num_frames)
-    nb = np.bincount(gt_frame[cols], minlength=num_frames)
-    a, b, bounds = _frame_pairs(na, nb)
-    sim: list[float] = []
-    if len(a):
-        paired = cols[na[gt_frame[cols]] > 0]  # the ground truths with a pair
-        try:
-            _check_oks_shapes(preds.keypoints, gts.keypoints, params)
-            scale = np.ones(labeled.shape)
-            scale[paired] = _oks_scale(gt_areas[paired], params)
-        except RowError as exc:
-            fid = gts.frame_ids[gt_frame[paired[exc.row]]]
-            raise ValidationError(f"frame {fid!r}: {exc}") from exc
-        except ValidationError as exc:
-            fid = gts.frame_ids[int(np.argmax(na * nb > 0))]
-            raise ValidationError(f"frame {fid!r}: {exc}") from exc
-        num_labeled = labeled.sum(axis=1)
+    usable = preds.has_pose[pred] & labeled.any(axis=1)[gt]
+    paired = np.flatnonzero(np.bincount(gt[usable], minlength=len(labeled)))
+    try:
+        scale, num_labeled = _oks_setup(preds.keypoints, gts.keypoints, labeled, params, gt_areas,
+                                        paired)
+    except RowError as exc:
+        fid = gts.frame_ids[int(np.searchsorted(gts.offsets, exc.row, side="right")) - 1]
+        raise ValidationError(f"frame {fid!r}: {exc}") from exc
 
-        def oks_of(chunk: slice) -> np.ndarray:
-            p, g = rows[a[chunk]], cols[b[chunk]]
-            return _oks(preds.keypoints[p], gts.keypoints[g], scale[g], labeled[g], num_labeled[g])
+    def oks_of(chunk: slice) -> np.ndarray:
+        use = usable[chunk]
+        sim = np.full(use.shape, -np.inf)
+        if use.any():
+            p, g = pred[chunk][use], gt[chunk][use]
+            sim[use] = _oks(preds.keypoints[p], gts.keypoints[g], scale[g], labeled[g],
+                            num_labeled[g])
+        return sim
 
-        sim = _in_chunks(oks_of, len(a)).tolist()
-    # Positions in ``rows`` by frame, then descending score with ties by index.
-    ranked = np.lexsort((-preds.scores[rows], pred_frame[rows])).tolist()
-    rows, cols = rows.tolist(), cols.tolist()
+    sim = _in_chunks(oks_of, len(pred)).tolist()
+    first = gts.offsets.tolist()
+    width = np.diff(gts.offsets).tolist()
+    # ``max`` takes the first highest OKS among a frame's unmatched ground
+    # truths, which stay in index order.
+    free = [list(range(n)) for n in width]
+    frame, start = frame.tolist(), start.tolist()
     matches = []
-    r0 = c0 = 0
-    for nr, nc, start in zip(na.tolist(), nb.tolist(), bounds.tolist()):
-        # ``max`` takes the first highest OKS among the unmatched ground
-        # truths, which stay in index order.
-        free = list(range(nc))
-        pairs = []
-        for pos in ranked[r0:r0 + nr]:
-            if not free:
-                break
-            row = sim[start + (pos - r0) * nc:start + (pos - r0 + 1) * nc]
-            c = max(free, key=row.__getitem__)
+    for p in ranked.tolist():
+        f = frame[p]
+        if free[f]:
+            row = sim[start[p]:start[p] + width[f]]
+            c = max(free[f], key=row.__getitem__)
             if row[c] >= threshold:
-                free.remove(c)
-                pairs.append((rows[pos], cols[c0 + c], row[c]))
-        matches.append(pairs)
-        r0, c0 = r0 + nr, c0 + nc
+                free[f].remove(c)
+                matches.append((p, first[f] + c, row[c]))
     return matches
 
 
@@ -504,24 +483,27 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
 
     pred_boxes = _located_matching_boxes(preds, "predictions: ")
     gt_boxes = _located_matching_boxes(gts, "ground truth: ")
-    matches = _match(preds, gts, _areas(gt_boxes), params, config.oks_threshold)
+    pairs = _pair_table(preds, gts)
+    pred, gt, frame, _ = pairs
+    ranked = _ranking(preds.scores)
+    matches = _match(preds, gts, pairs, ranked, _areas(gt_boxes), params, config.oks_threshold)
     matched = np.zeros(len(preds.ids), dtype=bool)
-    matched[[p for pairs in matches for p, _, _ in pairs]] = True
-    num_preds = np.bincount(_pred_frames(preds, gts), minlength=len(gts.frame_ids))
-    num_gts = np.diff(gts.offsets)
-    a, b, bounds = _frame_pairs(num_preds, num_gts)
-    iou = _in_chunks(lambda chunk: _iou(pred_boxes[a[chunk]], gt_boxes[b[chunk]]), len(a))
+    matched[[p for p, _, _ in matches]] = True
+    iou = _in_chunks(lambda chunk: _iou(pred_boxes[pred[chunk]], gt_boxes[gt[chunk]]), len(pred))
     capped = _capped(1.0 - iou, config.ospa_cutoff, config.ospa_order)
+    num_preds = np.bincount(frame, minlength=len(gts.frame_ids)).tolist()
+    num_matched = np.bincount(frame[matched], minlength=len(gts.frame_ids)).tolist()
     per_frame: dict[str, FrameStats] = {}
+    stop = 0
     # Dataset keeps frames in sorted-id order.
-    for fid, m, n, start, pairs in zip(gts.frame_ids, num_preds.tolist(), num_gts.tolist(),
-                                        bounds.tolist(), matches):
+    for fid, m, n, k in zip(gts.frame_ids, num_preds, np.diff(gts.offsets).tolist(), num_matched):
+        start, stop = stop, stop + m * n
         per_frame[fid] = FrameStats(
-            ospa_iou=_ospa_capped(capped[start:start + m * n].reshape(m, n),
+            ospa_iou=_ospa_capped(capped[start:stop].reshape(m, n),
                                   config.ospa_cutoff, config.ospa_order),
             num_predictions=m,
             num_ground_truths=n,
-            num_matched=len(pairs),
+            num_matched=k,
         )
 
     mean_ospa = (
@@ -529,9 +511,7 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
         if per_frame
         else 0.0
     )
-    # Persons are in (frame id, index) order, so a stable sort by descending
-    # score ranks as (-score, frame id, index).
-    ap = _ap_101(matched[np.argsort(-preds.scores, kind="stable")], len(gts.ids))
+    ap = _ap_101(matched[ranked], len(gts.ids))
 
     echo = {
         "schema": gts.schema_id,

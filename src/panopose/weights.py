@@ -188,7 +188,8 @@ class _Container:
                 isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in shape
             ):
                 raise ValidationError(f"tensor {name!r}: malformed shape {shape!r}")
-            if not (isinstance(begin, int) and isinstance(end, int) and 0 <= begin <= end):
+            # bool is an int subclass, and JSON true and false parse to it.
+            if not (type(begin) is int and type(end) is int and 0 <= begin <= end):
                 raise ValidationError(f"tensor {name!r}: malformed offsets {begin!r}..{end!r}")
             if end > payload_size:
                 raise ValidationError(

@@ -566,6 +566,16 @@ class TestRemapWeights:
         assert err == f"error: {src}: malformed header: file shorter than the length prefix\n"
         assert not (tmp_path / "o.bin").exists()
 
+    def test_boolean_offsets_in_the_source_header(self, tmp_path, capsys):
+        src = tmp_path / "in.bin"
+        blob = b'{"a":{"dtype":"u8","shape":[1],"begin":false,"end":true}}'
+        src.write_bytes(len(blob).to_bytes(8, "little") + blob + b"\x00")
+        code = run(["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
+                    "--weight-name", "a"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {src}: tensor 'a': malformed offsets False..True\n"
+        assert not (tmp_path / "o.bin").exists()
+
     def test_verbatim_flag(self, tmp_path):
         src = self._container(tmp_path)
         dst = tmp_path / "out.bin"

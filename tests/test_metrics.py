@@ -14,13 +14,14 @@ from test_properties import brute_force_assignment
 
 from panopose.dataio import dataset_from_json, dataset_to_canonical_json
 from panopose.errors import ValidationError
-from panopose.geometry import PanoramaSpec, _areas, _matching_boxes
+from panopose.geometry import PanoramaSpec, _areas, _matching_boxes, _ranking
 from panopose.metrics import (
     COCO_SIGMAS,
     EvalConfig,
     OksParams,
     _match,
     _optimal_cost,
+    _pair_table,
     coco_oks_params,
     default_oks_params,
     evaluate,
@@ -332,8 +333,8 @@ def _match_frame(pred_persons, gt_persons, params, threshold):
     """The (pred index, gt index, oks) pairs of one frame, in matching order."""
     preds, gts = _single_frame_datasets(gt_persons, pred_persons)
     gt_areas = _areas(_matching_boxes(gts.boxes, gts.has_box, gts.keypoints))
-    [pairs] = _match(preds, gts, gt_areas, params, threshold)
-    return pairs
+    return _match(preds, gts, _pair_table(preds, gts), _ranking(preds.scores), gt_areas, params,
+                  threshold)
 
 
 class TestMatchFrame:

@@ -8,6 +8,7 @@ against reading the two files in turn."""
 
 import contextlib
 import copy
+import csv
 import io
 import itertools
 import json
@@ -43,18 +44,23 @@ from panopose.geometry import (
     _iou_matrix,
     _matching_boxes,
     _nms_rows,
+    _ranking,
     crop_transform,
     iou,
     nms,
 )
 from panopose.metrics import (
+    EvalConfig,
+    _capped,
     _match,
     _optimal_cost,
-    _oks_matrix,
-    _ospa,
+    _ospa_capped,
+    _pair_table,
     default_oks_params,
     evaluate,
+    oks,
     ospa,
+    save_frame_table,
     save_report,
 )
 from panopose.schema import COCO17, JRDB17, SchemaMapping, load_mapping
@@ -90,10 +96,10 @@ def poses(coord=finite, vis=visibility):
     return st.lists(row, min_size=NUM_KEYPOINTS, max_size=NUM_KEYPOINTS)
 
 
-def _reference_oks(pred: list, gt: list, area: float) -> float:
+def _reference_oks(pred: list, gt: list, area: float, sigmas=PARAMS.sigmas) -> float:
     """The OKS formula as a scalar loop: math.exp and a sequential sum."""
     terms = []
-    for (xp, yp, _), (xg, yg, vg), k in zip(pred, gt, PARAMS.sigmas):
+    for (xp, yp, _), (xg, yg, vg), k in zip(pred, gt, sigmas):
         if vg > 0:
             d2 = (xp - xg) ** 2 + (yp - yg) ** 2
             terms.append(math.exp(-d2 / (2.0 * area * k * k)))
@@ -231,10 +237,6 @@ def test_canonical_json_is_the_per_number_writer(ds):
     assert dataset_to_canonical_json(ds) == _reference_canonical_json(ds)
 
 
-def _stack(poses: list[list]) -> np.ndarray:
-    return np.array(poses, dtype=np.float64).reshape(-1, NUM_KEYPOINTS, 3)
-
-
 def _labeled(person: dict) -> bool:
     return "pose" in person and any(v > 0 for _, _, v in person["pose"])
 
@@ -245,23 +247,16 @@ def test_oks_matrix_agrees_with_scalar_reference(preds, gts):
     boxes = [_reference_person_box(g.get("box"), g.get("pose")) for g in gts]
     rows = [p for p in preds if "pose" in p]
     cols = [j for j, g in enumerate(gts) if _labeled(g)]
-    sim = _oks_matrix(
-        _stack([p["pose"] for p in rows]),
-        _stack([gts[j]["pose"] for j in cols]),
-        PARAMS,
-        np.array([_area(boxes[j]) for j in cols]),
-    )
-    assert sim.shape == (len(rows), len(cols))
-    for i, p in enumerate(rows):
-        for c, j in enumerate(cols):
+    for p in rows:
+        for j in cols:
             expected = _reference_oks(p["pose"], gts[j]["pose"], _area(boxes[j]))
-            assert math.isclose(sim[i, c], expected, rel_tol=1e-12)
+            assert math.isclose(oks(p["pose"], gts[j]["pose"], PARAMS, boxes[j]), expected,
+                                rel_tol=1e-12)
 
     p = dataset("jrdb17", PANO, [("f", preds)])
     g = dataset("jrdb17", PANO, [("f", gts)])
     areas = np.array([_area(b) for b in boxes])
-    [pairs] = _match(p, g, areas, PARAMS, 0.5)
-    for pi, gi, value in pairs:
+    for pi, gi, value in _match(p, g, _pair_table(p, g), _ranking(p.scores), areas, PARAMS, 0.5):
         assert "pose" in preds[pi] and _labeled(gts[gi])
         assert value >= 0.5
         expected = _reference_oks(preds[pi]["pose"], gts[gi]["pose"], _area(boxes[gi]))
@@ -700,7 +695,7 @@ def test_ospa_with_a_callable_is_the_matrix_path(dist, cutoff, order):
     except ValueError as exc:
         for compute in (
             lambda: ospa(range(m), range(n), by_index, cutoff=cutoff, order=order),
-            lambda: _ospa(matrix, cutoff, order),
+            lambda: _ospa_capped(_capped(matrix, cutoff, order), cutoff, order),
         ):
             with pytest.raises(ValueError, match="base distance must be finite and >= 0"):
                 compute()
@@ -708,7 +703,7 @@ def test_ospa_with_a_callable_is_the_matrix_path(dist, cutoff, order):
         return
     by_callable = ospa(range(m), range(n), by_index, cutoff=cutoff, order=order)
     assert _bits([by_callable]) == _bits([expected])
-    assert _bits([_ospa(matrix, cutoff, order)]) == _bits([expected])
+    assert _bits([_ospa_capped(_capped(matrix, cutoff, order), cutoff, order)]) == _bits([expected])
 
 
 single_person_frames = st.tuples(st.integers(1, 12), st.booleans()).flatmap(
@@ -721,9 +716,10 @@ single_person_frames = st.tuples(st.integers(1, 12), st.booleans()).flatmap(
 @PROPERTY
 @given(single_person_frames, st.sampled_from([0.5, 1.0, 1.5]), st.sampled_from([1.0, 2.0]))
 def test_single_person_ospa_is_the_solver_value_bit_for_bit(dist, cutoff, order):
-    # [1, n] and [m, 1]: _ospa takes the row minimum; the reference solves.
-    matrix = np.array(dist, dtype=np.float64)
-    assert _bits([_ospa(matrix, cutoff, order)]) == _bits([_reference_ospa(dist, cutoff, order)])
+    # [1, n] and [m, 1]: ospa takes the row minimum; the reference solves.
+    value = ospa(range(len(dist)), range(len(dist[0])), lambda i, j: dist[i][j], cutoff=cutoff,
+                 order=order)
+    assert _bits([value]) == _bits([_reference_ospa(dist, cutoff, order)])
 
 
 def _reference_frames(preds, gts):
@@ -734,7 +730,7 @@ def _reference_frames(preds, gts):
         yield fid, range(*spans.get(fid, (0, 0))), range(g0, g1)
 
 
-def _reference_match(preds, gts, areas):
+def _reference_match(preds, gts, boxes):
     """Greedy matching one frame at a time, on the frame's OKS matrix: argmax
     over the columns, with a taken ground truth's column set to -inf."""
     matches = []
@@ -743,7 +739,8 @@ def _reference_match(preds, gts, areas):
         cols = np.array(g)[(gts.keypoints[g, :, 2] > 0).any(axis=1)]
         pairs = []
         if len(rows) and len(cols):
-            sim = _oks_matrix(preds.keypoints[rows], gts.keypoints[cols], PARAMS, areas[cols])
+            sim = np.array([[oks(preds.keypoints[r], gts.keypoints[c], PARAMS, boxes[c])
+                             for c in cols] for r in rows])
             for r in (-preds.scores[rows]).argsort(kind="stable"):
                 c = int(sim[r].argmax())
                 if sim[r, c] >= 0.5:
@@ -781,14 +778,151 @@ def test_batched_matching_and_set_metric_are_the_frame_loop(frames, chunk):
     pred_boxes = _matching_boxes(preds.boxes, preds.has_box, preds.keypoints)
     gt_boxes = _matching_boxes(gts.boxes, gts.has_box, gts.keypoints)
     with mock.patch.object(metrics, "_CHUNK_PAIRS", chunk):
-        matches = _match(preds, gts, _areas(gt_boxes), PARAMS, 0.5)
+        matches = _match(preds, gts, _pair_table(preds, gts), _ranking(preds.scores),
+                         _areas(gt_boxes), PARAMS, 0.5)
         report = evaluate(preds, gts)
-    expected = _reference_match(preds, gts, _areas(gt_boxes))
-    assert [[(p, g, v.hex()) for p, g, v in pairs] for pairs in matches] == \
+    expected = _reference_match(preds, gts, gt_boxes)
+    # Matching walks all frames in one ranking; each frame's matches keep their order.
+    assert [[(p, g, v.hex()) for p, g, v in matches if g in frame] for _, _, frame in
+            _reference_frames(preds, gts)] == \
         [[(p, g, v.hex()) for p, g, v in pairs] for pairs in expected]
     for fid, p, g in _reference_frames(preds, gts):
-        ospa_iou = _ospa(1.0 - _iou_matrix(pred_boxes[p], gt_boxes[g]), 1.0, 1.0)
+        dist = 1.0 - _iou_matrix(pred_boxes[p], gt_boxes[g])
+        ospa_iou = ospa(range(len(p)), range(len(g)), lambda i, j: dist[i, j])
         assert _bits([report.per_frame[fid].ospa_iou]) == _bits([ospa_iou])
+
+
+def _reference_evaluate(schema_id, frames, config):
+    """The report of ``frames``, ``(frame id, predictions, ground truths)``
+    triples of :func:`person` documents, scored one person at a time from
+    the README's definitions: ``(ospa_iou, ap_05, {frame id: (ospa_iou,
+    predictions, ground truths, matched)})``.
+
+    Every prediction, in descending score with ties by frame id and then
+    index, takes the unmatched ground truth of its frame with the highest
+    OKS, the first of equals, when that OKS reaches the threshold; a person
+    without a pose and a ground truth with no labeled keypoint never match.
+    The set metric enumerates assignments. AP is 101-point interpolated
+    precision over every ground truth, at COCO's recall points."""
+    sigmas = default_oks_params(schema_id).sigmas
+    cutoff, order = config.ospa_cutoff, config.ospa_order
+    frames = {fid: (preds, gts) for fid, preds, gts in frames}
+    ranked = sorted((-p["score"], fid, i) for fid, (preds, _) in frames.items()
+                    for i, p in enumerate(preds))
+    taken, hits = set(), []
+    for _, fid, i in ranked:
+        pred, gts = frames[fid][0][i], frames[fid][1]
+        best = None
+        for j, gt in enumerate(gts):
+            if "pose" in pred and _labeled(gt) and (fid, j) not in taken:
+                area = _area(_reference_person_box(gt.get("box"), gt["pose"]))
+                value = _reference_oks(pred["pose"], gt["pose"], area, sigmas)
+                if best is None or value > best[0]:
+                    best = (value, j)
+        hits.append(best is not None and best[0] >= config.oks_threshold)
+        if hits[-1]:
+            taken.add((fid, best[1]))
+
+    per_frame = {}
+    for fid in sorted(frames):
+        boxes = [[_reference_person_box(p.get("box"), p.get("pose")) for p in side]
+                 for side in frames[fid]]
+        m, n = map(len, boxes)
+        if not (m and n):
+            value = 0.0 if m == n else float(cutoff)
+        else:
+            powed = [[min(1.0 - _reference_iou(a, b), cutoff) ** order for b in boxes[1]]
+                     for a in boxes[0]]
+            _, cost = brute_force_assignment(powed)
+            value = ((cutoff ** order * abs(m - n) + cost) / max(m, n)) ** (1.0 / order)
+        matched = sum(f == fid for f, _ in taken)
+        per_frame[fid] = (value, m, n, matched)
+    mean = sum(v[0] for v in per_frame.values()) / len(per_frame) if per_frame else 0.0
+
+    num_gt = sum(len(gts) for _, gts in frames.values())
+    if not num_gt:
+        return mean, 1.0 if not hits else 0.0, per_frame
+    points = []
+    for k in range(len(hits)):
+        tp = sum(hits[:k + 1])
+        points.append((tp / (k + 1), tp / num_gt))
+    ap = sum(max((p for p, r in points if r >= level), default=0.0)
+             for level in np.linspace(0.0, 1.0, 101).tolist()) / 101
+    return mean, ap, per_frame
+
+
+scores = st.sampled_from([0.0, 0.25, 0.5, 1.0])  # ties within and across frames
+report_ground_truths = st.lists(st.one_of(
+    st.builds(lambda p: person(pose=p), poses(coord)),
+    st.builds(lambda p, b: person(pose=p, box=b), poses(coord), box),
+    st.builds(lambda p: person(pose=p), poses(coord, st.just(0))),  # no labeled keypoint
+    st.builds(lambda b: person(box=b), box),
+), max_size=7)
+
+
+@st.composite
+def report_frames(draw):
+    """A frame's (predictions, kept, ground truths): at most 7 persons a
+    side, some predictions copying a ground-truth pose so that matches
+    happen at any threshold; a frame without predictions may be left out of
+    the predictions."""
+    gts = draw(report_ground_truths)
+    posed = [g["pose"] for g in gts if "pose" in g]
+    copies = draw(st.lists(st.sampled_from(posed), max_size=len(posed))) if posed else []
+    preds = [person(pose=pose, score=draw(scores)) for pose in copies]
+    preds += draw(st.lists(st.one_of(
+        st.builds(lambda p, s: person(pose=p, score=s), poses(coord), scores),
+        st.builds(lambda b, s: person(box=b, score=s), box, scores),  # no pose
+    ), max_size=7 - len(preds)))
+    preds = draw(st.permutations(preds))
+    return preds, bool(preds) or draw(st.booleans()), gts
+
+
+@PROPERTY
+@given(
+    st.sampled_from(["coco17", "jrdb17"]),
+    st.lists(report_frames(), max_size=4),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    st.sampled_from([(1.0, 1.0), (0.5, 2.0)]),
+)
+def test_report_is_the_person_by_person_oracle(tmp_path_factory, schema_id, frames, threshold,
+                                               set_metric):
+    ids = ["f2", "a", "f10", "b"]  # the files list frames out of id order
+    frames = [(fid, preds, kept, gts) for fid, (preds, kept, gts) in zip(ids, frames)]
+    preds = dataset(schema_id, PANO, [(fid, p) for fid, p, kept, _ in frames if kept])
+    gts = dataset(schema_id, PANO, [(fid, g) for fid, _, _, g in frames])
+    config = EvalConfig(threshold, ospa_cutoff=set_metric[0], ospa_order=set_metric[1])
+    report = evaluate(preds, gts, config)
+    mean, ap, per_frame = _reference_evaluate(
+        schema_id, [(fid, p, g) for fid, p, _, g in frames], config)
+
+    doc = report.to_json_dict()
+    assert doc["ap_05"] == ap
+    assert abs(doc["ospa_iou"] - mean) <= 1e-12
+    assert doc["config"] == {
+        "schema": schema_id,
+        "oks_threshold": threshold,
+        "oks_sigmas": list(default_oks_params(schema_id).sigmas),
+        "scale_source": "gt_box_area",
+        "ospa_cutoff": set_metric[0],
+        "ospa_order": set_metric[1],
+    }
+    assert list(doc["per_frame"]) == list(per_frame)
+    for fid, stats in doc["per_frame"].items():
+        value, m, n, matched = per_frame[fid]
+        assert (stats["num_predictions"], stats["num_ground_truths"], stats["num_matched"]) == \
+            (m, n, matched)
+        assert abs(stats["ospa_iou"] - value) <= 1e-12
+
+    table = tmp_path_factory.getbasetemp() / "frames.csv"
+    save_frame_table(report, table)
+    with open(table, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == ["frame_id", "ospa_iou", "num_predictions", "num_ground_truths", "num_matched"]
+    assert [row[0] for row in rows] == list(per_frame)
+    for fid, value, m, n, matched in rows:
+        assert [int(m), int(n), int(matched)] == list(per_frame[fid][1:])
+        assert abs(float(value) - per_frame[fid][0]) <= 1e-12
 
 
 # Sums of these are exact, so equal optima compare equal; ties are frequent

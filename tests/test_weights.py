@@ -137,6 +137,14 @@ class TestContainer:
         with pytest.raises(ValidationError, match="offsets span"):
             load_tensor_map(path)
 
+    @pytest.mark.parametrize("begin, end", [(False, True), (0, True), (False, 1)])
+    def test_boolean_offsets(self, tmp_path, begin, end):
+        # JSON true and false parse to bool, an int subclass; shape already refuses them.
+        path = tmp_path / "bad.bin"
+        _write_container(path, {"a": {"dtype": "u8", "shape": [1], "begin": begin, "end": end}}, b"\x00")
+        with pytest.raises(ValidationError, match=rf"^tensor 'a': malformed offsets {begin}\.\.{end}$"):
+            load_tensor_map(path)
+
     def test_file_cut_after_the_header_check(self, tmp_path):
         # The header is checked on opening and a tensor is read later, so a
         # file cut in between gives a short read. The tensor is larger than
