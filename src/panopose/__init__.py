@@ -25,8 +25,7 @@ _MODULES = {
                 "ospa"),
     "schema": ("KeypointSchema", "SchemaMapping", "builtin_schema", "default_mapping",
                "load_mapping"),
-    "weights": ("TensorMap", "TensorRecord", "load_tensor_map", "remap_head_weights",
-                "save_tensor_map"),
+    "weights": ("load_tensor_map", "remap_head_weights", "save_tensor_map"),
 }
 _MODULE_OF = {name: module for module, names in _MODULES.items() for name in names}
 

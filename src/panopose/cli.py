@@ -89,7 +89,7 @@ def _override_pano(ds: Dataset, args: argparse.Namespace) -> Dataset:
 
 def _cmd_remap_weights(args: argparse.Namespace) -> int:
     from .schema import default_mapping, load_mapping
-    from .weights import _Container, _remap_head, _save_remapped
+    from .weights import _Container, _remap_head, _write_container
 
     with open(args.src, "rb") as fh:
         src = _in_file(args.src, _Container, fh)
@@ -101,7 +101,7 @@ def _cmd_remap_weights(args: argparse.Namespace) -> int:
         # --out is written while --src is read, so it must be another file.
         if os.path.exists(args.out) and os.path.samestat(os.fstat(fh.fileno()), os.stat(args.out)):
             raise ValidationError(f"{args.src}: --out {args.out} is the same file as --src")
-        _in_file(args.src, _save_remapped, src, head, args.out)
+        _in_file(args.src, _write_container, args.out, head, src)
     _echo(
         {
             "command": "remap-weights",

@@ -253,12 +253,12 @@ def ospa(
     at ``cutoff``. With cutoff 1 and order 1 (the defaults) the value is
     (min-cost assignment + (n - m)) / n, bounded in [0, 1].
     """
+    _check_ospa_params(cutoff, order)
     preds = list(preds)
     gts = list(gts)
     dist = np.array(
         [[float(base_distance(p, g)) for g in gts] for p in preds], dtype=np.float64
     ).reshape(len(preds), len(gts))
-    _check_ospa_params(cutoff, order)
     return _ospa_capped(_capped(dist, cutoff, order), cutoff, order)
 
 

@@ -1,10 +1,13 @@
 """Flat binary tensor container and final-layer weight remapping.
 
+A tensor is a numpy array, and a set of tensors is a dict of name -> array.
 Container layout: an 8-byte little-endian unsigned header length, then a
 UTF-8 JSON header mapping tensor name -> {"dtype", "shape", "begin", "end"}
-(byte offsets into the payload), then the raw little-endian payload. Saving
-is deterministic: names are serialized in sorted order with contiguous
-payload offsets, so equal maps produce identical bytes. Reading checks the
+(byte offsets into the payload), then the raw little-endian payload. The
+dtype is one of the tags f32, f64, i32, i64 and u8. Saving is deterministic:
+names are serialized in sorted order with contiguous payload offsets, so
+tensors of equal names, dtypes, shapes and values produce identical bytes,
+whatever their byte order or memory layout. Reading checks the
 whole header before any payload byte, then reads each tensor's bytes only
 when it is asked for, either into a new array or into a buffer the caller
 reuses, so a caller that reads one tensor at a time holds one tensor at a
@@ -26,19 +29,20 @@ import json
 import math
 import os
 import struct
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator
+from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import ValidationError
 from .schema import SchemaMapping, check_entries
 
+if TYPE_CHECKING:
+    from numpy.typing import ArrayLike
+
 __all__ = [
-    "TensorRecord",
-    "TensorMap",
     "load_tensor_map",
     "save_tensor_map",
     "remap_head_weights",
@@ -51,96 +55,9 @@ _DTYPES = {
     "i64": np.dtype("<i8"),
     "u8": np.dtype("u1"),
 }
-_TAG_BY_KIND = {np.dtype(d): tag for tag, d in _DTYPES.items()}
+# Arrays of either byte order have a tag; the payload holds little-endian bytes.
+_TAG_BY_KIND = {d.newbyteorder(order): tag for tag, d in _DTYPES.items() for order in "<>"}
 _COPY_BUFFER_BYTES = 1 << 20
-
-
-@dataclass(frozen=True, eq=False)
-class TensorRecord:
-    """Named multi-dimensional array with an explicit element-type tag."""
-
-    name: str
-    dtype: str
-    shape: tuple[int, ...]
-    data: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValidationError("tensor name must be non-empty")
-        if self.dtype not in _DTYPES:
-            raise ValidationError(
-                f"unsupported dtype {self.dtype!r}; supported: {sorted(_DTYPES)}"
-            )
-        shape = tuple(int(s) for s in self.shape)
-        if any(s < 0 for s in shape):
-            raise ValidationError(f"negative extent in shape {shape}")
-        data = np.ascontiguousarray(self.data, dtype=_DTYPES[self.dtype])
-        if data.size != math.prod(shape):
-            raise ValidationError(
-                f"tensor {self.name!r}: shape {shape} wants {math.prod(shape)} "
-                f"elements, data has {data.size}"
-            )
-        try:
-            data = data.reshape(shape)
-        except ValueError as exc:  # more dimensions, or larger extents, than numpy holds
-            raise ValidationError(f"tensor {self.name!r}: unsupported shape {shape}: {exc}") from exc
-        data.flags.writeable = False
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "data", data)
-
-    @classmethod
-    def from_array(cls, name: str, array: np.ndarray) -> "TensorRecord":
-        arr = np.asarray(array)
-        tag = _TAG_BY_KIND.get(arr.dtype.newbyteorder("<"))
-        if tag is None:
-            raise ValidationError(f"no container dtype tag for numpy dtype {arr.dtype}")
-        return cls(name, tag, arr.shape, arr)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorRecord):
-            return NotImplemented
-        return (
-            self.name == other.name
-            and self.dtype == other.dtype
-            and self.shape == other.shape
-            and self.data.tobytes() == other.data.tobytes()
-        )
-
-
-class TensorMap:
-    """Immutable name-indexed collection of tensors (sorted by name)."""
-
-    def __init__(self, records: Iterable[TensorRecord] = ()) -> None:
-        table: dict[str, TensorRecord] = {}
-        for record in records:
-            if record.name in table:
-                raise ValidationError(f"duplicate tensor name {record.name!r}")
-            table[record.name] = record
-        self._records = dict(sorted(table.items()))
-
-    def __getitem__(self, name: str) -> TensorRecord:
-        return self._records[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._records
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._records)
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorMap):
-            return NotImplemented
-        return self._records == other._records
-
-    def with_records(self, *new: TensorRecord) -> "TensorMap":
-        """Copy of this map with the given records replaced or added."""
-        table = dict(self._records)
-        for record in new:
-            table[record.name] = record
-        return TensorMap(table.values())
 
 
 def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -214,9 +131,18 @@ class _Container:
     def __contains__(self, name: str) -> bool:
         return name in self.entries
 
-    def read(self, name: str) -> TensorRecord:
-        dtype, shape, begin, end = self.entries[name]
-        return TensorRecord(name, dtype, shape, self.read_into(name, np.empty(end - begin, np.uint8)))
+    def read(self, name: str) -> np.ndarray:
+        """Tensor ``name`` as a new read-only array of the header's shape."""
+        if not name:
+            raise ValidationError("tensor name must be non-empty")
+        _, shape, begin, end = self.entries[name]
+        values = self.read_into(name, np.empty(end - begin, np.uint8))
+        try:
+            values = values.reshape(shape)
+        except ValueError as exc:  # more dimensions, or larger extents, than numpy holds
+            raise ValidationError(f"tensor {name!r}: unsupported shape {shape}: {exc}") from exc
+        values.flags.writeable = False
+        return values
 
     def read_into(self, name: str, buffer: np.ndarray) -> np.ndarray:
         """Tensor ``name``'s values, flat, read into the front of the uint8
@@ -251,20 +177,44 @@ def _open_container(path: str | Path) -> Iterator[_Container]:
         yield _Container(fh)
 
 
-def load_tensor_map(path: str | Path) -> TensorMap:
+def load_tensor_map(path: str | Path) -> dict[str, np.ndarray]:
+    """Every tensor of the container at ``path`` as a read-only array, by
+    name in sorted order."""
     with _open_container(path) as container:
-        return TensorMap(container.read(name) for name in container.entries)
+        tensors = {name: container.read(name) for name in container.entries}
+    return dict(sorted(tensors.items()))
+
+
+def _stored(name: str, values: ArrayLike) -> tuple[str, np.ndarray]:
+    """The dtype tag of tensor ``name`` and its values as the payload holds
+    them: C-contiguous and little-endian, so their raw bytes are written."""
+    if not name:
+        raise ValidationError("tensor name must be non-empty")
+    values = np.asarray(values)
+    tag = _TAG_BY_KIND.get(values.dtype)
+    if tag is None:
+        raise ValidationError(f"no container dtype tag for numpy dtype {values.dtype}")
+    # Not np.ascontiguousarray, which makes a 0-d array 1-d.
+    return tag, values.astype(_DTYPES[tag], order="C", copy=False)
+
+
+def save_tensor_map(tensors: Mapping[str, ArrayLike], path: str | Path) -> None:
+    """Write the container of ``tensors`` (name -> array-like); byte output
+    is deterministic for given names, dtypes, shapes and values."""
+    _write_container(path, tensors)
 
 
 def _write_container(
-    path: str | Path,
-    layout: dict[str, tuple[str, tuple[int, ...]]],
-    payload: Callable[[str], Iterable[np.ndarray | memoryview]],
+    path: str | Path, tensors: Mapping[str, ArrayLike], src: _Container | None = None
 ) -> None:
-    """Write a container of the tensors in ``layout`` (name -> dtype, shape):
-    names in sorted order with contiguous payload offsets, each tensor's bytes
-    being the parts that ``payload(name)`` yields. A failed write removes the
+    """Write a container of ``tensors`` and, when ``src`` is given, of its
+    other tensors: names in sorted order with contiguous payload offsets.
+    The bytes of a tensor of ``src`` are copied through one bounded buffer, so
+    memory does not grow with the container. A failed write removes the
     partial file."""
+    stored = {name: _stored(name, values) for name, values in tensors.items()}
+    layout = {} if src is None else {name: entry[:2] for name, entry in src.entries.items()}
+    layout.update((name, (tag, values.shape)) for name, (tag, values) in stored.items())
     header: dict[str, dict] = {}
     offset = 0
     for name in sorted(layout):
@@ -273,24 +223,18 @@ def _write_container(
         header[name] = {"dtype": dtype, "shape": list(shape), "begin": offset, "end": offset + nbytes}
         offset += nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    buffer = None if src is None else memoryview(bytearray(_COPY_BUFFER_BYTES))
     fh = open(path, "wb")
     try:
         with fh:  # closed, flush failure or not, before the file is removed
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
             for name in header:
-                for part in payload(name):
+                for part in (stored[name][1],) if name in stored else src.chunks(name, buffer):
                     fh.write(part)
     except BaseException:
         os.remove(path)
         raise
-
-
-def save_tensor_map(tmap: TensorMap, path: str | Path) -> None:
-    """Write the container; byte output is deterministic for a given map."""
-    # A record's data is contiguous little-endian: its raw bytes are the payload.
-    _write_container(path, {name: (tmap[name].dtype, tmap[name].shape) for name in tmap},
-                     lambda name: (tmap[name].data,))
 
 
 def _mean_of_slices(data: np.ndarray, entry: tuple[int, ...]) -> np.ndarray:
@@ -301,74 +245,63 @@ def _mean_of_slices(data: np.ndarray, entry: tuple[int, ...]) -> np.ndarray:
 
 
 def remap_head_weights(
-    tmap: TensorMap,
+    tensors: Mapping[str, ArrayLike],
     weight_name: str,
     mapping: SchemaMapping,
     bias_name: str | None = None,
-) -> TensorMap:
+) -> dict[str, np.ndarray]:
     """Rebuild the head weight (and optional bias) for a new keypoint schema.
 
     The weight must be rank-4 float32 [K_source, C, kh, kw]; output channel
     ``t`` is the elementwise mean of the source channels ``mapping.entries[t]``.
     The bias, when named, must be float32 [K_source] and is averaged the same
-    way. Every other tensor is carried over unchanged.
+    way. Every other tensor is carried over unchanged. The result is a new
+    dict of read-only arrays; ``tensors`` is left as it is.
     """
-    return tmap.with_records(*_remap_head(tmap, weight_name, mapping, bias_name))
+    remapped = {name: _read_only(values) for name, values in tensors.items()}
+    remapped.update(_remap_head(remapped, weight_name, mapping, bias_name))
+    return remapped
+
+
+def _read_only(values: ArrayLike) -> np.ndarray:
+    """A read-only view of ``values``, whose own flags stay as they are."""
+    view = np.asarray(values).view()
+    view.flags.writeable = False
+    return view
+
+
+def _head_tensor(tensors: Mapping[str, np.ndarray] | _Container, name: str) -> np.ndarray:
+    if name not in tensors:
+        raise ValidationError(f"missing tensor {name!r}")
+    values = np.asarray(tensors[name])
+    tag = _TAG_BY_KIND.get(values.dtype)
+    if tag != "f32":
+        raise ValidationError(f"tensor {name!r} must be f32, got {tag or values.dtype}")
+    return values
 
 
 def _remap_head(
-    tensors: TensorMap | _Container,
+    tensors: Mapping[str, np.ndarray] | _Container,
     weight_name: str,
     mapping: SchemaMapping,
     bias_name: str | None,
-) -> list[TensorRecord]:
-    """The new head records of :func:`remap_head_weights`, from anything that
-    answers ``in`` and ``[]`` with tensor names: a map, or an open container,
-    which then reads only the head."""
-    if weight_name not in tensors:
-        raise ValidationError(f"missing tensor {weight_name!r}")
-    weight = tensors[weight_name]
-    if weight.dtype != "f32":
-        raise ValidationError(f"tensor {weight_name!r} must be f32, got {weight.dtype}")
-    if len(weight.shape) != 4:
+) -> dict[str, np.ndarray]:
+    """The new head tensors of :func:`remap_head_weights`, by name, from
+    anything that answers ``in`` and ``[]`` with tensor names: a dict, or an
+    open container, which then reads only the head."""
+    weight = _head_tensor(tensors, weight_name)
+    if weight.ndim != 4:
         raise ValidationError(
             f"expected rank-4 weight [K, C, kh, kw], got shape {weight.shape}"
         )
-    k_source = weight.shape[0]
-    check_entries(mapping, k_source)
-
-    new_weight = np.stack(
-        [_mean_of_slices(weight.data, entry) for entry in mapping.entries]
-    )
-    replaced = [TensorRecord(weight_name, "f32", new_weight.shape, new_weight)]
-
+    check_entries(mapping, weight.shape[0])
+    head = {weight_name: weight}
     if bias_name is not None:
-        if bias_name not in tensors:
-            raise ValidationError(f"missing tensor {bias_name!r}")
-        bias = tensors[bias_name]
-        if bias.dtype != "f32":
-            raise ValidationError(f"tensor {bias_name!r} must be f32, got {bias.dtype}")
-        if bias.shape != (k_source,):
-            raise ValidationError(
-                f"expected bias shape ({k_source},), got {bias.shape}"
-            )
-        new_bias = np.stack(
-            [_mean_of_slices(bias.data, entry) for entry in mapping.entries]
-        )
-        replaced.append(TensorRecord(bias_name, "f32", new_bias.shape, new_bias))
-
-    return replaced
-
-
-def _save_remapped(src: _Container, head: list[TensorRecord], path: str | Path) -> None:
-    """Write the container ``src`` with the ``head`` records in place of its
-    own: the same bytes as :func:`save_tensor_map` of the remapped map, but
-    every other tensor is copied from ``src`` through one bounded buffer, so
-    memory does not grow with the container."""
-    new = {record.name: record for record in head}
-    layout = {name: (dtype, shape) for name, (dtype, shape, _, _) in src.entries.items()}
-    layout.update((name, (record.dtype, record.shape)) for name, record in new.items())
-    buffer = memoryview(bytearray(_COPY_BUFFER_BYTES))
-    _write_container(
-        path, layout, lambda name: (new[name].data,) if name in new else src.chunks(name, buffer)
-    )
+        bias = _head_tensor(tensors, bias_name)
+        if bias.shape != weight.shape[:1]:
+            raise ValidationError(f"expected bias shape {weight.shape[:1]}, got {bias.shape}")
+        head[bias_name] = bias
+    return {
+        name: _read_only(np.stack([_mean_of_slices(values, entry) for entry in mapping.entries]))
+        for name, values in head.items()
+    }

@@ -107,3 +107,14 @@ def mapping_doc(mapping: SchemaMapping) -> dict:
             for t, entry in enumerate(mapping.entries)
         },
     }
+
+
+def same_tensors(a: dict, b: dict) -> bool:
+    """Whether two dicts of tensors hold the same names and, under each, the
+    same dtype, shape and little-endian bytes: what a container keeps."""
+    def stored(values):
+        values = np.asarray(values)
+        little = values.dtype.newbyteorder("<")
+        return little, values.shape, values.astype(little).tobytes()
+
+    return a.keys() == b.keys() and all(stored(a[name]) == stored(b[name]) for name in a)

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from synth import dataset, make_ground_truth, perturb_predictions, person
+from synth import dataset, make_ground_truth, perturb_predictions, person, same_tensors
 from test_properties import brute_force_assignment
 
 from panopose.cli import run
@@ -35,8 +35,6 @@ from panopose.metrics import (
 )
 from panopose.schema import JRDB17, default_mapping
 from panopose.weights import (
-    TensorMap,
-    TensorRecord,
     load_tensor_map,
     remap_head_weights,
     save_tensor_map,
@@ -156,8 +154,8 @@ def test_weight_surgery():
     weight = np.empty((17, channels, 1, 1), dtype=np.float32)
     for s in range(17):
         weight[s] = float(s)
-    tm = TensorMap([TensorRecord.from_array("w", weight)])
-    out = remap_head_weights(tm, "w", mapping)["w"].data
+    tm = {"w": weight}
+    out = remap_head_weights(tm, "w", mapping)["w"]
 
     neck = JRDB17.index("neck")
     head = JRDB17.index("head")
@@ -175,8 +173,8 @@ def test_weight_surgery():
     alpha, beta = 1.25, -0.75
 
     def remap(arr):
-        m = TensorMap([TensorRecord.from_array("w", arr)])
-        return remap_head_weights(m, "w", mapping)["w"].data.astype(np.float64)
+        m = {"w": arr}
+        return remap_head_weights(m, "w", mapping)["w"].astype(np.float64)
 
     lhs = remap((alpha * a + beta * b).astype(np.float32))
     rhs = alpha * remap(a) + beta * remap(b)
@@ -194,21 +192,20 @@ def test_container_round_trip(tmp_path):
         "u8": np.uint8,
     }
     for count in (1, 2, 7, 23, 50):
-        records = []
+        original = {}
         for i in range(count):
             tag = list(dtypes)[int(rng.integers(0, len(dtypes)))]
             shape = tuple(int(s) for s in rng.integers(0, 5, size=int(rng.integers(1, 4))))
             size = int(np.prod(shape))
             data = (rng.uniform(-100, 100, size) * 10).astype(dtypes[tag]).reshape(shape)
-            records.append(TensorRecord(f"tensor{i:02d}", tag, shape, data))
-        original = TensorMap(records)
+            original[f"tensor{i:02d}"] = data
         first = tmp_path / f"{count}_a.bin"
         second = tmp_path / f"{count}_b.bin"
         save_tensor_map(original, first)
         loaded = load_tensor_map(first)
-        assert loaded == original
-        for record in records:
-            assert loaded[record.name].data.tobytes() == record.data.tobytes()
+        assert same_tensors(loaded, original)
+        for name, data in original.items():
+            assert loaded[name].tobytes() == data.tobytes()
         save_tensor_map(loaded, second)
         assert first.read_bytes() == second.read_bytes()
 

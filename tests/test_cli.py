@@ -23,7 +23,7 @@ from panopose.dataio import (
 )
 from panopose.geometry import PanoramaSpec
 from panopose.schema import JRDB17, default_mapping
-from panopose.weights import TensorMap, TensorRecord, load_tensor_map, save_tensor_map
+from panopose.weights import load_tensor_map, save_tensor_map
 
 PANO = PanoramaSpec(2000.0, 600.0)
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -409,8 +409,8 @@ class TestBadParameters:
         data, heat, out = tmp_path / "d.json", tmp_path / "heat.bin", tmp_path / "o.json"
         frames = [("f1", [person(box=(100, 50, 388, 434), pose=_pose17(), score=0.9)])]
         save_dataset(dataset("jrdb17", PANO, frames[:persons]), data)
-        grids = [TensorRecord.from_array("f1/0", np.ones((17, 96, 72), dtype=np.float32))]
-        save_tensor_map(TensorMap(grids[:persons]), heat)
+        grids = {"f1/0": np.ones((17, 96, 72), dtype=np.float32)}
+        save_tensor_map(grids if persons else {}, heat)
         code = run([a.format(d=data, h=heat, o=out) for a in argv])
         captured = capsys.readouterr()
         assert code == 1
@@ -424,7 +424,7 @@ class TestBadParameters:
         data, heat, out = tmp_path / "d.json", tmp_path / "heat.bin", tmp_path / "o.json"
         frames = [("f1", [person(box=(100, 50, 388, 434), score=0.9)])]
         save_dataset(dataset("jrdb17", PANO, frames), data)
-        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", np.ones((17, 96, 72)))]), heat)
+        save_tensor_map({"f1/0": np.ones((17, 96, 72))}, heat)
         argv = ["decode", "--heatmaps", str(heat), "--dets", str(data), "--out", str(out),
                 flag, str(10**400)]
         code = run(argv)
@@ -503,13 +503,11 @@ class TestRemapWeights:
         weight = np.zeros((17, 2, 1, 1), dtype=np.float32)
         for s in range(17):
             weight[s] = float(s)
-        tm = TensorMap(
-            [
-                TensorRecord.from_array("head.weight", weight),
-                TensorRecord.from_array("head.bias", np.arange(17, dtype=np.float32)),
-                TensorRecord.from_array("stem", np.ones((4, 4), dtype=np.float32)),
-            ]
-        )
+        tm = {
+            "head.weight": weight,
+            "head.bias": np.arange(17, dtype=np.float32),
+            "stem": np.ones((4, 4), dtype=np.float32),
+        }
         path = tmp_path / "in.bin"
         save_tensor_map(tm, path)
         return path
@@ -523,9 +521,9 @@ class TestRemapWeights:
         )
         assert code == 0
         out = load_tensor_map(dst)
-        assert float(out["head.weight"].data[4, 0, 0, 0]) == 5.5  # neck
-        assert float(out["head.bias"].data[8]) == 11.5            # center hip
-        assert float(out["stem"].data[0, 0]) == 1.0
+        assert float(out["head.weight"][4, 0, 0, 0]) == 5.5  # neck
+        assert float(out["head.bias"][8]) == 11.5            # center hip
+        assert float(out["stem"][0, 0]) == 1.0
 
     def test_mapping_file(self, tmp_path):
         src = self._container(tmp_path)
@@ -539,8 +537,8 @@ class TestRemapWeights:
         assert code == 0
         out = load_tensor_map(dst)
         # verbatim counterpart table: both hands from the left wrist (index 9)
-        assert float(out["head.weight"].data[9, 0, 0, 0]) == 9.0
-        assert float(out["head.weight"].data[12, 0, 0, 0]) == 9.0
+        assert float(out["head.weight"][9, 0, 0, 0]) == 9.0
+        assert float(out["head.weight"][12, 0, 0, 0]) == 9.0
 
     def test_non_utf8_mapping_file(self, tmp_path, capsys):
         src = self._container(tmp_path)
@@ -585,7 +583,7 @@ class TestRemapWeights:
         )
         assert code == 0
         out = load_tensor_map(dst)
-        assert float(out["head.weight"].data[9, 0, 0, 0]) == 9.0
+        assert float(out["head.weight"][9, 0, 0, 0]) == 9.0
 
     def test_missing_tensor_is_validation_error(self, tmp_path, capsys):
         src = self._container(tmp_path)
@@ -633,10 +631,10 @@ class TestRemapWeights:
         # The last tensor is larger than the file buffer, so it is not
         # already in memory.
         src = tmp_path / "in.bin"
-        save_tensor_map(TensorMap([
-            TensorRecord.from_array("head.weight", np.ones((17, 2, 1, 1), dtype=np.float32)),
-            TensorRecord.from_array("stem", np.arange(2**16, dtype=np.float32)),
-        ]), src)
+        save_tensor_map({
+            "head.weight": np.ones((17, 2, 1, 1), dtype=np.float32),
+            "stem": np.arange(2**16, dtype=np.float32),
+        }, src)
 
         def cut_then_default(verbatim_table1):
             os.truncate(src, src.stat().st_size - 4)
@@ -656,10 +654,10 @@ class TestRemapWeights:
         # small head; a --version child gives the peak of the interpreter and
         # imports.
         backbone = np.zeros(2**18, dtype=np.float32)
-        save_tensor_map(TensorMap([
-            TensorRecord.from_array("head.weight", np.ones((17, 2, 1, 1), dtype=np.float32)),
-            *(TensorRecord.from_array(f"backbone.{i:02d}", backbone) for i in range(64)),
-        ]), tmp_path / "in.bin")
+        save_tensor_map({
+            "head.weight": np.ones((17, 2, 1, 1), dtype=np.float32),
+            **{f"backbone.{i:02d}": backbone for i in range(64)},
+        }, tmp_path / "in.bin")
         size_mb = (tmp_path / "in.bin").stat().st_size / 2**20
         assert size_mb >= 64
         growth = _peak_mb(tmp_path, "remap-weights", "--src", "in.bin", "--out", "o.bin",
@@ -677,7 +675,7 @@ class TestDecodeCommand:
         for k in range(17):
             grids[k, 10 + k, 20 + k] = 1.0
         heat_path = tmp_path / "heat.bin"
-        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", grids)]), heat_path)
+        save_tensor_map({"f1/0": grids}, heat_path)
 
         out_path = tmp_path / "pred.json"
         code = run(
@@ -697,7 +695,7 @@ class TestDecodeCommand:
         dets_path = tmp_path / "dets.json"
         save_dataset(dets, dets_path)
         heat_path = tmp_path / "heat.bin"
-        save_tensor_map(TensorMap(), heat_path)
+        save_tensor_map({}, heat_path)
         code = run(
             ["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
              "--out", str(tmp_path / "o.json")]
@@ -709,15 +707,14 @@ class TestDecodeCommand:
         dets = _one_box()
         dets_path, heat_path = tmp_path / "dets.json", tmp_path / "heat.bin"
         save_dataset(dets, dets_path)
-        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", grids)]), heat_path)
+        save_tensor_map({"f1/0": grids}, heat_path)
         return run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
                     "--out", str(tmp_path / "o.json")])
 
     def test_truncated_heatmap_container_is_named(self, tmp_path, capsys):
         dets_path, heat_path = tmp_path / "dets.json", tmp_path / "heat.bin"
         save_dataset(_one_box(), dets_path)
-        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", np.ones((17, 4, 4), np.float32))]),
-                        heat_path)
+        save_tensor_map({"f1/0": np.ones((17, 4, 4), np.float32)}, heat_path)
         heat_path.write_bytes(heat_path.read_bytes()[:-4])
         code = run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
                     "--out", str(tmp_path / "o.json")])
@@ -759,8 +756,7 @@ class TestDecodeCommand:
         save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=(10 * i, 0, 10 * i + 8, 20), score=0.5)
                                                       for i in range(len(grids))])]),
                      tmp_path / "dets.json")
-        save_tensor_map(TensorMap(TensorRecord.from_array(f"f1/{i}", kinds[kind])
-                                  for i, kind in enumerate(grids) if kind != "missing"),
+        save_tensor_map({f"f1/{i}": kinds[kind] for i, kind in enumerate(grids) if kind != "missing"},
                         tmp_path / "heat.bin")
         code = run(["decode", "--heatmaps", str(tmp_path / "heat.bin"), "--dets", str(tmp_path / "dets.json"),
                     "--out", str(tmp_path / "o.json")])
@@ -779,7 +775,7 @@ class TestDecodeCommand:
         save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=good, score=0.9),
                                                       person(box=bad, score=0.8)])]), dets_path)
         grids = np.ones((17, 4, 4), np.float32)
-        save_tensor_map(TensorMap(TensorRecord.from_array(f"f1/{i}", grids) for i in range(2)), heat_path)
+        save_tensor_map({f"f1/{i}": grids for i in range(2)}, heat_path)
         code = run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
                     "--out", str(out), "--padding", padding])
         captured = capsys.readouterr()
@@ -794,7 +790,7 @@ class TestDecodeCommand:
         save_dataset(_one_box((100, 50, 388, 434)), tmp_path / "dets.json")
         grids = np.zeros((17, 4, 4), np.float32)
         grids[:, 3, 3] = 1.0
-        save_tensor_map(TensorMap([TensorRecord.from_array("f1/0", grids)]), tmp_path / "heat.bin")
+        save_tensor_map({"f1/0": grids}, tmp_path / "heat.bin")
         code = run(["decode", "--heatmaps", str(tmp_path / "heat.bin"), "--dets", str(tmp_path / "dets.json"),
                     "--out", str(tmp_path / "o.json"), "--stride", "1e308"])
         assert code == 1
@@ -809,7 +805,7 @@ class TestDecodeCommand:
         gt = make_ground_truth(rng, num_frames=6, people=(1, 4))
         sizes = [(210.0, 90.0), (60.0, 230.0), (150.0, 200.0)]
         centers = np.round(gt.keypoints[:, :2, :2].mean(axis=1))
-        persons, grids = [], []
+        persons, grids = [], {}
         bounds = gt.offsets.tolist()
         for fid, start, stop in zip(gt.frame_ids, bounds, bounds[1:]):
             frame = []
@@ -819,11 +815,11 @@ class TestDecodeCommand:
                                     score=rng.uniform(0.3, 1.0)))
                 values = rng.uniform(0.0, 1.0, (17, 12, 9))
                 dtype = np.float32 if row % 2 else np.float64
-                grids.append(TensorRecord.from_array(f"{fid}/{i}", values.astype(dtype)))
+                grids[f"{fid}/{i}"] = values.astype(dtype)
             persons.append((fid, frame))
         dets_path, heat_path, out = tmp_path / "dets.json", tmp_path / "heat.bin", tmp_path / "pred.json"
         save_dataset(dataset("jrdb17", gt.pano, persons), dets_path)
-        save_tensor_map(TensorMap(grids), heat_path)
+        save_tensor_map(grids, heat_path)
         assert run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
                     "--out", str(out), "--stride", "32", "--padding", "1.25"]) == 0
         assert len(grids) == 20
@@ -838,8 +834,7 @@ class TestDecodeCommand:
         save_dataset(dataset("jrdb17", PANO, [("f1", persons)]), tmp_path / "d.json")
         grids = np.zeros((17, 96, 72), dtype=np.float32)
         grids[:, 40, 30] = 1.0
-        save_tensor_map(TensorMap(TensorRecord.from_array(f"f1/{i}", grids) for i in range(144)),
-                        tmp_path / "h.bin")
+        save_tensor_map({f"f1/{i}": grids for i in range(144)}, tmp_path / "h.bin")
         size_mb = (tmp_path / "h.bin").stat().st_size / 2**20
         assert size_mb >= 64
         growth = _peak_mb(tmp_path, "decode", "--heatmaps", "h.bin", "--dets", "d.json",
@@ -911,8 +906,7 @@ class TestUsage:
         # A fresh child per command, so no other command's imports count.
         save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=(90, 190, 210, 290), pose=_pose17(),
                                                             score=0.8)])]), tmp_path / "d.json")
-        save_tensor_map(TensorMap([TensorRecord.from_array("head.weight", np.ones((17, 2, 1, 1), np.float32))]),
-                        tmp_path / "w.bin")
+        save_tensor_map({"head.weight": np.ones((17, 2, 1, 1), np.float32)}, tmp_path / "w.bin")
         probe = (
             "import sys\n"
             "from panopose.cli import run\n"

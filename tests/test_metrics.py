@@ -244,6 +244,27 @@ class TestOspa:
         v = ospa(xs, ys, _capped_euclid, order=2.0)
         assert 0.0 <= v <= 1.0
 
+    @pytest.mark.parametrize("params, message", [
+        ({"cutoff": -1.0}, "ospa cutoff must be finite and positive, got -1.0"),
+        ({"order": 0.5}, "ospa order must be finite and >= 1, got 0.5"),
+    ])
+    def test_parameters_are_checked_before_any_distance(self, params, message):
+        calls = []
+
+        def counting(a, b):
+            calls.append((a, b))
+            return 0.5
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ospa(range(300), range(300), counting, **params)
+        assert calls == []
+
+        def failing(a, b):
+            raise RuntimeError("base distance called")
+
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ospa([0], [1], failing, **params)
+
 
 # A call that must raise ValueError, and a pattern of the message, which names
 # the parameter or the entries at fault.

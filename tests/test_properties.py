@@ -65,8 +65,6 @@ from panopose.metrics import (
 )
 from panopose.schema import COCO17, JRDB17, SchemaMapping, load_mapping
 from panopose.weights import (
-    TensorMap,
-    TensorRecord,
     _open_container,
     load_tensor_map,
     remap_head_weights,
@@ -489,7 +487,7 @@ def test_decode_command_is_decode_heatmaps_per_detection(tmp_path_factory, frame
     dets = dataset("jrdb17", PANO, [(fid, [person(box=b, score=s) for b, s, _ in d]) for fid, d in named])
     save_dataset(dets, base / "dets.json")
     grids = {f"{fid}/{i}": grid for fid, d in named for i, (_, _, grid) in enumerate(d)}
-    save_tensor_map(TensorMap(TensorRecord.from_array(n, g) for n, g in grids.items()), base / "heat.bin")
+    save_tensor_map(grids, base / "heat.bin")
     (base / "pred.json").unlink(missing_ok=True)
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):

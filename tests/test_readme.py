@@ -13,7 +13,7 @@ from synth import make_ground_truth, perturb_predictions
 import panopose
 from panopose.dataio import save_dataset
 from panopose.metrics import evaluate
-from panopose.weights import TensorMap, TensorRecord, save_tensor_map
+from panopose.weights import save_tensor_map
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,11 +34,7 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
     save_dataset(preds, tmp_path / "pred.json")
     weight = rng.normal(size=(17, 8, 1, 1)).astype(np.float32)
     bias = np.arange(17, dtype=np.float32)
-    save_tensor_map(
-        TensorMap([TensorRecord.from_array("final.weight", weight),
-                   TensorRecord.from_array("final.bias", bias)]),
-        tmp_path / "head.bin",
-    )
+    save_tensor_map({"final.weight": weight, "final.bias": bias}, tmp_path / "head.bin")
     monkeypatch.chdir(tmp_path)  # the snippet's paths are relative
     exec(compile(snippet, str(README), "exec"), {})
     assert (tmp_path / "head_remapped.bin").is_file()
