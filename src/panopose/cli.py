@@ -7,6 +7,8 @@ into poses, and ``eval`` scores predictions against ground truth.
 
 Every subcommand prints a one-line JSON echo of its effective configuration
 (including any seed) to stdout, so runs are reproducible from their output.
+``boxes-from-poses`` and ``shift`` take the panorama size from the input
+file's ``pano``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
 Exit codes: 0 success, 1 validation error, 2 usage error. Each command
 imports the modules it uses when it runs, so a process loads no others:
 ``nms`` never loads ``metrics``, ``weights`` or ``decode``.
@@ -38,7 +40,6 @@ from .geometry import (
     DEFAULT_NMS_IOU,
     CROP_HEIGHT,
     CROP_WIDTH,
-    PanoramaSpec,
     _check_crop,
     _inverse,
     _nms_rows,
@@ -79,14 +80,6 @@ def _require_boxes(ds: Dataset, command: str) -> None:
         raise ValidationError(f"{where}: {command} requires a box")
 
 
-def _override_pano(ds: Dataset, args: argparse.Namespace) -> Dataset:
-    width = args.pano_width if args.pano_width is not None else ds.pano.width
-    height = args.pano_height if args.pano_height is not None else ds.pano.height
-    if (width, height) == (ds.pano.width, ds.pano.height):
-        return ds
-    return ds._with(pano=PanoramaSpec(width, height))
-
-
 def _cmd_remap_weights(args: argparse.Namespace) -> int:
     from .schema import default_mapping, load_mapping
     from .weights import _Container, _remap_head, _write_container
@@ -120,7 +113,7 @@ def _cmd_remap_weights(args: argparse.Namespace) -> int:
 def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
     from .dataio import save_dataset
 
-    ds = _override_pano(_load_dataset(args.input, require_scores=False), args)
+    ds = _load_dataset(args.input, require_scores=False)
     rows = ds.has_pose.nonzero()[0]
     try:
         derived = _pose_bboxes(ds.keypoints[rows], args.margin, ds.pano)
@@ -146,7 +139,7 @@ def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
 def _cmd_shift(args: argparse.Namespace) -> int:
     from .dataio import save_dataset
 
-    ds = _override_pano(_load_dataset(args.input, require_scores=False), args)
+    ds = _load_dataset(args.input, require_scores=False)
     if args.random:
         shift = random.Random(args.seed).random() * ds.pano.width
     else:
@@ -299,7 +292,7 @@ def _started(call: Callable[[], Any]) -> Callable[[], Any]:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    from .metrics import EvalConfig, evaluate, save_frame_table, save_report
+    from .metrics import evaluate, save_frame_table, save_report
 
     # Each process holds one parsed document. A --gt fault is raised first,
     # as when --gt was read before --pred.
@@ -308,7 +301,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         preds = _load_dataset(args.pred, require_scores=True)
     finally:
         gts = gt_result()
-    report = evaluate(preds, gts, EvalConfig(oks_threshold=args.oks_threshold))
+    report = evaluate(preds, gts)
     print(f"ospa_iou {report.ospa_iou:.3f}")
     print(f"ap_05 {report.ap_05:.3f}")
     _echo({"command": "eval", "gt": args.gt, "pred": args.pred, "config": report.config})
@@ -317,13 +310,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.table:
         save_frame_table(report, args.table)
     return 0
-
-
-def _add_pano_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--pano-width", type=float, default=None,
-                        help="override the panorama width from the input file")
-    parser.add_argument("--pano-height", type=float, default=None,
-                        help="override the panorama height from the input file")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,10 +323,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("remap-weights", help="rebuild a checkpoint head for a new schema")
     p.add_argument("--src", required=True, help="input tensor container")
     p.add_argument("--out", required=True, help="output tensor container")
-    p.add_argument("--mapping", default=None, help="mapping config file (JSON, by names)")
-    p.add_argument("--verbatim-table1", action="store_true",
-                   help="use the literal upstream counterpart table "
-                        "(both hands sourced from the left wrist)")
+    group = p.add_mutually_exclusive_group()
+    group.add_argument("--mapping", default=None, help="mapping config file (JSON, by names)")
+    group.add_argument("--verbatim-table1", action="store_true",
+                       help="use the literal upstream counterpart table "
+                            "(both hands sourced from the left wrist)")
     p.add_argument("--weight-name", required=True, help="head weight tensor name")
     p.add_argument("--bias-name", default=None, help="head bias tensor name (also averaged)")
     p.set_defaults(func=_cmd_remap_weights)
@@ -350,7 +337,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset")
     p.add_argument("--margin", type=float, default=DEFAULT_BOX_MARGIN,
                    help="per-side padding as a fraction of the box side")
-    _add_pano_flags(p)
     p.set_defaults(func=_cmd_boxes_from_poses)
 
     p = sub.add_parser("shift", help="cyclic horizontal shift with seam removal")
@@ -361,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--random", action="store_true",
                        help="draw the shift uniformly from [0, width); needs --seed")
     p.add_argument("--seed", type=int, default=None, help="seed for --random")
-    _add_pano_flags(p)
     p.set_defaults(func=_cmd_shift)
 
     p = sub.add_parser("nms", help="greedy per-frame non-maximal suppression")
@@ -388,8 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--gt", required=True, help="ground-truth dataset")
     p.add_argument("--pred", required=True, help="predictions dataset")
-    p.add_argument("--oks-threshold", type=float, default=0.5,
-                   help="OKS threshold for a prediction to match")
     p.add_argument("--report", default=None, help="write the full JSON report here")
     p.add_argument("--table", default=None, help="write the per-frame CSV table here")
     p.set_defaults(func=_cmd_eval)
@@ -405,9 +388,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     if getattr(args, "random", False) and args.seed is None:
         print("error: --random requires --seed", file=sys.stderr)
-        return 2
-    if getattr(args, "mapping", None) is not None and getattr(args, "verbatim_table1", False):
-        print("error: --verbatim-table1 cannot be combined with --mapping", file=sys.stderr)
         return 2
     try:
         return args.func(args)

@@ -55,7 +55,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Iterable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -349,13 +349,15 @@ def _columns(frames_raw: list, num_kps: int, require_scores: bool) -> tuple | No
     return frame_ids, offsets, columns
 
 
-def _json_object(source: str | Path) -> dict:
+def _json_object(source: str | Path, pairs_hook: Callable[[list], dict] | None = None) -> dict:
     """The top-level object of a JSON document: ``source`` itself, or the
-    UTF-8 text of the file at a :class:`~pathlib.Path`. Text that is not
-    UTF-8 or not JSON, nesting too deep to parse, and a top level that is not
-    an object raise :class:`ValidationError` ("parse error: ...")."""
+    UTF-8 text of the file at a :class:`~pathlib.Path`, with every object
+    built by ``pairs_hook`` when one is given. Text that is not UTF-8 or not
+    JSON, nesting too deep to parse, and a top level that is not an object
+    raise :class:`ValidationError` ("parse error: ...")."""
     try:
-        doc = json.loads(source if isinstance(source, str) else source.read_text(encoding="utf-8"))
+        text = source if isinstance(source, str) else source.read_text(encoding="utf-8")
+        doc = json.loads(text, object_pairs_hook=pairs_hook)
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise ValidationError(f"parse error: {exc}") from exc
     if not isinstance(doc, dict):

@@ -43,7 +43,7 @@ import numpy as np
 from .dataio import Dataset, _keypoint_rule
 from .errors import RowError, ValidationError, _where
 from .geometry import _areas, _box_rows, _iou, _located_matching_boxes, _ranking
-from .schema import SchemaMapping, check_entries, default_mapping
+from .schema import default_mapping
 
 __all__ = [
     "COCO_SIGMAS",
@@ -51,8 +51,6 @@ __all__ = [
     "EvalConfig",
     "FrameStats",
     "EvalReport",
-    "coco_oks_params",
-    "transferred_oks_params",
     "default_oks_params",
     "oks",
     "ospa",
@@ -85,26 +83,15 @@ class OksParams:
         object.__setattr__(self, "sigmas", sigmas)
 
 
-def coco_oks_params() -> OksParams:
-    return OksParams(COCO_SIGMAS)
-
-
-def transferred_oks_params(
-    mapping: SchemaMapping, source_sigmas: Sequence[float] = COCO_SIGMAS
-) -> OksParams:
-    """Move falloff constants into a target schema; merged targets take the
-    mean of their counterpart constants."""
-    check_entries(mapping, len(source_sigmas))
-    return OksParams(
-        tuple(sum(source_sigmas[s] for s in entry) / len(entry) for entry in mapping.entries)
-    )
-
-
 def default_oks_params(schema_id: str) -> OksParams:
+    """The published COCO constants for coco17; for jrdb17, those constants
+    moved through :func:`~panopose.schema.default_mapping`, where merged
+    targets take the mean of their counterpart constants."""
     if schema_id == "coco17":
-        return coco_oks_params()
+        return OksParams(COCO_SIGMAS)
     if schema_id == "jrdb17":
-        return transferred_oks_params(default_mapping())
+        return OksParams(tuple(sum(COCO_SIGMAS[s] for s in entry) / len(entry)
+                               for entry in default_mapping().entries))
     raise ValidationError(
         f"no default falloff constants for schema {schema_id!r}; supply OksParams"
     )

@@ -120,30 +120,29 @@ JRDB17 = KeypointSchema(
 
 _BUILTINS = {s.id: s for s in (COCO17, JRDB17)}
 
-# Counterpart table, target name -> source names. The upstream table lists
-# "left hand -> left wrist" twice (rows 10 and 13); row 10 is corrected to the
-# right side by symmetry. verbatim mode keeps the literal left-wrist source.
-_DEFAULT_COUNTERPARTS: tuple[tuple[str, tuple[str, ...]], ...] = (
-    ("head", ("left eye", "right eye")),
-    ("right eye", ("right eye",)),
-    ("left eye", ("left eye",)),
-    ("right shoulder", ("right shoulder",)),
-    ("neck", ("left shoulder", "right shoulder")),
-    ("left shoulder", ("left shoulder",)),
-    ("right elbow", ("right elbow",)),
-    ("left elbow", ("left elbow",)),
-    ("center hip", ("left hip", "right hip")),
-    ("right hand", ("right wrist",)),
-    ("right hip", ("right hip",)),
-    ("left hip", ("left hip",)),
-    ("left hand", ("left wrist",)),
-    ("right knee", ("right knee",)),
-    ("left knee", ("left knee",)),
-    ("right foot", ("right ankle",)),
-    ("left foot", ("left ankle",)),
-)
-
-_VERBATIM_ROW = 9  # "right hand" slot; literal table sources it from the left wrist
+# Counterpart table in the ``entries`` form of a mapping file. The upstream
+# table lists "left hand -> left wrist" twice (rows 10 and 13); row 10 is
+# corrected to the right side by symmetry. verbatim mode keeps the literal
+# left-wrist source.
+_DEFAULT_COUNTERPARTS = {
+    "head": ["left eye", "right eye"],
+    "right eye": ["right eye"],
+    "left eye": ["left eye"],
+    "right shoulder": ["right shoulder"],
+    "neck": ["left shoulder", "right shoulder"],
+    "left shoulder": ["left shoulder"],
+    "right elbow": ["right elbow"],
+    "left elbow": ["left elbow"],
+    "center hip": ["left hip", "right hip"],
+    "right hand": ["right wrist"],
+    "right hip": ["right hip"],
+    "left hip": ["left hip"],
+    "left hand": ["left wrist"],
+    "right knee": ["right knee"],
+    "left knee": ["left knee"],
+    "right foot": ["right ankle"],
+    "left foot": ["left ankle"],
+}
 
 
 def builtin_schema(schema_id: str) -> KeypointSchema:
@@ -163,17 +162,17 @@ def default_mapping(verbatim_table1: bool = False) -> SchemaMapping:
     ``verbatim_table1`` restores the literal upstream counterpart table,
     which sources both hand keypoints from the left wrist.
     """
-    entries = []
-    for t, (target_name, sources) in enumerate(_DEFAULT_COUNTERPARTS):
-        if verbatim_table1 and t == _VERBATIM_ROW:
-            sources = ("left wrist",)
-        assert JRDB17.names[t] == target_name
-        entries.append(tuple(COCO17.index(n) for n in sources))
-    return SchemaMapping(COCO17.id, JRDB17.id, tuple(entries))
+    table = _DEFAULT_COUNTERPARTS
+    if verbatim_table1:
+        table = {**table, "right hand": ["left wrist"]}
+    return _mapping_from_entries(COCO17, JRDB17, table)
 
 
 def check_entries(mapping: SchemaMapping, num_source: int) -> None:
-    """Raise unless every target has counterparts, all in ``range(num_source)``."""
+    """Raise unless there is a target, every target has counterparts, and
+    all are in ``range(num_source)``."""
+    if not mapping.entries:
+        raise ValidationError("mapping has no target keypoints")
     for t, entry in enumerate(mapping.entries):
         if not entry:
             raise ValidationError(f"empty counterpart list for target index {t}")
@@ -194,14 +193,30 @@ def check_entries(mapping: SchemaMapping, num_source: int) -> None:
 
 def load_mapping(path: str | Path) -> SchemaMapping:
     """Read a mapping config file: both schemas are the built-ins it names,
-    and every target keypoint lists a non-empty set of source names."""
-    doc = _json_object(Path(path))
+    every target keypoint lists a non-empty set of source names, and no
+    object names a key twice."""
+    doc = _json_object(Path(path), _unique_keys)
     for key in ("source_schema", "target_schema", "entries"):
         if key not in doc:
             raise ValidationError(f"mapping file missing field {key!r}")
     source = builtin_schema(doc["source_schema"])
     target = builtin_schema(doc["target_schema"])
-    raw_entries = doc["entries"]
+    return _mapping_from_entries(source, target, doc["entries"])
+
+
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    table: dict = {}
+    for name, value in pairs:
+        if name in table:
+            raise ValidationError(f"parse error: duplicate key {name!r}")
+        table[name] = value
+    return table
+
+
+def _mapping_from_entries(source: KeypointSchema, target: KeypointSchema, raw_entries: object
+                          ) -> SchemaMapping:
+    """The mapping of an ``entries`` object, target name -> source names,
+    with every target of ``target`` and no other."""
     if not isinstance(raw_entries, dict):
         raise ValidationError("entries must be an object of target name -> source names")
     missing = [n for n in target.names if n not in raw_entries]

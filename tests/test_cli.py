@@ -260,7 +260,7 @@ class TestParallelLoad:
         received = []
         evaluate = metrics.evaluate
 
-        def capturing(preds, gts, config):
+        def capturing(preds, gts, config=None):
             received.append(gts)
             return evaluate(preds, gts, config)
 
@@ -497,6 +497,17 @@ class TestBoxesFromPoses:
         box = out["frames"][0]["persons"][0]["box"]
         assert box == [100, 200, 196, 280]
 
+    @pytest.mark.parametrize("argv", [["boxes-from-poses"], ["shift", "--shift", "9"]],
+                             ids=lambda argv: argv[0])
+    def test_echo_reports_the_file_pano(self, tmp_path, capsys, argv):
+        # Both commands take the panorama size from the input file alone.
+        src = tmp_path / "g.json"
+        save_dataset(dataset("jrdb17", PanoramaSpec(3760.0, 480.0), [("f1", [person(pose=_pose17())])]),
+                     src)
+        assert run([*argv, "--in", str(src), "--out", str(tmp_path / "o.json")]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert (echo["pano_width"], echo["pano_height"]) == (3760.0, 480.0)
+
 
 class TestRemapWeights:
     def _container(self, tmp_path):
@@ -584,6 +595,27 @@ class TestRemapWeights:
         assert code == 0
         out = load_tensor_map(dst)
         assert float(out["head.weight"][9, 0, 0, 0]) == 9.0
+
+    def test_mapping_and_verbatim_flag_together_are_a_usage_error(self, tmp_path, capsys):
+        src = self._container(tmp_path)
+        mapping_file = tmp_path / "mapping.json"
+        mapping_file.write_text(json.dumps(mapping_doc(default_mapping())))
+        code = run(["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
+                    "--mapping", str(mapping_file), "--verbatim-table1", "--weight-name", "head.weight"])
+        assert code == 2
+        assert "--verbatim-table1: not allowed with argument --mapping" in capsys.readouterr().err
+        assert not (tmp_path / "o.bin").exists()
+
+    def test_mapping_file_that_names_a_target_twice(self, tmp_path, capsys):
+        src = self._container(tmp_path)
+        mapping_file = tmp_path / "mapping.json"
+        doc = json.dumps(mapping_doc(default_mapping()))
+        mapping_file.write_text(doc.replace('"head": ', '"head": ["nose"], "head": ', 1))
+        code = run(["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
+                    "--mapping", str(mapping_file), "--weight-name", "head.weight"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {mapping_file}: parse error: duplicate key 'head'\n"
+        assert not (tmp_path / "o.bin").exists()
 
     def test_missing_tensor_is_validation_error(self, tmp_path, capsys):
         src = self._container(tmp_path)

@@ -22,14 +22,12 @@ from panopose.metrics import (
     _match,
     _optimal_cost,
     _pair_table,
-    coco_oks_params,
     default_oks_params,
     evaluate,
     oks,
     ospa,
-    transferred_oks_params,
 )
-from panopose.schema import COCO17, JRDB17, default_mapping
+from panopose.schema import COCO17, JRDB17
 
 PANO = PanoramaSpec(2000.0, 600.0)
 UNIFORM3 = OksParams((0.1, 0.1, 0.1))
@@ -54,18 +52,19 @@ class TestOksParams:
             OksParams((0.1, 0.0))
 
     def test_coco_defaults(self):
-        assert coco_oks_params().sigmas == COCO_SIGMAS
-        assert default_oks_params("coco17") == coco_oks_params()
+        assert default_oks_params("coco17").sigmas == COCO_SIGMAS
 
     def test_transferred_sigmas(self):
-        params = transferred_oks_params(default_mapping())
+        params = default_oks_params("jrdb17")
         assert len(params.sigmas) == 17
         assert params.sigmas[JRDB17.index("head")] == pytest.approx((0.025 + 0.025) / 2)
         assert params.sigmas[JRDB17.index("neck")] == pytest.approx(0.079)
         assert params.sigmas[JRDB17.index("right hand")] == pytest.approx(
             COCO_SIGMAS[COCO17.index("right wrist")]
         )
-        assert default_oks_params("jrdb17") == params
+        # Each merged target's two constants are equal, so every mean is exact.
+        assert params.sigmas == (0.025, 0.025, 0.025, 0.079, 0.079, 0.079, 0.072, 0.072, 0.107,
+                                 0.062, 0.107, 0.107, 0.062, 0.087, 0.087, 0.089, 0.089)
 
     def test_no_defaults_for_unknown_schema(self):
         with pytest.raises(ValidationError):

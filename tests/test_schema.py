@@ -81,8 +81,11 @@ class TestDefaultMapping:
 
 
 class TestValidateMapping:
-    # check_entries is the one mapping check of remap_head_weights and
-    # transferred_oks_params.
+    # check_entries is the mapping check of remap_head_weights.
+    def test_mapping_with_no_targets(self):
+        with pytest.raises(ValidationError, match="^mapping has no target keypoints$"):
+            check_entries(SchemaMapping("s", "t", ()), 2)
+
     def test_empty_counterpart_list(self):
         m = SchemaMapping("coco17", "jrdb17", tuple([(0,)] * 16 + [()]))
         with pytest.raises(ValidationError, match="empty counterpart list"):
@@ -134,3 +137,12 @@ class TestMappingFiles:
         doc["entries"]["neck"] = ["left shoulderz"]
         with pytest.raises(ValidationError, match="no keypoint named"):
             load_mapping(_write(tmp_path / "mapping.json", doc))
+
+    @pytest.mark.parametrize("key, value", [("head", '["nose"]'), ("target_schema", '"jrdb17"')])
+    def test_a_key_named_twice_is_refused(self, tmp_path, key, value):
+        # json.dumps cannot write a key twice, so a first copy is spliced in.
+        doc = json.dumps(mapping_doc(default_mapping()))
+        path = tmp_path / "mapping.json"
+        path.write_text(doc.replace(f'"{key}": ', f'"{key}": {value}, "{key}": ', 1))
+        with pytest.raises(ValidationError, match=f"^parse error: duplicate key '{key}'$"):
+            load_mapping(path)

@@ -245,6 +245,11 @@ class TestRemapHeadWeights:
         with pytest.raises(ValidationError, match="out of range"):
             remap_head_weights(tm, "w", SchemaMapping("s", "t", ((0,), (2,))))
 
+    def test_mapping_with_no_targets(self):
+        tm = {"w": np.zeros((2, 1, 1, 1), dtype=np.float32)}
+        with pytest.raises(ValidationError, match="^mapping has no target keypoints$"):
+            remap_head_weights(tm, "w", SchemaMapping("s", "t", ()))
+
     def test_generic_over_schema_sizes(self):
         data = np.zeros((3, 2, 1, 1), dtype=np.float32)
         for s in range(3):
