@@ -20,13 +20,16 @@ every person come from one call of
 :func:`~panopose.geometry._matching_boxes`, and one table of every same-frame
 (prediction, ground truth) pair (:func:`_pair_table`) serves both the IoU
 (:func:`~panopose.geometry._iou`) of every pair and the OKS (:func:`_oks`)
-of the pairs that have one, each computed a bounded chunk of pairs at a
-time. One ranking (:func:`~panopose.geometry._ranking`) orders the greedy
-matching (:func:`_match`) across all frames and the AP (:func:`_ap_101`).
-The set metric (:func:`_ospa_capped`) scores each frame's block of capped
-distances. :func:`oks` of one pair and :func:`_match` share the OKS setup
-(:func:`_oks_setup`), and :func:`ospa` with a callable fills the distance
-matrix it then scores like every frame.
+of the pairs that have one and are within reach of the threshold (their
+keypoint boxes close enough for OKS to reach it), each computed a bounded
+chunk of pairs at a time. One ranking (:func:`~panopose.geometry._ranking`)
+orders the greedy matching (:func:`_match`) across all frames and the AP
+(:func:`_ap_101`). The set metric (:func:`_ospa_capped`) scores each frame's
+block of capped distances, and solves the assignment (:func:`_optimal_cost`)
+only when the rows' minima do not already give it. Both shortcuts leave
+every output as computing everything would. :func:`oks` of one pair and
+:func:`_match` share the OKS setup (:func:`_oks_setup`), and :func:`ospa`
+with a callable fills the distance matrix it then scores like every frame.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 
 from .dataio import Dataset, _keypoint_rule
 from .errors import RowError, ValidationError, _where
-from .geometry import _areas, _box_rows, _iou, _located_matching_boxes, _ranking
+from .geometry import _areas, _box_rows, _extents, _iou, _located_matching_boxes, _ranking
 from .schema import default_mapping
 
 __all__ = [
@@ -156,9 +159,8 @@ def _oks(pred: np.ndarray, gt: np.ndarray, scale: np.ndarray, labeled: np.ndarra
          num_labeled: np.ndarray) -> np.ndarray:
     """OKS of broadcast ``[..., K, 3]`` predicted and ground-truth keypoints,
     with the ground truth's ``[..., K]`` scales and labels and ``[...]``
-    label counts. The K terms are summed in order by ``cumsum``, as a Python
-    ``sum`` adds them; ``np.sum`` adds pairwise and can differ in the last
-    bit."""
+    label counts. The K terms are summed in order by ``cumsum``, one after
+    another; ``np.sum`` adds pairwise and can differ in the last bit."""
     # Overflow is inf, as in Python floats: a term of a far-off keypoint is 0.
     with np.errstate(over="ignore"):
         d2 = (pred[..., 0] - gt[..., 0]) ** 2 + (pred[..., 1] - gt[..., 1]) ** 2
@@ -272,7 +274,14 @@ def _capped(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:
 
 
 def _ospa_capped(powed: np.ndarray, cutoff: float, order: float) -> float:
-    """:func:`ospa` of an ``[m, n]`` matrix of :func:`_capped` distances."""
+    """:func:`ospa` of an ``[m, n]`` matrix of :func:`_capped` distances.
+
+    The sum of the row minima bounds the assignment cost from below. When
+    the rows whose entries are not all equal have their first minima in
+    distinct columns, an assignment reaches that bound (the constant rows
+    take any columns left), and every optimal assignment gives each row its
+    minimum: the minima, summed in row order, are then the cost, and
+    :func:`_optimal_cost` runs only when those columns collide."""
     m, n = powed.shape
     if m == 0 and n == 0:
         return 0.0
@@ -281,8 +290,9 @@ def _ospa_capped(powed: np.ndarray, cutoff: float, order: float) -> float:
     if m > n:
         powed = powed.T
         m, n = n, m
-    # One row needs no solve: its cheapest entry is the assignment.
-    loc = float(powed.min()) if m == 1 else _optimal_cost(powed)
+    mins = powed.min(axis=1)
+    cols = powed.argmin(axis=1)[mins < powed.max(axis=1)].tolist()
+    loc = float(mins.sum()) if len(set(cols)) == len(cols) else _optimal_cost(powed)
     return float(((cutoff ** order) * (n - m) + loc) / n) ** (1.0 / order)
 
 
@@ -297,9 +307,9 @@ _CHUNK_PAIRS = 4096
 def _pair_table(preds: Dataset, gts: Dataset) -> tuple[np.ndarray, ...]:
     """Every same-frame (prediction, ground truth) pair, frame by frame and
     row-major within a frame: the pairs' prediction rows and ground-truth
-    rows, then each prediction's ground-truth frame and the position of its
-    first pair. Both datasets hold their frames in sorted-id order, so the
-    predictions of a frame form one run of rows."""
+    rows, then each prediction's ground-truth frame. Both datasets hold
+    their frames in sorted-id order, so the predictions of a frame form one
+    run of rows."""
     index = {fid: f for f, fid in enumerate(gts.frame_ids)}
     frame = np.repeat(np.array([index[fid] for fid in preds.frame_ids], dtype=np.intp),
                       np.diff(preds.offsets))
@@ -307,7 +317,7 @@ def _pair_table(preds: Dataset, gts: Dataset) -> tuple[np.ndarray, ...]:
     start = np.cumsum(width) - width
     pred = np.repeat(np.arange(len(frame)), width)
     gt = np.arange(len(pred)) + (gts.offsets[frame] - start)[pred]
-    return pred, gt, frame, start
+    return pred, gt, frame
 
 
 def _in_chunks(kernel: Callable[[slice], np.ndarray], size: int) -> np.ndarray:
@@ -329,9 +339,19 @@ def _match(preds: Dataset, gts: Dataset, pairs: tuple[np.ndarray, ...], ranked: 
     unmatched ground truth of its frame with the highest OKS, the first of
     equals, when that OKS >= threshold. OKS is undefined, so never matches,
     for a person without a pose and for a ground truth with no labeled
-    keypoint (one without a pose holds zeros); it is computed in bounded
-    chunks for the other pairs only, and the greedy pass runs on lists."""
-    pred, gt, frame, start = pairs
+    keypoint (one without a pose holds zeros).
+
+    Only the other pairs within reach of the threshold get an OKS, in
+    bounded chunks. Each labeled distance is at least the gap g between the
+    box of the prediction's K keypoints and the box of the ground truth's
+    labeled ones, so OKS <= exp(-g^2 / max_i scale_i): a pair whose g^2
+    exceeds -ln(threshold) * max_i scale_i, widened by a relative margin of
+    1e-6 (and 1e-9) far beyond rounding, is skipped. None is skipped below a
+    threshold of 1e-300, where OKS near it loses relative precision. The
+    greedy pass walks, on lists, each prediction's pairs with OKS >=
+    threshold in ground-truth order: no other pair can be taken or beat one
+    of them, so the matches are those of computing every pair."""
+    pred, gt, _ = pairs
     labeled = gts.keypoints[:, :, 2] > 0
     usable = preds.has_pose[pred] & labeled.any(axis=1)[gt]
     paired = np.flatnonzero(np.bincount(gt[usable], minlength=len(labeled)))
@@ -342,31 +362,38 @@ def _match(preds: Dataset, gts: Dataset, pairs: tuple[np.ndarray, ...], ranked: 
         fid = gts.frame_ids[int(np.searchsorted(gts.offsets, exc.row, side="right")) - 1]
         raise ValidationError(f"frame {fid!r}: {exc}") from exc
 
-    def oks_of(chunk: slice) -> np.ndarray:
-        use = usable[chunk]
-        sim = np.full(use.shape, -np.inf)
-        if use.any():
-            p, g = pred[chunk][use], gt[chunk][use]
-            sim[use] = _oks(preds.keypoints[p], gts.keypoints[g], scale[g], labeled[g],
-                            num_labeled[g])
-        return sim
-
-    sim = _in_chunks(oks_of, len(pred)).tolist()
-    first = gts.offsets.tolist()
-    width = np.diff(gts.offsets).tolist()
-    # ``max`` takes the first highest OKS among a frame's unmatched ground
-    # truths, which stay in index order.
-    free = [list(range(n)) for n in width]
-    frame, start = frame.tolist(), start.tolist()
+    reach = -math.log(threshold) * (1.0 + 1e-6) + 1e-9 if threshold > 1e-300 else math.inf
+    pred_box = _extents(preds.keypoints, np.ones(preds.keypoints.shape[:2], dtype=bool))
+    gt_box = _extents(gts.keypoints, labeled)
+    gap2 = 0.0  # the squared gap, x then y as the kernel adds them
+    # Overflow is inf, as in the kernel: such a gap is out of reach, and
+    # such a limit keeps every pair.
+    with np.errstate(over="ignore"):
+        for lo, hi in ((0, 2), (1, 3)):
+            gap = np.maximum(np.maximum(gt_box[lo][gt] - pred_box[hi][pred],
+                                        pred_box[lo][pred] - gt_box[hi][gt]), 0.0)
+            gap2 = gap2 + gap * gap
+        limit = (reach * scale).max(axis=1, initial=-np.inf)
+    near = np.flatnonzero(usable & (gap2 <= limit[gt]))
+    p, g = pred[near], gt[near]
+    sim = _in_chunks(lambda chunk: _oks(
+        preds.keypoints[p[chunk]], gts.keypoints[g[chunk]], scale[g[chunk]], labeled[g[chunk]],
+        num_labeled[g[chunk]]), len(near))
+    hit = sim >= threshold
+    # The pairs stay in table order, so prediction q's hits are the run
+    # bounds[q]:bounds[q + 1].
+    bounds = np.searchsorted(p[hit], np.arange(len(preds.ids) + 1)).tolist()
+    hit_gt, hit_sim = g[hit].tolist(), sim[hit].tolist()
+    taken = [False] * len(gts.ids)
     matches = []
-    for p in ranked.tolist():
-        f = frame[p]
-        if free[f]:
-            row = sim[start[p]:start[p] + width[f]]
-            c = max(free[f], key=row.__getitem__)
-            if row[c] >= threshold:
-                free[f].remove(c)
-                matches.append((p, first[f] + c, row[c]))
+    for q in ranked.tolist():
+        best = -1.0  # below every OKS; ``>`` keeps the first of equals
+        for k in range(bounds[q], bounds[q + 1]):
+            if hit_sim[k] > best and not taken[hit_gt[k]]:
+                best, c = hit_sim[k], hit_gt[k]
+        if best >= 0.0:
+            taken[c] = True
+            matches.append((q, c, best))
     return matches
 
 
@@ -471,7 +498,7 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     pred_boxes = _located_matching_boxes(preds, "predictions: ")
     gt_boxes = _located_matching_boxes(gts, "ground truth: ")
     pairs = _pair_table(preds, gts)
-    pred, gt, frame, _ = pairs
+    pred, gt, frame = pairs
     ranked = _ranking(preds.scores)
     matches = _match(preds, gts, pairs, ranked, _areas(gt_boxes), params, config.oks_threshold)
     matched = np.zeros(len(preds.ids), dtype=bool)
@@ -493,11 +520,10 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
             num_matched=k,
         )
 
-    mean_ospa = (
-        sum(stats.ospa_iou for stats in per_frame.values()) / len(per_frame)
-        if per_frame
-        else 0.0
-    )
+    # Summed in frame order by ``cumsum``: Python 3.12's ``sum`` compensates
+    # and can differ in the last bit.
+    ospa_values = [stats.ospa_iou for stats in per_frame.values()]
+    mean_ospa = float(np.cumsum(ospa_values)[-1] / len(ospa_values)) if ospa_values else 0.0
     ap = _ap_101(matched[ranked], len(gts.ids))
 
     echo = {

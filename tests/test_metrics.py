@@ -468,6 +468,15 @@ class TestEvaluate:
         assert report.ospa_iou == 1.0
         assert report.ap_05 == 0.0
 
+    def test_mean_set_metric_adds_the_frames_one_after_another(self):
+        # Ten frames without a prediction score the cutoff, 0.1 each. Added
+        # one after another they make 0.9999999999999999; a compensated sum,
+        # as Python 3.12's ``sum`` makes, would give 1.0 and a mean of 0.1.
+        gts = dataset("jrdb17", PANO, [(f"f{i}", [person(pose=_pose17())]) for i in range(10)])
+        report = evaluate(dataset("jrdb17", PANO, []), gts, EvalConfig(ospa_cutoff=0.1))
+        assert [stats.ospa_iou for stats in report.per_frame.values()] == [0.1] * 10
+        assert report.ospa_iou == 0.09999999999999999
+
     def test_report_echoes_config(self):
         persons = [person(pose=_pose17(), score=0.7)]
         preds, gts = _single_frame_datasets(persons, persons)

@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
-from synth import dataset, mapping_doc, person
+from synth import DEFAULT_PANO, dataset, mapping_doc, person, random_pose
 
 from panopose import cli, metrics
 from panopose.dataio import (
@@ -669,6 +669,27 @@ def brute_force_assignment(cost) -> tuple[dict[int, int], float]:
     return {i: int(best[i]) for i in range(m)}, total_cost
 
 
+def subset_assignment_cost(cost) -> float:
+    """Exact minimum-cost injective assignment cost of the smaller dimension,
+    by dynamic programming over the subsets of the larger one taken by the
+    first i rows: O(2^n * n), so a 12 x 12 frame takes 24,576 steps where
+    enumeration would take 479,001,600 assignments. Each row's cost is
+    added in row order."""
+    arr = np.asarray(cost, dtype=np.float64)
+    rows = (arr.T if arr.shape[0] > arr.shape[1] else arr).tolist()
+    best = {0: 0.0}  # columns taken by the rows so far -> least cost
+    for row in rows:
+        grown = {}
+        for taken, total in best.items():
+            for j, entry in enumerate(row):
+                if not taken >> j & 1:
+                    key, value = taken | 1 << j, total + entry
+                    if value < grown.get(key, math.inf):
+                        grown[key] = value
+        best = grown
+    return min(best.values())
+
+
 distance = st.one_of(
     st.floats(0.0, 2.0), st.just(0.0), st.just(1.0), st.sampled_from([-0.5, math.inf, math.nan])
 )
@@ -728,9 +749,10 @@ def _reference_frames(preds, gts):
         yield fid, range(*spans.get(fid, (0, 0))), range(g0, g1)
 
 
-def _reference_match(preds, gts, boxes):
-    """Greedy matching one frame at a time, on the frame's OKS matrix: argmax
-    over the columns, with a taken ground truth's column set to -inf."""
+def _reference_match(preds, gts, boxes, threshold):
+    """Greedy matching one frame at a time, on the frame's OKS matrix of
+    every pair: argmax over the columns, with a taken ground truth's column
+    set to -inf."""
     matches = []
     for _, p, g in _reference_frames(preds, gts):
         rows = np.array(p)[preds.has_pose[p]]
@@ -741,7 +763,7 @@ def _reference_match(preds, gts, boxes):
                              for c in cols] for r in rows])
             for r in (-preds.scores[rows]).argsort(kind="stable"):
                 c = int(sim[r].argmax())
-                if sim[r, c] >= 0.5:
+                if sim[r, c] >= threshold:
                     pairs.append((int(rows[r]), int(cols[c]), float(sim[r, c])))
                     sim[:, c] = -np.inf
         matches.append(pairs)
@@ -779,15 +801,84 @@ def test_batched_matching_and_set_metric_are_the_frame_loop(frames, chunk):
         matches = _match(preds, gts, _pair_table(preds, gts), _ranking(preds.scores),
                          _areas(gt_boxes), PARAMS, 0.5)
         report = evaluate(preds, gts)
-    expected = _reference_match(preds, gts, gt_boxes)
-    # Matching walks all frames in one ranking; each frame's matches keep their order.
+    _assert_frame_matches(matches, preds, gts, _reference_match(preds, gts, gt_boxes, 0.5))
+    for fid, p, g in _reference_frames(preds, gts):
+        dist = 1.0 - _iou_matrix(pred_boxes[p], gt_boxes[g])
+        # The set metric is symmetric: a frame without predictions keeps its
+        # ground truths as the rows of its list form.
+        ospa_iou = _reference_ospa((dist if len(p) else dist.T).tolist(), 1.0, 1.0)
+        assert _bits([report.per_frame[fid].ospa_iou]) == _bits([ospa_iou])
+
+
+def _assert_frame_matches(matches, preds, gts, expected):
+    """``matches`` of :func:`_match` are the frame-by-frame ``expected``, bit
+    for bit: matching walks all frames in one ranking, and each frame's
+    matches keep their order."""
     assert [[(p, g, v.hex()) for p, g, v in matches if g in frame] for _, _, frame in
             _reference_frames(preds, gts)] == \
         [[(p, g, v.hex()) for p, g, v in pairs] for pairs in expected]
-    for fid, p, g in _reference_frames(preds, gts):
-        dist = 1.0 - _iou_matrix(pred_boxes[p], gt_boxes[g])
-        ospa_iou = ospa(range(len(p)), range(len(g)), lambda i, j: dist[i, j])
-        assert _bits([report.per_frame[fid].ospa_iou]) == _bits([ospa_iou])
+
+
+# The jrdb17 keypoint with the largest falloff constant: at distance d from a
+# ground truth labeled there alone, a prediction's OKS is exp(-d^2 / max_i
+# scale_i), the bound that decides which pairs are out of reach.
+WIDEST = int(np.argmax(PARAMS.sigmas))
+# (origin, side) of a ground-truth box: sides that resolve at their origin
+# and keep the area finite.
+reach_boxes = st.sampled_from([(0.0, 1.0), (480.0, 60.0), (1e9, 0.5), (-1e150, 1e140),
+                               (1e153, 1e145)])
+# A prediction's distance, relative to the reach distance R and to the
+# scale: R * (1 + rel) + sqrt(max_i scale_i) * ab, on both sides of R, or
+# far enough off for coordinates near 1e300 and a squared distance of inf.
+reach_offsets = st.tuples(
+    st.sampled_from([-1e-4, -1e-7, -1e-9, 0.0, 1e-12, 1e-9, 1e-7, 1e-6, 1e-4]),
+    st.sampled_from([0.0, 1e-12, 1e-6, 3e-5, 1e-4, 1e150]),
+)
+directions = st.sampled_from([(1.0, 0.0), (0.0, -1.0), (-0.6, 0.8)])
+
+
+@st.composite
+def reach_frames(draw, threshold):
+    """A frame's (predictions, ground truths): ground truths labeled at
+    :data:`WIDEST` alone, each with predictions at drawn offsets around the
+    reach distance of ``threshold`` (ln 2 at 0) and drawn scores, mixed with
+    any predictions and ground truths of the other strategies. Predictions
+    may all be box-only, which makes a K = 0 prediction file."""
+    log_t = -math.log(threshold) if threshold > 0 else math.log(2.0)
+    gts, preds = draw(ground_truths), draw(predictions)
+    for _ in range(draw(st.integers(1, 3))):
+        origin, side = draw(reach_boxes)
+        cx = cy = origin + draw(st.sampled_from([0.0, 0.3])) * side
+        pose = [(cx, cy, 0)] * NUM_KEYPOINTS
+        pose[WIDEST] = (cx, cy, 2)
+        gts.append(person(pose=pose, box=(cx - side, cy - side, cx + side, cy + side)))
+        max_scale = 2.0 * (2.0 * side) ** 2 * PARAMS.sigmas[WIDEST] ** 2
+        for _ in range(draw(st.integers(1, 2))):
+            (rel, ab), (ux, uy) = draw(reach_offsets), draw(directions)
+            d = math.sqrt(log_t * max_scale) * (1.0 + rel) + math.sqrt(max_scale) * ab
+            preds.append(person(pose=[(cx + d * ux, cy + d * uy, 2)] * NUM_KEYPOINTS,
+                                score=draw(scores)))
+    if draw(st.booleans()):
+        preds = [person(box=b, score=draw(scores)) for b in draw(st.lists(box, max_size=3))]
+    return draw(st.permutations(preds)), gts
+
+
+@PROPERTY
+@given(st.sampled_from([0.0, 0.5, 1.0]).flatmap(
+    lambda t: st.tuples(st.just(t), st.lists(reach_frames(t), min_size=1, max_size=3))))
+# At threshold 0 an OKS of 0, from a squared distance of inf, still matches.
+@example((0.0, [([person(pose=[(1e300, 0.0, 2)] * NUM_KEYPOINTS, score=0.5)],
+                 [person(pose=[(5.0, 5.0, 2)] * NUM_KEYPOINTS, box=(0.0, 0.0, 10.0, 10.0))])]))
+def test_matching_at_the_reach_boundary_is_every_pair_matched(case):
+    """Pairs out of reach of the threshold get no OKS; the matches are
+    those of computing the OKS of every pair, bit for bit."""
+    threshold, frames = case
+    preds = dataset("jrdb17", PANO, [(f"f{i}", p) for i, (p, _) in enumerate(frames)])
+    gts = dataset("jrdb17", PANO, [(f"f{i}", g) for i, (_, g) in enumerate(frames)])
+    gt_boxes = _matching_boxes(gts.boxes, gts.has_box, gts.keypoints)
+    matches = _match(preds, gts, _pair_table(preds, gts), _ranking(preds.scores),
+                     _areas(gt_boxes), PARAMS, threshold)
+    _assert_frame_matches(matches, preds, gts, _reference_match(preds, gts, gt_boxes, threshold))
 
 
 def _reference_evaluate(schema_id, frames, config):
@@ -800,7 +891,8 @@ def _reference_evaluate(schema_id, frames, config):
     index, takes the unmatched ground truth of its frame with the highest
     OKS, the first of equals, when that OKS reaches the threshold; a person
     without a pose and a ground truth with no labeled keypoint never match.
-    The set metric enumerates assignments. AP is 101-point interpolated
+    The set metric takes its assignment from :func:`subset_assignment_cost`,
+    which matches enumeration. AP is 101-point interpolated
     precision over every ground truth, at COCO's recall points."""
     sigmas = default_oks_params(schema_id).sigmas
     cutoff, order = config.ospa_cutoff, config.ospa_order
@@ -831,7 +923,7 @@ def _reference_evaluate(schema_id, frames, config):
         else:
             powed = [[min(1.0 - _reference_iou(a, b), cutoff) ** order for b in boxes[1]]
                      for a in boxes[0]]
-            _, cost = brute_force_assignment(powed)
+            cost = subset_assignment_cost(powed)
             value = ((cutoff ** order * abs(m - n) + cost) / max(m, n)) ** (1.0 / order)
         matched = sum(f == fid for f, _ in taken)
         per_frame[fid] = (value, m, n, matched)
@@ -923,6 +1015,59 @@ def test_report_is_the_person_by_person_oracle(tmp_path_factory, schema_id, fram
         assert abs(float(value) - per_frame[fid][0]) <= 1e-12
 
 
+def _scene(rng: np.random.Generator, num_frames: int) -> list[tuple]:
+    """``(frame id, predictions, ground truths)`` of a scene shaped like the
+    benchmark's ``score`` workload: 1 to 12 ground truths a frame spread
+    across the panorama, each predicted with 3 px of noise at a score in
+    [0.5, 1) unless dropped (1 in 20), and a false positive at a score in
+    [0.05, 0.6) in about 3 frames of 10."""
+    def spread_pose():
+        return random_pose(rng, rng.uniform(0.05 * DEFAULT_PANO.width, 0.9 * DEFAULT_PANO.width),
+                           rng.uniform(0.3 * DEFAULT_PANO.height, 0.7 * DEFAULT_PANO.height),
+                           60.0)
+
+    frames = []
+    for f, count in enumerate(rng.permutation(np.arange(num_frames) % 12 + 1).tolist()):
+        gts, preds = [], []
+        for _ in range(count):
+            pose = spread_pose()
+            gts.append(person(pose=pose))
+            if rng.random() >= 0.05:
+                pose[:, :2] += rng.normal(0.0, 3.0, (NUM_KEYPOINTS, 2))
+                preds.append(person(pose=pose, score=rng.uniform(0.5, 1.0)))
+        if rng.random() < 0.3:
+            preds.append(person(pose=spread_pose(), score=rng.uniform(0.05, 0.6)))
+        frames.append((f"frame{f:04d}", preds, gts))
+    return frames
+
+
+@pytest.mark.parametrize("seed", [3, 4])
+def test_benchmark_shaped_scene_is_the_person_by_person_oracle(seed):
+    """Persons spread across a panorama are mostly out of each other's OKS
+    reach, and most frames' row minima certify their assignment; the report
+    is still the oracle's, and both shortcuts and the solver run."""
+    frames = _scene(np.random.default_rng(seed), 96)
+    preds = dataset("jrdb17", DEFAULT_PANO, [(fid, p) for fid, p, _ in frames])
+    gts = dataset("jrdb17", DEFAULT_PANO, [(fid, g) for fid, _, g in frames])
+    with mock.patch.object(metrics, "_oks", wraps=metrics._oks) as kernel, \
+            mock.patch.object(metrics, "_optimal_cost", wraps=metrics._optimal_cost) as solver:
+        report = evaluate(preds, gts).to_json_dict()
+    mean, ap, per_frame = _reference_evaluate("jrdb17", frames, EvalConfig())
+
+    assert report["ap_05"] == ap
+    assert abs(report["ospa_iou"] - mean) <= 1e-12
+    for fid, stats in report["per_frame"].items():
+        value, m, n, matched = per_frame[fid]
+        assert (stats["num_predictions"], stats["num_ground_truths"], stats["num_matched"]) == \
+            (m, n, matched)
+        assert abs(stats["ospa_iou"] - value) <= 1e-12
+    # Some same-frame pairs get no OKS, and the solver runs for some, not
+    # all, of the frames with two persons or more a side.
+    computed = sum(len(call.args[0]) for call in kernel.call_args_list)
+    assert 0 < computed < sum(m * n for _, m, n, _ in per_frame.values())
+    assert 0 < solver.call_count < sum(min(m, n) > 1 for _, m, n, _ in per_frame.values())
+
+
 # Sums of these are exact, so equal optima compare equal; ties are frequent
 # and 1.0 is the capped distance of two disjoint boxes.
 dyadic = st.sampled_from([0.0, 0.25, 0.5, 1.0])
@@ -961,6 +1106,51 @@ def test_solver_cost_is_the_oracle_cost_on_tall_matrices(cost):
     # The set metric solves a tall matrix as its transpose.
     wide = cost.T if cost.shape[0] > cost.shape[1] else cost
     assert _optimal_cost(wide) == brute_force_assignment(cost)[1]
+
+
+@PROPERTY
+@given(cost_matrices(dyadic, wide_only=False))
+@example(np.ones((7, 7)))
+def test_subset_oracle_is_the_enumeration_oracle(cost):
+    assert subset_assignment_cost(cost) == brute_force_assignment(cost)[1]
+
+
+def certificate_matrices(entry):
+    """``[m, n]`` distance matrices up to 12 x 13 whose rows are drawn
+    entries, one repeated entry, or drawn entries with a 0 in one of the
+    first three columns, so that constant rows and distinct and repeated
+    argmin columns all occur."""
+    def row(n):
+        return st.one_of(
+            st.lists(entry, min_size=n, max_size=n),
+            entry.map(lambda v: [v] * n),
+            st.tuples(st.lists(entry, min_size=n, max_size=n), st.integers(0, min(n, 3) - 1))
+            .map(lambda rc: rc[0][:rc[1]] + [0.0] + rc[0][rc[1] + 1:]),
+        )
+
+    return st.tuples(st.integers(1, 12), st.integers(1, 13)).flatmap(
+        lambda mn: st.lists(row(mn[1]), min_size=mn[0], max_size=mn[0]))
+
+
+set_metric_params = st.sampled_from([(1.0, 1.0), (0.5, 2.0)])
+
+
+@PROPERTY
+@given(certificate_matrices(dyadic), set_metric_params)
+@example([[0.0, 1.0], [0.0, 0.5]], (1.0, 1.0))  # argmin columns collide
+@example([[0.5, 0.5], [0.0, 1.0]], (1.0, 1.0))  # a constant row beside an argmin
+def test_set_metric_is_the_solver_value_on_dyadic_entries(dist, set_metric):
+    """Where the rows' minima certify the assignment, the set metric skips
+    the solver; its value is the solver's, bit for bit."""
+    value = _ospa_capped(_capped(np.array(dist), *set_metric), *set_metric)
+    assert _bits([value]) == _bits([_reference_ospa(dist, *set_metric)])
+
+
+@PROPERTY
+@given(certificate_matrices(st.floats(0.0, 1.0)), set_metric_params)
+def test_set_metric_is_the_solver_value_on_unit_floats(dist, set_metric):
+    value = _ospa_capped(_capped(np.array(dist), *set_metric), *set_metric)
+    assert abs(value - _reference_ospa(dist, *set_metric)) <= 1e-12
 
 
 json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
