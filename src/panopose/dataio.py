@@ -32,15 +32,18 @@ keypoints or scores run on their input: box or pose
 (``geometry._score_rule``). Frame ids are non-empty strings
 (:func:`_frame_id_rule`) and unique.
 
-The parser checks a file's JSON shapes and types in bulk (:func:`_columns`):
-each person field is gathered over all persons by one comprehension, its
-types are checked in one pass, and its numbers are converted in one pass.
-Only a file that fails that check is walked value by value
-(:func:`_walk`), and the walk finds and words the fault. Of several faults
-in a file, the first JSON shape or type fault in file order is reported (a
-missing or extra field, a wrong type, a pose of the wrong length, an empty
-frame id, an integer beyond float range; the header comes first, then
-frames and persons in order, and a person's pose rows after its other
+A file is parsed by ``errors._json_object``, which refuses an object that
+names a key twice. Then the frames are checked in file order up to the
+first that fails, and the persons before it field by field over all of
+them at once (:func:`_person_columns`): one comprehension gathers a field,
+set operations check its types, and one pass converts its numbers. Only
+when a field fails do the same checks go over one person at a time, and the
+first that fails is worded (:func:`_person_fault`), a box or pose value by
+value. Of several faults in a file, a parse error comes first (not UTF-8,
+not JSON, a repeated key); then the first JSON shape or type fault in file
+order (a missing or extra field, a wrong type, a pose of the wrong length,
+an empty frame id, an integer beyond float range; the header comes first,
+then frames and persons in order, and a person's pose rows after its other
 fields); otherwise the value fault of the earliest person, with the rules
 in the order above and a pose's first bad keypoint; then a repeated frame
 id.
@@ -55,15 +58,13 @@ from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
+from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import RowError, ValidationError, _where
+from .errors import RowError, ValidationError, _json_object, _where
 from .geometry import PanoramaSpec, _box_rule, _score_rule
-
-if TYPE_CHECKING:
-    from .schema import KeypointSchema
+from .schema import KeypointSchema, builtin_schema
 
 __all__ = [
     "NOT_LABELED",
@@ -203,7 +204,7 @@ class Dataset:
 # -- loading -----------------------------------------------------------------
 
 
-def _require_keys(obj: dict, required: tuple[str, ...], optional: tuple[str, ...], where: str) -> None:
+def _require_keys(obj: dict, required: tuple[str, ...], optional: Iterable[str], where: str) -> None:
     keys = set(obj)
     missing = [k for k in required if k not in keys]
     if missing:
@@ -222,33 +223,92 @@ def _number(value: Any, where: str) -> float:
         raise ValidationError(f"{where}: integer too large for a float") from None
 
 
-def _walk_person(raw: Any, where: str, schema: "KeypointSchema", require_score: bool) -> None:
-    """Check one person's JSON shape and types, its pose rows last."""
-    if not isinstance(raw, dict):
-        raise ValidationError(f"{where}: person must be an object")
-    _require_keys(raw, (), ("id", "box", "score", "pose"), where)
-    if "id" in raw and not isinstance(raw["id"], str):
+_PERSON_FIELDS = frozenset(("id", "box", "score", "pose"))
+_NUMBER = {int, float}
+
+
+def _scatter(has: np.ndarray, values: Iterable, shape: tuple[int, ...]) -> np.ndarray | None:
+    """``[N, *shape]`` column of the JSON numbers ``values`` of the rows in
+    ``has``, converted in one ``np.fromiter`` pass; other rows hold zeros.
+    None when a value is an integer beyond float range."""
+    count = int(has.sum())
+    try:
+        values = np.fromiter(values, dtype=np.float64, count=count * math.prod(shape))
+    except OverflowError:
+        return None
+    if count == len(has):
+        return values.reshape(count, *shape)
+    column = np.zeros((len(has), *shape))
+    column[has] = values.reshape(count, *shape)
+    return column
+
+
+def _person_columns(persons: list, num_kps: int, require_scores: bool) -> dict | str:
+    """The person columns of ``persons``, or the first field, in the order
+    person, id, box, score, pose, that fails its check. Types are checked
+    before numbers are converted: ``np.fromiter`` would take a boolean, a
+    numeric string or a float visibility."""
+    if not (set(map(type, persons)) <= {dict} and set(chain.from_iterable(persons)) <= _PERSON_FIELDS):
+        return "person"
+    if not set(map(type, [p["id"] for p in persons if "id" in p])) <= {str}:
+        return "id"
+    columns = {"ids": [p.get("id") for p in persons]}
+    for key in ("box", "score", "pose"):
+        columns["has_" + key] = np.array([key in p for p in persons], dtype=bool)
+    boxes = [p["box"] for p in persons if "box" in p]
+    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}
+            and set(map(type, chain.from_iterable(boxes))) <= _NUMBER):
+        return "box"
+    columns["boxes"] = _scatter(columns["has_box"], chain.from_iterable(boxes), (4,))
+    if columns["boxes"] is None:
+        return "box"
+    scores = [p["score"] for p in persons if "score" in p]
+    if not set(map(type, scores)) <= _NUMBER or require_scores and len(scores) < len(persons):
+        return "score"
+    columns["scores"] = _scatter(columns["has_score"], scores, ())
+    if columns["scores"] is None:
+        return "score"
+    poses = [p["pose"] for p in persons if "pose" in p]
+    if not (set(map(type, poses)) <= {list} and set(map(len, poses)) <= {num_kps}):
+        return "pose"
+    rows = list(chain.from_iterable(poses))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
+            and set(map(type, chain.from_iterable(rows))) <= _NUMBER
+            and set(map(type, map(itemgetter(2), rows))) <= {int}):
+        return "pose"
+    columns["keypoints"] = _scatter(columns["has_pose"], chain.from_iterable(rows), (num_kps, 3))
+    if columns["keypoints"] is None:
+        return "pose"
+    return columns
+
+
+def _person_fault(person: Any, field: str, where: str, schema: KeypointSchema) -> None:
+    """Raise the fault of one person's ``field``, which failed its check in
+    :func:`_person_columns`; a box or pose is gone through value by value,
+    so that a type fault and an overflow come out in value order."""
+    if field == "person":
+        if type(person) is not dict:
+            raise ValidationError(f"{where}: person must be an object")
+        _require_keys(person, (), _PERSON_FIELDS, where)
+    if field == "id":
         raise ValidationError(f"{where}: id must be a string")
-    if "box" in raw:
-        vals = raw["box"]
-        if not isinstance(vals, list) or len(vals) != 4:
+    if field == "box":
+        if type(person["box"]) is not list or len(person["box"]) != 4:
             raise ValidationError(f"{where}: box must be [x1, y1, x2, y2]")
-        for v in vals:
+        for v in person["box"]:
             _number(v, f"{where}: box")
-    if "score" in raw:
-        _number(raw["score"], f"{where}: score")
-    elif require_score:
-        raise ValidationError(f"prediction without score ({where})")
-    if "pose" not in raw:
+    if field == "score":
+        if "score" not in person:
+            raise ValidationError(f"prediction without score ({where})")
+        _number(person["score"], f"{where}: score")
+    if field != "pose":
         return
-    pose = raw["pose"]
-    if not isinstance(pose, list):
+    pose = person["pose"]
+    if type(pose) is not list:
         raise ValidationError(f"{where}: pose must be a list of [x, y, v] rows")
-    num_kps = len(schema.names)
-    if len(pose) != num_kps:
-        raise ValidationError(
-            f"{where}: pose has {len(pose)} keypoints, schema {schema.id!r} expects {num_kps}"
-        )
+    if len(pose) != len(schema.names):
+        raise ValidationError(f"{where}: pose has {len(pose)} keypoints, "
+                              f"schema {schema.id!r} expects {len(schema.names)}")
     for k, row in enumerate(pose):
         if type(row) is not list or len(row) != 3:
             raise ValidationError(f"{where}: pose keypoint {k} must be [x, y, v]")
@@ -260,124 +320,19 @@ def _walk_person(raw: Any, where: str, schema: "KeypointSchema", require_score: 
         _number(row[2], loc)
 
 
-def _walk(frames_raw: list, schema: "KeypointSchema", require_scores: bool) -> None:
-    """Check every frame and person value by value, in file order, and raise
-    the first JSON shape or type fault."""
-    for raw in frames_raw:
-        if not isinstance(raw, dict):
-            raise ValidationError("frame must be an object")
-        _require_keys(raw, ("frame_id", "persons"), (), "frame")
-        fid = raw["frame_id"]
-        _frame_id_rule(fid)
-        persons_raw = raw["persons"]
-        if not isinstance(persons_raw, list):
-            raise ValidationError(f"frame {fid!r}: persons must be a list")
-        for i, p in enumerate(persons_raw):
-            _walk_person(p, f"frame {fid!r}, person {i}", schema, require_scores)
-
-
-_NUMBER = {int, float}
-
-
-def _gather(persons: list[dict], key: str) -> tuple[np.ndarray, list]:
-    """Which persons hold ``key``, and their values in order."""
-    return np.array([key in p for p in persons], dtype=bool), [p[key] for p in persons if key in p]
-
-
-def _scatter(has: np.ndarray, values: Iterable, shape: tuple[int, ...]) -> np.ndarray:
-    """``[N, *shape]`` column of the JSON numbers ``values`` of the rows in
-    ``has``, converted in one ``np.fromiter`` pass; other rows hold zeros."""
-    count = int(has.sum())
-    values = np.fromiter(values, dtype=np.float64, count=count * math.prod(shape))
-    if count == len(has):
-        return values.reshape(count, *shape)
-    column = np.zeros((len(has), *shape))
-    column[has] = values.reshape(count, *shape)
-    return column
-
-
-def _columns(frames_raw: list, num_kps: int, require_scores: bool) -> tuple | None:
-    """Frame ids, row offsets and person columns of a document's frames, or
-    None when any JSON shape or type check fails. Each field is gathered over
-    all persons by one comprehension, its types are checked by one
-    ``set(map(type, ...))`` pass (``np.fromiter`` would take a boolean, a
-    numeric string or a float visibility), and its numbers are converted in
-    one pass, which raises ``OverflowError`` for an integer beyond float
-    range."""
-    if not set(map(type, frames_raw)) <= {dict} or any(f.keys() != {"frame_id", "persons"}
-                                                       for f in frames_raw):
-        return None
-    frame_ids = [f["frame_id"] for f in frames_raw]
-    per_frame = [f["persons"] for f in frames_raw]
-    if not (set(map(type, frame_ids)) <= {str} and all(frame_ids)
-            and set(map(type, per_frame)) <= {list}):
-        return None
-    persons = list(chain.from_iterable(per_frame))
-    if not (set(map(type, persons)) <= {dict}
-            and set(chain.from_iterable(persons)) <= {"id", "box", "score", "pose"}):
-        return None
-    ids = _gather(persons, "id")[1]
-    has_box, boxes = _gather(persons, "box")
-    has_score, scores = _gather(persons, "score")
-    has_pose, poses = _gather(persons, "pose")
-    if not (
-        set(map(type, ids)) <= {str}
-        and set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}
-        and set(map(type, chain.from_iterable(boxes))) <= _NUMBER
-        and set(map(type, scores)) <= _NUMBER
-        and (len(scores) == len(persons) or not require_scores)
-        and set(map(type, poses)) <= {list} and set(map(len, poses)) <= {num_kps}
-    ):
-        return None
-    rows = list(chain.from_iterable(poses))
-    if not (
-        set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
-        and set(map(type, chain.from_iterable(rows))) <= _NUMBER
-        and set(map(type, map(itemgetter(2), rows))) <= {int}
-    ):
-        return None
-    columns = {
-        "ids": [p.get("id") for p in persons],
-        "boxes": _scatter(has_box, chain.from_iterable(boxes), (4,)),
-        "has_box": has_box,
-        "scores": _scatter(has_score, scores, ()),
-        "has_score": has_score,
-        "keypoints": _scatter(has_pose, chain.from_iterable(rows), (num_kps, 3)),
-        "has_pose": has_pose,
-    }
-    offsets = [0, *accumulate(map(len, per_frame))]
-    return frame_ids, offsets, columns
-
-
-def _json_object(source: str | Path, pairs_hook: Callable[[list], dict] | None = None) -> dict:
-    """The top-level object of a JSON document: ``source`` itself, or the
-    UTF-8 text of the file at a :class:`~pathlib.Path`, with every object
-    built by ``pairs_hook`` when one is given. Text that is not UTF-8 or not
-    JSON, nesting too deep to parse, and a top level that is not an object
-    raise :class:`ValidationError` ("parse error: ...")."""
-    try:
-        text = source if isinstance(source, str) else source.read_text(encoding="utf-8")
-        doc = json.loads(text, object_pairs_hook=pairs_hook)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-        raise ValidationError(f"parse error: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValidationError("parse error: top level must be an object")
-    return doc
-
-
-def dataset_from_json(text: str, schema: "KeypointSchema", *, require_scores: bool = False) -> Dataset:
+def dataset_from_json(text: str, schema: KeypointSchema, *, require_scores: bool = False) -> Dataset:
     return _load(text, schema, require_scores)
 
 
-def load_ground_truth(path: str | Path, schema: "KeypointSchema") -> Dataset:
+def load_ground_truth(path: str | Path, schema: KeypointSchema) -> Dataset:
     return _load(Path(path), schema, require_scores=False)
 
 
-def load_predictions(path: str | Path, schema: "KeypointSchema") -> Dataset:
+def load_predictions(path: str | Path, schema: KeypointSchema) -> Dataset:
     return _load(Path(path), schema, require_scores=True)
 
 
-def _load(source: str | Path, schema: "KeypointSchema | None", require_scores: bool) -> Dataset:
+def _load(source: str | Path, schema: KeypointSchema | None, require_scores: bool) -> Dataset:
     """The dataset of a JSON document (see :func:`_json_object`), parsed and
     built with the cyclic garbage collector paused. A document holds a
     container per JSON list and object and no reference cycle, and the
@@ -395,12 +350,11 @@ def _load(source: str | Path, schema: "KeypointSchema | None", require_scores: b
             gc.enable()
 
 
-def _dataset_from_doc(doc: dict, schema: "KeypointSchema | None", require_scores: bool) -> Dataset:
+def _dataset_from_doc(doc: dict, schema: KeypointSchema | None, require_scores: bool) -> Dataset:
     """Build a dataset from the top-level object of a JSON document, in
-    ``schema`` or, when None, in the built-in schema that the document names."""
+    ``schema`` or, when None, in the built-in schema that the document names,
+    with the checks in the order that the module docstring gives."""
     if schema is None:
-        from .schema import builtin_schema  # schema imports this module
-
         schema_id = doc.get("schema")
         if not isinstance(schema_id, str):
             raise ValidationError("missing or malformed 'schema' field")
@@ -427,15 +381,29 @@ def _dataset_from_doc(doc: dict, schema: "KeypointSchema | None", require_scores
     frames_raw = doc["frames"]
     if not isinstance(frames_raw, list):
         raise ValidationError("frames must be a list")
+    frame_ids, per_frame, frame_fault = [], [], None
     try:
-        built = _columns(frames_raw, len(schema.names), require_scores)
-    except OverflowError:
-        built = None
-    if built is None:
-        _walk(frames_raw, schema, require_scores)
-        # The walk and the bulk checks reject the same documents.
-        raise ValidationError("frames must hold persons of JSON numbers, strings and lists")
-    frame_ids, offsets, columns = built
+        for frame in frames_raw:
+            if type(frame) is not dict:
+                raise ValidationError("frame must be an object")
+            _require_keys(frame, ("frame_id", "persons"), (), "frame")
+            _frame_id_rule(frame["frame_id"])
+            if type(frame["persons"]) is not list:
+                raise ValidationError(f"frame {frame['frame_id']!r}: persons must be a list")
+            frame_ids.append(frame["frame_id"])
+            per_frame.append(frame["persons"])
+    except ValidationError as exc:
+        frame_fault = exc
+    offsets = [0, *accumulate(map(len, per_frame))]
+    persons = list(chain.from_iterable(per_frame))
+    columns = _person_columns(persons, len(schema.names), require_scores)
+    if isinstance(columns, str):
+        for row, person in enumerate(persons):
+            field = _person_columns([person], len(schema.names), require_scores)
+            if isinstance(field, str):
+                _person_fault(person, field, _where(frame_ids, offsets, row), schema)
+    if frame_fault is not None:
+        raise frame_fault
     return Dataset(schema.id, pano, frame_ids, offsets, **columns)
 
 

@@ -15,8 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dataio import _json_object
-from .errors import ValidationError
+from .errors import ValidationError, _json_object
 
 __all__ = [
     "KeypointSchema",
@@ -195,22 +194,13 @@ def load_mapping(path: str | Path) -> SchemaMapping:
     """Read a mapping config file: both schemas are the built-ins it names,
     every target keypoint lists a non-empty set of source names, and no
     object names a key twice."""
-    doc = _json_object(Path(path), _unique_keys)
+    doc = _json_object(Path(path))
     for key in ("source_schema", "target_schema", "entries"):
         if key not in doc:
             raise ValidationError(f"mapping file missing field {key!r}")
     source = builtin_schema(doc["source_schema"])
     target = builtin_schema(doc["target_schema"])
     return _mapping_from_entries(source, target, doc["entries"])
-
-
-def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
-    table: dict = {}
-    for name, value in pairs:
-        if name in table:
-            raise ValidationError(f"parse error: duplicate key {name!r}")
-        table[name] = value
-    return table
 
 
 def _mapping_from_entries(source: KeypointSchema, target: KeypointSchema, raw_entries: object

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, BinaryIO, Iterator
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _json_object
 from .schema import SchemaMapping, check_entries
 
 if TYPE_CHECKING:
@@ -60,13 +60,6 @@ _TAG_BY_KIND = {d.newbyteorder(order): tag for tag, d in _DTYPES.items() for ord
 _COPY_BUFFER_BYTES = 1 << 20
 
 
-def _reject_duplicate_keys(pairs: list[tuple[str, object]]) -> dict:
-    table = dict(pairs)
-    if len(table) != len(pairs):
-        raise ValidationError("malformed header: duplicate tensor name")
-    return table
-
-
 class _Container:
     """An open container. The whole header is checked on opening, before any
     payload byte is read; :meth:`read` then reads one tensor's bytes."""
@@ -82,18 +75,14 @@ class _Container:
             raise ValidationError(
                 f"malformed header: declared header length {header_len} exceeds file size"
             )
-        try:
-            header = json.loads(fh.read(header_len).decode("utf-8"),
-                                object_pairs_hook=_reject_duplicate_keys)
-        except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-            raise ValidationError(f"malformed header: {exc}") from exc
-        if not isinstance(header, dict):
-            raise ValidationError("malformed header: top level must be an object")
+        header = _json_object(fh.read(header_len), "malformed header", "duplicate tensor name")
 
         self._payload_start = 8 + header_len
         payload_size = size - self._payload_start
         self.entries: dict[str, tuple[str, tuple[int, ...], int, int]] = {}
         for name, entry in header.items():
+            if not name:
+                raise ValidationError("tensor name must be non-empty")
             if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "begin", "end"}:
                 raise ValidationError(
                     f"malformed header: tensor {name!r} needs exactly dtype/shape/begin/end"
@@ -133,8 +122,6 @@ class _Container:
 
     def read(self, name: str) -> np.ndarray:
         """Tensor ``name`` as a new read-only array of the header's shape."""
-        if not name:
-            raise ValidationError("tensor name must be non-empty")
         _, shape, begin, end = self.entries[name]
         values = self.read_into(name, np.empty(end - begin, np.uint8))
         try:

@@ -61,6 +61,17 @@ def _one_box(box=(0, 0, 10, 10)):
     return dataset("jrdb17", PANO, [("f1", [person(box=box, score=0.9)])])
 
 
+def _write_raw_container(path, tensors: dict) -> None:
+    """A container of ``tensors`` written without the writer's name check."""
+    header, payload = {}, b""
+    for name, values in tensors.items():
+        header[name] = {"dtype": "f32", "shape": list(values.shape),
+                        "begin": len(payload), "end": len(payload) + values.nbytes}
+        payload += values.astype("<f4").tobytes()
+    blob = json.dumps(header).encode()
+    path.write_bytes(len(blob).to_bytes(8, "little") + blob + payload)
+
+
 class TestEval:
     def test_self_evaluation(self, tmp_path, capsys):
         gt = tmp_path / "g.json"
@@ -464,6 +475,19 @@ class TestShift:
         assert out1.read_bytes() == out2.read_bytes()
 
 
+class TestRepeatedKeys:
+    @pytest.mark.parametrize("command", ["eval", "shift"])
+    def test_a_dataset_that_names_a_key_twice_is_refused(self, tmp_path, capsys, command):
+        good, bad = tmp_path / "g.json", tmp_path / "b.json"
+        save_dataset(_gt_dataset(), good)
+        bad.write_text(good.read_text().replace('"frame_id":', '"frame_id":"x","frame_id":', 1))
+        argv = {"eval": ["eval", "--gt", str(good), "--pred", str(bad)],
+                "shift": ["shift", "--in", str(bad), "--out", str(tmp_path / "o.json"), "--shift", "5"]}
+        assert run(argv[command]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: parse error: duplicate key 'frame_id'\n"
+        assert not (tmp_path / "o.json").exists()
+
+
 class TestNms:
     def test_single_box_passthrough(self, tmp_path):
         ds = _one_box()
@@ -617,6 +641,14 @@ class TestRemapWeights:
         assert capsys.readouterr().err == f"error: {mapping_file}: parse error: duplicate key 'head'\n"
         assert not (tmp_path / "o.bin").exists()
 
+    def test_container_with_an_empty_tensor_name_is_refused(self, tmp_path, capsys):
+        src, dst = tmp_path / "in.bin", tmp_path / "o.bin"
+        _write_raw_container(src, {"": np.ones(2, np.float32), "head.weight": np.ones((17, 2, 1, 1), np.float32)})
+        code = run(["remap-weights", "--src", str(src), "--out", str(dst), "--weight-name", "head.weight"])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {src}: tensor name must be non-empty\n"
+        assert not dst.exists()
+
     def test_missing_tensor_is_validation_error(self, tmp_path, capsys):
         src = self._container(tmp_path)
         code = run(
@@ -742,6 +774,16 @@ class TestDecodeCommand:
         save_tensor_map({"f1/0": grids}, heat_path)
         return run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
                     "--out", str(tmp_path / "o.json")])
+
+    def test_heatmap_container_with_an_empty_tensor_name_is_refused(self, tmp_path, capsys):
+        dets_path, heat_path = tmp_path / "dets.json", tmp_path / "heat.bin"
+        save_dataset(_one_box(), dets_path)
+        _write_raw_container(heat_path, {"": np.ones(1, np.float32), "f1/0": np.ones((17, 4, 4), np.float32)})
+        code = run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path),
+                    "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {heat_path}: tensor name must be non-empty\n"
+        assert not (tmp_path / "o.json").exists()
 
     def test_truncated_heatmap_container_is_named(self, tmp_path, capsys):
         dets_path, heat_path = tmp_path / "dets.json", tmp_path / "heat.bin"

@@ -257,6 +257,27 @@ class TestLoading:
             load(path, JRDB17)
 
 
+class TestRepeatedKeys:
+    # json.dumps cannot write a key twice, so a first copy is spliced in.
+    @pytest.mark.parametrize("key, first", [
+        ("schema", '"coco17"'),
+        ("width", "1"),
+        ("frame_id", '"f0"'),
+        ("box", "[5, 6, 7, 8]"),
+    ], ids=["document", "pano", "frame", "person"])
+    def test_a_key_named_twice_is_refused(self, key, first):
+        text = _doc([{"box": [1, 2, 3, 4]}]).replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1)
+        with pytest.raises(ValidationError, match=f"^parse error: duplicate key '{key}'$"):
+            dataset_from_json(text, JRDB17)
+
+    def test_a_repeated_key_comes_before_a_shape_fault(self):
+        # The shape fault is in an earlier person than the repeated key.
+        text = _doc([{"box": [1, 2, 3]}, {"box": [1, 2, 3, 4]}]).replace(
+            '{"box": [1, 2, 3, 4]}', '{"score": 0.5, "score": 0.5, "box": [1, 2, 3, 4]}')
+        with pytest.raises(ValidationError, match="^parse error: duplicate key 'score'$"):
+            dataset_from_json(text, JRDB17)
+
+
 class TestPredictions:
     def test_missing_score_rejected(self):
         text = _doc([{"box": [1, 2, 3, 4]}])

@@ -3,7 +3,9 @@
 loop references, the batched matching and set metric against a loop over
 frames, the assignment solver against the enumeration oracle, the streamed
 ``remap-weights`` against the in-memory library path, malformed dataset,
-mapping and container files, and ``eval`` with its forked ``--gt`` read
+mapping and container files, the dataset loader's faults against a
+value-by-value reference walk, the documents it accepts against
+``docs/dataset.schema.json``, and ``eval`` with its forked ``--gt`` read
 against reading the two files in turn."""
 
 import contextlib
@@ -16,8 +18,10 @@ import math
 import pickle
 import re
 import struct
+from pathlib import Path
 from unittest import mock
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -27,9 +31,10 @@ from synth import DEFAULT_PANO, dataset, mapping_doc, person, random_pose
 from panopose import cli, metrics
 from panopose.dataio import (
     Dataset,
-    _columns,
     _dataset_from_doc,
-    _walk,
+    _frame_id_rule,
+    _number,
+    _require_keys,
     dataset_from_json,
     dataset_to_canonical_json,
     save_dataset,
@@ -1240,20 +1245,69 @@ def _mutate(frames: list, path: tuple, fault) -> None:
         container[key] = copy.deepcopy(fault)
 
 
+def _mutate_drawn(draw, frames: list, fault) -> None:
+    """Put ``fault`` at a drawn value of a drawn kind, when there is one."""
+    sites = _sites(frames)
+    if sites:
+        kind = draw(st.sampled_from(sorted(sites)))
+        _mutate(frames, draw(st.sampled_from(sites[kind])), fault)
+
+
+def _reference_walk(frames: list, schema, require_scores: bool) -> None:
+    """Check every frame and person value by value, in file order, and raise
+    the first JSON shape or type fault, a person's pose rows after its other
+    fields: the loader's fault order, one value at a time."""
+    for raw in frames:
+        if not isinstance(raw, dict):
+            raise ValidationError("frame must be an object")
+        _require_keys(raw, ("frame_id", "persons"), (), "frame")
+        fid = raw["frame_id"]
+        _frame_id_rule(fid)
+        if not isinstance(raw["persons"], list):
+            raise ValidationError(f"frame {fid!r}: persons must be a list")
+        for i, p in enumerate(raw["persons"]):
+            where = f"frame {fid!r}, person {i}"
+            if not isinstance(p, dict):
+                raise ValidationError(f"{where}: person must be an object")
+            _require_keys(p, (), ("id", "box", "score", "pose"), where)
+            if "id" in p and not isinstance(p["id"], str):
+                raise ValidationError(f"{where}: id must be a string")
+            if "box" in p:
+                if not isinstance(p["box"], list) or len(p["box"]) != 4:
+                    raise ValidationError(f"{where}: box must be [x1, y1, x2, y2]")
+                for v in p["box"]:
+                    _number(v, f"{where}: box")
+            if "score" in p:
+                _number(p["score"], f"{where}: score")
+            elif require_scores:
+                raise ValidationError(f"prediction without score ({where})")
+            if "pose" not in p:
+                continue
+            pose = p["pose"]
+            if not isinstance(pose, list):
+                raise ValidationError(f"{where}: pose must be a list of [x, y, v] rows")
+            if len(pose) != len(schema.names):
+                raise ValidationError(f"{where}: pose has {len(pose)} keypoints, "
+                                      f"schema {schema.id!r} expects {len(schema.names)}")
+            for k, row in enumerate(pose):
+                if type(row) is not list or len(row) != 3:
+                    raise ValidationError(f"{where}: pose keypoint {k} must be [x, y, v]")
+                loc = f"{where}: keypoint {k}"
+                _number(row[0], loc)
+                _number(row[1], loc)
+                if type(row[2]) is not int:
+                    raise ValidationError(f"{loc} visibility must be an integer, got {row[2]!r}")
+                _number(row[2], loc)
+
+
 def _check_loader(doc: dict, require_scores: bool) -> None:
-    """The bulk checks and the value-by-value walk reject the same
-    documents; the loader's build raises only ValidationError, and the
-    walk's fault when the walk finds one."""
+    """The loader raises only ValidationError, and the reference walk's
+    fault when the walk finds one."""
     try:
-        _walk(doc["frames"], JRDB17, require_scores)
+        _reference_walk(doc["frames"], JRDB17, require_scores)
         walk_fault = None
     except ValidationError as exc:
         walk_fault = str(exc)
-    try:
-        bulk = _columns(doc["frames"], NUM_KEYPOINTS, require_scores)
-    except OverflowError:
-        bulk = None
-    assert (bulk is None) == (walk_fault is not None)
     try:
         _dataset_from_doc(doc, JRDB17, require_scores)
     except ValidationError as exc:
@@ -1276,11 +1330,54 @@ def test_mutated_datasets_raise_only_validation_errors(case, pick, data):
             _check_loader(mutated, require_scores)
     mutated = pickle.loads(frozen)
     for fault in data.draw(st.lists(st.sampled_from(TYPE_FAULTS), min_size=2, max_size=2)):
-        sites = _sites(mutated["frames"])
-        if sites:
-            kind = data.draw(st.sampled_from(sorted(sites)))
-            _mutate(mutated["frames"], data.draw(st.sampled_from(sites[kind])), fault)
+        _mutate_drawn(data.draw, mutated["frames"], fault)
     _check_loader(mutated, require_scores)
+
+
+_FULL_PERSON = {"id": "p", "box": [1, 2, 30, 40], "score": 0.5,
+                "pose": [[1.5, 2.5, 2]] * NUM_KEYPOINTS}
+# Through JSON, so that no two sites share a list or an object.
+_FULL_DOC = json.loads(json.dumps({
+    "schema": "jrdb17", "pano": {"width": PANO.width, "height": PANO.height},
+    "frames": [{"frame_id": "a", "persons": [_FULL_PERSON, _FULL_PERSON]},
+               {"frame_id": "b", "persons": [_FULL_PERSON]}]}))
+
+
+@pytest.mark.parametrize("require_scores", [False, True])
+def test_every_pair_of_faults_is_reported_in_file_order(require_scores):
+    # Two faults at every pair of value kinds: the first in the first person
+    # and the second in the last, or both in the last, so that the order of
+    # frames, of persons and of a person's fields all decide.
+    sites = sorted(_sites(_FULL_DOC["frames"]).items())
+    faults = [True, 2.0, 10**400, _MISSING, _EXTRA]
+    for (_, first), (_, second) in itertools.product(sites, repeat=2):
+        for at, fault, last_fault in itertools.product((first[0], first[-1]), faults, faults):
+            mutated = copy.deepcopy(_FULL_DOC)
+            try:
+                _mutate(mutated["frames"], second[-1], last_fault)
+                _mutate(mutated["frames"], at, fault)
+            except (AttributeError, IndexError, KeyError, TypeError):
+                continue  # the fault at the last site took away the other site
+            _check_loader(mutated, require_scores)
+
+
+DATASET_SCHEMA = jsonschema.Draft202012Validator(json.loads(
+    (Path(__file__).resolve().parent.parent / "docs" / "dataset.schema.json").read_text(encoding="utf-8")))
+
+
+@PROPERTY
+@given(dataset_documents(), st.lists(st.sampled_from(TYPE_FAULTS), max_size=2), st.data())
+def test_documents_the_loader_accepts_fit_the_json_schema(case, faults, data):
+    # The schema is looser than the loader (README lists the rules only the
+    # loader keeps), never stricter.
+    doc, require_scores = case
+    for fault in faults:
+        _mutate_drawn(data.draw, doc["frames"], fault)
+    try:
+        _dataset_from_doc(doc, JRDB17, require_scores)
+    except ValidationError:
+        return
+    DATASET_SCHEMA.validate(doc)
 
 
 @st.composite
@@ -1292,10 +1389,8 @@ def eval_documents(draw, scored):
         for frame in doc["frames"]:
             for raw in frame["persons"]:
                 raw.setdefault("score", 0.5)
-    sites = _sites(doc["frames"])
-    if sites and draw(st.integers(0, 2)) == 0:
-        kind = draw(st.sampled_from(sorted(sites)))
-        _mutate(doc["frames"], draw(st.sampled_from(sites[kind])), draw(st.sampled_from(TYPE_FAULTS)))
+    if draw(st.integers(0, 2)) == 0:
+        _mutate_drawn(draw, doc["frames"], draw(st.sampled_from(TYPE_FAULTS)))
     return doc
 
 

@@ -97,6 +97,16 @@ class TestContainer:
         with pytest.raises(ValidationError, match="duplicate tensor name"):
             load_tensor_map(path)
 
+    @pytest.mark.parametrize("blob", [
+        b'{"w":{"dtype":"f32","shape":[1],"begin":0,"end":4},"w":{"dtype":"f32","shape":[1],"begin":0,"end":4}}',
+        b'{"w":{"dtype":"f32","dtype":"f32","shape":[1],"begin":0,"end":4}}',
+    ], ids=["tensor", "entry"])
+    def test_a_key_named_twice_is_refused(self, tmp_path, blob):
+        path = tmp_path / "bad.bin"
+        path.write_bytes(struct.pack("<Q", len(blob)) + blob + b"\x00" * 4)
+        with pytest.raises(ValidationError, match="^malformed header: duplicate tensor name$"):
+            load_tensor_map(path)
+
     def test_malformed_header(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(struct.pack("<Q", 4) + b"oops")
