@@ -29,24 +29,25 @@ keypoints or scores run on their input: box or pose
 (:func:`_presence_rule`), finite box fields with a positive finite area
 (``geometry._box_rule``), finite keypoints with v in {0, 1, 2}
 (:func:`_keypoint_rule`, also run by ``metrics.oks``) and a score in [0, 1]
-(``geometry._score_rule``). Frame ids are non-empty strings
-(:func:`_frame_id_rule`) and unique.
+(``geometry._score_rule``). Frame ids are non-empty strings that
+UTF-8 can encode (:func:`_frame_id_rule`) and unique.
 
 A file is parsed by ``errors._json_object``, which refuses an object that
 names a key twice. Then the frames are checked in file order up to the
-first that fails, and the persons before it field by field over all of
-them at once (:func:`_person_columns`): one comprehension gathers a field,
-set operations check its types, and one pass converts its numbers. Only
-when a field fails do the same checks go over one person at a time, and the
-first that fails is worded (:func:`_person_fault`), a box or pose value by
-value. Of several faults in a file, a parse error comes first (not UTF-8,
-not JSON, a repeated key); then the first JSON shape or type fault in file
-order (a missing or extra field, a wrong type, a pose of the wrong length,
-an empty frame id, an integer beyond float range; the header comes first,
-then frames and persons in order, and a person's pose rows after its other
-fields); otherwise the value fault of the earliest person, with the rules
-in the order above and a pose's first bad keypoint; then a repeated frame
-id.
+first that fails. One bulk check over all persons before it says whether
+they pass (:func:`_person_columns`): one comprehension gathers a field, set
+operations check its types, and one pass converts its numbers. Only when
+they do not does a walk over the persons in file order say where and what
+(:func:`_person_fault`): it reads one person's fields in order, a box or
+pose value by value, and raises the first person's first fault. Of several
+faults in a file, a parse error comes first (not UTF-8, not JSON, a
+repeated key, an integer literal too long to read); then the first JSON
+shape or type fault in file order (a missing or extra field, a wrong type,
+a pose of the wrong length, an empty frame id or one that UTF-8 cannot
+encode, an integer beyond float range; the header comes first, then frames
+and persons in order, and a person's pose rows after its other fields);
+otherwise the value fault of the earliest person, with the rules in the
+order above and a pose's first bad keypoint; then a repeated frame id.
 """
 
 from __future__ import annotations
@@ -111,8 +112,15 @@ def _presence_rule(has_box: np.ndarray, has_pose: np.ndarray) -> None:
 
 
 def _frame_id_rule(frame_id: Any) -> None:
+    """A frame id is a non-empty string that UTF-8 can encode (no lone
+    surrogate, which JSON's ``\\ud800`` escape can give): the frame table
+    writes it raw."""
     if not isinstance(frame_id, str) or not frame_id:
         raise ValidationError(f"frame {frame_id!r}: frame id must be a non-empty string, got {frame_id!r}")
+    try:
+        frame_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise ValidationError(f"frame {frame_id!r}: frame id is not encodable as UTF-8") from None
 
 
 @dataclass(frozen=True, init=False, eq=False)
@@ -214,8 +222,12 @@ def _require_keys(obj: dict, required: tuple[str, ...], optional: Iterable[str],
         raise ValidationError(f"{where}: unexpected field(s) {extra}")
 
 
+_PERSON_FIELDS = frozenset(("id", "box", "score", "pose"))
+_NUMBER = {int, float}
+
+
 def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if type(value) not in _NUMBER:
         raise ValidationError(f"{where}: expected a number, got {value!r}")
     try:
         return float(value)
@@ -223,19 +235,12 @@ def _number(value: Any, where: str) -> float:
         raise ValidationError(f"{where}: integer too large for a float") from None
 
 
-_PERSON_FIELDS = frozenset(("id", "box", "score", "pose"))
-_NUMBER = {int, float}
-
-
-def _scatter(has: np.ndarray, values: Iterable, shape: tuple[int, ...]) -> np.ndarray | None:
+def _scatter(has: np.ndarray, values: Iterable, shape: tuple[int, ...]) -> np.ndarray:
     """``[N, *shape]`` column of the JSON numbers ``values`` of the rows in
     ``has``, converted in one ``np.fromiter`` pass; other rows hold zeros.
-    None when a value is an integer beyond float range."""
+    An integer beyond float range raises ``OverflowError``."""
     count = int(has.sum())
-    try:
-        values = np.fromiter(values, dtype=np.float64, count=count * math.prod(shape))
-    except OverflowError:
-        return None
+    values = np.fromiter(values, dtype=np.float64, count=count * math.prod(shape))
     if count == len(has):
         return values.reshape(count, *shape)
     column = np.zeros((len(has), *shape))
@@ -243,65 +248,58 @@ def _scatter(has: np.ndarray, values: Iterable, shape: tuple[int, ...]) -> np.nd
     return column
 
 
-def _person_columns(persons: list, num_kps: int, require_scores: bool) -> dict | str:
-    """The person columns of ``persons``, or the first field, in the order
-    person, id, box, score, pose, that fails its check. Types are checked
-    before numbers are converted: ``np.fromiter`` would take a boolean, a
-    numeric string or a float visibility."""
+def _person_columns(persons: list, num_kps: int, require_scores: bool) -> dict | None:
+    """The person columns of ``persons``, or None when any person fails a
+    shape or type rule. Types are checked before numbers are converted:
+    ``np.fromiter`` would take a boolean, a numeric string or a float
+    visibility."""
     if not (set(map(type, persons)) <= {dict} and set(chain.from_iterable(persons)) <= _PERSON_FIELDS):
-        return "person"
-    if not set(map(type, [p["id"] for p in persons if "id" in p])) <= {str}:
-        return "id"
-    columns = {"ids": [p.get("id") for p in persons]}
-    for key in ("box", "score", "pose"):
-        columns["has_" + key] = np.array([key in p for p in persons], dtype=bool)
+        return None
     boxes = [p["box"] for p in persons if "box" in p]
-    if not (set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}
-            and set(map(type, chain.from_iterable(boxes))) <= _NUMBER):
-        return "box"
-    columns["boxes"] = _scatter(columns["has_box"], chain.from_iterable(boxes), (4,))
-    if columns["boxes"] is None:
-        return "box"
     scores = [p["score"] for p in persons if "score" in p]
-    if not set(map(type, scores)) <= _NUMBER or require_scores and len(scores) < len(persons):
-        return "score"
-    columns["scores"] = _scatter(columns["has_score"], scores, ())
-    if columns["scores"] is None:
-        return "score"
     poses = [p["pose"] for p in persons if "pose" in p]
-    if not (set(map(type, poses)) <= {list} and set(map(len, poses)) <= {num_kps}):
-        return "pose"
+    if not (set(map(type, [p["id"] for p in persons if "id" in p])) <= {str}
+            and set(map(type, boxes)) <= {list} and set(map(len, boxes)) <= {4}
+            and set(map(type, chain.from_iterable(boxes))) <= _NUMBER
+            and set(map(type, scores)) <= _NUMBER and not (require_scores and len(scores) < len(persons))
+            and set(map(type, poses)) <= {list} and set(map(len, poses)) <= {num_kps}):
+        return None
     rows = list(chain.from_iterable(poses))
     if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {3}
             and set(map(type, chain.from_iterable(rows))) <= _NUMBER
             and set(map(type, map(itemgetter(2), rows))) <= {int}):
-        return "pose"
-    columns["keypoints"] = _scatter(columns["has_pose"], chain.from_iterable(rows), (num_kps, 3))
-    if columns["keypoints"] is None:
-        return "pose"
+        return None
+    columns = {"ids": [p.get("id") for p in persons]}
+    for key in ("box", "score", "pose"):
+        columns["has_" + key] = np.array([key in p for p in persons], dtype=bool)
+    try:
+        columns["boxes"] = _scatter(columns["has_box"], chain.from_iterable(boxes), (4,))
+        columns["scores"] = _scatter(columns["has_score"], scores, ())
+        columns["keypoints"] = _scatter(columns["has_pose"], chain.from_iterable(rows), (num_kps, 3))
+    except OverflowError:
+        return None
     return columns
 
 
-def _person_fault(person: Any, field: str, where: str, schema: KeypointSchema) -> None:
-    """Raise the fault of one person's ``field``, which failed its check in
-    :func:`_person_columns`; a box or pose is gone through value by value,
-    so that a type fault and an overflow come out in value order."""
-    if field == "person":
-        if type(person) is not dict:
-            raise ValidationError(f"{where}: person must be an object")
-        _require_keys(person, (), _PERSON_FIELDS, where)
-    if field == "id":
+def _person_fault(person: Any, where: str, schema: KeypointSchema, require_scores: bool) -> None:
+    """Raise the first shape or type fault of one person, in the order
+    person, id, box, score, pose; a box or pose is gone through value by
+    value, so that a type fault and an overflow come out in value order."""
+    if type(person) is not dict:
+        raise ValidationError(f"{where}: person must be an object")
+    _require_keys(person, (), _PERSON_FIELDS, where)
+    if "id" in person and type(person["id"]) is not str:
         raise ValidationError(f"{where}: id must be a string")
-    if field == "box":
+    if "box" in person:
         if type(person["box"]) is not list or len(person["box"]) != 4:
             raise ValidationError(f"{where}: box must be [x1, y1, x2, y2]")
         for v in person["box"]:
             _number(v, f"{where}: box")
-    if field == "score":
-        if "score" not in person:
-            raise ValidationError(f"prediction without score ({where})")
+    if "score" in person:
         _number(person["score"], f"{where}: score")
-    if field != "pose":
+    elif require_scores:
+        raise ValidationError(f"prediction without score ({where})")
+    if "pose" not in person:
         return
     pose = person["pose"]
     if type(pose) is not list:
@@ -397,11 +395,9 @@ def _dataset_from_doc(doc: dict, schema: KeypointSchema | None, require_scores: 
     offsets = [0, *accumulate(map(len, per_frame))]
     persons = list(chain.from_iterable(per_frame))
     columns = _person_columns(persons, len(schema.names), require_scores)
-    if isinstance(columns, str):
+    if columns is None:
         for row, person in enumerate(persons):
-            field = _person_columns([person], len(schema.names), require_scores)
-            if isinstance(field, str):
-                _person_fault(person, field, _where(frame_ids, offsets, row), schema)
+            _person_fault(person, _where(frame_ids, offsets, row), schema, require_scores)
     if frame_fault is not None:
         raise frame_fault
     return Dataset(schema.id, pano, frame_ids, offsets, **columns)

@@ -30,8 +30,10 @@ def _json_object(source: str | bytes | Path, prefix: str = "parse error",
                  repeated: str = "duplicate key {!r}") -> dict:
     """The top-level object of a JSON document: ``source``, its UTF-8 bytes or
     the UTF-8 file at a :class:`~pathlib.Path`. Not UTF-8, not JSON, too deep,
-    a key named twice in an object (``repeated`` formatted with the key) or a
-    top level not an object raise ``ValidationError("<prefix>: ...")``."""
+    an integer literal too long for ``int`` (Python 3.11 refuses more than
+    4300 digits), a key named twice in an object (``repeated`` formatted with
+    the key) or a top level not an object raise
+    ``ValidationError("<prefix>: ...")``."""
 
     def unique(pairs: list[tuple[str, object]]) -> dict:
         obj = dict(pairs)
@@ -45,7 +47,9 @@ def _json_object(source: str | bytes | Path, prefix: str = "parse error",
         text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
         doc = json.loads(text if isinstance(text, str) else text.decode("utf-8"),
                          object_pairs_hook=unique)
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except ValidationError:  # a repeated key, worded by ``unique``
+        raise
+    except (ValueError, RecursionError) as exc:  # decode and JSON errors are ValueErrors
         raise ValidationError(f"{prefix}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ValidationError(f"{prefix}: top level must be an object")

@@ -37,7 +37,8 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -472,15 +473,7 @@ class EvalReport:
             "ospa_iou": self.ospa_iou,
             "ap_05": self.ap_05,
             "config": self.config,
-            "per_frame": {
-                fid: {
-                    "ospa_iou": s.ospa_iou,
-                    "num_predictions": s.num_predictions,
-                    "num_ground_truths": s.num_ground_truths,
-                    "num_matched": s.num_matched,
-                }
-                for fid, s in sorted(self.per_frame.items())
-            },
+            "per_frame": {fid: dict(vars(s)) for fid, s in sorted(self.per_frame.items())},
         }
 
 
@@ -545,15 +538,11 @@ def save_report(report: EvalReport, path: str | Path) -> None:
 
 
 def save_frame_table(report: EvalReport, path: str | Path) -> None:
-    """One row per frame: frame_id, ospa_iou, num_predictions,
-    num_ground_truths, num_matched."""
+    """One row per frame: frame_id, then the :class:`FrameStats` fields."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["frame_id", "ospa_iou", "num_predictions", "num_ground_truths", "num_matched"]
-        )
-        for fid in sorted(report.per_frame):
-            s = report.per_frame[fid]
-            writer.writerow(
-                [fid, repr(s.ospa_iou), s.num_predictions, s.num_ground_truths, s.num_matched]
-            )
+        names = [f.name for f in fields(FrameStats)]
+        stats = attrgetter(*names)
+        writer.writerow(["frame_id", *names])
+        for fid, s in sorted(report.per_frame.items()):
+            writer.writerow([fid, *stats(s)])

@@ -18,11 +18,13 @@ from panopose.dataio import (
     _load,
     dataset_from_json,
     dataset_to_canonical_json,
+    load_ground_truth,
     load_predictions,
     save_dataset,
 )
+from panopose.errors import ValidationError
 from panopose.geometry import PanoramaSpec
-from panopose.schema import JRDB17, default_mapping
+from panopose.schema import JRDB17, default_mapping, load_mapping
 from panopose.weights import load_tensor_map, save_tensor_map
 
 PANO = PanoramaSpec(2000.0, 600.0)
@@ -167,6 +169,19 @@ class TestEval:
         assert code == 1
         assert err.startswith("error: ")
         assert "Traceback" not in err
+
+    def test_a_frame_id_utf8_cannot_encode_is_refused_before_any_output(self, tmp_path, capsys):
+        # JSON's escape can write a lone surrogate, which the frame table
+        # could not write.
+        data, report, table = tmp_path / "d.json", tmp_path / "r.json", tmp_path / "t.csv"
+        data.write_text(dataset_to_canonical_json(_gt_dataset()).replace('"f1"', '"\\ud800"'))
+        code = run(["eval", "--gt", str(data), "--pred", str(data),
+                    "--report", str(report), "--table", str(table)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {data}: frame '\\ud800': ")
+        assert not report.exists() and not table.exists()
 
     def test_non_utf8_file_exit_code(self, tmp_path, capsys):
         gt = tmp_path / "g.json"
@@ -486,6 +501,51 @@ class TestRepeatedKeys:
         assert run(argv[command]) == 1
         assert capsys.readouterr().err == f"error: {bad}: parse error: duplicate key 'frame_id'\n"
         assert not (tmp_path / "o.json").exists()
+
+
+# A JSON integer of 5000 digits: Python 3.11 refuses to convert it to an
+# int, and a Python without that limit refuses it as beyond float range (a
+# dataset), a schema id not a string (a mapping) or a truncated payload (a
+# container).
+_LONG_INTEGER = "1" * 5000
+
+
+def _long_integer_files(tmp_path):
+    """A dataset, a mapping file and a container, each with a long integer."""
+    data, mapping, container = tmp_path / "d.json", tmp_path / "m.json", tmp_path / "c.bin"
+    data.write_text(dataset_to_canonical_json(_one_box()).replace("0,0,10,10", f"0,0,{_LONG_INTEGER},10"))
+    mapping.write_text(json.dumps(mapping_doc(default_mapping())).replace(
+        '"jrdb17"', _LONG_INTEGER, 1))
+    blob = ('{"a":{"dtype":"u8","shape":[1],"begin":0,"end":%s}}' % _LONG_INTEGER).encode()
+    container.write_bytes(len(blob).to_bytes(8, "little") + blob + b"\x00")
+    return data, mapping, container
+
+
+class TestIntegerLiteralsTooLong:
+    def test_the_library_raises_validation_error(self, tmp_path):
+        data, mapping, container = _long_integer_files(tmp_path)
+        for load, path in [(lambda p: load_ground_truth(p, JRDB17), data), (load_mapping, mapping),
+                           (load_tensor_map, container)]:
+            with pytest.raises(ValidationError):
+                load(path)
+
+    @pytest.mark.parametrize("flag", ["--in", "--mapping", "--src"])
+    def test_the_command_names_the_file(self, tmp_path, capsys, flag):
+        data, mapping, container = _long_integer_files(tmp_path)
+        save_tensor_map({"head.weight": np.zeros((17, 2, 1, 1), np.float32)}, tmp_path / "ok.bin")
+        out = tmp_path / "out"
+        argv, path = {
+            "--in": (["shift", "--in", str(data), "--out", str(out), "--shift", "5"], data),
+            "--mapping": (["remap-weights", "--src", str(tmp_path / "ok.bin"), "--out", str(out),
+                           "--mapping", str(mapping), "--weight-name", "head.weight"], mapping),
+            "--src": (["remap-weights", "--src", str(container), "--out", str(out),
+                       "--weight-name", "a"], container),
+        }[flag]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}: ")
+        assert not out.exists()
 
 
 class TestNms:

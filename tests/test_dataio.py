@@ -81,9 +81,10 @@ class TestTypes:
             ({"frame_ids": ["a", "b"], "offsets": [0, 2, 1]}, r"^offsets must rise from 0 to 1 over 2 frames$"),
             ({"keypoints": [[0.0, 0.0]], "has_pose": [True]}, r"^keypoints must be \[N, K, 3\], got shape \(1, 2\)$"),
             ({"frame_ids": [""]}, r"^frame '': frame id must be a non-empty string"),
+            ({"frame_ids": ["\ud800"]}, r"^frame '\\ud800': frame id is not encodable as UTF-8$"),
         ],
         ids=["long-column", "short-column", "short-offsets", "offsets-from-1", "offsets-past-n",
-             "offsets-fall", "keypoints-shape", "empty-frame-id"],
+             "offsets-fall", "keypoints-shape", "empty-frame-id", "surrogate-frame-id"],
     )
     def test_constructor_rejects_inconsistent_columns(self, changes, match):
         with pytest.raises(ValidationError, match=match):
@@ -175,6 +176,12 @@ class TestLoading:
     def test_empty_frame_id_names_the_frame(self):
         text = _doc([{"box": [1, 2, 3, 4]}], frame_id="")
         with pytest.raises(ValidationError, match=r"frame '': frame id must be a non-empty"):
+            dataset_from_json(text, JRDB17)
+
+    def test_frame_id_utf8_cannot_encode_names_the_frame(self):
+        # json.dumps writes the lone surrogate as the escape \ud800.
+        text = _doc([{"box": [1, 2, 3, 4]}], frame_id="\ud800")
+        with pytest.raises(ValidationError, match=r"^frame '\\ud800': frame id is not encodable as UTF-8$"):
             dataset_from_json(text, JRDB17)
 
     @pytest.mark.parametrize(

@@ -1361,6 +1361,35 @@ def test_every_pair_of_faults_is_reported_in_file_order(require_scores):
             _check_loader(mutated, require_scores)
 
 
+@pytest.mark.parametrize("require_scores", [False, True])
+def test_a_fault_in_the_last_of_many_persons_is_worded_as_the_walk_words_it(require_scores):
+    # The bulk check refuses all 300 persons at once; every person before the
+    # last then passes the person walk, and the last one's fault is raised.
+    doc = json.loads(json.dumps({**_FULL_DOC, "frames": [
+        {"frame_id": f"{f:02d}", "persons": [_FULL_PERSON] * 4} for f in range(75)]}))
+    frozen = pickle.dumps(doc)
+    kinds, faulted = set(), set()
+    for kind, paths in sorted(_sites(doc["frames"]).items()):
+        if paths[-1][:3] != (74, "persons", 3):
+            continue  # a frame's own value
+        kinds.add(kind)
+        for fault in TYPE_FAULTS:
+            mutated = pickle.loads(frozen)
+            _mutate(mutated["frames"], paths[-1], fault)
+            try:
+                _reference_walk(mutated["frames"], JRDB17, require_scores)
+            except ValidationError as exc:
+                assert "frame '74', person 3" in str(exc)
+                with pytest.raises(ValidationError) as loaded:
+                    _dataset_from_doc(mutated, JRDB17, require_scores)
+                assert str(loaded.value) == str(exc)
+                faulted.add(kind)
+            else:
+                with contextlib.suppress(ValidationError):  # a value fault, such as a box of 2.0s
+                    _dataset_from_doc(mutated, JRDB17, require_scores)
+    assert faulted == kinds and len(kinds) == 9
+
+
 DATASET_SCHEMA = jsonschema.Draft202012Validator(json.loads(
     (Path(__file__).resolve().parent.parent / "docs" / "dataset.schema.json").read_text(encoding="utf-8")))
 
