@@ -7,7 +7,8 @@ decoding, and set-based evaluation metrics.
 
 Each public name loads its module on first use, so a process imports only
 the modules it touches: ``panopose --version`` and ``panopose nms``, say,
-never load ``metrics``, ``weights`` or ``decode``.
+never load ``metrics``, ``weights`` or ``decode``, and ``--version`` and
+``remap-weights`` load no numpy.
 """
 
 import importlib

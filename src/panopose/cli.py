@@ -11,7 +11,10 @@ Every subcommand prints a one-line JSON echo of its effective configuration
 file's ``pano``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
 Exit codes: 0 success, 1 validation error, 2 usage error. Each command
 imports the modules it uses when it runs, so a process loads no others:
-``nms`` never loads ``metrics``, ``weights`` or ``decode``.
+``nms`` never loads ``metrics``, ``weights`` or ``decode``, and
+``remap-weights`` and ``--version`` never load numpy or ``geometry``. The
+parser's crop size and box, NMS and padding defaults come from
+:mod:`panopose._defaults`, which ``geometry`` exports.
 
 ``eval`` reads ``--gt`` in a child made by ``os.fork`` while it reads
 ``--pred`` (:func:`_started`); the child sends back the dataset, or the
@@ -30,25 +33,19 @@ import sys
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
-import numpy as np
-
 from . import __version__
-from .errors import RowError, ValidationError, _where
-from .geometry import (
+from ._defaults import (
+    CROP_HEIGHT,
+    CROP_WIDTH,
     DEFAULT_BOX_MARGIN,
     DEFAULT_CROP_PADDING,
     DEFAULT_NMS_IOU,
-    CROP_HEIGHT,
-    CROP_WIDTH,
-    _check_crop,
-    _inverse,
-    _nms_rows,
-    _pose_bboxes,
-    crop_transform,
-    shift_dataset,
 )
+from .errors import RowError, ValidationError, _where
 
 if TYPE_CHECKING:
+    from numpy.typing import NDArray
+
     from .dataio import Dataset
 
 __all__ = ["build_parser", "run", "main"]
@@ -90,7 +87,7 @@ def _cmd_remap_weights(args: argparse.Namespace) -> int:
             mapping = _in_file(args.mapping, load_mapping, args.mapping)
         else:
             mapping = default_mapping(args.verbatim_table1)
-        head = _in_file(args.src, _remap_head, src, args.weight_name, mapping, args.bias_name)
+        head = _in_file(args.src, _remap_head, src.raw, args.weight_name, mapping, args.bias_name)
         # --out is written while --src is read, so it must be another file.
         if os.path.exists(args.out) and os.path.samestat(os.fstat(fh.fileno()), os.stat(args.out)):
             raise ValidationError(f"{args.src}: --out {args.out} is the same file as --src")
@@ -112,6 +109,7 @@ def _cmd_remap_weights(args: argparse.Namespace) -> int:
 
 def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
     from .dataio import save_dataset
+    from .geometry import _pose_bboxes
 
     ds = _load_dataset(args.input, require_scores=False)
     rows = ds.has_pose.nonzero()[0]
@@ -138,6 +136,7 @@ def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
 
 def _cmd_shift(args: argparse.Namespace) -> int:
     from .dataio import save_dataset
+    from .geometry import shift_dataset
 
     ds = _load_dataset(args.input, require_scores=False)
     if args.random:
@@ -161,6 +160,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 def _cmd_nms(args: argparse.Namespace) -> int:
     from .dataio import save_dataset
+    from .geometry import _nms_rows
 
     ds = _load_dataset(args.pred, require_scores=True)
     _require_boxes(ds, "nms")
@@ -170,11 +170,13 @@ def _cmd_nms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _heatmap_peaks(path: str, dets: Dataset, num_keypoints: int) -> tuple[np.ndarray, np.ndarray]:
+def _heatmap_peaks(path: str, dets: Dataset, num_keypoints: int) -> tuple[NDArray, NDArray]:
     """The ``[N, 2, K]`` peak cells and ``[N, 2, 2, K]`` neighbours
     (:func:`~panopose.decode._peaks`) of every detection's tensor in the
     container at ``path``, each tensor read in turn into one buffer and
     checked in full before the next."""
+    import numpy as np
+
     from .decode import _peaks
     from .weights import _Container
 
@@ -206,8 +208,11 @@ def _heatmap_peaks(path: str, dets: Dataset, num_keypoints: int) -> tuple[np.nda
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
+    import numpy as np
+
     from .dataio import save_dataset
     from .decode import _check_stride, _project
+    from .geometry import _check_crop, _inverse, crop_transform
     from .schema import builtin_schema
 
     _check_stride(args.stride)

@@ -31,6 +31,13 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
+from ._defaults import (
+    CROP_HEIGHT,
+    CROP_WIDTH,
+    DEFAULT_BOX_MARGIN,
+    DEFAULT_CROP_PADDING,
+    DEFAULT_NMS_IOU,
+)
 from .errors import RowError, ValidationError, _where
 
 if TYPE_CHECKING:
@@ -50,12 +57,6 @@ __all__ = [
     "shift_dataset",
     "crop_transform",
 ]
-
-CROP_WIDTH = 288
-CROP_HEIGHT = 384
-DEFAULT_NMS_IOU = 0.5
-DEFAULT_BOX_MARGIN = 0.1
-DEFAULT_CROP_PADDING = 1.25
 
 # _nms_rows takes the IoU rows of this many candidates per call, so its
 # memory stays linear in the box count: 64 rows of 2000 boxes are 1 MB.

@@ -1,6 +1,13 @@
 """Flat binary tensor container and final-layer weight remapping.
 
-A tensor is a numpy array, and a set of tensors is a dict of name -> array.
+The container layer works on bytes: there a tensor is a dtype tag, a shape
+and its little-endian payload bytes, so opening, checking, copying and
+writing a container, and remapping a head, load no numpy. numpy is imported
+only where a tensor becomes an array: :func:`load_tensor_map`,
+:meth:`_Container.read` and :meth:`_Container.read_into` give arrays, and
+:func:`save_tensor_map` and :func:`remap_head_weights` take a dict of
+name -> array.
+
 Container layout: an 8-byte little-endian unsigned header length, then a
 UTF-8 JSON header mapping tensor name -> {"dtype", "shape", "begin", "end"}
 (byte offsets into the payload), then the raw little-endian payload. The
@@ -19,8 +26,10 @@ bounded buffer.
 The head-remapping operation averages the output channels of a rank-4
 [K, C, kh, kw] convolution weight (and optionally its [K] bias) according to
 a counterpart mapping, producing a new head whose channel ``t`` is the mean
-of the source channels listed for target ``t``. Accumulation is in float64,
-rounded to float32 on store; single-counterpart channels copy bit-exactly.
+of the source channels listed for target ``t``. One kernel,
+:func:`_mean_rows`, computes it on the head's bytes for the library and the
+command alike: the float64 sum numpy's ``mean`` takes, divided by the count
+and rounded to float32; single-counterpart channels copy bit-exactly.
 """
 
 from __future__ import annotations
@@ -28,19 +37,18 @@ from __future__ import annotations
 import json
 import math
 import os
+import stat
 import struct
 from collections.abc import Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import TYPE_CHECKING, BinaryIO, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
 from .errors import ValidationError, _json_object
 from .schema import SchemaMapping, check_entries
 
 if TYPE_CHECKING:
-    from numpy.typing import ArrayLike
+    from numpy.typing import ArrayLike, NDArray
 
 __all__ = [
     "load_tensor_map",
@@ -48,16 +56,14 @@ __all__ = [
     "remap_head_weights",
 ]
 
-_DTYPES = {
-    "f32": np.dtype("<f4"),
-    "f64": np.dtype("<f8"),
-    "i32": np.dtype("<i4"),
-    "i64": np.dtype("<i8"),
-    "u8": np.dtype("u1"),
-}
-# Arrays of either byte order have a tag; the payload holds little-endian bytes.
-_TAG_BY_KIND = {d.newbyteorder(order): tag for tag, d in _DTYPES.items() for order in "<>"}
+# Tag -> the numpy dtype of its payload; the last character is the item size.
+_DTYPES = {"f32": "<f4", "f64": "<f8", "i32": "<i4", "i64": "<i8", "u8": "|u1"}
+_ITEMSIZE = {tag: int(code[-1]) for tag, code in _DTYPES.items()}
+_TAG_OF = {code: tag for tag, code in _DTYPES.items()}
 _COPY_BUFFER_BYTES = 1 << 20
+
+# A tensor as the container layer holds it: dtype tag, shape, payload bytes.
+_Raw = tuple[str, tuple[int, ...], bytes]
 
 
 class _Container:
@@ -102,7 +108,7 @@ class _Container:
                     f"truncated payload: tensor {name!r} ends at byte {end}, "
                     f"payload has {payload_size}"
                 )
-            needed = math.prod(shape) * _DTYPES[dtype].itemsize
+            needed = math.prod(shape) * _ITEMSIZE[dtype]
             if end - begin != needed:
                 raise ValidationError(
                     f"tensor {name!r}: offsets span {end - begin} bytes, "
@@ -117,11 +123,10 @@ class _Container:
                     f"overlapping payload ranges for tensors {n0!r} and {n1!r}"
                 )
 
-    def __contains__(self, name: str) -> bool:
-        return name in self.entries
-
-    def read(self, name: str) -> np.ndarray:
+    def read(self, name: str) -> NDArray:
         """Tensor ``name`` as a new read-only array of the header's shape."""
+        import numpy as np
+
         _, shape, begin, end = self.entries[name]
         values = self.read_into(name, np.empty(end - begin, np.uint8))
         try:
@@ -131,7 +136,7 @@ class _Container:
         values.flags.writeable = False
         return values
 
-    def read_into(self, name: str, buffer: np.ndarray) -> np.ndarray:
+    def read_into(self, name: str, buffer: NDArray) -> NDArray:
         """Tensor ``name``'s values, flat, read into the front of the uint8
         ``buffer``, which must hold them: a view that the next read into
         ``buffer`` overwrites."""
@@ -141,7 +146,20 @@ class _Container:
         self._fill(name, view)
         return view.view(_DTYPES[dtype])
 
-    __getitem__ = read
+    def raw(self, name: str) -> _Raw | None:
+        """Tensor ``name`` as the container holds it, or None without it. A
+        shape with a zero extent or more than 32 dimensions, the only ones
+        numpy may not hold (any other fits in the file), is first read as an
+        array, so that a shape :meth:`read` refuses is refused in its words."""
+        if name not in self.entries:
+            return None
+        dtype, shape, begin, end = self.entries[name]
+        if 0 in shape or len(shape) > 32:
+            self.read(name)
+        data = bytearray(end - begin)
+        self._fh.seek(self._payload_start + begin)
+        self._fill(name, data)
+        return dtype, shape, data
 
     def chunks(self, name: str, buffer: memoryview) -> Iterator[memoryview]:
         """Tensor ``name``'s payload bytes in parts read into ``buffer``; each
@@ -153,7 +171,7 @@ class _Container:
             self._fill(name, part)
             yield part
 
-    def _fill(self, name: str, view: np.ndarray | memoryview) -> None:
+    def _fill(self, name: str, view: NDArray | bytearray | memoryview) -> None:
         if self._fh.readinto(view) != len(view):
             raise ValidationError(f"truncated payload: tensor {name!r} could not be read whole")
 
@@ -164,7 +182,7 @@ def _open_container(path: str | Path) -> Iterator[_Container]:
         yield _Container(fh)
 
 
-def load_tensor_map(path: str | Path) -> dict[str, np.ndarray]:
+def load_tensor_map(path: str | Path) -> dict[str, NDArray]:
     """Every tensor of the container at ``path`` as a read-only array, by
     name in sorted order."""
     with _open_container(path) as container:
@@ -172,63 +190,124 @@ def load_tensor_map(path: str | Path) -> dict[str, np.ndarray]:
     return dict(sorted(tensors.items()))
 
 
-def _stored(name: str, values: ArrayLike) -> tuple[str, np.ndarray]:
-    """The dtype tag of tensor ``name`` and its values as the payload holds
-    them: C-contiguous and little-endian, so their raw bytes are written."""
+def _tag(values: NDArray) -> str | None:
+    """The dtype tag of an array of either byte order, or None without one."""
+    return _TAG_OF.get(values.dtype.newbyteorder("<").str)
+
+
+def _stored(name: str, values: ArrayLike) -> _Raw:
+    """Tensor ``name`` as the container holds it: its values C-contiguous
+    and little-endian, so their raw bytes are written."""
+    import numpy as np
+
     if not name:
         raise ValidationError("tensor name must be non-empty")
     values = np.asarray(values)
-    tag = _TAG_BY_KIND.get(values.dtype)
+    tag = _tag(values)
     if tag is None:
         raise ValidationError(f"no container dtype tag for numpy dtype {values.dtype}")
     # Not np.ascontiguousarray, which makes a 0-d array 1-d.
-    return tag, values.astype(_DTYPES[tag], order="C", copy=False)
+    return tag, values.shape, values.astype(_DTYPES[tag], order="C", copy=False)
 
 
 def save_tensor_map(tensors: Mapping[str, ArrayLike], path: str | Path) -> None:
     """Write the container of ``tensors`` (name -> array-like); byte output
     is deterministic for given names, dtypes, shapes and values."""
-    _write_container(path, tensors)
+    _write_container(path, {name: _stored(name, values) for name, values in tensors.items()})
 
 
 def _write_container(
-    path: str | Path, tensors: Mapping[str, ArrayLike], src: _Container | None = None
+    path: str | Path, tensors: Mapping[str, _Raw], src: _Container | None = None
 ) -> None:
-    """Write a container of ``tensors`` and, when ``src`` is given, of its
-    other tensors: names in sorted order with contiguous payload offsets.
-    The bytes of a tensor of ``src`` are copied through one bounded buffer, so
-    memory does not grow with the container. A failed write removes the
-    partial file."""
-    stored = {name: _stored(name, values) for name, values in tensors.items()}
+    """Write a container of ``tensors`` (name -> dtype tag, shape, payload
+    bytes) and, when ``src`` is given, of its other tensors: names in sorted
+    order with contiguous payload offsets. The bytes of a tensor of ``src``
+    are copied through one bounded buffer, so memory does not grow with the
+    container. A failed write removes the partial file when ``path`` opened
+    a regular file, and only that file: a symbolic link ``path`` stays, and
+    a FIFO or a device is left as it is."""
     layout = {} if src is None else {name: entry[:2] for name, entry in src.entries.items()}
-    layout.update((name, (tag, values.shape)) for name, (tag, values) in stored.items())
+    layout.update((name, (tag, shape)) for name, (tag, shape, _) in tensors.items())
     header: dict[str, dict] = {}
     offset = 0
     for name in sorted(layout):
         dtype, shape = layout[name]
-        nbytes = math.prod(shape) * _DTYPES[dtype].itemsize
+        nbytes = math.prod(shape) * _ITEMSIZE[dtype]
         header[name] = {"dtype": dtype, "shape": list(shape), "begin": offset, "end": offset + nbytes}
         offset += nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     buffer = None if src is None else memoryview(bytearray(_COPY_BUFFER_BYTES))
     fh = open(path, "wb")
+    opened = None
     try:
         with fh:  # closed, flush failure or not, before the file is removed
+            opened = os.fstat(fh.fileno())
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
             for name in header:
-                for part in (stored[name][1],) if name in stored else src.chunks(name, buffer):
+                for part in (tensors[name][2],) if name in tensors else src.chunks(name, buffer):
                     fh.write(part)
     except BaseException:
-        os.remove(path)
+        if opened is not None and stat.S_ISREG(opened.st_mode):
+            real = os.path.realpath(path)
+            with suppress(OSError):
+                if os.path.samestat(os.lstat(real), opened):
+                    os.remove(real)
         raise
 
 
-def _mean_of_slices(data: np.ndarray, entry: tuple[int, ...]) -> np.ndarray:
-    if len(entry) == 1:  # as it is: a float64 round trip would quiet a signaling NaN
-        return data[entry[0]]
-    acc = data[list(entry)].astype(np.float64).mean(axis=0)
-    return acc.astype(_DTYPES["f32"])
+def _sum(values: Sequence[float], pairwise: bool) -> float:
+    """The float64 sum ``mean(axis=0)`` takes of one value's sources in
+    numpy: 0.0 plus each in mapping order or, where every channel is one
+    value and there are 8 or more sources, 0.0 plus numpy's pairwise sum
+    (:func:`_pairwise_sum`). A NaN among the sources gives the first of
+    them: which NaN CPython's addition keeps where two meet changes once the
+    interpreter specializes the loop."""
+    for value in values:
+        if value != value:
+            return value
+    if pairwise and len(values) >= 8:
+        return 0.0 + _pairwise_sum(values)
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def _pairwise_sum(values: Sequence[float]) -> float:
+    """numpy's ``pairwise_sum`` of 8 or more ``values``: up to 128, eight
+    running sums over blocks of eight, added as a tree, then the remainder
+    one after another; above that, the sums of two halves cut at a multiple
+    of eight."""
+    n = len(values)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
+    r = list(values[:8])
+    stop = n - n % 8
+    for at in range(8, stop, 8):
+        r = [a + b for a, b in zip(r, values[at : at + 8])]
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for value in values[stop:]:
+        total += value
+    return total
+
+
+def _mean_rows(data: bytes, width: int, entries: Sequence[Sequence[int]]) -> bytes:
+    """The rows of ``width`` little-endian f32 values whose row ``t`` is the
+    mean of rows ``entries[t]`` of ``data``: each value the float64 sum of
+    its sources (:func:`_sum`) divided by their count, rounded to f32. A row
+    of one source is its bytes as they are, since a float64 round trip would
+    quiet a signaling NaN."""
+    row = struct.Struct(f"<{width}f")
+    rows = bytearray()
+    for entry in entries:
+        if len(entry) == 1:
+            rows += data[entry[0] * row.size : (entry[0] + 1) * row.size]
+        else:
+            columns = zip(*(row.unpack_from(data, s * row.size) for s in entry))
+            rows += row.pack(*(_sum(column, width == 1) / len(entry) for column in columns))
+    return bytes(rows)
 
 
 def remap_head_weights(
@@ -236,7 +315,7 @@ def remap_head_weights(
     weight_name: str,
     mapping: SchemaMapping,
     bias_name: str | None = None,
-) -> dict[str, np.ndarray]:
+) -> dict[str, NDArray]:
     """Rebuild the head weight (and optional bias) for a new keypoint schema.
 
     The weight must be rank-4 float32 [K_source, C, kh, kw]; output channel
@@ -245,50 +324,68 @@ def remap_head_weights(
     way. Every other tensor is carried over unchanged. The result is a new
     dict of read-only arrays; ``tensors`` is left as it is.
     """
+    import numpy as np
+
     remapped = {name: _read_only(values) for name, values in tensors.items()}
-    remapped.update(_remap_head(remapped, weight_name, mapping, bias_name))
+
+    def raw(name: str) -> _Raw | None:
+        if name not in remapped:
+            return None
+        values = remapped[name]
+        tag = _tag(values)
+        data = values.astype(_DTYPES["f32"], copy=False).tobytes() if tag == "f32" else b""
+        return tag or str(values.dtype), values.shape, data
+
+    head = _remap_head(raw, weight_name, mapping, bias_name)
+    remapped.update((name, np.frombuffer(data, _DTYPES[tag]).reshape(shape))
+                    for name, (tag, shape, data) in head.items())
     return remapped
 
 
-def _read_only(values: ArrayLike) -> np.ndarray:
+def _read_only(values: ArrayLike) -> NDArray:
     """A read-only view of ``values``, whose own flags stay as they are."""
+    import numpy as np
+
     view = np.asarray(values).view()
     view.flags.writeable = False
     return view
 
 
-def _head_tensor(tensors: Mapping[str, np.ndarray] | _Container, name: str) -> np.ndarray:
-    if name not in tensors:
+def _head_tensor(raw: Callable[[str], _Raw | None], name: str) -> tuple[tuple[int, ...], bytes]:
+    found = raw(name)
+    if found is None:
         raise ValidationError(f"missing tensor {name!r}")
-    values = np.asarray(tensors[name])
-    tag = _TAG_BY_KIND.get(values.dtype)
-    if tag != "f32":
-        raise ValidationError(f"tensor {name!r} must be f32, got {tag or values.dtype}")
-    return values
+    kind, shape, data = found
+    if kind != "f32":
+        raise ValidationError(f"tensor {name!r} must be f32, got {kind}")
+    return shape, data
 
 
 def _remap_head(
-    tensors: Mapping[str, np.ndarray] | _Container,
+    raw: Callable[[str], _Raw | None],
     weight_name: str,
     mapping: SchemaMapping,
     bias_name: str | None,
-) -> dict[str, np.ndarray]:
-    """The new head tensors of :func:`remap_head_weights`, by name, from
-    anything that answers ``in`` and ``[]`` with tensor names: a dict, or an
-    open container, which then reads only the head."""
-    weight = _head_tensor(tensors, weight_name)
-    if weight.ndim != 4:
+) -> dict[str, _Raw]:
+    """The new head tensors of :func:`remap_head_weights`, by name, as the
+    container holds them. ``raw(name)`` gives a tensor's dtype tag (for an
+    array without one, its numpy dtype), shape and payload bytes, or None
+    when there is no such tensor; :meth:`_Container.raw` reads only the
+    head."""
+    weight_shape, weight = _head_tensor(raw, weight_name)
+    if len(weight_shape) != 4:
         raise ValidationError(
-            f"expected rank-4 weight [K, C, kh, kw], got shape {weight.shape}"
+            f"expected rank-4 weight [K, C, kh, kw], got shape {weight_shape}"
         )
-    check_entries(mapping, weight.shape[0])
-    head = {weight_name: weight}
+    check_entries(mapping, weight_shape[0])
+    head = {weight_name: (weight_shape, weight)}
     if bias_name is not None:
-        bias = _head_tensor(tensors, bias_name)
-        if bias.shape != weight.shape[:1]:
-            raise ValidationError(f"expected bias shape {weight.shape[:1]}, got {bias.shape}")
-        head[bias_name] = bias
+        bias_shape, bias = _head_tensor(raw, bias_name)
+        if bias_shape != weight_shape[:1]:
+            raise ValidationError(f"expected bias shape {weight_shape[:1]}, got {bias_shape}")
+        head[bias_name] = (bias_shape, bias)
     return {
-        name: _read_only(np.stack([_mean_of_slices(values, entry) for entry in mapping.entries]))
-        for name, values in head.items()
+        name: ("f32", (len(mapping.entries), *shape[1:]),
+               _mean_rows(data, math.prod(shape[1:]), mapping.entries))
+        for name, (shape, data) in head.items()
     }

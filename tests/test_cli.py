@@ -6,6 +6,7 @@ import pickle
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ from panopose.dataio import (
 )
 from panopose.errors import ValidationError
 from panopose.geometry import PanoramaSpec
-from panopose.schema import JRDB17, default_mapping, load_mapping
-from panopose.weights import load_tensor_map, save_tensor_map
+from panopose.schema import JRDB17, SchemaMapping, default_mapping, load_mapping
+from panopose.weights import load_tensor_map, remap_head_weights, save_tensor_map
 
 PANO = PanoramaSpec(2000.0, 600.0)
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -733,6 +734,20 @@ class TestRemapWeights:
         assert message in capsys.readouterr().err
         assert not Path("o.bin").exists()
 
+    @pytest.mark.parametrize("shape, nbytes", [([1] * 65, 4), ([0, 10**30, 1, 1], 0)])
+    def test_a_head_shape_numpy_cannot_hold_is_refused_in_its_words(self, tmp_path, capsys, shape,
+                                                                   nbytes):
+        # The head is read as bytes, and numpy words the refusal.
+        src = tmp_path / "in.bin"
+        blob = json.dumps({"w": {"dtype": "f32", "shape": shape, "begin": 0, "end": nbytes}}).encode()
+        src.write_bytes(len(blob).to_bytes(8, "little") + blob + b"\x00" * nbytes)
+        code = run(["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
+                    "--weight-name", "w"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {src}: tensor 'w': unsupported shape {tuple(shape)}: ")
+        assert not (tmp_path / "o.bin").exists()
+
     @pytest.mark.parametrize("link", ["same path", "hard link", "symbolic link"])
     def test_out_that_is_the_src_file_is_refused(self, tmp_path, capsys, link):
         src = self._container(tmp_path)
@@ -771,6 +786,56 @@ class TestRemapWeights:
         err = capsys.readouterr().err
         assert err == f"error: {src}: truncated payload: tensor 'stem' could not be read whole\n"
         assert not (tmp_path / "o.bin").exists()
+
+    def test_a_cut_copy_through_a_symbolic_link_keeps_the_link(self, tmp_path, capsys, monkeypatch):
+        # --out names a link to a regular file: the partial file goes, the
+        # link stays.
+        src, real, link = tmp_path / "in.bin", tmp_path / "real.bin", tmp_path / "link.bin"
+        save_tensor_map({
+            "head.weight": np.ones((17, 2, 1, 1), dtype=np.float32),
+            "stem": np.arange(2**16, dtype=np.float32),
+        }, src)
+        real.write_bytes(b"old")
+        link.symlink_to(real)
+
+        def cut_then_default(verbatim_table1):
+            os.truncate(src, src.stat().st_size - 4)
+            return default_mapping(verbatim_table1)
+
+        monkeypatch.setattr("panopose.schema.default_mapping", cut_then_default)
+        code = run(["remap-weights", "--src", str(src), "--out", str(link),
+                    "--weight-name", "head.weight"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {src}: truncated payload: tensor 'stem' could not be read whole\n"
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert not real.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_a_failed_write_to_a_fifo_leaves_the_fifo(self, tmp_path, capsys):
+        # The reader takes one byte and closes; 1 MiB is more than the pipe
+        # holds, so the write fails with EPIPE.
+        src, fifo = tmp_path / "in.bin", tmp_path / "out.fifo"
+        save_tensor_map({
+            "head.weight": np.ones((17, 2, 1, 1), dtype=np.float32),
+            "stem": np.zeros(2**18, dtype=np.float32),
+        }, src)
+        os.mkfifo(fifo)
+
+        def read_one_byte():
+            fd = os.open(fifo, os.O_RDONLY)
+            os.read(fd, 1)
+            os.close(fd)
+
+        reader = threading.Thread(target=read_one_byte, daemon=True)
+        reader.start()
+        code = run(["remap-weights", "--src", str(src), "--out", str(fifo),
+                    "--weight-name", "head.weight"])
+        reader.join(10)
+        assert not reader.is_alive()
+        assert code == 1
+        assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        assert fifo.is_fifo()
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_memory_does_not_grow_with_the_container(self, tmp_path):
@@ -1028,13 +1093,13 @@ class TestUsage:
         assert json.loads(result.read_text()) == []
 
     @pytest.mark.parametrize("argv, unused", [
-        (["--version"], ["metrics", "weights", "decode"]),
+        (["--version"], ["metrics", "weights", "decode", "geometry", "numpy"]),
         (["boxes-from-poses", "--in", "d.json", "--out", "o.json"], ["metrics", "weights", "decode"]),
         (["shift", "--in", "d.json", "--out", "o.json", "--shift", "5"], ["metrics", "weights", "decode"]),
         (["nms", "--pred", "d.json", "--out", "o.json"], ["metrics", "weights", "decode"]),
         (["eval", "--gt", "d.json", "--pred", "d.json"], ["weights", "decode"]),
         (["remap-weights", "--src", "w.bin", "--out", "o.bin", "--weight-name", "head.weight"],
-         ["metrics", "decode"]),
+         ["metrics", "decode", "geometry", "dataio", "numpy"]),
     ])
     def test_a_command_loads_only_the_modules_it_uses(self, tmp_path, argv, unused):
         # A fresh child per command, so no other command's imports count.
@@ -1045,7 +1110,7 @@ class TestUsage:
             "import sys\n"
             "from panopose.cli import run\n"
             "assert run(sys.argv[1:]) == 0\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('panopose.')))\n"
+            "print(' '.join(m for m in sys.modules if m.startswith('panopose.') or m == 'numpy'))\n"
         )
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
@@ -1054,4 +1119,47 @@ class TestUsage:
         assert proc.returncode == 0, proc.stderr
         loaded = proc.stdout.splitlines()[-1].split()
         assert "panopose.cli" in loaded
-        assert [m for m in loaded if m.split(".")[1] in unused] == []
+        assert [m for m in loaded if m.removeprefix("panopose.") in unused] == []
+
+    def test_remap_weights_and_version_run_without_numpy(self, tmp_path, capsys, monkeypatch):
+        # numpy is blocked in the child, so any import of it fails the command.
+        # The mapping file averages nine sources into one target, eight of
+        # them being where the bias adds in numpy's pairwise order.
+        rng = np.random.default_rng(41)
+        save_tensor_map({
+            "head.weight": rng.standard_normal((17, 3, 2, 1)).astype(np.float32),
+            "head.bias": rng.standard_normal(17).astype(np.float32),
+            "stem": rng.integers(0, 256, (5, 7)).astype(np.uint8),
+            "stem.scale": rng.standard_normal(3),
+        }, tmp_path / "w.bin")
+        wide = SchemaMapping("coco17", "jrdb17", (tuple(range(9)),) + default_mapping().entries[1:])
+        (tmp_path / "m.json").write_text(json.dumps(mapping_doc(wide)))
+        mappings = {"default.bin": ([], default_mapping()),
+                    "verbatim.bin": (["--verbatim-table1"], default_mapping(True)),
+                    "file.bin": (["--mapping", "m.json"], wide)}
+        argvs = [["--version"], ["--help"], ["remap-weights", "--help"]] + [
+            ["remap-weights", "--src", "w.bin", "--out", out, "--weight-name", "head.weight",
+             "--bias-name", "head.bias", *flags] for out, (flags, _) in mappings.items()]
+        probe = (
+            "import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "from panopose.cli import run\n"
+            "codes = [run(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(json.dumps(codes))\n"
+        )
+        monkeypatch.setenv("COLUMNS", "80")  # the width of --help
+        monkeypatch.chdir(tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", probe, json.dumps(argvs)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        *printed, codes = proc.stdout.splitlines(keepends=True)
+        assert json.loads(codes) == [0] * len(argvs)
+        for out, (_, mapping) in mappings.items():
+            save_tensor_map(remap_head_weights(load_tensor_map("w.bin"), "head.weight", mapping,
+                                               "head.bias"), "library.bin")
+            assert Path(out).read_bytes() == Path("library.bin").read_bytes(), out
+        capsys.readouterr()
+        assert [run(argv) for argv in argvs] == [0] * len(argvs)
+        assert "".join(printed) == capsys.readouterr().out

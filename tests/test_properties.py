@@ -1572,3 +1572,79 @@ def test_streamed_remap_writes_the_library_bytes(tmp_path_factory, others, head_
     save_tensor_map(remap_head_weights(load_tensor_map(src), "head.weight", mapping, bias_name),
                     expected)
     assert out.read_bytes() == expected.read_bytes()
+
+
+def _reference_head(data, entries):
+    """The remapped head as numpy's ``mean`` gives it, the formula
+    ``remap_head_weights`` ran before it worked on bytes: a channel of one
+    source as it is, any other the float64 mean of its sources, rounded to
+    float32."""
+    with np.errstate(all="ignore"):  # inf - inf, and NaNs cast to float32
+        return np.stack([
+            data[entry[0]] if len(entry) == 1
+            else data[list(entry)].astype(np.float64).mean(axis=0).astype("<f4")
+            for entry in entries
+        ])
+
+
+_SIGN = 0x80000000
+# Zero, the smallest and largest subnormal, the smallest normal, one, the
+# largest finite value and infinity, as float32 bits.
+_F32_SPECIALS = [0x00000000, 0x00000001, 0x007FFFFF, 0x00800000, 0x3F800000, 0x7F7FFFFF,
+                 0x7F800000]
+# Finite values by exponent and mantissa, so that most pairs differ by more
+# exponents than float64 can add exactly.
+_f32_bits = st.builds(lambda exponent, mantissa: exponent << 23 | mantissa,
+                      st.integers(0, 254), st.integers(0, 2**23 - 1)) | st.sampled_from(_F32_SPECIALS)
+_quiet_nans = st.integers(0, 2**22 - 1).map(lambda payload: 0x7FC00000 | payload)
+_signaling_nans = st.integers(1, 2**22 - 1).map(lambda payload: 0x7F800000 | payload)
+
+
+def _two_nans_meet(bits):
+    """Whether adding these float32 values can meet two different NaNs: two
+    NaNs of different bits, or a NaN with an infinity of each sign, whose
+    sum is a new NaN. Which payload comes out is then left open by IEEE 754,
+    and numpy's choice depends on how it was compiled."""
+    values = bits.view("<f4")
+    made = int(np.isposinf(values).any() and np.isneginf(values).any())
+    return len(set(bits[np.isnan(values)].tolist())) + made >= 2
+
+
+@settings(PROPERTY, max_examples=300)
+@given(st.integers(1, 17), st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
+       st.lists(st.integers(1, 17), min_size=1, max_size=4), st.data())
+def test_the_head_kernel_is_numpys_mean_bit_for_bit(num_source, dims, sizes, data):
+    # 1-17 sources per target. A palette of a few magnitudes of any exponent,
+    # each with its negation, so that sums meet wide exponents and cancel;
+    # NaNs with payloads, and signaling NaNs only in rows that no mean reads.
+    entries = [tuple(data.draw(st.lists(st.integers(0, num_source - 1), min_size=n, max_size=n)))
+               for n in sizes]
+    magnitudes = data.draw(st.lists(_f32_bits, min_size=1, max_size=4))
+    palette = magnitudes + [m ^ _SIGN for m in magnitudes]
+    palette += [n ^ sign for n in data.draw(st.lists(_quiet_nans, max_size=2))
+                for sign in (0, _SIGN)]
+    averaged = {s for entry in entries if len(entry) > 1 for s in entry}
+    tensors = {}
+    for name, shape in (("w", (num_source, *dims)), ("b", (num_source,))):
+        bits = np.array(data.draw(st.lists(st.sampled_from(palette), min_size=math.prod(shape),
+                                           max_size=math.prod(shape))), dtype="<u4").reshape(shape)
+        for row in sorted(set(range(num_source)) - averaged):
+            signaling = data.draw(st.lists(st.none() | _signaling_nans,
+                                           min_size=bits[row].size, max_size=bits[row].size))
+            bits[row].flat[:] = [b if s is None else s for b, s in zip(bits[row].flat, signaling)]
+        tensors[name] = bits.view("<f4")
+    mapping = SchemaMapping("s", "t", tuple(entries))
+    out = remap_head_weights(tensors, "w", mapping, bias_name="b")
+    for name, values in tensors.items():
+        got = out[name].astype("<f4").view("<u4").reshape(len(entries), -1)
+        want = _reference_head(values, entries).astype("<f4").view("<u4").reshape(len(entries), -1)
+        sources = values.view("<u4").reshape(num_source, -1)
+        for t, entry in enumerate(entries):
+            for j in range(got.shape[1]):
+                column = sources[list(entry), j]
+                if len(entry) > 1 and _two_nans_meet(column):
+                    # The kernel keeps the first NaN source, quieted.
+                    assert np.isnan(want[t:t + 1, j].view("<f4")).all()
+                    assert got[t, j] == column[np.isnan(column.view("<f4"))][0] | 0x00400000
+                else:
+                    assert got[t, j] == want[t, j], (name, t, j, entry, hex(got[t, j]), hex(want[t, j]))

@@ -1,6 +1,9 @@
 import json
 import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +17,8 @@ from panopose.weights import (
     remap_head_weights,
     save_tensor_map,
 )
+
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _write_container(path, header: dict, payload: bytes) -> None:
@@ -201,6 +206,47 @@ class TestRemapHeadWeights:
         out = remap_head_weights(tm, "w", SchemaMapping("s", "t", ((1,), (0,))), bias_name="b")
         assert out["w"].view(np.uint32)[0, :, 0, 0].tolist() == [0, 0x7F800001, 0]
         assert out["b"].view(np.uint32).tolist() == [0x7F800001, 0]
+
+    def test_one_value_channels_add_many_sources_in_numpys_order(self):
+        # numpy's mean adds the sources of a bias, or of a weight of one value
+        # per channel, pairwise from 8 of them on, in halves above 128; with
+        # 2**60, -2**60, 1 and 3 the order shows in the mean.
+        rng = np.random.default_rng(31)
+        values = np.array([2.0**60, -(2.0**60), 1.0, 3.0], dtype=np.float32)
+        tm = {"w": values.reshape(4, 1, 1, 1), "b": values}
+        # 150 sources are cut into halves of 72 and 78, which split the
+        # 2**60 at 72 from the -(2**60) at 149.
+        cut = (2,) * 72 + (0,) + (2,) * 76 + (1,)
+        for n in (2, 7, 8, 9, 17, 129, 300):
+            entries = (cut,) + tuple(tuple(rng.integers(0, 4, n).tolist()) for _ in range(40))
+            out = remap_head_weights(tm, "w", SchemaMapping("s", "t", entries), bias_name="b")
+            want = np.array([values[list(e)].astype(np.float64).mean().astype(np.float32)
+                             for e in entries])
+            assert out["b"].tobytes() == want.tobytes()
+            assert out["w"].tobytes() == want.tobytes()
+
+    def test_a_nan_among_the_sources_is_the_first_of_them_in_a_fresh_process(self, tmp_path):
+        # Where two NaNs meet, CPython's addition keeps the second until the
+        # interpreter specializes the loop and the first after it, so a fresh
+        # process and a warm one once wrote different bytes.
+        weight = np.zeros((3, 4, 1, 1), dtype=np.float32)
+        weight.view(np.uint32)[0] = 0x7FC00001
+        weight.view(np.uint32)[1] = 0x7FC00002
+        save_tensor_map({"w": weight}, tmp_path / "w.bin")
+        probe = (
+            "import sys\n"
+            "from panopose.schema import SchemaMapping\n"
+            "from panopose.weights import load_tensor_map, remap_head_weights\n"
+            "mapping = SchemaMapping('s', 't', ((0, 1, 2),) * 3)\n"
+            "out = remap_head_weights(load_tensor_map(sys.argv[1]), 'w', mapping)\n"
+            "print(out['w'].view('<u4').ravel().tolist())\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", probe, str(tmp_path / "w.bin")],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{[0x7FC00001] * 12}\n"
 
     def test_bias_averaged_when_named(self):
         bias = np.arange(17, dtype=np.float32)
