@@ -20,8 +20,9 @@ when it is asked for, either into a new array or into a buffer the caller
 reuses, so a caller that reads one tensor at a time holds one tensor at a
 time. Since the output layout follows from names, dtypes and
 shapes alone, a remapped container is written from an open source by
-reading only the head and copying every other tensor's bytes through one
-bounded buffer.
+reading only the head and copying every other tensor's bytes in the kernel,
+or through one bounded buffer where the kernel cannot copy. A regular output
+file is written in place, and a reader refuses it until it is complete.
 
 The head-remapping operation averages the output channels of a rank-4
 [K, C, kh, kw] convolution weight (and optionally its [K] bias) according to
@@ -34,6 +35,7 @@ and rounded to float32; single-counterpart channels copy bit-exactly.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -61,6 +63,9 @@ _DTYPES = {"f32": "<f4", "f64": "<f8", "i32": "<i4", "i64": "<i8", "u8": "|u1"}
 _ITEMSIZE = {tag: int(code[-1]) for tag, code in _DTYPES.items()}
 _TAG_OF = {code: tag for tag, code in _DTYPES.items()}
 _COPY_BUFFER_BYTES = 1 << 20
+# How a first os.copy_file_range call says that the kernel cannot copy
+# between two files: a filesystem, file type or kernel without the call.
+_NO_KERNEL_COPY = {errno.EXDEV, errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOTSUP}
 
 # A tensor as the container layer holds it: dtype tag, shape, payload bytes.
 _Raw = tuple[str, tuple[int, ...], bytes]
@@ -171,9 +176,32 @@ class _Container:
             self._fill(name, part)
             yield part
 
+    def copy(self, name: str, fd: int) -> bool:
+        """Copy tensor ``name``'s payload bytes to ``fd``, at its file
+        offset, in the kernel. False, with nothing copied, when the first call
+        finds that the kernel cannot copy between these two files."""
+        _, _, begin, end = self.entries[name]
+        start, stop = self._payload_start + begin, self._payload_start + end
+        at = start
+        while at < stop:
+            try:
+                copied = os.copy_file_range(self._fh.fileno(), fd, stop - at, at)
+            except OSError as exc:
+                if at == start and exc.errno in _NO_KERNEL_COPY:
+                    return False
+                raise
+            if not copied:
+                raise _truncated(name)
+            at += copied
+        return True
+
     def _fill(self, name: str, view: NDArray | bytearray | memoryview) -> None:
         if self._fh.readinto(view) != len(view):
-            raise ValidationError(f"truncated payload: tensor {name!r} could not be read whole")
+            raise _truncated(name)
+
+
+def _truncated(name: str) -> ValidationError:
+    return ValidationError(f"truncated payload: tensor {name!r} could not be read whole")
 
 
 @contextmanager
@@ -222,10 +250,19 @@ def _write_container(
     """Write a container of ``tensors`` (name -> dtype tag, shape, payload
     bytes) and, when ``src`` is given, of its other tensors: names in sorted
     order with contiguous payload offsets. The bytes of a tensor of ``src``
-    are copied through one bounded buffer, so memory does not grow with the
-    container. A failed write removes the partial file when ``path`` opened
-    a regular file, and only that file: a symbolic link ``path`` stays, and
-    a FIFO or a device is left as it is."""
+    are copied in the kernel with ``os.copy_file_range``; where the platform
+    has no such call, or it cannot copy between the two files, they are
+    copied through one bounded buffer. Memory does not grow with the
+    container either way.
+
+    A regular file is written in place, without truncating it first: the
+    length prefix is written as zeros, the file is cut to its new size after
+    the payload, and the real prefix comes last. Until then a reader refuses
+    the file as a malformed header, so a write that stops part-way over an
+    old container never leaves one that mixes old and new tensors. A FIFO or
+    a device is written in one pass, prefix first. A failed write removes the
+    partial file when ``path`` opened a regular file, and only that file: a
+    symbolic link ``path`` stays, and a FIFO or a device is left as it is."""
     layout = {} if src is None else {name: entry[:2] for name, entry in src.entries.items()}
     layout.update((name, (tag, shape)) for name, (tag, shape, _) in tensors.items())
     header: dict[str, dict] = {}
@@ -236,17 +273,33 @@ def _write_container(
         header[name] = {"dtype": dtype, "shape": list(shape), "begin": offset, "end": offset + nbytes}
         offset += nbytes
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    buffer = None if src is None else memoryview(bytearray(_COPY_BUFFER_BYTES))
-    fh = open(path, "wb")
+    prefix = struct.pack("<Q", len(header_bytes))
+    kernel = hasattr(os, "copy_file_range")
+    buffer = None
+    # Mode "wb" would truncate the file; its opener leaves that out.
+    fh = open(path, "wb", opener=lambda name, _: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666))
     opened = None
     try:
         with fh:  # closed, flush failure or not, before the file is removed
             opened = os.fstat(fh.fileno())
-            fh.write(struct.pack("<Q", len(header_bytes)))
+            regular = stat.S_ISREG(opened.st_mode)
+            fh.write(bytes(len(prefix)) if regular else prefix)
             fh.write(header_bytes)
             for name in header:
-                for part in (tensors[name][2],) if name in tensors else src.chunks(name, buffer):
-                    fh.write(part)
+                if name in tensors:
+                    fh.write(tensors[name][2])
+                    continue
+                if kernel:
+                    fh.flush()
+                    kernel = src.copy(name, fh.fileno())
+                if not kernel:
+                    buffer = buffer or memoryview(bytearray(_COPY_BUFFER_BYTES))
+                    for part in src.chunks(name, buffer):
+                        fh.write(part)
+            if regular:
+                fh.flush()
+                os.ftruncate(fh.fileno(), len(prefix) + len(header_bytes) + offset)
+                os.pwrite(fh.fileno(), prefix, 0)
     except BaseException:
         if opened is not None and stat.S_ISREG(opened.st_mode):
             real = os.path.realpath(path)

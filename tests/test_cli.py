@@ -4,6 +4,7 @@ import json
 import os
 import pickle
 import re
+import stat
 import subprocess
 import sys
 import threading
@@ -594,6 +595,15 @@ class TestBoxesFromPoses:
         assert (echo["pano_width"], echo["pano_height"]) == (3760.0, 480.0)
 
 
+@pytest.fixture(params=["kernel", "buffer"])
+def copy_path(request, monkeypatch):
+    """How the container writer copies a tensor of its source: in the kernel,
+    or through its buffer where the platform has no ``os.copy_file_range``."""
+    if request.param == "buffer":
+        monkeypatch.delattr(os, "copy_file_range", raising=False)
+    return request.param
+
+
 class TestRemapWeights:
     def _container(self, tmp_path):
         weight = np.zeros((17, 2, 1, 1), dtype=np.float32)
@@ -764,7 +774,8 @@ class TestRemapWeights:
         assert capsys.readouterr().err == f"error: {src}: --out {out} is the same file as --src\n"
         assert src.read_bytes() == before
 
-    def test_source_cut_during_the_copy_leaves_no_out(self, tmp_path, capsys, monkeypatch):
+    def test_source_cut_during_the_copy_leaves_no_out(self, tmp_path, capsys, monkeypatch,
+                                                      copy_path):
         # The header is checked on opening and the other tensors are copied
         # after the head checks, so a file cut in between gives a short read.
         # The last tensor is larger than the file buffer, so it is not
@@ -787,7 +798,8 @@ class TestRemapWeights:
         assert err == f"error: {src}: truncated payload: tensor 'stem' could not be read whole\n"
         assert not (tmp_path / "o.bin").exists()
 
-    def test_a_cut_copy_through_a_symbolic_link_keeps_the_link(self, tmp_path, capsys, monkeypatch):
+    def test_a_cut_copy_through_a_symbolic_link_keeps_the_link(self, tmp_path, capsys, monkeypatch,
+                                                               copy_path):
         # --out names a link to a regular file: the partial file goes, the
         # link stays.
         src, real, link = tmp_path / "in.bin", tmp_path / "real.bin", tmp_path / "link.bin"
@@ -812,9 +824,23 @@ class TestRemapWeights:
         assert not real.exists()
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
-    def test_a_failed_write_to_a_fifo_leaves_the_fifo(self, tmp_path, capsys):
+    def test_a_failed_write_to_a_fifo_leaves_the_fifo(self, tmp_path, capsys, monkeypatch):
         # The reader takes one byte and closes; 1 MiB is more than the pipe
-        # holds, so the write fails with EPIPE.
+        # holds, so the write fails with EPIPE. The kernel copies only between
+        # regular files, so the first copy call fails with EINVAL and the
+        # writer copies through its buffer.
+        failed = []
+        if hasattr(os, "copy_file_range"):
+            kernel_copy = os.copy_file_range
+
+            def recorded(*args):
+                try:
+                    return kernel_copy(*args)
+                except OSError as exc:
+                    failed.append(exc.errno)
+                    raise
+
+            monkeypatch.setattr(os, "copy_file_range", recorded)
         src, fifo = tmp_path / "in.bin", tmp_path / "out.fifo"
         save_tensor_map({
             "head.weight": np.ones((17, 2, 1, 1), dtype=np.float32),
@@ -836,6 +862,7 @@ class TestRemapWeights:
         assert code == 1
         assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
         assert fifo.is_fifo()
+        assert failed == ([errno.EINVAL] if hasattr(os, "copy_file_range") else [])
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="needs /proc/self/status")
     def test_memory_does_not_grow_with_the_container(self, tmp_path):
@@ -852,6 +879,155 @@ class TestRemapWeights:
         growth = _peak_mb(tmp_path, "remap-weights", "--src", "in.bin", "--out", "o.bin",
                           "--weight-name", "head.weight") - _peak_mb(tmp_path, "--version")
         assert growth < size_mb / 4, (growth, size_mb)
+
+
+def _remap_argv(src, out):
+    return ["remap-weights", "--src", str(src), "--out", str(out), "--weight-name", "head.weight",
+            "--bias-name", "head.bias"]
+
+
+class TestContainerWrittenInPlace:
+    """A container is written over an existing file without truncating it
+    first, by ``remap-weights`` and ``save_tensor_map`` alike."""
+
+    def _source(self, tmp_path):
+        # remap-weights copies "a" and "z" from the source, around the head.
+        path = tmp_path / "in.bin"
+        rng = np.random.default_rng(7)
+        save_tensor_map({
+            "a": rng.standard_normal((3, 5)).astype(np.float32),
+            "head.weight": rng.standard_normal((17, 2, 1, 1)).astype(np.float32),
+            "head.bias": rng.standard_normal(17).astype(np.float32),
+            "z": np.arange(2**16, dtype=np.int64),
+        }, path)
+        return path
+
+    def _write(self, writer, tmp_path, out):
+        src = self._source(tmp_path)
+        if writer == "remap-weights":
+            return run(_remap_argv(src, out))
+        save_tensor_map(load_tensor_map(src), out)
+        return 0
+
+    @pytest.mark.parametrize("old", ["longer", "shorter", "same size"])
+    @pytest.mark.parametrize("writer", ["remap-weights", "save_tensor_map"])
+    def test_an_old_file_ends_equal_to_a_fresh_write(self, tmp_path, copy_path, writer, old):
+        fresh, out = tmp_path / "fresh.bin", tmp_path / "out.bin"
+        assert self._write(writer, tmp_path, fresh) == 0
+        size = fresh.stat().st_size
+        out.write_bytes(np.random.default_rng(1).bytes(
+            {"longer": 2 * size, "shorter": size // 2, "same size": size}[old]))
+        assert self._write(writer, tmp_path, out) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+
+    @pytest.mark.parametrize("writer", ["remap-weights", "save_tensor_map"])
+    def test_an_old_file_keeps_its_mode_and_a_new_one_follows_the_umask(self, tmp_path, writer):
+        old, new = tmp_path / "old.bin", tmp_path / "new.bin"
+        old.write_bytes(b"old")
+        old.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            assert self._write(writer, tmp_path, old) == 0
+            assert self._write(writer, tmp_path, new) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+
+    def test_a_directory_out_is_refused(self, tmp_path, capsys):
+        out = tmp_path / "dir"
+        out.mkdir()
+        code = run(_remap_argv(self._source(tmp_path), out))
+        assert (code, capsys.readouterr().err) == (1, f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert out.is_dir()
+
+    def test_a_read_only_out_is_refused_unless_its_bits_do_not_bind(self, tmp_path, capsys):
+        src, fresh, out = self._source(tmp_path), tmp_path / "fresh.bin", tmp_path / "ro.bin"
+        out.write_bytes(b"old")
+        out.chmod(0o444)
+        code = run(_remap_argv(src, out))
+        err = capsys.readouterr().err
+        if os.access(out, os.W_OK):  # a superuser writes it as any other file
+            assert (code, err) == (0, "")
+            assert run(_remap_argv(src, fresh)) == 0
+            assert out.read_bytes() == fresh.read_bytes()
+            assert stat.S_IMODE(out.stat().st_mode) == 0o444
+        else:
+            assert (code, err) == (1, f"error: [Errno 13] Permission denied: '{out}'\n")
+            assert out.read_bytes() == b"old"
+
+    @pytest.mark.skipif(not hasattr(os, "copy_file_range"), reason="needs os.copy_file_range")
+    @pytest.mark.parametrize("old", ["absent", "earlier output"])
+    def test_a_write_killed_part_way_leaves_a_malformed_header(self, tmp_path, old):
+        # The child exits after copying "a": the head and "z" are still to
+        # come. The earlier output has the same layout, so only the zero
+        # length prefix keeps a reader from taking old tensors for new ones.
+        src, out = self._source(tmp_path), tmp_path / "out.bin"
+        if old == "earlier output":
+            assert run(_remap_argv(src, out)) == 0
+        probe = (
+            "import os, sys\n"
+            "from panopose.cli import run\n"
+            "kernel_copy = os.copy_file_range\n"
+            "def copy_then_exit(*args):\n"
+            "    try:\n"
+            "        return kernel_copy(*args)\n"
+            "    finally:\n"
+            "        os._exit(3)\n"
+            "os.copy_file_range = copy_then_exit\n"
+            "run(sys.argv[1:])\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", probe, *_remap_argv(src, out)],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 3, proc.stderr
+        with pytest.raises(ValidationError, match="^malformed header"):
+            load_tensor_map(out)
+
+    @pytest.mark.skipif(not hasattr(os, "copy_file_range"), reason="needs os.copy_file_range")
+    def test_the_kernel_copies_every_other_tensor(self, tmp_path, monkeypatch):
+        src, out = self._source(tmp_path), tmp_path / "out.bin"
+
+        def no_buffer(*args):
+            raise AssertionError("copied through the buffer")
+
+        monkeypatch.setattr("panopose.weights._Container.chunks", no_buffer)
+        assert run(_remap_argv(src, out)) == 0
+        assert load_tensor_map(out)["z"].tobytes() == load_tensor_map(src)["z"].tobytes()
+
+    def test_a_first_copy_the_kernel_refuses_goes_through_the_buffer(self, tmp_path, monkeypatch):
+        src, fresh, out = self._source(tmp_path), tmp_path / "fresh.bin", tmp_path / "out.bin"
+        assert run(_remap_argv(src, fresh)) == 0
+        calls = []
+
+        def cross_device(*args):
+            calls.append(args)
+            raise OSError(errno.EXDEV, os.strerror(errno.EXDEV))
+
+        monkeypatch.setattr(os, "copy_file_range", cross_device, raising=False)
+        assert run(_remap_argv(src, out)) == 0
+        assert out.read_bytes() == fresh.read_bytes()
+        assert len(calls) == 1
+
+    def test_a_copy_that_runs_out_of_space_removes_the_partial_out(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # The first call copies "a"; the second, for "z", finds the disk full.
+        src, out = self._source(tmp_path), tmp_path / "out.bin"
+        calls = []
+
+        def full_after_one(src_fd, out_fd, count, offset):
+            calls.append(offset)
+            if len(calls) > 1:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            return os.write(out_fd, os.pread(src_fd, count, offset))
+
+        monkeypatch.setattr(os, "copy_file_range", full_after_one, raising=False)
+        code = run(_remap_argv(src, out))
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+        assert len(calls) == 2
+        assert not out.exists()
 
 
 class TestDecodeCommand:

@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import os
 import pickle
 import re
 import struct
@@ -1519,6 +1520,7 @@ def test_malformed_containers_raise_only_validation_errors(tmp_path_factory, raw
 DTYPE_SIZES = {"f32": 4, "f64": 8, "i32": 4, "i64": 8, "u8": 1}
 
 
+@pytest.mark.parametrize("copy_path", ["kernel", "buffer"])
 @PROPERTY
 @given(
     st.dictionaries(
@@ -1532,8 +1534,8 @@ DTYPE_SIZES = {"f32": 4, "f64": 8, "i32": 4, "i64": 8, "u8": 1}
              min_size=17, max_size=17),
     st.data(),
 )
-def test_streamed_remap_writes_the_library_bytes(tmp_path_factory, others, head_dims, with_bias,
-                                                 entries, data):
+def test_streamed_remap_writes_the_library_bytes(tmp_path_factory, copy_path, others, head_dims,
+                                                 with_bias, entries, data):
     # Valid containers with the header in any order and the payload ranges
     # in another, with gaps between them and junk after them.
     tensors = dict(others)
@@ -1564,10 +1566,14 @@ def test_streamed_remap_writes_the_library_bytes(tmp_path_factory, others, head_
 
     argv = ["remap-weights", "--src", str(src), "--out", str(out), "--weight-name", "head.weight",
             "--mapping", str(base / "mapping.json")]
-    # Copy buffers of a few bytes split the tensors into parts and a remainder.
+    # The kernel copy, or copy buffers of a few bytes that split the tensors
+    # into parts and a remainder. The output of the example before is
+    # written over.
     buffer_bytes = data.draw(st.integers(1, 9) | st.just(1 << 20))
-    with mock.patch("panopose.weights._COPY_BUFFER_BYTES", buffer_bytes), \
-            contextlib.redirect_stdout(io.StringIO()):
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr("panopose.weights._COPY_BUFFER_BYTES", buffer_bytes)
+        if copy_path == "buffer":
+            patch.delattr(os, "copy_file_range", raising=False)
         assert cli.run(argv + (["--bias-name", bias_name] if with_bias else [])) == 0
     save_tensor_map(remap_head_weights(load_tensor_map(src), "head.weight", mapping, bias_name),
                     expected)
