@@ -6,15 +6,18 @@ checkpoint head for a new keypoint schema, ``boxes-from-poses`` / ``shift`` /
 into poses, and ``eval`` scores predictions against ground truth.
 
 Every subcommand prints a one-line JSON echo of its effective configuration
-(including any seed) to stdout, so runs are reproducible from their output.
-``boxes-from-poses`` and ``shift`` take the panorama size from the input
-file's ``pano``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
+(including any seed) to stdout once its output files are written, so runs
+are reproducible from their output. No command asks for what its input
+fixes: ``boxes-from-poses`` and ``shift`` take the panorama size from the
+input file's ``pano``, ``decode`` crops each box onto its heatmap grid at
+``--stride``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
 Exit codes: 0 success, 1 validation error, 2 usage error. Each command
 imports the modules it uses when it runs, so a process loads no others:
 ``nms`` never loads ``metrics``, ``weights`` or ``decode``, and
 ``remap-weights`` and ``--version`` never load numpy or ``geometry``. The
-parser's crop size and box, NMS and padding defaults come from
-:mod:`panopose._defaults`, which ``geometry`` exports.
+parser's box, NMS and padding defaults come from :mod:`panopose._defaults`,
+which ``geometry`` exports. No command makes a BLAS call, so :func:`main`
+sets ``OPENBLAS_NUM_THREADS=1`` where it is unset, before numpy loads.
 
 ``eval`` reads ``--gt`` in a child made by ``os.fork`` while it reads
 ``--pred`` (:func:`_started`); the child sends back the dataset, or the
@@ -34,13 +37,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import __version__
-from ._defaults import (
-    CROP_HEIGHT,
-    CROP_WIDTH,
-    DEFAULT_BOX_MARGIN,
-    DEFAULT_CROP_PADDING,
-    DEFAULT_NMS_IOU,
-)
+from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
 from .errors import RowError, ValidationError, _where
 
 if TYPE_CHECKING:
@@ -139,10 +136,10 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     from .geometry import shift_dataset
 
     ds = _load_dataset(args.input, require_scores=False)
-    if args.random:
-        shift = random.Random(args.seed).random() * ds.pano.width
-    else:
+    if args.seed is None:
         shift = args.shift
+    else:
+        shift = random.Random(args.seed).random() * ds.pano.width
     save_dataset(shift_dataset(ds, shift), args.out)
     _echo(
         {
@@ -170,64 +167,75 @@ def _cmd_nms(args: argparse.Namespace) -> int:
     return 0
 
 
-def _heatmap_peaks(path: str, dets: Dataset, num_keypoints: int) -> tuple[NDArray, NDArray]:
-    """The ``[N, 2, K]`` peak cells and ``[N, 2, 2, K]`` neighbours
-    (:func:`~panopose.decode._peaks`) of every detection's tensor in the
-    container at ``path``, each tensor read in turn into one buffer and
+def _decoded(path: str, dets: Dataset, stride: float, padding: float) -> tuple[NDArray, tuple]:
+    """The ``[N, K, 3]`` keypoints of the detections' ``[K, h, w]`` tensors in
+    the container at ``path``, and their one crop size ``(w * stride, h * stride)``
+    (None, None with no detections). Every name and shape is checked in the
+    header first; then each tensor is read in turn into one buffer and
     checked in full before the next."""
     import numpy as np
 
-    from .decode import _peaks
+    from .decode import _peaks, _project
+    from .geometry import _inverse, crop_transform
+    from .schema import builtin_schema
     from .weights import _Container
 
-    cells = np.zeros((len(dets.ids), 2, num_keypoints))
-    neighbours = np.zeros((len(dets.ids), 2, 2, num_keypoints))
+    num_keypoints = len(builtin_schema(dets.schema_id).names)
     bounds = dets.offsets.tolist()
+    tensors = [(f"frame {fid!r}, person {i}", f"{fid}/{i}")
+               for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:])
+               for i in range(stop - start)]
     with open(path, "rb") as fh:
         heatmaps = _in_file(path, _Container, fh)
+        first = None
+        for where, name in tensors:
+            if name not in heatmaps.entries:
+                raise ValidationError(f"{where}: missing heatmap tensor {name!r}")
+            shape = heatmaps.entries[name][1]
+            if len(shape) != 3 or shape[0] != num_keypoints or 0 in shape:
+                raise ValidationError(
+                    f"{where}: heatmap tensor {name!r} must be "
+                    f"[{num_keypoints}, h, w] with h, w >= 1, got shape {shape}"
+                )
+            first = first or (name, shape)
+            if shape != first[1]:
+                raise ValidationError(f"{where}: heatmap tensor {name!r} has shape {shape}, but "
+                                      f"{first[0]!r} has {first[1]}: every detection needs one grid shape")
+        if first is None:
+            return dets.keypoints, (None, None)
+        _, h, w = first[1]
+        crop = (w * stride, h * stride)
+        try:
+            crops = crop_transform(dets.boxes, *crop, padding)
+        except RowError as exc:
+            raise ValidationError(f"{_where(dets.frame_ids, dets.offsets, exc.row)}: {exc}") from exc
+        cells = np.zeros((len(tensors), 2, num_keypoints))
+        neighbours = np.zeros((len(tensors), 2, 2, num_keypoints))
         sizes = [end - begin for _, _, begin, end in heatmaps.entries.values()]
-        buffer = np.empty(max(sizes, default=0), dtype=np.uint8)
-        for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
-            for i, row in enumerate(range(start, stop)):
-                where = f"frame {fid!r}, person {i}"
-                name = f"{fid}/{i}"
-                if name not in heatmaps.entries:
-                    raise ValidationError(f"{where}: missing heatmap tensor {name!r}")
-                shape = heatmaps.entries[name][1]
-                if len(shape) != 3 or shape[0] != num_keypoints or 0 in shape:
-                    raise ValidationError(
-                        f"{where}: heatmap tensor {name!r} must be "
-                        f"[{num_keypoints}, h, w] with h, w >= 1, got shape {shape}"
-                    )
-                values = _in_file(path, heatmaps.read_into, name, buffer).reshape(shape)
-                try:
-                    cells[row], neighbours[row], _ = _peaks(values)
-                except ValidationError as exc:
-                    raise ValidationError(f"{where}: heatmap tensor {name!r}: {exc}") from exc
-    return cells, neighbours
+        buffer = np.empty(max(sizes), dtype=np.uint8)
+        for row, (where, name) in enumerate(tensors):
+            values = _in_file(path, heatmaps.read_into, name, buffer).reshape(first[1])
+            try:
+                cells[row], neighbours[row], _ = _peaks(values)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: heatmap tensor {name!r}: {exc}") from exc
+    # crop_transform has checked these crops and their inverses. The buffer
+    # and the peaks are freed on return, before the output, where memory peaks.
+    return _project(cells, neighbours, stride, _inverse(crops)), crop
 
 
 def _cmd_decode(args: argparse.Namespace) -> int:
     import numpy as np
 
     from .dataio import save_dataset
-    from .decode import _check_stride, _project
-    from .geometry import _check_crop, _inverse, crop_transform
-    from .schema import builtin_schema
+    from .decode import _check_stride
+    from .geometry import _check_padding
 
     _check_stride(args.stride)
-    _check_crop(args.crop_width, args.crop_height, args.padding)
+    _check_padding(args.padding)
     dets = _load_dataset(args.dets, require_scores=True)
     _require_boxes(dets, "decode")
-    try:
-        crops = crop_transform(dets.boxes, args.crop_width, args.crop_height, args.padding)
-    except RowError as exc:
-        raise ValidationError(f"{_where(dets.frame_ids, dets.offsets, exc.row)}: {exc}") from exc
-    num_keypoints = len(builtin_schema(dets.schema_id).names)
-    # crop_transform has checked these crops and their inverses. The read
-    # buffer and the peaks are freed before the output, where memory peaks.
-    keypoints = _project(*_heatmap_peaks(args.heatmaps, dets, num_keypoints), args.stride,
-                         _inverse(crops))
+    keypoints, crop = _decoded(args.heatmaps, dets, args.stride, args.padding)
     save_dataset(dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool)), args.out)
     _echo(
         {
@@ -237,8 +245,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
             "out": args.out,
             "stride": args.stride,
             "padding": args.padding,
-            "crop_width": args.crop_width,
-            "crop_height": args.crop_height,
+            "crop_width": crop[0],
+            "crop_height": crop[1],
         }
     )
     return 0
@@ -307,13 +315,13 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     finally:
         gts = gt_result()
     report = evaluate(preds, gts)
-    print(f"ospa_iou {report.ospa_iou:.3f}")
-    print(f"ap_05 {report.ap_05:.3f}")
-    _echo({"command": "eval", "gt": args.gt, "pred": args.pred, "config": report.config})
     if args.report:
         save_report(report, args.report)
     if args.table:
         save_frame_table(report, args.table)
+    print(f"ospa_iou {report.ospa_iou:.3f}")
+    print(f"ap_05 {report.ap_05:.3f}")
+    _echo({"command": "eval", "gt": args.gt, "pred": args.pred, "config": report.config})
     return 0
 
 
@@ -349,9 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output dataset")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--shift", type=float, help="shift in pixels")
-    group.add_argument("--random", action="store_true",
-                       help="draw the shift uniformly from [0, width); needs --seed")
-    p.add_argument("--seed", type=int, default=None, help="seed for --random")
+    group.add_argument("--seed", type=int,
+                       help="draw the shift uniformly from [0, width) with this seed")
     p.set_defaults(func=_cmd_shift)
 
     p = sub.add_parser("nms", help="greedy per-frame non-maximal suppression")
@@ -364,15 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decode", help="decode heatmap containers into poses")
     p.add_argument("--heatmaps", required=True,
                    help="tensor container; one [K,h,w] tensor per detection, "
-                        "named '<frame_id>/<person index>'")
+                        "named '<frame_id>/<person index>', all of one shape")
     p.add_argument("--dets", required=True, help="detections dataset (boxes with scores)")
     p.add_argument("--out", required=True, help="output predictions dataset")
     p.add_argument("--stride", type=float, default=4.0,
-                   help="crop pixels per heatmap cell")
+                   help="crop pixels per heatmap cell; the crop is the grid at this stride")
     p.add_argument("--padding", type=float, default=DEFAULT_CROP_PADDING,
                    help="crop padding scale factor")
-    p.add_argument("--crop-width", type=int, default=CROP_WIDTH)
-    p.add_argument("--crop-height", type=int, default=CROP_HEIGHT)
     p.set_defaults(func=_cmd_decode)
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
@@ -391,9 +396,6 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "random", False) and args.seed is None:
-        print("error: --random requires --seed", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (ValidationError, ValueError, OSError) as exc:
@@ -402,6 +404,7 @@ def run(argv: Sequence[str] | None = None) -> int:
 
 
 def main() -> None:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     raise SystemExit(run())
 
 

@@ -31,17 +31,15 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ._defaults import (
-    CROP_HEIGHT,
-    CROP_WIDTH,
-    DEFAULT_BOX_MARGIN,
-    DEFAULT_CROP_PADDING,
-    DEFAULT_NMS_IOU,
-)
+from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
 from .errors import RowError, ValidationError, _where
 
 if TYPE_CHECKING:
     from .dataio import Dataset
+
+# crop_transform's default output: the 384 x 288 network input.
+CROP_WIDTH = 288
+CROP_HEIGHT = 384
 
 __all__ = [
     "CROP_WIDTH",
@@ -354,21 +352,15 @@ def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
     return ds._with(keep.nonzero()[0], boxes=boxes, keypoints=keypoints)
 
 
-def _check_crop(out_w: int, out_h: int, padding: float) -> None:
-    try:
-        usable = all(math.isfinite(size) and size > 0 for size in (out_w, out_h))
-    except OverflowError:  # an integer beyond float range
-        usable = False
-    if not usable:
-        raise ValueError(f"crop width and height must be positive and finite, got {out_w}x{out_h}")
+def _check_padding(padding: float) -> None:
     if not (math.isfinite(padding) and padding > 0):
         raise ValueError(f"padding must be finite and positive, got {padding}")
 
 
 def crop_transform(
     boxes: Any,
-    out_w: int = CROP_WIDTH,
-    out_h: int = CROP_HEIGHT,
+    out_w: float = CROP_WIDTH,
+    out_h: float = CROP_HEIGHT,
     padding: float = DEFAULT_CROP_PADDING,
 ) -> np.ndarray:
     """``[N, 2, 3]`` axis-aligned transforms, each mapping a padded row of
@@ -381,7 +373,13 @@ def crop_transform(
     :class:`RowError` for the first box whose transform or its inverse has a
     non-finite coefficient or is singular.
     """
-    _check_crop(out_w, out_h, padding)
+    try:
+        usable = all(math.isfinite(size) and size > 0 for size in (out_w, out_h))
+    except OverflowError:  # an integer beyond float range
+        usable = False
+    if not usable:
+        raise ValueError(f"crop width and height must be positive and finite, got {out_w}x{out_h}")
+    _check_padding(padding)
     rows = _box_rows(boxes)
     x1, y1, x2, y2 = rows.T
     # A huge box or padding overflows to inf and then NaN, which the

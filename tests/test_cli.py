@@ -107,6 +107,17 @@ class TestEval:
         assert lines[0].startswith("frame_id,ospa_iou")
         assert len(lines) == 2
 
+    def test_nothing_is_printed_when_a_file_cannot_be_written(self, tmp_path, capsys):
+        gt = tmp_path / "g.json"
+        save_dataset(_gt_dataset(), gt)
+        table = tmp_path / "nodir" / "t.csv"
+        code = run(["eval", "--gt", str(gt), "--pred", str(gt),
+                    "--report", str(tmp_path / "r.json"), "--table", str(table)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == f"error: [Errno 2] No such file or directory: {str(table)!r}\n"
+        assert captured.out == ""
+
     def test_each_input_file_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         # --gt is parsed in a forked child, so each parse appends to a file.
         gt = tmp_path / "g.json"
@@ -422,8 +433,6 @@ BAD_PARAMETERS = [
      r"stride must be positive, got nan"),
     (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--padding", "inf"],
      r"padding .*inf"),
-    (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--crop-width", "0"],
-     r"crop width .*0x384"),
 ]
 
 
@@ -446,20 +455,17 @@ class TestBadParameters:
         assert not out.exists()
         assert captured.out == ""
 
-    @pytest.mark.parametrize("flag, size", [("--crop-width", r"10{400}x384"),
-                                            ("--crop-height", r"288x10{400}")])
-    def test_crop_size_beyond_float_range(self, tmp_path, capsys, flag, size):
+    def test_a_stride_that_overflows_the_crop_size_is_refused(self, tmp_path, capsys):
+        # The crop is the 4 x 5 grid at --stride: 4e307 * 4 is finite, 4e307 * 5 is not.
         data, heat, out = tmp_path / "d.json", tmp_path / "heat.bin", tmp_path / "o.json"
-        frames = [("f1", [person(box=(100, 50, 388, 434), score=0.9)])]
-        save_dataset(dataset("jrdb17", PANO, frames), data)
-        save_tensor_map({"f1/0": np.ones((17, 96, 72))}, heat)
-        argv = ["decode", "--heatmaps", str(heat), "--dets", str(data), "--out", str(out),
-                flag, str(10**400)]
-        code = run(argv)
+        save_dataset(_one_box((100, 50, 388, 434)), data)
+        save_tensor_map({"f1/0": np.ones((17, 4, 5))}, heat)
+        code = run(["decode", "--heatmaps", str(heat), "--dets", str(data), "--out", str(out),
+                    "--stride", "4e307"])
         captured = capsys.readouterr()
         assert code == 1
-        assert re.fullmatch(f"error: crop width and height must be positive and finite, got {size}\n",
-                            captured.err), captured.err
+        assert captured.err == "error: crop width and height must be positive and finite, got infx1.6e+308\n"
+        assert captured.out == ""
         assert not out.exists()
 
 
@@ -471,20 +477,24 @@ class TestShift:
         assert run(["shift", "--in", str(src), "--out", str(dst), "--shift", "0"]) == 0
         assert src.read_bytes() == dst.read_bytes()
 
-    def test_random_requires_seed(self, tmp_path, capsys):
-        src = tmp_path / "g.json"
+    @pytest.mark.parametrize("given", [[], ["--shift", "5", "--seed", "3"]], ids=["neither", "both"])
+    def test_shift_takes_either_a_shift_or_a_seed(self, tmp_path, capsys, given):
+        src, out = tmp_path / "g.json", tmp_path / "o.json"
         save_dataset(_gt_dataset(), src)
-        code = run(["shift", "--in", str(src), "--out", str(tmp_path / "o.json"), "--random"])
+        code = run(["shift", "--in", str(src), "--out", str(out), *given])
+        captured = capsys.readouterr()
         assert code == 2
-        assert "--seed" in capsys.readouterr().err
+        assert "--shift" in captured.err and "--seed" in captured.err
+        assert captured.out == ""
+        assert not out.exists()
 
     def test_random_shift_is_seeded_and_echoed(self, tmp_path, capsys):
         src = tmp_path / "g.json"
         save_dataset(_gt_dataset(), src)
         out1, out2 = tmp_path / "o1.json", tmp_path / "o2.json"
-        assert run(["shift", "--in", str(src), "--out", str(out1), "--random", "--seed", "7"]) == 0
+        assert run(["shift", "--in", str(src), "--out", str(out1), "--seed", "7"]) == 0
         echo1 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
-        assert run(["shift", "--in", str(src), "--out", str(out2), "--random", "--seed", "7"]) == 0
+        assert run(["shift", "--in", str(src), "--out", str(out2), "--seed", "7"]) == 0
         echo2 = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert echo1["seed"] == 7
         assert 0.0 <= echo1["shift"] < PANO.width
@@ -1031,7 +1041,7 @@ class TestContainerWrittenInPlace:
 
 
 class TestDecodeCommand:
-    def test_end_to_end(self, tmp_path):
+    def test_end_to_end(self, tmp_path, capsys):
         dets = dataset("jrdb17", PANO, [("f1", [person(id="d0", box=(100.0, 50.0, 388.0, 434.0), score=0.9)])])
         dets_path = tmp_path / "dets.json"
         save_dataset(dets, dets_path)
@@ -1048,12 +1058,23 @@ class TestDecodeCommand:
              "--out", str(out_path), "--stride", "4", "--padding", "1.0"]
         )
         assert code == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert (echo["crop_width"], echo["crop_height"]) == (288.0, 384.0)  # 72 x 96 cells at stride 4
         preds = load_predictions(out_path, JRDB17)
         assert preds.scores.tolist() == [0.9]
         assert preds.keypoints.shape == (1, 17, 3)
         # identity-scale crop: cell (10, 20) -> crop (82, 42) -> pano (182, 92)
         assert preds.keypoints[0, 0, 0] == pytest.approx(182.0, abs=1e-9)
         assert preds.keypoints[0, 0, 1] == pytest.approx(92.0, abs=1e-9)
+
+    def test_no_detections_have_no_crop(self, tmp_path, capsys):
+        dets_path, heat_path, out = tmp_path / "dets.json", tmp_path / "heat.bin", tmp_path / "o.json"
+        save_dataset(dataset("jrdb17", PANO, [("f1", [])]), dets_path)
+        save_tensor_map({"other": np.ones((17, 4, 4), np.float32)}, heat_path)
+        assert run(["decode", "--heatmaps", str(heat_path), "--dets", str(dets_path), "--out", str(out)]) == 0
+        echo = json.loads(capsys.readouterr().out)
+        assert (echo["crop_width"], echo["crop_height"]) == (None, None)
+        assert out.read_bytes() == dets_path.read_bytes()
 
     def test_missing_heatmap_tensor(self, tmp_path, capsys):
         dets = _one_box()
@@ -1117,17 +1138,22 @@ class TestDecodeCommand:
     @pytest.mark.parametrize("grids, message", [
         (["ok", "ok", "nan"], "heatmap tensor 'f1/2': keypoint 3: heatmap peak is nan"),
         (["ok", "missing", "nan"], "missing heatmap tensor 'f1/1'"),
-        (["ok", "nan", "missing"], "heatmap tensor 'f1/1': keypoint 3: heatmap peak is nan"),
+        (["ok", "nan", "missing"], "missing heatmap tensor 'f1/2'"),
         (["ok", "shape", "nan"], "heatmap tensor 'f1/1' must be [17, h, w] with h, w >= 1, "
                                  "got shape (17, 0, 4)"),
+        (["nan", "ok", "tall"], "heatmap tensor 'f1/2' has shape (17, 5, 4), but 'f1/0' has "
+                                "(17, 4, 4): every detection needs one grid shape"),
+        (["ok", "nan", "nan"], "heatmap tensor 'f1/1': keypoint 3: heatmap peak is nan"),
     ])
     def test_first_faulty_detection_is_reported(self, tmp_path, capsys, grids, message):
-        # Each detection is checked in turn, all the way to its peaks, before
-        # the next one is read.
+        # Every detection's tensor is found and its shape checked in the
+        # header first; then each is read in turn, all the way to its peaks,
+        # before the next one.
         ok = np.ones((17, 4, 4), np.float32)
         nan = ok.copy()
         nan[3] = np.nan
-        kinds = {"ok": ok, "nan": nan, "shape": np.ones((17, 0, 4), np.float32)}
+        kinds = {"ok": ok, "nan": nan, "shape": np.ones((17, 0, 4), np.float32),
+                 "tall": np.ones((17, 5, 4), np.float32)}
         save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=(10 * i, 0, 10 * i + 8, 20), score=0.5)
                                                       for i in range(len(grids))])]),
                      tmp_path / "dets.json")
@@ -1137,7 +1163,9 @@ class TestDecodeCommand:
                     "--out", str(tmp_path / "o.json")])
         assert code == 1
         person_index = re.search(r"'f1/(\d)'", message).group(1)
-        assert capsys.readouterr().err == f"error: frame 'f1', person {person_index}: {message}\n"
+        captured = capsys.readouterr()
+        assert captured.err == f"error: frame 'f1', person {person_index}: {message}\n"
+        assert captured.out == ""
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("good, bad, padding", [
@@ -1159,19 +1187,6 @@ class TestDecodeCommand:
                                 "gives a non-finite transform coefficient nan\n")
         assert captured.out == ""
         assert not out.exists()
-
-    def test_non_finite_projection_is_located(self, tmp_path, capsys):
-        # Cell (3, 3)'s centre times a stride of 1e308 overflows to inf.
-        save_dataset(_one_box((100, 50, 388, 434)), tmp_path / "dets.json")
-        grids = np.zeros((17, 4, 4), np.float32)
-        grids[:, 3, 3] = 1.0
-        save_tensor_map({"f1/0": grids}, tmp_path / "heat.bin")
-        code = run(["decode", "--heatmaps", str(tmp_path / "heat.bin"), "--dets", str(tmp_path / "dets.json"),
-                    "--out", str(tmp_path / "o.json"), "--stride", "1e308"])
-        assert code == 1
-        assert capsys.readouterr().err == (
-            "error: frame 'f1', person 0: keypoint 0: non-finite keypoint coordinate (nan, nan)\n")
-        assert not (tmp_path / "o.json").exists()
 
     def test_pred_json_bytes_are_pinned(self, tmp_path):
         # Seeded persons with wide, tall and exact-aspect (3:4) boxes in turn,
@@ -1227,6 +1242,12 @@ class TestUsage:
     def test_help_exits_zero(self, capsys):
         assert run(["--help"]) == 0
 
+    @pytest.mark.parametrize("command, removed", [("decode", "--crop-width"), ("decode", "--crop-height"),
+                                                  ("shift", "--random")])
+    def test_options_the_input_decides_are_not_offered(self, capsys, command, removed):
+        assert run([command, "--help"]) == 0
+        assert removed not in capsys.readouterr().out
+
     def test_module_entry_point(self, tmp_path):
         env = dict(os.environ)
         env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
@@ -1236,6 +1257,30 @@ class TestUsage:
         )
         assert proc.returncode == 0
         assert "panopose" in proc.stdout
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists()
+                        or len(os.sched_getaffinity(0)) < 2,
+                        reason="needs /proc/self/status and more than one CPU")
+    def test_a_command_process_starts_no_blas_threads(self, tmp_path):
+        # The child runs as `python -m panopose nms ...` and reads its own
+        # thread count at exit, when numpy and its BLAS are loaded.
+        save_dataset(_one_box(), tmp_path / "d.json")
+        probe = (
+            "import atexit, re, runpy, sys\n"
+            "def threads():\n"
+            "    status = open('/proc/self/status').read()\n"
+            "    count = re.search(r'Threads:\\s+(\\d+)', status).group(1)\n"
+            "    sys.stderr.write(f\"{'numpy' in sys.modules} {count}\")\n"
+            "atexit.register(threads)\n"
+            "sys.argv[0] = 'panopose'\n"
+            "runpy.run_module('panopose', run_name='__main__', alter_sys=True)\n"
+        )
+        env = {name: value for name, value in os.environ.items() if name != "OPENBLAS_NUM_THREADS"}
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", probe, "nms", "--pred", "d.json", "--out", "o.json"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "True 1"  # numpy is loaded, and no thread but the main one runs
 
     def test_no_command_loads_scipy(self, tmp_path):
         # scipy is blocked in the child, so any import of it fails the command.

@@ -471,17 +471,25 @@ CONTAINER_POOLS = {
 
 
 @st.composite
-def detection_grids(draw):
+def detection_grids(draw, h, w):
     dtype = draw(st.sampled_from(list(CONTAINER_POOLS)))
-    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     size = NUM_KEYPOINTS * h * w
     cells = draw(st.lists(st.sampled_from(CONTAINER_POOLS[dtype]), min_size=size, max_size=size))
     return np.array(cells, dtype=dtype).reshape(NUM_KEYPOINTS, h, w)
 
 
+@st.composite
+def detection_frames(draw):
+    """Frames of (box, score, grid) detections whose grids share one shape,
+    as ``decode`` requires."""
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    detection = st.tuples(box, score, detection_grids(h, w))
+    return draw(st.lists(st.lists(detection, max_size=3), min_size=1, max_size=3))
+
+
 @PROPERTY
 @given(
-    st.lists(st.lists(st.tuples(box, score, detection_grids()), max_size=3), min_size=1, max_size=3),
+    detection_frames(),
     st.sampled_from([4.0, 1.0, 0.3]),
     st.sampled_from([1.0, 1.25]),
 )
@@ -501,7 +509,9 @@ def test_decode_command_is_decode_heatmaps_per_detection(tmp_path_factory, frame
                         "--out", str(base / "pred.json"), "--stride", str(stride),
                         "--padding", str(padding)])
 
-    crops = crop_transform(dets.boxes, CROP_WIDTH, CROP_HEIGHT, padding)
+    # The crop is the grid at the stride; with no detections nothing is cropped.
+    _, h, w = next(iter(grids.values())).shape if grids else (0, 1, 1)
+    crops = crop_transform(dets.boxes, w * stride, h * stride, padding)
     keypoints = []
     bounds = dets.offsets.tolist()
     for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:]):
