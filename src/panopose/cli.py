@@ -5,11 +5,17 @@ checkpoint head for a new keypoint schema, ``boxes-from-poses`` / ``shift`` /
 ``nms`` prepare panoramic detections, ``decode`` turns heatmap containers
 into poses, and ``eval`` scores predictions against ground truth.
 
-Every subcommand prints a one-line JSON echo of its effective configuration
-(including any seed) to stdout once its output files are written, so runs
-are reproducible from their output. No command asks for what its input
-fixes: ``boxes-from-poses`` and ``shift`` take the panorama size from the
-input file's ``pano``, ``decode`` crops each box onto its heatmap grid at
+:func:`run` is the one driver. A command reads its inputs and returns its
+outputs as text by path, the lines it prints, and the echo fields that its
+options do not give. The outputs land all or none (:func:`_land`); only then
+are the lines printed, and a one-line JSON echo of the effective
+configuration: each option of the subcommand by its flag (``--weight-name``
+as ``weight_name``), with the returned fields. Two output flags that name one
+file are refused before any input is read, and a file fault reads
+``error: <path>: <reason>``. ``remap-weights`` writes its container in place
+itself (``weights._write_container``). No command asks for what its
+input fixes: ``boxes-from-poses`` and ``shift`` take the panorama size from
+the input file's ``pano``, ``decode`` crops each box onto its heatmap grid at
 ``--stride``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
 Exit codes: 0 success, 1 validation error, 2 usage error. Each command
 imports the modules it uses when it runs, so a process loads no others:
@@ -17,7 +23,10 @@ imports the modules it uses when it runs, so a process loads no others:
 ``remap-weights`` and ``--version`` never load numpy or ``geometry``. The
 parser's box, NMS and padding defaults come from :mod:`panopose._defaults`,
 which ``geometry`` exports. No command makes a BLAS call, so :func:`main`
-sets ``OPENBLAS_NUM_THREADS=1`` where it is unset, before numpy loads.
+sets ``OPENBLAS_NUM_THREADS=1`` where it is unset, before numpy loads. It
+also runs its one command with the cyclic garbage collector off, and
+freezes every object before exit, so no collection runs over numpy's
+objects; :func:`run` leaves the collector as it finds it.
 
 ``eval`` reads ``--gt`` in a child made by ``os.fork`` while it reads
 ``--pred`` (:func:`_started`); the child sends back the dataset, or the
@@ -29,12 +38,15 @@ there is no ``os.fork``, or the child fails, ``--gt`` is read in process.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import random
+import stat
 import sys
+from contextlib import suppress
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Sequence
 
 from . import __version__
 from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
@@ -47,22 +59,25 @@ if TYPE_CHECKING:
 
 __all__ = ["build_parser", "run", "main"]
 
+# What a command returns: its outputs as text by path, the lines it prints,
+# and the echo fields that its options do not give.
+_Result = tuple[dict[str, str], list[str], dict[str, Any]]
 
-def _echo(payload: dict) -> None:
-    print(json.dumps(payload, sort_keys=True))
 
-
-def _in_file(path: str, read: Callable[..., Any], *args: Any) -> Any:
-    """``read(*args)``, naming ``path`` in a :class:`ValidationError` it raises."""
+def _in_file(path: str, call: Callable[..., Any], *args: Any) -> Any:
+    """``call(*args)``, naming ``path`` in a :class:`ValidationError` or an
+    ``OSError`` it raises: ``<path>: <message>``."""
     try:
-        return read(*args)
+        return call(*args)
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
     """The dataset file at ``path`` in the schema it names; any
-    :class:`ValidationError` names ``path``."""
+    :class:`ValidationError` or ``OSError`` names ``path``."""
     from .dataio import _load
 
     return _in_file(path, _load, Path(path), None, require_scores)
@@ -74,11 +89,11 @@ def _require_boxes(ds: Dataset, command: str) -> None:
         raise ValidationError(f"{where}: {command} requires a box")
 
 
-def _cmd_remap_weights(args: argparse.Namespace) -> int:
+def _cmd_remap_weights(args: argparse.Namespace) -> _Result:
     from .schema import default_mapping, load_mapping
     from .weights import _Container, _remap_head, _write_container
 
-    with open(args.src, "rb") as fh:
+    with _in_file(args.src, open, args.src, "rb") as fh:
         src = _in_file(args.src, _Container, fh)
         if args.mapping is not None:
             mapping = _in_file(args.mapping, load_mapping, args.mapping)
@@ -88,27 +103,21 @@ def _cmd_remap_weights(args: argparse.Namespace) -> int:
         # --out is written while --src is read, so it must be another file.
         if os.path.exists(args.out) and os.path.samestat(os.fstat(fh.fileno()), os.stat(args.out)):
             raise ValidationError(f"{args.src}: --out {args.out} is the same file as --src")
-        _in_file(args.src, _write_container, args.out, head, src)
-    _echo(
-        {
-            "command": "remap-weights",
-            "src": args.src,
-            "out": args.out,
-            "weight_name": args.weight_name,
-            "bias_name": args.bias_name,
-            "mapping": args.mapping
-            or f"builtin:{mapping.source_schema}->{mapping.target_schema}",
-            "verbatim_table1": bool(args.verbatim_table1),
-        }
-    )
-    return 0
+        try:
+            _write_container(args.out, head, src)
+        except ValidationError as exc:  # a --src tensor cut short while it is copied
+            raise ValidationError(f"{args.src}: {exc}") from exc
+        except OSError as exc:
+            raise ValidationError(f"{args.out}: {exc.strerror or exc}") from exc
+    label = f"builtin:{mapping.source_schema}->{mapping.target_schema}"
+    return {}, [], {} if args.mapping else {"mapping": label}
 
 
-def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
-    from .dataio import save_dataset
+def _cmd_boxes_from_poses(args: argparse.Namespace) -> _Result:
+    from .dataio import dataset_to_canonical_json
     from .geometry import _pose_bboxes
 
-    ds = _load_dataset(args.input, require_scores=False)
+    ds = _load_dataset(getattr(args, "in"), require_scores=False)
     rows = ds.has_pose.nonzero()[0]
     try:
         derived = _pose_bboxes(ds.keypoints[rows], args.margin, ds.pano)
@@ -117,54 +126,32 @@ def _cmd_boxes_from_poses(args: argparse.Namespace) -> int:
         raise ValidationError(f"{where}: {exc}") from exc
     boxes = ds.boxes.copy()
     boxes[rows] = derived
-    save_dataset(ds._with(boxes=boxes, has_box=ds.has_box | ds.has_pose), args.out)
-    _echo(
-        {
-            "command": "boxes-from-poses",
-            "in": args.input,
-            "out": args.out,
-            "margin": args.margin,
-            "pano_width": ds.pano.width,
-            "pano_height": ds.pano.height,
-        }
-    )
-    return 0
+    out = ds._with(boxes=boxes, has_box=ds.has_box | ds.has_pose)
+    return ({args.out: dataset_to_canonical_json(out)}, [],
+            {"pano_width": ds.pano.width, "pano_height": ds.pano.height})
 
 
-def _cmd_shift(args: argparse.Namespace) -> int:
-    from .dataio import save_dataset
+def _cmd_shift(args: argparse.Namespace) -> _Result:
+    from .dataio import dataset_to_canonical_json
     from .geometry import shift_dataset
 
-    ds = _load_dataset(args.input, require_scores=False)
+    ds = _load_dataset(getattr(args, "in"), require_scores=False)
     if args.seed is None:
         shift = args.shift
     else:
         shift = random.Random(args.seed).random() * ds.pano.width
-    save_dataset(shift_dataset(ds, shift), args.out)
-    _echo(
-        {
-            "command": "shift",
-            "in": args.input,
-            "out": args.out,
-            "shift": shift,
-            "seed": args.seed,
-            "pano_width": ds.pano.width,
-            "pano_height": ds.pano.height,
-        }
-    )
-    return 0
+    return ({args.out: dataset_to_canonical_json(shift_dataset(ds, shift))}, [],
+            {"shift": shift, "pano_width": ds.pano.width, "pano_height": ds.pano.height})
 
 
-def _cmd_nms(args: argparse.Namespace) -> int:
-    from .dataio import save_dataset
+def _cmd_nms(args: argparse.Namespace) -> _Result:
+    from .dataio import dataset_to_canonical_json
     from .geometry import _nms_rows
 
     ds = _load_dataset(args.pred, require_scores=True)
     _require_boxes(ds, "nms")
     kept = _nms_rows(ds.boxes, ds.scores, ds.offsets.tolist(), args.nms_iou)
-    save_dataset(ds._with(sorted(kept)), args.out)
-    _echo({"command": "nms", "pred": args.pred, "out": args.out, "nms_iou": args.nms_iou})
-    return 0
+    return {args.out: dataset_to_canonical_json(ds._with(sorted(kept)))}, [], {}
 
 
 def _decoded(path: str, dets: Dataset, stride: float, padding: float) -> tuple[NDArray, tuple]:
@@ -185,7 +172,7 @@ def _decoded(path: str, dets: Dataset, stride: float, padding: float) -> tuple[N
     tensors = [(f"frame {fid!r}, person {i}", f"{fid}/{i}")
                for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:])
                for i in range(stop - start)]
-    with open(path, "rb") as fh:
+    with _in_file(path, open, path, "rb") as fh:
         heatmaps = _in_file(path, _Container, fh)
         first = None
         for where, name in tensors:
@@ -224,10 +211,10 @@ def _decoded(path: str, dets: Dataset, stride: float, padding: float) -> tuple[N
     return _project(cells, neighbours, stride, _inverse(crops)), crop
 
 
-def _cmd_decode(args: argparse.Namespace) -> int:
+def _cmd_decode(args: argparse.Namespace) -> _Result:
     import numpy as np
 
-    from .dataio import save_dataset
+    from .dataio import dataset_to_canonical_json
     from .decode import _check_stride
     from .geometry import _check_padding
 
@@ -236,20 +223,8 @@ def _cmd_decode(args: argparse.Namespace) -> int:
     dets = _load_dataset(args.dets, require_scores=True)
     _require_boxes(dets, "decode")
     keypoints, crop = _decoded(args.heatmaps, dets, args.stride, args.padding)
-    save_dataset(dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool)), args.out)
-    _echo(
-        {
-            "command": "decode",
-            "heatmaps": args.heatmaps,
-            "dets": args.dets,
-            "out": args.out,
-            "stride": args.stride,
-            "padding": args.padding,
-            "crop_width": crop[0],
-            "crop_height": crop[1],
-        }
-    )
-    return 0
+    out = dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool))
+    return {args.out: dataset_to_canonical_json(out)}, [], {"crop_width": crop[0], "crop_height": crop[1]}
 
 
 def _started(call: Callable[[], Any]) -> Callable[[], Any]:
@@ -304,8 +279,8 @@ def _started(call: Callable[[], Any]) -> Callable[[], Any]:
     return result
 
 
-def _cmd_eval(args: argparse.Namespace) -> int:
-    from .metrics import evaluate, save_frame_table, save_report
+def _cmd_eval(args: argparse.Namespace) -> _Result:
+    from .metrics import evaluate, frame_table_csv, report_json
 
     # Each process holds one parsed document. A --gt fault is raised first,
     # as when --gt was read before --pred.
@@ -315,14 +290,72 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     finally:
         gts = gt_result()
     report = evaluate(preds, gts)
-    if args.report:
-        save_report(report, args.report)
+    outputs = {args.report: report_json(report)} if args.report else {}
     if args.table:
-        save_frame_table(report, args.table)
-    print(f"ospa_iou {report.ospa_iou:.3f}")
-    print(f"ap_05 {report.ap_05:.3f}")
-    _echo({"command": "eval", "gt": args.gt, "pred": args.pred, "config": report.config})
-    return 0
+        outputs[args.table] = frame_table_csv(report)
+    lines = [f"ospa_iou {report.ospa_iou:.3f}", f"ap_05 {report.ap_05:.3f}"]
+    return outputs, lines, {"config": report.config}
+
+
+def _same_file(a: str, b: str) -> bool:
+    try:
+        return os.path.samestat(os.stat(a), os.stat(b))
+    except OSError:  # one of them does not exist yet
+        return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _target(path: str) -> tuple[str | None, int | None]:
+    """The regular file that writing ``path`` replaces (a symbolic link is
+    followed) and its mode, or None for a new file; or None, None for an
+    existing file that is not regular, such as a FIFO, which is written
+    directly. Opening a directory, or a file this process may not write,
+    for writing fails here, before any output is written."""
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        return os.path.realpath(path), None
+    if not (stat.S_ISREG(mode) or stat.S_ISDIR(mode)):
+        return None, None
+    os.close(os.open(path, os.O_WRONLY))
+    return os.path.realpath(path), stat.S_IMODE(mode)
+
+
+def _write(fh: BinaryIO, text: str, mode: int | None = None) -> None:
+    """Write ``text`` to ``fh`` and close it; its file gets ``mode`` first."""
+    with fh:
+        if mode is not None:
+            os.chmod(fh.name, mode)
+        fh.write(text.encode("utf-8"))
+
+
+def _land(outputs: dict[str, str]) -> None:
+    """Write every ``{path: text}`` output, or none. Each target is checked
+    (:func:`_target`); each regular or new one is written to a new file
+    beside it, ``.panopose-<8 hex digits>.tmp``, made with ``open(..., "xb")``
+    (``O_WRONLY | O_CREAT | O_EXCL``, mode ``0o666 & ~umask``) and given the
+    old file's mode; then each file that is not regular is written directly.
+    Only when every write has succeeded is each new file renamed over its
+    target. A fault removes every new file left and names its output."""
+    staged: list[tuple[str, str, str]] = []
+    try:
+        targets = {path: _in_file(path, _target, path) for path in outputs}
+        for path, (real, mode) in targets.items():
+            if real is not None:
+                new = os.path.join(os.path.dirname(real), f".panopose-{os.urandom(4).hex()}.tmp")
+                fh = _in_file(path, open, new, "xb")
+                staged.append((path, new, real))
+                _in_file(path, _write, fh, outputs[path], mode)
+        for path, (real, _) in targets.items():
+            if real is None:
+                _in_file(path, _write, _in_file(path, open, path, "wb"), outputs[path])
+        while staged:
+            path, new, real = staged[0]
+            _in_file(path, os.replace, new, real)
+            staged.pop(0)
+    finally:
+        for _, new, _ in staged:
+            with suppress(OSError):
+                os.remove(new)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -343,30 +376,30 @@ def build_parser() -> argparse.ArgumentParser:
                             "(both hands sourced from the left wrist)")
     p.add_argument("--weight-name", required=True, help="head weight tensor name")
     p.add_argument("--bias-name", default=None, help="head bias tensor name (also averaged)")
-    p.set_defaults(func=_cmd_remap_weights)
+    p.set_defaults(func=_cmd_remap_weights, outputs=("out",))
 
     p = sub.add_parser("boxes-from-poses", help="derive boxes from pose keypoints")
-    p.add_argument("--in", dest="input", required=True, help="input dataset")
+    p.add_argument("--in", required=True, help="input dataset")
     p.add_argument("--out", required=True, help="output dataset")
     p.add_argument("--margin", type=float, default=DEFAULT_BOX_MARGIN,
                    help="per-side padding as a fraction of the box side")
-    p.set_defaults(func=_cmd_boxes_from_poses)
+    p.set_defaults(func=_cmd_boxes_from_poses, outputs=("out",))
 
     p = sub.add_parser("shift", help="cyclic horizontal shift with seam removal")
-    p.add_argument("--in", dest="input", required=True, help="input dataset")
+    p.add_argument("--in", required=True, help="input dataset")
     p.add_argument("--out", required=True, help="output dataset")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--shift", type=float, help="shift in pixels")
     group.add_argument("--seed", type=int,
                        help="draw the shift uniformly from [0, width) with this seed")
-    p.set_defaults(func=_cmd_shift)
+    p.set_defaults(func=_cmd_shift, outputs=("out",))
 
     p = sub.add_parser("nms", help="greedy per-frame non-maximal suppression")
     p.add_argument("--pred", required=True, help="input predictions (boxes with scores)")
     p.add_argument("--out", required=True, help="output dataset")
     p.add_argument("--nms-iou", type=float, default=DEFAULT_NMS_IOU,
                    help="IoU threshold at or above which boxes are suppressed")
-    p.set_defaults(func=_cmd_nms)
+    p.set_defaults(func=_cmd_nms, outputs=("out",))
 
     p = sub.add_parser("decode", help="decode heatmap containers into poses")
     p.add_argument("--heatmaps", required=True,
@@ -378,14 +411,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crop pixels per heatmap cell; the crop is the grid at this stride")
     p.add_argument("--padding", type=float, default=DEFAULT_CROP_PADDING,
                    help="crop padding scale factor")
-    p.set_defaults(func=_cmd_decode)
+    p.set_defaults(func=_cmd_decode, outputs=("out",))
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--gt", required=True, help="ground-truth dataset")
     p.add_argument("--pred", required=True, help="predictions dataset")
     p.add_argument("--report", default=None, help="write the full JSON report here")
     p.add_argument("--table", default=None, help="write the per-frame CSV table here")
-    p.set_defaults(func=_cmd_eval)
+    p.set_defaults(func=_cmd_eval, outputs=("report", "table"))
 
     return parser
 
@@ -396,16 +429,32 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
+    echo = {name: value for name, value in vars(args).items() if name not in ("func", "outputs")}
+    flags = [(flag, getattr(args, flag)) for flag in args.outputs if getattr(args, flag) is not None]
     try:
-        return args.func(args)
+        for i, (flag, path) in enumerate(flags):
+            for other, earlier in flags[:i]:
+                if _same_file(path, earlier):
+                    raise ValidationError(f"{path}: --{flag} is the same file as --{other} {earlier}")
+        outputs, lines, fields = args.func(args)
+        _land(outputs)
     except (ValidationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    for line in lines:
+        print(line)
+    print(json.dumps({**echo, **fields}, sort_keys=True))
+    return 0
 
 
 def main() -> None:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    raise SystemExit(run())
+    # One command per process: no collection during the imports or the
+    # command, and none at exit over what is left (the objects are frozen).
+    gc.disable()
+    code = run()
+    gc.freeze()
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

@@ -35,11 +35,11 @@ with a callable fills the distance matrix it then scores like every frame.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from pathlib import Path
 from typing import Any, Callable, Sequence
 
 import numpy as np
@@ -59,8 +59,8 @@ __all__ = [
     "oks",
     "ospa",
     "evaluate",
-    "save_report",
-    "save_frame_table",
+    "report_json",
+    "frame_table_csv",
 ]
 
 # Published COCO per-keypoint falloff constants, in coco17 name order.
@@ -530,19 +530,17 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     return EvalReport(ospa_iou=mean_ospa, ap_05=ap, per_frame=per_frame, config=echo)
 
 
-def save_report(report: EvalReport, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8",
-    )
+def report_json(report: EvalReport) -> str:
+    """The full JSON report: aggregates, config echo and per-frame stats."""
+    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
 
 
-def save_frame_table(report: EvalReport, path: str | Path) -> None:
-    """One row per frame: frame_id, then the :class:`FrameStats` fields."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        names = [f.name for f in fields(FrameStats)]
-        stats = attrgetter(*names)
-        writer.writerow(["frame_id", *names])
-        for fid, s in sorted(report.per_frame.items()):
-            writer.writerow([fid, *stats(s)])
+def frame_table_csv(report: EvalReport) -> str:
+    """One CSV row per frame: frame_id, then the :class:`FrameStats` fields."""
+    text = io.StringIO()
+    writer = csv.writer(text)
+    names = [f.name for f in fields(FrameStats)]
+    stats = attrgetter(*names)
+    writer.writerow(["frame_id", *names])
+    writer.writerows([fid, *stats(s)] for fid, s in sorted(report.per_frame.items()))
+    return text.getvalue()

@@ -1,4 +1,5 @@
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -115,8 +116,9 @@ class TestEval:
                     "--report", str(tmp_path / "r.json"), "--table", str(table)])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == f"error: [Errno 2] No such file or directory: {str(table)!r}\n"
+        assert captured.err == f"error: {table}: No such file or directory\n"
         assert captured.out == ""
+        assert sorted(os.listdir(tmp_path)) == ["g.json"]
 
     def test_each_input_file_is_parsed_once(self, tmp_path, monkeypatch, capsys):
         # --gt is parsed in a forked child, so each parse appends to a file.
@@ -221,7 +223,7 @@ EVAL_LOAD_CASES = {
     "pred faulty": ("g", "no_score", 1,
                     "error: {no_score}: prediction without score (frame 'f1', person 0)\n"),
     "gt missing": ("missing", "no_score", 1,
-                   "error: [Errno 2] No such file or directory: '{missing}'\n"),
+                   "error: {missing}: No such file or directory\n"),
     "gt not utf-8": ("utf16", "no_score", 1,
                      "error: {utf16}: parse error: 'utf-8' codec can't decode byte 0xff "
                      "in position 0: invalid start byte\n"),
@@ -870,7 +872,7 @@ class TestRemapWeights:
         reader.join(10)
         assert not reader.is_alive()
         assert code == 1
-        assert capsys.readouterr().err == f"error: [Errno {errno.EPIPE}] {os.strerror(errno.EPIPE)}\n"
+        assert capsys.readouterr().err == f"error: {fifo}: {os.strerror(errno.EPIPE)}\n"
         assert fifo.is_fifo()
         assert failed == ([errno.EINVAL] if hasattr(os, "copy_file_range") else [])
 
@@ -944,11 +946,20 @@ class TestContainerWrittenInPlace:
         assert stat.S_IMODE(old.stat().st_mode) == 0o604
         assert stat.S_IMODE(new.stat().st_mode) == 0o640
 
+    def test_an_existing_out_is_written_in_place(self, tmp_path):
+        # The one output not renamed into place: the old file is rewritten.
+        src, out = self._source(tmp_path), tmp_path / "out.bin"
+        out.write_bytes(b"old")
+        inode = out.stat().st_ino
+        assert run(_remap_argv(src, out)) == 0
+        assert out.stat().st_ino == inode
+        assert load_tensor_map(out).keys() == load_tensor_map(src).keys()
+
     def test_a_directory_out_is_refused(self, tmp_path, capsys):
         out = tmp_path / "dir"
         out.mkdir()
         code = run(_remap_argv(self._source(tmp_path), out))
-        assert (code, capsys.readouterr().err) == (1, f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert (code, capsys.readouterr().err) == (1, f"error: {out}: {os.strerror(errno.EISDIR)}\n")
         assert out.is_dir()
 
     def test_a_read_only_out_is_refused_unless_its_bits_do_not_bind(self, tmp_path, capsys):
@@ -963,7 +974,7 @@ class TestContainerWrittenInPlace:
             assert out.read_bytes() == fresh.read_bytes()
             assert stat.S_IMODE(out.stat().st_mode) == 0o444
         else:
-            assert (code, err) == (1, f"error: [Errno 13] Permission denied: '{out}'\n")
+            assert (code, err) == (1, f"error: {out}: {os.strerror(errno.EACCES)}\n")
             assert out.read_bytes() == b"old"
 
     @pytest.mark.skipif(not hasattr(os, "copy_file_range"), reason="needs os.copy_file_range")
@@ -1035,9 +1046,173 @@ class TestContainerWrittenInPlace:
         monkeypatch.setattr(os, "copy_file_range", full_after_one, raising=False)
         code = run(_remap_argv(src, out))
         assert (code, capsys.readouterr().err) == (
-            1, f"error: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n")
+            1, f"error: {out}: {os.strerror(errno.ENOSPC)}\n")
         assert len(calls) == 2
         assert not out.exists()
+
+
+def _files_in(directory) -> dict[str, bytes]:
+    """Every entry in ``directory`` by name, with its bytes if it is a file."""
+    return {path.name: path.read_bytes() if path.is_file() else None for path in Path(directory).iterdir()}
+
+
+class TestOutputsLandTogether:
+    """The driver writes a command's outputs all or none: each beside its
+    target, then renamed into place once every write has succeeded."""
+
+    @staticmethod
+    def _eval_argv(tmp_path, report, table):
+        gt = tmp_path / "g.json"
+        save_dataset(_gt_dataset(), gt)
+        return ["eval", "--gt", str(gt), "--pred", str(gt), "--report", str(report), "--table", str(table)]
+
+    @pytest.mark.parametrize("link", ["same path", "new file through a linked directory", "hard link",
+                                      "symbolic link"])
+    def test_two_outputs_that_name_one_file_are_refused_before_any_input(self, tmp_path, capsys,
+                                                                        link):
+        # --gt is missing, so a refusal after reading it would name it instead.
+        report, table = tmp_path / "same.out", tmp_path / "same.out"
+        if link == "new file through a linked directory":
+            (tmp_path / "alias").symlink_to(tmp_path)
+            table = tmp_path / "alias" / "same.out"
+        elif link != "same path":
+            report.write_text("old")
+            table = tmp_path / "other.out"
+            (os.link if link == "hard link" else os.symlink)(report, table)
+        before = _files_in(tmp_path)
+        code = run(["eval", "--gt", str(tmp_path / "missing.json"), "--pred", str(tmp_path / "missing.json"),
+                    "--report", str(report), "--table", str(table)])
+        assert code == 1
+        assert capsys.readouterr() == ("", f"error: {table}: --table is the same file as --report {report}\n")
+        assert _files_in(tmp_path) == before
+
+    def test_a_fault_part_way_through_the_second_output_leaves_every_target(self, tmp_path, capsys,
+                                                                            monkeypatch):
+        report, table = tmp_path / "r.json", tmp_path / "t.csv"
+        argv = self._eval_argv(tmp_path, report, table)
+        report.write_text("old report")
+        table.write_text("old table")
+        before = _files_in(tmp_path)
+        written, write = [], cli._write
+
+        def full_in_the_second(fh, text, mode=None):
+            written.append(fh.name)
+            if len(written) < 2:
+                return write(fh, text, mode)
+            with fh:
+                fh.write(text.encode()[:len(text) // 2])
+            raise OSError(errno.EFBIG, os.strerror(errno.EFBIG))
+
+        monkeypatch.setattr(cli, "_write", full_in_the_second)
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {table}: {os.strerror(errno.EFBIG)}\n")
+        assert [Path(name).parent for name in written] == [tmp_path, tmp_path]
+        assert _files_in(tmp_path) == before
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_a_fifo_is_written_directly_and_named_when_its_reader_leaves(self, tmp_path, capsys):
+        # The dataset is larger than a pipe holds, so a reader that takes one
+        # byte and closes makes the write fail with EPIPE.
+        data, fresh, fifo = tmp_path / "d.json", tmp_path / "fresh.json", tmp_path / "out.fifo"
+        save_dataset(make_ground_truth(np.random.default_rng(3), num_frames=100, people=(3, 3)), data)
+        assert run(["shift", "--in", str(data), "--out", str(fresh), "--shift", "0"]) == 0
+        assert fresh.stat().st_size > 2**17
+        os.mkfifo(fifo)
+        for take in (None, 1):
+            received = []
+
+            def read(take=take):
+                with open(fifo, "rb") as fh:
+                    received.append(fh.read() if take is None else fh.read(take))
+
+            reader = threading.Thread(target=read, daemon=True)
+            reader.start()
+            capsys.readouterr()
+            code = run(["shift", "--in", str(data), "--out", str(fifo), "--shift", "0"])
+            reader.join(10)
+            assert not reader.is_alive()
+            if take is None:
+                assert (code, received) == (0, [fresh.read_bytes()])
+            else:
+                assert (code, capsys.readouterr().err) == (1, f"error: {fifo}: {os.strerror(errno.EPIPE)}\n")
+            assert fifo.is_fifo()
+            assert sorted(os.listdir(tmp_path)) == ["d.json", "fresh.json", "out.fifo"]
+
+    def test_dev_stdout_is_written_directly(self, tmp_path):
+        save_dataset(_one_box(), tmp_path / "d.json")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-m", "panopose", "nms", "--pred", "d.json", "--out", "/dev/stdout"],
+                              capture_output=True, env=env, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        data = (tmp_path / "d.json").read_bytes()
+        assert proc.stdout.startswith(data)
+        assert json.loads(proc.stdout[len(data):])["out"] == "/dev/stdout"
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_FSIZE as Linux applies it")
+    def test_a_write_past_the_file_size_limit_leaves_the_old_output(self, tmp_path):
+        # The new output and the old one are each larger than the limit.
+        data, out = tmp_path / "d.json", tmp_path / "out.json"
+        save_dataset(make_ground_truth(np.random.default_rng(5), num_frames=100, people=(3, 3)), data)
+        assert run(["shift", "--in", str(data), "--out", str(out), "--shift", "0"]) == 0
+        old = out.read_bytes()
+        assert len(old) > 200_000
+        probe = (
+            "import resource, signal, sys\n"
+            "from panopose.cli import run\n"
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, resource.RLIM_INFINITY))\n"
+            "sys.exit(run(sys.argv[1:]))\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", probe, "shift", "--in", str(data), "--out", str(out),
+                               "--shift", "7"], capture_output=True, text=True, env=env)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == f"error: {out}: {os.strerror(errno.EFBIG)}\n"
+        assert out.read_bytes() == old
+        assert sorted(os.listdir(tmp_path)) == ["d.json", "out.json"]
+
+    @pytest.mark.parametrize("output", ["dataset", "report", "table"])
+    def test_an_old_file_keeps_its_mode_and_a_new_one_follows_the_umask(self, tmp_path, output):
+        def write(path):
+            if output == "dataset":
+                save_dataset(_one_box(), tmp_path / "d.json")
+                return run(["nms", "--pred", str(tmp_path / "d.json"), "--out", str(path)])
+            other = tmp_path / "other.out"
+            return run(self._eval_argv(tmp_path, *((path, other) if output == "report" else (other, path))))
+
+        old, new = tmp_path / "old.out", tmp_path / "new.out"
+        old.write_bytes(b"old")
+        old.chmod(0o604)
+        umask = os.umask(0o027)
+        try:
+            assert write(old) == 0
+            assert write(new) == 0
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+        assert stat.S_IMODE(new.stat().st_mode) == 0o640
+        assert old.read_bytes() == new.read_bytes()
+
+    def test_a_target_name_of_the_longest_length_is_written(self, tmp_path):
+        # The new file's name does not grow with the target's.
+        save_dataset(_one_box(), tmp_path / "d.json")
+        out = tmp_path / ("o" * (os.pathconf(tmp_path, "PC_NAME_MAX") - 5) + ".json")
+        assert run(["nms", "--pred", str(tmp_path / "d.json"), "--out", str(out)]) == 0
+        assert sorted(os.listdir(tmp_path)) == ["d.json", out.name]
+
+    def test_a_symbolic_link_target_keeps_the_link_and_replaces_its_file(self, tmp_path):
+        save_dataset(_one_box(), tmp_path / "d.json")
+        real, link, fresh = tmp_path / "real" / "o.json", tmp_path / "link.json", tmp_path / "fresh.json"
+        real.parent.mkdir()
+        real.write_bytes(b"old")
+        link.symlink_to(real)
+        for out in (link, fresh):
+            assert run(["nms", "--pred", str(tmp_path / "d.json"), "--out", str(out)]) == 0
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert real.read_bytes() == fresh.read_bytes()
+        assert os.listdir(real.parent) == ["o.json"]
 
 
 class TestDecodeCommand:
@@ -1281,6 +1456,25 @@ class TestUsage:
                               capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stderr == "True 1"  # numpy is loaded, and no thread but the main one runs
+
+    def test_a_command_process_runs_without_the_cyclic_collector(self, tmp_path):
+        # The child runs as `python -m panopose nms ...` and reads the
+        # collector's state at exit; run() in this process leaves it on.
+        save_dataset(_one_box(), tmp_path / "d.json")
+        probe = (
+            "import atexit, gc, runpy, sys\n"
+            "atexit.register(lambda: sys.stderr.write(f'{gc.isenabled()} {gc.get_freeze_count() > 0}'))\n"
+            "sys.argv[0] = 'panopose'\n"
+            "runpy.run_module('panopose', run_name='__main__', alter_sys=True)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run([sys.executable, "-c", probe, "nms", "--pred", "d.json", "--out", "o.json"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == "False True"
+        assert run(["nms", "--pred", str(tmp_path / "d.json"), "--out", str(tmp_path / "o.json")]) == 0
+        assert gc.isenabled()
 
     def test_no_command_loads_scipy(self, tmp_path):
         # scipy is blocked in the child, so any import of it fails the command.

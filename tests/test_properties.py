@@ -5,8 +5,9 @@ frames, the assignment solver against the enumeration oracle, the streamed
 ``remap-weights`` against the in-memory library path, malformed dataset,
 mapping and container files, the dataset loader's faults against a
 value-by-value reference walk, the documents it accepts against
-``docs/dataset.schema.json``, and ``eval`` with its forked ``--gt`` read
-against reading the two files in turn."""
+``docs/dataset.schema.json``, ``eval`` with its forked ``--gt`` read
+against reading the two files in turn, and every command's outputs, which
+land all or none when one of them cannot be written."""
 
 import contextlib
 import copy
@@ -25,7 +26,7 @@ from unittest import mock
 import jsonschema
 import numpy as np
 import pytest
-from hypothesis import Phase, example, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 from synth import DEFAULT_PANO, dataset, mapping_doc, person, random_pose
 
@@ -64,10 +65,10 @@ from panopose.metrics import (
     _pair_table,
     default_oks_params,
     evaluate,
+    frame_table_csv,
     oks,
     ospa,
-    save_frame_table,
-    save_report,
+    report_json,
 )
 from panopose.schema import COCO17, JRDB17, SchemaMapping, load_mapping
 from panopose.weights import (
@@ -991,8 +992,7 @@ def report_frames(draw):
     st.sampled_from([0.0, 0.5, 1.0]),
     st.sampled_from([(1.0, 1.0), (0.5, 2.0)]),
 )
-def test_report_is_the_person_by_person_oracle(tmp_path_factory, schema_id, frames, threshold,
-                                               set_metric):
+def test_report_is_the_person_by_person_oracle(schema_id, frames, threshold, set_metric):
     ids = ["f2", "a", "f10", "b"]  # the files list frames out of id order
     frames = [(fid, preds, kept, gts) for fid, (preds, kept, gts) in zip(ids, frames)]
     preds = dataset(schema_id, PANO, [(fid, p) for fid, p, kept, _ in frames if kept])
@@ -1020,10 +1020,7 @@ def test_report_is_the_person_by_person_oracle(tmp_path_factory, schema_id, fram
             (m, n, matched)
         assert abs(stats["ospa_iou"] - value) <= 1e-12
 
-    table = tmp_path_factory.getbasetemp() / "frames.csv"
-    save_frame_table(report, table)
-    with open(table, newline="", encoding="utf-8") as fh:
-        header, *rows = list(csv.reader(fh))
+    header, *rows = list(csv.reader(io.StringIO(frame_table_csv(report), newline="")))
     assert header == ["frame_id", "ospa_iou", "num_predictions", "num_ground_truths", "num_matched"]
     assert [row[0] for row in rows] == list(per_frame)
     for fid, value, m, n, matched in rows:
@@ -1466,8 +1463,66 @@ def test_eval_reports_what_reading_gt_then_pred_gives(tmp_path_factory, gt_doc, 
         assert not report.exists()
         return
     assert (code, err.getvalue()) == (0, "")
-    save_report(expected, base / "expected.json")
-    assert report.read_bytes() == (base / "expected.json").read_bytes()
+    assert report.read_bytes() == report_json(expected).encode()
+
+
+# Each command's input arguments and its output flags; the inputs name files
+# that test_an_output_that_cannot_be_written_leaves_every_output_as_it_was
+# writes.
+COMMAND_OUTPUTS = {
+    "boxes-from-poses": (["--in", "d.json"], ["--out"]),
+    "shift": (["--in", "d.json", "--shift", "5"], ["--out"]),
+    "nms": (["--pred", "d.json"], ["--out"]),
+    "decode": (["--heatmaps", "heat.bin", "--dets", "d.json"], ["--out"]),
+    "eval": (["--gt", "d.json", "--pred", "d.json"], ["--report", "--table"]),
+    "remap-weights": (["--src", "w.bin", "--weight-name", "head.weight"], ["--out"]),
+}
+INPUT_FILES = ("d.json", "heat.bin", "w.bin")
+
+
+@PROPERTY
+@given(st.sampled_from([(command, flag) for command, (_, flags) in COMMAND_OUTPUTS.items()
+                        for flag in flags]),
+       st.sampled_from(["in a missing directory", "a directory", "a read-only file"]),
+       st.booleans())
+def test_an_output_that_cannot_be_written_leaves_every_output_as_it_was(tmp_path_factory, output,
+                                                                       fault, others_exist):
+    command, flag = output
+    base = tmp_path_factory.mktemp("outputs")
+    pose = random_pose(np.random.default_rng(1), 150.0, 240.0, 30.0)
+    save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=(90, 190, 210, 290), pose=pose, score=0.8)])]),
+                 base / "d.json")
+    save_tensor_map({"f1/0": np.ones((NUM_KEYPOINTS, 4, 4), np.float32)}, base / "heat.bin")
+    save_tensor_map({"head.weight": np.ones((NUM_KEYPOINTS, 2, 1, 1), np.float32)}, base / "w.bin")
+    inputs, flags = COMMAND_OUTPUTS[command]
+    paths = {other: base / f"out{i}" for i, other in enumerate(flags)}
+    bad = paths[flag]
+    if fault == "in a missing directory":
+        bad = paths[flag] = base / "missing" / bad.name
+    elif fault == "a directory":
+        bad.mkdir()
+    else:
+        bad.write_bytes(b"old")
+        bad.chmod(0o444)
+        assume(not os.access(bad, os.W_OK))  # a superuser may write it
+    if others_exist:
+        for other, path in paths.items():
+            if other != flag:
+                path.write_bytes(f"old {other}".encode())
+
+    def listing():  # every entry of the directory, with its bytes if it is a file
+        return {path.name: path.read_bytes() if path.is_file() else None for path in base.iterdir()}
+
+    before = listing()
+    argv = [command, *(str(base / arg) if arg in INPUT_FILES else arg for arg in inputs)]
+    for other, path in paths.items():
+        argv += [other, str(path)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.run(argv)
+    assert (code, out.getvalue()) == (1, "")
+    assert err.getvalue().startswith(f"error: {bad}: ")
+    assert listing() == before
 
 
 shapes = (
