@@ -6,17 +6,20 @@ checkpoint head for a new keypoint schema, ``boxes-from-poses`` / ``shift`` /
 into poses, and ``eval`` scores predictions against ground truth.
 
 :func:`run` is the one driver. A command reads its inputs and returns its
-outputs as text by path, the lines it prints, and the echo fields that its
-options do not give. The outputs land all or none (:func:`_land`); only then
-are the lines printed, and a one-line JSON echo of the effective
+outputs as (path, text) pairs, the lines it prints, and the echo fields that
+its options do not give. The outputs land all or none (:func:`_land`); only
+then are the lines printed, and a one-line JSON echo of the effective
 configuration: each option of the subcommand by its flag (``--weight-name``
-as ``weight_name``), with the returned fields. Two output flags that name one
-file are refused before any input is read, and a file fault reads
-``error: <path>: <reason>``. ``remap-weights`` writes its container in place
-itself (``weights._write_container``). No command asks for what its
+as ``weight_name``), with the returned fields. A file fault reads
+``error: <path>: <reason>``. Before any input is read, :func:`run` refuses
+two declared flags that name one regular or new file: two outputs, or an
+input and an output written in place (``remap-weights --out``, by
+``weights._write_container``); a staged output may be its own input. A
+target that names a descriptor, such as ``/dev/stdout``, is written through
+a duplicate of it (:func:`errors._descriptor`). No command asks for what its
 input fixes: ``boxes-from-poses`` and ``shift`` take the panorama size from
-the input file's ``pano``, ``decode`` crops each box onto its heatmap grid at
-``--stride``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
+the input file's ``pano``, ``decode`` crops each box onto its heatmap grid
+at ``--stride``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
 Exit codes: 0 success, 1 validation error, 2 usage error. Each command
 imports the modules it uses when it runs, so a process loads no others:
 ``nms`` never loads ``metrics``, ``weights`` or ``decode``, and
@@ -24,9 +27,9 @@ imports the modules it uses when it runs, so a process loads no others:
 parser's box, NMS and padding defaults come from :mod:`panopose._defaults`,
 which ``geometry`` exports. No command makes a BLAS call, so :func:`main`
 sets ``OPENBLAS_NUM_THREADS=1`` where it is unset, before numpy loads. It
-also runs its one command with the cyclic garbage collector off, and
-freezes every object before exit, so no collection runs over numpy's
-objects; :func:`run` leaves the collector as it finds it.
+also runs its one command with the cyclic garbage collector off, and freezes
+every object before exit, so no collection runs over numpy's objects;
+:func:`run`, like a dataset loader, leaves the collector as it is.
 
 ``eval`` reads ``--gt`` in a child made by ``os.fork`` while it reads
 ``--pred`` (:func:`_started`); the child sends back the dataset, or the
@@ -50,7 +53,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Sequence
 
 from . import __version__
 from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
-from .errors import RowError, ValidationError, _where
+from .errors import RowError, ValidationError, _descriptor, _where
 
 if TYPE_CHECKING:
     from numpy.typing import NDArray
@@ -59,9 +62,9 @@ if TYPE_CHECKING:
 
 __all__ = ["build_parser", "run", "main"]
 
-# What a command returns: its outputs as text by path, the lines it prints,
-# and the echo fields that its options do not give.
-_Result = tuple[dict[str, str], list[str], dict[str, Any]]
+# What a command returns: its outputs as (path, text) pairs, the lines it
+# prints, and the echo fields that its options do not give.
+_Result = tuple[list[tuple[str, str]], list[str], dict[str, Any]]
 
 
 def _in_file(path: str, call: Callable[..., Any], *args: Any) -> Any:
@@ -100,9 +103,6 @@ def _cmd_remap_weights(args: argparse.Namespace) -> _Result:
         else:
             mapping = default_mapping(args.verbatim_table1)
         head = _in_file(args.src, _remap_head, src.raw, args.weight_name, mapping, args.bias_name)
-        # --out is written while --src is read, so it must be another file.
-        if os.path.exists(args.out) and os.path.samestat(os.fstat(fh.fileno()), os.stat(args.out)):
-            raise ValidationError(f"{args.src}: --out {args.out} is the same file as --src")
         try:
             _write_container(args.out, head, src)
         except ValidationError as exc:  # a --src tensor cut short while it is copied
@@ -110,7 +110,7 @@ def _cmd_remap_weights(args: argparse.Namespace) -> _Result:
         except OSError as exc:
             raise ValidationError(f"{args.out}: {exc.strerror or exc}") from exc
     label = f"builtin:{mapping.source_schema}->{mapping.target_schema}"
-    return {}, [], {} if args.mapping else {"mapping": label}
+    return [], [], {} if args.mapping else {"mapping": label}
 
 
 def _cmd_boxes_from_poses(args: argparse.Namespace) -> _Result:
@@ -127,7 +127,7 @@ def _cmd_boxes_from_poses(args: argparse.Namespace) -> _Result:
     boxes = ds.boxes.copy()
     boxes[rows] = derived
     out = ds._with(boxes=boxes, has_box=ds.has_box | ds.has_pose)
-    return ({args.out: dataset_to_canonical_json(out)}, [],
+    return ([(args.out, dataset_to_canonical_json(out))], [],
             {"pano_width": ds.pano.width, "pano_height": ds.pano.height})
 
 
@@ -140,7 +140,7 @@ def _cmd_shift(args: argparse.Namespace) -> _Result:
         shift = args.shift
     else:
         shift = random.Random(args.seed).random() * ds.pano.width
-    return ({args.out: dataset_to_canonical_json(shift_dataset(ds, shift))}, [],
+    return ([(args.out, dataset_to_canonical_json(shift_dataset(ds, shift)))], [],
             {"shift": shift, "pano_width": ds.pano.width, "pano_height": ds.pano.height})
 
 
@@ -151,7 +151,7 @@ def _cmd_nms(args: argparse.Namespace) -> _Result:
     ds = _load_dataset(args.pred, require_scores=True)
     _require_boxes(ds, "nms")
     kept = _nms_rows(ds.boxes, ds.scores, ds.offsets.tolist(), args.nms_iou)
-    return {args.out: dataset_to_canonical_json(ds._with(sorted(kept)))}, [], {}
+    return [(args.out, dataset_to_canonical_json(ds._with(sorted(kept))))], [], {}
 
 
 def _decoded(path: str, dets: Dataset, stride: float, padding: float) -> tuple[NDArray, tuple]:
@@ -224,7 +224,7 @@ def _cmd_decode(args: argparse.Namespace) -> _Result:
     _require_boxes(dets, "decode")
     keypoints, crop = _decoded(args.heatmaps, dets, args.stride, args.padding)
     out = dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool))
-    return {args.out: dataset_to_canonical_json(out)}, [], {"crop_width": crop[0], "crop_height": crop[1]}
+    return [(args.out, dataset_to_canonical_json(out))], [], {"crop_width": crop[0], "crop_height": crop[1]}
 
 
 def _started(call: Callable[[], Any]) -> Callable[[], Any]:
@@ -290,26 +290,31 @@ def _cmd_eval(args: argparse.Namespace) -> _Result:
     finally:
         gts = gt_result()
     report = evaluate(preds, gts)
-    outputs = {args.report: report_json(report)} if args.report else {}
-    if args.table:
-        outputs[args.table] = frame_table_csv(report)
+    outputs = [(path, text(report)) for path, text in ((args.report, report_json),
+                                                       (args.table, frame_table_csv)) if path]
     lines = [f"ospa_iou {report.ospa_iou:.3f}", f"ap_05 {report.ap_05:.3f}"]
     return outputs, lines, {"config": report.config}
 
 
 def _same_file(a: str, b: str) -> bool:
+    """Whether ``a`` and ``b`` name one regular file, or one new file; a
+    descriptor (:func:`errors._descriptor`) names none."""
+    if _descriptor(a) is not None or _descriptor(b) is not None:
+        return False
     try:
-        return os.path.samestat(os.stat(a), os.stat(b))
+        found = os.stat(a)
+        return stat.S_ISREG(found.st_mode) and os.path.samestat(found, os.stat(b))
     except OSError:  # one of them does not exist yet
         return os.path.realpath(a) == os.path.realpath(b)
 
 
 def _target(path: str) -> tuple[str | None, int | None]:
     """The regular file that writing ``path`` replaces (a symbolic link is
-    followed) and its mode, or None for a new file; or None, None for an
-    existing file that is not regular, such as a FIFO, which is written
-    directly. Opening a directory, or a file this process may not write,
-    for writing fails here, before any output is written."""
+    followed) and its mode, or None for a new file; or None, None for a
+    descriptor or a file that is not regular, such as a FIFO. Opening a
+    directory, or a file this process may not write, fails here, first."""
+    if _descriptor(path) is not None:
+        return None, None
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
@@ -320,6 +325,12 @@ def _target(path: str) -> tuple[str | None, int | None]:
     return os.path.realpath(path), stat.S_IMODE(mode)
 
 
+def _direct(path: str) -> BinaryIO:
+    """A duplicate of the descriptor ``path`` names, or else ``path`` opened."""
+    fd = _descriptor(path)
+    return open(path, "wb") if fd is None else open(os.dup(fd), "wb")
+
+
 def _write(fh: BinaryIO, text: str, mode: int | None = None) -> None:
     """Write ``text`` to ``fh`` and close it; its file gets ``mode`` first."""
     with fh:
@@ -328,26 +339,27 @@ def _write(fh: BinaryIO, text: str, mode: int | None = None) -> None:
         fh.write(text.encode("utf-8"))
 
 
-def _land(outputs: dict[str, str]) -> None:
-    """Write every ``{path: text}`` output, or none. Each target is checked
-    (:func:`_target`); each regular or new one is written to a new file
-    beside it, ``.panopose-<8 hex digits>.tmp``, made with ``open(..., "xb")``
-    (``O_WRONLY | O_CREAT | O_EXCL``, mode ``0o666 & ~umask``) and given the
-    old file's mode; then each file that is not regular is written directly.
-    Only when every write has succeeded is each new file renamed over its
-    target. A fault removes every new file left and names its output."""
+def _land(outputs: list[tuple[str, str]]) -> None:
+    """Write every ``(path, text)`` output, or none, in order. Each target is
+    checked (:func:`_target`); each regular or new one is written to a new
+    file beside it, ``.panopose-<8 hex digits>.tmp``, made with
+    ``open(..., "xb")`` (``O_WRONLY | O_CREAT | O_EXCL``, mode
+    ``0o666 & ~umask``) and given the old file's mode; then each other
+    target is written directly (:func:`_direct`). Only when every write has
+    succeeded is each new file renamed over its target. A fault removes
+    every new file left and names its output."""
     staged: list[tuple[str, str, str]] = []
     try:
-        targets = {path: _in_file(path, _target, path) for path in outputs}
-        for path, (real, mode) in targets.items():
+        targets = [(path, text, *_in_file(path, _target, path)) for path, text in outputs]
+        for path, text, real, mode in targets:
             if real is not None:
                 new = os.path.join(os.path.dirname(real), f".panopose-{os.urandom(4).hex()}.tmp")
                 fh = _in_file(path, open, new, "xb")
                 staged.append((path, new, real))
-                _in_file(path, _write, fh, outputs[path], mode)
-        for path, (real, _) in targets.items():
+                _in_file(path, _write, fh, text, mode)
+        for path, text, real, _ in targets:
             if real is None:
-                _in_file(path, _write, _in_file(path, open, path, "wb"), outputs[path])
+                _in_file(path, _write, _in_file(path, _direct, path), text)
         while staged:
             path, new, real = staged[0]
             _in_file(path, os.replace, new, real)
@@ -364,6 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Panoramic multi-person pose toolkit.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    parser.set_defaults(in_place=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("remap-weights", help="rebuild a checkpoint head for a new schema")
@@ -376,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(both hands sourced from the left wrist)")
     p.add_argument("--weight-name", required=True, help="head weight tensor name")
     p.add_argument("--bias-name", default=None, help="head bias tensor name (also averaged)")
-    p.set_defaults(func=_cmd_remap_weights, outputs=("out",))
+    p.set_defaults(func=_cmd_remap_weights, inputs=("src", "mapping"), outputs=("out",), in_place=True)
 
     p = sub.add_parser("boxes-from-poses", help="derive boxes from pose keypoints")
     p.add_argument("--in", required=True, help="input dataset")
     p.add_argument("--out", required=True, help="output dataset")
     p.add_argument("--margin", type=float, default=DEFAULT_BOX_MARGIN,
                    help="per-side padding as a fraction of the box side")
-    p.set_defaults(func=_cmd_boxes_from_poses, outputs=("out",))
+    p.set_defaults(func=_cmd_boxes_from_poses, inputs=("in",), outputs=("out",))
 
     p = sub.add_parser("shift", help="cyclic horizontal shift with seam removal")
     p.add_argument("--in", required=True, help="input dataset")
@@ -392,14 +405,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--shift", type=float, help="shift in pixels")
     group.add_argument("--seed", type=int,
                        help="draw the shift uniformly from [0, width) with this seed")
-    p.set_defaults(func=_cmd_shift, outputs=("out",))
+    p.set_defaults(func=_cmd_shift, inputs=("in",), outputs=("out",))
 
     p = sub.add_parser("nms", help="greedy per-frame non-maximal suppression")
     p.add_argument("--pred", required=True, help="input predictions (boxes with scores)")
     p.add_argument("--out", required=True, help="output dataset")
     p.add_argument("--nms-iou", type=float, default=DEFAULT_NMS_IOU,
                    help="IoU threshold at or above which boxes are suppressed")
-    p.set_defaults(func=_cmd_nms, outputs=("out",))
+    p.set_defaults(func=_cmd_nms, inputs=("pred",), outputs=("out",))
 
     p = sub.add_parser("decode", help="decode heatmap containers into poses")
     p.add_argument("--heatmaps", required=True,
@@ -411,14 +424,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crop pixels per heatmap cell; the crop is the grid at this stride")
     p.add_argument("--padding", type=float, default=DEFAULT_CROP_PADDING,
                    help="crop padding scale factor")
-    p.set_defaults(func=_cmd_decode, outputs=("out",))
+    p.set_defaults(func=_cmd_decode, inputs=("heatmaps", "dets"), outputs=("out",))
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--gt", required=True, help="ground-truth dataset")
     p.add_argument("--pred", required=True, help="predictions dataset")
     p.add_argument("--report", default=None, help="write the full JSON report here")
     p.add_argument("--table", default=None, help="write the per-frame CSV table here")
-    p.set_defaults(func=_cmd_eval, outputs=("report", "table"))
+    p.set_defaults(func=_cmd_eval, inputs=("gt", "pred"), outputs=("report", "table"))
 
     return parser
 
@@ -429,11 +442,15 @@ def run(argv: Sequence[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse exits 2 on usage error, 0 on --help
         return exc.code if isinstance(exc.code, int) else 2
-    echo = {name: value for name, value in vars(args).items() if name not in ("func", "outputs")}
-    flags = [(flag, getattr(args, flag)) for flag in args.outputs if getattr(args, flag) is not None]
+    given = vars(args)
+    echo = {name: value for name, value in given.items()
+            if name not in ("func", "inputs", "outputs", "in_place")}
+    outs = [(flag, given[flag]) for flag in args.outputs if given[flag] is not None]
+    # An output written in place must not be an input that it writes over.
+    ins = [(flag, given[flag]) for flag in args.inputs if args.in_place and given[flag] is not None]
     try:
-        for i, (flag, path) in enumerate(flags):
-            for other, earlier in flags[:i]:
+        for i, (flag, path) in enumerate(outs):
+            for other, earlier in outs[:i] + ins:
                 if _same_file(path, earlier):
                     raise ValidationError(f"{path}: --{flag} is the same file as --{other} {earlier}")
         outputs, lines, fields = args.func(args)

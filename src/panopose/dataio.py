@@ -52,7 +52,6 @@ order above and a pose's first bad keypoint; then a repeated frame id.
 
 from __future__ import annotations
 
-import gc
 import json
 import math
 from dataclasses import dataclass
@@ -75,7 +74,6 @@ __all__ = [
     "load_ground_truth",
     "load_predictions",
     "save_dataset",
-    "dataset_from_json",
     "dataset_to_canonical_json",
 ]
 
@@ -318,10 +316,6 @@ def _person_fault(person: Any, where: str, schema: KeypointSchema, require_score
         _number(row[2], loc)
 
 
-def dataset_from_json(text: str, schema: KeypointSchema, *, require_scores: bool = False) -> Dataset:
-    return _load(text, schema, require_scores)
-
-
 def load_ground_truth(path: str | Path, schema: KeypointSchema) -> Dataset:
     return _load(Path(path), schema, require_scores=False)
 
@@ -330,28 +324,18 @@ def load_predictions(path: str | Path, schema: KeypointSchema) -> Dataset:
     return _load(Path(path), schema, require_scores=True)
 
 
-def _load(source: str | Path, schema: KeypointSchema | None, require_scores: bool) -> Dataset:
-    """The dataset of a JSON document (see :func:`_json_object`), parsed and
-    built with the cyclic garbage collector paused. A document holds a
-    container per JSON list and object and no reference cycle, and the
-    collector's passes over it grow with it: two 9 MB files took 1.1 s to
-    parse with the collector running and 0.6 s with it paused. The document
-    is freed on return, before the collector resumes. ``eval`` runs this for
-    ``--gt`` in a forked child, which pickles the dataset back to it
+def _load(source: dict | str | Path, schema: KeypointSchema | None, require_scores: bool) -> Dataset:
+    """The dataset of a JSON document: its top-level object, its text or the
+    file at a :class:`~pathlib.Path` (see :func:`_json_object`), in ``schema``
+    or, when None, in the built-in schema it names, with the checks in the
+    order that the module docstring gives. The cyclic garbage collector is
+    left as it is: the ``panopose`` command runs with it off, and a library
+    caller pays for its passes over the document's lists and objects (two
+    9.5 MB files of 13,058 persons: 0.7 s with it running, 0.54 s with it
+    off, on Python 3.11 and a 2-CPU Xeon). ``eval`` runs this for ``--gt``
+    in a forked child, which pickles the dataset back to it
     (:meth:`Dataset.__setstate__` keeps its arrays read-only)."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        return _dataset_from_doc(_json_object(source), schema, require_scores)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _dataset_from_doc(doc: dict, schema: KeypointSchema | None, require_scores: bool) -> Dataset:
-    """Build a dataset from the top-level object of a JSON document, in
-    ``schema`` or, when None, in the built-in schema that the document names,
-    with the checks in the order that the module docstring gives."""
+    doc = source if isinstance(source, dict) else _json_object(source)
     if schema is None:
         schema_id = doc.get("schema")
         if not isinstance(schema_id, str):

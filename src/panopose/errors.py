@@ -1,7 +1,9 @@
-"""Shared exception types, and the one JSON reader of the input formats:
-datasets, mapping files and container headers (:func:`_json_object`)."""
+"""Shared exception types, the one JSON reader of the input formats
+(datasets, mapping files and container headers, :func:`_json_object`), and
+the one test for an output that names a descriptor (:func:`_descriptor`)."""
 
 import json
+import os
 from bisect import bisect_right
 from pathlib import Path
 from typing import Sequence
@@ -54,3 +56,20 @@ def _json_object(source: str | bytes | Path, prefix: str = "parse error",
     if not isinstance(doc, dict):
         raise ValidationError(f"{prefix}: top level must be an object")
     return doc
+
+
+def _descriptor(path: str | Path) -> int | None:
+    """The descriptor of this process that ``path`` names, as ``/dev/stdout``
+    does, or None: a link in ``/proc/<pid>/fd`` (Linux) or ``/dev/fd``
+    (macOS) on its chain of links, read one at a time (``realpath`` looks
+    through it). Opened anew, its file would be truncated and written from
+    the start; a writer writes a duplicate of the descriptor instead."""
+    for _ in range(40):  # as many links as Linux follows
+        head, name = os.path.split(path)
+        if name.isdecimal() and os.path.realpath(head) in (f"/proc/{os.getpid()}/fd", "/dev/fd"):
+            return int(name)
+        try:
+            path = os.path.join(head, os.readlink(path))
+        except OSError:  # not a link, or not there
+            return None
+    return None

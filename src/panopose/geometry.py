@@ -181,11 +181,6 @@ def _areas(rows: np.ndarray) -> np.ndarray:
     return (rows[..., 2] - rows[..., 0]) * (rows[..., 3] - rows[..., 1])
 
 
-def _iou_matrix(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``[P, G]`` :func:`_iou` of every row of ``a`` against every row of ``b``."""
-    return _iou(a[:, None], b)
-
-
 def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Continuous IoU of broadcast ``[..., 4]`` box rows ``a`` and ``b``; 0
     for disjoint boxes. Each entry is the scalar formula's IEEE operations
@@ -203,7 +198,7 @@ def _iou(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def iou(a: Any, b: Any) -> np.ndarray:
     """``[P, G]`` continuous intersection-over-union of ``[P, 4]`` box rows
     against ``[G, 4]`` box rows; 0 for disjoint boxes."""
-    return _iou_matrix(_box_rows(a), _box_rows(b))
+    return _iou(_box_rows(a)[:, None], _box_rows(b))
 
 
 def _ranking(scores: np.ndarray) -> np.ndarray:
@@ -226,7 +221,7 @@ def _nms_rows(rows: np.ndarray, scores: np.ndarray, offsets: Sequence[int], iou_
         frame_kept: list[int] = []
         for first in range(0, len(order), _NMS_BLOCK):
             block = order[first : first + _NMS_BLOCK]
-            overlaps = (_iou_matrix(boxes[block], boxes) >= iou_threshold).tolist()
+            overlaps = (_iou(boxes[block][:, None], boxes) >= iou_threshold).tolist()
             for i, overlap in zip(block, overlaps):
                 if not any(overlap[j] for j in frame_kept):
                     frame_kept.append(i)

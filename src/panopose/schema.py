@@ -94,35 +94,11 @@ COCO17 = KeypointSchema(
     ),
 )
 
-JRDB17 = KeypointSchema(
-    "jrdb17",
-    (
-        "head",
-        "right eye",
-        "left eye",
-        "right shoulder",
-        "neck",
-        "left shoulder",
-        "right elbow",
-        "left elbow",
-        "center hip",
-        "right hand",
-        "right hip",
-        "left hip",
-        "left hand",
-        "right knee",
-        "left knee",
-        "right foot",
-        "left foot",
-    ),
-)
-
-_BUILTINS = {s.id: s for s in (COCO17, JRDB17)}
-
-# Counterpart table in the ``entries`` form of a mapping file. The upstream
-# table lists "left hand -> left wrist" twice (rows 10 and 13); row 10 is
-# corrected to the right side by symmetry. verbatim mode keeps the literal
-# left-wrist source.
+# The jrdb17 keypoints in order, each with the coco17 keypoints it is
+# averaged from: the counterpart table, in the ``entries`` form of a mapping
+# file. The upstream table lists "left hand -> left wrist" twice (rows 10 and
+# 13); row 10 is corrected to the right side by symmetry. verbatim mode keeps
+# the literal left-wrist source.
 _DEFAULT_COUNTERPARTS = {
     "head": ["left eye", "right eye"],
     "right eye": ["right eye"],
@@ -142,6 +118,10 @@ _DEFAULT_COUNTERPARTS = {
     "right foot": ["right ankle"],
     "left foot": ["left ankle"],
 }
+
+JRDB17 = KeypointSchema("jrdb17", tuple(_DEFAULT_COUNTERPARTS))
+
+_BUILTINS = {s.id: s for s in (COCO17, JRDB17)}
 
 
 def builtin_schema(schema_id: str) -> KeypointSchema:

@@ -29,8 +29,8 @@ The head-remapping operation averages the output channels of a rank-4
 a counterpart mapping, producing a new head whose channel ``t`` is the mean
 of the source channels listed for target ``t``. One kernel,
 :func:`_mean_rows`, computes it on the head's bytes for the library and the
-command alike: the float64 sum numpy's ``mean`` takes, divided by the count
-and rounded to float32; single-counterpart channels copy bit-exactly.
+command alike: the float64 sum of the sources in mapping order, divided by
+the count and rounded to float32; one-source channels copy bit-exactly.
 """
 
 from __future__ import annotations
@@ -42,11 +42,11 @@ import os
 import stat
 import struct
 from collections.abc import Mapping
-from contextlib import contextmanager, suppress
+from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
-from .errors import ValidationError, _json_object
+from .errors import ValidationError, _descriptor, _json_object
 from .schema import SchemaMapping, check_entries
 
 if TYPE_CHECKING:
@@ -64,8 +64,9 @@ _ITEMSIZE = {tag: int(code[-1]) for tag, code in _DTYPES.items()}
 _TAG_OF = {code: tag for tag, code in _DTYPES.items()}
 _COPY_BUFFER_BYTES = 1 << 20
 # How a first os.copy_file_range call says that the kernel cannot copy
-# between two files: a filesystem, file type or kernel without the call.
-_NO_KERNEL_COPY = {errno.EXDEV, errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOTSUP}
+# between two files: a filesystem, file type or kernel without the call, or
+# an output opened for appending (EBADF).
+_NO_KERNEL_COPY = {errno.EXDEV, errno.EINVAL, errno.ENOSYS, errno.EOPNOTSUPP, errno.ENOTSUP, errno.EBADF}
 
 # A tensor as the container layer holds it: dtype tag, shape, payload bytes.
 _Raw = tuple[str, tuple[int, ...], bytes]
@@ -204,16 +205,11 @@ def _truncated(name: str) -> ValidationError:
     return ValidationError(f"truncated payload: tensor {name!r} could not be read whole")
 
 
-@contextmanager
-def _open_container(path: str | Path) -> Iterator[_Container]:
-    with open(path, "rb") as fh:
-        yield _Container(fh)
-
-
 def load_tensor_map(path: str | Path) -> dict[str, NDArray]:
     """Every tensor of the container at ``path`` as a read-only array, by
     name in sorted order."""
-    with _open_container(path) as container:
+    with open(path, "rb") as fh:
+        container = _Container(fh)
         tensors = {name: container.read(name) for name in container.entries}
     return dict(sorted(tensors.items()))
 
@@ -259,10 +255,11 @@ def _write_container(
     length prefix is written as zeros, the file is cut to its new size after
     the payload, and the real prefix comes last. Until then a reader refuses
     the file as a malformed header, so a write that stops part-way over an
-    old container never leaves one that mixes old and new tensors. A FIFO or
-    a device is written in one pass, prefix first. A failed write removes the
-    partial file when ``path`` opened a regular file, and only that file: a
-    symbolic link ``path`` stays, and a FIFO or a device is left as it is."""
+    old container never leaves one that mixes old and new tensors. A FIFO, a
+    device or a descriptor (:func:`errors._descriptor`) is written in one
+    pass, prefix first, and is left as it is by a failed write, which
+    removes the partial file only where ``path`` opened a regular file: a
+    symbolic link ``path`` stays."""
     layout = {} if src is None else {name: entry[:2] for name, entry in src.entries.items()}
     layout.update((name, (tag, shape)) for name, (tag, shape, _) in tensors.items())
     header: dict[str, dict] = {}
@@ -276,13 +273,15 @@ def _write_container(
     prefix = struct.pack("<Q", len(header_bytes))
     kernel = hasattr(os, "copy_file_range")
     buffer = None
+    fd = _descriptor(path)
     # Mode "wb" would truncate the file; its opener leaves that out.
-    fh = open(path, "wb", opener=lambda name, _: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666))
-    opened = None
+    fh = (open(os.dup(fd), "wb") if fd is not None else
+          open(path, "wb", opener=lambda name, _: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666)))
+    regular = False
     try:
         with fh:  # closed, flush failure or not, before the file is removed
             opened = os.fstat(fh.fileno())
-            regular = stat.S_ISREG(opened.st_mode)
+            regular = fd is None and stat.S_ISREG(opened.st_mode)
             fh.write(bytes(len(prefix)) if regular else prefix)
             fh.write(header_bytes)
             for name in header:
@@ -301,7 +300,7 @@ def _write_container(
                 os.ftruncate(fh.fileno(), len(prefix) + len(header_bytes) + offset)
                 os.pwrite(fh.fileno(), prefix, 0)
     except BaseException:
-        if opened is not None and stat.S_ISREG(opened.st_mode):
+        if regular:
             real = os.path.realpath(path)
             with suppress(OSError):
                 if os.path.samestat(os.lstat(real), opened):
@@ -309,39 +308,17 @@ def _write_container(
         raise
 
 
-def _sum(values: Sequence[float], pairwise: bool) -> float:
-    """The float64 sum ``mean(axis=0)`` takes of one value's sources in
-    numpy: 0.0 plus each in mapping order or, where every channel is one
-    value and there are 8 or more sources, 0.0 plus numpy's pairwise sum
-    (:func:`_pairwise_sum`). A NaN among the sources gives the first of
-    them: which NaN CPython's addition keeps where two meet changes once the
-    interpreter specializes the loop."""
+def _sum(values: Sequence[float]) -> float:
+    """The float64 sum of one value's sources: 0.0 plus each in mapping
+    order (not the built-in ``sum``, which compensates from Python 3.12 on).
+    A NaN among the sources gives the first of them: which NaN CPython's
+    addition keeps where two meet changes once the interpreter specializes
+    the loop."""
     for value in values:
         if value != value:
             return value
-    if pairwise and len(values) >= 8:
-        return 0.0 + _pairwise_sum(values)
     total = 0.0
     for value in values:
-        total += value
-    return total
-
-
-def _pairwise_sum(values: Sequence[float]) -> float:
-    """numpy's ``pairwise_sum`` of 8 or more ``values``: up to 128, eight
-    running sums over blocks of eight, added as a tree, then the remainder
-    one after another; above that, the sums of two halves cut at a multiple
-    of eight."""
-    n = len(values)
-    if n > 128:
-        half = n // 2 - n // 2 % 8
-        return _pairwise_sum(values[:half]) + _pairwise_sum(values[half:])
-    r = list(values[:8])
-    stop = n - n % 8
-    for at in range(8, stop, 8):
-        r = [a + b for a, b in zip(r, values[at : at + 8])]
-    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for value in values[stop:]:
         total += value
     return total
 
@@ -359,7 +336,7 @@ def _mean_rows(data: bytes, width: int, entries: Sequence[Sequence[int]]) -> byt
             rows += data[entry[0] * row.size : (entry[0] + 1) * row.size]
         else:
             columns = zip(*(row.unpack_from(data, s * row.size) for s in entry))
-            rows += row.pack(*(_sum(column, width == 1) / len(entry) for column in columns))
+            rows += row.pack(*(_sum(column) / len(entry) for column in columns))
     return bytes(rows)
 
 

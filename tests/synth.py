@@ -7,7 +7,7 @@ import json
 
 import numpy as np
 
-from panopose.dataio import Dataset, dataset_from_json
+from panopose.dataio import Dataset, _load
 from panopose.geometry import PanoramaSpec
 from panopose.schema import SchemaMapping, builtin_schema
 
@@ -38,7 +38,7 @@ def dataset(schema_id: str, pano: PanoramaSpec, frames) -> Dataset:
         "pano": {"width": pano.width, "height": pano.height},
         "frames": [{"frame_id": fid, "persons": list(persons)} for fid, persons in frames],
     }
-    return dataset_from_json(json.dumps(doc), builtin_schema(schema_id))
+    return _load(json.dumps(doc), builtin_schema(schema_id), False)
 
 
 def random_pose(rng: np.random.Generator, cx: float, cy: float, spread: float,

@@ -13,13 +13,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from synth import dataset, make_ground_truth, mapping_doc, perturb_predictions, person
+from synth import dataset, make_ground_truth, mapping_doc, perturb_predictions, person, same_tensors
 
 from panopose import cli, metrics
 from panopose.cli import run
 from panopose.dataio import (
     _load,
-    dataset_from_json,
     dataset_to_canonical_json,
     load_ground_truth,
     load_predictions,
@@ -336,7 +335,7 @@ def _edge_case_eval_files(tmp_path):
     for frames, path in ((gt_frames, gt_path), (pred_frames, pred_path)):
         doc = {"schema": "jrdb17", "pano": {"width": gt.pano.width, "height": gt.pano.height},
                "frames": frames}
-        save_dataset(dataset_from_json(json.dumps(doc), JRDB17), path)
+        save_dataset(_load(json.dumps(doc), JRDB17, False), path)
     return gt_path, pred_path
 
 
@@ -771,8 +770,13 @@ class TestRemapWeights:
         assert not (tmp_path / "o.bin").exists()
 
     @pytest.mark.parametrize("link", ["same path", "hard link", "symbolic link"])
-    def test_out_that_is_the_src_file_is_refused(self, tmp_path, capsys, link):
+    @pytest.mark.parametrize("src_bytes", ["a container", "not a container"])
+    def test_out_that_is_the_src_file_is_refused(self, tmp_path, capsys, link, src_bytes):
+        # The driver refuses it before --src is read, so a --src that is not
+        # a container gets the same refusal.
         src = self._container(tmp_path)
+        if src_bytes == "not a container":
+            src.write_bytes(b"not a container")
         before = src.read_bytes()
         out = tmp_path / "out.bin"
         if link == "same path":
@@ -783,8 +787,19 @@ class TestRemapWeights:
             out.symlink_to(src)
         code = run(["remap-weights", "--src", str(src), "--out", str(out), "--weight-name", "head.weight"])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {src}: --out {out} is the same file as --src\n"
+        assert capsys.readouterr().err == f"error: {out}: --out is the same file as --src {src}\n"
         assert src.read_bytes() == before
+
+    def test_out_that_is_the_mapping_file_is_refused(self, tmp_path, capsys):
+        # Every declared input counts, not only the one read while --out is written.
+        src, mapping = self._container(tmp_path), tmp_path / "m.json"
+        mapping.write_text(json.dumps(mapping_doc(default_mapping())))
+        before = mapping.read_bytes()
+        code = run(["remap-weights", "--src", str(src), "--out", str(mapping), "--mapping", str(mapping),
+                    "--weight-name", "head.weight"])
+        assert (code, capsys.readouterr().err) == (
+            1, f"error: {mapping}: --out is the same file as --mapping {mapping}\n")
+        assert mapping.read_bytes() == before
 
     def test_source_cut_during_the_copy_leaves_no_out(self, tmp_path, capsys, monkeypatch,
                                                       copy_path):
@@ -1148,6 +1163,72 @@ class TestOutputsLandTogether:
         data = (tmp_path / "d.json").read_bytes()
         assert proc.stdout.startswith(data)
         assert json.loads(proc.stdout[len(data):])["out"] == "/dev/stdout"
+
+    # Each command with an output flag, without the value of its output flags.
+    _TO_STDOUT = {
+        "remap-weights": (["remap-weights", "--src", "w.bin", "--weight-name", "head.weight",
+                           "--bias-name", "head.bias"], ["out"]),
+        "boxes-from-poses": (["boxes-from-poses", "--in", "d.json"], ["out"]),
+        "shift": (["shift", "--in", "d.json", "--shift", "5"], ["out"]),
+        "nms": (["nms", "--pred", "d.json"], ["out"]),
+        "decode": (["decode", "--heatmaps", "heat.bin", "--dets", "d.json"], ["out"]),
+        "eval": (["eval", "--gt", "d.json", "--pred", "d.json"], ["report", "table"]),
+    }
+
+    @pytest.mark.parametrize("command", list(_TO_STDOUT))
+    def test_dev_stdout_redirected_to_a_file_holds_what_a_pipe_gets(self, tmp_path, capsys, monkeypatch,
+                                                                  command):
+        # /dev/stdout is written through the descriptor at its position, so
+        # with > or with >> after earlier bytes the file gets the bytes a
+        # pipe gets: the outputs, the lines, then the echo.
+        save_dataset(dataset("jrdb17", PANO, [("f1", [person(box=(90, 190, 210, 290), pose=_pose17(),
+                                                            score=0.8)])]), tmp_path / "d.json")
+        save_tensor_map({"f1/0": np.arange(17 * 6 * 5, dtype=np.float32).reshape(17, 6, 5)},
+                        tmp_path / "heat.bin")
+        save_tensor_map({"head.weight": np.arange(34, dtype=np.float32).reshape(17, 2, 1, 1),
+                         "head.bias": np.arange(17, dtype=np.float32),
+                         "stem": np.arange(2**16, dtype=np.float32)}, tmp_path / "w.bin")
+        argv, flags = self._TO_STDOUT[command]
+        monkeypatch.chdir(tmp_path)  # the inputs are named as the child names them
+        files = [tmp_path / f"{flag}.out" for flag in flags]
+        assert run(argv + [arg for flag, path in zip(flags, files) for arg in (f"--{flag}", str(path))]) == 0
+        capsys.readouterr()
+        outputs = b"".join(path.read_bytes() for path in files)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        child = [sys.executable, "-m", "panopose", *argv] + [arg for flag in flags
+                                                             for arg in (f"--{flag}", "/dev/stdout")]
+        piped = subprocess.run(child, capture_output=True, env=env, cwd=tmp_path)
+        assert (piped.returncode, piped.stderr) == (0, b"")
+        assert piped.stdout.startswith(outputs)
+        echo = json.loads(piped.stdout[len(outputs):].splitlines()[-1])
+        assert [echo[flag] for flag in flags] == ["/dev/stdout"] * len(flags)
+        for mode, earlier in (("wb", b""), ("ab", b"earlier bytes\n")):
+            captured = tmp_path / "captured"
+            captured.write_bytes(earlier)
+            with open(captured, mode) as stdout:
+                proc = subprocess.run(child, stdout=stdout, stderr=subprocess.PIPE, env=env, cwd=tmp_path)
+            assert (proc.returncode, proc.stderr) == (0, b"")
+            assert captured.read_bytes() == earlier + piped.stdout, mode
+            if command == "remap-weights":
+                part = tmp_path / "part.bin"
+                part.write_bytes(captured.read_bytes()[len(earlier):len(earlier) + len(outputs)])
+                assert same_tensors(load_tensor_map(part), load_tensor_map(files[0]))
+
+    def test_two_outputs_to_dev_null_are_not_one_file(self, tmp_path, capsys):
+        argv = self._eval_argv(tmp_path, "/dev/null", "/dev/null")
+        assert run(argv) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_a_staged_output_may_be_its_input(self, tmp_path):
+        # The shifted dataset is written beside d.json and renamed over it,
+        # after d.json has been read.
+        data, fresh = tmp_path / "d.json", tmp_path / "fresh.json"
+        save_dataset(_gt_dataset(), data)
+        assert run(["shift", "--in", str(data), "--out", str(fresh), "--shift", "5"]) == 0
+        assert run(["shift", "--in", str(data), "--out", str(data), "--shift", "5"]) == 0
+        assert data.read_bytes() == fresh.read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["d.json", "fresh.json"]
 
     @pytest.mark.skipif(sys.platform != "linux", reason="needs RLIMIT_FSIZE as Linux applies it")
     def test_a_write_past_the_file_size_limit_leaves_the_old_output(self, tmp_path):
@@ -1538,8 +1619,8 @@ class TestUsage:
 
     def test_remap_weights_and_version_run_without_numpy(self, tmp_path, capsys, monkeypatch):
         # numpy is blocked in the child, so any import of it fails the command.
-        # The mapping file averages nine sources into one target, eight of
-        # them being where the bias adds in numpy's pairwise order.
+        # The mapping file averages nine sources into one target, so the bias
+        # adds more than the eight from which numpy's mean would add pairwise.
         rng = np.random.default_rng(41)
         save_tensor_map({
             "head.weight": rng.standard_normal((17, 3, 2, 1)).astype(np.float32),

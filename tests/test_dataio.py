@@ -6,7 +6,7 @@ from synth import dataset, person
 
 from panopose.dataio import (
     Dataset,
-    dataset_from_json,
+    _load,
     dataset_to_canonical_json,
     load_ground_truth,
     load_predictions,
@@ -105,61 +105,61 @@ class TestTypes:
 class TestLoading:
     def test_minimal_valid_file(self):
         text = _doc([{"box": [1, 2, 3, 4]}])
-        ds = dataset_from_json(text, JRDB17)
+        ds = _load(text, JRDB17, False)
         assert ds.frame_ids == ("f1",)
         assert ds.boxes.tolist() == [[1, 2, 3, 4]]
         assert ds.has_box.tolist() == [True]
 
     def test_pose_round_trips(self):
         pose = [[float(i), float(2 * i), i % 3] for i in range(17)]
-        ds = dataset_from_json(_doc([{"pose": pose}]), JRDB17)
+        ds = _load(_doc([{"pose": pose}]), JRDB17, False)
         assert ds.keypoints[0].tolist() == pose
 
     def test_wrong_pose_length_names_the_person(self):
         text = _doc([{"pose": [[0, 0, 2]] * 16}])
         with pytest.raises(ValidationError, match=r"frame 'f1', person 0.*16 keypoints"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_duplicate_frame_id(self):
         doc = json.loads(_doc([{"box": [1, 2, 3, 4]}]))
         doc["frames"].append(doc["frames"][0])
         with pytest.raises(ValidationError, match="duplicate frame id"):
-            dataset_from_json(json.dumps(doc), JRDB17)
+            _load(json.dumps(doc), JRDB17, False)
 
     def test_non_finite_coordinate(self):
         text = _doc([{"box": [1, 2, 3, float("inf")]}])  # json emits Infinity
         with pytest.raises(ValidationError, match="non-finite"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_bad_visibility_flag(self):
         pose = [[0.0, 0.0, 2]] * 16 + [[0.0, 0.0, 7]]
         with pytest.raises(ValidationError, match="visibility"):
-            dataset_from_json(_doc([{"pose": pose}]), JRDB17)
+            _load(_doc([{"pose": pose}]), JRDB17, False)
 
     def test_unknown_field_rejected(self):
         text = _doc([{"box": [1, 2, 3, 4], "margin": 0.1}])
         with pytest.raises(ValidationError, match="unexpected field"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_schema_mismatch(self):
         doc = json.loads(_doc([{"box": [1, 2, 3, 4]}]))
         doc["schema"] = "coco17"
         with pytest.raises(ValidationError, match="schema mismatch"):
-            dataset_from_json(json.dumps(doc), JRDB17)
+            _load(json.dumps(doc), JRDB17, False)
 
     def test_person_needs_box_or_pose(self):
         with pytest.raises(ValidationError, match="neither box nor pose"):
-            dataset_from_json(_doc([{"score": 0.5}]), JRDB17)
+            _load(_doc([{"score": 0.5}]), JRDB17, False)
 
     def test_score_out_of_range_names_the_person(self):
         text = _doc([{"box": [1, 2, 3, 4], "score": 1.5}])
         with pytest.raises(ValidationError, match=r"frame 'f1', person 0: .*outside \[0, 1\]"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_degenerate_box_names_the_person(self):
         text = _doc([{"box": [1, 2, 3, 4]}, {"box": [5, 2, 5, 4]}])
         with pytest.raises(ValidationError, match=r"frame 'f1', person 1: degenerate box"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_earliest_person_value_fault_is_reported(self):
         text = _doc([
@@ -171,18 +171,18 @@ class TestLoading:
         with pytest.raises(
             ValidationError, match=r"^frame 'f1', person 1: person score 1\.5 outside \[0, 1\]$"
         ):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_empty_frame_id_names_the_frame(self):
         text = _doc([{"box": [1, 2, 3, 4]}], frame_id="")
         with pytest.raises(ValidationError, match=r"frame '': frame id must be a non-empty"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_frame_id_utf8_cannot_encode_names_the_frame(self):
         # json.dumps writes the lone surrogate as the escape \ud800.
         text = _doc([{"box": [1, 2, 3, 4]}], frame_id="\ud800")
         with pytest.raises(ValidationError, match=r"^frame '\\ud800': frame id is not encodable as UTF-8$"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     @pytest.mark.parametrize(
         "text, match",
@@ -201,7 +201,7 @@ class TestLoading:
     )
     def test_integer_beyond_float_range_is_located(self, text, match):
         with pytest.raises(ValidationError, match=match):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     @pytest.mark.parametrize(
         "row, match",
@@ -220,7 +220,7 @@ class TestLoading:
     def test_keypoint_value_error_is_located(self, row, match):
         pose = [[0.0, 0.0, 2]] * 4 + [row] + [[0.0, 0.0, 2]] * 12
         with pytest.raises(ValidationError, match=match):
-            dataset_from_json(_doc([{"pose": pose}]), JRDB17)
+            _load(_doc([{"pose": pose}]), JRDB17, False)
 
     @pytest.mark.parametrize(
         "person, match",
@@ -245,15 +245,15 @@ class TestLoading:
             person = {"pose": [[0.0, 0.0, 2]] * 4 + person["pose"] + [[0.0, 0.0, 2]] * 12}
         text = _doc([{"pose": [[1.0, 1.0, 2]] * 17}, person])
         with pytest.raises(ValidationError, match=r"^frame 'f1', person 1: " + match):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_parse_error(self):
         with pytest.raises(ValidationError, match="parse error"):
-            dataset_from_json("not json", JRDB17)
+            _load("not json", JRDB17, False)
 
     def test_deep_nesting_is_a_parse_error(self):
         with pytest.raises(ValidationError, match="parse error"):
-            dataset_from_json("[" * 100_000 + "]" * 100_000, JRDB17)
+            _load("[" * 100_000 + "]" * 100_000, JRDB17, False)
 
     @pytest.mark.parametrize("load", [load_ground_truth, load_predictions])
     def test_non_utf8_file_is_a_parse_error(self, tmp_path, load):
@@ -275,27 +275,27 @@ class TestRepeatedKeys:
     def test_a_key_named_twice_is_refused(self, key, first):
         text = _doc([{"box": [1, 2, 3, 4]}]).replace(f'"{key}": ', f'"{key}": {first}, "{key}": ', 1)
         with pytest.raises(ValidationError, match=f"^parse error: duplicate key '{key}'$"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
     def test_a_repeated_key_comes_before_a_shape_fault(self):
         # The shape fault is in an earlier person than the repeated key.
         text = _doc([{"box": [1, 2, 3]}, {"box": [1, 2, 3, 4]}]).replace(
             '{"box": [1, 2, 3, 4]}', '{"score": 0.5, "score": 0.5, "box": [1, 2, 3, 4]}')
         with pytest.raises(ValidationError, match="^parse error: duplicate key 'score'$"):
-            dataset_from_json(text, JRDB17)
+            _load(text, JRDB17, False)
 
 
 class TestPredictions:
     def test_missing_score_rejected(self):
         text = _doc([{"box": [1, 2, 3, 4]}])
         with pytest.raises(ValidationError, match="prediction without score"):
-            dataset_from_json(text, JRDB17, require_scores=True)
+            _load(text, JRDB17, True)
 
     def test_empty_frames_list_is_valid(self):
         text = json.dumps(
             {"schema": "jrdb17", "pano": {"width": 10, "height": 10}, "frames": []}
         )
-        ds = dataset_from_json(text, JRDB17, require_scores=True)
+        ds = _load(text, JRDB17, True)
         assert ds.frame_ids == ()
         assert len(ds.ids) == 0
 
@@ -315,7 +315,7 @@ class TestCanonicalForm:
             ("f1", []),
         )
         text = dataset_to_canonical_json(ds)
-        assert dataset_from_json(text, JRDB17) == ds
+        assert _load(text, JRDB17, False) == ds
 
     def test_frame_permutations_serialize_identically(self):
         f1 = ("f1", [person(box=(0, 0, 1, 1))])
@@ -327,7 +327,7 @@ class TestCanonicalForm:
     def test_canonicalization_is_stable(self):
         ds = _dataset(("f1", [person(pose=_pose17(0.1, 1e-17))]))
         once = dataset_to_canonical_json(ds)
-        again = dataset_to_canonical_json(dataset_from_json(once, JRDB17))
+        again = dataset_to_canonical_json(_load(once, JRDB17, False))
         assert once == again
 
     def test_empty_dataset_round_trips(self, tmp_path):
@@ -340,5 +340,5 @@ class TestCanonicalForm:
         values = (0.1, 1 / 3, 1e-17, 123456.789012345, 2.0 ** -40)
         kps = [(v, -v, 2) for v in values] + [(0, 0, 2)] * 12
         ds = _dataset(("f1", [person(pose=kps)]))
-        back = dataset_from_json(dataset_to_canonical_json(ds), JRDB17)
+        back = _load(dataset_to_canonical_json(ds), JRDB17, False)
         assert back == ds

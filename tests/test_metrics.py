@@ -12,7 +12,7 @@ import pytest
 from synth import dataset, make_ground_truth, perturb_predictions, person
 from test_properties import brute_force_assignment
 
-from panopose.dataio import dataset_from_json, dataset_to_canonical_json
+from panopose.dataio import _load, dataset_to_canonical_json
 from panopose.errors import ValidationError
 from panopose.geometry import PanoramaSpec, _areas, _matching_boxes, _ranking
 from panopose.metrics import (
@@ -450,7 +450,7 @@ def _reversed_frames(ds):
     """``ds`` parsed from its JSON form with the frames listed in reverse order."""
     doc = json.loads(dataset_to_canonical_json(ds))
     doc["frames"].reverse()
-    return dataset_from_json(json.dumps(doc), JRDB17)
+    return _load(json.dumps(doc), JRDB17, False)
 
 
 class TestEvaluate:

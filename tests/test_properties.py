@@ -16,10 +16,12 @@ import io
 import itertools
 import json
 import math
+import operator
 import os
 import pickle
 import re
 import struct
+from functools import reduce
 from pathlib import Path
 from unittest import mock
 
@@ -33,11 +35,10 @@ from synth import DEFAULT_PANO, dataset, mapping_doc, person, random_pose
 from panopose import cli, metrics
 from panopose.dataio import (
     Dataset,
-    _dataset_from_doc,
     _frame_id_rule,
+    _load,
     _number,
     _require_keys,
-    dataset_from_json,
     dataset_to_canonical_json,
     save_dataset,
 )
@@ -48,7 +49,7 @@ from panopose.geometry import (
     CROP_WIDTH,
     PanoramaSpec,
     _areas,
-    _iou_matrix,
+    _iou,
     _matching_boxes,
     _nms_rows,
     _ranking,
@@ -72,7 +73,7 @@ from panopose.metrics import (
 )
 from panopose.schema import COCO17, JRDB17, SchemaMapping, load_mapping
 from panopose.weights import (
-    _open_container,
+    _Container,
     load_tensor_map,
     remap_head_weights,
     save_tensor_map,
@@ -156,7 +157,7 @@ any_person = st.builds(
 def test_canonical_json_parse_canonical_is_byte_stable(frames):
     ds = dataset("jrdb17", PANO, frames)
     text = dataset_to_canonical_json(ds)
-    back = dataset_from_json(text, JRDB17)
+    back = _load(text, JRDB17, False)
     assert back == ds
     assert dataset_to_canonical_json(back) == text
 
@@ -320,7 +321,7 @@ box_pairs = st.builds(
 def test_iou_matrix_is_the_scalar_formula_bit_for_bit(pairs):
     boxes = [b for pair in pairs for b in pair]
     rows = np.array(boxes)
-    for matrix in (_iou_matrix(rows, rows), iou(rows, rows)):
+    for matrix in (_iou(rows[:, None], rows), iou(rows, rows)):
         for i, a in enumerate(boxes):
             assert _bits(matrix[i]) == _bits(_reference_iou(a, b) for b in boxes)
 
@@ -820,7 +821,7 @@ def test_batched_matching_and_set_metric_are_the_frame_loop(frames, chunk):
         report = evaluate(preds, gts)
     _assert_frame_matches(matches, preds, gts, _reference_match(preds, gts, gt_boxes, 0.5))
     for fid, p, g in _reference_frames(preds, gts):
-        dist = 1.0 - _iou_matrix(pred_boxes[p], gt_boxes[g])
+        dist = 1.0 - _iou(pred_boxes[p][:, None], gt_boxes[g])
         # The set metric is symmetric: a frame without predictions keeps its
         # ground truths as the rows of its list form.
         ospa_iou = _reference_ospa((dist if len(p) else dist.T).tolist(), 1.0, 1.0)
@@ -1317,7 +1318,7 @@ def _check_loader(doc: dict, require_scores: bool) -> None:
     except ValidationError as exc:
         walk_fault = str(exc)
     try:
-        _dataset_from_doc(doc, JRDB17, require_scores)
+        _load(doc, JRDB17, require_scores)
     except ValidationError as exc:
         assert walk_fault is None or str(exc) == walk_fault
         return
@@ -1389,12 +1390,12 @@ def test_a_fault_in_the_last_of_many_persons_is_worded_as_the_walk_words_it(requ
             except ValidationError as exc:
                 assert "frame '74', person 3" in str(exc)
                 with pytest.raises(ValidationError) as loaded:
-                    _dataset_from_doc(mutated, JRDB17, require_scores)
+                    _load(mutated, JRDB17, require_scores)
                 assert str(loaded.value) == str(exc)
                 faulted.add(kind)
             else:
                 with contextlib.suppress(ValidationError):  # a value fault, such as a box of 2.0s
-                    _dataset_from_doc(mutated, JRDB17, require_scores)
+                    _load(mutated, JRDB17, require_scores)
     assert faulted == kinds and len(kinds) == 9
 
 
@@ -1411,7 +1412,7 @@ def test_documents_the_loader_accepts_fit_the_json_schema(case, faults, data):
     for fault in faults:
         _mutate_drawn(data.draw, doc["frames"], fault)
     try:
-        _dataset_from_doc(doc, JRDB17, require_scores)
+        _load(doc, JRDB17, require_scores)
     except ValidationError:
         return
     DATASET_SCHEMA.validate(doc)
@@ -1563,8 +1564,8 @@ def test_malformed_containers_raise_only_validation_errors(tmp_path_factory, raw
     # traceback, names the file and leaves no output on a fault. The head is
     # the file's first tensor and the bias its second, when it has them.
     try:
-        with _open_container(path) as container:
-            names = list(container.entries)
+        with open(path, "rb") as fh:
+            names = list(_Container(fh).entries)
     except ValidationError:
         names = []
     out = path.with_name("remapped.bin")
@@ -1646,14 +1647,14 @@ def test_streamed_remap_writes_the_library_bytes(tmp_path_factory, copy_path, ot
 
 
 def _reference_head(data, entries):
-    """The remapped head as numpy's ``mean`` gives it, the formula
-    ``remap_head_weights`` ran before it worked on bytes: a channel of one
-    source as it is, any other the float64 mean of its sources, rounded to
-    float32."""
+    """The remapped head by its rule, in numpy: a channel of one source as it
+    is, any other 0.0 plus its sources in mapping order, in float64, divided
+    by their count and rounded to float32."""
     with np.errstate(all="ignore"):  # inf - inf, and NaNs cast to float32
         return np.stack([
             data[entry[0]] if len(entry) == 1
-            else data[list(entry)].astype(np.float64).mean(axis=0).astype("<f4")
+            else (reduce(operator.add, (data[s].astype(np.float64) for s in entry),
+                         np.zeros(data.shape[1:])) / len(entry)).astype("<f4")
             for entry in entries
         ])
 
@@ -1684,7 +1685,7 @@ def _two_nans_meet(bits):
 @settings(PROPERTY, max_examples=300)
 @given(st.integers(1, 17), st.tuples(st.integers(1, 2), st.integers(1, 2), st.integers(1, 2)),
        st.lists(st.integers(1, 17), min_size=1, max_size=4), st.data())
-def test_the_head_kernel_is_numpys_mean_bit_for_bit(num_source, dims, sizes, data):
+def test_the_head_kernel_is_the_mapping_order_mean_bit_for_bit(num_source, dims, sizes, data):
     # 1-17 sources per target. A palette of a few magnitudes of any exponent,
     # each with its negation, so that sums meet wide exponents and cancel;
     # NaNs with payloads, and signaling NaNs only in rows that no mean reads.
