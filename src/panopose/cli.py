@@ -23,13 +23,13 @@ at ``--stride``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
 Exit codes: 0 success, 1 validation error, 2 usage error. Each command
 imports the modules it uses when it runs, so a process loads no others:
 ``nms`` never loads ``metrics``, ``weights`` or ``decode``, and
-``remap-weights`` and ``--version`` never load numpy or ``geometry``. The
-parser's box, NMS and padding defaults come from :mod:`panopose._defaults`,
-which ``geometry`` exports. No command makes a BLAS call, so :func:`main`
-sets ``OPENBLAS_NUM_THREADS=1`` where it is unset, before numpy loads. It
-also runs its one command with the cyclic garbage collector off, and freezes
-every object before exit, so no collection runs over numpy's objects;
-:func:`run`, like a dataset loader, leaves the collector as it is.
+``remap-weights`` and ``--version`` never load numpy or ``geometry``: the
+parser's box, NMS and padding defaults come from :mod:`panopose._defaults`.
+No command makes a BLAS call, so :func:`main` sets ``OPENBLAS_NUM_THREADS=1``
+where it is unset, before numpy loads. It also runs its one command with the
+cyclic garbage collector off, and freezes every object before exit, so no
+collection runs over numpy's objects; :func:`run`, like a dataset loader,
+leaves the collector as it is.
 
 ``eval`` reads ``--gt`` in a child made by ``os.fork`` while it reads
 ``--pred`` (:func:`_started`); the child sends back the dataset, or the
@@ -59,8 +59,6 @@ if TYPE_CHECKING:
     from numpy.typing import NDArray
 
     from .dataio import Dataset
-
-__all__ = ["build_parser", "run", "main"]
 
 # What a command returns: its outputs as (path, text) pairs, the lines it
 # prints, and the echo fields that its options do not give.
@@ -169,9 +167,9 @@ def _decoded(path: str, dets: Dataset, stride: float, padding: float) -> tuple[N
 
     num_keypoints = len(builtin_schema(dets.schema_id).names)
     bounds = dets.offsets.tolist()
-    tensors = [(f"frame {fid!r}, person {i}", f"{fid}/{i}")
+    tensors = [(_where(dets.frame_ids, bounds, row), f"{fid}/{row - start}")
                for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:])
-               for i in range(stop - start)]
+               for row in range(start, stop)]
     with _in_file(path, open, path, "rb") as fh:
         heatmaps = _in_file(path, _Container, fh)
         first = None
@@ -376,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Panoramic multi-person pose toolkit.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    parser.set_defaults(in_place=False)
+    parser.set_defaults(in_place=())
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("remap-weights", help="rebuild a checkpoint head for a new schema")
@@ -389,14 +387,14 @@ def build_parser() -> argparse.ArgumentParser:
                             "(both hands sourced from the left wrist)")
     p.add_argument("--weight-name", required=True, help="head weight tensor name")
     p.add_argument("--bias-name", default=None, help="head bias tensor name (also averaged)")
-    p.set_defaults(func=_cmd_remap_weights, inputs=("src", "mapping"), outputs=("out",), in_place=True)
+    p.set_defaults(func=_cmd_remap_weights, outputs=("out",), in_place=("src", "mapping"))
 
     p = sub.add_parser("boxes-from-poses", help="derive boxes from pose keypoints")
     p.add_argument("--in", required=True, help="input dataset")
     p.add_argument("--out", required=True, help="output dataset")
     p.add_argument("--margin", type=float, default=DEFAULT_BOX_MARGIN,
                    help="per-side padding as a fraction of the box side")
-    p.set_defaults(func=_cmd_boxes_from_poses, inputs=("in",), outputs=("out",))
+    p.set_defaults(func=_cmd_boxes_from_poses, outputs=("out",))
 
     p = sub.add_parser("shift", help="cyclic horizontal shift with seam removal")
     p.add_argument("--in", required=True, help="input dataset")
@@ -405,14 +403,14 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--shift", type=float, help="shift in pixels")
     group.add_argument("--seed", type=int,
                        help="draw the shift uniformly from [0, width) with this seed")
-    p.set_defaults(func=_cmd_shift, inputs=("in",), outputs=("out",))
+    p.set_defaults(func=_cmd_shift, outputs=("out",))
 
     p = sub.add_parser("nms", help="greedy per-frame non-maximal suppression")
     p.add_argument("--pred", required=True, help="input predictions (boxes with scores)")
     p.add_argument("--out", required=True, help="output dataset")
     p.add_argument("--nms-iou", type=float, default=DEFAULT_NMS_IOU,
                    help="IoU threshold at or above which boxes are suppressed")
-    p.set_defaults(func=_cmd_nms, inputs=("pred",), outputs=("out",))
+    p.set_defaults(func=_cmd_nms, outputs=("out",))
 
     p = sub.add_parser("decode", help="decode heatmap containers into poses")
     p.add_argument("--heatmaps", required=True,
@@ -424,14 +422,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="crop pixels per heatmap cell; the crop is the grid at this stride")
     p.add_argument("--padding", type=float, default=DEFAULT_CROP_PADDING,
                    help="crop padding scale factor")
-    p.set_defaults(func=_cmd_decode, inputs=("heatmaps", "dets"), outputs=("out",))
+    p.set_defaults(func=_cmd_decode, outputs=("out",))
 
     p = sub.add_parser("eval", help="score predictions against ground truth")
     p.add_argument("--gt", required=True, help="ground-truth dataset")
     p.add_argument("--pred", required=True, help="predictions dataset")
     p.add_argument("--report", default=None, help="write the full JSON report here")
     p.add_argument("--table", default=None, help="write the per-frame CSV table here")
-    p.set_defaults(func=_cmd_eval, inputs=("gt", "pred"), outputs=("report", "table"))
+    p.set_defaults(func=_cmd_eval, outputs=("report", "table"))
 
     return parser
 
@@ -444,10 +442,10 @@ def run(argv: Sequence[str] | None = None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     given = vars(args)
     echo = {name: value for name, value in given.items()
-            if name not in ("func", "inputs", "outputs", "in_place")}
+            if name not in ("func", "outputs", "in_place")}
     outs = [(flag, given[flag]) for flag in args.outputs if given[flag] is not None]
     # An output written in place must not be an input that it writes over.
-    ins = [(flag, given[flag]) for flag in args.inputs if args.in_place and given[flag] is not None]
+    ins = [(flag, given[flag]) for flag in args.in_place if given[flag] is not None]
     try:
         for i, (flag, path) in enumerate(outs):
             for other, earlier in outs[:i] + ins:

@@ -66,17 +66,6 @@ from .errors import RowError, ValidationError, _json_object, _where
 from .geometry import PanoramaSpec, _box_rule, _score_rule
 from .schema import KeypointSchema, builtin_schema
 
-__all__ = [
-    "NOT_LABELED",
-    "LABELED_INVISIBLE",
-    "LABELED_VISIBLE",
-    "Dataset",
-    "load_ground_truth",
-    "load_predictions",
-    "save_dataset",
-    "dataset_to_canonical_json",
-]
-
 NOT_LABELED = 0
 LABELED_INVISIBLE = 1
 LABELED_VISIBLE = 2

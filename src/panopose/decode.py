@@ -26,8 +26,6 @@ from .dataio import LABELED_VISIBLE
 from .errors import ValidationError
 from .geometry import _apply, invert_transform
 
-__all__ = ["decode_heatmaps"]
-
 _BEFORE_AFTER = np.array([-1, 1])[:, None, None]
 
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 
 import numpy as np
 
-from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
+from ._defaults import DEFAULT_CROP_PADDING
 from .errors import RowError, ValidationError, _where
 
 if TYPE_CHECKING:
@@ -40,21 +40,6 @@ if TYPE_CHECKING:
 # crop_transform's default output: the 384 x 288 network input.
 CROP_WIDTH = 288
 CROP_HEIGHT = 384
-
-__all__ = [
-    "CROP_WIDTH",
-    "CROP_HEIGHT",
-    "DEFAULT_NMS_IOU",
-    "DEFAULT_BOX_MARGIN",
-    "DEFAULT_CROP_PADDING",
-    "PanoramaSpec",
-    "apply_transform",
-    "invert_transform",
-    "iou",
-    "nms",
-    "shift_dataset",
-    "crop_transform",
-]
 
 # _nms_rows takes the IoU rows of this many candidates per call, so its
 # memory stays linear in the box count: 64 rows of 2000 boxes are 1 MB.

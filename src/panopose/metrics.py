@@ -49,20 +49,6 @@ from .errors import RowError, ValidationError, _where
 from .geometry import _areas, _box_rows, _extents, _iou, _located_matching_boxes, _ranking
 from .schema import default_mapping
 
-__all__ = [
-    "COCO_SIGMAS",
-    "OksParams",
-    "EvalConfig",
-    "FrameStats",
-    "EvalReport",
-    "default_oks_params",
-    "oks",
-    "ospa",
-    "evaluate",
-    "report_json",
-    "frame_table_csv",
-]
-
 # Published COCO per-keypoint falloff constants, in coco17 name order.
 COCO_SIGMAS = (
     0.026, 0.025, 0.025, 0.035, 0.035,
@@ -360,8 +346,7 @@ def _match(preds: Dataset, gts: Dataset, pairs: tuple[np.ndarray, ...], ranked: 
         scale, num_labeled = _oks_setup(preds.keypoints, gts.keypoints, labeled, params, gt_areas,
                                         paired)
     except RowError as exc:
-        fid = gts.frame_ids[int(np.searchsorted(gts.offsets, exc.row, side="right")) - 1]
-        raise ValidationError(f"frame {fid!r}: {exc}") from exc
+        raise ValidationError(f"{_where(gts.frame_ids, gts.offsets, exc.row)}: {exc}") from exc
 
     reach = -math.log(threshold) * (1.0 + 1e-6) + 1e-9 if threshold > 1e-300 else math.inf
     pred_box = _extents(preds.keypoints, np.ones(preds.keypoints.shape[:2], dtype=bool))

@@ -17,17 +17,6 @@ from pathlib import Path
 
 from .errors import ValidationError, _json_object
 
-__all__ = [
-    "KeypointSchema",
-    "SchemaMapping",
-    "COCO17",
-    "JRDB17",
-    "builtin_schema",
-    "default_mapping",
-    "check_entries",
-    "load_mapping",
-]
-
 
 @dataclass(frozen=True)
 class KeypointSchema:

@@ -52,12 +52,6 @@ from .schema import SchemaMapping, check_entries
 if TYPE_CHECKING:
     from numpy.typing import ArrayLike, NDArray
 
-__all__ = [
-    "load_tensor_map",
-    "save_tensor_map",
-    "remap_head_weights",
-]
-
 # Tag -> the numpy dtype of its payload; the last character is the item size.
 _DTYPES = {"f32": "<f4", "f64": "<f8", "i32": "<i4", "i64": "<i8", "u8": "|u1"}
 _ITEMSIZE = {tag: int(code[-1]) for tag, code in _DTYPES.items()}

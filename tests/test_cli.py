@@ -384,7 +384,7 @@ class TestDegenerateBoxes:
             **{"g.json": _doc({"box": [0, 0, 1, 5e-324], "pose": self.POSE}),
                "p.json": _doc({"score": 0.9, "pose": self.POSE})},
         )
-        assert err.startswith("error: frame 'f1': ground-truth box area 5e-324 gives an OKS scale")
+        assert err.startswith("error: frame 'f1', person 0: ground-truth box area 5e-324 gives an OKS scale")
 
     # A pose whose labeled keypoints span x = -1e308..1e308 has a matching box
     # of infinite area.

@@ -1,4 +1,5 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses, and only the
+package itself lists its public names."""
 
 import ast
 from pathlib import Path
@@ -19,18 +20,13 @@ def _annotations(tree):
 
 
 def _used_names(tree):
-    """Every name the module loads, those inside string annotations (as
-    ``TYPE_CHECKING`` imports are written) and those its ``__all__`` lists."""
+    """Every name the module loads, and those inside string annotations (as
+    ``TYPE_CHECKING`` imports are written)."""
     trees = [tree]
     for annotation in filter(None, _annotations(tree)):
         trees += [ast.parse(node.value, mode="eval") for node in ast.walk(annotation)
                   if isinstance(node, ast.Constant) and isinstance(node.value, str)]
-    used = {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.List) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
-    return used
+    return {node.id for t in trees for node in ast.walk(t) if isinstance(node, ast.Name)}
 
 
 def _imported_names(tree):
@@ -48,3 +44,11 @@ def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     unused = sorted(set(_imported_names(tree)) - _used_names(tree))
     assert unused == [], f"{path.name} imports {unused} and never uses them"
+
+
+def test_only_the_package_assigns_all():
+    # ``panopose/__init__.py``'s name table is the one list of public names.
+    assigning = {path.name for path in PACKAGE.glob("*.py")
+                 for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)}
+    assert assigning == {"__init__.py"}

@@ -510,9 +510,9 @@ class TestEvaluate:
         gts = dataset("jrdb17", PANO, [("f1", [tiny]), ("f2", [person(box=(0, 0, 9, 9))]),
                                        ("f3", [tiny, person(pose=_pose17())])])
         preds = dataset("jrdb17", PANO, [(f, [person(pose=_pose17(), score=0.5)]) for f in ("f2", "f3")])
-        with pytest.raises(ValidationError, match=r"^frame 'f3': ground-truth box area 5e-324 "):
+        with pytest.raises(ValidationError, match=r"^frame 'f3', person 0: ground-truth box area 5e-324 "):
             evaluate(preds, gts)
-        with pytest.raises(ValidationError, match=r"^frame 'f3': 3 sigmas for a pose of 17 keypoints$"):
+        with pytest.raises(ValidationError, match=r"^frame 'f3', person 0: 3 sigmas for a pose of 17 keypoints$"):
             evaluate(preds, gts, EvalConfig(oks_params=UNIFORM3))
 
     def test_independent_of_frame_order(self):

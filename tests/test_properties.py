@@ -462,6 +462,42 @@ def test_decode_is_the_keypoint_loop_bit_for_bit(values, stride, crop):
     assert _bits(kps.ravel()) == _bits(np.ravel(keypoints))
 
 
+@st.composite
+def planted_peaks(draw):
+    """A grid size and, per keypoint, a σ of 1-3 cells and a peak in cell
+    units (cell (i, j) spans [j, j + 1) x [i, i + 1)) at least 0.01 cell
+    inside the grid's outer ring, so that the argmax cell has both
+    neighbours on each axis."""
+    h, w = draw(st.integers(3, 24)), draw(st.integers(3, 24))
+    peak = st.tuples(st.floats(1.01, w - 1.01), st.floats(1.01, h - 1.01), st.floats(1.0, 3.0))
+    return h, w, draw(st.lists(peak, min_size=1, max_size=4))
+
+
+@PROPERTY
+@given(
+    planted_peaks(),
+    st.sampled_from([2.0, 4.0, 8.0]),
+    st.builds(lambda x, y, w, h: (x, y, x + w, y + h),
+              st.floats(0.0, 3700.0), st.floats(0.0, 480.0), st.floats(4.0, 400.0), st.floats(4.0, 400.0)),
+)
+def test_decode_lands_within_a_quarter_cell_of_a_symmetric_peak(peaks, stride, pano_box):
+    # README: per axis, at most stride/4 crop px from the peak of a symmetric
+    # unimodal grid whose argmax cell has both neighbours.
+    h, w, planted = peaks
+    crop = crop_transform([pano_box], w * stride, h * stride)[0]
+    j, i = np.arange(w) + 0.5, np.arange(h)[:, None] + 0.5
+    grids = np.array([np.exp(-((j - x) ** 2 + (i - y) ** 2) / (2.0 * s * s)) for x, y, s in planted],
+                     dtype=np.float32)
+    keypoints, _ = decode_heatmaps(grids, stride, crop)
+    for (x, y, _), (px, py, _) in zip(planted, keypoints):
+        # The peak in panorama px, through the axis-aligned crop by hand.
+        true_x = (x * stride - crop[0, 2]) / crop[0, 0]
+        true_y = (y * stride - crop[1, 2]) / crop[1, 1]
+        # A float32 tie of the two neighbours may shift the wrong way.
+        assert abs(px - true_x) * crop[0, 0] <= stride * (0.25 + 1e-6)
+        assert abs(py - true_y) * crop[1, 1] <= stride * (0.25 + 1e-6)
+
+
 # Few distinct values per container dtype, so ties and equal neighbours are
 # common; the grids are at most 3 x 3, so most peaks lie on an edge.
 CONTAINER_POOLS = {
