@@ -18,8 +18,8 @@ input and an output written in place (``remap-weights --out``, by
 target that names a descriptor, such as ``/dev/stdout``, is written through
 a duplicate of it (:func:`errors._descriptor`). No command asks for what its
 input fixes: ``boxes-from-poses`` and ``shift`` take the panorama size from
-the input file's ``pano``, ``decode`` crops each box onto its heatmap grid
-at ``--stride``, and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
+the input file's ``pano``, ``decode`` the crop size from the heatmap grid,
+and ``eval`` matches at OKS 0.5, the ``ap_05`` it prints.
 Exit codes: 0 success, 1 validation error, 2 usage error. Each command
 imports the modules it uses when it runs, so a process loads no others:
 ``nms`` never loads ``metrics``, ``weights`` or ``decode``, and
@@ -53,27 +53,14 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Sequence
 
 from . import __version__
 from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
-from .errors import RowError, ValidationError, _descriptor, _where
+from .errors import RowError, ValidationError, _descriptor, _in_file, _where
 
 if TYPE_CHECKING:
-    from numpy.typing import NDArray
-
     from .dataio import Dataset
 
 # What a command returns: its outputs as (path, text) pairs, the lines it
 # prints, and the echo fields that its options do not give.
 _Result = tuple[list[tuple[str, str]], list[str], dict[str, Any]]
-
-
-def _in_file(path: str, call: Callable[..., Any], *args: Any) -> Any:
-    """``call(*args)``, naming ``path`` in a :class:`ValidationError` or an
-    ``OSError`` it raises: ``<path>: <message>``."""
-    try:
-        return call(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    except OSError as exc:
-        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
@@ -152,76 +139,16 @@ def _cmd_nms(args: argparse.Namespace) -> _Result:
     return [(args.out, dataset_to_canonical_json(ds._with(sorted(kept))))], [], {}
 
 
-def _decoded(path: str, dets: Dataset, stride: float, padding: float) -> tuple[NDArray, tuple]:
-    """The ``[N, K, 3]`` keypoints of the detections' ``[K, h, w]`` tensors in
-    the container at ``path``, and their one crop size ``(w * stride, h * stride)``
-    (None, None with no detections). Every name and shape is checked in the
-    header first; then each tensor is read in turn into one buffer and
-    checked in full before the next."""
-    import numpy as np
-
-    from .decode import _peaks, _project
-    from .geometry import _inverse, crop_transform
-    from .schema import builtin_schema
-    from .weights import _Container
-
-    num_keypoints = len(builtin_schema(dets.schema_id).names)
-    bounds = dets.offsets.tolist()
-    tensors = [(_where(dets.frame_ids, bounds, row), f"{fid}/{row - start}")
-               for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:])
-               for row in range(start, stop)]
-    with _in_file(path, open, path, "rb") as fh:
-        heatmaps = _in_file(path, _Container, fh)
-        first = None
-        for where, name in tensors:
-            if name not in heatmaps.entries:
-                raise ValidationError(f"{where}: missing heatmap tensor {name!r}")
-            shape = heatmaps.entries[name][1]
-            if len(shape) != 3 or shape[0] != num_keypoints or 0 in shape:
-                raise ValidationError(
-                    f"{where}: heatmap tensor {name!r} must be "
-                    f"[{num_keypoints}, h, w] with h, w >= 1, got shape {shape}"
-                )
-            first = first or (name, shape)
-            if shape != first[1]:
-                raise ValidationError(f"{where}: heatmap tensor {name!r} has shape {shape}, but "
-                                      f"{first[0]!r} has {first[1]}: every detection needs one grid shape")
-        if first is None:
-            return dets.keypoints, (None, None)
-        _, h, w = first[1]
-        crop = (w * stride, h * stride)
-        try:
-            crops = crop_transform(dets.boxes, *crop, padding)
-        except RowError as exc:
-            raise ValidationError(f"{_where(dets.frame_ids, dets.offsets, exc.row)}: {exc}") from exc
-        cells = np.zeros((len(tensors), 2, num_keypoints))
-        neighbours = np.zeros((len(tensors), 2, 2, num_keypoints))
-        sizes = [end - begin for _, _, begin, end in heatmaps.entries.values()]
-        buffer = np.empty(max(sizes), dtype=np.uint8)
-        for row, (where, name) in enumerate(tensors):
-            values = _in_file(path, heatmaps.read_into, name, buffer).reshape(first[1])
-            try:
-                cells[row], neighbours[row], _ = _peaks(values)
-            except ValidationError as exc:
-                raise ValidationError(f"{where}: heatmap tensor {name!r}: {exc}") from exc
-    # crop_transform has checked these crops and their inverses. The buffer
-    # and the peaks are freed on return, before the output, where memory peaks.
-    return _project(cells, neighbours, stride, _inverse(crops)), crop
-
-
 def _cmd_decode(args: argparse.Namespace) -> _Result:
-    import numpy as np
-
     from .dataio import dataset_to_canonical_json
-    from .decode import _check_stride
+    from .decode import _check_stride, _decode_dataset
     from .geometry import _check_padding
 
     _check_stride(args.stride)
     _check_padding(args.padding)
     dets = _load_dataset(args.dets, require_scores=True)
     _require_boxes(dets, "decode")
-    keypoints, crop = _decoded(args.heatmaps, dets, args.stride, args.padding)
-    out = dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool))
+    out, crop = _decode_dataset(args.heatmaps, dets, args.stride, args.padding)
     return [(args.out, dataset_to_canonical_json(out))], [], {"crop_width": crop[0], "crop_height": crop[1]}
 
 

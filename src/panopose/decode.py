@@ -1,18 +1,21 @@
-"""Heatmap grids to keypoints.
+"""Heatmap grids to keypoints, and the one reader of a heatmap container.
 
 Per keypoint: argmax cell (row-major first occurrence on ties), quarter-cell
 refinement toward the larger axis neighbor (only when both neighbors exist),
-then back-projection through the inverse crop transform. Grid cell
-(row i, col j) is centered at crop coordinate ((j + 0.5) * stride,
-(i + 0.5) * stride). :func:`decode_heatmaps` takes one detection's
+then back-projection through the inverse crop transform. Cell (i, j), row i
+and column j, is centered at crop coordinate ((j + 0.5) * stride,
+(i + 0.5) * stride). :func:`decode_heatmaps` decodes one detection's
 ``[K, h, w]`` grid with its ``[2, 3]`` crop (a row of
-:func:`~panopose.geometry.crop_transform`) and decodes its K keypoints
-together in array operations; a NaN or infinite grid maximum is rejected.
+:func:`~panopose.geometry.crop_transform`): :func:`_peaks` (argmax, peak
+check, one gather of the axis neighbours), then :func:`_project`
+(quarter-cell shift, back-projection), any number of detections at once. A
+NaN or infinite grid maximum is rejected; :func:`_grid_fault` is the one
+rule of which grid shapes decode.
 
-That is two halves, and :func:`decode_heatmaps` is both on one detection:
-:func:`_peaks` (argmax, peak check, one gather of the axis neighbours) on
-one grid, and :func:`_project` (quarter-cell shift, back-projection) over
-any number of detections, so ``decode`` projects all ``[N, K]`` at once.
+A heatmap container, a :mod:`~panopose.weights` tensor container, holds one
+``[K, h, w]`` tensor per detection (K the schema's keypoint count) named
+``<frame_id>/<person index>``, all of one shape: a crop of ``w * stride`` by
+``h * stride``. Its one reader, :func:`_decode_dataset`, reads no other tensor.
 """
 
 from __future__ import annotations
@@ -22,9 +25,11 @@ from typing import Any
 
 import numpy as np
 
-from .dataio import LABELED_VISIBLE
-from .errors import ValidationError
-from .geometry import _apply, invert_transform
+from .dataio import LABELED_VISIBLE, Dataset
+from .errors import RowError, ValidationError, _in_file, _where
+from .geometry import _apply, _inverse, crop_transform, invert_transform
+from .schema import builtin_schema
+from .weights import _Container
 
 _BEFORE_AFTER = np.array([-1, 1])[:, None, None]
 
@@ -34,28 +39,83 @@ def _check_stride(stride: float) -> None:
         raise ValueError(f"stride must be positive, got {stride!r}")
 
 
+def _grid_fault(shape: tuple[int, ...], keypoints: int | None = None) -> str | None:
+    """Why a grid of ``shape`` does not decode: it is not ``[K, h, w]`` with
+    K, h, w >= 1, or, where ``keypoints`` is given, its K is another count."""
+    if len(shape) != 3 or 0 in shape:
+        return f"grid must be [K, h, w] with K, h, w >= 1, got shape {shape}"
+    if keypoints not in (None, shape[0]):
+        return f"grid must be [K, h, w] with K = {keypoints}, got shape {shape}"
+    return None
+
+
 def decode_heatmaps(values: Any, stride: float, crop: Any) -> tuple[np.ndarray, np.ndarray]:
     """Decode one detection's ``[K, h, w]`` heatmaps, ``stride`` crop pixels
     per cell, into panorama coordinates through the inverse of its
     ``[2, 3]`` crop.
 
     Returns the ``[K, 3]`` keypoints (all marked visible) and the ``[K]``
-    per-keypoint confidences, each the grid maximum. A grid that is not
-    K x h x w with K, h, w >= 1, a bad stride, and a crop or inverse with a
+    per-keypoint confidences, each the grid maximum. A grid shape at fault
+    (:func:`_grid_fault`), a bad stride, and a crop or inverse with a
     non-finite coefficient or a zero determinant raise :class:`ValueError`;
     a grid whose maximum is NaN or infinite raises :class:`ValidationError`.
     """
     values = np.asarray(values)
-    if values.ndim != 3:
-        raise ValueError(f"heatmaps must be K x h x w, got shape {values.shape}")
-    if 0 in values.shape:
-        raise ValueError(f"empty grid: shape {values.shape}")
+    if fault := _grid_fault(values.shape):
+        raise ValueError(fault)
     _check_stride(stride)
     if np.shape(crop) != (2, 3):
         raise ValueError(f"crop must be [2, 3], got shape {np.shape(crop)}")
     inverse = invert_transform(crop)
     cells, neighbours, peaks = _peaks(values)
     return _project(cells, neighbours, stride, inverse), peaks.astype(np.float64)
+
+
+def _decode_dataset(path: str, dets: Dataset, stride: float, padding: float) -> tuple[Dataset, tuple]:
+    """``dets`` with every pose decoded from its tensor in the heatmap
+    container at ``path``, and the one crop size ``(w * stride, h * stride)``
+    (None, None with no detections). Every name and shape is checked in the
+    header, then each tensor is read into one buffer and checked in full
+    before the next. A fault names ``path``, or a detection's frame and person."""
+    num_keypoints = len(builtin_schema(dets.schema_id).names)
+    bounds = dets.offsets.tolist()
+    tensors = [(_where(dets.frame_ids, bounds, row), f"{fid}/{row - start}")
+               for fid, start, stop in zip(dets.frame_ids, bounds, bounds[1:])
+               for row in range(start, stop)]
+    with _in_file(path, open, path, "rb") as fh:
+        heatmaps = _in_file(path, _Container, fh)
+        first = None
+        for where, name in tensors:
+            if name not in heatmaps.entries:
+                raise ValidationError(f"{where}: missing heatmap tensor {name!r}")
+            shape = heatmaps.entries[name][1]
+            if fault := _grid_fault(shape, num_keypoints):
+                raise ValidationError(f"{where}: heatmap tensor {name!r}: {fault}")
+            first = first or (name, shape)
+            if shape != first[1]:
+                raise ValidationError(f"{where}: heatmap tensor {name!r} has shape {shape}, but "
+                                      f"{first[0]!r} has {first[1]}: every detection needs one grid shape")
+        if first is None:
+            return dets, (None, None)
+        _, h, w = first[1]
+        crop = (w * stride, h * stride)
+        try:
+            crops = crop_transform(dets.boxes, *crop, padding)
+        except RowError as exc:
+            raise ValidationError(f"{_where(dets.frame_ids, bounds, exc.row)}: {exc}") from exc
+        cells = np.zeros((len(tensors), 2, num_keypoints))
+        neighbours = np.zeros((len(tensors), 2, 2, num_keypoints))
+        buffer = np.empty(max(end - begin for _, _, begin, end in heatmaps.entries.values()), np.uint8)
+        for row, (where, name) in enumerate(tensors):
+            values = _in_file(path, heatmaps.read_into, name, buffer).reshape(first[1])
+            try:
+                cells[row], neighbours[row], _ = _peaks(values)
+            except ValidationError as exc:
+                raise ValidationError(f"{where}: heatmap tensor {name!r}: {exc}") from exc
+    # crop_transform has checked these crops and their inverses. The buffer
+    # and the peaks are freed on return, before the output, where memory peaks.
+    keypoints = _project(cells, neighbours, stride, _inverse(crops))
+    return dets._with(keypoints=keypoints, has_pose=np.ones(len(dets.ids), dtype=bool)), crop
 
 
 def _peaks(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -1,12 +1,12 @@
 """Shared exception types, the one JSON reader of the input formats
-(datasets, mapping files and container headers, :func:`_json_object`), and
-the one test for an output that names a descriptor (:func:`_descriptor`)."""
+(:func:`_json_object`), the one way a fault names its file (:func:`_in_file`)
+and the one test for an output that names a descriptor (:func:`_descriptor`)."""
 
 import json
 import os
 from bisect import bisect_right
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 
 class ValidationError(ValueError):
@@ -26,6 +26,17 @@ def _where(frame_ids: Sequence[str], offsets: Sequence[int], row: int) -> str:
     """Location of person row ``row``: its frame id and index in the frame."""
     f = bisect_right(offsets, row) - 1
     return f"frame {frame_ids[f]!r}, person {row - int(offsets[f])}"
+
+
+def _in_file(path: str, call: Callable[..., Any], *args: Any) -> Any:
+    """``call(*args)``, naming ``path`` in a :class:`ValidationError` or an
+    ``OSError`` it raises: ``<path>: <message>``."""
+    try:
+        return call(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    except OSError as exc:
+        raise ValidationError(f"{path}: {exc.strerror or exc}") from exc
 
 
 def _json_object(source: str | bytes | Path, prefix: str = "parse error",

@@ -411,12 +411,9 @@ def _ap_101(tp_flags: Sequence[bool], num_gt: int) -> float:
     precision = tp / ranks
     recall = tp / num_gt
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
-    total = 0.0
-    for r in np.linspace(0.0, 1.0, 101):
-        idx = int(np.searchsorted(recall, r, side="left"))
-        if idx < len(recall):
-            total += float(envelope[idx])
-    return total / 101.0
+    idx = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")
+    # The precisions found, added one after another from 0.0 in recall order.
+    return float(np.cumsum(np.r_[0.0, envelope[idx[idx < len(recall)]]])[-1]) / 101.0
 
 
 # -- dataset evaluation -------------------------------------------------------------

@@ -147,15 +147,10 @@ class _Container:
         return view.view(_DTYPES[dtype])
 
     def raw(self, name: str) -> _Raw | None:
-        """Tensor ``name`` as the container holds it, or None without it. A
-        shape with a zero extent or more than 32 dimensions, the only ones
-        numpy may not hold (any other fits in the file), is first read as an
-        array, so that a shape :meth:`read` refuses is refused in its words."""
+        """Tensor ``name`` as the container holds it, or None without it."""
         if name not in self.entries:
             return None
         dtype, shape, begin, end = self.entries[name]
-        if 0 in shape or len(shape) > 32:
-            self.read(name)
         data = bytearray(end - begin)
         self._fh.seek(self._payload_start + begin)
         self._fill(name, data)

@@ -2,6 +2,7 @@ import errno
 import gc
 import hashlib
 import json
+import math
 import os
 import pickle
 import re
@@ -24,6 +25,7 @@ from panopose.dataio import (
     load_predictions,
     save_dataset,
 )
+from panopose.decode import decode_heatmaps
 from panopose.errors import ValidationError
 from panopose.geometry import PanoramaSpec
 from panopose.schema import JRDB17, SchemaMapping, default_mapping, load_mapping
@@ -755,18 +757,27 @@ class TestRemapWeights:
         assert message in capsys.readouterr().err
         assert not Path("o.bin").exists()
 
-    @pytest.mark.parametrize("shape, nbytes", [([1] * 65, 4), ([0, 10**30, 1, 1], 0)])
-    def test_a_head_shape_numpy_cannot_hold_is_refused_in_its_words(self, tmp_path, capsys, shape,
-                                                                   nbytes):
-        # The head is read as bytes, and numpy words the refusal.
+    @pytest.mark.parametrize("shapes, message", [
+        ({"w": [1] * 65}, f"expected rank-4 weight [K, C, kh, kw], got shape {(1,) * 65}"),
+        ({"w": [17, 1, 1, 1], "b": [17] + [1] * 64}, f"expected bias shape (17,), got {(17,) + (1,) * 64}"),
+        ({"w": [0, 10**30, 1, 1]}, "counterpart index 1 out of range for 0 source keypoints (target index 0)"),
+    ])
+    def test_a_head_shape_numpy_cannot_hold_is_refused_by_the_head_checks(self, tmp_path, capsys,
+                                                                         shapes, message):
+        # The head is read as bytes, never as an array, so the head's own
+        # checks word the refusal.
         src = tmp_path / "in.bin"
-        blob = json.dumps({"w": {"dtype": "f32", "shape": shape, "begin": 0, "end": nbytes}}).encode()
-        src.write_bytes(len(blob).to_bytes(8, "little") + blob + b"\x00" * nbytes)
+        header, payload = {}, b""
+        for name, shape in shapes.items():
+            nbytes = 4 * math.prod(shape)
+            header[name] = {"dtype": "f32", "shape": shape, "begin": len(payload), "end": len(payload) + nbytes}
+            payload += b"\x00" * nbytes
+        blob = json.dumps(header).encode()
+        src.write_bytes(len(blob).to_bytes(8, "little") + blob + payload)
         code = run(["remap-weights", "--src", str(src), "--out", str(tmp_path / "o.bin"),
-                    "--weight-name", "w"])
+                    "--weight-name", "w", *(["--bias-name", "b"] if "b" in shapes else [])])
         assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {src}: tensor 'w': unsupported shape {tuple(shape)}: ")
+        assert capsys.readouterr().err == f"error: {src}: {message}\n"
         assert not (tmp_path / "o.bin").exists()
 
     @pytest.mark.parametrize("link", ["same path", "hard link", "symbolic link"])
@@ -1375,11 +1386,23 @@ class TestDecodeCommand:
         assert err.startswith(f"error: {heat_path}: truncated payload: tensor 'f1/0' ends at byte 1088")
         assert not (tmp_path / "o.json").exists()
 
-    def test_empty_grid_is_located(self, tmp_path, capsys):
-        assert self._decode_one(tmp_path, np.zeros((17, 0, 5), dtype=np.float32)) == 1
-        err = capsys.readouterr().err
-        assert "frame 'f1', person 0: heatmap tensor 'f1/0'" in err
-        assert "(17, 0, 5)" in err
+    @pytest.mark.parametrize("shape, reason", [
+        ((17, 4), "grid must be [K, h, w] with K, h, w >= 1, got shape (17, 4)"),
+        ((17, 4, 4, 1), "grid must be [K, h, w] with K, h, w >= 1, got shape (17, 4, 4, 1)"),
+        ((17, 0, 4), "grid must be [K, h, w] with K, h, w >= 1, got shape (17, 0, 4)"),
+        ((16, 4, 4), "grid must be [K, h, w] with K = 17, got shape (16, 4, 4)"),
+    ])
+    def test_one_grid_rule_for_the_command_and_the_library(self, tmp_path, capsys, shape, reason):
+        # The library knows no schema, so only the command refuses a K other
+        # than the schema's keypoint count.
+        if shape[0] == 17:
+            with pytest.raises(ValueError) as refused:
+                decode_heatmaps(np.ones(shape), 4.0, [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+            assert str(refused.value) == reason
+        assert self._decode_one(tmp_path, np.ones(shape, np.float32)) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: frame 'f1', person 0: heatmap tensor 'f1/0': {reason}\n"
+        assert captured.out == ""
         assert not (tmp_path / "o.json").exists()
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -1395,7 +1418,7 @@ class TestDecodeCommand:
         (["ok", "ok", "nan"], "heatmap tensor 'f1/2': keypoint 3: heatmap peak is nan"),
         (["ok", "missing", "nan"], "missing heatmap tensor 'f1/1'"),
         (["ok", "nan", "missing"], "missing heatmap tensor 'f1/2'"),
-        (["ok", "shape", "nan"], "heatmap tensor 'f1/1' must be [17, h, w] with h, w >= 1, "
+        (["ok", "shape", "nan"], "heatmap tensor 'f1/1': grid must be [K, h, w] with K, h, w >= 1, "
                                  "got shape (17, 0, 4)"),
         (["nan", "ok", "tall"], "heatmap tensor 'f1/2' has shape (17, 5, 4), but 'f1/0' has "
                                 "(17, 4, 4): every detection needs one grid shape"),
@@ -1628,14 +1651,23 @@ class TestUsage:
             "stem": rng.integers(0, 256, (5, 7)).astype(np.uint8),
             "stem.scale": rng.standard_normal(3),
         }, tmp_path / "w.bin")
+        # A head with a zero extent, and one of more dimensions than numpy
+        # holds, which the rank-4 check refuses.
+        save_tensor_map({"head.weight": np.ones((17, 0, 1, 1), np.float32),
+                         "head.bias": rng.standard_normal(17).astype(np.float32)}, tmp_path / "zero.bin")
+        blob = json.dumps({"head.weight": {"dtype": "f32", "shape": [1] * 65, "begin": 0, "end": 4}}).encode()
+        (tmp_path / "deep.bin").write_bytes(len(blob).to_bytes(8, "little") + blob + bytes(4))
         wide = SchemaMapping("coco17", "jrdb17", (tuple(range(9)),) + default_mapping().entries[1:])
         (tmp_path / "m.json").write_text(json.dumps(mapping_doc(wide)))
-        mappings = {"default.bin": ([], default_mapping()),
-                    "verbatim.bin": (["--verbatim-table1"], default_mapping(True)),
-                    "file.bin": (["--mapping", "m.json"], wide)}
+        mappings = {"default.bin": ("w.bin", [], default_mapping()),
+                    "verbatim.bin": ("w.bin", ["--verbatim-table1"], default_mapping(True)),
+                    "file.bin": ("w.bin", ["--mapping", "m.json"], wide),
+                    "zero_out.bin": ("zero.bin", [], default_mapping())}
         argvs = [["--version"], ["--help"], ["remap-weights", "--help"]] + [
-            ["remap-weights", "--src", "w.bin", "--out", out, "--weight-name", "head.weight",
-             "--bias-name", "head.bias", *flags] for out, (flags, _) in mappings.items()]
+            ["remap-weights", "--src", src, "--out", out, "--weight-name", "head.weight",
+             "--bias-name", "head.bias", *flags] for out, (src, flags, _) in mappings.items()] + [
+            ["remap-weights", "--src", "deep.bin", "--out", "deep_out.bin", "--weight-name", "head.weight"]]
+        refused = f"error: deep.bin: expected rank-4 weight [K, C, kh, kw], got shape {(1,) * 65}\n"
         probe = (
             "import json, sys\n"
             "sys.modules['numpy'] = None\n"
@@ -1651,11 +1683,13 @@ class TestUsage:
                               capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         *printed, codes = proc.stdout.splitlines(keepends=True)
-        assert json.loads(codes) == [0] * len(argvs)
-        for out, (_, mapping) in mappings.items():
-            save_tensor_map(remap_head_weights(load_tensor_map("w.bin"), "head.weight", mapping,
+        assert json.loads(codes) == [0] * (len(argvs) - 1) + [1]
+        assert proc.stderr == refused
+        assert not Path("deep_out.bin").exists()
+        for out, (src, _, mapping) in mappings.items():
+            save_tensor_map(remap_head_weights(load_tensor_map(src), "head.weight", mapping,
                                                "head.bias"), "library.bin")
             assert Path(out).read_bytes() == Path("library.bin").read_bytes(), out
         capsys.readouterr()
-        assert [run(argv) for argv in argvs] == [0] * len(argvs)
-        assert "".join(printed) == capsys.readouterr().out
+        assert [run(argv) for argv in argvs] == [0] * (len(argvs) - 1) + [1]
+        assert capsys.readouterr() == ("".join(printed), refused)

@@ -20,7 +20,8 @@ class TestHeatmapStack:
     its crop, at the entry of decode_heatmaps."""
 
     def test_rejects_empty_grid(self):
-        with pytest.raises(ValueError, match="empty grid"):
+        with pytest.raises(ValueError, match=r"^grid must be \[K, h, w\] with K, h, w >= 1, "
+                                             r"got shape \(1, 0, 5\)$"):
             decode_heatmaps(np.zeros((1, 0, 5)), 4.0, IDENTITY)
 
     def test_rejects_bad_stride(self):
@@ -28,7 +29,8 @@ class TestHeatmapStack:
             decode_heatmaps(np.zeros((1, 4, 4)), 0.0, IDENTITY)
 
     def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^grid must be \[K, h, w\] with K, h, w >= 1, "
+                                             r"got shape \(4, 4\)$"):
             decode_heatmaps(np.zeros((4, 4)), 4.0, IDENTITY)
 
     def test_rejects_a_bad_crop(self):
