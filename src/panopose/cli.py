@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Sequence
 
 from . import __version__
 from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
-from .errors import RowError, ValidationError, _descriptor, _in_file, _where
+from .errors import ValidationError, _check_number, _descriptor, _in_file, _located, _where
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -104,11 +104,8 @@ def _cmd_boxes_from_poses(args: argparse.Namespace) -> _Result:
 
     ds = _load_dataset(getattr(args, "in"), require_scores=False)
     rows = ds.has_pose.nonzero()[0]
-    try:
-        derived = _pose_bboxes(ds.keypoints[rows], args.margin, ds.pano)
-    except RowError as exc:
-        where = _where(ds.frame_ids, ds.offsets, int(rows[exc.row]))
-        raise ValidationError(f"{where}: {exc}") from exc
+    derived = _located(ds.frame_ids, ds.offsets, _pose_bboxes, ds.keypoints[rows], args.margin, ds.pano,
+                       rows=rows)
     boxes = ds.boxes.copy()
     boxes[rows] = derived
     out = ds._with(boxes=boxes, has_box=ds.has_box | ds.has_pose)
@@ -141,11 +138,10 @@ def _cmd_nms(args: argparse.Namespace) -> _Result:
 
 def _cmd_decode(args: argparse.Namespace) -> _Result:
     from .dataio import dataset_to_canonical_json
-    from .decode import _check_stride, _decode_dataset
-    from .geometry import _check_padding
+    from .decode import _decode_dataset
 
-    _check_stride(args.stride)
-    _check_padding(args.padding)
+    _check_number("stride", args.stride)
+    _check_number("padding", args.padding)
     dets = _load_dataset(args.dets, require_scores=True)
     _require_boxes(dets, "decode")
     out, crop = _decode_dataset(args.heatmaps, dets, args.stride, args.padding)

@@ -285,7 +285,7 @@ def _person_fault(person: Any, where: str, schema: KeypointSchema, require_score
     if "score" in person:
         _number(person["score"], f"{where}: score")
     elif require_scores:
-        raise ValidationError(f"prediction without score ({where})")
+        raise ValidationError(f"{where}: prediction without score")
     if "pose" not in person:
         return
     pose = person["pose"]

@@ -20,23 +20,17 @@ A heatmap container, a :mod:`~panopose.weights` tensor container, holds one
 
 from __future__ import annotations
 
-import math
 from typing import Any
 
 import numpy as np
 
 from .dataio import LABELED_VISIBLE, Dataset
-from .errors import RowError, ValidationError, _in_file, _where
+from .errors import ValidationError, _check_number, _in_file, _located, _where
 from .geometry import _apply, _inverse, crop_transform, invert_transform
 from .schema import builtin_schema
 from .weights import _Container
 
 _BEFORE_AFTER = np.array([-1, 1])[:, None, None]
-
-
-def _check_stride(stride: float) -> None:
-    if not (math.isfinite(stride) and stride > 0):
-        raise ValueError(f"stride must be positive, got {stride!r}")
 
 
 def _grid_fault(shape: tuple[int, ...], keypoints: int | None = None) -> str | None:
@@ -63,7 +57,7 @@ def decode_heatmaps(values: Any, stride: float, crop: Any) -> tuple[np.ndarray, 
     values = np.asarray(values)
     if fault := _grid_fault(values.shape):
         raise ValueError(fault)
-    _check_stride(stride)
+    _check_number("stride", stride)
     if np.shape(crop) != (2, 3):
         raise ValueError(f"crop must be [2, 3], got shape {np.shape(crop)}")
     inverse = invert_transform(crop)
@@ -99,10 +93,7 @@ def _decode_dataset(path: str, dets: Dataset, stride: float, padding: float) -> 
             return dets, (None, None)
         _, h, w = first[1]
         crop = (w * stride, h * stride)
-        try:
-            crops = crop_transform(dets.boxes, *crop, padding)
-        except RowError as exc:
-            raise ValidationError(f"{_where(dets.frame_ids, bounds, exc.row)}: {exc}") from exc
+        crops = _located(dets.frame_ids, bounds, crop_transform, dets.boxes, *crop, padding)
         cells = np.zeros((len(tensors), 2, num_keypoints))
         neighbours = np.zeros((len(tensors), 2, 2, num_keypoints))
         buffer = np.empty(max(end - begin for _, _, begin, end in heatmaps.entries.values()), np.uint8)

@@ -1,8 +1,13 @@
 """Shared exception types, the one JSON reader of the input formats
 (:func:`_json_object`), the one way a fault names its file (:func:`_in_file`)
-and the one test for an output that names a descriptor (:func:`_descriptor`)."""
+and the one test for an output that names a descriptor (:func:`_descriptor`).
+
+Two rules word a fault of a parameter or of a row: :func:`_check_number`
+checks a numeric parameter against its interval, and :func:`_located` names
+the frame and person of a :class:`RowError` as ``<frame, person>: <what>``."""
 
 import json
+import math
 import os
 from bisect import bisect_right
 from pathlib import Path
@@ -13,9 +18,10 @@ class ValidationError(ValueError):
     """Input data violates a documented contract (bad file, bad shape, bad value)."""
 
 
-class RowError(ValueError):
+class RowError(ValidationError):
     """Row ``row`` of a column breaks a value rule; the message does not
-    name the row, so a caller can say where it sits (:func:`_where`)."""
+    name the row, so a caller can say where it sits (:func:`_located`) or,
+    for a column of one such as ``metrics.oks``'s pose, raise it as it is."""
 
     def __init__(self, row: int, message: str) -> None:
         super().__init__(message)
@@ -26,6 +32,33 @@ def _where(frame_ids: Sequence[str], offsets: Sequence[int], row: int) -> str:
     """Location of person row ``row``: its frame id and index in the frame."""
     f = bisect_right(offsets, row) - 1
     return f"frame {frame_ids[f]!r}, person {row - int(offsets[f])}"
+
+
+def _check_number(name: str, value: Any, low: float = 0.0, high: float = math.inf,
+                  closed: bool = False) -> float:
+    """``value`` as a float when it lies between ``low`` and ``high``, ends
+    included when ``closed`` (an infinite end never is); anything else raises
+    ``ValueError("<name> must be in <interval>, got <value>")``."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        finite, value = False, "an integer beyond float range"
+    if not (finite and (low <= value <= high if closed else low < value < high)):
+        left = "[" if closed and math.isfinite(low) else "("
+        right = "]" if closed and math.isfinite(high) else ")"
+        raise ValueError(f"{name} must be in {left}{low:g}, {high:g}{right}, got {value}")
+    return float(value)
+
+
+def _located(frame_ids: Sequence[str], offsets: Sequence[int], call: Callable[..., Any], *args: Any,
+             rows: Sequence[int] | None = None, prefix: str = "") -> Any:
+    """``call(*args)``, raising a :class:`RowError` of row ``r`` (person row ``rows[r]``
+    where given) as ``ValidationError("<prefix><frame, person>: <what>")``."""
+    try:
+        return call(*args)
+    except RowError as exc:
+        row = exc.row if rows is None else int(rows[exc.row])
+        raise ValidationError(f"{prefix}{_where(frame_ids, offsets, row)}: {exc}") from exc
 
 
 def _in_file(path: str, call: Callable[..., Any], *args: Any) -> Any:

@@ -20,7 +20,10 @@ private kernel (:func:`_iou`, :func:`_nms_rows`, :func:`_inverse`,
 matched by, :func:`_pose_bboxes` the box rule of ``boxes-from-poses``, and
 :func:`_ranking` the score ranking of NMS, matching and AP.
 A function checks its parameters (threshold, margin, shift, crop size,
-padding) on entry, so a bad value is refused even with no rows.
+padding) on entry, so a bad value is refused even with no rows. Two rules
+of :mod:`~panopose.errors` word the refusals: a parameter outside its
+interval by :func:`~panopose.errors._check_number`, and a row's fault, with
+its frame and person, by :func:`~panopose.errors._located`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ._defaults import DEFAULT_CROP_PADDING
-from .errors import RowError, ValidationError, _where
+from .errors import RowError, _check_number, _located
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -58,10 +61,8 @@ class PanoramaSpec:
     height: float
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.width) and self.width > 0):
-            raise ValueError(f"panorama width must be positive, got {self.width!r}")
-        if not (math.isfinite(self.height) and self.height > 0):
-            raise ValueError(f"panorama height must be positive, got {self.height!r}")
+        _check_number("panorama width", self.width)
+        _check_number("panorama height", self.height)
 
 
 def _box_rule(rows: np.ndarray) -> None:
@@ -197,8 +198,7 @@ def _nms_rows(rows: np.ndarray, scores: np.ndarray, offsets: Sequence[int], iou_
     """Greedy NMS within each frame ``offsets[f]:offsets[f + 1]`` of ``[N, 4]``
     box rows with ``[N]`` scores: the kept row indices, each frame's in
     score-descending order."""
-    if not 0.0 <= iou_threshold <= 1.0:
-        raise ValueError(f"iou threshold {iou_threshold} outside [0, 1]")
+    _check_number("iou threshold", iou_threshold, 0.0, 1.0, closed=True)
     kept: list[int] = []
     for start, stop in zip(offsets, offsets[1:]):
         boxes = rows[start:stop]
@@ -243,8 +243,7 @@ def _pose_bboxes(keypoints: np.ndarray, margin: float, pano: PanoramaSpec) -> np
     (v > 0) keypoints, grown by ``margin`` times its side length on each of
     the four sides, then clamped to [0, W] x [0, H]. Raises
     :class:`RowError` for the first pose with no labeled keypoint."""
-    if not (math.isfinite(margin) and margin >= 0):
-        raise ValueError(f"margin must be finite and non-negative, got {margin}")
+    _check_number("margin", margin, closed=True)
     labeled = keypoints[:, :, 2] > 0
     some = labeled.any(axis=1)
     if not some.all():
@@ -302,27 +301,16 @@ def _matching_boxes(boxes: np.ndarray, has_box: np.ndarray, keypoints: np.ndarra
     return rows
 
 
-def _located_matching_boxes(ds: "Dataset", prefix: str = "") -> np.ndarray:
-    """:func:`_matching_boxes` of a dataset; a fault raises
-    :class:`ValidationError` naming its frame and person after ``prefix``."""
-    try:
-        return _matching_boxes(ds.boxes, ds.has_box, ds.keypoints)
-    except RowError as exc:
-        raise ValidationError(f"{prefix}{_where(ds.frame_ids, ds.offsets, exc.row)}: {exc}") from exc
-
-
 def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
     """Cyclically shift all x coordinates by ``shift`` pixels, reduced modulo
     the panorama width first, so 0 and any multiple of the width are exact
     identities. Persons whose matching box would cross the seam are removed;
     y coordinates are unchanged."""
-    if not math.isfinite(shift):
-        raise ValueError(f"shift must be finite, got {shift}")
     w = float(ds.pano.width)
-    s = float(shift) % w
+    s = _check_number("shift", shift, -math.inf) % w
     if s == 0.0:
         return ds
-    ref = _located_matching_boxes(ds)
+    ref = _located(ds.frame_ids, ds.offsets, _matching_boxes, ds.boxes, ds.has_box, ds.keypoints)
     keep = ~(np.remainder(ref[:, 0] + s, w) + (ref[:, 2] - ref[:, 0]) > w)
     b = ds.boxes
     x1 = np.remainder(b[:, 0] + s, w)
@@ -330,11 +318,6 @@ def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
     keypoints = ds.keypoints.copy()
     keypoints[:, :, 0] = np.remainder(keypoints[:, :, 0] + s, w)
     return ds._with(keep.nonzero()[0], boxes=boxes, keypoints=keypoints)
-
-
-def _check_padding(padding: float) -> None:
-    if not (math.isfinite(padding) and padding > 0):
-        raise ValueError(f"padding must be finite and positive, got {padding}")
 
 
 def crop_transform(
@@ -353,13 +336,9 @@ def crop_transform(
     :class:`RowError` for the first box whose transform or its inverse has a
     non-finite coefficient or is singular.
     """
-    try:
-        usable = all(math.isfinite(size) and size > 0 for size in (out_w, out_h))
-    except OverflowError:  # an integer beyond float range
-        usable = False
-    if not usable:
-        raise ValueError(f"crop width and height must be positive and finite, got {out_w}x{out_h}")
-    _check_padding(padding)
+    _check_number("crop width", out_w)
+    _check_number("crop height", out_h)
+    _check_number("padding", padding)
     rows = _box_rows(boxes)
     x1, y1, x2, y2 = rows.T
     # A huge box or padding overflows to inf and then NaN, which the

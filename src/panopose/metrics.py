@@ -45,8 +45,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .dataio import Dataset, _keypoint_rule
-from .errors import RowError, ValidationError, _where
-from .geometry import _areas, _box_rows, _extents, _iou, _located_matching_boxes, _ranking
+from .errors import RowError, ValidationError, _check_number, _located, _where
+from .geometry import _areas, _box_rows, _extents, _iou, _matching_boxes, _ranking
 from .schema import default_mapping
 
 # Published COCO per-keypoint falloff constants, in coco17 name order.
@@ -65,11 +65,9 @@ class OksParams:
     sigmas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        sigmas = tuple(float(s) for s in self.sigmas)
+        sigmas = tuple(_check_number(f"sigma {k}", s) for k, s in enumerate(self.sigmas))
         if not sigmas:
             raise ValueError("sigmas must be non-empty")
-        if any(not (math.isfinite(s) and s > 0) for s in sigmas):
-            raise ValueError("all sigmas must be positive and finite")
         object.__setattr__(self, "sigmas", sigmas)
 
 
@@ -99,10 +97,7 @@ def oks(pred: Any, gt: Any, params: OksParams, gt_box: Any) -> float:
         _keypoint_rule(kps[None])
     labeled = poses[1][None, :, 2] > 0
     area = _areas(_box_rows([gt_box]))
-    try:
-        scale, num_labeled = _oks_setup(poses[0][None], poses[1][None], labeled, params, area, [0])
-    except RowError as exc:
-        raise ValidationError(str(exc)) from None
+    scale, num_labeled = _oks_setup(poses[0][None], poses[1][None], labeled, params, area, [0])
     return float(_oks(poses[0], poses[1], scale[0], labeled[0], num_labeled[0]))
 
 
@@ -239,12 +234,10 @@ def ospa(
 
 
 def _check_ospa_params(cutoff: float, order: float) -> None:
-    """The set metric needs a finite ``cutoff > 0``, a finite ``order >= 1``
-    and a finite ``cutoff ** order``, so every capped entry is finite."""
-    if not (math.isfinite(cutoff) and cutoff > 0):
-        raise ValueError(f"ospa cutoff must be finite and positive, got {cutoff}")
-    if not (math.isfinite(order) and order >= 1):
-        raise ValueError(f"ospa order must be finite and >= 1, got {order}")
+    """The set metric needs a cutoff in (0, inf), an order in [1, inf) and a
+    finite ``cutoff ** order``, so every capped entry is finite."""
+    _check_number("ospa cutoff", cutoff)
+    _check_number("ospa order", order, 1.0, closed=True)
     try:
         float(cutoff) ** float(order)
     except OverflowError:
@@ -342,11 +335,8 @@ def _match(preds: Dataset, gts: Dataset, pairs: tuple[np.ndarray, ...], ranked: 
     labeled = gts.keypoints[:, :, 2] > 0
     usable = preds.has_pose[pred] & labeled.any(axis=1)[gt]
     paired = np.flatnonzero(np.bincount(gt[usable], minlength=len(labeled)))
-    try:
-        scale, num_labeled = _oks_setup(preds.keypoints, gts.keypoints, labeled, params, gt_areas,
-                                        paired)
-    except RowError as exc:
-        raise ValidationError(f"{_where(gts.frame_ids, gts.offsets, exc.row)}: {exc}") from exc
+    scale, num_labeled = _located(gts.frame_ids, gts.offsets, _oks_setup, preds.keypoints, gts.keypoints,
+                                  labeled, params, gt_areas, paired)
 
     reach = -math.log(threshold) * (1.0 + 1e-6) + 1e-9 if threshold > 1e-300 else math.inf
     pred_box = _extents(preds.keypoints, np.ones(preds.keypoints.shape[:2], dtype=bool))
@@ -396,9 +386,7 @@ def _check_pair(preds: Dataset, gts: Dataset) -> None:
         raise ValidationError(f"prediction frames missing from ground truth: {extra}")
     if not preds.has_score.all():
         row = int(preds.has_score.argmin())
-        raise ValidationError(
-            f"prediction without score ({_where(preds.frame_ids, preds.offsets, row)})"
-        )
+        raise ValidationError(f"{_where(preds.frame_ids, preds.offsets, row)}: prediction without score")
 
 
 def _ap_101(tp_flags: Sequence[bool], num_gt: int) -> float:
@@ -427,8 +415,7 @@ class EvalConfig:
     ospa_order: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.oks_threshold <= 1.0:
-            raise ValueError(f"oks threshold {self.oks_threshold} outside [0, 1]")
+        _check_number("oks threshold", self.oks_threshold, 0.0, 1.0, closed=True)
         _check_ospa_params(self.ospa_cutoff, self.ospa_order)
 
 
@@ -470,8 +457,9 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     _check_pair(preds, gts)
     params = config.oks_params or default_oks_params(gts.schema_id)
 
-    pred_boxes = _located_matching_boxes(preds, "predictions: ")
-    gt_boxes = _located_matching_boxes(gts, "ground truth: ")
+    pred_boxes, gt_boxes = (
+        _located(ds.frame_ids, ds.offsets, _matching_boxes, ds.boxes, ds.has_box, ds.keypoints, prefix=p)
+        for ds, p in ((preds, "predictions: "), (gts, "ground truth: ")))
     pairs = _pair_table(preds, gts)
     pred, gt, frame = pairs
     ranked = _ranking(preds.scores)

@@ -222,7 +222,7 @@ EVAL_LOAD_CASES = {
                     "error: {bad_box}: frame 'f1', person 0: degenerate box "
                     "(0.0, 0.0, -1.0, 10.0): area -10.0 must be positive and finite\n"),
     "pred faulty": ("g", "no_score", 1,
-                    "error: {no_score}: prediction without score (frame 'f1', person 0)\n"),
+                    "error: {no_score}: frame 'f1', person 0: prediction without score\n"),
     "gt missing": ("missing", "no_score", 1,
                    "error: {missing}: No such file or directory\n"),
     "gt not utf-8": ("utf16", "no_score", 1,
@@ -425,17 +425,22 @@ class TestDegenerateBoxes:
 # that names the parameter. {d} is the dataset, {h} a heatmap container and
 # {o} the output path.
 BAD_PARAMETERS = [
-    (["nms", "--pred", "{d}", "--out", "{o}", "--nms-iou", "nan"], r"iou threshold nan"),
-    (["nms", "--pred", "{d}", "--out", "{o}", "--nms-iou", "7"], r"iou threshold 7\.0"),
-    (["boxes-from-poses", "--in", "{d}", "--out", "{o}", "--margin", "-1"], r"margin .*-1\.0"),
-    (["boxes-from-poses", "--in", "{d}", "--out", "{o}", "--margin", "inf"], r"margin .*inf"),
-    (["shift", "--in", "{d}", "--out", "{o}", "--shift", "nan"], r"shift must be finite, got nan"),
+    (["nms", "--pred", "{d}", "--out", "{o}", "--nms-iou", "nan"],
+     r"^error: iou threshold must be in \[0, 1\], got nan$"),
+    (["nms", "--pred", "{d}", "--out", "{o}", "--nms-iou", "7"],
+     r"^error: iou threshold must be in \[0, 1\], got 7\.0$"),
+    (["boxes-from-poses", "--in", "{d}", "--out", "{o}", "--margin", "-1"],
+     r"^error: margin must be in \[0, inf\), got -1\.0$"),
+    (["boxes-from-poses", "--in", "{d}", "--out", "{o}", "--margin", "inf"],
+     r"^error: margin must be in \[0, inf\), got inf$"),
+    (["shift", "--in", "{d}", "--out", "{o}", "--shift", "nan"],
+     r"^error: shift must be in \(-inf, inf\), got nan$"),
     (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--stride", "0"],
-     r"stride must be positive, got 0\.0"),
+     r"^error: stride must be in \(0, inf\), got 0\.0$"),
     (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--stride", "nan"],
-     r"stride must be positive, got nan"),
+     r"^error: stride must be in \(0, inf\), got nan$"),
     (["decode", "--heatmaps", "{h}", "--dets", "{d}", "--out", "{o}", "--padding", "inf"],
-     r"padding .*inf"),
+     r"^error: padding must be in \(0, inf\), got inf$"),
 ]
 
 
@@ -467,7 +472,7 @@ class TestBadParameters:
                     "--stride", "4e307"])
         captured = capsys.readouterr()
         assert code == 1
-        assert captured.err == "error: crop width and height must be positive and finite, got infx1.6e+308\n"
+        assert captured.err == "error: crop width must be in (0, inf), got inf\n"
         assert captured.out == ""
         assert not out.exists()
 

@@ -298,9 +298,9 @@ class TestCropTransform:
             crop_transform(box, 288, 384, padding=0.0)
         with pytest.raises(ValueError):
             crop_transform(box, 0, 384, padding=1.0)
-        for size, shown in [((10**400, 384), r"10{400}x384"), ((288, 10**400), r"288x10{400}")]:
-            with pytest.raises(ValueError, match=f"^crop width and height must be positive and "
-                                                 f"finite, got {shown}$"):
+        for size, name in [((10**400, 384), "width"), ((288, 10**400), "height")]:
+            with pytest.raises(ValueError, match=rf"^crop {name} must be in \(0, inf\), "
+                                                 r"got an integer beyond float range$"):
                 crop_transform(box, *size, padding=1.0)
         with pytest.raises(ValueError, match="padding 1e[+]308 gives a non-finite transform coefficient nan"):
             crop_transform(box, 288, 384, padding=1e308)

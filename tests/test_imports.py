@@ -52,3 +52,15 @@ def test_only_the_package_assigns_all():
                  for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
                  if isinstance(node, ast.Name) and node.id == "__all__" and isinstance(node.ctx, ast.Store)}
     assert assigning == {"__init__.py"}
+
+
+def test_only_errors_calls_math_isfinite():
+    # ``errors._check_number`` is the one rule for a numeric parameter; an
+    # array rule uses ``np.isfinite``.
+    testing = {path.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Attribute) and node.attr == "isfinite"
+               and isinstance(node.value, ast.Name) and node.value.id == "math"
+               or isinstance(node, ast.ImportFrom) and node.module == "math"
+               and any(alias.name == "isfinite" for alias in node.names)}
+    assert testing == {"errors.py"}

@@ -244,8 +244,8 @@ class TestOspa:
         assert 0.0 <= v <= 1.0
 
     @pytest.mark.parametrize("params, message", [
-        ({"cutoff": -1.0}, "ospa cutoff must be finite and positive, got -1.0"),
-        ({"order": 0.5}, "ospa order must be finite and >= 1, got 0.5"),
+        ({"cutoff": -1.0}, r"ospa cutoff must be in \(0, inf\), got -1.0"),
+        ({"order": 0.5}, r"ospa order must be in \[1, inf\), got 0.5"),
     ])
     def test_parameters_are_checked_before_any_distance(self, params, message):
         calls = []
@@ -268,15 +268,16 @@ class TestOspa:
 # A call that must raise ValueError, and a pattern of the message, which names
 # the parameter or the entries at fault.
 NO_SPIN_CASES = [
-    ("ospa([0], [1], lambda a, b: 0.5, order=math.nan)", r"ospa order must be finite"),
-    ("ospa([0], [1], lambda a, b: 1.5, cutoff=2.0, order=math.inf)", r"ospa order must be finite"),
-    ("ospa([0], [1], lambda a, b: 0.5, order=0.5)", r"ospa order must be finite and >= 1"),
-    ("ospa([0], [1], lambda a, b: 0.5, cutoff=math.nan)", r"ospa cutoff must be finite"),
-    ("ospa([0], [1], lambda a, b: 0.5, cutoff=math.inf)", r"ospa cutoff must be finite"),
+    ("ospa([0], [1], lambda a, b: 0.5, order=math.nan)", r"ospa order must be in \[1, inf\), got nan"),
+    ("ospa([0], [1], lambda a, b: 1.5, cutoff=2.0, order=math.inf)",
+     r"ospa order must be in \[1, inf\), got inf"),
+    ("ospa([0], [1], lambda a, b: 0.5, order=0.5)", r"ospa order must be in \[1, inf\), got 0\.5"),
+    ("ospa([0], [1], lambda a, b: 0.5, cutoff=math.nan)", r"ospa cutoff must be in \(0, inf\), got nan"),
+    ("ospa([0], [1], lambda a, b: 0.5, cutoff=math.inf)", r"ospa cutoff must be in \(0, inf\), got inf"),
     ("ospa([0], [1], lambda a, b: 0.5, cutoff=10.0, order=400.0)",
      r"ospa cutoff \*\* order overflows"),
-    ("EvalConfig(ospa_order=math.nan)", r"ospa order must be finite"),
-    ("EvalConfig(ospa_cutoff=0.0)", r"ospa cutoff must be finite and positive"),
+    ("EvalConfig(ospa_order=math.nan)", r"ospa order must be in \[1, inf\), got nan"),
+    ("EvalConfig(ospa_cutoff=0.0)", r"ospa cutoff must be in \(0, inf\), got 0\.0"),
     ("EvalConfig(ospa_cutoff=1e200, ospa_order=2.0)", r"ospa cutoff \*\* order overflows"),
     ("_optimal_cost(np.array([[math.nan, 1.0]]))", r"cost entries must be finite"),
     ("_optimal_cost(np.array([[0.0, 1.0], [math.inf, math.inf]]))", r"cost entries must be finite"),
@@ -532,19 +533,19 @@ class TestEvaluate:
         assert stats.ospa_iou == 0.0
 
     def test_one_matching_box_per_person(self, monkeypatch):
-        import panopose.geometry as geometry
+        import panopose.metrics as metrics
 
         rng = np.random.default_rng(73)
         gt = make_ground_truth(rng, num_frames=8, people=(1, 5))
         preds = perturb_predictions(gt, rng, 5.0)
         built = []
-        matching_boxes = geometry._matching_boxes
+        matching_boxes = metrics._matching_boxes
 
         def counting_matching_boxes(boxes, *args):
             built.extend(range(len(boxes)))
             return matching_boxes(boxes, *args)
 
-        monkeypatch.setattr(geometry, "_matching_boxes", counting_matching_boxes)
+        monkeypatch.setattr(metrics, "_matching_boxes", counting_matching_boxes)
         evaluate(preds, gt)
         num_persons = len(gt.ids) + len(preds.ids)
         assert 0 < len(built) <= num_persons

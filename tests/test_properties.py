@@ -1325,7 +1325,7 @@ def _reference_walk(frames: list, schema, require_scores: bool) -> None:
             if "score" in p:
                 _number(p["score"], f"{where}: score")
             elif require_scores:
-                raise ValidationError(f"prediction without score ({where})")
+                raise ValidationError(f"{where}: prediction without score")
             if "pose" not in p:
                 continue
             pose = p["pose"]
