@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Sequence
 
 from . import __version__
 from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
-from .errors import ValidationError, _check_number, _descriptor, _in_file, _located, _where
+from .errors import ValidationError, _check_number, _descriptor, _first, _in_file, _located
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -69,12 +69,6 @@ def _load_dataset(path: str, *, require_scores: bool) -> Dataset:
     from .dataio import _load
 
     return _in_file(path, _load, Path(path), None, require_scores)
-
-
-def _require_boxes(ds: Dataset, command: str) -> None:
-    if not ds.has_box.all():
-        where = _where(ds.frame_ids, ds.offsets, int(ds.has_box.argmin()))
-        raise ValidationError(f"{where}: {command} requires a box")
 
 
 def _cmd_remap_weights(args: argparse.Namespace) -> _Result:
@@ -131,7 +125,7 @@ def _cmd_nms(args: argparse.Namespace) -> _Result:
     from .geometry import _nms_rows
 
     ds = _load_dataset(args.pred, require_scores=True)
-    _require_boxes(ds, "nms")
+    _located(ds.frame_ids, ds.offsets, _first, ds.has_box, "nms requires a box")
     kept = _nms_rows(ds.boxes, ds.scores, ds.offsets.tolist(), args.nms_iou)
     return [(args.out, dataset_to_canonical_json(ds._with(sorted(kept))))], [], {}
 
@@ -143,7 +137,7 @@ def _cmd_decode(args: argparse.Namespace) -> _Result:
     _check_number("stride", args.stride)
     _check_number("padding", args.padding)
     dets = _load_dataset(args.dets, require_scores=True)
-    _require_boxes(dets, "decode")
+    _located(dets.frame_ids, dets.offsets, _first, dets.has_box, "decode requires a box")
     out, crop = _decode_dataset(args.heatmaps, dets, args.stride, args.padding)
     return [(args.out, dataset_to_canonical_json(out))], [], {"crop_width": crop[0], "crop_height": crop[1]}
 

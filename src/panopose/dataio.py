@@ -23,31 +23,34 @@ and ``keypoints`` ``[N, K, 3]`` with ``has_pose``. A missing value's row
 holds zeros, and K is 0 when no person has a pose.
 
 ``Dataset(...)`` takes these columns, with frames in any order; the parser
-and ``Dataset._with`` call it too. It checks each value rule once over a
-whole column, with the function that the library functions taking boxes,
-keypoints or scores run on their input: box or pose
-(:func:`_presence_rule`), finite box fields with a positive finite area
+and ``Dataset._with`` call it too. The array rule ``geometry._shaped``
+checks each column's shape against the N of ``ids`` (the keypoints only when
+a person has a pose, the boxes only when N > 0). Each value rule then runs
+once over a whole column, with the function that the library functions
+taking boxes, keypoints or scores run on their input: box or pose
+(``errors._first``), finite box fields with a positive finite area
 (``geometry._box_rule``), finite keypoints with v in {0, 1, 2}
 (:func:`_keypoint_rule`, also run by ``metrics.oks``) and a score in [0, 1]
 (``geometry._score_rule``). Frame ids are non-empty strings that
 UTF-8 can encode (:func:`_frame_id_rule`) and unique.
 
 A file is parsed by ``errors._json_object``, which refuses an object that
-names a key twice. Then the frames are checked in file order up to the
-first that fails. One bulk check over all persons before it says whether
-they pass (:func:`_person_columns`): one comprehension gathers a field, set
-operations check its types, and one pass converts its numbers. Only when
-they do not does a walk over the persons in file order say where and what
-(:func:`_person_fault`): it reads one person's fields in order, a box or
-pose value by value, and raises the first person's first fault. Of several
-faults in a file, a parse error comes first (not UTF-8, not JSON, a
-repeated key, an integer literal too long to read); then the first JSON
-shape or type fault in file order (a missing or extra field, a wrong type,
-a pose of the wrong length, an empty frame id or one that UTF-8 cannot
-encode, an integer beyond float range; the header comes first, then frames
-and persons in order, and a person's pose rows after its other fields);
-otherwise the value fault of the earliest person, with the rules in the
-order above and a pose's first bad keypoint; then a repeated frame id.
+names a key twice, and the field rule ``errors._fields`` checks the
+document, ``pano``, each frame and each person. Then the frames are checked
+in file order up to the first that fails. One bulk check over all persons
+before it says whether they pass (:func:`_person_columns`): one
+comprehension gathers a field, set operations check its types, and one pass
+converts its numbers. Only when they do not does a walk over the persons in
+file order say where and what (:func:`_person_fault`): it reads one person's
+fields in order, a box or pose value by value, and raises the first person's
+first fault. Of several faults in a file, a parse error comes first (not
+UTF-8, not JSON, a repeated key, an integer literal too long to read); then
+the first JSON shape or type fault in file order (a missing or extra field,
+a wrong type, a pose of the wrong length, an empty frame id or one that
+UTF-8 cannot encode, an integer beyond float range; the header comes first,
+then frames and persons in order, and a person's pose rows after its other
+fields); otherwise the value fault of the earliest person, with the rules in
+the order above and a pose's first bad keypoint; then a repeated frame id.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import RowError, ValidationError, _json_object, _where
-from .geometry import PanoramaSpec, _box_rule, _score_rule
+from .errors import RowError, ValidationError, _fields, _first, _json_object, _where
+from .geometry import PanoramaSpec, _box_rule, _score_rule, _shaped
 from .schema import KeypointSchema, builtin_schema
 
 NOT_LABELED = 0
@@ -91,13 +94,6 @@ def _keypoint_rule(keypoints: np.ndarray) -> None:
     raise RowError(n, f"keypoint {k}: visibility must be 0, 1 or 2, got {v:g}")
 
 
-def _presence_rule(has_box: np.ndarray, has_pose: np.ndarray) -> None:
-    """Raise :class:`RowError` for the first person with neither box nor pose."""
-    valid = has_box | has_pose
-    if not valid.all():
-        raise RowError(int(valid.argmin()), "person has neither box nor pose")
-
-
 def _frame_id_rule(frame_id: Any) -> None:
     """A frame id is a non-empty string that UTF-8 can encode (no lone
     surrogate, which JSON's ``\\ud800`` escape can give): the frame table
@@ -120,34 +116,29 @@ class Dataset:
     def __init__(self, schema_id: str, pano: PanoramaSpec, frame_ids: Sequence[str], offsets: Any,
                  ids: Any, boxes: Any, has_box: Any, scores: Any, has_score: Any, keypoints: Any,
                  has_pose: Any) -> None:
-        """Check the column lengths and every value rule once per column, with
+        """Check the column shapes and every value rule once per column, with
         the rows in the given frame order (frame ``f`` holds rows
         ``offsets[f]:offsets[f + 1]``), then sort the frames by id."""
         n = len(ids)
-        lengths = [len(c) for c in (ids, boxes, has_box, scores, has_score, keypoints, has_pose)]
-        if lengths != [n] * len(lengths):
-            raise ValidationError(f"person columns of unequal lengths {lengths}")
         offsets = np.asarray(offsets, dtype=np.intp)
         if (len(offsets) != len(frame_ids) + 1 or offsets[0] != 0 or offsets[-1] != n
                 or (np.diff(offsets) < 0).any()):
             raise ValidationError(f"offsets must rise from 0 to {n} over {len(frame_ids)} frames")
         for fid in frame_ids:
             _frame_id_rule(fid)
-        ids = np.array(ids, dtype=object)
-        has_box, has_score, has_pose = (np.asarray(m, dtype=bool) for m in (has_box, has_score, has_pose))
-        boxes = np.where(has_box[:, None], np.asarray(boxes, dtype=np.float64).reshape(n, 4), 0.0)
-        scores = np.where(has_score, np.asarray(scores, dtype=np.float64), 0.0)
-        if has_pose.all() and n:
-            keypoints = np.asarray(keypoints, dtype=np.float64)
-        elif has_pose.any():
-            keypoints = np.where(has_pose[:, None, None], keypoints, 0.0)
+        ids = _shaped("ids", ids, (n,), object)
+        has_box, has_score, has_pose = (_shaped(f"has_{key}", mask, (n,), bool) for key, mask in
+                                        (("box", has_box), ("score", has_score), ("pose", has_pose)))
+        boxes = np.where(has_box[:, None], _shaped("boxes", boxes, (n, 4)), 0.0) if n else np.zeros((0, 4))
+        scores = np.where(has_score, _shaped("scores", scores, (n,)), 0.0)
+        if has_pose.any():
+            keypoints = _shaped("keypoints", keypoints, (n, "K", 3))
+            keypoints = keypoints if has_pose.all() else np.where(has_pose[:, None, None], keypoints, 0.0)
         else:
             keypoints = np.zeros((n, 0, 3))
-        if keypoints.ndim != 3 or keypoints.shape[2] != 3:
-            raise ValidationError(f"keypoints must be [N, K, 3], got shape {keypoints.shape}")
         faults = []
         for rule, *columns in (
-            (_presence_rule, has_box, has_pose),
+            (_first, has_box | has_pose, "person has neither box nor pose"),
             (_box_rule, np.where(has_box[:, None], boxes, (0.0, 0.0, 1.0, 1.0))),
             (_keypoint_rule, keypoints),
             (_score_rule, scores, "person"),
@@ -197,16 +188,6 @@ class Dataset:
 
 
 # -- loading -----------------------------------------------------------------
-
-
-def _require_keys(obj: dict, required: tuple[str, ...], optional: Iterable[str], where: str) -> None:
-    keys = set(obj)
-    missing = [k for k in required if k not in keys]
-    if missing:
-        raise ValidationError(f"{where}: missing field(s) {missing}")
-    extra = sorted(keys - set(required) - set(optional))
-    if extra:
-        raise ValidationError(f"{where}: unexpected field(s) {extra}")
 
 
 _PERSON_FIELDS = frozenset(("id", "box", "score", "pose"))
@@ -272,9 +253,7 @@ def _person_fault(person: Any, where: str, schema: KeypointSchema, require_score
     """Raise the first shape or type fault of one person, in the order
     person, id, box, score, pose; a box or pose is gone through value by
     value, so that a type fault and an overflow come out in value order."""
-    if type(person) is not dict:
-        raise ValidationError(f"{where}: person must be an object")
-    _require_keys(person, (), _PERSON_FIELDS, where)
+    _fields(person, (), _PERSON_FIELDS, where)
     if "id" in person and type(person["id"]) is not str:
         raise ValidationError(f"{where}: id must be a string")
     if "box" in person:
@@ -325,12 +304,9 @@ def _load(source: dict | str | Path, schema: KeypointSchema | None, require_scor
     in a forked child, which pickles the dataset back to it
     (:meth:`Dataset.__setstate__` keeps its arrays read-only)."""
     doc = source if isinstance(source, dict) else _json_object(source)
+    _fields(doc, ("schema", "pano", "frames"), (), "document")
     if schema is None:
-        schema_id = doc.get("schema")
-        if not isinstance(schema_id, str):
-            raise ValidationError("missing or malformed 'schema' field")
-        schema = builtin_schema(schema_id)
-    _require_keys(doc, ("schema", "pano", "frames"), (), "document")
+        schema = builtin_schema(doc["schema"])
 
     if doc["schema"] != schema.id:
         raise ValidationError(
@@ -338,16 +314,8 @@ def _load(source: dict | str | Path, schema: KeypointSchema | None, require_scor
         )
 
     pano_raw = doc["pano"]
-    if not isinstance(pano_raw, dict):
-        raise ValidationError("pano must be an object")
-    _require_keys(pano_raw, ("width", "height"), (), "pano")
-    try:
-        pano = PanoramaSpec(
-            _number(pano_raw["width"], "pano width"),
-            _number(pano_raw["height"], "pano height"),
-        )
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
+    _fields(pano_raw, ("width", "height"), (), "pano")
+    pano = PanoramaSpec(_number(pano_raw["width"], "pano width"), _number(pano_raw["height"], "pano height"))
 
     frames_raw = doc["frames"]
     if not isinstance(frames_raw, list):
@@ -355,9 +323,7 @@ def _load(source: dict | str | Path, schema: KeypointSchema | None, require_scor
     frame_ids, per_frame, frame_fault = [], [], None
     try:
         for frame in frames_raw:
-            if type(frame) is not dict:
-                raise ValidationError("frame must be an object")
-            _require_keys(frame, ("frame_id", "persons"), (), "frame")
+            _fields(frame, ("frame_id", "persons"), (), "frame")
             _frame_id_rule(frame["frame_id"])
             if type(frame["persons"]) is not list:
                 raise ValidationError(f"frame {frame['frame_id']!r}: persons must be a list")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataio import LABELED_VISIBLE, Dataset
 from .errors import ValidationError, _check_number, _in_file, _located, _where
-from .geometry import _apply, _inverse, crop_transform, invert_transform
+from .geometry import _apply, _inverse, _shaped, crop_transform, invert_transform
 from .schema import builtin_schema
 from .weights import _Container
 
@@ -58,9 +58,7 @@ def decode_heatmaps(values: Any, stride: float, crop: Any) -> tuple[np.ndarray, 
     if fault := _grid_fault(values.shape):
         raise ValueError(fault)
     _check_number("stride", stride)
-    if np.shape(crop) != (2, 3):
-        raise ValueError(f"crop must be [2, 3], got shape {np.shape(crop)}")
-    inverse = invert_transform(crop)
+    inverse = invert_transform(_shaped("crop", crop, (2, 3)))
     cells, neighbours, peaks = _peaks(values)
     return _project(cells, neighbours, stride, inverse), peaks.astype(np.float64)
 

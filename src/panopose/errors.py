@@ -2,16 +2,17 @@
 (:func:`_json_object`), the one way a fault names its file (:func:`_in_file`)
 and the one test for an output that names a descriptor (:func:`_descriptor`).
 
-Two rules word a fault of a parameter or of a row: :func:`_check_number`
-checks a numeric parameter against its interval, and :func:`_located` names
-the frame and person of a :class:`RowError` as ``<frame, person>: <what>``."""
+One rule words each kind of input fault that needs no numpy: a numeric
+parameter (:func:`_check_number`), a JSON object's fields (:func:`_fields`)
+and a column's first failing row (:func:`_first`), whose frame and person
+:func:`_located` names. The array rule, ``geometry._shaped``, needs numpy."""
 
 import json
 import math
 import os
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 
 class ValidationError(ValueError):
@@ -37,17 +38,42 @@ def _where(frame_ids: Sequence[str], offsets: Sequence[int], row: int) -> str:
 def _check_number(name: str, value: Any, low: float = 0.0, high: float = math.inf,
                   closed: bool = False) -> float:
     """``value`` as a float when it lies between ``low`` and ``high``, ends
-    included when ``closed`` (an infinite end never is); anything else raises
-    ``ValueError("<name> must be in <interval>, got <value>")``."""
+    included when ``closed`` (an infinite end never is); anything else, a
+    non-number too, raises ``ValidationError("<name> must be in <interval>,
+    got <value>")``."""
     try:
         finite = math.isfinite(value)
     except OverflowError:
         finite, value = False, "an integer beyond float range"
+    except TypeError:
+        finite, value = False, repr(value)
     if not (finite and (low <= value <= high if closed else low < value < high)):
         left = "[" if closed and math.isfinite(low) else "("
         right = "]" if closed and math.isfinite(high) else ")"
-        raise ValueError(f"{name} must be in {left}{low:g}, {high:g}{right}, got {value}")
+        raise ValidationError(f"{name} must be in {left}{low:g}, {high:g}{right}, got {value}")
     return float(value)
+
+
+def _fields(obj: Any, required: Sequence[str], optional: Iterable[str], where: str) -> None:
+    """Raise ``ValidationError`` unless ``obj`` is a JSON object with every
+    ``required`` field and no field but those and the ``optional`` ones:
+    ``<where> must be an object``, ``<where>: missing field(s) [...]`` (in
+    ``required`` order) or ``<where>: unexpected field(s) [...]`` (sorted)."""
+    if type(obj) is not dict:
+        raise ValidationError(f"{where} must be an object")
+    missing = [k for k in required if k not in obj]
+    if missing:
+        raise ValidationError(f"{where}: missing field(s) {missing}")
+    extra = sorted(obj.keys() - set(required) - set(optional))
+    if extra:
+        raise ValidationError(f"{where}: unexpected field(s) {extra}")
+
+
+def _first(valid: Any, message: str) -> None:
+    """Raise ``RowError(row, message)`` at the first False row of the ``[N]``
+    boolean array ``valid``."""
+    if not valid.all():
+        raise RowError(int(valid.argmin()), message)
 
 
 def _located(frame_ids: Sequence[str], offsets: Sequence[int], call: Callable[..., Any], *args: Any,

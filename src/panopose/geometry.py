@@ -20,10 +20,11 @@ private kernel (:func:`_iou`, :func:`_nms_rows`, :func:`_inverse`,
 matched by, :func:`_pose_bboxes` the box rule of ``boxes-from-poses``, and
 :func:`_ranking` the score ranking of NMS, matching and AP.
 A function checks its parameters (threshold, margin, shift, crop size,
-padding) on entry, so a bad value is refused even with no rows. Two rules
-of :mod:`~panopose.errors` word the refusals: a parameter outside its
-interval by :func:`~panopose.errors._check_number`, and a row's fault, with
-its frame and person, by :func:`~panopose.errors._located`.
+padding) on entry, so a bad value is refused even with no rows. One rule
+words each kind of refusal: an array argument's shape (:func:`_shaped`, also
+run by :class:`~panopose.dataio.Dataset`), a parameter's interval
+(``errors._check_number``), a column's first failing row (``errors._first``)
+and that row's frame and person (``errors._located``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ._defaults import DEFAULT_CROP_PADDING
-from .errors import RowError, _check_number, _located
+from .errors import RowError, ValidationError, _check_number, _first, _located
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -63,6 +64,25 @@ class PanoramaSpec:
     def __post_init__(self) -> None:
         _check_number("panorama width", self.width)
         _check_number("panorama height", self.height)
+
+
+def _shaped(name: str, value: Any, shape: tuple, dtype: Any = np.float64) -> np.ndarray:
+    """``value`` as an array of ``dtype`` and of ``shape``, in which an int
+    is a fixed length, a string names a length that may be any, and a
+    leading ``...`` stands for any leading axes; another shape raises
+    ``ValidationError("<name> must be [<shape>], got shape S")``, and a value
+    numpy cannot convert ``ValidationError("<name> must be [<shape>] numbers
+    (<numpy's reason>)")``."""
+    words = ", ".join("..." if n is ... else str(n) for n in shape)
+    try:
+        array = np.asarray(value, dtype=dtype)
+    except (TypeError, ValueError) as exc:  # not a number, or rows of unequal lengths
+        raise ValidationError(f"{name} must be [{words}] numbers ({exc})") from None
+    tail = shape[1:] if shape[0] is ... else shape
+    dims = array.shape[array.ndim - len(tail):] if shape[0] is ... else array.shape
+    if len(dims) != len(tail) or any(type(n) is int and n != d for n, d in zip(tail, dims)):
+        raise ValidationError(f"{name} must be [{words}], got shape {array.shape}")
+    return array
 
 
 def _box_rule(rows: np.ndarray) -> None:
@@ -96,9 +116,7 @@ def _score_rule(scores: np.ndarray, owner: str) -> None:
 
 def _box_rows(boxes: Any) -> np.ndarray:
     """``boxes`` as ``[N, 4]`` ``float64`` rows, checked by :func:`_box_rule`."""
-    rows = np.asarray(boxes, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != 4:
-        raise ValueError(f"boxes must be [N, 4] rows of (x1, y1, x2, y2), got shape {rows.shape}")
+    rows = _shaped("boxes", boxes, ("N", 4))
     _box_rule(rows)
     return rows
 
@@ -122,9 +140,7 @@ def _transform_rule(transforms: np.ndarray) -> None:
 def _transforms(transforms: Any) -> np.ndarray:
     """``transforms`` as a ``[..., 2, 3]`` ``float64`` array, checked by
     :func:`_transform_rule`."""
-    t = np.asarray(transforms, dtype=np.float64)
-    if t.shape[-2:] != (2, 3):
-        raise ValueError(f"transforms must be [..., 2, 3], got shape {t.shape}")
+    t = _shaped("transforms", transforms, (..., 2, 3))
     _transform_rule(t)
     return t
 
@@ -147,7 +163,7 @@ def _inverse(t: np.ndarray) -> np.ndarray:
 def apply_transform(transforms: Any, points: Any) -> np.ndarray:
     """``[..., 2]`` images of ``[..., 2]`` ``(x, y)`` points under ``[..., 2, 3]``
     transforms; the leading axes broadcast."""
-    p = np.asarray(points, dtype=np.float64)
+    p = _shaped("points", points, (..., 2))
     return np.stack(_apply(_transforms(transforms), p[..., 0], p[..., 1]), axis=-1)
 
 
@@ -223,9 +239,7 @@ def nms(boxes: Any, scores: Any, iou_threshold: float) -> np.ndarray:
     broken by original position, so the result is deterministic.
     """
     rows = _box_rows(boxes)
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.shape != (len(rows),):
-        raise ValueError(f"scores must be [{len(rows)}], got shape {scores.shape}")
+    scores = _shaped("scores", scores, (len(rows),))
     _score_rule(scores, "box")
     return np.array(_nms_rows(rows, scores, [0, len(rows)], iou_threshold), dtype=np.intp)
 
@@ -245,9 +259,7 @@ def _pose_bboxes(keypoints: np.ndarray, margin: float, pano: PanoramaSpec) -> np
     :class:`RowError` for the first pose with no labeled keypoint."""
     _check_number("margin", margin, closed=True)
     labeled = keypoints[:, :, 2] > 0
-    some = labeled.any(axis=1)
-    if not some.all():
-        raise RowError(int(some.argmin()), "pose has no visible keypoints")
+    _first(labeled.any(axis=1), "pose has no visible keypoints")
     x1, y1, x2, y2 = _extents(keypoints, labeled)
     w = x2 - x1
     h = y2 - y1

@@ -45,8 +45,8 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .dataio import Dataset, _keypoint_rule
-from .errors import RowError, ValidationError, _check_number, _located, _where
-from .geometry import _areas, _box_rows, _extents, _iou, _matching_boxes, _ranking
+from .errors import RowError, ValidationError, _check_number, _first, _located
+from .geometry import _areas, _box_rows, _extents, _iou, _matching_boxes, _ranking, _shaped
 from .schema import default_mapping
 
 # Published COCO per-keypoint falloff constants, in coco17 name order.
@@ -65,7 +65,10 @@ class OksParams:
     sigmas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        sigmas = tuple(_check_number(f"sigma {k}", s) for k, s in enumerate(self.sigmas))
+        try:
+            sigmas = tuple(_check_number(f"sigma {k}", s) for k, s in enumerate(self.sigmas))
+        except TypeError:  # not iterable
+            raise ValueError(f"sigmas must be a sequence of numbers, got {self.sigmas!r}") from None
         if not sigmas:
             raise ValueError("sigmas must be non-empty")
         object.__setattr__(self, "sigmas", sigmas)
@@ -90,13 +93,11 @@ def oks(pred: Any, gt: Any, params: OksParams, gt_box: Any) -> float:
     ``[K, 3]`` ground-truth ``(x, y, v)`` keypoints, scaled by the area of
     the ``(x1, y1, x2, y2)`` ground-truth box; labeled keypoints are those
     with ground-truth visibility > 0."""
-    poses = [np.asarray(kps, dtype=np.float64) for kps in (pred, gt)]
+    poses = [_shaped(name, kps, ("K", 3)) for name, kps in (("pred", pred), ("gt", gt))]
     for kps in poses:
-        if kps.ndim != 2 or kps.shape[1] != 3 or not len(kps):
-            raise ValueError(f"pose must be K >= 1 rows of (x, y, v), got shape {kps.shape}")
         _keypoint_rule(kps[None])
     labeled = poses[1][None, :, 2] > 0
-    area = _areas(_box_rows([gt_box]))
+    area = _areas(_box_rows(_shaped("gt_box", gt_box, (4,))[None]))
     scale, num_labeled = _oks_setup(poses[0][None], poses[1][None], labeled, params, area, [0])
     return float(_oks(poses[0], poses[1], scale[0], labeled[0], num_labeled[0]))
 
@@ -384,9 +385,7 @@ def _check_pair(preds: Dataset, gts: Dataset) -> None:
     extra = sorted(set(preds.frame_ids) - set(gts.frame_ids))
     if extra:
         raise ValidationError(f"prediction frames missing from ground truth: {extra}")
-    if not preds.has_score.all():
-        row = int(preds.has_score.argmin())
-        raise ValidationError(f"{_where(preds.frame_ids, preds.offsets, row)}: prediction without score")
+    _located(preds.frame_ids, preds.offsets, _first, preds.has_score, "prediction without score")
 
 
 def _ap_101(tp_flags: Sequence[bool], num_gt: int) -> float:
@@ -416,6 +415,8 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         _check_number("oks threshold", self.oks_threshold, 0.0, 1.0, closed=True)
+        if not isinstance(self.oks_params, (OksParams, type(None))):
+            raise ValueError(f"oks_params must be OksParams or None, got {self.oks_params!r}")
         _check_ospa_params(self.ospa_cutoff, self.ospa_order)
 
 
@@ -453,7 +454,9 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     sets. Deterministic and independent of frame iteration order: frames are
     aggregated in sorted frame-id order.
     """
-    config = config or EvalConfig()
+    config = EvalConfig() if config is None else config
+    if not isinstance(config, EvalConfig):
+        raise ValueError(f"config must be EvalConfig or None, got {config!r}")
     _check_pair(preds, gts)
     params = config.oks_params or default_oks_params(gts.schema_id)
 

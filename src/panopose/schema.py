@@ -7,7 +7,8 @@ final-layer network weights (weights module) and OKS falloff constants
 the 17-keypoint COCO vocabulary with the 17-keypoint panoramic-dataset
 vocabulary; split targets (head, neck, center hip) average their two nearest
 source keypoints. Other mappings are read from hand-written config files
-(:func:`load_mapping`).
+(:func:`load_mapping`), whose fields, and those of its ``entries``, the
+one field rule ``errors._fields`` checks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ValidationError, _json_object
+from .errors import ValidationError, _fields, _json_object
 
 
 @dataclass(frozen=True)
@@ -26,6 +27,8 @@ class KeypointSchema:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.names, (list, tuple)) or not all(isinstance(n, str) for n in self.names):
+            raise ValueError(f"schema names must be a list or tuple of strings, got {self.names!r}")
         object.__setattr__(self, "names", tuple(self.names))
         if not self.id:
             raise ValueError("schema id must be non-empty")
@@ -41,7 +44,7 @@ class KeypointSchema:
         try:
             return self.names.index(name)
         except ValueError:
-            raise ValueError(f"schema {self.id!r} has no keypoint named {name!r}") from None
+            raise ValidationError(f"schema {self.id!r} has no keypoint named {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -164,9 +167,7 @@ def load_mapping(path: str | Path) -> SchemaMapping:
     every target keypoint lists a non-empty set of source names, and no
     object names a key twice."""
     doc = _json_object(Path(path))
-    for key in ("source_schema", "target_schema", "entries"):
-        if key not in doc:
-            raise ValidationError(f"mapping file missing field {key!r}")
+    _fields(doc, ("source_schema", "target_schema", "entries"), (), "mapping file")
     source = builtin_schema(doc["source_schema"])
     target = builtin_schema(doc["target_schema"])
     return _mapping_from_entries(source, target, doc["entries"])
@@ -176,21 +177,11 @@ def _mapping_from_entries(source: KeypointSchema, target: KeypointSchema, raw_en
                           ) -> SchemaMapping:
     """The mapping of an ``entries`` object, target name -> source names,
     with every target of ``target`` and no other."""
-    if not isinstance(raw_entries, dict):
-        raise ValidationError("entries must be an object of target name -> source names")
-    missing = [n for n in target.names if n not in raw_entries]
-    if missing:
-        raise ValidationError(f"entries missing target keypoint(s) {missing}")
-    unknown = sorted(set(raw_entries) - set(target.names))
-    if unknown:
-        raise ValidationError(f"entries name unknown target keypoint(s) {unknown}")
+    _fields(raw_entries, target.names, (), "entries")
     entries = []
     for name in target.names:
         sources = raw_entries[name]
         if not isinstance(sources, list) or not sources:
             raise ValidationError(f"entry for {name!r} must be a non-empty list of names")
-        try:
-            entries.append(tuple(source.index(n) for n in sources))
-        except ValueError as exc:
-            raise ValidationError(str(exc)) from exc
+        entries.append(tuple(source.index(n) for n in sources))
     return SchemaMapping(source.id, target.id, tuple(entries))

@@ -46,7 +46,7 @@ from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
-from .errors import ValidationError, _descriptor, _json_object
+from .errors import ValidationError, _descriptor, _fields, _json_object
 from .schema import SchemaMapping, check_entries
 
 if TYPE_CHECKING:
@@ -89,10 +89,7 @@ class _Container:
         for name, entry in header.items():
             if not name:
                 raise ValidationError("tensor name must be non-empty")
-            if not isinstance(entry, dict) or set(entry) != {"dtype", "shape", "begin", "end"}:
-                raise ValidationError(
-                    f"malformed header: tensor {name!r} needs exactly dtype/shape/begin/end"
-                )
+            _fields(entry, ("dtype", "shape", "begin", "end"), (), f"malformed header: tensor {name!r}")
             dtype, shape, begin, end = entry["dtype"], entry["shape"], entry["begin"], entry["end"]
             if not isinstance(dtype, str) or dtype not in _DTYPES:
                 raise ValidationError(f"tensor {name!r}: unsupported dtype {dtype!r}")

@@ -750,7 +750,7 @@ class TestRemapWeights:
 
     @pytest.mark.parametrize("flags, message", [
         (["--weight-name", "stem"], "expected rank-4 weight [K, C, kh, kw], got shape (4, 4)"),
-        (["--weight-name", "head.weight", "--mapping", "bad.json"], "mapping file missing field 'entries'"),
+        (["--weight-name", "head.weight", "--mapping", "bad.json"], "mapping file: missing field(s) ['entries']"),
     ])
     def test_faults_found_before_the_output_leave_no_out(self, tmp_path, capsys, monkeypatch,
                                                          flags, message):

@@ -64,3 +64,13 @@ def test_only_errors_calls_math_isfinite():
                or isinstance(node, ast.ImportFrom) and node.module == "math"
                and any(alias.name == "isfinite" for alias in node.names)}
     assert testing == {"errors.py"}
+
+
+def test_only_errors_words_a_field_fault():
+    # ``errors._fields`` is the one rule for a JSON object's fields.
+    wording = ("missing field(s)", "unexpected field(s)", "must be an object")
+    saying = {path.name for path in PACKAGE.glob("*.py")
+              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and any(words in node.value for words in wording)}
+    assert saying == {"errors.py"}

@@ -107,7 +107,7 @@ class TestOks:
         gt = _pose((0, 0), (1, 1), (2, 2))
         with pytest.raises(ValueError, match="keypoint 1: visibility must be 0, 1 or 2, got 3"):
             oks(gt, _pose((0, 0), (1, 1), (2, 2), vis=[2, 3, 2]), UNIFORM3, self.BOX)
-        with pytest.raises(ValueError, match=r"pose must be K >= 1 rows of \(x, y, v\), got shape \(3,\)"):
+        with pytest.raises(ValueError, match=r"^pred must be \[K, 3\], got shape \(3,\)$"):
             oks([0.0, 0.0, 2.0], gt, UNIFORM3, self.BOX)
         with pytest.raises(ValueError, match=r"degenerate box \(0.0, 0.0, 0.0, 1.0\)"):
             oks(gt, gt, UNIFORM3, (0.0, 0.0, 0.0, 1.0))

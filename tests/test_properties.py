@@ -38,12 +38,11 @@ from panopose.dataio import (
     _frame_id_rule,
     _load,
     _number,
-    _require_keys,
     dataset_to_canonical_json,
     save_dataset,
 )
 from panopose.decode import decode_heatmaps
-from panopose.errors import RowError, ValidationError
+from panopose.errors import RowError, ValidationError, _fields
 from panopose.geometry import (
     CROP_HEIGHT,
     CROP_WIDTH,
@@ -1305,7 +1304,7 @@ def _reference_walk(frames: list, schema, require_scores: bool) -> None:
     for raw in frames:
         if not isinstance(raw, dict):
             raise ValidationError("frame must be an object")
-        _require_keys(raw, ("frame_id", "persons"), (), "frame")
+        _fields(raw, ("frame_id", "persons"), (), "frame")
         fid = raw["frame_id"]
         _frame_id_rule(fid)
         if not isinstance(raw["persons"], list):
@@ -1313,8 +1312,8 @@ def _reference_walk(frames: list, schema, require_scores: bool) -> None:
         for i, p in enumerate(raw["persons"]):
             where = f"frame {fid!r}, person {i}"
             if not isinstance(p, dict):
-                raise ValidationError(f"{where}: person must be an object")
-            _require_keys(p, (), ("id", "box", "score", "pose"), where)
+                raise ValidationError(f"{where} must be an object")
+            _fields(p, (), ("id", "box", "score", "pose"), where)
             if "id" in p and not isinstance(p["id"], str):
                 raise ValidationError(f"{where}: id must be a string")
             if "box" in p:

@@ -129,7 +129,12 @@ class TestMappingFiles:
     def test_missing_target_name(self, tmp_path):
         doc = mapping_doc(default_mapping())
         del doc["entries"]["neck"]
-        with pytest.raises(ValidationError, match="missing target keypoint"):
+        with pytest.raises(ValidationError, match=r"^entries: missing field\(s\) \['neck'\]$"):
+            load_mapping(_write(tmp_path / "mapping.json", doc))
+
+    def test_unknown_top_level_key(self, tmp_path):
+        doc = mapping_doc(default_mapping()) | {"comment": "hand-written"}
+        with pytest.raises(ValidationError, match=r"^mapping file: unexpected field\(s\) \['comment'\]$"):
             load_mapping(_write(tmp_path / "mapping.json", doc))
 
     def test_unknown_source_name(self, tmp_path):

@@ -413,6 +413,13 @@ class TestTensorMap:
         with pytest.raises(ValidationError, match="^tensor name must be non-empty$"):
             load_tensor_map(path)
 
+    def test_header_entry_with_a_fifth_key(self, tmp_path):
+        path = tmp_path / "t.bin"
+        entry = {"dtype": "f32", "shape": [1], "begin": 0, "end": 4, "stride": [4]}
+        _write_container(path, {"t": entry}, b"\x00" * 4)
+        with pytest.raises(ValidationError, match=r"^malformed header: tensor 't': unexpected field\(s\) \['stride'\]$"):
+            load_tensor_map(path)
+
     def test_shape_beyond_numpy_rank_limit(self, tmp_path):
         path = tmp_path / "t.bin"
         _write_container(path, {"t": {"dtype": "u8", "shape": [1] * 65, "begin": 0, "end": 1}}, b"\x00")
