@@ -53,7 +53,7 @@ from typing import TYPE_CHECKING, Any, BinaryIO, Callable, Sequence
 
 from . import __version__
 from ._defaults import DEFAULT_BOX_MARGIN, DEFAULT_CROP_PADDING, DEFAULT_NMS_IOU
-from .errors import ValidationError, _check_number, _descriptor, _first, _in_file, _located
+from .errors import ValidationError, _check_number, _descriptor, _direct, _first, _in_file, _located
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -240,12 +240,6 @@ def _target(path: str) -> tuple[str | None, int | None]:
     return os.path.realpath(path), stat.S_IMODE(mode)
 
 
-def _direct(path: str) -> BinaryIO:
-    """A duplicate of the descriptor ``path`` names, or else ``path`` opened."""
-    fd = _descriptor(path)
-    return open(path, "wb") if fd is None else open(os.dup(fd), "wb")
-
-
 def _write(fh: BinaryIO, text: str, mode: int | None = None) -> None:
     """Write ``text`` to ``fh`` and close it; its file gets ``mode`` first."""
     with fh:
@@ -260,9 +254,9 @@ def _land(outputs: list[tuple[str, str]]) -> None:
     file beside it, ``.panopose-<8 hex digits>.tmp``, made with
     ``open(..., "xb")`` (``O_WRONLY | O_CREAT | O_EXCL``, mode
     ``0o666 & ~umask``) and given the old file's mode; then each other
-    target is written directly (:func:`_direct`). Only when every write has
-    succeeded is each new file renamed over its target. A fault removes
-    every new file left and names its output."""
+    target is written directly (:func:`errors._direct`). Only when every
+    write has succeeded is each new file renamed over its target. A fault
+    removes every new file left and names its output."""
     staged: list[tuple[str, str, str]] = []
     try:
         targets = [(path, text, *_in_file(path, _target, path)) for path, text in outputs]

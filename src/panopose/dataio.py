@@ -23,12 +23,14 @@ and ``keypoints`` ``[N, K, 3]`` with ``has_pose``. A missing value's row
 holds zeros, and K is 0 when no person has a pose.
 
 ``Dataset(...)`` takes these columns, with frames in any order; the parser
-and ``Dataset._with`` call it too. The array rule ``geometry._shaped``
-checks each column's shape against the N of ``ids`` (the keypoints only when
-a person has a pose, the boxes only when N > 0). Each value rule then runs
-once over a whole column, with the function that the library functions
-taking boxes, keypoints or scores run on their input: box or pose
-(``errors._first``), finite box fields with a positive finite area
+and ``Dataset._with`` call it too. ``offsets`` must be ``[F + 1]`` and rise
+from 0, and the N at which it ends is the row count: the array rule
+``geometry._shaped`` checks each column's shape against it, ``ids`` too
+(the keypoints only when a person has a pose, with K >= 1, the boxes only
+when N > 0). Each value rule then runs once over a whole column: an id that
+is a string or None and a box or pose per person (``errors._first``), and,
+with the function that the library functions taking boxes, keypoints or
+scores run on their input, finite box fields with a positive finite area
 (``geometry._box_rule``), finite keypoints with v in {0, 1, 2}
 (:func:`_keypoint_rule`, also run by ``metrics.oks``) and a score in [0, 1]
 (``geometry._score_rule``). Frame ids are non-empty strings that
@@ -57,6 +59,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from operator import attrgetter, itemgetter
@@ -65,7 +68,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import RowError, ValidationError, _fields, _first, _json_object, _where
+from .errors import RowError, ValidationError, _fields, _first, _json_object, _kind, _where
 from .geometry import PanoramaSpec, _box_rule, _score_rule, _shaped
 from .schema import KeypointSchema, builtin_schema
 
@@ -119,13 +122,16 @@ class Dataset:
         """Check the column shapes and every value rule once per column, with
         the rows in the given frame order (frame ``f`` holds rows
         ``offsets[f]:offsets[f + 1]``), then sort the frames by id."""
-        n = len(ids)
-        offsets = np.asarray(offsets, dtype=np.intp)
-        if (len(offsets) != len(frame_ids) + 1 or offsets[0] != 0 or offsets[-1] != n
-                or (np.diff(offsets) < 0).any()):
-            raise ValidationError(f"offsets must rise from 0 to {n} over {len(frame_ids)} frames")
+        if not _kind("schema_id", schema_id, str):
+            raise ValidationError("schema_id must be non-empty")
+        _kind("pano", pano, PanoramaSpec)
+        frame_ids = _kind("frame_ids", frame_ids, list, tuple)
+        offsets = _shaped("offsets", offsets, (len(frame_ids) + 1,), np.intp)
+        if offsets[0] != 0 or (np.diff(offsets) < 0).any():
+            raise ValidationError(f"offsets must rise from 0 over {len(frame_ids)} frames")
         for fid in frame_ids:
             _frame_id_rule(fid)
+        n = int(offsets[-1])
         ids = _shaped("ids", ids, (n,), object)
         has_box, has_score, has_pose = (_shaped(f"has_{key}", mask, (n,), bool) for key, mask in
                                         (("box", has_box), ("score", has_score), ("pose", has_pose)))
@@ -133,11 +139,15 @@ class Dataset:
         scores = np.where(has_score, _shaped("scores", scores, (n,)), 0.0)
         if has_pose.any():
             keypoints = _shaped("keypoints", keypoints, (n, "K", 3))
+            if not keypoints.shape[1]:
+                raise ValidationError(f"keypoints must be [{n}, K, 3] with K >= 1, got shape {keypoints.shape}")
             keypoints = keypoints if has_pose.all() else np.where(has_pose[:, None, None], keypoints, 0.0)
         else:
             keypoints = np.zeros((n, 0, 3))
         faults = []
         for rule, *columns in (
+            (_first, np.array([pid is None or isinstance(pid, str) for pid in ids.tolist()], dtype=bool),
+             "id must be a string"),
             (_first, has_box | has_pose, "person has neither box nor pose"),
             (_box_rule, np.where(has_box[:, None], boxes, (0.0, 0.0, 1.0, 1.0))),
             (_keypoint_rule, keypoints),
@@ -285,11 +295,11 @@ def _person_fault(person: Any, where: str, schema: KeypointSchema, require_score
 
 
 def load_ground_truth(path: str | Path, schema: KeypointSchema) -> Dataset:
-    return _load(Path(path), schema, require_scores=False)
+    return _load(Path(_kind("path", path, str, os.PathLike)), schema, require_scores=False)
 
 
 def load_predictions(path: str | Path, schema: KeypointSchema) -> Dataset:
-    return _load(Path(path), schema, require_scores=True)
+    return _load(Path(_kind("path", path, str, os.PathLike)), schema, require_scores=True)
 
 
 def _load(source: dict | str | Path, schema: KeypointSchema | None, require_scores: bool) -> Dataset:
@@ -303,6 +313,7 @@ def _load(source: dict | str | Path, schema: KeypointSchema | None, require_scor
     off, on Python 3.11 and a 2-CPU Xeon). ``eval`` runs this for ``--gt``
     in a forked child, which pickles the dataset back to it
     (:meth:`Dataset.__setstate__` keeps its arrays read-only)."""
+    _kind("schema", schema, KeypointSchema, type(None))
     doc = source if isinstance(source, dict) else _json_object(source)
     _fields(doc, ("schema", "pano", "frames"), (), "document")
     if schema is None:
@@ -389,4 +400,5 @@ def dataset_to_canonical_json(ds: Dataset) -> str:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write the canonical form: identical datasets produce identical bytes."""
-    Path(path).write_text(dataset_to_canonical_json(ds), encoding="utf-8")
+    _kind("ds", ds, Dataset)
+    Path(_kind("path", path, str, os.PathLike)).write_text(dataset_to_canonical_json(ds), encoding="utf-8")

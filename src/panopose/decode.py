@@ -50,13 +50,13 @@ def decode_heatmaps(values: Any, stride: float, crop: Any) -> tuple[np.ndarray, 
 
     Returns the ``[K, 3]`` keypoints (all marked visible) and the ``[K]``
     per-keypoint confidences, each the grid maximum. A grid shape at fault
-    (:func:`_grid_fault`), a bad stride, and a crop or inverse with a
-    non-finite coefficient or a zero determinant raise :class:`ValueError`;
-    a grid whose maximum is NaN or infinite raises :class:`ValidationError`.
+    (:func:`_grid_fault`), a bad stride, a crop or inverse with a non-finite
+    coefficient or a zero determinant, and a grid whose maximum is NaN or
+    infinite raise :class:`ValidationError`.
     """
     values = np.asarray(values)
     if fault := _grid_fault(values.shape):
-        raise ValueError(fault)
+        raise ValidationError(fault)
     _check_number("stride", stride)
     inverse = invert_transform(_shaped("crop", crop, (2, 3)))
     cells, neighbours, peaks = _peaks(values)

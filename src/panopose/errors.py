@@ -1,18 +1,20 @@
 """Shared exception types, the one JSON reader of the input formats
-(:func:`_json_object`), the one way a fault names its file (:func:`_in_file`)
-and the one test for an output that names a descriptor (:func:`_descriptor`).
+(:func:`_json_object`), the one way a fault names its file (:func:`_in_file`),
+the one test for an output that names a descriptor (:func:`_descriptor`) and
+the one opener of an output that is not staged (:func:`_direct`).
 
-One rule words each kind of input fault that needs no numpy: a numeric
-parameter (:func:`_check_number`), a JSON object's fields (:func:`_fields`)
-and a column's first failing row (:func:`_first`), whose frame and person
-:func:`_located` names. The array rule, ``geometry._shaped``, needs numpy."""
+One rule words each kind of input fault that needs no numpy: an argument of
+the wrong type (:func:`_kind`), a numeric parameter (:func:`_check_number`),
+a JSON object's fields (:func:`_fields`) and a column's first failing row
+(:func:`_first`), whose frame and person :func:`_located` names. The array
+rule, ``geometry._shaped``, needs numpy."""
 
 import json
 import math
 import os
 from bisect import bisect_right
 from pathlib import Path
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, BinaryIO, Callable, Iterable, Sequence
 
 
 class ValidationError(ValueError):
@@ -33,6 +35,16 @@ def _where(frame_ids: Sequence[str], offsets: Sequence[int], row: int) -> str:
     """Location of person row ``row``: its frame id and index in the frame."""
     f = bisect_right(offsets, row) - 1
     return f"frame {frame_ids[f]!r}, person {row - int(offsets[f])}"
+
+
+def _kind(name: str, value: Any, *kinds: type) -> Any:
+    """``value`` when it is an instance of one of ``kinds``; anything else
+    raises ``ValidationError("<name> must be <kinds>, got <value>")``, the
+    kinds by class name, ``type(None)`` as None, and the value by ``repr``."""
+    if not isinstance(value, kinds):
+        words = " or ".join("None" if kind is type(None) else kind.__name__ for kind in kinds)
+        raise ValidationError(f"{name} must be {words}, got {value!r}")
+    return value
 
 
 def _check_number(name: str, value: Any, low: float = 0.0, high: float = math.inf,
@@ -143,3 +155,10 @@ def _descriptor(path: str | Path) -> int | None:
         except OSError:  # not a link, or not there
             return None
     return None
+
+
+def _direct(path: str | Path) -> BinaryIO:
+    """A duplicate of the descriptor ``path`` names, else ``path`` opened to write, created and not truncated."""
+    fd = _descriptor(path)
+    return open(path, "wb", opener=lambda name, _: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666)
+                if fd is None else os.dup(fd))

@@ -36,7 +36,7 @@ from typing import TYPE_CHECKING, Any, Sequence
 import numpy as np
 
 from ._defaults import DEFAULT_CROP_PADDING
-from .errors import RowError, ValidationError, _check_number, _first, _located
+from .errors import RowError, ValidationError, _check_number, _first, _kind, _located
 
 if TYPE_CHECKING:
     from .dataio import Dataset
@@ -318,7 +318,9 @@ def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
     the panorama width first, so 0 and any multiple of the width are exact
     identities. Persons whose matching box would cross the seam are removed;
     y coordinates are unchanged."""
-    w = float(ds.pano.width)
+    from .dataio import Dataset
+
+    w = float(_kind("ds", ds, Dataset).pano.width)
     s = _check_number("shift", shift, -math.inf) % w
     if s == 0.0:
         return ds

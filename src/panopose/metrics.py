@@ -38,14 +38,15 @@ import csv
 import io
 import json
 import math
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field, fields
 from operator import attrgetter
-from typing import Any, Callable, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from .dataio import Dataset, _keypoint_rule
-from .errors import RowError, ValidationError, _check_number, _first, _located
+from .errors import RowError, ValidationError, _check_number, _first, _kind, _located
 from .geometry import _areas, _box_rows, _extents, _iou, _matching_boxes, _ranking, _shaped
 from .schema import default_mapping
 
@@ -65,10 +66,8 @@ class OksParams:
     sigmas: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        try:
-            sigmas = tuple(_check_number(f"sigma {k}", s) for k, s in enumerate(self.sigmas))
-        except TypeError:  # not iterable
-            raise ValueError(f"sigmas must be a sequence of numbers, got {self.sigmas!r}") from None
+        sigmas = _kind("sigmas", self.sigmas, Iterable)
+        sigmas = tuple(_check_number(f"sigma {k}", s) for k, s in enumerate(sigmas))
         if not sigmas:
             raise ValueError("sigmas must be non-empty")
         object.__setattr__(self, "sigmas", sigmas)
@@ -78,7 +77,7 @@ def default_oks_params(schema_id: str) -> OksParams:
     """The published COCO constants for coco17; for jrdb17, those constants
     moved through :func:`~panopose.schema.default_mapping`, where merged
     targets take the mean of their counterpart constants."""
-    if schema_id == "coco17":
+    if _kind("schema_id", schema_id, str) == "coco17":
         return OksParams(COCO_SIGMAS)
     if schema_id == "jrdb17":
         return OksParams(tuple(sum(COCO_SIGMAS[s] for s in entry) / len(entry)
@@ -93,6 +92,7 @@ def oks(pred: Any, gt: Any, params: OksParams, gt_box: Any) -> float:
     ``[K, 3]`` ground-truth ``(x, y, v)`` keypoints, scaled by the area of
     the ``(x1, y1, x2, y2)`` ground-truth box; labeled keypoints are those
     with ground-truth visibility > 0."""
+    _kind("params", params, OksParams)
     poses = [_shaped(name, kps, ("K", 3)) for name, kps in (("pred", pred), ("gt", gt))]
     for kps in poses:
         _keypoint_rule(kps[None])
@@ -226,8 +226,9 @@ def ospa(
     (min-cost assignment + (n - m)) / n, bounded in [0, 1].
     """
     _check_ospa_params(cutoff, order)
-    preds = list(preds)
-    gts = list(gts)
+    _kind("base_distance", base_distance, Callable)
+    preds = list(_kind("preds", preds, Iterable))
+    gts = list(_kind("gts", gts, Iterable))
     dist = np.array(
         [[float(base_distance(p, g)) for g in gts] for p in preds], dtype=np.float64
     ).reshape(len(preds), len(gts))
@@ -415,8 +416,7 @@ class EvalConfig:
 
     def __post_init__(self) -> None:
         _check_number("oks threshold", self.oks_threshold, 0.0, 1.0, closed=True)
-        if not isinstance(self.oks_params, (OksParams, type(None))):
-            raise ValueError(f"oks_params must be OksParams or None, got {self.oks_params!r}")
+        _kind("oks_params", self.oks_params, OksParams, type(None))
         _check_ospa_params(self.ospa_cutoff, self.ospa_order)
 
 
@@ -454,10 +454,8 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     sets. Deterministic and independent of frame iteration order: frames are
     aggregated in sorted frame-id order.
     """
-    config = EvalConfig() if config is None else config
-    if not isinstance(config, EvalConfig):
-        raise ValueError(f"config must be EvalConfig or None, got {config!r}")
-    _check_pair(preds, gts)
+    config = _kind("config", config, EvalConfig, type(None)) or EvalConfig()
+    _check_pair(_kind("preds", preds, Dataset), _kind("gts", gts, Dataset))
     params = config.oks_params or default_oks_params(gts.schema_id)
 
     pred_boxes, gt_boxes = (

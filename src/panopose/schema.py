@@ -13,10 +13,13 @@ one field rule ``errors._fields`` checks.
 
 from __future__ import annotations
 
+import os
+from collections.abc import Iterable
 from dataclasses import dataclass
+from numbers import Integral
 from pathlib import Path
 
-from .errors import ValidationError, _fields, _json_object
+from .errors import ValidationError, _fields, _json_object, _kind
 
 
 @dataclass(frozen=True)
@@ -27,10 +30,9 @@ class KeypointSchema:
     names: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.names, (list, tuple)) or not all(isinstance(n, str) for n in self.names):
-            raise ValueError(f"schema names must be a list or tuple of strings, got {self.names!r}")
-        object.__setattr__(self, "names", tuple(self.names))
-        if not self.id:
+        names = _kind("names", self.names, list, tuple)
+        object.__setattr__(self, "names", tuple(_kind(f"name {k}", n, str) for k, n in enumerate(names)))
+        if not _kind("id", self.id, str):
             raise ValueError("schema id must be non-empty")
         if not self.names:
             raise ValueError("schema must have at least one keypoint")
@@ -60,7 +62,11 @@ class SchemaMapping:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", tuple(tuple(int(i) for i in e) for e in self.entries))
+        _kind("source_schema", self.source_schema, str)
+        _kind("target_schema", self.target_schema, str)
+        object.__setattr__(self, "entries", tuple(
+            tuple(int(_kind("entries", i, Integral)) for i in _kind("entries", e, Iterable))
+            for e in _kind("entries", self.entries, Iterable)))
 
 
 COCO17 = KeypointSchema(
@@ -117,10 +123,8 @@ _BUILTINS = {s.id: s for s in (COCO17, JRDB17)}
 
 
 def builtin_schema(schema_id: str) -> KeypointSchema:
-    if not isinstance(schema_id, str):
-        raise ValidationError(f"schema id must be a string, got {schema_id!r}")
     try:
-        return _BUILTINS[schema_id]
+        return _BUILTINS[_kind("schema_id", schema_id, str)]
     except KeyError:
         raise ValidationError(
             f"unknown schema id {schema_id!r}; built-ins are {sorted(_BUILTINS)}"
@@ -134,7 +138,7 @@ def default_mapping(verbatim_table1: bool = False) -> SchemaMapping:
     which sources both hand keypoints from the left wrist.
     """
     table = _DEFAULT_COUNTERPARTS
-    if verbatim_table1:
+    if _kind("verbatim_table1", verbatim_table1, bool):
         table = {**table, "right hand": ["left wrist"]}
     return _mapping_from_entries(COCO17, JRDB17, table)
 
@@ -166,7 +170,7 @@ def load_mapping(path: str | Path) -> SchemaMapping:
     """Read a mapping config file: both schemas are the built-ins it names,
     every target keypoint lists a non-empty set of source names, and no
     object names a key twice."""
-    doc = _json_object(Path(path))
+    doc = _json_object(Path(_kind("path", path, str, os.PathLike)))
     _fields(doc, ("source_schema", "target_schema", "entries"), (), "mapping file")
     source = builtin_schema(doc["source_schema"])
     target = builtin_schema(doc["target_schema"])

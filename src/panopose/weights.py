@@ -46,7 +46,7 @@ from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
-from .errors import ValidationError, _descriptor, _fields, _json_object
+from .errors import ValidationError, _descriptor, _direct, _fields, _json_object, _kind
 from .schema import SchemaMapping, check_entries
 
 if TYPE_CHECKING:
@@ -194,7 +194,7 @@ def _truncated(name: str) -> ValidationError:
 def load_tensor_map(path: str | Path) -> dict[str, NDArray]:
     """Every tensor of the container at ``path`` as a read-only array, by
     name in sorted order."""
-    with open(path, "rb") as fh:
+    with open(_kind("path", path, str, os.PathLike), "rb") as fh:
         container = _Container(fh)
         tensors = {name: container.read(name) for name in container.entries}
     return dict(sorted(tensors.items()))
@@ -210,7 +210,7 @@ def _stored(name: str, values: ArrayLike) -> _Raw:
     and little-endian, so their raw bytes are written."""
     import numpy as np
 
-    if not name:
+    if not _kind("tensor name", name, str):
         raise ValidationError("tensor name must be non-empty")
     values = np.asarray(values)
     tag = _tag(values)
@@ -223,7 +223,8 @@ def _stored(name: str, values: ArrayLike) -> _Raw:
 def save_tensor_map(tensors: Mapping[str, ArrayLike], path: str | Path) -> None:
     """Write the container of ``tensors`` (name -> array-like); byte output
     is deterministic for given names, dtypes, shapes and values."""
-    _write_container(path, {name: _stored(name, values) for name, values in tensors.items()})
+    _write_container(_kind("path", path, str, os.PathLike),
+                     {name: _stored(name, values) for name, values in _kind("tensors", tensors, Mapping).items()})
 
 
 def _write_container(
@@ -259,15 +260,12 @@ def _write_container(
     prefix = struct.pack("<Q", len(header_bytes))
     kernel = hasattr(os, "copy_file_range")
     buffer = None
-    fd = _descriptor(path)
-    # Mode "wb" would truncate the file; its opener leaves that out.
-    fh = (open(os.dup(fd), "wb") if fd is not None else
-          open(path, "wb", opener=lambda name, _: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666)))
+    fh = _direct(path)
     regular = False
     try:
         with fh:  # closed, flush failure or not, before the file is removed
             opened = os.fstat(fh.fileno())
-            regular = fd is None and stat.S_ISREG(opened.st_mode)
+            regular = stat.S_ISREG(opened.st_mode) and _descriptor(path) is None
             fh.write(bytes(len(prefix)) if regular else prefix)
             fh.write(header_bytes)
             for name in header:
@@ -342,7 +340,10 @@ def remap_head_weights(
     """
     import numpy as np
 
-    remapped = {name: _read_only(values) for name, values in tensors.items()}
+    _kind("weight_name", weight_name, str)
+    _kind("mapping", mapping, SchemaMapping)
+    _kind("bias_name", bias_name, str, type(None))
+    remapped = {name: _read_only(values) for name, values in _kind("tensors", tensors, Mapping).items()}
 
     def raw(name: str) -> _Raw | None:
         if name not in remapped:

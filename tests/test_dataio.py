@@ -74,21 +74,26 @@ class TestTypes:
         "changes, match",
         [
             ({"scores": [0.0, 0.0]}, r"^scores must be \[1\], got shape \(2,\)$"),
-            ({"ids": []}, r"^offsets must rise from 0 to 0 over 1 frames$"),
+            ({"ids": []}, r"^ids must be \[1\], got shape \(0,\)$"),
             ({"scores": [[0.5, 0.5]], "has_score": [True]}, r"^scores must be \[1\], got shape \(1, 2\)$"),
             ({"boxes": [[0.0, 0.0, 1.0]]}, r"^boxes must be \[1, 4\], got shape \(1, 3\)$"),
             ({"has_box": [[True, True]]}, r"^has_box must be \[1\], got shape \(1, 2\)$"),
-            ({"offsets": [0]}, r"^offsets must rise from 0 to 1 over 1 frames$"),
-            ({"offsets": [1, 1]}, r"^offsets must rise from 0 to 1 over 1 frames$"),
-            ({"offsets": [0, 2]}, r"^offsets must rise from 0 to 1 over 1 frames$"),
-            ({"frame_ids": ["a", "b"], "offsets": [0, 2, 1]}, r"^offsets must rise from 0 to 1 over 2 frames$"),
+            ({"offsets": [0]}, r"^offsets must be \[2\], got shape \(1,\)$"),
+            ({"offsets": [1, 1]}, r"^offsets must rise from 0 over 1 frames$"),
+            ({"offsets": [0, 2]}, r"^ids must be \[2\], got shape \(1,\)$"),
+            ({"frame_ids": ["a", "b"], "offsets": [0, 2, 1]}, r"^offsets must rise from 0 over 2 frames$"),
             ({"keypoints": [[0.0, 0.0]], "has_pose": [True]}, r"^keypoints must be \[1, K, 3\], got shape \(1, 2\)$"),
             ({"frame_ids": [""]}, r"^frame '': frame id must be a non-empty string"),
             ({"frame_ids": ["\ud800"]}, r"^frame '\\ud800': frame id is not encodable as UTF-8$"),
+            ({"ids": [5]}, r"^frame 'f1', person 0: id must be a string$"),
+            ({"ids": [b"p"]}, r"^frame 'f1', person 0: id must be a string$"),
+            ({"keypoints": np.zeros((1, 0, 3)), "has_pose": [True]},
+             r"^keypoints must be \[1, K, 3\] with K >= 1, got shape \(1, 0, 3\)$"),
+            ({"schema_id": ""}, r"^schema_id must be non-empty$"),
         ],
         ids=["long-column", "short-column", "scores-shape", "boxes-shape", "has-box-shape", "short-offsets",
              "offsets-from-1", "offsets-past-n", "offsets-fall", "keypoints-shape", "empty-frame-id",
-             "surrogate-frame-id"],
+             "surrogate-frame-id", "int-id", "bytes-id", "no-keypoints", "empty-schema-id"],
     )
     def test_constructor_rejects_inconsistent_columns(self, changes, match):
         with pytest.raises(ValidationError, match=match):

@@ -2,15 +2,20 @@
 input: a numeric parameter outside its interval, also when it is NaN, an
 integer beyond float range (which ``math.isfinite`` and ``float`` refuse
 with ``OverflowError``) or not a number at all; an array of the wrong shape
-or that numpy cannot convert; and an argument of the wrong type."""
+or that numpy cannot convert; and an argument of the wrong type, walked over
+every argument of every export."""
 
+import inspect
+import json
 import math
+import os
 import re
 
 import numpy as np
 import pytest
-from synth import DEFAULT_PANO, dataset, person
+from synth import DEFAULT_PANO, dataset, mapping_doc, person
 
+import panopose
 from panopose import (
     Dataset,
     EvalConfig,
@@ -19,6 +24,7 @@ from panopose import (
     PanoramaSpec,
     ValidationError,
     apply_transform,
+    builtin_schema,
     crop_transform,
     decode_heatmaps,
     evaluate,
@@ -114,11 +120,133 @@ def test_an_array_numpy_cannot_convert_is_refused_naming_the_argument(shape, cal
 
 
 @pytest.mark.parametrize("message, call", [
-    ("sigmas must be a sequence of numbers, got 0.5", lambda: OksParams(0.5)),
+    ("sigmas must be Iterable, got 0.5", lambda: OksParams(0.5)),
     (f"oks_params must be OksParams or None, got {[0.1] * 17}", lambda: EvalConfig(oks_params=[0.1] * 17)),
     ("config must be EvalConfig or None, got 'x'", lambda: evaluate(_boxed(), _boxed(), "x")),
-    ("schema names must be a list or tuple of strings, got 'abc'", lambda: KeypointSchema("x", "abc")),
-], ids=["OksParams", "EvalConfig", "evaluate", "KeypointSchema"])
+    ("names must be list or tuple, got 'abc'", lambda: KeypointSchema("x", "abc")),
+    ("name 1 must be str, got 5", lambda: KeypointSchema("x", ["a", 5])),
+    ("schema_id must be str, got 5", lambda: builtin_schema(5)),
+    ("path must be str or PathLike, got True", lambda: panopose.load_tensor_map(True)),
+], ids=["OksParams", "EvalConfig", "evaluate", "KeypointSchema", "KeypointSchema-name", "builtin_schema",
+        "load_tensor_map"])
 def test_an_argument_of_the_wrong_type_is_a_value_error_naming_it(message, call):
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         call()
+
+
+# The walk: each argument of each callable export, replaced by a value of
+# each of these kinds but its own, is refused with a ValidationError that
+# begins with its name, or taken where the argument converts (a number, or
+# the rows of an array or a set) or the kind is None and None is documented.
+# Left out of the walk: the visibility flags, which are constants;
+# ValidationError, the refusal itself; and EvalReport, the result that
+# ``evaluate`` builds, which no function takes.
+_KINDS = {"str": "x", "None": None, "int": 5, "list": ["x"], "object": object()}
+_NOT_WALKED = {"NOT_LABELED", "LABELED_INVISIBLE", "LABELED_VISIBLE", "ValidationError", "EvalReport"}
+# None is each optional argument's default; a loader given None reads the
+# file in the built-in schema that it names.
+_TAKES_NONE = {("load_ground_truth", "schema"), ("load_predictions", "schema")}
+_HEAD = {"w": np.ones((17, 2, 1, 1), np.float32), "b": np.zeros(17, np.float32)}
+
+
+def _valid_calls(tmp) -> dict[str, dict]:
+    """One valid call of each callable export, its arguments by name; the
+    paths are strings that name files in ``tmp``."""
+    gt, head, mapping = (str(tmp / name) for name in ("gt.json", "head.bin", "mapping.json"))
+    return {
+        "Dataset": dict(schema_id="jrdb17", pano=DEFAULT_PANO, frame_ids=["f1"], offsets=[0, 1], ids=["p"],
+                        boxes=_BOX, has_box=[True], scores=[0.5], has_score=[True], keypoints=[_POSE],
+                        has_pose=[True]),
+        "load_ground_truth": dict(path=gt, schema=panopose.builtin_schema("jrdb17")),
+        "load_predictions": dict(path=gt, schema=panopose.builtin_schema("jrdb17")),
+        "save_dataset": dict(ds=_boxed(), path=str(tmp / "out.json")),
+        "decode_heatmaps": dict(values=np.ones((17, 4, 3)), stride=4.0, crop=_CROP),
+        "PanoramaSpec": dict(width=100.0, height=50.0),
+        "apply_transform": dict(transforms=_CROP, points=[[1.0, 2.0]]),
+        "crop_transform": dict(boxes=_BOX, out_w=288.0, out_h=384.0, padding=1.25),
+        "invert_transform": dict(transforms=_CROP),
+        "iou": dict(a=_BOX, b=_BOX),
+        "nms": dict(boxes=_BOX, scores=[0.5], iou_threshold=0.5),
+        "shift_dataset": dict(ds=_boxed(), shift=3.0),
+        "EvalConfig": dict(oks_threshold=0.5, oks_params=_SIGMAS, ospa_cutoff=1.0, ospa_order=1.0),
+        "OksParams": dict(sigmas=(0.1,) * 17),
+        "default_oks_params": dict(schema_id="jrdb17"),
+        "evaluate": dict(preds=_boxed(), gts=_boxed(), config=EvalConfig()),
+        "oks": dict(pred=_POSE, gt=_POSE, params=_SIGMAS, gt_box=_BOX[0]),
+        "ospa": dict(preds=[1], gts=[2], base_distance=lambda p, g: 0.5, cutoff=1.0, order=1.0),
+        "KeypointSchema": dict(id="s", names=("a",)),
+        "SchemaMapping": dict(source_schema="s", target_schema="t", entries=((0,),)),
+        "builtin_schema": dict(schema_id="jrdb17"),
+        "default_mapping": dict(verbatim_table1=False),
+        "load_mapping": dict(path=mapping),
+        "load_tensor_map": dict(path=head),
+        "remap_head_weights": dict(tensors=_HEAD, weight_name="w", mapping=panopose.default_mapping(),
+                                   bias_name="b"),
+        "save_tensor_map": dict(tensors=_HEAD, path=str(tmp / "out.bin")),
+    }
+
+
+# Where a rule words an argument by its documented name: the numeric
+# parameters (errors._check_number), the arrays (geometry._shaped) and the
+# heatmap grid. ``sigma`` begins both ``sigmas`` and ``sigma 0``.
+_NAMES = {("PanoramaSpec", "width"): "panorama width", ("PanoramaSpec", "height"): "panorama height",
+          ("decode_heatmaps", "values"): "grid", ("iou", "a"): "boxes", ("iou", "b"): "boxes",
+          ("nms", "iou_threshold"): "iou threshold", ("crop_transform", "out_w"): "crop width",
+          ("crop_transform", "out_h"): "crop height", ("EvalConfig", "oks_threshold"): "oks threshold",
+          ("EvalConfig", "ospa_cutoff"): "ospa cutoff", ("EvalConfig", "ospa_order"): "ospa order",
+          ("ospa", "cutoff"): "ospa cutoff", ("ospa", "order"): "ospa order", ("OksParams", "sigmas"): "sigma"}
+_WALK = [(export, parameter) for export in panopose.__all__ if export not in _NOT_WALKED
+         for parameter in inspect.signature(getattr(panopose, export)).parameters]
+
+
+@pytest.fixture(scope="module")
+def walk_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("walk")
+    panopose.save_dataset(_boxed(), tmp / "gt.json")
+    panopose.save_tensor_map(_HEAD, tmp / "head.bin")
+    (tmp / "mapping.json").write_text(json.dumps(mapping_doc(panopose.default_mapping())))
+    return tmp
+
+
+def test_the_walk_has_a_valid_call_of_every_callable_export(walk_files):
+    calls = _valid_calls(walk_files)
+    assert sorted(calls) == sorted(set(panopose.__all__) - _NOT_WALKED)
+    for export, arguments in calls.items():
+        assert list(arguments) == list(inspect.signature(getattr(panopose, export)).parameters), export
+        getattr(panopose, export)(**arguments)
+
+
+@pytest.mark.parametrize("export, parameter", _WALK, ids=[f"{e}-{p}" for e, p in _WALK])
+def test_an_argument_of_another_kind_is_taken_or_refused_naming_it(walk_files, export, parameter):
+    valid = _valid_calls(walk_files)[export]
+    name = _NAMES.get((export, parameter), parameter)
+    default = inspect.signature(getattr(panopose, export)).parameters[parameter].default
+    converts = type(valid[parameter]) in (int, float, list, tuple, np.ndarray)
+    faults = []
+    for kind, value in _KINDS.items():
+        if type(value) is type(valid[parameter]):
+            continue
+        try:
+            getattr(panopose, export)(**{**valid, parameter: value})
+            if not (converts or value is None and (default is None or (export, parameter) in _TAKES_NONE)):
+                faults.append((kind, "taken"))
+        except ValidationError as exc:
+            if not str(exc).startswith(name):
+                faults.append((kind, repr(exc)))
+        except Exception as exc:  # noqa: BLE001 - any other type is the fault the walk looks for
+            faults.append((kind, repr(exc)))
+    assert faults == []
+
+
+@pytest.mark.parametrize("export", ["load_ground_truth", "load_predictions", "save_dataset", "load_mapping",
+                                    "load_tensor_map", "save_tensor_map"])
+def test_a_descriptor_number_is_not_a_path(walk_files, export):
+    # open(fd) would read or write the descriptor, then close it.
+    valid = _valid_calls(walk_files)[export]
+    fd = os.open(valid["path"], os.O_RDWR | os.O_CREAT)
+    try:
+        with pytest.raises(ValidationError, match=rf"^path must be str or PathLike, got {fd}$"):
+            getattr(panopose, export)(**{**valid, "path": fd})
+        os.fstat(fd)  # still open
+    finally:
+        os.close(fd)

@@ -39,6 +39,7 @@ from panopose.dataio import (
     _load,
     _number,
     dataset_to_canonical_json,
+    load_ground_truth,
     save_dataset,
 )
 from panopose.decode import decode_heatmaps
@@ -51,6 +52,7 @@ from panopose.geometry import (
     _iou,
     _matching_boxes,
     _nms_rows,
+    _pose_bboxes,
     _ranking,
     crop_transform,
     iou,
@@ -70,7 +72,7 @@ from panopose.metrics import (
     ospa,
     report_json,
 )
-from panopose.schema import COCO17, JRDB17, SchemaMapping, load_mapping
+from panopose.schema import COCO17, JRDB17, KeypointSchema, SchemaMapping, default_mapping, load_mapping
 from panopose.weights import (
     _Container,
     load_tensor_map,
@@ -208,10 +210,10 @@ person_ids = st.none() | st.sampled_from(['"', '\\', 'a"b', "ü", " ", "名前
 
 
 @st.composite
-def column_datasets(draw):
-    """Datasets built from their columns: any mix of id, box, score and pose
-    (box or pose present), K of 0, 1 or 17, and numbers at the edges of the
-    float range."""
+def column_arguments(draw, ids=person_ids, schema_ids=st.just("jrdb17")):
+    """Constructor arguments of a dataset: any mix of id (drawn from
+    ``ids``), box, score and pose (box or pose present), K of 0, 1 or 17,
+    and numbers at the edges of the float range."""
     k = draw(st.sampled_from([0, 1, 17]))
     pose = st.lists(st.tuples(edge_float, edge_float, visibility), min_size=k, max_size=k)
     frame_ids = draw(st.lists(st.text(min_size=1, max_size=3), max_size=4, unique=True))
@@ -221,11 +223,11 @@ def column_datasets(draw):
         st.sampled_from([(True, False), (False, True), (True, True)]), min_size=n, max_size=n,
     ))) if n else ((), ())
     scores = draw(st.lists(st.none() | edge_score, min_size=n, max_size=n))
-    return Dataset(
-        "jrdb17",
-        PanoramaSpec(draw(edge_float.filter(lambda v: v > 0)), draw(st.sampled_from([600.0, 5e-324]))),
-        frame_ids, np.cumsum([0, *sizes]),
-        ids=draw(st.lists(person_ids, min_size=n, max_size=n)),
+    return dict(
+        schema_id=draw(schema_ids),
+        pano=PanoramaSpec(draw(edge_float.filter(lambda v: v > 0)), draw(st.sampled_from([600.0, 5e-324]))),
+        frame_ids=frame_ids, offsets=np.cumsum([0, *sizes]),
+        ids=draw(st.lists(ids, min_size=n, max_size=n)),
         boxes=[draw(edge_box) if has else (0.0, 0.0, 0.0, 0.0) for has in has_box],
         has_box=list(has_box),
         scores=[0.0 if s is None else s for s in scores],
@@ -236,10 +238,34 @@ def column_datasets(draw):
     )
 
 
+def _built(arguments: dict) -> Dataset | None:
+    """The dataset of constructor ``arguments``, or None where it refuses them."""
+    try:
+        return Dataset(**arguments)
+    except ValidationError:
+        return None
+
+
+# Datasets built from their columns (a pose of K = 0 keypoints is refused).
+column_datasets = column_arguments().map(_built).filter(lambda ds: ds is not None)
+
+
 @PROPERTY
-@given(column_datasets())
+@given(column_datasets)
 def test_canonical_json_is_the_per_number_writer(ds):
     assert dataset_to_canonical_json(ds) == _reference_canonical_json(ds)
+
+
+@PROPERTY
+@given(column_arguments(person_ids | st.sampled_from([5, b"p", 0.5]), st.text(max_size=3)))
+def test_every_dataset_the_constructor_takes_is_read_back_from_its_file(tmp_path_factory, arguments):
+    ds = _built(arguments)
+    if ds is None:
+        return
+    names = tuple(str(k) for k in range(max(ds.keypoints.shape[1], 1)))
+    path = tmp_path_factory.getbasetemp() / "written.json"
+    save_dataset(ds, path)
+    assert load_ground_truth(path, KeypointSchema(ds.schema_id, names)) == ds
 
 
 def _labeled(person: dict) -> bool:
@@ -1755,3 +1781,123 @@ def test_the_head_kernel_is_the_mapping_order_mean_bit_for_bit(num_source, dims,
                     assert got[t, j] == column[np.isnan(column.view("<f4"))][0] | 0x00400000
                 else:
                     assert got[t, j] == want[t, j], (name, t, j, entry, hex(got[t, j]), hex(want[t, j]))
+
+
+# -- mirror symmetry -------------------------------------------------------------
+#
+# Mirror takes x to W - x and swaps each "left ..." keypoint with its
+# "right ..." counterpart. Integer coordinates keep W - x exact.
+
+
+def _flip(names: tuple) -> list[int]:
+    """For each keypoint, the index of its mirror image among ``names``."""
+    swap = {"left": "right", "right": "left"}
+    return [names.index(" ".join(swap.get(word, word) for word in name.split())) for name in names]
+
+
+def _mirrored_person(doc: dict, width: float, flip: list[int]) -> dict:
+    mirrored = dict(doc)
+    if "box" in doc:
+        x1, y1, x2, y2 = doc["box"]
+        mirrored["box"] = [width - x2, y1, width - x1, y2]
+    if "pose" in doc:
+        mirrored["pose"] = [[width - doc["pose"][f][0], *doc["pose"][f][1:]] for f in flip]
+    return mirrored
+
+
+def _rounded_person(doc: dict) -> dict:
+    rounded = dict(doc)
+    if "box" in doc:
+        rounded["box"] = [round(c) for c in doc["box"]]
+    if "pose" in doc:
+        rounded["pose"] = [[round(x), round(y), v] for x, y, v in doc["pose"]]
+    return rounded
+
+
+def test_mirror_moves_no_score_of_any_ledger_slice():
+    from synth import SCENE_PANO, reference_scene
+
+    flip = _flip(JRDB17.names)
+    for name, sides in reference_scene().items():
+        scores = []
+        for turn in (lambda p: p, lambda p: _mirrored_person(p, SCENE_PANO.width, flip)):
+            gts, preds = ([(fid, [turn(_rounded_person(p)) for p in persons]) for fid, persons in frames]
+                          for frames in sides)
+            scores.append(evaluate(dataset("jrdb17", SCENE_PANO, preds), dataset("jrdb17", SCENE_PANO, gts)))
+        assert scores[1].ap_05 == scores[0].ap_05, name
+        assert abs(scores[1].ospa_iou - scores[0].ospa_iou) <= 1e-12, name
+
+
+_MIRROR_WIDTH = 2048
+integer_boxes = st.builds(lambda x, y, w, h: (x, y, x + w, y + h), st.integers(-100, 2100),
+                          st.integers(0, 500), st.integers(1, 300), st.integers(1, 300))
+
+
+def _mirrored_boxes(boxes) -> np.ndarray:
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 4)
+    return np.stack([_MIRROR_WIDTH - boxes[:, 2], boxes[:, 1], _MIRROR_WIDTH - boxes[:, 0], boxes[:, 3]], axis=1)
+
+
+@PROPERTY
+@given(st.lists(st.tuples(integer_boxes, st.sampled_from([0.0, 0.3, 0.5, 1.0])), max_size=8),
+       st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+def test_nms_keeps_the_same_rows_of_mirrored_boxes(rows, threshold):
+    boxes = [box for box, _ in rows]
+    scores = [s for _, s in rows]
+    assert nms(_mirrored_boxes(boxes), scores, threshold).tolist() == nms(np.reshape(boxes, (-1, 4)), scores,
+                                                                           threshold).tolist()
+
+
+@PROPERTY
+@given(st.lists(st.tuples(st.integers(-100, 2200), st.integers(-50, 600), visibility),
+                min_size=NUM_KEYPOINTS, max_size=NUM_KEYPOINTS).filter(lambda pose: any(v for _, _, v in pose)),
+       st.sampled_from([0.0, 0.1, 0.25]))
+def test_boxes_from_poses_of_a_mirrored_pose_are_the_mirrored_boxes(pose, margin):
+    # A margin of 0.1 of a side, or the floor of a one-point box, rounds,
+    # so the mirror holds to a nanopixel rather than bit for bit.
+    pano = PanoramaSpec(float(_MIRROR_WIDTH), 512.0)
+    flip = _flip(JRDB17.names)
+    keypoints = np.array([pose], dtype=np.float64)
+    mirrored = np.array([[[_MIRROR_WIDTH - pose[f][0], *pose[f][1:]] for f in flip]], dtype=np.float64)
+    np.testing.assert_allclose(_pose_bboxes(mirrored, margin, pano),
+                               _mirrored_boxes(_pose_bboxes(keypoints, margin, pano)), rtol=0, atol=1e-9)
+
+
+@st.composite
+def peaked_grids(draw):
+    """``[K, h, w]`` grids of small integers with one cell per keypoint above
+    every other, so that no grid has tied maxima."""
+    k, h, w = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    values = np.array(draw(st.lists(st.integers(0, 3), min_size=k * h * w, max_size=k * h * w)),
+                      dtype=np.float64).reshape(k, h, w)
+    for grid in values:
+        grid.flat[draw(st.integers(0, h * w - 1))] = 4.0
+    return values
+
+
+@PROPERTY
+@given(peaked_grids(), integer_boxes, st.sampled_from([4.0, 1.0, 0.3]))
+def test_decode_of_a_grid_reversed_along_x_in_the_mirrored_box_is_the_mirrored_pose(values, box, stride):
+    # The crop's scale and its inverse round, so the mirror holds to a
+    # nanopixel rather than bit for bit.
+    crop = (values.shape[2] * stride, values.shape[1] * stride)
+    kps, conf = decode_heatmaps(values, stride, crop_transform([box], *crop)[0])
+    mirrored, mirrored_conf = decode_heatmaps(values[:, :, ::-1], stride,
+                                              crop_transform(_mirrored_boxes(box), *crop)[0])
+    np.testing.assert_allclose(mirrored, np.column_stack([_MIRROR_WIDTH - kps[:, 0], kps[:, 1:]]),
+                               rtol=0, atol=1e-9)
+    assert mirrored_conf.tolist() == conf.tolist()
+
+
+def test_the_builtin_head_remap_commutes_with_the_mirror_bit_for_bit():
+    # Each averaged target (head, neck, center hip) sums one left and one
+    # right source, and 0.0 + a + b equals 0.0 + b + a. The verbatim table
+    # feeds both hands from the left wrist, so its mirror moves the right
+    # hand to the right wrist.
+    weight = np.random.default_rng(5).standard_normal((17, 3, 2, 1)).astype(np.float32)
+    source_flip, target_flip = _flip(COCO17.names), _flip(JRDB17.names)
+    for verbatim in (False, True):
+        mapping = default_mapping(verbatim)
+        head = remap_head_weights({"w": weight}, "w", mapping)["w"]
+        mirrored = remap_head_weights({"w": weight[source_flip]}, "w", mapping)["w"]
+        assert (mirrored.view(np.uint32) == head[target_flip].view(np.uint32)).all() != verbatim

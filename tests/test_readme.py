@@ -165,6 +165,10 @@ REFUSALS = {
         panopose.Dataset, "jrdb17", DEFAULT_PANO, ["f1"], [0, 2], ids=[None, None], boxes=[_BOX, _BOX],
         has_box=[True, True], scores=[[0.5, 0.5], [0.5, 0.5]], has_score=[True, True], keypoints=[],
         has_pose=[False, False]),
+    "ids must be [1], got shape (0,)": lambda tmp: _raised(
+        panopose.Dataset, "jrdb17", DEFAULT_PANO, ["f1"], [0, 1], ids=[], boxes=[_BOX], has_box=[True],
+        scores=[0.5], has_score=[True], keypoints=[], has_pose=[False]),
+    "path must be str or PathLike, got 3": lambda tmp: _raised(panopose.load_tensor_map, 3),
     "stride must be in (0, inf), got 0.0": lambda tmp: _raised(
         panopose.decode_heatmaps, np.ones((17, 4, 3)), 0.0, _IDENTITY),
     "iou threshold must be in [0, 1], got 7.0": lambda tmp: _raised(panopose.nms, [_BOX], [0.5], 7.0),
