@@ -316,6 +316,7 @@ def _load(source: dict | str | Path, schema: KeypointSchema | None, require_scor
     _kind("schema", schema, KeypointSchema, type(None))
     doc = source if isinstance(source, dict) else _json_object(source)
     _fields(doc, ("schema", "pano", "frames"), (), "document")
+    _kind("schema", doc["schema"], str)
     if schema is None:
         schema = builtin_schema(doc["schema"])
 

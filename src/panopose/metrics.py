@@ -39,8 +39,7 @@ import io
 import json
 import math
 from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, fields
-from operator import attrgetter
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -69,7 +68,7 @@ class OksParams:
         sigmas = _kind("sigmas", self.sigmas, Iterable)
         sigmas = tuple(_check_number(f"sigma {k}", s) for k, s in enumerate(sigmas))
         if not sigmas:
-            raise ValueError("sigmas must be non-empty")
+            raise ValidationError("sigmas must be non-empty")
         object.__setattr__(self, "sigmas", sigmas)
 
 
@@ -163,7 +162,7 @@ def _optimal_cost(matrix: np.ndarray) -> float:
     if m == 0:
         return 0.0
     if not np.isfinite(matrix).all():
-        raise ValueError("cost entries must be finite")
+        raise ValidationError("cost entries must be finite")
     cost = matrix.tolist()
     # Columns are 1-based; column 0 is the root of the path being grown, and
     # owner[j] is the 1-based row that holds column j (0: free).
@@ -189,7 +188,7 @@ def _optimal_cost(matrix: np.ndarray) -> float:
                     if slack[j] < delta:
                         delta, j1 = slack[j], j
             if not j1:  # only when the reduced costs overflow
-                raise ValueError("cost entries too large to assign")
+                raise ValidationError("cost entries too large to assign")
             for j in range(n + 1):
                 if used[j]:
                     u[owner[j]] += delta
@@ -243,7 +242,7 @@ def _check_ospa_params(cutoff: float, order: float) -> None:
     try:
         float(cutoff) ** float(order)
     except OverflowError:
-        raise ValueError(f"ospa cutoff ** order overflows: {cutoff} ** {order}") from None
+        raise ValidationError(f"ospa cutoff ** order overflows: {cutoff} ** {order}") from None
 
 
 def _capped(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:
@@ -251,7 +250,7 @@ def _capped(dist: np.ndarray, cutoff: float, order: float) -> np.ndarray:
     finite and >= 0."""
     valid = (dist >= 0.0) & (dist < np.inf)
     if not valid.all():
-        raise ValueError(f"base distance must be finite and >= 0, got {float(dist[~valid][0])}")
+        raise ValidationError(f"base distance must be finite and >= 0, got {float(dist[~valid][0])}")
     return np.minimum(dist, cutoff) ** order
 
 
@@ -420,31 +419,20 @@ class EvalConfig:
         _check_ospa_params(self.ospa_cutoff, self.ospa_order)
 
 
-@dataclass(frozen=True)
-class FrameStats:
-    ospa_iou: float
-    num_predictions: int
-    num_ground_truths: int
-    num_matched: int
+# The fields of each frame's record, in the order the frame table writes them.
+_FRAME_FIELDS = ("ospa_iou", "num_predictions", "num_ground_truths", "num_matched")
 
 
 @dataclass(frozen=True)
 class EvalReport:
-    """Dataset aggregates plus the per-frame breakdown and a config echo
-    sufficient to re-run the exact evaluation."""
+    """Dataset aggregates, each frame id's record (its set distance and
+    counts, keyed by :data:`_FRAME_FIELDS`) and a config echo sufficient to
+    re-run the exact evaluation."""
 
     ospa_iou: float
     ap_05: float
-    per_frame: dict[str, FrameStats] = field(repr=False)
+    per_frame: dict[str, dict[str, float | int]] = field(repr=False)
     config: dict = field(repr=False)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ospa_iou": self.ospa_iou,
-            "ap_05": self.ap_05,
-            "config": self.config,
-            "per_frame": {fid: dict(vars(s)) for fid, s in sorted(self.per_frame.items())},
-        }
 
 
 def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> EvalReport:
@@ -471,22 +459,17 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
     capped = _capped(1.0 - iou, config.ospa_cutoff, config.ospa_order)
     num_preds = np.bincount(frame, minlength=len(gts.frame_ids)).tolist()
     num_matched = np.bincount(frame[matched], minlength=len(gts.frame_ids)).tolist()
-    per_frame: dict[str, FrameStats] = {}
+    per_frame = {}
     stop = 0
     # Dataset keeps frames in sorted-id order.
     for fid, m, n, k in zip(gts.frame_ids, num_preds, np.diff(gts.offsets).tolist(), num_matched):
         start, stop = stop, stop + m * n
-        per_frame[fid] = FrameStats(
-            ospa_iou=_ospa_capped(capped[start:stop].reshape(m, n),
-                                  config.ospa_cutoff, config.ospa_order),
-            num_predictions=m,
-            num_ground_truths=n,
-            num_matched=k,
-        )
+        value = _ospa_capped(capped[start:stop].reshape(m, n), config.ospa_cutoff, config.ospa_order)
+        per_frame[fid] = dict(zip(_FRAME_FIELDS, (value, m, n, k)))
 
     # Summed in frame order by ``cumsum``: Python 3.12's ``sum`` compensates
     # and can differ in the last bit.
-    ospa_values = [stats.ospa_iou for stats in per_frame.values()]
+    ospa_values = [record["ospa_iou"] for record in per_frame.values()]
     mean_ospa = float(np.cumsum(ospa_values)[-1] / len(ospa_values)) if ospa_values else 0.0
     ap = _ap_101(matched[ranked], len(gts.ids))
 
@@ -503,15 +486,14 @@ def evaluate(preds: Dataset, gts: Dataset, config: EvalConfig | None = None) -> 
 
 def report_json(report: EvalReport) -> str:
     """The full JSON report: aggregates, config echo and per-frame stats."""
-    return json.dumps(report.to_json_dict(), indent=2, sort_keys=True) + "\n"
+    return json.dumps(vars(report), indent=2, sort_keys=True) + "\n"
 
 
 def frame_table_csv(report: EvalReport) -> str:
-    """One CSV row per frame: frame_id, then the :class:`FrameStats` fields."""
+    """One CSV row per frame: frame_id, then the fields of its record."""
     text = io.StringIO()
     writer = csv.writer(text)
-    names = [f.name for f in fields(FrameStats)]
-    stats = attrgetter(*names)
-    writer.writerow(["frame_id", *names])
-    writer.writerows([fid, *stats(s)] for fid, s in sorted(report.per_frame.items()))
+    writer.writerow(["frame_id", *_FRAME_FIELDS])
+    writer.writerows([fid, *(record[f] for f in _FRAME_FIELDS)]
+                     for fid, record in sorted(report.per_frame.items()))
     return text.getvalue()

@@ -33,11 +33,11 @@ class KeypointSchema:
         names = _kind("names", self.names, list, tuple)
         object.__setattr__(self, "names", tuple(_kind(f"name {k}", n, str) for k, n in enumerate(names)))
         if not _kind("id", self.id, str):
-            raise ValueError("schema id must be non-empty")
+            raise ValidationError("schema id must be non-empty")
         if not self.names:
-            raise ValueError("schema must have at least one keypoint")
+            raise ValidationError("schema must have at least one keypoint")
         if len(set(self.names)) != len(self.names):
-            raise ValueError(f"schema {self.id!r} has duplicate keypoint names")
+            raise ValidationError(f"schema {self.id!r} has duplicate keypoint names")
 
     def __len__(self) -> int:
         return len(self.names)
@@ -172,8 +172,8 @@ def load_mapping(path: str | Path) -> SchemaMapping:
     object names a key twice."""
     doc = _json_object(Path(_kind("path", path, str, os.PathLike)))
     _fields(doc, ("source_schema", "target_schema", "entries"), (), "mapping file")
-    source = builtin_schema(doc["source_schema"])
-    target = builtin_schema(doc["target_schema"])
+    source, target = (builtin_schema(_kind(name, doc[name], str))
+                      for name in ("source_schema", "target_schema"))
     return _mapping_from_entries(source, target, doc["entries"])
 
 

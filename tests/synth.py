@@ -160,7 +160,11 @@ def reference_scene(seed: int = 17) -> dict[str, tuple[list, list]]:
       one close to the first of them.
     - ``sigma_scale``: keypoint errors of 0.5 to 3 times sigma_i * sqrt(area).
     - ``right_edge``: detections whose boxes end at the right edge, decoded
-      from heatmaps to keypoints beyond it, against poses across the seam."""
+      from heatmaps to keypoints beyond it, against poses across the seam.
+    - ``seam_near``: ground truths 8 px wide with a stored box, wholly left
+      of the seam, and predictions of the same keypoints moved 10 px right,
+      which land wholly right of it. No pose straddles the seam. Drawn from
+      a generator of its own, so the slices before it keep their numbers."""
     rng = np.random.default_rng(seed)
     w = SCENE_PANO.width
     sigmas = np.array(default_oks_params("jrdb17").sigmas)
@@ -215,4 +219,13 @@ def reference_scene(seed: int = 17) -> dict[str, tuple[list, list]]:
         preds.append(person(box=box, pose=_decoded(rng, box, _jittered(rng, pose, 2.0)),
                             score=rng.uniform(0.5, 1.0)))
     frame("right_edge", 0, gts, preds)
+    near = np.random.default_rng(seed + 1)
+    for n in range(2):
+        gts, preds = [], []
+        for y in (150.0, 330.0):
+            # x in [w - 9, w - 1] and y within 20 px of the centre.
+            pose = random_pose(near, 0.0, 0.0, 1.0) * (4.0, 20.0, 1.0) + (w - 5.0, y, 0.0)
+            gts.append(person(box=(w - 10.0, y - 25.0, w, y + 25.0), pose=pose))
+            preds.append(person(pose=_wrapped(pose + (10.0, 0.0, 0.0), w), score=near.uniform(0.5, 1.0)))
+        frame("seam_near", n, gts, preds)
     return scene

@@ -568,6 +568,25 @@ class TestIntegerLiteralsTooLong:
         assert not out.exists()
 
 
+class TestSchemaField:
+    # A file's schema id is named as the file's field, not as a parameter.
+    @pytest.mark.parametrize("field", ["schema", "source_schema", "target_schema"])
+    def test_a_schema_field_that_is_not_a_string_is_named(self, tmp_path, capsys, field):
+        data, mapping, out = tmp_path / "d.json", tmp_path / "m.json", tmp_path / "o.bin"
+        if field == "schema":
+            data.write_text(json.dumps(json.loads(dataset_to_canonical_json(_one_box())) | {field: 5}))
+            argv, path = ["shift", "--in", str(data), "--out", str(out), "--shift", "0"], data
+        else:
+            save_tensor_map({"head.weight": np.zeros((17, 2, 1, 1), np.float32)}, tmp_path / "w.bin")
+            mapping.write_text(json.dumps(mapping_doc(default_mapping()) | {field: 5}))
+            argv = ["remap-weights", "--src", str(tmp_path / "w.bin"), "--out", str(out),
+                    "--mapping", str(mapping), "--weight-name", "head.weight"]
+            path = mapping
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {path}: {field} must be str, got 5\n")
+        assert not out.exists()
+
+
 class TestNms:
     def test_single_box_passthrough(self, tmp_path):
         ds = _one_box()
@@ -1291,6 +1310,24 @@ class TestOutputsLandTogether:
         assert stat.S_IMODE(old.stat().st_mode) == 0o604
         assert stat.S_IMODE(new.stat().st_mode) == 0o640
         assert old.read_bytes() == new.read_bytes()
+
+    @pytest.mark.parametrize("output", ["dataset", "report", "table", "container"])
+    def test_a_target_in_a_cycle_of_links_is_named(self, tmp_path, capsys, output):
+        # The descriptor lookup gives up after as many links as Linux follows.
+        save_dataset(_one_box(), tmp_path / "d.json")
+        save_tensor_map({"head.weight": np.zeros((17, 2, 1, 1), np.float32)}, tmp_path / "w.bin")
+        out, other = tmp_path / "a", tmp_path / "b"
+        out.symlink_to(other)
+        other.symlink_to(out)
+        argv = {"dataset": ["nms", "--pred", str(tmp_path / "d.json"), "--out", str(out)],
+                "report": self._eval_argv(tmp_path, out, tmp_path / "t.csv"),
+                "table": self._eval_argv(tmp_path, tmp_path / "r.json", out),
+                "container": ["remap-weights", "--src", str(tmp_path / "w.bin"), "--out", str(out),
+                              "--weight-name", "head.weight"]}[output]
+        before = _files_in(tmp_path)
+        assert run(argv) == 1
+        assert capsys.readouterr() == ("", f"error: {out}: {os.strerror(errno.ELOOP)}\n")
+        assert _files_in(tmp_path) == before
 
     def test_a_target_name_of_the_longest_length_is_written(self, tmp_path):
         # The new file's name does not grow with the target's.

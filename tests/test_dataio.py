@@ -99,6 +99,12 @@ class TestTypes:
         with pytest.raises(ValidationError, match=match):
             Dataset(**_columns(**changes))
 
+    def test_a_dataset_equals_no_other_type(self):
+        ds = Dataset(**_columns())
+        assert ds.__eq__(object()) is NotImplemented
+        assert ds != "f1"
+        assert ds == Dataset(**_columns())
+
     def test_constructor_zeroes_missing_values(self):
         kps = np.ones((2, 17, 3))
         ds = Dataset(**_columns(offsets=[0, 2], ids=["a", None], boxes=[[0, 0, 1, 1], [7, 7, 7, 7]],
@@ -255,6 +261,20 @@ class TestLoading:
         text = _doc([{"pose": [[1.0, 1.0, 2]] * 17}, person])
         with pytest.raises(ValidationError, match=r"^frame 'f1', person 1: " + match):
             _load(text, JRDB17, False)
+
+    @pytest.mark.parametrize("schema", [JRDB17, None], ids=["given", "from-file"])
+    @pytest.mark.parametrize(
+        "changes, match",
+        [
+            ({"schema": 5}, r"^schema must be str, got 5$"),
+            ({"schema": None}, r"^schema must be str, got None$"),
+            ({"frames": {"f1": []}}, r"^frames must be a list$"),
+        ],
+        ids=["schema-int", "schema-null", "frames-object"],
+    )
+    def test_a_header_field_of_the_wrong_type_is_named(self, schema, changes, match):
+        with pytest.raises(ValidationError, match=match):
+            _load(json.dumps(json.loads(_doc([])) | changes), schema, False)
 
     def test_parse_error(self):
         with pytest.raises(ValidationError, match="parse error"):

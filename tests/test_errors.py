@@ -1,15 +1,17 @@
-"""Each kind of input fault is refused with a ``ValueError`` that names the
-input: a numeric parameter outside its interval, also when it is NaN, an
+"""Each kind of input fault is refused with a ``ValidationError`` that names
+the input: a numeric parameter outside its interval, also when it is NaN, an
 integer beyond float range (which ``math.isfinite`` and ``float`` refuse
 with ``OverflowError``) or not a number at all; an array of the wrong shape
 or that numpy cannot convert; and an argument of the wrong type, walked over
-every argument of every export."""
+every argument of every export. So is a value that a value rule refuses, and
+no module raises a bare ``ValueError`` or ``TypeError``."""
 
 import inspect
 import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,6 +119,41 @@ def test_an_array_of_the_wrong_shape_is_refused_naming_the_argument(message, cal
 def test_an_array_numpy_cannot_convert_is_refused_naming_the_argument(shape, call):
     with pytest.raises(ValidationError, match=rf"^{re.escape(shape)} numbers \(.+\)$"):
         call()
+
+
+def _five_keypoints():
+    """A prediction of 5 keypoints and a ground truth of 17, both jrdb17:
+    the loader refuses such a file, the constructor takes it."""
+    pred = Dataset("jrdb17", DEFAULT_PANO, ["f1"], [0, 1], ids=[None], boxes=[[0.0] * 4], has_box=[False],
+                   scores=[0.5], has_score=[True], keypoints=[_POSE[:5]], has_pose=[True])
+    return pred, dataset("jrdb17", DEFAULT_PANO, [("f1", [person(pose=_POSE)])])
+
+
+@pytest.mark.parametrize("message, call", [
+    ("schema id must be non-empty", lambda: KeypointSchema("", ("a",))),
+    ("schema must have at least one keypoint", lambda: KeypointSchema("x", ())),
+    ("schema 'x' has duplicate keypoint names", lambda: KeypointSchema("x", ("a", "a"))),
+    ("sigmas must be non-empty", lambda: OksParams(())),
+    ("ospa cutoff ** order overflows: 1e+200 ** 2.0", lambda: EvalConfig(ospa_cutoff=1e200, ospa_order=2.0)),
+    ("base distance must be finite and >= 0, got -1.0", lambda: ospa([1], [2], lambda p, g: -1.0)),
+    ("panorama mismatch between predictions and ground truth",
+     lambda: evaluate(dataset("jrdb17", PanoramaSpec(200.0, 50.0), [("f1", [person(box=_BOX[0], score=0.5)])]),
+                      _boxed())),
+    ("frame 'f1', person 0: pose length mismatch: 5 vs 17", lambda: evaluate(*_five_keypoints())),
+], ids=["empty-schema-id", "no-keypoints", "duplicate-names", "no-sigmas", "ospa-overflow",
+        "negative-distance", "panorama", "pose-length"])
+def test_a_value_a_rule_refuses_is_a_validation_error(message, call):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_no_module_raises_a_bare_value_error_or_type_error():
+    # README promises a ValidationError for malformed input of any kind.
+    package = Path(panopose.__file__).resolve().parent
+    bare = [f"{path.name}:{n}" for path in sorted(package.glob("*.py"))
+            for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(r"raise (ValueError|TypeError)\(", line)]
+    assert bare == []
 
 
 @pytest.mark.parametrize("message, call", [

@@ -265,8 +265,8 @@ class TestOspa:
             ospa([0], [1], failing, **params)
 
 
-# A call that must raise ValueError, and a pattern of the message, which names
-# the parameter or the entries at fault.
+# A call that must raise ValidationError, and a pattern of the message, which
+# names the parameter or the entries at fault.
 NO_SPIN_CASES = [
     ("ospa([0], [1], lambda a, b: 0.5, order=math.nan)", r"ospa order must be in \[1, inf\), got nan"),
     ("ospa([0], [1], lambda a, b: 1.5, cutoff=2.0, order=math.inf)",
@@ -286,13 +286,14 @@ NO_SPIN_CASES = [
 NO_SPIN_PROBE = """
 import math, sys
 import numpy as np
+from panopose.errors import ValidationError
 from panopose.metrics import EvalConfig, _optimal_cost, ospa
 try:
     eval(sys.argv[1])
-except ValueError as exc:
+except ValidationError as exc:
     print(exc)
 else:
-    sys.exit("no ValueError")
+    sys.exit("no ValidationError")
 """
 
 
@@ -320,7 +321,7 @@ class TestOspaIouFrame:
 
     def _ospa(self, pred_persons, gt_persons):
         preds, gts = _single_frame_datasets(gt_persons, pred_persons)
-        return evaluate(preds, gts).per_frame["f1"].ospa_iou
+        return evaluate(preds, gts).per_frame["f1"]["ospa_iou"]
 
     def test_identical_frames(self):
         frame = self._frame((0, 0, 10, 10), (20, 20, 30, 40))
@@ -475,7 +476,7 @@ class TestEvaluate:
         # as Python 3.12's ``sum`` makes, would give 1.0 and a mean of 0.1.
         gts = dataset("jrdb17", PANO, [(f"f{i}", [person(pose=_pose17())]) for i in range(10)])
         report = evaluate(dataset("jrdb17", PANO, []), gts, EvalConfig(ospa_cutoff=0.1))
-        assert [stats.ospa_iou for stats in report.per_frame.values()] == [0.1] * 10
+        assert [record["ospa_iou"] for record in report.per_frame.values()] == [0.1] * 10
         assert report.ospa_iou == 0.09999999999999999
 
     def test_report_echoes_config(self):
@@ -526,11 +527,11 @@ class TestEvaluate:
         persons = [person(pose=_pose17(), score=0.7)]
         preds, gts = _single_frame_datasets(persons, persons)
         report = evaluate(preds, gts)
-        stats = report.per_frame["f1"]
-        assert stats.num_predictions == 1
-        assert stats.num_ground_truths == 1
-        assert stats.num_matched == 1
-        assert stats.ospa_iou == 0.0
+        record = report.per_frame["f1"]
+        assert record["num_predictions"] == 1
+        assert record["num_ground_truths"] == 1
+        assert record["num_matched"] == 1
+        assert record["ospa_iou"] == 0.0
 
     def test_one_matching_box_per_person(self, monkeypatch):
         import panopose.metrics as metrics

@@ -886,7 +886,7 @@ def test_batched_matching_and_set_metric_are_the_frame_loop(frames, chunk):
         # The set metric is symmetric: a frame without predictions keeps its
         # ground truths as the rows of its list form.
         ospa_iou = _reference_ospa((dist if len(p) else dist.T).tolist(), 1.0, 1.0)
-        assert _bits([report.per_frame[fid].ospa_iou]) == _bits([ospa_iou])
+        assert _bits([report.per_frame[fid]["ospa_iou"]]) == _bits([ospa_iou])
 
 
 def _assert_frame_matches(matches, preds, gts, expected):
@@ -1064,7 +1064,7 @@ def test_report_is_the_person_by_person_oracle(schema_id, frames, threshold, set
     mean, ap, per_frame = _reference_evaluate(
         schema_id, [(fid, p, g) for fid, p, _, g in frames], config)
 
-    doc = report.to_json_dict()
+    doc = vars(report)
     assert doc["ap_05"] == ap
     assert abs(doc["ospa_iou"] - mean) <= 1e-12
     assert doc["config"] == {
@@ -1126,7 +1126,7 @@ def test_benchmark_shaped_scene_is_the_person_by_person_oracle(seed):
     gts = dataset("jrdb17", DEFAULT_PANO, [(fid, g) for fid, _, g in frames])
     with mock.patch.object(metrics, "_oks", wraps=metrics._oks) as kernel, \
             mock.patch.object(metrics, "_optimal_cost", wraps=metrics._optimal_cost) as solver:
-        report = evaluate(preds, gts).to_json_dict()
+        report = vars(evaluate(preds, gts))
     mean, ap, per_frame = _reference_evaluate("jrdb17", frames, EvalConfig())
 
     assert report["ap_05"] == ap

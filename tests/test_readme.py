@@ -96,7 +96,7 @@ _IDENTITY = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
 
 
 def _raised(call, *args, **kwargs) -> str:
-    with pytest.raises(ValueError) as info:
+    with pytest.raises(panopose.ValidationError) as info:
         call(*args, **kwargs)
     return str(info.value)
 
@@ -146,6 +146,8 @@ def _boxed(**fields):
 # message of a library call, or the error line of a command. A quote that
 # ends a longer message is the end of what the call says.
 REFUSALS = {
+    "schema must be str, got 5": lambda tmp: _raised(
+        panopose.load_ground_truth, _file(tmp, _dataset_doc([], schema=5)), None),
     "pano must be an object": lambda tmp: _raised(
         panopose.load_ground_truth, _file(tmp, _dataset_doc([], pano=1)), panopose.builtin_schema("jrdb17")),
     "entries: missing field(s) ['neck']": lambda tmp: _raised(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -141,6 +142,20 @@ class TestMappingFiles:
         doc = mapping_doc(default_mapping())
         doc["entries"]["neck"] = ["left shoulderz"]
         with pytest.raises(ValidationError, match="no keypoint named"):
+            load_mapping(_write(tmp_path / "mapping.json", doc))
+
+    @pytest.mark.parametrize("key", ["source_schema", "target_schema"])
+    @pytest.mark.parametrize("value", [5, None, ["coco17"]], ids=["int", "null", "list"])
+    def test_a_schema_field_that_is_not_a_string_is_named(self, tmp_path, key, value):
+        doc = mapping_doc(default_mapping()) | {key: value}
+        with pytest.raises(ValidationError, match=rf"^{key} must be str, got {re.escape(repr(value))}$"):
+            load_mapping(_write(tmp_path / "mapping.json", doc))
+
+    @pytest.mark.parametrize("sources", [[], "left shoulder", None], ids=["empty", "string", "null"])
+    def test_an_entry_that_is_not_a_non_empty_list_is_refused(self, tmp_path, sources):
+        doc = mapping_doc(default_mapping())
+        doc["entries"]["neck"] = sources
+        with pytest.raises(ValidationError, match=r"^entry for 'neck' must be a non-empty list of names$"):
             load_mapping(_write(tmp_path / "mapping.json", doc))
 
     @pytest.mark.parametrize("key, value", [("head", '["nose"]'), ("target_schema", '"jrdb17"')])

@@ -18,7 +18,7 @@ def _scores(gt_frames: list, pred_frames: list) -> dict:
     gts = dataset("jrdb17", SCENE_PANO, gt_frames)
     preds = dataset("jrdb17", SCENE_PANO, pred_frames)
     report = evaluate(preds, gts)
-    matched = sum(stats.num_matched for stats in report.per_frame.values())
+    matched = sum(record["num_matched"] for record in report.per_frame.values())
     return {"ospa_iou": report.ospa_iou, "ap_05": report.ap_05, "matched": matched,
             "unmatched_predictions": len(preds.ids) - matched,
             "unmatched_ground_truths": len(gts.ids) - matched}
