@@ -68,7 +68,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import RowError, ValidationError, _fields, _first, _json_object, _kind, _where
+from .errors import RowError, ValidationError, _direct, _fields, _first, _json_object, _kind, _regular, _where
 from .geometry import PanoramaSpec, _box_rule, _score_rule, _shaped
 from .schema import KeypointSchema, builtin_schema
 
@@ -400,6 +400,10 @@ def dataset_to_canonical_json(ds: Dataset) -> str:
 
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
-    """Write the canonical form: identical datasets produce identical bytes."""
-    _kind("ds", ds, Dataset)
-    Path(_kind("path", path, str, os.PathLike)).write_text(dataset_to_canonical_json(ds), encoding="utf-8")
+    """Write the canonical form: identical datasets produce identical bytes. A regular file
+    is emptied first (:func:`errors._regular`); a FIFO, a device or a descriptor is written at its position."""
+    text = dataset_to_canonical_json(_kind("ds", ds, Dataset)).encode("utf-8")
+    with _direct(_kind("path", path, str, os.PathLike)) as fh:
+        if _regular(fh, path):
+            fh.truncate()
+        fh.write(text)

@@ -1,7 +1,7 @@
 """Shared exception types, the one JSON reader of the input formats
-(:func:`_json_object`), the one way a fault names its file (:func:`_in_file`),
-the one test for an output that names a descriptor (:func:`_descriptor`) and
-the one opener of an output that is not staged (:func:`_direct`).
+(:func:`_json_object`), the one way a fault names its file (:func:`_in_file`)
+and the one descriptor test (:func:`_descriptor`), opener (:func:`_direct`)
+and regular-file test (:func:`_regular`) of an output that is not staged.
 
 One rule words each kind of input fault that needs no numpy: an argument of
 the wrong type (:func:`_kind`), a numeric parameter (:func:`_check_number`),
@@ -12,6 +12,7 @@ rule, ``geometry._shaped``, needs numpy."""
 import json
 import math
 import os
+import stat
 from bisect import bisect_right
 from pathlib import Path
 from typing import Any, BinaryIO, Callable, Iterable, Sequence
@@ -162,3 +163,10 @@ def _direct(path: str | Path) -> BinaryIO:
     fd = _descriptor(path)
     return open(path, "wb", opener=lambda name, _: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666)
                 if fd is None else os.dup(fd))
+
+
+def _regular(fh: BinaryIO, path: str | Path) -> os.stat_result | None:
+    """The status of ``fh``, which :func:`_direct` opened on ``path``, when it is a regular file,
+    written from its start; None for a FIFO, a device or a descriptor, written at its position."""
+    opened = os.fstat(fh.fileno())
+    return opened if stat.S_ISREG(opened.st_mode) and _descriptor(path) is None else None

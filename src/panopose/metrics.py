@@ -391,11 +391,8 @@ def _check_pair(preds: Dataset, gts: Dataset) -> None:
 def _ap_101(tp_flags: Sequence[bool], num_gt: int) -> float:
     if num_gt == 0:
         return 1.0 if not len(tp_flags) else 0.0
-    if not len(tp_flags):
-        return 0.0
     tp = np.cumsum(np.asarray(tp_flags, dtype=np.float64))
-    ranks = np.arange(1, len(tp_flags) + 1, dtype=np.float64)
-    precision = tp / ranks
+    precision = tp / np.arange(1.0, len(tp) + 1.0)
     recall = tp / num_gt
     envelope = np.maximum.accumulate(precision[::-1])[::-1]
     idx = np.searchsorted(recall, np.linspace(0.0, 1.0, 101), side="left")

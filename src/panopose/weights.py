@@ -39,14 +39,13 @@ import errno
 import json
 import math
 import os
-import stat
 import struct
 from collections.abc import Mapping
 from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
-from .errors import ValidationError, _descriptor, _direct, _fields, _json_object, _kind
+from .errors import ValidationError, _direct, _fields, _json_object, _kind, _regular
 from .schema import SchemaMapping, check_entries
 
 if TYPE_CHECKING:
@@ -238,15 +237,15 @@ def _write_container(
     copied through one bounded buffer. Memory does not grow with the
     container either way.
 
-    A regular file is written in place, without truncating it first: the
-    length prefix is written as zeros, the file is cut to its new size after
-    the payload, and the real prefix comes last. Until then a reader refuses
-    the file as a malformed header, so a write that stops part-way over an
-    old container never leaves one that mixes old and new tensors. A FIFO, a
-    device or a descriptor (:func:`errors._descriptor`) is written in one
-    pass, prefix first, and is left as it is by a failed write, which
-    removes the partial file only where ``path`` opened a regular file: a
-    symbolic link ``path`` stays."""
+    A regular file (:func:`errors._regular`) is written in place, without
+    truncating it first: the length prefix is written as zeros, the file is
+    cut to its new size after the payload, and the real prefix comes last.
+    Until then a reader refuses the file as a malformed header, so a write
+    that stops part-way over an old container never leaves one that mixes
+    old and new tensors. A FIFO, a device or a descriptor is written in one
+    pass at its position, prefix first, and is left as it is by a failed
+    write, which removes the partial file only where ``path`` opened a
+    regular file: a symbolic link ``path`` stays."""
     layout = {} if src is None else {name: entry[:2] for name, entry in src.entries.items()}
     layout.update((name, (tag, shape)) for name, (tag, shape, _) in tensors.items())
     header: dict[str, dict] = {}
@@ -261,12 +260,11 @@ def _write_container(
     kernel = hasattr(os, "copy_file_range")
     buffer = None
     fh = _direct(path)
-    regular = False
+    opened = None
     try:
         with fh:  # closed, flush failure or not, before the file is removed
-            opened = os.fstat(fh.fileno())
-            regular = stat.S_ISREG(opened.st_mode) and _descriptor(path) is None
-            fh.write(bytes(len(prefix)) if regular else prefix)
+            opened = _regular(fh, path)
+            fh.write(bytes(len(prefix)) if opened else prefix)
             fh.write(header_bytes)
             for name in header:
                 if name in tensors:
@@ -279,12 +277,12 @@ def _write_container(
                     buffer = buffer or memoryview(bytearray(_COPY_BUFFER_BYTES))
                     for part in src.chunks(name, buffer):
                         fh.write(part)
-            if regular:
+            if opened:
                 fh.flush()
                 os.ftruncate(fh.fileno(), len(prefix) + len(header_bytes) + offset)
                 os.pwrite(fh.fileno(), prefix, 0)
     except BaseException:
-        if regular:
+        if opened:
             real = os.path.realpath(path)
             with suppress(OSError):
                 if os.path.samestat(os.lstat(real), opened):
@@ -343,7 +341,9 @@ def remap_head_weights(
     _kind("weight_name", weight_name, str)
     _kind("mapping", mapping, SchemaMapping)
     _kind("bias_name", bias_name, str, type(None))
-    remapped = {name: _read_only(values) for name, values in _kind("tensors", tensors, Mapping).items()}
+    remapped = {name: np.asarray(values).view() for name, values in _kind("tensors", tensors, Mapping).items()}
+    for view in remapped.values():
+        view.flags.writeable = False
 
     def raw(name: str) -> _Raw | None:
         if name not in remapped:
@@ -357,15 +357,6 @@ def remap_head_weights(
     remapped.update((name, np.frombuffer(data, _DTYPES[tag]).reshape(shape))
                     for name, (tag, shape, data) in head.items())
     return remapped
-
-
-def _read_only(values: ArrayLike) -> NDArray:
-    """A read-only view of ``values``, whose own flags stay as they are."""
-    import numpy as np
-
-    view = np.asarray(values).view()
-    view.flags.writeable = False
-    return view
 
 
 def _head_tensor(raw: Callable[[str], _Raw | None], name: str) -> tuple[tuple[int, ...], bytes]:

@@ -1,4 +1,10 @@
 import json
+import os
+import stat
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,9 +20,10 @@ from panopose.dataio import (
 )
 from panopose.errors import ValidationError
 from panopose.geometry import PanoramaSpec
-from panopose.schema import JRDB17
+from panopose.schema import JRDB17, KeypointSchema, builtin_schema
 
 PANO = PanoramaSpec(2000.0, 600.0)
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 
 
 def _pose17(x0=100.0, y0=200.0):
@@ -371,3 +378,88 @@ class TestCanonicalForm:
         ds = _dataset(("f1", [person(pose=kps)]))
         back = _load(dataset_to_canonical_json(ds), JRDB17, False)
         assert back == ds
+
+
+class TestSaveTarget:
+    """``save_dataset`` opens its target as every output that is not staged
+    is opened (``errors._direct``): a regular file is emptied and written
+    from its start, and a FIFO or a descriptor is written at its position."""
+
+    def _ds(self):
+        return _dataset(("f1", [person(pose=_pose17(), score=0.5)]), ("f2", [person(box=(1, 2, 3, 4))]))
+
+    def test_dev_stdout_keeps_what_was_printed_before(self, tmp_path):
+        # Opened anew, /dev/stdout redirected to a file would be truncated,
+        # and the line printed before would be lost.
+        script = ("import sys\n"
+                  "from panopose.dataio import _load, save_dataset\n"
+                  "from panopose.schema import JRDB17\n"
+                  "ds = _load(sys.argv[1], JRDB17, False)\n"
+                  "print('HEADER-LINE', flush=True)\n"
+                  "save_dataset(ds, '/dev/stdout')\n")
+        text = dataset_to_canonical_json(self._ds())
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(SRC_DIR) + os.pathsep + env.get("PYTHONPATH", "")
+        captured = tmp_path / "out"
+        with open(captured, "wb") as stdout:
+            proc = subprocess.run([sys.executable, "-c", script, text], stdout=stdout,
+                                  stderr=subprocess.PIPE, env=env)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert captured.read_bytes() == b"HEADER-LINE\n" + text.encode("utf-8")
+
+    def test_an_old_longer_file_ends_equal_to_a_fresh_save_and_keeps_its_mode(self, tmp_path):
+        fresh, old = tmp_path / "fresh.json", tmp_path / "old.json"
+        save_dataset(self._ds(), fresh)
+        old.write_bytes(b"x" * (3 * fresh.stat().st_size))
+        old.chmod(0o604)
+        save_dataset(self._ds(), old)
+        assert old.read_bytes() == fresh.read_bytes()
+        assert stat.S_IMODE(old.stat().st_mode) == 0o604
+
+    def test_a_new_file_follows_the_umask(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            save_dataset(self._ds(), tmp_path / "new.json")
+        finally:
+            os.umask(umask)
+        assert stat.S_IMODE((tmp_path / "new.json").stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+    def test_a_fifo_receives_the_canonical_bytes_and_stays_a_fifo(self, tmp_path):
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        received = []
+
+        def read():
+            with open(fifo, "rb") as fh:
+                received.append(fh.read())
+
+        reader = threading.Thread(target=read, daemon=True)
+        reader.start()
+        save_dataset(self._ds(), fifo)
+        reader.join(10)
+        assert not reader.is_alive()
+        assert received == [dataset_to_canonical_json(self._ds()).encode("utf-8")]
+        assert fifo.is_fifo()
+
+    def test_a_directory_is_refused_as_the_loaders_refuse_it(self, tmp_path):
+        # An OSError, as the loaders raise for a file they cannot read, not
+        # a ValidationError.
+        with pytest.raises(IsADirectoryError):
+            save_dataset(self._ds(), tmp_path)
+        with pytest.raises(IsADirectoryError):
+            load_ground_truth(tmp_path, JRDB17)
+
+
+def test_a_saved_dataset_reads_back_in_a_schema_of_its_id_and_keypoint_count(tmp_path):
+    # The constructor checks a file's value rules, not the pose length of a
+    # built-in schema: a 5-keypoint jrdb17 dataset is saved, read back in a
+    # 5-keypoint schema named jrdb17, and refused by the built-in one.
+    ds = Dataset("jrdb17", PANO, ["f1"], [0, 1], ids=[None], boxes=[[0.0, 0.0, 0.0, 0.0]], has_box=[False],
+                 scores=[0.0], has_score=[False], keypoints=[[[1.0, 2.0, 2]] * 5], has_pose=[True])
+    path = tmp_path / "d.json"
+    save_dataset(ds, path)
+    assert load_ground_truth(path, KeypointSchema("jrdb17", tuple("abcde"))) == ds
+    with pytest.raises(ValidationError) as info:
+        load_ground_truth(path, builtin_schema("jrdb17"))
+    assert str(info.value) == "frame 'f1', person 0: pose has 5 keypoints, schema 'jrdb17' expects 17"

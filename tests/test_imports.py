@@ -74,3 +74,23 @@ def test_only_errors_words_a_field_fault():
               if isinstance(node, ast.Constant) and isinstance(node.value, str)
               and any(words in node.value for words in wording)}
     assert saying == {"errors.py"}
+
+
+def _calls(tree, name):
+    """The calls in ``tree`` of a function or method named ``name``."""
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+            and (node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", None)) == name]
+
+
+def test_only_errors_opens_an_output_and_tests_it_for_a_regular_file():
+    # ``errors._direct`` opens every output that is not staged, and
+    # ``errors._regular`` alone says whether the file it opened is a regular
+    # one, written from its start: no module writes through ``Path``'s
+    # ``write_text`` or ``write_bytes``, which truncate a descriptor's file,
+    # and no function but that one asks an opened file (``os.fstat``)
+    # whether it is regular (``S_ISREG``).
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in PACKAGE.glob("*.py")}
+    assert [name for name, tree in trees.items() if _calls(tree, "write_text") or _calls(tree, "write_bytes")] == []
+    testing = {(name, node.name) for name, tree in trees.items() for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef) and _calls(node, "fstat") and _calls(node, "S_ISREG")}
+    assert testing == {("errors.py", "_regular")}

@@ -30,6 +30,7 @@ import numpy as np
 import pytest
 from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
+from coco import PANOPOSE, coco_ap, matching_box
 from synth import DEFAULT_PANO, dataset, mapping_doc, person, random_pose
 
 from panopose import cli, metrics
@@ -275,7 +276,7 @@ def _labeled(person: dict) -> bool:
 @PROPERTY
 @given(predictions, ground_truths)
 def test_oks_matrix_agrees_with_scalar_reference(preds, gts):
-    boxes = [_reference_person_box(g.get("box"), g.get("pose")) for g in gts]
+    boxes = [matching_box(g.get("box"), g.get("pose")) for g in gts]
     rows = [p for p in preds if "pose" in p]
     cols = [j for j, g in enumerate(gts) if _labeled(g)]
     for p in rows:
@@ -614,41 +615,6 @@ def test_nms_over_several_blocks_is_the_greedy_loop():
         assert nms(boxes, scores, threshold).tolist() == expected
 
 
-def _floored_span(lo: float, hi: float) -> tuple[float, float]:
-    if hi - lo >= 1e-9:
-        return lo, hi
-    mid = 0.5 * (lo + hi)
-    return mid - 0.5 * 1e-9, mid + 0.5 * 1e-9
-
-
-def _checked_box(x1: float, y1: float, x2: float, y2: float) -> tuple:
-    """The box, if it passes the box rule on Python floats; else ValueError
-    with the rule's message."""
-    for v in (x1, y1, x2, y2):
-        if not math.isfinite(v):
-            raise ValueError(f"non-finite box field {v!r}")
-    area = (x2 - x1) * (y2 - y1)
-    if not (x1 < x2 and y1 < y2 and 0.0 < area < math.inf):
-        raise ValueError(f"degenerate box ({x1}, {y1}, {x2}, {y2}): area {area!r} must be positive and finite")
-    return (x1, y1, x2, y2)
-
-
-def _reference_person_box(box, pose) -> tuple:
-    """The matching-box rule, one person at a time: its ``box`` when given,
-    else a box of its ``pose`` rows."""
-    if box is not None:
-        return _checked_box(*box)
-    kps = np.array(pose, dtype=np.float64)
-    pts = kps[kps[:, 2] > 0]
-    if not len(pts):
-        pts = kps
-    x1, y1, _ = np.minimum.reduce(pts).tolist()
-    x2, y2, _ = np.maximum.reduce(pts).tolist()
-    x1, x2 = _floored_span(x1, x2)
-    y1, y2 = _floored_span(y1, y2)
-    return _checked_box(x1, y1, x2, y2)
-
-
 def _people(num_kps: int):
     centre = st.one_of(st.floats(-1e4, 1e4), st.sampled_from([3e6, -1e300, 1e308]))
     # Offsets below 1e-9 give extents the 1e-9 floor widens.
@@ -681,7 +647,7 @@ def test_matching_boxes_are_the_person_box_loop_bit_for_bit(persons):
     has_box = np.array([box is not None for box, _ in persons], dtype=bool)
     keypoints = np.array([kps for _, kps in persons] or np.zeros((0, 1, 3)))
     try:
-        expected = [_reference_person_box(box, kps) for box, kps in persons]
+        expected = [matching_box(box, kps) for box, kps in persons]
     except ValueError as exc:
         with pytest.raises(ValueError, match=re.escape(str(exc))):
             _matching_boxes(boxes, has_box, keypoints)
@@ -984,7 +950,7 @@ def _reference_evaluate(schema_id, frames, config):
         best = None
         for j, gt in enumerate(gts):
             if "pose" in pred and _labeled(gt) and (fid, j) not in taken:
-                area = _area(_reference_person_box(gt.get("box"), gt["pose"]))
+                area = _area(matching_box(gt.get("box"), gt["pose"]))
                 value = _reference_oks(pred["pose"], gt["pose"], area, sigmas)
                 if best is None or value > best[0]:
                     best = (value, j)
@@ -994,7 +960,7 @@ def _reference_evaluate(schema_id, frames, config):
 
     per_frame = {}
     for fid in sorted(frames):
-        boxes = [[_reference_person_box(p.get("box"), p.get("pose")) for p in side]
+        boxes = [[matching_box(p.get("box"), p.get("pose")) for p in side]
                  for side in frames[fid]]
         m, n = map(len, boxes)
         if not (m and n):
@@ -1066,6 +1032,9 @@ def test_report_is_the_person_by_person_oracle(schema_id, frames, threshold, set
 
     doc = vars(report)
     assert doc["ap_05"] == ap
+    # COCO's evaluation with each of README's departures switched on.
+    coco_frames = [(fid, p if kept else [], g) for fid, p, kept, g in frames]
+    assert abs(coco_ap(coco_frames, default_oks_params(schema_id).sigmas, threshold, **PANOPOSE) - ap) <= 1e-12
     assert abs(doc["ospa_iou"] - mean) <= 1e-12
     assert doc["config"] == {
         "schema": schema_id,

@@ -138,6 +138,15 @@ def _mapping_file(tmp: Path, drop: str | None = None, **changes) -> Path:
     return _file(tmp, doc)
 
 
+def _saved(tmp: Path, pose) -> Path:
+    """The file ``save_dataset`` writes for a jrdb17 dataset of one person
+    with ``pose``, built by the constructor."""
+    ds = panopose.Dataset("jrdb17", DEFAULT_PANO, ["f1"], [0, 1], ids=[None], boxes=[_BOX], has_box=[False],
+                          scores=[0.0], has_score=[False], keypoints=[pose], has_pose=[True])
+    save_dataset(ds, tmp / "saved.json")
+    return tmp / "saved.json"
+
+
 def _boxed(**fields):
     return dataset("jrdb17", DEFAULT_PANO, [("f1", [person(box=_BOX, **fields)])])
 
@@ -181,6 +190,8 @@ REFUSALS = {
     "config must be EvalConfig or None, got 'x'": lambda tmp: _raised(
         evaluate, _boxed(score=0.5), _boxed(), "x"),
     "frame 'f1', person 0: prediction without score": lambda tmp: _raised(evaluate, _boxed(), _boxed()),
+    "frame 'f1', person 0: pose has 5 keypoints, schema 'jrdb17' expects 17": lambda tmp: _raised(
+        panopose.load_ground_truth, _saved(tmp, [[1.0, 2.0, 2]] * 5), panopose.builtin_schema("jrdb17")),
 }
 
 
@@ -190,7 +201,7 @@ def _quoted_refusals() -> list[str]:
     text = re.sub(r"```.*?```", "", README.read_text(encoding="utf-8"), flags=re.DOTALL)
     spans = (" ".join(span.split()) for span in re.findall(r"`([^`]+)`", text))
     return [span for span in spans if "<" not in span
-            and re.search(r"must be|field\(s\)|without score|got an", span)]
+            and re.search(r"must be|field\(s\)|without score|got an|expects", span)]
 
 
 def test_every_refusal_readme_quotes_is_the_packages_text(tmp_path):
