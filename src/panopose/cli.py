@@ -268,7 +268,7 @@ def _land(outputs: list[tuple[str, str]]) -> None:
                 _in_file(path, _write, fh, text, mode)
         for path, text, real, _ in targets:
             if real is None:
-                _in_file(path, _write, _in_file(path, _direct, path), text)
+                _in_file(path, _write, _in_file(path, _direct, path)[0], text)
         while staged:
             path, new, real = staged[0]
             _in_file(path, os.replace, new, real)

@@ -68,7 +68,7 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
-from .errors import RowError, ValidationError, _direct, _fields, _first, _json_object, _kind, _regular, _where
+from .errors import RowError, ValidationError, _direct, _fields, _first, _json_object, _kind, _where
 from .geometry import PanoramaSpec, _box_rule, _score_rule, _shaped
 from .schema import KeypointSchema, builtin_schema
 
@@ -401,9 +401,10 @@ def dataset_to_canonical_json(ds: Dataset) -> str:
 
 def save_dataset(ds: Dataset, path: str | Path) -> None:
     """Write the canonical form: identical datasets produce identical bytes. A regular file
-    is emptied first (:func:`errors._regular`); a FIFO, a device or a descriptor is written at its position."""
+    is emptied first; a FIFO, a device or a descriptor is written at its position (:func:`errors._direct`)."""
     text = dataset_to_canonical_json(_kind("ds", ds, Dataset)).encode("utf-8")
-    with _direct(_kind("path", path, str, os.PathLike)) as fh:
-        if _regular(fh, path):
+    fh, regular = _direct(_kind("path", path, str, os.PathLike))
+    with fh:
+        if regular:
             fh.truncate()
         fh.write(text)

@@ -1,7 +1,7 @@
 """Shared exception types, the one JSON reader of the input formats
 (:func:`_json_object`), the one way a fault names its file (:func:`_in_file`)
-and the one descriptor test (:func:`_descriptor`), opener (:func:`_direct`)
-and regular-file test (:func:`_regular`) of an output that is not staged.
+and the one descriptor test (:func:`_descriptor`) and opener (:func:`_direct`)
+of an output that is not staged, which says whether it opened a regular file.
 
 One rule words each kind of input fault that needs no numpy: an argument of
 the wrong type (:func:`_kind`), a numeric parameter (:func:`_check_number`),
@@ -158,15 +158,12 @@ def _descriptor(path: str | Path) -> int | None:
     return None
 
 
-def _direct(path: str | Path) -> BinaryIO:
-    """A duplicate of the descriptor ``path`` names, else ``path`` opened to write, created and not truncated."""
+def _direct(path: str | Path) -> tuple[BinaryIO, os.stat_result | None]:
+    """A duplicate of the descriptor ``path`` names, else ``path`` opened to write, created and not truncated;
+    with its status when ``path`` opened a regular file, written from its start, and None for a descriptor,
+    a FIFO or a device, written at its position. ``path``'s links are walked once, so the two agree."""
     fd = _descriptor(path)
-    return open(path, "wb", opener=lambda name, _: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666)
-                if fd is None else os.dup(fd))
-
-
-def _regular(fh: BinaryIO, path: str | Path) -> os.stat_result | None:
-    """The status of ``fh``, which :func:`_direct` opened on ``path``, when it is a regular file,
-    written from its start; None for a FIFO, a device or a descriptor, written at its position."""
+    fh = open(path, "wb", opener=lambda name, _: os.open(name, os.O_WRONLY | os.O_CREAT, 0o666)
+              if fd is None else os.dup(fd))
     opened = os.fstat(fh.fileno())
-    return opened if stat.S_ISREG(opened.st_mode) and _descriptor(path) is None else None
+    return fh, opened if fd is None and stat.S_ISREG(opened.st_mode) else None

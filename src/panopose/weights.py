@@ -45,7 +45,7 @@ from contextlib import suppress
 from pathlib import Path
 from typing import TYPE_CHECKING, BinaryIO, Callable, Iterator, Sequence
 
-from .errors import ValidationError, _direct, _fields, _json_object, _kind, _regular
+from .errors import ValidationError, _direct, _fields, _json_object, _kind
 from .schema import SchemaMapping, check_entries
 
 if TYPE_CHECKING:
@@ -237,7 +237,7 @@ def _write_container(
     copied through one bounded buffer. Memory does not grow with the
     container either way.
 
-    A regular file (:func:`errors._regular`) is written in place, without
+    A regular file (as :func:`errors._direct` says) is written in place, without
     truncating it first: the length prefix is written as zeros, the file is
     cut to its new size after the payload, and the real prefix comes last.
     Until then a reader refuses the file as a malformed header, so a write
@@ -259,11 +259,9 @@ def _write_container(
     prefix = struct.pack("<Q", len(header_bytes))
     kernel = hasattr(os, "copy_file_range")
     buffer = None
-    fh = _direct(path)
-    opened = None
+    fh, opened = _direct(path)
     try:
         with fh:  # closed, flush failure or not, before the file is removed
-            opened = _regular(fh, path)
             fh.write(bytes(len(prefix)) if opened else prefix)
             fh.write(header_bytes)
             for name in header:

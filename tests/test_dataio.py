@@ -442,6 +442,23 @@ class TestSaveTarget:
         assert received == [dataset_to_canonical_json(self._ds()).encode("utf-8")]
         assert fifo.is_fifo()
 
+    def test_a_link_retargeted_to_a_descriptor_after_the_open_still_has_its_file_emptied(
+            self, tmp_path, retarget_at_fstat):
+        # The open decides: a link that named a regular file when it was
+        # opened, and names a descriptor before the status of what it opened
+        # is read, gets that file emptied, and the descriptor's file is left.
+        link, old, held_path = tmp_path / "link.json", tmp_path / "old.json", tmp_path / "held"
+        longer = _dataset(*[(f"f{n}", [person(pose=_pose17(), score=0.5)]) for n in range(4)])
+        save_dataset(longer, old)
+        link.symlink_to(old)
+        with open(held_path, "wb") as held:
+            retarget_at_fstat(link, f"/dev/fd/{held.fileno()}")
+            save_dataset(self._ds(), link)
+            assert os.readlink(link) == f"/dev/fd/{held.fileno()}"
+        assert old.read_bytes() == dataset_to_canonical_json(self._ds()).encode("utf-8")
+        assert _load(old.read_text(encoding="utf-8"), JRDB17, False) == self._ds()
+        assert held_path.read_bytes() == b""
+
     def test_a_directory_is_refused_as_the_loaders_refuse_it(self, tmp_path):
         # An OSError, as the loaders raise for a file they cannot read, not
         # a ValidationError.

@@ -2,9 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from synth import SCENE_PANO, dataset, reference_scene
 
 from panopose.decode import decode_heatmaps
-from panopose.geometry import crop_transform
+from panopose.geometry import CROP_HEIGHT, CROP_WIDTH, crop_transform
+from panopose.metrics import OksParams, default_oks_params, oks
 
 IDENTITY = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
@@ -120,3 +122,31 @@ class TestDecode:
         cx, cy = 244.0, 242.0  # the box center
         assert math.isclose(kps[0, 0], cx + 2.0, abs_tol=1e-9)
         assert math.isclose(kps[0, 1], cy + 2.0, abs_tol=1e-9)
+
+
+@pytest.mark.parametrize("name, error, worst", [
+    ("right_edge", 0.829, {1: (0.950, 0.987), 2: (0.987, 0.997)}),
+    ("sigma_scale", 1.105, {1: (0.967, 0.990), 2: (0.992, 0.997)}),
+])
+def test_what_a_quarter_cell_costs_in_oks_at_panorama_scale(name, error, worst):
+    # README's stride/4 bound is 1 crop px per axis at stride 4 (a 72 x 96
+    # grid for the 288 x 384 crop, padding 1.25); each ground truth's crop
+    # scales it to panorama px. Every labeled keypoint moved that far on
+    # both axes gives the worst keypoint term exp(-d^2 / (2 s^2 k^2)) and
+    # the worst pose OKS, for k = sigma (as scored today) and k = 2 sigma
+    # (COCO's).
+    gts = dataset("jrdb17", SCENE_PANO, reference_scene()[name][0])
+    assert gts.has_box.all()
+    crops = crop_transform(gts.boxes, CROP_WIDTH, CROP_HEIGHT, 1.25)
+    off = 1.0 / np.stack([crops[:, 0, 0], crops[:, 1, 1]], axis=1)
+    d2 = (off ** 2).sum(axis=1)
+    assert round(math.sqrt(d2.max()), 3) == error
+    areas = (gts.boxes[:, 2] - gts.boxes[:, 0]) * (gts.boxes[:, 3] - gts.boxes[:, 1])
+    sigmas = np.array(default_oks_params("jrdb17").sigmas)
+    for k, (term, pose) in worst.items():
+        labeled = gts.keypoints[:, :, 2] > 0
+        terms = np.exp(-d2[:, None] / (2.0 * areas[:, None] * (k * sigmas) ** 2))
+        assert round(float(terms[labeled].min()), 3) == term
+        poses = [oks(np.column_stack([kps[:, :2] + moved, kps[:, 2]]), kps, OksParams(tuple(k * sigmas)), gt_box)
+                 for kps, moved, gt_box in zip(gts.keypoints, off, gts.boxes)]
+        assert round(min(poses), 3) == pose

@@ -18,6 +18,7 @@ import pytest
 from synth import DEFAULT_PANO, dataset, mapping_doc, person
 
 import panopose
+from panopose import errors
 from panopose import (
     Dataset,
     EvalConfig,
@@ -287,3 +288,14 @@ def test_a_descriptor_number_is_not_a_path(walk_files, export):
         os.fstat(fd)  # still open
     finally:
         os.close(fd)
+
+
+@pytest.mark.parametrize("export", ["save_dataset", "save_tensor_map"])
+def test_a_library_writer_walks_the_links_of_its_path_once(walk_files, export, monkeypatch):
+    # One walk decides both what is opened and whether it is written as a
+    # regular file, so a link retargeted between two walks cannot split them.
+    walked = []
+    descriptor = errors._descriptor
+    monkeypatch.setattr(errors, "_descriptor", lambda path: walked.append(path) or descriptor(path))
+    getattr(panopose, export)(**_valid_calls(walk_files)[export])
+    assert len(walked) == 1

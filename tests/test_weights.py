@@ -425,3 +425,25 @@ class TestTensorMap:
         _write_container(path, {"t": {"dtype": "u8", "shape": [1] * 65, "begin": 0, "end": 1}}, b"\x00")
         with pytest.raises(ValidationError, match=r"^tensor 't': unsupported shape \(1, "):
             load_tensor_map(path)
+
+    def test_a_link_retargeted_to_a_regular_file_after_the_open_is_written_at_the_descriptors_position(
+            self, tmp_path, retarget_at_fstat):
+        # The open decides: a link that named a descriptor when it was opened,
+        # and names a regular file before the status of what it opened is
+        # read, is written in one pass at the descriptor's position, and the
+        # regular file is left.
+        tensors = {"w": _constant_channel_weight(), "b": np.arange(3, dtype=np.float32)}
+        link, log, other, fresh = (tmp_path / name for name in ("link.bin", "log", "other", "fresh.bin"))
+        save_tensor_map(tensors, fresh)
+        other.write_bytes(b"OTHER\n")
+        with open(log, "wb") as held:
+            held.write(b"HEADER\n")
+            held.flush()
+            link.symlink_to(f"/dev/fd/{held.fileno()}")
+            retarget_at_fstat(link, other)
+            save_tensor_map(tensors, link)
+            assert os.readlink(link) == str(other)
+        assert log.read_bytes() == b"HEADER\n" + fresh.read_bytes()
+        (tmp_path / "tail.bin").write_bytes(log.read_bytes()[len(b"HEADER\n"):])
+        assert same_tensors(load_tensor_map(tmp_path / "tail.bin"), tensors)
+        assert other.read_bytes() == b"OTHER\n"
