@@ -48,10 +48,16 @@ lists, each set to evaluate as panopose does:
 - ``no_max_dets``: every detection of an image is kept;
 - ``first_of_equals``: of ground truths of equal OKS, the first is kept;
 - ``scored_without_ground_truth``: with no ground truth that counts, AP is
-  1.0 without detections and 0.0 with some.
+  1.0 without detections and 0.0 with some;
+- ``uncapped_threshold``: OKS is compared with the threshold itself, not
+  with ``min(threshold, 1 - 1e-10)``.
 
-With all of them set, :func:`coco_ap` is panopose's ``ap_05``; with all of
-them cleared, it is COCO's.
+With all of them set, :func:`coco_ap` gives panopose's ``ap_05`` within
+1e-12; not bit for bit, since precision here divides by ``tp + fp + eps``
+and AP is ``np.mean`` of the 101 values. With all of them cleared, it is
+COCO's. The per-image pass (:func:`evaluate_images`) and the accumulation
+(:func:`accumulate`) are also called apart, where a test needs each
+image's matches as well as AP.
 """
 
 from __future__ import annotations
@@ -121,8 +127,9 @@ def coco_oks(pred_pose, gt: dict, sigmas, k_is_sigma: bool = False) -> float:
     return float(np.sum(np.exp(-e)) / len(e))
 
 
-def _evaluate_image(preds: list, gts: list, sigmas, threshold: float, *, k_is_sigma: bool,
-                    count_unmatchable: bool, no_max_dets: bool, first_of_equals: bool):
+def _evaluate_image(preds: list, gts: list, sigmas, threshold: float, *, k_is_sigma: bool = False,
+                    count_unmatchable: bool = False, no_max_dets: bool = False, first_of_equals: bool = False,
+                    uncapped_threshold: bool = False):
     """``evaluateImg``: the kept detections as ``(score, matched, ignored)``
     in score order, and the count of ground truths not ignored."""
     unlabeled = [not any(v > 0 for _, _, v in g.get("pose", [])) for g in gts]
@@ -134,7 +141,7 @@ def _evaluate_image(preds: list, gts: list, sigmas, threshold: float, *, k_is_si
     taken: set[int] = set()
     kept = []
     for i in dt_order:
-        best, m = min(threshold, 1 - 1e-10), None
+        best, m = threshold if uncapped_threshold else min(threshold, 1 - 1e-10), None
         for j in gt_order:
             if j in taken:
                 continue
@@ -152,19 +159,19 @@ def _evaluate_image(preds: list, gts: list, sigmas, threshold: float, *, k_is_si
     return kept, ignored.count(False)
 
 
-def coco_ap(frames, sigmas, threshold: float = 0.5, *, k_is_sigma: bool = False,
-            count_unmatchable: bool = False, no_max_dets: bool = False, first_of_equals: bool = False,
-            scored_without_ground_truth: bool = False) -> float | None:
-    """AP at OKS ``threshold`` of ``frames``, ``(frame id, predictions,
-    ground truths)`` triples of ``synth.person`` documents, with the
-    switches of the module docstring."""
-    detections, counted = [], 0
-    for _, preds, gts in sorted(frames, key=lambda frame: frame[0]):
-        kept, num = _evaluate_image(preds, gts, sigmas, threshold, k_is_sigma=k_is_sigma,
-                                    count_unmatchable=count_unmatchable, no_max_dets=no_max_dets,
-                                    first_of_equals=first_of_equals)
-        detections += kept
-        counted += num
+def evaluate_images(frames, sigmas, threshold: float = 0.5, **switches) -> list:
+    """``evaluateImg`` of each of ``frames``, ``(frame id, predictions,
+    ground truths)`` triples of ``synth.person`` documents: ``(frame id,
+    kept detections, count of ground truths not ignored)`` in sorted frame id
+    order, with the switches of the module docstring."""
+    return [(fid, *_evaluate_image(preds, gts, sigmas, threshold, **switches))
+            for fid, preds, gts in sorted(frames, key=lambda frame: frame[0])]
+
+
+def accumulate(images: list, scored_without_ground_truth: bool = False) -> float | None:
+    """``accumulate``: AP of the :func:`evaluate_images` of some frames."""
+    detections = [det for _, kept, _ in images for det in kept]
+    counted = sum(num for _, _, num in images)
     if not counted:
         return (0.0 if detections else 1.0) if scored_without_ground_truth else None
     detections.sort(key=lambda det: -det[0])
@@ -177,6 +184,15 @@ def coco_ap(frames, sigmas, threshold: float = 0.5, *, k_is_sigma: bool = False,
     q[idx < len(recall)] = precision[idx[idx < len(recall)]]
     return float(np.mean(q))
 
+
+def coco_ap(frames, sigmas, threshold: float = 0.5, *, scored_without_ground_truth: bool = False,
+            **switches) -> float | None:
+    """AP at OKS ``threshold`` of ``frames``, ``(frame id, predictions,
+    ground truths)`` triples of ``synth.person`` documents, with the
+    switches of the module docstring."""
+    return accumulate(evaluate_images(frames, sigmas, threshold, **switches), scored_without_ground_truth)
+
+
 # Every switch set: panopose's rules.
 PANOPOSE = {"k_is_sigma": True, "count_unmatchable": True, "no_max_dets": True, "first_of_equals": True,
-            "scored_without_ground_truth": True}
+            "scored_without_ground_truth": True, "uncapped_threshold": True}

@@ -9,7 +9,7 @@ import pytest
 from coco import PANOPOSE, coco_ap, coco_oks
 from synth import DEFAULT_PANO, dataset, person
 
-from panopose.metrics import COCO_SIGMAS, OksParams, default_oks_params, evaluate, oks
+from panopose.metrics import COCO_SIGMAS, EvalConfig, OksParams, default_oks_params, evaluate, oks
 
 SIGMAS = default_oks_params("jrdb17").sigmas
 # A spread pose: keypoint i at (100 + 5i, 100 + 8i), all labeled.
@@ -24,15 +24,15 @@ def _gt(dx: float = 0.0) -> dict:
     return person(pose=_moved(dx), box=(90.0 + dx, 90.0, 190.0 + dx, 240.0))
 
 
-def _panopose_ap(frames) -> float:
+def _panopose_ap(frames, threshold: float = 0.5) -> float:
     """``evaluate``'s ``ap_05`` of oracle frames."""
     preds = dataset("jrdb17", DEFAULT_PANO, [(fid, p) for fid, p, _ in frames])
     gts = dataset("jrdb17", DEFAULT_PANO, [(fid, g) for fid, _, g in frames])
-    return evaluate(preds, gts).ap_05
+    return evaluate(preds, gts, EvalConfig(threshold)).ap_05
 
 
-def _assert_panopose(frames) -> None:
-    assert abs(coco_ap(frames, SIGMAS, **PANOPOSE) - _panopose_ap(frames)) <= 1e-12
+def _assert_panopose(frames, threshold: float = 0.5) -> None:
+    assert abs(coco_ap(frames, SIGMAS, threshold, **PANOPOSE) - _panopose_ap(frames, threshold)) <= 1e-12
 
 
 def test_oks_falls_off_with_twice_sigma():
@@ -95,6 +95,21 @@ def test_a_later_ground_truth_of_equal_oks_replaces_an_earlier_one():
     frames = [("f", [person(pose=tied, score=0.9), person(pose=close, score=0.8)], [first, later])]
     assert coco_ap(frames, SIGMAS) == pytest.approx(1.0, abs=1e-12)
     assert coco_ap(frames, SIGMAS, first_of_equals=True) == pytest.approx(51 / 101, abs=1e-12)
+
+
+def test_at_threshold_one_an_oks_within_1e_10_of_one_matches():
+    # Every keypoint 3e-5 px off on the 100 x 150 box: with k_i = sigma_i,
+    # OKS is 1 - mean_i(9e-10 / sigma_i^2 / 15000 / 2) = 1 - 1.23e-11. COCO
+    # compares it with min(1, 1 - 1e-10) and matches; compared with 1
+    # itself, as panopose compares, it matches nothing.
+    pred = _moved(3e-5)
+    deficit = 1.0 - coco_oks(pred, _gt(), SIGMAS, k_is_sigma=True)
+    assert deficit == pytest.approx(9e-10 / 15000 / 2 * np.mean(np.power(SIGMAS, -2.0)), rel=1e-4)
+    frames = [("f", [person(pose=pred, score=0.9)], [_gt()])]
+    assert coco_ap(frames, SIGMAS, 1.0) == pytest.approx(1.0, abs=1e-12)
+    assert coco_ap(frames, SIGMAS, 1.0, uncapped_threshold=True) == 0.0
+    assert coco_ap(frames, SIGMAS, 1.0, **PANOPOSE | {"uncapped_threshold": False}) == pytest.approx(1.0, abs=1e-12)
+    _assert_panopose(frames, 1.0)
 
 
 def test_precision_is_made_monotone_from_the_right_and_read_at_101_recall_points():

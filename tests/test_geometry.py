@@ -130,9 +130,12 @@ class TestBboxFromPose:
         pose = _pose((5, 5, 2), (1995, 595, 2))
         assert _bbox(pose, 0.1) == (0, 0, PANO.width, PANO.height)
 
-    def test_single_keypoint_yields_a_valid_box(self):
-        x1, y1, x2, y2 = _bbox(_pose((50, 60, 2)), 0.0)
-        assert x1 < x2 and y1 < y2
+    # A single labeled point gets the 1e-9-wide box around it; at an edge of
+    # the panorama, the box keeps its width and stays inside [0, W].
+    @pytest.mark.parametrize("x, x1, x2", [(500.0, 499.9999999995, 500.0000000005), (0.0, 0.0, 1e-9),
+                                           (PANO.width, 1999.999999999, PANO.width)])
+    def test_single_keypoint_yields_a_valid_box(self, x, x1, x2):
+        assert _bbox(_pose((x, 200.0, 2)), 0.0) == (x1, 199.9999999995, x2, 200.0000000005)
 
 
 def _matching_box(box, pose):

@@ -1,5 +1,7 @@
+import functools
 import json
 import math
+import operator
 import os
 import re
 import subprocess
@@ -438,6 +440,20 @@ class TestApAtOks:
             for i in range(40)
         ])
         assert _ap(preds, gts, self.PARAMS, 0.5) == 51 / 101
+
+    def test_the_101_precisions_are_added_one_after_another(self):
+        # Hits at ranks 2, 4, 6, 7, 8 and 9 of 9 over 6 ground truths: made
+        # monotone from the right, precision is 6/9 at every rank, so each of
+        # the 101 recall points reads 2/3. Added one after another from 0.0
+        # they make 0.666666666666666 of the 101, where a pairwise sum
+        # (np.sum, np.mean) makes 0.6666666666666669.
+        gt_persons = [person(pose=_pose17(x0=100.0 + 250.0 * k)) for k in range(6)]
+        misses = [person(pose=_pose17(x0=100.0 + 250.0 * k, y0=450.0)) for k in range(3)]
+        ranked = misses[:1] + gt_persons[:1] + misses[1:2] + gt_persons[1:2] + misses[2:] + gt_persons[2:]
+        pred_persons = [p | {"score": 1.0 - 0.1 * k} for k, p in enumerate(ranked)]
+        preds, gts = _single_frame_datasets(gt_persons, pred_persons)
+        assert functools.reduce(operator.add, [2 / 3] * 101, 0.0) / 101 == 0.666666666666666
+        assert _ap(preds, gts, self.PARAMS, 0.5) == 0.666666666666666
 
     def test_missing_prediction_frames_count_as_empty(self):
         gts = dataset("jrdb17", PANO, [("f1", [person(pose=_pose17())]),
