@@ -6,8 +6,9 @@ continuous IoU, greedy NMS, and the affine crop onto a fixed network input.
 Coordinates are continuous pixels. Boxes are half-open real-valued
 rectangles with a positive, finite area, so areas and IoU are continuous
 quantities rather than pixel counts. The panorama wraps horizontally with
-period ``PanoramaSpec.width``; stored boxes never wrap (persons whose shifted
-box would cross the seam are dropped by :func:`shift_dataset`).
+period W = ``PanoramaSpec.width``; :func:`_wrap` takes x modulo W into [0, W).
+Stored boxes never wrap (:func:`shift_dataset` drops the persons it would
+move across the seam).
 
 Every function takes a :class:`~panopose.dataio.Dataset` or arrays as it
 holds them: boxes are ``[N, 4]`` ``(x1, y1, x2, y2)`` rows and affine transforms are
@@ -313,25 +314,32 @@ def _matching_boxes(boxes: np.ndarray, has_box: np.ndarray, keypoints: np.ndarra
     return rows
 
 
+def _wrap(x: Any, w: float) -> np.ndarray:
+    """``x`` modulo the panorama width ``w`` in [0, w), the one wrap rule of x:
+    a remainder that rounds up to ``w`` (that of a tiny negative ``x``) is 0."""
+    r = np.remainder(x, w)
+    return np.where(r < w, r, 0.0)
+
+
 def shift_dataset(ds: "Dataset", shift: float) -> "Dataset":
-    """Cyclically shift all x coordinates by ``shift`` pixels, reduced modulo
-    the panorama width first, so 0 and any multiple of the width are exact
-    identities. Persons whose matching box would cross the seam are removed;
-    y coordinates are unchanged."""
+    """Cyclically shift all x coordinates by ``shift`` pixels, taking each sum
+    modulo the panorama width W into [0, W) by :func:`_wrap`. The shift itself
+    is wrapped first, so one that wraps to 0 (a multiple of W, or -1e-20) is
+    the identity. Persons whose matching box would end beyond W, across the seam,
+    are removed; y coordinates are unchanged."""
     from .dataio import Dataset
 
     w = float(_kind("ds", ds, Dataset).pano.width)
-    s = _check_number("shift", shift, -math.inf) % w
+    s = _wrap(_check_number("shift", shift, -math.inf), w)
     if s == 0.0:
         return ds
     ref = _located(ds.frame_ids, ds.offsets, _matching_boxes, ds.boxes, ds.has_box, ds.keypoints)
-    keep = ~(np.remainder(ref[:, 0] + s, w) + (ref[:, 2] - ref[:, 0]) > w)
-    b = ds.boxes
-    x1 = np.remainder(b[:, 0] + s, w)
-    boxes = np.stack([x1, b[:, 1], x1 + (b[:, 2] - b[:, 0]), b[:, 3]], axis=1)
+    x1 = _wrap(ref[:, 0] + s, w)  # a stored box is its own matching box; _with zeroes the rest
+    x2 = x1 + (ref[:, 2] - ref[:, 0])
     keypoints = ds.keypoints.copy()
-    keypoints[:, :, 0] = np.remainder(keypoints[:, :, 0] + s, w)
-    return ds._with(keep.nonzero()[0], boxes=boxes, keypoints=keypoints)
+    keypoints[:, :, 0] = _wrap(keypoints[:, :, 0] + s, w)
+    return ds._with((x2 <= w).nonzero()[0], boxes=np.stack([x1, ref[:, 1], x2, ref[:, 3]], axis=1),
+                    keypoints=keypoints)
 
 
 def crop_transform(

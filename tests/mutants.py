@@ -17,7 +17,14 @@ Run it from anywhere; pytest does not collect this file::
         --sample 40 --seed 1 -- tests/test_metrics.py tests/test_coco.py
 
 It prints the killed and survived counts, then each survivor as
-``file:line: old -> new``. Progress goes to stderr.
+``file:line: old -> new``, and apart from them each survivor that
+``EQUIVALENT`` lists, with its reason. It exits 1 when a survivor is not
+listed, and 0 otherwise. Progress goes to stderr.
+
+``EQUIVALENT`` holds the mutants accepted as equivalent: each changes no
+result that a test could check. An entry is keyed by the module, the
+innermost function, the mutated line's stripped text and ``old -> new``, so
+it holds when lines move; it does not tell apart two equal tokens of one line.
 """
 
 from __future__ import annotations
@@ -43,6 +50,19 @@ SWAPS = {
     "+": "-", "-": "+", "*": "/", "/": "*", "and": "or", "or": "and",
     "0": "1", "1": "0", "2": "1", "0.5": "1.0", "0.0": "1.0", "1.0": "0.0",
 }
+EQUIVALENT = {
+    ("panopose.metrics", "_optimal_cost", "u = [0.0] * (m + 1)", "0.0 -> 1.0"):
+        "equal row potentials shift every reduced cost of a row alike, and the cost is read from the matrix",
+    ("panopose.metrics", "_optimal_cost", "v = [0.0] * (n + 1)", "0.0 -> 1.0"):
+        "equal column potentials shift every reduced cost alike, and the cost is read from the matrix",
+    ("panopose.metrics", "_optimal_cost", "way = [0] * (n + 1)", "0 -> 1"):
+        "way[j] is set whenever slack[j] first falls from inf, before the path is flipped back through it",
+    ("panopose.geometry", "crop_transform", "np.where(w * out_h > h * out_w, w * (out_h / out_w), h) * padding)",
+     "> -> >="):
+        "at the exact aspect tie w * (out_h / out_w) is h up to rounding, so growing h to it leaves h",
+    ("panopose.geometry", "_floored_spans", "wide = hi - lo >= _MIN_EXTENT", ">= -> >"):
+        "at hi - lo == _MIN_EXTENT the floored span, mid -/+ _MIN_EXTENT / 2, is (lo, hi) up to rounding",
+}
 
 
 def _mutated(lines: list[str], mutant: tuple[int, int, str, str]) -> str:
@@ -51,12 +71,22 @@ def _mutated(lines: list[str], mutant: tuple[int, int, str, str]) -> str:
     return "".join(lines[:row - 1]) + line[:col] + new + line[col + len(old):] + "".join(lines[row:])
 
 
+def _defs(source: str) -> list[ast.AST]:
+    return [node for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _function(defs: list[ast.AST], row: int) -> str:
+    """The name of the innermost of ``defs`` that holds line ``row``, or ``""``."""
+    spans = [(node.lineno, node.name) for node in defs if node.lineno <= row <= node.end_lineno]
+    return max(spans)[1] if spans else ""
+
+
 def mutants(source: str, functions: list[str]) -> tuple[list[tuple[int, int, str, str]], int]:
     """The ``(line, column, old, new)`` mutants of ``source`` that compile,
     within the named functions when any are named, and the count of those
     skipped because they do not compile."""
-    defs = [node for node in ast.walk(ast.parse(source))
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    defs = _defs(source)
     missing = set(functions) - {node.name for node in defs}
     if missing:
         raise SystemExit(f"no function named {', '.join(sorted(missing))}")
@@ -115,7 +145,8 @@ def main(argv: list[str] | None = None) -> int:
     found, skipped = mutants(source, args.functions)
     sample = found if args.sample is None else random.Random(args.seed).sample(found, min(args.sample, len(found)))
     lines = source.splitlines(keepends=True)
-    survivors = []
+    defs = _defs(source)
+    survivors, listed = [], []
     with tempfile.TemporaryDirectory(prefix="panopose-mutants-") as tmp:
         copy = Path(tmp, "checkout")
         shutil.copytree(ROOT, copy, ignore=shutil.ignore_patterns(
@@ -126,14 +157,21 @@ def main(argv: list[str] | None = None) -> int:
         for k, mutant in enumerate(sorted(sample), 1):
             (copy / relative).write_text(_mutated(lines, mutant), encoding="utf-8")
             survived, _ = _passes(copy, pytest_args, 10 * seconds)
-            where = f"{relative}:{mutant[0]}: {mutant[2]} -> {mutant[3]}"
+            row, _, old, new = mutant
+            where = f"{relative}:{row}: {old} -> {new}"
+            reason = EQUIVALENT.get((args.module, _function(defs, row), lines[row - 1].strip(), f"{old} -> {new}"))
             print(f"[{k}/{len(sample)}] {'survived' if survived else 'killed'} {where}", file=sys.stderr, flush=True)
-            if survived:
+            if survived and reason is None:
                 survivors.append(where)
-    print(f"killed {len(sample) - len(survivors)}, survived {len(survivors)} of {len(sample)} sampled "
-          f"from {len(found)} mutants ({skipped} that do not compile skipped)")
+            elif survived:
+                listed.append(f"{where} ({reason})")
+    print(f"killed {len(sample) - len(survivors) - len(listed)}, survived {len(survivors)}, equivalent "
+          f"{len(listed)} of {len(sample)} sampled from {len(found)} mutants "
+          f"({skipped} that do not compile skipped)")
     print("\n".join(survivors))
-    return 0
+    if listed:
+        print("\n".join(["listed as equivalent:", *listed]))
+    return 1 if survivors else 0
 
 
 if __name__ == "__main__":

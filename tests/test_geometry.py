@@ -172,6 +172,27 @@ class TestShiftFrame:
         ds = _boxes_dataset((10.25, 10, 50.5, 70))
         assert shift_dataset(ds, PANO.width) == ds
 
+    def test_shift_that_reduces_to_the_width_is_identity(self):
+        # -1e-20 % W and -W * 2**-60 % W round up to W itself.
+        ds = _boxes_dataset((0.1, 10, 50, 60))
+        assert shift_dataset(ds, -1e-20) == ds
+        assert shift_dataset(ds, -PANO.width * 2.0**-60) == ds
+
+    def test_shift_zero_leaves_a_keypoint_left_of_the_panorama(self):
+        ds = dataset("jrdb17", PANO, [("f0", [person(box=(10, 10, 50, 60), pose=_pose17((-5, 40, 2)))])])
+        assert shift_dataset(ds, 0.0) == ds
+
+    def test_sum_that_rounds_to_the_width_wraps_to_zero(self):
+        # -0.30000000000000004 + 0.3 is -5.6e-17, whose remainder rounds to W.
+        x = -0.30000000000000004
+        ds = dataset("jrdb17", PANO, [("f0", [person(box=(10, 10, 50, 60), pose=_pose17((x, 40, 2)))])])
+        assert shift_dataset(ds, 0.3).keypoints[0, 0].tolist() == [0.0, 40, 2]
+        assert shift_dataset(_boxes_dataset((x, 10, 50, 60)), 0.3).boxes.tolist() == [[0.0, 10, 50.3, 60]]
+
+    def test_box_ending_at_the_width_is_kept(self):
+        w = PANO.width
+        assert shift_dataset(_boxes_dataset((w - 10, 10, w - 2, 60)), 2.0).boxes.tolist() == [[w - 8, 10, w, 60]]
+
     def test_box_crossing_the_seam_is_removed(self):
         w = PANO.width
         shifted = shift_dataset(_boxes_dataset((w - 10, 0, w - 2, 20)), 6.0)

@@ -6,8 +6,9 @@ frames, the assignment solver against the enumeration oracle, the streamed
 mapping and container files, the dataset loader's faults against a
 value-by-value reference walk, the documents it accepts against
 ``docs/dataset.schema.json``, ``eval`` with its forked ``--gt`` read
-against reading the two files in turn, and every command's outputs, which
-land all or none when one of them cannot be written."""
+against reading the two files in turn, every command's outputs, which
+land all or none when one of them cannot be written, the range of a shifted
+x, and the pipeline's closed loop from poses through heatmaps to scores."""
 
 import contextlib
 import copy
@@ -55,9 +56,11 @@ from panopose.geometry import (
     _nms_rows,
     _pose_bboxes,
     _ranking,
+    apply_transform,
     crop_transform,
     iou,
     nms,
+    shift_dataset,
 )
 from panopose.metrics import (
     COCO_SIGMAS,
@@ -1867,3 +1870,145 @@ def test_the_set_metric_lies_in_0_1_and_is_the_same_with_the_datasets_swapped(fr
     assert forward.per_frame.keys() == backward.per_frame.keys()
     for fid, stats in forward.per_frame.items():
         assert abs(stats["ospa_iou"] - backward.per_frame[fid]["ospa_iou"]) <= 1e-12
+
+
+# -- the wrap rule ----------------------------------------------------------------
+#
+# Boxes and 100 px wide poses anywhere within two panoramas of x = 0, so that
+# shifted x lands on both sides of the seam and beyond the panorama.
+wrap_x = st.floats(-2.0 * PANO.width, 2.0 * PANO.width)
+wrap_box = st.builds(lambda x, y, w, h: (x, y, x + w, y + h), wrap_x, coord, st.floats(1.0, 100.0),
+                     st.floats(1.0, 100.0))
+wrap_pose = st.builds(lambda x, pose: [(x + dx, y, v) for dx, y, v in pose], wrap_x, poses(coord))
+_ROUNDING = -0.30000000000000004  # + 0.3 is -5.6e-17, whose remainder rounds to W
+
+
+@PROPERTY
+@given(st.lists(st.one_of(st.builds(lambda b: person(box=b), wrap_box),
+                          st.builds(lambda p: person(pose=p), wrap_pose),
+                          st.builds(lambda b, p: person(box=b, pose=p), wrap_box, wrap_pose)), max_size=6),
+       st.floats(-3.0 * PANO.width, 3.0 * PANO.width) | st.sampled_from([0.3, -1e-20, -PANO.width]))
+@example([person(box=(_ROUNDING, 10, 50, 60)),
+          person(box=(10, 10, 50, 60), pose=[(_ROUNDING, 40, 2)] + [(10, 50, 2)] * (NUM_KEYPOINTS - 1))], 0.3)
+def test_shift_takes_x_modulo_the_width_into_0_w(persons, shift):
+    w = PANO.width
+    ds = dataset("jrdb17", PANO, [("f0", persons)])
+    shifted = shift_dataset(ds, shift)
+    if shift % w in (0.0, w):  # a shift that reduces to 0 or W moves nothing, inside or out
+        assert shifted == ds
+    else:
+        x1, x2 = shifted.boxes[shifted.has_box][:, [0, 2]].T
+        assert ((0.0 <= x1) & (x1 < w) & (x2 <= w)).all()
+        x = shifted.keypoints[shifted.has_pose][..., 0]
+        assert ((0.0 <= x) & (x < w)).all()
+    # Each reduces to W itself.
+    assert shift_dataset(ds, -1e-20) == ds
+    assert shift_dataset(ds, -w * 2.0**-60) == ds
+
+
+# -- the pipeline's closed loop -----------------------------------------------------
+#
+# boxes-from-poses -> nms -> decode -> eval, in process, on synth poses with a
+# Gaussian peak at each true keypoint. Persons sit in disjoint slots of the
+# panorama, none at the seam: a straddling person's box spans the panorama
+# today, so its crop would break decode's bound. ROADMAP items 9b and 2, which
+# unwrap the pose box and wrap decoded x, add straddling persons here.
+LOOP_SLOTS = 6
+LOOP_SPREAD = 60.0  # a pose's half side, in panorama px
+LOOP_GRID = (96, 72)  # a 384 x 288 crop at stride 4
+LOOP_STRIDE = 4.0
+LOOP_SIGMA = 2.0  # the peaks' σ, in cells
+LOOP_JITTER = 0.13  # a candidate copy's edges move by at most this share of its side: IoU >= 0.548
+
+
+@st.composite
+def loop_scenes(draw):
+    """1-3 frames of 1-4 synth poses, each in a slot of its own, the
+    generator that drew them, which the detector stand-in draws from next,
+    and boxes-from-poses' margin with decode's padding: at margin 0 and
+    padding 1 the pinned corner keypoints sit on the crop's edge, so their
+    peaks lie in edge cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pano = DEFAULT_PANO
+    slot_w = pano.width / LOOP_SLOTS
+    reach = 0.5 * slot_w - 1.2 * LOOP_SPREAD - 8.0  # how far a pose's centre moves in its slot
+    frames = []
+    for f in range(draw(st.integers(1, 3))):
+        slots = draw(st.lists(st.integers(0, LOOP_SLOTS - 1), min_size=1, max_size=4, unique=True))
+        frames.append((f"f{f}", [person(pose=random_pose(rng, (s + 0.5) * slot_w + rng.uniform(-reach, reach),
+                                                         rng.uniform(0.3, 0.7) * pano.height, LOOP_SPREAD))
+                                 for s in slots]))
+    return frames, rng, draw(st.sampled_from([(0.1, 1.25), (0.0, 1.0)]))
+
+
+def _run(*argv: str) -> None:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert cli.run(list(argv)) == 0, err.getvalue()
+
+
+@settings(PROPERTY, max_examples=20)
+@given(loop_scenes())
+def test_the_pipeline_decodes_each_person_where_it_stands_and_scores_it_whole(tmp_path_factory, scene):
+    frames, rng, (margin, padding) = scene
+    base = tmp_path_factory.getbasetemp() / "loop"
+    base.mkdir(exist_ok=True)
+    p = {name: str(base / name) for name in ("gt.json", "boxes.json", "cands.json", "kept.json", "heat.bin",
+                                             "pred.json", "report.json")}
+    gts = dataset("jrdb17", DEFAULT_PANO, frames)
+    save_dataset(gts, p["gt.json"])
+    _run("boxes-from-poses", "--in", p["gt.json"], "--out", p["boxes.json"], "--margin", str(margin))
+    boxes = cli._load_dataset(p["boxes.json"], require_scores=False)
+
+    # The detector stand-in: each person's box at a score in [0.8, 1], and a
+    # jittered copy at a lower score, which nms suppresses.
+    truth, cands = {}, []
+    bounds = boxes.offsets.tolist()
+    for fid, start, stop in zip(boxes.frame_ids, bounds, bounds[1:]):
+        persons = []
+        for box, pose in zip(boxes.boxes[start:stop].tolist(), boxes.keypoints[start:stop]):
+            truth[(fid, *box)] = pose
+            top = rng.uniform(0.8, 1.0)
+            side = np.array([box[2] - box[0], box[3] - box[1]] * 2)
+            persons += [person(box=box, score=top),
+                        person(box=box + rng.uniform(-LOOP_JITTER, LOOP_JITTER, 4) * side,
+                               score=top * rng.uniform(0.3, 0.95))]
+        cands.append((fid, [persons[i] for i in rng.permutation(len(persons))]))
+    save_dataset(dataset("jrdb17", DEFAULT_PANO, cands), p["cands.json"])
+    _run("nms", "--pred", p["cands.json"], "--out", p["kept.json"])
+    kept = cli._load_dataset(p["kept.json"], require_scores=True)
+    bounds = kept.offsets.tolist()
+    rows = [(fid, n, tuple(kept.boxes[row].tolist()))
+            for fid, start, stop in zip(kept.frame_ids, bounds, bounds[1:])
+            for n, row in enumerate(range(start, stop))]
+    assert sorted((fid, *box) for fid, _, box in rows) == sorted(truth)
+
+    # The pose network stand-in: per detection, the peak of each true
+    # keypoint in crop-grid cells, by the rule of
+    # test_decode_lands_within_a_quarter_cell_of_a_symmetric_peak.
+    h, w = LOOP_GRID
+    j, i = np.arange(w) + 0.5, np.arange(h)[:, None] + 0.5
+    crops = crop_transform([box for _, _, box in rows], w * LOOP_STRIDE, h * LOOP_STRIDE, padding)
+    peaks = [apply_transform(crop, truth[(fid, *box)][:, :2]).T / LOOP_STRIDE
+             for (fid, _, box), crop in zip(rows, crops)]
+    save_tensor_map({f"{fid}/{n}": np.array([np.exp(-((j - x) ** 2 + (i - y) ** 2) / (2.0 * LOOP_SIGMA ** 2))
+                                             for x, y in peak.T], dtype=np.float32)
+                     for (fid, n, _), peak in zip(rows, peaks)}, p["heat.bin"])
+    _run("decode", "--heatmaps", p["heat.bin"], "--dets", p["kept.json"], "--out", p["pred.json"],
+         "--stride", str(LOOP_STRIDE), "--padding", str(padding))
+    pred = cli._load_dataset(p["pred.json"], require_scores=True)
+    assert np.array_equal(pred.boxes, kept.boxes)
+    for (fid, _, box), crop, peak, decoded in zip(rows, crops, peaks, pred.keypoints):
+        # README: stride/4 crop px per axis, stride/2 where the peak lies in
+        # an edge cell (or beyond it); in panorama px through the
+        # axis-aligned crop, with 1e-6 of slack for the crop's rounding.
+        edge = (peak < 1.0) | (peak >= np.array([[w], [h]]) - 1.0)
+        bound = LOOP_STRIDE * (np.where(edge, 0.5, 0.25) + 1e-6) / np.diag(crop)[:, None]
+        assert (np.abs(decoded[:, :2].T - truth[(fid, *box)][:, :2].T) <= bound).all()
+
+    _run("eval", "--gt", p["gt.json"], "--pred", p["pred.json"], "--report", p["report.json"])
+    report = json.loads(Path(p["report.json"]).read_text(encoding="utf-8"))
+    assert report["ap_05"] == 1.0
+    expected = evaluate(kept, gts).per_frame
+    assert {fid: stats["ospa_iou"] for fid, stats in report["per_frame"].items()} == \
+        {fid: stats["ospa_iou"] for fid, stats in expected.items()}
